@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/delta"
 	"repro/internal/experiments"
 	"repro/internal/fabric"
@@ -473,5 +474,54 @@ func BenchmarkEnginePost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng.Post(nop)
 		eng.Run()
+	}
+}
+
+// BenchmarkArbiterRotating is the arbiter as the contended daemon shard
+// drives it: n sessions registered in order, all queued on one target under
+// fcfs, the holder cycling release/end/re-inform so arrivals are a rotation
+// of registration order (never the order the sessions sit in). Each op is
+// one grant cycle of three decisions; ns/decision is the headline.
+func BenchmarkArbiterRotating(b *testing.B) {
+	for _, n := range []int{64, 256} {
+		b.Run(fmt.Sprintf("apps=%d", n), func(b *testing.B) {
+			ar := core.NewArbiter(core.FCFSPolicy{})
+			ar.SetIndexed(true)
+			ar.SetLogBound(256)
+			apps := make([]*core.AppState, n)
+			now := 0.0
+			for i := range apps {
+				var err error
+				if apps[i], err = ar.Register(fmt.Sprintf("app-%03d", i), 64); err != nil {
+					b.Fatal(err)
+				}
+				now++
+				apps[i].Inform(now)
+			}
+			ar.Arbitrate(now)
+			holder := 0
+			cycle := func() {
+				a := apps[holder]
+				if !a.Authorized() || a.Activate() != nil || a.Release() != nil {
+					b.Fatalf("%s is not the holder", a.Name())
+				}
+				now++
+				ar.Arbitrate(now)
+				a.End()
+				ar.Arbitrate(now)
+				a.Inform(now)
+				ar.Arbitrate(now)
+				holder = (holder + 1) % n
+			}
+			for i := 0; i < 2*n+256; i++ {
+				cycle() // fill the decision-log ring and settle the queue's backing
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(3*b.N), "ns/decision")
+		})
 	}
 }

@@ -351,7 +351,11 @@
 //   - core.Layer.Reset: retains registrations (and so arrival tie-break
 //     order) and the policy; clears protocol states, accounting and the
 //     decision log — with fresh backing, so Log slices already handed out
-//     stay valid.
+//     stay valid. Underneath, core.Arbiter.Reset retains the backing of
+//     its arrival-ordered queue (application pointers, the AppViews handed
+//     to the policy, authorization bits) and of the allowed/granted/revoked
+//     decision scratch; clears the queue itself, the authorized count and
+//     every AppState back to Idle with its registration-time core count.
 //   - ior.Runner.Reset: retains the armed workload (presets fold their
 //     defaults in exactly once, at construction) and cached file names;
 //     clears per-run statistics, keeping their backing.

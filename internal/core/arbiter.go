@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -25,8 +26,10 @@ type AppState struct {
 
 	name     string
 	cores    int
-	regCores int // cores at registration; Prepare may override cores, Reset restores this
-	idx      int // position in Arbiter.apps; -1 once unregistered
+	regCores int      // cores at registration; Prepare may override cores, Reset restores this
+	idx      int      // position in Arbiter.apps; -1 once unregistered
+	ar       *Arbiter // owning arbiter; nil once unregistered
+	qpos     int      // position in ar.queue, meaningful while state != Idle
 
 	state      State
 	arrival    float64
@@ -39,8 +42,6 @@ type AppState struct {
 	aloneBW    float64
 
 	infoStack []Info
-
-	allowedNow bool // per-arbitration scratch, meaningful only inside Arbitrate
 }
 
 // Name returns the application name.
@@ -55,7 +56,7 @@ func (a *AppState) State() State { return a.state }
 // Authorized reports the current arbitration outcome for this application.
 func (a *AppState) Authorized() bool { return a.authorized }
 
-// View snapshots the application for arbitration.
+// View snapshots the application as a policy sees it.
 func (a *AppState) View() AppView {
 	return AppView{
 		Name:       a.name,
@@ -70,11 +71,30 @@ func (a *AppState) View() AppView {
 	}
 }
 
+// refresh rewrites the application's slot in the owning Arbiter's view
+// array. Every mutator that changes something a policy can see while the
+// application is queued ends with it, so the views handed to the policy are
+// current without Arbitrate visiting any application that did not change.
+func (a *AppState) refresh() {
+	if a.ar != nil && a.state != Idle {
+		a.ar.views[a.qpos] = a.View()
+	}
+}
+
+// setState moves a queued application between Waiting and Active.
+func (a *AppState) setState(s State) {
+	a.state = s
+	if a.ar != nil {
+		a.ar.views[a.qpos].State = s
+	}
+}
+
 // Prepare stacks information about the upcoming I/O accesses, as the paper's
 // Prepare(MPI_Info) does. Recognized keys update the view policies see.
 func (a *AppState) Prepare(info Info) {
 	a.infoStack = append(a.infoStack, info.Clone())
 	a.applyInfo()
+	a.refresh()
 }
 
 // Complete unstacks the most recent Prepare.
@@ -84,6 +104,7 @@ func (a *AppState) Complete() error {
 	}
 	a.infoStack = a.infoStack[:len(a.infoStack)-1]
 	a.applyInfo()
+	a.refresh()
 	return nil
 }
 
@@ -110,8 +131,9 @@ func (a *AppState) applyInfo() {
 }
 
 // Inform announces the application's intent (or continued intent) to do I/O.
-// On the first Inform of a phase it records the arrival time and resets the
-// progress counter; it reports whether this opened a fresh phase.
+// On the first Inform of a phase it records the arrival time, resets the
+// progress counter and joins the arbitration queue; it reports whether this
+// opened a fresh phase.
 func (a *AppState) Inform(now float64) (fresh bool) {
 	if a.state != Idle {
 		return false
@@ -119,6 +141,9 @@ func (a *AppState) Inform(now float64) (fresh bool) {
 	a.state = Waiting
 	a.arrival = now
 	a.bytesDone = 0
+	if a.ar != nil {
+		a.ar.enqueue(a)
+	}
 	return true
 }
 
@@ -128,7 +153,7 @@ func (a *AppState) Activate() error {
 	if a.state == Idle {
 		return fmt.Errorf("core: %s: Wait before Inform", a.name)
 	}
-	a.state = Active
+	a.setState(Active)
 	return nil
 }
 
@@ -138,13 +163,17 @@ func (a *AppState) Release() error {
 	if a.state != Active {
 		return fmt.Errorf("core: %s: Release while %v", a.name, a.state)
 	}
-	a.state = Waiting
+	a.setState(Waiting)
 	return nil
 }
 
 // End terminates the I/O phase entirely: the application becomes invisible
-// to arbitration until its next Inform.
+// to arbitration until its next Inform. Its authorization lapses silently —
+// the next Arbitrate reports no revoke for it.
 func (a *AppState) End() {
+	if a.ar != nil && a.state != Idle {
+		a.ar.dequeue(a)
+	}
 	a.state = Idle
 	a.authorized = false
 }
@@ -153,6 +182,9 @@ func (a *AppState) End() {
 func (a *AppState) Progress(bytesDone float64) {
 	if bytesDone > a.bytesDone {
 		a.bytesDone = bytesDone
+		if a.ar != nil && a.state != Idle {
+			a.ar.views[a.qpos].BytesDone = bytesDone
+		}
 	}
 }
 
@@ -160,9 +192,10 @@ func (a *AppState) Progress(bytesDone float64) {
 // instead of returning a Decision with a freshly allocated Allowed map, the
 // policy marks allowed[i] for each authorized apps[i]. The views arrive
 // sorted by (arrival, name) and allowed arrives all-false, len(allowed) ==
-// len(apps). The returned reason should be a constant (no formatting) so the
-// fast path stays allocation-free; recheck follows Decision.RecheckAfter
-// semantics.
+// len(apps). As with Policy.Arbitrate, apps is the Arbiter's own persistent
+// view array and must be treated as read-only. The returned reason should be
+// a constant (no formatting) so the fast path stays allocation-free; recheck
+// follows Decision.RecheckAfter semantics.
 //
 // The daemon's arbitration loop enables this path (Arbiter.SetIndexed); the
 // simulator keeps the map-based path so its decision logs — which feed the
@@ -192,11 +225,19 @@ type Outcome struct {
 }
 
 // Arbiter owns the arbitration state machine shared by the simulator Layer
-// and the network daemon: the registered applications, the sorted AppView
-// scratch handed to the policy, and the application of the policy's decision
-// back onto per-app authorization bits. Steady-state arbitration reuses all
-// scratch; with a policy implementing IndexedArbitrator and logging bounded,
-// the hot path performs no per-request allocation.
+// and the network daemon: the registered applications, the arrival-ordered
+// queue of those in an I/O phase with the AppViews handed to the policy, and
+// the application of the policy's decision back onto per-app authorization
+// bits.
+//
+// The queue is persistent and maintained incrementally, so a decision costs
+// what changed since the last one rather than a rebuild: Inform inserts the
+// application from the tail, End and Unregister remove it, every other
+// AppState mutator rewrites its own view slot, and decision application
+// visits only the applications whose authorization flipped. Steady-state
+// arbitration reuses all scratch; with a policy implementing
+// IndexedArbitrator and logging bounded, the hot path performs no
+// per-request allocation.
 //
 // The Arbiter is not goroutine-safe: the sim engine is single-threaded, and
 // the daemon funnels every request through one arbitration goroutine (which
@@ -207,14 +248,26 @@ type Arbiter struct {
 	useIndexed bool
 	logBound   int // <0 unlimited, 0 disabled, >0 keep last N records
 
-	apps []*AppState
+	apps []*AppState // registration order
 
-	// Arbitration scratch, reused across calls.
-	views    []AppView
-	viewApps []*AppState
-	allowed  []bool
-	granted  []*AppState
-	revoked  []*AppState
+	// The arbitration queue: three parallel slices whose live window
+	// [head:] holds exactly the non-idle applications in strictly
+	// increasing (arrival, name) order — names are unique and an arrival is
+	// fixed for as long as its application stays queued, so the order is
+	// total and an entry never has to move. queue[i].qpos == i, views[i] ==
+	// queue[i].View(), auth[i] == queue[i].authorized. Removing the head
+	// (the FCFS holder ending its phase) only advances head; enqueue
+	// reclaims the dead prefix once it is as long as the window.
+	queue []*AppState
+	views []AppView
+	auth  []bool
+	head  int
+	nAuth int // authorized applications, all of them queued
+
+	// Per-decision scratch, reused across calls.
+	allowed []bool
+	granted []*AppState
+	revoked []*AppState
 
 	// log is append-only when unbounded; with a positive bound it becomes
 	// a ring once full — logHead is the next overwrite slot and each
@@ -242,27 +295,33 @@ func (ar *Arbiter) Policy() Policy { return ar.policy }
 func (ar *Arbiter) SetIndexed(on bool) { ar.useIndexed = on }
 
 // Reset returns the arbiter to its just-constructed state while keeping the
-// registered applications (in registration order) and the arbitration
-// scratch: every AppState goes back to Idle/unauthorized with an empty info
-// stack, and the decision log restarts with fresh backing — the old log
-// slice may have escaped via Log and must stay valid for its holder.
+// registered applications (in registration order) and the capacity of the
+// queue and decision scratch: every AppState goes back to Idle/unauthorized
+// with an empty info stack, the queue empties, and the decision log restarts
+// with fresh backing — the old log slice may have escaped via Log and must
+// stay valid for its holder.
 func (ar *Arbiter) Reset() {
 	for _, a := range ar.apps {
-		a.state = Idle
-		a.arrival = 0
-		a.authorized = false
-		a.cores = a.regCores // undo any Prepare(KeyCores) override
-		a.bytesTotal, a.bytesDone = 0, 0
-		a.files, a.rounds = 0, 0
-		a.aloneBW = 0
-		a.allowedNow = false
-		for i := range a.infoStack {
-			a.infoStack[i] = nil
-		}
-		a.infoStack = a.infoStack[:0]
+		a.reset()
 	}
+	clear(ar.queue)
+	ar.queue, ar.views, ar.auth = ar.queue[:0], ar.views[:0], ar.auth[:0]
+	ar.head, ar.nAuth = 0, 0
 	ar.log = nil
 	ar.logHead = 0
+}
+
+// reset returns the application to its just-registered protocol state.
+func (a *AppState) reset() {
+	a.state = Idle
+	a.arrival = 0
+	a.authorized = false
+	a.cores = a.regCores // undo any Prepare(KeyCores) override
+	a.bytesTotal, a.bytesDone = 0, 0
+	a.files, a.rounds = 0, 0
+	a.aloneBW = 0
+	clear(a.infoStack)
+	a.infoStack = a.infoStack[:0]
 }
 
 // SetLogBound bounds the decision log: negative keeps everything (default),
@@ -304,12 +363,11 @@ func (ar *Arbiter) Apps() []*AppState { return ar.apps }
 // versus protocol (deferred with nobody authorized), so the classification
 // cannot drift between live stats and replay.
 func (ar *Arbiter) OtherAuthorized(app *AppState) bool {
-	for _, a := range ar.apps {
-		if a != app && a.authorized {
-			return true
-		}
+	n := ar.nAuth
+	if app != nil && app.ar == ar && app.authorized {
+		n--
 	}
-	return false
+	return n > 0
 }
 
 // Register adds an application. Names must be unique among currently
@@ -323,18 +381,22 @@ func (ar *Arbiter) Register(name string, cores int) (*AppState, error) {
 			return nil, fmt.Errorf("core: duplicate coordinator %q", name)
 		}
 	}
-	a := &AppState{name: name, cores: cores, regCores: cores, idx: len(ar.apps)}
+	a := &AppState{name: name, cores: cores, regCores: cores, idx: len(ar.apps), ar: ar}
 	ar.apps = append(ar.apps, a)
 	return a, nil
 }
 
-// Unregister removes an application (a daemon session disconnecting). The
-// registration order of the remaining applications is preserved, so decision
-// application — and therefore grant delivery order — stays deterministic.
-// Unregistering twice is a no-op.
+// Unregister removes an application (a daemon session disconnecting), from
+// the queue too if it leaves mid-phase. The registration order of the
+// remaining applications is preserved, so decision application — and
+// therefore grant delivery order — stays deterministic. Unregistering twice
+// is a no-op.
 func (ar *Arbiter) Unregister(a *AppState) {
-	if a == nil || a.idx < 0 {
+	if a == nil || a.ar != ar {
 		return
+	}
+	if a.state != Idle {
+		ar.dequeue(a)
 	}
 	copy(ar.apps[a.idx:], ar.apps[a.idx+1:])
 	ar.apps[len(ar.apps)-1] = nil
@@ -342,7 +404,7 @@ func (ar *Arbiter) Unregister(a *AppState) {
 	for i := a.idx; i < len(ar.apps); i++ {
 		ar.apps[i].idx = i
 	}
-	a.idx = -1
+	a.idx, a.ar = -1, nil
 }
 
 // viewLess orders views by (arrival, name), the order policies are
@@ -354,71 +416,110 @@ func viewLess(a, b *AppView) bool {
 	return a.Name < b.Name
 }
 
-// Arbitrate runs one arbitration round at the given time: it snapshots every
-// non-idle application, sorts the views by (arrival, name), asks the policy
-// for a decision, applies it to the per-app authorization bits, and logs the
-// outcome. Authorization changes are reported in registration order so the
-// caller's follow-up actions (waking simulated processes, pushing grants to
-// network clients) happen in a deterministic order.
-func (ar *Arbiter) Arbitrate(now float64) Outcome {
-	ar.views = ar.views[:0]
-	ar.viewApps = ar.viewApps[:0]
-	for _, a := range ar.apps {
-		if a.state == Idle {
-			continue
+// enqueue inserts a freshly informed application at its (arrival, name)
+// position, walking back from the tail: arrivals come from one clock, so the
+// walk passes only entries that share the new arrival time and sort after
+// the new name — except for callers that hand Inform out-of-order times,
+// which cost the distance they are out of order by.
+func (ar *Arbiter) enqueue(a *AppState) {
+	if ar.head > 0 && ar.head >= len(ar.queue)-ar.head {
+		// The dead prefix is at least as long as the live window: slide the
+		// window down. Each head removal pays for at most one moved entry.
+		ar.queue = slices.Delete(ar.queue, 0, ar.head)
+		ar.views = slices.Delete(ar.views, 0, ar.head)
+		ar.auth = slices.Delete(ar.auth, 0, ar.head)
+		ar.head = 0
+		for i, q := range ar.queue {
+			q.qpos = i
 		}
-		ar.views = append(ar.views, a.View())
-		ar.viewApps = append(ar.viewApps, a)
 	}
-	if len(ar.views) == 0 {
+	v := a.View()
+	ar.queue = append(ar.queue, nil)
+	ar.views = append(ar.views, AppView{})
+	ar.auth = append(ar.auth, false)
+	i := len(ar.queue) - 1
+	for ; i > ar.head && viewLess(&v, &ar.views[i-1]); i-- {
+		ar.queue[i], ar.views[i], ar.auth[i] = ar.queue[i-1], ar.views[i-1], ar.auth[i-1]
+		ar.queue[i].qpos = i
+	}
+	ar.queue[i], ar.views[i], ar.auth[i] = a, v, false
+	a.qpos = i
+}
+
+// dequeue removes a queued application (its phase ended, or it unregistered
+// mid-phase) and with it any authorization it held.
+func (ar *Arbiter) dequeue(a *AppState) {
+	i := a.qpos
+	if ar.auth[i] {
+		ar.nAuth--
+	}
+	if i == ar.head {
+		ar.queue[i] = nil
+		ar.head++
+	} else {
+		ar.queue = slices.Delete(ar.queue, i, i+1)
+		ar.views = slices.Delete(ar.views, i, i+1)
+		ar.auth = slices.Delete(ar.auth, i, i+1)
+		for j := i; j < len(ar.queue); j++ {
+			ar.queue[j].qpos = j
+		}
+	}
+	if ar.head == len(ar.queue) {
+		ar.queue, ar.views, ar.auth = ar.queue[:0], ar.views[:0], ar.auth[:0]
+		ar.head = 0
+	}
+}
+
+// Arbitrate runs one arbitration round at the given time: it hands the
+// policy the queued applications' views — kept sorted by (arrival, name) and
+// current by the AppState mutators — applies the decision to the
+// authorization bits that differ from it, and logs the outcome.
+// Authorization changes are reported in registration order so the caller's
+// follow-up actions (waking simulated processes, pushing grants to network
+// clients) happen in a deterministic order.
+func (ar *Arbiter) Arbitrate(now float64) Outcome {
+	views := ar.views[ar.head:len(ar.views):len(ar.views)] // clipped: a policy's append must not reach the backing
+	n := len(views)
+	if n == 0 {
 		return Outcome{}
 	}
-	// Insertion sort: views are near-sorted (arrivals are monotone within a
-	// session) and the loop allocates nothing, unlike sort.Slice.
-	for i := 1; i < len(ar.views); i++ {
-		v, va := ar.views[i], ar.viewApps[i]
-		j := i - 1
-		for j >= 0 && viewLess(&v, &ar.views[j]) {
-			ar.views[j+1], ar.viewApps[j+1] = ar.views[j], ar.viewApps[j]
-			j--
-		}
-		ar.views[j+1], ar.viewApps[j+1] = v, va
+	if cap(ar.allowed) < n {
+		ar.allowed = make([]bool, cap(ar.views))
 	}
+	allowed := ar.allowed[:n]
+	clear(allowed)
 
-	ar.allowed = ar.allowed[:0]
-	for range ar.views {
-		ar.allowed = append(ar.allowed, false)
-	}
 	var reason string
 	var recheck float64
 	if ip, ok := ar.policy.(IndexedArbitrator); ok && ar.useIndexed {
-		reason, recheck = ip.ArbitrateIndexed(now, ar.views, ar.allowed)
+		reason, recheck = ip.ArbitrateIndexed(now, views, allowed)
 	} else {
-		dec := ar.policy.Arbitrate(now, ar.views)
+		dec := ar.policy.Arbitrate(now, views)
 		reason, recheck = dec.Reason, dec.RecheckAfter
-		for i, v := range ar.views {
-			ar.allowed[i] = dec.Allowed[v.Name]
+		for i := range views {
+			allowed[i] = dec.Allowed[views[i].Name]
 		}
 	}
 
-	for i, a := range ar.viewApps {
-		a.allowedNow = ar.allowed[i]
-	}
+	queue, auth := ar.queue[ar.head:], ar.auth[ar.head:]
 	ar.granted = ar.granted[:0]
 	ar.revoked = ar.revoked[:0]
-	for _, a := range ar.apps {
-		if a.state == Idle {
+	for i, ok := range allowed {
+		if ok == auth[i] {
 			continue
 		}
-		was := a.authorized
-		a.authorized = a.allowedNow
-		switch {
-		case a.authorized && !was:
+		a := queue[i]
+		auth[i], a.authorized = ok, ok
+		if ok {
+			ar.nAuth++
 			ar.granted = append(ar.granted, a)
-		case !a.authorized && was:
+		} else {
+			ar.nAuth--
 			ar.revoked = append(ar.revoked, a)
 		}
 	}
+	sortByRegistration(ar.granted)
+	sortByRegistration(ar.revoked)
 
 	if ar.logBound != 0 {
 		var names []string
@@ -426,9 +527,9 @@ func (ar *Arbiter) Arbitrate(now float64) Outcome {
 		if wrap {
 			names = ar.log[ar.logHead].Allowed[:0] // reuse the evicted record's backing
 		}
-		for i, v := range ar.views {
-			if ar.allowed[i] {
-				names = append(names, v.Name)
+		for i := range views {
+			if allowed[i] {
+				names = append(names, views[i].Name)
 			}
 		}
 		sort.Strings(names)
@@ -447,5 +548,14 @@ func (ar *Arbiter) Arbitrate(now float64) Outcome {
 		RecheckAfter: recheck,
 		Granted:      ar.granted,
 		Revoked:      ar.revoked,
+	}
+}
+
+// sortByRegistration orders a decision's flips — found in queue order — by
+// registration index. Almost every decision flips at most one application
+// each way.
+func sortByRegistration(apps []*AppState) {
+	if len(apps) > 1 {
+		slices.SortFunc(apps, func(a, b *AppState) int { return a.idx - b.idx })
 	}
 }

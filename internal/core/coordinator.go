@@ -109,7 +109,7 @@ func (c *Coordinator) Wait(p *sim.Proc) {
 	}
 	start := p.Now()
 	for !c.app.authorized {
-		c.app.state = Waiting
+		c.app.setState(Waiting)
 		r := p.Suspend()
 		c.waiting = r
 		r.Park()

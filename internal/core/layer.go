@@ -87,7 +87,10 @@ func AllowOnly(name, reason string) Decision {
 // Policy arbitrates file-system access among the applications currently in
 // an I/O phase. Arbitrate is called whenever the set or progress of
 // participating applications changes. The views are sorted by arrival time
-// (ties by name) before the call.
+// (ties by name). The apps slice is the Arbiter's own view array, which
+// persists from one decision to the next: a policy must treat it as
+// read-only (reorder a copy, as DynamicPolicy and FairSharePolicy do) and
+// must not retain it past the call.
 type Policy interface {
 	Name() string
 	Arbitrate(now float64, apps []AppView) Decision

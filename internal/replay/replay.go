@@ -355,7 +355,12 @@ func Under(tr *trace.Trace, pol core.Policy) (Result, error) {
 	if err := checkReplayable(tr); err != nil {
 		return Result{}, err
 	}
-	parts := partition(tr)
+	return under(partition(tr), pol)
+}
+
+// under is Under on an already partitioned trace. The machines only read
+// the streams, so one partition serves every policy of a comparison.
+func under(parts []shardEvents, pol core.Policy) (Result, error) {
 	results := make([]Result, 0, len(parts))
 	for _, p := range parts {
 		m := newMachine(pol, p.Target, true, false)
@@ -826,7 +831,11 @@ func Compare(tr *trace.Trace, policies []Named) (Comparison, error) {
 	if err != nil {
 		return Comparison{}, fmt.Errorf("replay: recording policy: %w", err)
 	}
-	base, err := Under(tr, basePol)
+	if err := checkReplayable(tr); err != nil {
+		return Comparison{}, err
+	}
+	parts := partition(tr)
+	base, err := under(parts, basePol)
 	if err != nil {
 		return Comparison{}, err
 	}
@@ -853,7 +862,7 @@ func Compare(tr *trace.Trace, policies []Named) (Comparison, error) {
 			res = base
 		} else {
 			var err error
-			res, err = Under(tr, np.Policy)
+			res, err = under(parts, np.Policy)
 			if err != nil {
 				return Comparison{}, fmt.Errorf("replay: %s: %w", np.Name, err)
 			}

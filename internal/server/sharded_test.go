@@ -466,11 +466,10 @@ func TestRecordShardedVerifiesPerTarget(t *testing.T) {
 // BenchmarkServerArbitrate shape — sharded across storage targets, with one
 // driving goroutine per target (the daemon's per-shard arbitration
 // goroutines without the network). targets=1 is the single-goroutine
-// baseline: all 64 sessions in one arbiter. Sharding scales the aggregate
-// two ways at once: each shard arbitrates over 64/targets applications
-// (arbitration is O(apps) per grant — view rebuild, decision application,
-// OtherAuthorized), and the shards run concurrently on however many cores
-// the machine offers. The first effect alone shows up even on one core.
+// baseline: all 64 sessions in one arbiter. Since the arbiter keeps its
+// queue across decisions a grant costs about the same at every queue depth,
+// so sharding scales the aggregate one way only: the shards run
+// concurrently on however many cores the machine offers.
 func BenchmarkServerArbitrateSharded(b *testing.B) {
 	const fleet = 64
 	for _, targets := range []int{1, 2, 4, 8} {
