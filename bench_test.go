@@ -290,6 +290,19 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	}
 }
 
+// fabricPairScenario is the scenario of the ∆-sweep macro-benchmarks: two
+// 2048-process applications on Surveyor under the explicit-fabric model.
+func fabricPairScenario() delta.Scenario {
+	sc := experiments.SurveyorPlatform()
+	sc.TrueNetwork = true
+	w := ior.Workload{Pattern: ior.Contiguous, BlockSize: 32 << 20, BlocksPerProc: 1, ReqBytes: 4 << 20}
+	sc.Apps = []delta.AppSpec{
+		{Name: "A", Procs: 2048, Nodes: 512, W: w, Gran: ior.PerRound},
+		{Name: "B", Procs: 2048, Nodes: 512, W: w, Gran: ior.PerRound},
+	}
+	return sc
+}
+
 // BenchmarkDeltaSweepFabric is the macro-benchmark the solver rewrite
 // targets: a full ∆-graph sweep under the explicit-fabric contention model
 // (TrueNetwork), the paper's most expensive evaluation mode. Since the
@@ -298,13 +311,7 @@ func BenchmarkEngineSchedule(b *testing.B) {
 // the remaining allocs/op are the per-sweep worker goroutines, not platform
 // construction (TestSweeperSteadyStateAllocs pins the bound).
 func BenchmarkDeltaSweepFabric(b *testing.B) {
-	sc := experiments.SurveyorPlatform()
-	sc.TrueNetwork = true
-	w := ior.Workload{Pattern: ior.Contiguous, BlockSize: 32 << 20, BlocksPerProc: 1, ReqBytes: 4 << 20}
-	sc.Apps = []delta.AppSpec{
-		{Name: "A", Procs: 2048, Nodes: 512, W: w, Gran: ior.PerRound},
-		{Name: "B", Procs: 2048, Nodes: 512, W: w, Gran: ior.PerRound},
-	}
+	sc := fabricPairScenario()
 	dts := []float64{-10, -5, -2, 0, 2, 5, 10}
 	sw := delta.NewSweeper()
 	var s delta.Series
@@ -319,14 +326,15 @@ func BenchmarkDeltaSweepFabric(b *testing.B) {
 // resolution (49 points): with many points per worker, the per-worker
 // engine reuse introduced with sim.Engine.Reset amortizes event-record
 // allocations across points instead of re-paying them per run.
-func BenchmarkDeltaSweepFabricDense(b *testing.B) {
-	sc := experiments.SurveyorPlatform()
-	sc.TrueNetwork = true
-	w := ior.Workload{Pattern: ior.Contiguous, BlockSize: 32 << 20, BlocksPerProc: 1, ReqBytes: 4 << 20}
-	sc.Apps = []delta.AppSpec{
-		{Name: "A", Procs: 2048, Nodes: 512, W: w, Gran: ior.PerRound},
-		{Name: "B", Procs: 2048, Nodes: 512, W: w, Gran: ior.PerRound},
-	}
+func BenchmarkDeltaSweepFabricDense(b *testing.B) { benchDenseSweep(b, delta.Uncoordinated) }
+
+// BenchmarkDeltaSweepFabricDenseCoordinated is the dense sweep with the
+// coordination layer deciding every round under fcfs: what asking the
+// coordinator adds to a figure's cost.
+func BenchmarkDeltaSweepFabricDenseCoordinated(b *testing.B) { benchDenseSweep(b, delta.FCFS) }
+
+func benchDenseSweep(b *testing.B, factory delta.PolicyFactory) {
+	sc := fabricPairScenario()
 	dts := make([]float64, 49)
 	for i := range dts {
 		dts[i] = float64(i - 24)
@@ -336,7 +344,7 @@ func BenchmarkDeltaSweepFabricDense(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sw.SweepInto(&s, sc, delta.Uncoordinated, dts)
+		sw.SweepInto(&s, sc, factory, dts)
 	}
 }
 
@@ -344,15 +352,16 @@ func BenchmarkDeltaSweepFabricDense(b *testing.B) {
 // ∆-sweep point on a reused platform — what every point after a worker's
 // first costs since the resettable-platform rework: pure simulation, zero
 // allocations.
-func BenchmarkDeltaPointReused(b *testing.B) {
-	sc := experiments.SurveyorPlatform()
-	sc.TrueNetwork = true
-	w := ior.Workload{Pattern: ior.Contiguous, BlockSize: 32 << 20, BlocksPerProc: 1, ReqBytes: 4 << 20}
-	sc.Apps = []delta.AppSpec{
-		{Name: "A", Procs: 2048, Nodes: 512, W: w, Gran: ior.PerRound},
-		{Name: "B", Procs: 2048, Nodes: 512, W: w, Gran: ior.PerRound},
-	}
-	pl := platform.NewPool().Acquire(sc.Spec(), nil)
+func BenchmarkDeltaPointReused(b *testing.B) { benchPointReused(b, delta.Uncoordinated) }
+
+// BenchmarkDeltaPointReusedCoordinated is the same marginal point with both
+// applications coordinated under fcfs — every poke, decision, logged reason,
+// grant message and wait on reused storage: 0 allocs/op, enforced by CI.
+func BenchmarkDeltaPointReusedCoordinated(b *testing.B) { benchPointReused(b, delta.FCFS) }
+
+func benchPointReused(b *testing.B, factory delta.PolicyFactory) {
+	sc := fabricPairScenario()
+	pl := platform.NewPool().Acquire(sc.Spec(), factory)
 	starts := []float64{0, 5}
 	pl.Run(starts, nil)
 	b.ReportAllocs()
@@ -486,7 +495,6 @@ func BenchmarkArbiterRotating(b *testing.B) {
 	for _, n := range []int{64, 256} {
 		b.Run(fmt.Sprintf("apps=%d", n), func(b *testing.B) {
 			ar := core.NewArbiter(core.FCFSPolicy{})
-			ar.SetIndexed(true)
 			ar.SetLogBound(256)
 			apps := make([]*core.AppState, n)
 			now := 0.0

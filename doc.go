@@ -349,16 +349,26 @@
 //   - mpi.Platform.Reset: everything is immutable after construction; the
 //     call only revalidates invariants.
 //   - core.Layer.Reset: retains registrations (and so arrival tie-break
-//     order) and the policy; clears protocol states, accounting and the
-//     decision log — with fresh backing, so Log slices already handed out
-//     stay valid. Underneath, core.Arbiter.Reset retains the backing of
-//     its arrival-ordered queue (application pointers, the AppViews handed
-//     to the policy, authorization bits) and of the allowed/granted/revoked
-//     decision scratch; clears the queue itself, the authorized count and
-//     every AppState back to Idle with its registration-time core count.
+//     order), the policy, the bound arbitrate callback and the recheck
+//     Timer; clears protocol states, accounting, each coordinator's count
+//     of grant messages in flight, and the decision log — in place.
+//     Underneath, core.Arbiter.Reset retains the backing of its
+//     arrival-ordered queue (application pointers, the AppViews handed to
+//     the policy, authorization bits), of the allowed/granted/revoked
+//     decision scratch, of the decision log and of the names arena its
+//     records' Allowed slices are cut from, and of every AppState's stack
+//     of parsed Prepare infos; clears the queue itself, the authorized
+//     count, the log and every AppState back to Idle with its
+//     registration-time core count. So Log() — Arbiter's and Layer's — is
+//     valid until the next Reset, which overwrites it: whoever keeps a
+//     run's decisions past the next run takes a core.CloneLog of them
+//     (delta.RunOn does, which is why Result.Decisions is a snapshot);
+//     whoever prints them before the next run (calciom-sim, the examples)
+//     or only counts them (machine.Run, through LogLen) copies nothing.
 //   - ior.Runner.Reset: retains the armed workload (presets fold their
-//     defaults in exactly once, at construction) and cached file names;
-//     clears per-run statistics, keeping their backing.
+//     defaults in exactly once, at construction), cached file names and
+//     the Prepare info built from them; clears per-run statistics, keeping
+//     their backing.
 //
 // Construction order is reproduced exactly on reuse (fabric, then server
 // links, then app NICs, then registrations), so dense IDs — and with them
@@ -366,7 +376,8 @@
 // is bit-identical to a fresh one, pinned by TestReusedPlatformMatchesFresh
 // and the ior event-for-event regression. The payoff is pinned too: from a
 // worker's second sweep point on, a TrueNetwork point runs with ZERO
-// allocations (TestSweepPointSteadyStateAllocFree, BenchmarkDeltaPointReused):
+// allocations, coordinated or not (TestSweepPointSteadyStateAllocFree,
+// BenchmarkDeltaPointReused, BenchmarkDeltaPointReusedCoordinated):
 //
 //	BenchmarkDeltaSweepFabric        0.60 ms/op  7077 allocs → 0.32 ms/op  1002 allocs  (7.1x)
 //	BenchmarkDeltaSweepFabricDense   3.59 ms/op 43553 allocs → 1.65 ms/op  1002 allocs  (43x, 2.2x time)
@@ -387,6 +398,19 @@
 //
 // TestSweeperSteadyStateAllocs pins the zero; TestSweeperReuseBitIdentical
 // pins that executor reuse stays bit-identical to fresh sweeps.
+//
+// A coordinated point is held to the same zero. A decision's reason is a
+// core.Reason — a kind, a name and a number — rendered into today's wording
+// only by whoever prints the log; every Arbiter, the Layer's included, asks
+// its policy through core.IndexedArbitrator when the policy has that form
+// (fcfs, interrupt, interfere, delay), so no Allowed map is built; pokes and
+// grant messages go through the handle-free sim.Engine.After, rechecks
+// through one sim.Timer, waits through the process's own Resumer, and
+// Prepare parses its info once into a typed stack (Xeon @ 2.10GHz, 2 vCPU,
+// go1.24; the parent figures are the same benchmarks run on PR 12's tree):
+//
+//	BenchmarkDeltaPointReusedCoordinated       74.7 µs/op  406 allocs → 37.7 µs/op  0 allocs
+//	BenchmarkDeltaSweepFabricDenseCoordinated  1.85 ms/op  19580 allocs → 1.14 ms/op  ~5 allocs
 //
 // # Sharded arbitration throughput
 //

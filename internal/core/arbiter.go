@@ -41,7 +41,14 @@ type AppState struct {
 	rounds     int
 	aloneBW    float64
 
-	infoStack []Info
+	infoStack []infoFields
+}
+
+// infoFields is one stacked Prepare, parsed once, reduced to the keys a
+// policy can see; a negative field was absent or malformed.
+type infoFields struct {
+	bytesTotal, aloneBW  float64
+	files, rounds, cores int64
 }
 
 // Name returns the application name.
@@ -92,7 +99,13 @@ func (a *AppState) setState(s State) {
 // Prepare stacks information about the upcoming I/O accesses, as the paper's
 // Prepare(MPI_Info) does. Recognized keys update the view policies see.
 func (a *AppState) Prepare(info Info) {
-	a.infoStack = append(a.infoStack, info.Clone())
+	a.infoStack = append(a.infoStack, infoFields{
+		bytesTotal: info.Float(KeyBytesTotal, -1),
+		aloneBW:    info.Float(KeyAloneBW, -1),
+		files:      info.Int(KeyFiles, -1),
+		rounds:     info.Int(KeyRounds, -1),
+		cores:      info.Int(KeyCores, -1),
+	})
 	a.applyInfo()
 	a.refresh()
 }
@@ -112,20 +125,20 @@ func (a *AppState) Complete() error {
 func (a *AppState) applyInfo() {
 	a.bytesTotal, a.files, a.rounds, a.aloneBW = 0, 0, 0, 0
 	for _, in := range a.infoStack {
-		if v := in.Float(KeyBytesTotal, -1); v >= 0 {
-			a.bytesTotal = v
+		if in.bytesTotal >= 0 {
+			a.bytesTotal = in.bytesTotal
 		}
-		if v := in.Int(KeyFiles, -1); v >= 0 {
-			a.files = int(v)
+		if in.files >= 0 {
+			a.files = int(in.files)
 		}
-		if v := in.Int(KeyRounds, -1); v >= 0 {
-			a.rounds = int(v)
+		if in.rounds >= 0 {
+			a.rounds = int(in.rounds)
 		}
-		if v := in.Float(KeyAloneBW, -1); v >= 0 {
-			a.aloneBW = v
+		if in.aloneBW >= 0 {
+			a.aloneBW = in.aloneBW
 		}
-		if v := in.Int(KeyCores, -1); v > 0 {
-			a.cores = int(v)
+		if in.cores > 0 {
+			a.cores = int(in.cores)
 		}
 	}
 }
@@ -188,20 +201,17 @@ func (a *AppState) Progress(bytesDone float64) {
 	}
 }
 
-// IndexedArbitrator is an optional allocation-free fast path for policies:
-// instead of returning a Decision with a freshly allocated Allowed map, the
-// policy marks allowed[i] for each authorized apps[i]. The views arrive
-// sorted by (arrival, name) and allowed arrives all-false, len(allowed) ==
-// len(apps). As with Policy.Arbitrate, apps is the Arbiter's own persistent
-// view array and must be treated as read-only. The returned reason should be
-// a constant (no formatting) so the fast path stays allocation-free; recheck
-// follows Decision.RecheckAfter semantics.
-//
-// The daemon's arbitration loop enables this path (Arbiter.SetIndexed); the
-// simulator keeps the map-based path so its decision logs — which feed the
-// figure reproductions — are byte-identical to the original implementation.
+// IndexedArbitrator is the allocation-free form of a decision, and the path
+// every Arbiter takes — simulator Layer, daemon shard and replay alike —
+// whenever the policy offers it: instead of returning a Decision with a
+// freshly allocated Allowed map, the policy marks allowed[i] for each
+// authorized apps[i]. The views arrive sorted by (arrival, name) and allowed
+// arrives all-false, len(allowed) == len(apps). As with Policy.Arbitrate,
+// apps is the Arbiter's own persistent view array and must be treated as
+// read-only. The reason is a value (see Reason), so explaining a decision
+// formats nothing; recheck follows Decision.RecheckAfter semantics.
 type IndexedArbitrator interface {
-	ArbitrateIndexed(now float64, apps []AppView, allowed []bool) (reason string, recheck float64)
+	ArbitrateIndexed(now float64, apps []AppView, allowed []bool) (reason Reason, recheck float64)
 }
 
 // Outcome is the result of one Arbiter.Arbitrate call. The Granted and
@@ -212,7 +222,7 @@ type Outcome struct {
 	// arbitrate, no decision logged).
 	Acted bool
 	// Reason is the policy's explanation for the decision.
-	Reason string
+	Reason Reason
 	// RecheckAfter, when positive, asks the caller to re-arbitrate after
 	// that many seconds even if nothing changes.
 	RecheckAfter float64
@@ -235,9 +245,9 @@ type Outcome struct {
 // application from the tail, End and Unregister remove it, every other
 // AppState mutator rewrites its own view slot, and decision application
 // visits only the applications whose authorization flipped. Steady-state
-// arbitration reuses all scratch; with a policy implementing
-// IndexedArbitrator and logging bounded, the hot path performs no
-// per-request allocation.
+// arbitration reuses all scratch, the decision log included; with a policy
+// implementing IndexedArbitrator the hot path performs no per-request
+// allocation.
 //
 // The Arbiter is not goroutine-safe: the sim engine is single-threaded, and
 // the daemon funnels every request through one arbitration goroutine (which
@@ -245,8 +255,9 @@ type Outcome struct {
 // request order).
 type Arbiter struct {
 	policy     Policy
-	useIndexed bool
-	logBound   int // <0 unlimited, 0 disabled, >0 keep last N records
+	indexed    IndexedArbitrator // the policy's indexed form, nil if it has none
+	policyName string            // policy.Name(), resolved once: a name may be formatted
+	logBound   int               // <0 unlimited, 0 disabled, >0 keep last N records
 
 	apps []*AppState // registration order
 
@@ -269,37 +280,39 @@ type Arbiter struct {
 	granted []*AppState
 	revoked []*AppState
 
-	// log is append-only when unbounded; with a positive bound it becomes
-	// a ring once full — logHead is the next overwrite slot and each
-	// overwritten record's Allowed backing is reused, so bounded logging
-	// costs no steady-state allocation.
+	// log is append-only when unbounded, each record's Allowed cut from the
+	// names arena, and Reset keeps the capacity of both; with a positive
+	// bound it becomes a ring once full — logHead is the next overwrite slot
+	// and each overwritten record's Allowed backing is reused.
 	log     []DecisionRecord
+	names   []string
 	logHead int
 }
 
 // NewArbiter creates an arbiter running the given policy, with unlimited
-// decision logging and the map-based policy path (simulator defaults).
+// decision logging (the simulator default).
 func NewArbiter(policy Policy) *Arbiter {
 	if policy == nil {
 		panic("core: nil policy")
 	}
-	return &Arbiter{policy: policy, logBound: -1}
+	indexed, _ := policy.(IndexedArbitrator)
+	return &Arbiter{policy: policy, indexed: indexed, policyName: policy.Name(), logBound: -1}
 }
 
 // Policy returns the active policy.
 func (ar *Arbiter) Policy() Policy { return ar.policy }
 
-// SetIndexed selects the IndexedArbitrator fast path when the policy
-// implements it. Decisions are identical; only Reason strings differ
-// (constants instead of formatted text).
-func (ar *Arbiter) SetIndexed(on bool) { ar.useIndexed = on }
+// SetIndexed does nothing: every Arbiter takes the indexed path whenever its
+// policy has one. It stays only while benchmark/micro.go, frozen during the
+// change that made it so, still calls it; both go with the next benchmark PR.
+func (ar *Arbiter) SetIndexed(bool) {}
 
 // Reset returns the arbiter to its just-constructed state while keeping the
 // registered applications (in registration order) and the capacity of the
-// queue and decision scratch: every AppState goes back to Idle/unauthorized
-// with an empty info stack, the queue empties, and the decision log restarts
-// with fresh backing — the old log slice may have escaped via Log and must
-// stay valid for its holder.
+// queue, the decision scratch and the decision log with its names arena:
+// every AppState goes back to Idle/unauthorized with an empty info stack, the
+// queue empties, and the log restarts in place — what Log handed out is
+// overwritten, so a holder that wants it past the Reset takes a CloneLog.
 func (ar *Arbiter) Reset() {
 	for _, a := range ar.apps {
 		a.reset()
@@ -307,8 +320,7 @@ func (ar *Arbiter) Reset() {
 	clear(ar.queue)
 	ar.queue, ar.views, ar.auth = ar.queue[:0], ar.views[:0], ar.auth[:0]
 	ar.head, ar.nAuth = 0, 0
-	ar.log = nil
-	ar.logHead = 0
+	ar.log, ar.names, ar.logHead = ar.log[:0], ar.names[:0], 0
 }
 
 // reset returns the application to its just-registered protocol state.
@@ -320,7 +332,6 @@ func (a *AppState) reset() {
 	a.bytesTotal, a.bytesDone = 0, 0
 	a.files, a.rounds = 0, 0
 	a.aloneBW = 0
-	clear(a.infoStack)
 	a.infoStack = a.infoStack[:0]
 }
 
@@ -330,9 +341,9 @@ func (a *AppState) reset() {
 // changing the bound later scrambles the ring order.
 func (ar *Arbiter) SetLogBound(n int) { ar.logBound = n }
 
-// Log returns the arbitration decision log, oldest first. Once a bounded
-// log has wrapped, this builds an ordered copy (a cold path; the hot path
-// never calls it).
+// Log returns the arbitration decision log, oldest first, valid until the
+// next Reset. Once a bounded log has wrapped, this builds an ordered copy (a
+// cold path; the hot path never calls it).
 func (ar *Arbiter) Log() []DecisionRecord {
 	if ar.logBound <= 0 || len(ar.log) < ar.logBound || ar.logHead == 0 {
 		return ar.log
@@ -340,6 +351,17 @@ func (ar *Arbiter) Log() []DecisionRecord {
 	out := make([]DecisionRecord, 0, len(ar.log))
 	out = append(out, ar.log[ar.logHead:]...)
 	return append(out, ar.log[:ar.logHead]...)
+}
+
+// CloneLog copies a decision log deeply — records and Allowed names, which
+// otherwise alias the Arbiter's arena — for a holder that keeps it past the
+// Arbiter's next Reset.
+func CloneLog(log []DecisionRecord) []DecisionRecord {
+	out := slices.Clone(log)
+	for i := range out {
+		out[i].Allowed = slices.Clone(out[i].Allowed)
+	}
+	return out
 }
 
 // LastRecord returns the most recent decision record, or nil.
@@ -489,10 +511,10 @@ func (ar *Arbiter) Arbitrate(now float64) Outcome {
 	allowed := ar.allowed[:n]
 	clear(allowed)
 
-	var reason string
+	var reason Reason
 	var recheck float64
-	if ip, ok := ar.policy.(IndexedArbitrator); ok && ar.useIndexed {
-		reason, recheck = ip.ArbitrateIndexed(now, views, allowed)
+	if ar.indexed != nil {
+		reason, recheck = ar.indexed.ArbitrateIndexed(now, views, allowed)
 	} else {
 		dec := ar.policy.Arbitrate(now, views)
 		reason, recheck = dec.Reason, dec.RecheckAfter
@@ -522,18 +544,21 @@ func (ar *Arbiter) Arbitrate(now float64) Outcome {
 	sortByRegistration(ar.revoked)
 
 	if ar.logBound != 0 {
-		var names []string
 		wrap := ar.logBound > 0 && len(ar.log) == ar.logBound
+		names, start := ar.names, len(ar.names) // append to the arena
 		if wrap {
-			names = ar.log[ar.logHead].Allowed[:0] // reuse the evicted record's backing
+			names, start = ar.log[ar.logHead].Allowed[:0], 0 // reuse the evicted record's backing
 		}
 		for i := range views {
 			if allowed[i] {
 				names = append(names, views[i].Name)
 			}
 		}
+		if !wrap { // clipped: a ring reuse that outgrows it must not overwrite its arena neighbour
+			ar.names, names = names, names[start:len(names):len(names)]
+		}
 		sort.Strings(names)
-		rec := DecisionRecord{Time: now, Policy: ar.policy.Name(), Allowed: names, Reason: reason}
+		rec := DecisionRecord{Time: now, Policy: ar.policyName, Allowed: names, Reason: reason}
 		if wrap {
 			ar.log[ar.logHead] = rec
 			ar.logHead = (ar.logHead + 1) % ar.logBound

@@ -160,3 +160,60 @@ func TestResetRestoresRegistrationCores(t *testing.T) {
 		t.Fatal("Reset left protocol state or log behind")
 	}
 }
+
+// TestArbiterStaysAllocFree holds the arbitration hot path to zero
+// allocations per grant cycle under every policy with an indexed form, in
+// both configurations that run it: the daemon shard's (a 256-record ring, as
+// internal/server sets it) and the simulator's (unbounded, Reset between
+// runs). Fcfs alone used to be guarded; delay allocated its formatted
+// Name() into every record.
+func TestArbiterStaysAllocFree(t *testing.T) {
+	model := &PerfModel{FSBandwidth: 1e9, ProcNIC: 1e7}
+	for _, p := range []Policy{InterferePolicy{}, FCFSPolicy{}, InterruptPolicy{}, DelayPolicy{Overlap: 0.5, Model: model}} {
+		for _, logBound := range []int{256, -1} {
+			ar := NewArbiter(p)
+			ar.SetLogBound(logBound)
+			info := Info{}
+			info.SetFloat(KeyBytesTotal, 1e8)
+			apps := make([]*AppState, 8)
+			for i := range apps {
+				var err error
+				if apps[i], err = ar.Register(fmt.Sprintf("app-%d", i), 16); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// One run: every application prepares and informs, then each in
+			// turn takes a step and ends its phase, a decision after every
+			// verb as the shard loop and the Layer both take them.
+			run := func() {
+				now := 0.0
+				for _, a := range apps {
+					now++
+					a.Prepare(info)
+					a.Inform(now)
+					ar.Arbitrate(now)
+				}
+				for _, a := range apps {
+					now++
+					if a.Authorized() && a.Activate() == nil {
+						a.Progress(5e7)
+						_ = a.Release() // just activated
+					}
+					ar.Arbitrate(now)
+					a.End()
+					_ = a.Complete() // prepared above
+					ar.Arbitrate(now)
+				}
+				if logBound < 0 {
+					ar.Reset()
+				}
+			}
+			for i := 0; i < 300; i++ {
+				run() // lap the ring until every slot has held its longest record
+			}
+			if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+				t.Errorf("%s, log bound %d: %.1f allocations per run, want 0", p.Name(), logBound, allocs)
+			}
+		}
+	}
+}

@@ -28,7 +28,6 @@ type TargetDecision struct {
 // the live daemon are instead assembled per shard and merged by the caller.
 type ArbiterSet struct {
 	policy   Policy
-	indexed  bool
 	logBound int
 	hasBound bool
 
@@ -51,17 +50,6 @@ func NewArbiterSet(policy Policy) *ArbiterSet {
 // Policy returns the policy shared by every arbiter in the set.
 func (s *ArbiterSet) Policy() Policy { return s.policy }
 
-// SetIndexed selects the IndexedArbitrator fast path on every current and
-// future arbiter. Call it before handing arbiters to their owner goroutines.
-func (s *ArbiterSet) SetIndexed(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.indexed = on
-	for _, ar := range s.byTarget {
-		ar.SetIndexed(on)
-	}
-}
-
 // SetLogBound applies the decision-log bound to every current and future
 // arbiter (see Arbiter.SetLogBound). Call it before the first Arbitrate.
 func (s *ArbiterSet) SetLogBound(n int) {
@@ -74,7 +62,7 @@ func (s *ArbiterSet) SetLogBound(n int) {
 }
 
 // Get returns the arbiter for the target, creating it on first use with the
-// set's policy, indexed mode and log bound.
+// set's policy and log bound.
 func (s *ArbiterSet) Get(target string) *Arbiter {
 	s.mu.RLock()
 	ar := s.byTarget[target]
@@ -88,7 +76,6 @@ func (s *ArbiterSet) Get(target string) *Arbiter {
 		return ar
 	}
 	ar = NewArbiter(s.policy)
-	ar.SetIndexed(s.indexed)
 	if s.hasBound {
 		ar.SetLogBound(s.logBound)
 	}

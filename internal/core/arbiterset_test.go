@@ -8,7 +8,6 @@ import (
 
 func TestArbiterSetGetCreatesOnceAndSorts(t *testing.T) {
 	s := NewArbiterSet(FCFSPolicy{})
-	s.SetIndexed(true)
 	s.SetLogBound(4)
 	b := s.Get("b")
 	a := s.Get("a")

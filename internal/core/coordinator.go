@@ -23,7 +23,14 @@ type Coordinator struct {
 	layer *Layer
 	app   *AppState
 
-	waiting *sim.Resumer
+	// waiting is the parked process while Wait blocks. A grant reaches it as
+	// a message one latency after the decision; several can be in flight
+	// (granted, revoked, granted again within one latency) and they arrive
+	// in the order sent, so two counts tell them apart: grantsLive were sent
+	// to the current wait, grantsStale to waits that have returned since.
+	waiting                 *sim.Resumer
+	grantFn                 func() // c.grantArrived, bound once
+	grantsLive, grantsStale int
 
 	// Accounting for metrics: total time spent between Begin and End of
 	// phases (observed I/O time including coordination waits), and time
@@ -39,6 +46,7 @@ type Coordinator struct {
 // the owning Arbiter.
 func (c *Coordinator) reset() {
 	c.waiting = nil
+	c.grantsLive, c.grantsStale = 0, 0 // the engine reset dropped the messages
 	c.phaseStart = 0
 	c.ioTime = 0
 	c.waitTime = 0
@@ -94,12 +102,11 @@ func (c *Coordinator) Check() bool { return c.app.authorized }
 // their operations differently — for instance, starting a new iteration of
 // computation and coming back to the I/O phase later".
 func (c *Coordinator) SystemBusy() bool {
-	for _, o := range c.layer.coords {
-		if o != c && o.app.state != Idle {
-			return true
-		}
+	others := len(c.layer.arb.queue) - c.layer.arb.head // applications in an I/O phase
+	if c.app.state != Idle {
+		others--
 	}
-	return false
+	return others > 0
 }
 
 // Wait blocks until the application is authorized, then marks it Active.
@@ -110,15 +117,25 @@ func (c *Coordinator) Wait(p *sim.Proc) {
 	start := p.Now()
 	for !c.app.authorized {
 		c.app.setState(Waiting)
-		r := p.Suspend()
-		c.waiting = r
-		r.Park()
+		c.waiting = p.Suspend()
+		c.waiting.Park()
 		c.waiting = nil
+		c.grantsStale, c.grantsLive = c.grantsStale+c.grantsLive, 0
 	}
 	if err := c.app.Activate(); err != nil {
 		panic(err.Error())
 	}
 	c.waitTime += p.Now() - start
+}
+
+// grantArrived delivers one authorization message (see waiting).
+func (c *Coordinator) grantArrived() {
+	if c.grantsStale > 0 {
+		c.grantsStale--
+		return
+	}
+	c.grantsLive--
+	c.waiting.Resume()
 }
 
 // Release ends one step of the I/O access: it reports progress, lets the

@@ -30,11 +30,6 @@ func TestInfoHelpers(t *testing.T) {
 	if in.Int("junk", 9) != 9 || in.Float("junk", 8) != 8 {
 		t.Fatal("malformed values should yield defaults")
 	}
-	c := in.Clone()
-	c[KeyFiles] = "5"
-	if in[KeyFiles] != "4" {
-		t.Fatal("Clone should not alias")
-	}
 	if in.String() == "" {
 		t.Fatal("String empty")
 	}

@@ -14,10 +14,9 @@ import (
 // registration order to apply the result. Its AppStates are detached
 // (no owning Arbiter), so they are pure protocol state.
 type refArbiter struct {
-	policy  Policy
-	indexed bool
-	apps    []*AppState
-	log     []DecisionRecord
+	policy Policy
+	apps   []*AppState
+	log    []DecisionRecord
 }
 
 func (r *refArbiter) arbitrate(now float64) (out Outcome) {
@@ -39,7 +38,7 @@ func (r *refArbiter) arbitrate(now float64) (out Outcome) {
 	}
 	allowed := make([]bool, len(views))
 	out.Acted = true
-	if ip, ok := r.policy.(IndexedArbitrator); ok && r.indexed {
+	if ip, ok := r.policy.(IndexedArbitrator); ok {
 		out.Reason, out.RecheckAfter = ip.ArbitrateIndexed(now, views, allowed)
 	} else {
 		dec := r.policy.Arbitrate(now, views)
@@ -102,21 +101,60 @@ func (s *spy) Arbitrate(now float64, apps []AppView) Decision {
 
 type indexedSpy struct{ *spy }
 
-func (s indexedSpy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool) (string, float64) {
+// ArbitrateIndexed also asks the policy's other path, Policy.Arbitrate, and
+// requires the same decision from it, rendered reason included.
+func (s indexedSpy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool) (Reason, float64) {
 	s.seen = append(s.seen[:0], apps...)
 	reason, recheck := s.Policy.(IndexedArbitrator).ArbitrateIndexed(now, apps, allowed)
+	dec := s.Policy.Arbitrate(now, apps)
 	if !reflect.DeepEqual(s.seen, apps) {
 		s.t.Fatalf("%s wrote to its views", s.Name())
+	}
+	if dec.Reason.String() != reason.String() || dec.RecheckAfter != recheck {
+		s.t.Fatalf("%s: Arbitrate says %q recheck %v, ArbitrateIndexed %q recheck %v",
+			s.Name(), dec.Reason, dec.RecheckAfter, reason, recheck)
+	}
+	for i, v := range apps {
+		if dec.Allowed[v.Name] != allowed[i] {
+			s.t.Fatalf("%s: the two paths disagree on %s", s.Name(), v.Name)
+		}
 	}
 	return reason, recheck
 }
 
-func newSpy(t *testing.T, p Policy) (*spy, Policy) {
+// newSpy wraps p for one arbiter. An Arbiter takes the indexed path whenever
+// its policy has one; with indexed false the wrapper hides that method, which
+// is how a schedule is driven down the map path of a policy that has both.
+func newSpy(t *testing.T, p Policy, indexed bool) (*spy, Policy) {
 	s := &spy{Policy: p, t: t}
-	if _, ok := p.(IndexedArbitrator); ok {
+	if _, ok := p.(IndexedArbitrator); ok && indexed {
 		return s, indexedSpy{s}
 	}
 	return s, s
+}
+
+// wording is the reason text as the policies formatted it eagerly, before
+// reasons became values; the oracle renders it independently of Reason.String.
+// ok is false for the policies that always handed over a finished text.
+func wording(p Policy, views []AppView) (text string, ok bool) {
+	if len(views) == 0 {
+		return "", false // nothing to arbitrate, nothing said
+	}
+	switch p := p.(type) {
+	case InterferePolicy:
+		return "interference allowed", true
+	case FCFSPolicy:
+		return fmt.Sprintf("%s arrived first (t=%.3f)", views[0].Name, views[0].Arrival), true
+	case InterruptPolicy:
+		last := views[len(views)-1]
+		return fmt.Sprintf("%s arrived last (t=%.3f)", last.Name, last.Arrival), true
+	case DelayPolicy:
+		if len(views) == 1 {
+			return "single application", true
+		}
+		return fmt.Sprintf("holder %s rem=%.2fs", views[0].Name, p.Model.SoloTime(views[0], views[0].Remaining())), true
+	}
+	return "", false
 }
 
 var diffModel = &PerfModel{FSBandwidth: 1e9, ProcNIC: 1e7}
@@ -189,12 +227,11 @@ func newDiffRun(t *testing.T, p Policy, indexed bool, logBound int, cov *coverag
 		realApps: make([]*AppState, len(slotNames)), refApps: make([]*AppState, len(slotNames)),
 		endedCold: make([]bool, len(slotNames))}
 	var rp, fp Policy
-	d.realSpy, rp = newSpy(t, p)
-	d.refSpy, fp = newSpy(t, p)
+	d.realSpy, rp = newSpy(t, p, indexed)
+	d.refSpy, fp = newSpy(t, p, indexed)
 	d.real = NewArbiter(rp)
-	d.real.SetIndexed(indexed)
 	d.real.SetLogBound(logBound)
-	d.ref = &refArbiter{policy: fp, indexed: indexed}
+	d.ref = &refArbiter{policy: fp}
 	return d
 }
 
@@ -330,8 +367,11 @@ func (d *diffRun) step(i int, op, arg byte) {
 		if !reflect.DeepEqual(d.realSpy.seen, d.refSpy.seen) {
 			t.Fatalf("step %d: policy saw\n%+v\nreference\n%+v", i, d.realSpy.seen, d.refSpy.seen)
 		}
-		if got.Acted != want.Acted || got.Reason != want.Reason || got.RecheckAfter != want.RecheckAfter {
+		if got.Acted != want.Acted || got.Reason.String() != want.Reason.String() || got.RecheckAfter != want.RecheckAfter {
 			t.Fatalf("step %d: outcome %+v, reference %+v", i, got, want)
+		}
+		if text, ok := wording(d.realSpy.Policy, d.refSpy.seen); ok && got.Reason.String() != text {
+			t.Fatalf("step %d: reason reads %q, was %q", i, got.Reason, text)
 		}
 		if g, w := appNames(got.Granted), appNames(want.Granted); !reflect.DeepEqual(g, w) {
 			t.Fatalf("step %d: granted %v, reference %v", i, g, w)
@@ -354,7 +394,7 @@ func (d *diffRun) step(i int, op, arg byte) {
 		// one ring's worth keeps a long unbounded-log schedule linear.
 		for k := max(0, len(gotLog)-8); k < len(gotLog); k++ {
 			g, w := gotLog[k], wantLog[k]
-			if g.Time != w.Time || g.Policy != w.Policy || g.Reason != w.Reason ||
+			if g.Time != w.Time || g.Policy != w.Policy || g.Reason.String() != w.Reason.String() ||
 				fmt.Sprint(g.Allowed) != fmt.Sprint(w.Allowed) {
 				t.Fatalf("step %d: log[%d] = %+v, reference %+v", i, k, g, w)
 			}

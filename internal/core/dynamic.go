@@ -261,6 +261,6 @@ func (d DynamicPolicy) Arbitrate(now float64, apps []AppView) Decision {
 		}
 	}
 	dec := cands[best].decide()
-	dec.Reason = fmt.Sprintf("%s (cost %.4g by %s)", dec.Reason, bestCost, d.Metric.Name())
+	dec.Reason = TextReason(fmt.Sprintf("%s (cost %.4g by %s)", dec.Reason, bestCost, d.Metric.Name()))
 	return dec
 }

@@ -29,15 +29,6 @@ const (
 	KeyAloneBW       = "alone_bw"        // estimated solo bandwidth (bytes/s), optional
 )
 
-// Clone returns a copy of the info map.
-func (in Info) Clone() Info {
-	out := make(Info, len(in))
-	for k, v := range in {
-		out[k] = v
-	}
-	return out
-}
-
 // SetInt stores an integer value.
 func (in Info) SetInt(key string, v int64) { in[key] = strconv.FormatInt(v, 10) }
 

@@ -67,12 +67,12 @@ type Decision struct {
 	// that many seconds even if nothing changes (used by delay policies).
 	RecheckAfter float64
 	// Reason is a human-readable explanation, kept in the decision log.
-	Reason string
+	Reason Reason
 }
 
 // AllowAll builds a decision authorizing every listed app.
 func AllowAll(apps []AppView, reason string) Decision {
-	d := Decision{Allowed: make(map[string]bool, len(apps)), Reason: reason}
+	d := Decision{Allowed: make(map[string]bool, len(apps)), Reason: TextReason(reason)}
 	for _, a := range apps {
 		d.Allowed[a.Name] = true
 	}
@@ -81,7 +81,7 @@ func AllowAll(apps []AppView, reason string) Decision {
 
 // AllowOnly builds a decision authorizing exactly one app.
 func AllowOnly(name, reason string) Decision {
-	return Decision{Allowed: map[string]bool{name: true}, Reason: reason}
+	return Decision{Allowed: map[string]bool{name: true}, Reason: TextReason(reason)}
 }
 
 // Policy arbitrates file-system access among the applications currently in
@@ -90,18 +90,20 @@ func AllowOnly(name, reason string) Decision {
 // (ties by name). The apps slice is the Arbiter's own view array, which
 // persists from one decision to the next: a policy must treat it as
 // read-only (reorder a copy, as DynamicPolicy and FairSharePolicy do) and
-// must not retain it past the call.
+// must not retain it past the call. A policy that can decide without the
+// Allowed map also implements IndexedArbitrator; an Arbiter then asks it so.
 type Policy interface {
 	Name() string
 	Arbitrate(now float64, apps []AppView) Decision
 }
 
-// DecisionRecord is a logged arbitration outcome.
+// DecisionRecord is a logged arbitration outcome. Allowed aliases the
+// logging Arbiter's storage: see Arbiter.Log and CloneLog.
 type DecisionRecord struct {
 	Time    float64
 	Policy  string
 	Allowed []string // sorted
-	Reason  string
+	Reason  Reason
 }
 
 // Layer is the shared coordination medium: the stand-in for the common
@@ -115,11 +117,11 @@ type DecisionRecord struct {
 // mechanics: message latency, recheck scheduling and waking parked
 // processes.
 type Layer struct {
-	eng     *sim.Engine
-	arb     *Arbiter
-	latency float64
-	coords  []*Coordinator
-	recheck *sim.Event
+	eng         *sim.Engine
+	arb         *Arbiter
+	latency     float64
+	arbitrateFn func()     // l.arbitrate, bound once: a poke allocates nothing
+	recheck     *sim.Timer // the pending Decision.RecheckAfter, if any
 }
 
 // NewLayer creates a coordination layer with the given policy and one-way
@@ -129,7 +131,10 @@ func NewLayer(eng *sim.Engine, policy Policy, latency float64) *Layer {
 	if latency < 0 {
 		panic("core: negative latency")
 	}
-	return &Layer{eng: eng, arb: NewArbiter(policy), latency: latency}
+	l := &Layer{eng: eng, arb: NewArbiter(policy), latency: latency}
+	l.arbitrateFn = l.arbitrate
+	l.recheck = eng.NewTimer(l.arbitrateFn)
+	return l
 }
 
 // Policy returns the active policy.
@@ -138,22 +143,24 @@ func (l *Layer) Policy() Policy { return l.arb.Policy() }
 // Reset returns the layer to its just-constructed state on a freshly reset
 // engine, keeping the registered coordinators (and hence the policy and the
 // arrival tie-break order) so a reused platform re-runs a scenario without
-// re-registering. The decision log restarts with fresh backing — log slices
-// already handed out via Log stay valid. The pending recheck event, if any,
-// was dropped by the engine reset.
+// re-registering. The decision log restarts in place, keeping its capacity:
+// a slice handed out by Log is valid until here (see Arbiter.Reset).
 func (l *Layer) Reset() {
-	l.recheck = nil
+	l.recheck.Cancel()
 	l.arb.Reset()
-	for _, c := range l.coords {
-		c.reset()
+	for _, a := range l.arb.Apps() {
+		a.Data.(*Coordinator).reset()
 	}
 }
 
 // Latency returns the one-way message latency.
 func (l *Layer) Latency() float64 { return l.latency }
 
-// Log returns the arbitration decision log.
+// Log returns the arbitration decision log, valid until the next Reset.
 func (l *Layer) Log() []DecisionRecord { return l.arb.Log() }
+
+// LogLen returns the number of decisions logged.
+func (l *Layer) LogLen() int { return len(l.arb.log) }
 
 // Register creates a coordinator for an application. Cores is the size of
 // the job, used by machine-wide efficiency metrics.
@@ -163,38 +170,34 @@ func (l *Layer) Register(name string, cores int) *Coordinator {
 		panic(err.Error())
 	}
 	c := &Coordinator{layer: l, app: app}
+	c.grantFn = c.grantArrived
 	app.Data = c
-	l.coords = append(l.coords, c)
 	return c
 }
 
 // poke schedules an arbitration after the message latency. Every protocol
 // action (Inform, Release, End) calls it.
 func (l *Layer) poke() {
-	l.eng.Schedule(l.latency, l.arbitrate)
+	l.eng.After(l.latency, l.arbitrateFn)
 }
 
 func (l *Layer) arbitrate() {
-	if l.recheck != nil {
-		l.eng.Cancel(l.recheck)
-		l.recheck = nil
-	}
+	l.recheck.Cancel()
 	out := l.arb.Arbitrate(l.eng.Now())
 	if !out.Acted {
 		return
 	}
-	if rec := l.arb.LastRecord(); rec != nil {
+	if rec := l.arb.LastRecord(); rec != nil && l.eng.Tracing() { // or the arguments box for nobody
 		l.eng.Tracef("calciom: policy=%s allowed=%v reason=%s", rec.Policy, rec.Allowed, rec.Reason)
 	}
 	for _, a := range out.Granted {
-		c := a.Data.(*Coordinator)
-		if c.waiting != nil {
+		if c := a.Data.(*Coordinator); c.waiting != nil {
 			// Authorization message travels back to the application.
-			r := c.waiting
-			l.eng.Schedule(l.latency, r.Resume)
+			c.grantsLive++
+			l.eng.After(l.latency, c.grantFn)
 		}
 	}
 	if out.RecheckAfter > 0 {
-		l.recheck = l.eng.Schedule(out.RecheckAfter, l.arbitrate)
+		l.recheck.Schedule(out.RecheckAfter)
 	}
 }

@@ -5,6 +5,21 @@ import (
 	"math"
 )
 
+// decide is Policy.Arbitrate for the policies of this file: they decide in
+// ArbitrateIndexed, the path every Arbiter takes, and a caller asking one
+// directly gets that same decision read back into a Decision.
+func decide(p IndexedArbitrator, now float64, apps []AppView) Decision {
+	allowed := make([]bool, len(apps))
+	reason, recheck := p.ArbitrateIndexed(now, apps, allowed)
+	dec := Decision{Allowed: make(map[string]bool, len(apps)), RecheckAfter: recheck, Reason: reason}
+	for i, ok := range allowed {
+		if ok {
+			dec.Allowed[apps[i].Name] = true
+		}
+	}
+	return dec
+}
+
 // InterferePolicy lets every application access the file system at once:
 // the uncoordinated baseline ("let them interfere").
 type InterferePolicy struct{}
@@ -13,8 +28,14 @@ type InterferePolicy struct{}
 func (InterferePolicy) Name() string { return "interfere" }
 
 // Arbitrate implements Policy.
-func (InterferePolicy) Arbitrate(now float64, apps []AppView) Decision {
-	return AllowAll(apps, "interference allowed")
+func (p InterferePolicy) Arbitrate(now float64, apps []AppView) Decision { return decide(p, now, apps) }
+
+// ArbitrateIndexed implements IndexedArbitrator: everyone is allowed.
+func (InterferePolicy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool) (Reason, float64) {
+	for i := range allowed {
+		allowed[i] = true
+	}
+	return TextReason("interference allowed"), 0
 }
 
 // FCFSPolicy serializes accesses first-come-first-served: the application
@@ -25,10 +46,14 @@ type FCFSPolicy struct{}
 // Name implements Policy.
 func (FCFSPolicy) Name() string { return "fcfs" }
 
-// Arbitrate implements Policy. Views arrive sorted by (arrival, name).
-func (FCFSPolicy) Arbitrate(now float64, apps []AppView) Decision {
-	head := apps[0]
-	return AllowOnly(head.Name, fmt.Sprintf("%s arrived first (t=%.3f)", head.Name, head.Arrival))
+// Arbitrate implements Policy.
+func (p FCFSPolicy) Arbitrate(now float64, apps []AppView) Decision { return decide(p, now, apps) }
+
+// ArbitrateIndexed implements IndexedArbitrator: the earliest arrival —
+// views arrive sorted by (arrival, name) — holds the file system.
+func (FCFSPolicy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool) (Reason, float64) {
+	allowed[0] = true
+	return Reason{kind: reasonFirst, s: apps[0].Name, v: apps[0].Arrival}, 0
 }
 
 // InterruptPolicy serializes in the opposite direction: the most recent
@@ -41,30 +66,13 @@ type InterruptPolicy struct{}
 func (InterruptPolicy) Name() string { return "interrupt" }
 
 // Arbitrate implements Policy.
-func (InterruptPolicy) Arbitrate(now float64, apps []AppView) Decision {
-	newest := apps[len(apps)-1]
-	return AllowOnly(newest.Name, fmt.Sprintf("%s arrived last (t=%.3f)", newest.Name, newest.Arrival))
-}
-
-// ArbitrateIndexed implements IndexedArbitrator: everyone is allowed.
-func (InterferePolicy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool) (string, float64) {
-	for i := range allowed {
-		allowed[i] = true
-	}
-	return "interference allowed", 0
-}
-
-// ArbitrateIndexed implements IndexedArbitrator: the earliest arrival holds
-// the file system.
-func (FCFSPolicy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool) (string, float64) {
-	allowed[0] = true
-	return "fcfs: earliest arrival holds access", 0
-}
+func (p InterruptPolicy) Arbitrate(now float64, apps []AppView) Decision { return decide(p, now, apps) }
 
 // ArbitrateIndexed implements IndexedArbitrator: the newest arrival preempts.
-func (InterruptPolicy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool) (string, float64) {
-	allowed[len(apps)-1] = true
-	return "interrupt: newest arrival preempts", 0
+func (InterruptPolicy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool) (Reason, float64) {
+	newest := len(apps) - 1
+	allowed[newest] = true
+	return Reason{kind: reasonLast, s: apps[newest].Name, v: apps[newest].Arrival}, 0
 }
 
 // DelayPolicy implements the Fig. 12 tradeoff: when interference is mild,
@@ -82,23 +90,25 @@ type DelayPolicy struct {
 func (d DelayPolicy) Name() string { return fmt.Sprintf("delay(%.2f)", d.Overlap) }
 
 // Arbitrate implements Policy.
-func (d DelayPolicy) Arbitrate(now float64, apps []AppView) Decision {
+func (d DelayPolicy) Arbitrate(now float64, apps []AppView) Decision { return decide(d, now, apps) }
+
+// ArbitrateIndexed implements IndexedArbitrator. The earliest arrival is the
+// holder; later arrivals overlap only inside their allowed window.
+func (d DelayPolicy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool) (Reason, float64) {
 	if d.Model == nil {
 		panic("core: DelayPolicy needs a PerfModel")
 	}
+	allowed[0] = true
 	if len(apps) == 1 {
-		return AllowAll(apps, "single application")
+		return TextReason("single application"), 0
 	}
-	// The earliest arrival is the holder; later arrivals overlap only
-	// inside their allowed window.
 	holder := apps[0]
 	remHold := d.Model.SoloTime(holder, holder.Remaining())
-	allowed := map[string]bool{holder.Name: true}
 	recheck := math.Inf(1)
-	for _, a := range apps[1:] {
+	for i, a := range apps[1:] {
 		window := d.Overlap * d.Model.SoloTime(a, a.Remaining())
 		if remHold <= window {
-			allowed[a.Name] = true
+			allowed[i+1] = true
 			continue
 		}
 		// Not yet: re-examine when the holder should be within range.
@@ -106,42 +116,8 @@ func (d DelayPolicy) Arbitrate(now float64, apps []AppView) Decision {
 			recheck = wait
 		}
 	}
-	dec := Decision{Allowed: allowed, Reason: fmt.Sprintf("holder %s rem=%.2fs", holder.Name, remHold)}
-	if !math.IsInf(recheck, 1) && recheck > 0 {
-		dec.RecheckAfter = recheck
-	}
-	return dec
-}
-
-// ArbitrateIndexed implements IndexedArbitrator with the same overlap-window
-// decision as Arbitrate, but writing into the caller's allowed scratch and
-// returning a constant reason, so the daemon's hot path does not allocate.
-func (d DelayPolicy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool) (string, float64) {
-	if d.Model == nil {
-		panic("core: DelayPolicy needs a PerfModel")
-	}
-	allowed[0] = true
-	if len(apps) == 1 {
-		return "single application", 0
-	}
-	holder := apps[0]
-	remHold := d.Model.SoloTime(holder, holder.Remaining())
-	recheck := math.Inf(1)
-	for i, a := range apps {
-		if i == 0 {
-			continue
-		}
-		window := d.Overlap * d.Model.SoloTime(a, a.Remaining())
-		if remHold <= window {
-			allowed[i] = true
-			continue
-		}
-		if wait := remHold - window; wait < recheck {
-			recheck = wait
-		}
-	}
 	if math.IsInf(recheck, 1) || recheck <= 0 {
 		recheck = 0
 	}
-	return "delay: holder continues, overlap inside window", recheck
+	return Reason{kind: reasonHolding, s: holder.Name, v: remHold}, recheck
 }

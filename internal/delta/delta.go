@@ -126,7 +126,7 @@ func (sc Scenario) RunOn(pool *platform.Pool, factory PolicyFactory, starts []fl
 		res.Stats = append(res.Stats, &r.Stats)
 	}
 	if pl.Layer != nil {
-		res.Decisions = pl.Layer.Log()
+		res.Decisions = core.CloneLog(pl.Layer.Log()) // the pooled layer reuses its log
 	}
 	return res
 }
@@ -172,12 +172,16 @@ type Series struct {
 	CPUPerCore []float64
 }
 
-// policyName resolves a factory's display name.
-func policyName(sc Scenario, factory PolicyFactory) string {
+// policyName resolves a factory's display name, once per Sweeper: building a
+// policy to ask its name allocates, and a Sweeper serves one policy family.
+func (sw *Sweeper) policyName(sc Scenario, factory PolicyFactory) string {
 	if factory == nil {
 		return "uncoordinated"
 	}
-	return factory(sc.Model()).Name()
+	if sw.policy == "" {
+		sw.policy = factory(sc.Model()).Name()
+	}
+	return sw.policy
 }
 
 // Sweep runs the two-app scenario at every dt under the policy. dt > 0
@@ -204,8 +208,9 @@ func (sc Scenario) Sweep(factory PolicyFactory, dts []float64) Series {
 // goroutines; it is optional — an abandoned Sweeper's workers are reclaimed
 // by a GC cleanup — but a Sweeper must not sweep after Close.
 type Sweeper struct {
-	calib *platform.Pool // solo calibrations, shared across sweeps
-	ws    *workerSet     // persistent workers; separate allocation so the
+	calib  *platform.Pool // solo calibrations, shared across sweeps
+	policy string         // the coordinated family's display name, once known
+	ws     *workerSet     // persistent workers; separate allocation so the
 	// GC cleanup below can close them without keeping the Sweeper alive
 
 	// Per-sweep context, reused so waking the workers allocates nothing.
@@ -337,7 +342,7 @@ func (sw *Sweeper) SweepInto(s *Series, sc Scenario, factory PolicyFactory, dts 
 		panic(fmt.Sprintf("delta: Sweep needs exactly 2 apps, got %d", len(sc.Apps)))
 	}
 	n := len(dts)
-	s.Policy = policyName(sc, factory)
+	s.Policy = sw.policyName(sc, factory)
 	s.DT = append(s.DT[:0], dts...)
 	s.SoloA = sc.soloTimeOn(sw.calib, 0)
 	s.SoloB = sc.soloTimeOn(sw.calib, 1)

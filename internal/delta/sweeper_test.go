@@ -71,17 +71,24 @@ func TestSweeperReuseBitIdentical(t *testing.T) {
 func TestSweeperSteadyStateAllocs(t *testing.T) {
 	sc := sweepScenario()
 	dts := []float64{-4, -1, 0, 1, 4}
-	sw := NewSweeper()
-	defer sw.Close()
-	var s Series
-	sw.SweepInto(&s, sc, Uncoordinated, dts) // build platforms, size backing
-	sw.SweepInto(&s, sc, Uncoordinated, dts) // settle any lazy growth
+	// One Sweeper per policy family; a coordinated sweep is held to the
+	// same zero as the uncoordinated one.
+	for _, c := range []struct {
+		name    string
+		factory PolicyFactory
+	}{{"uncoordinated", Uncoordinated}, {"fcfs", FCFS}, {"delay", Delay(0.5)}} {
+		sw := NewSweeper()
+		defer sw.Close()
+		var s Series
+		sw.SweepInto(&s, sc, c.factory, dts) // build platforms, size backing
+		sw.SweepInto(&s, sc, c.factory, dts) // settle any lazy growth
 
-	allocs := testing.AllocsPerRun(5, func() {
-		sw.SweepInto(&s, sc, Uncoordinated, dts)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state SweepInto allocates %.1f objects per sweep, want 0", allocs)
+		allocs := testing.AllocsPerRun(5, func() {
+			sw.SweepInto(&s, sc, c.factory, dts)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: steady-state SweepInto allocates %.1f objects per sweep, want 0", c.name, allocs)
+		}
 	}
 }
 

@@ -196,7 +196,7 @@ func Run(cfg Config, tr *swf.Trace, factory delta.PolicyFactory) Result {
 		factors = append(factors, factor)
 	}
 	if layer != nil {
-		res.Decisions = len(layer.Log())
+		res.Decisions = layer.LogLen()
 	}
 	if len(factors) > 0 {
 		sort.Float64s(factors)

@@ -500,7 +500,6 @@ type machine struct {
 
 func newMachine(pol core.Policy, target string, synthesize, collect bool) *machine {
 	arb := core.NewArbiter(pol)
-	arb.SetIndexed(true)
 	arb.SetLogBound(0)
 	return &machine{
 		arb:        arb,

@@ -236,7 +236,7 @@ func (denyFirstPolicy) Name() string { return "deny-first" }
 func (p denyFirstPolicy) Arbitrate(now float64, apps []core.AppView) core.Decision {
 	*p.calls++
 	if *p.calls == 1 {
-		return core.Decision{Allowed: map[string]bool{}, Reason: "warming up"}
+		return core.Decision{Allowed: map[string]bool{}, Reason: core.TextReason("warming up")}
 	}
 	return core.AllowOnly(apps[0].Name, "fcfs after warmup")
 }

@@ -487,7 +487,6 @@ func New(cfg Config) (*Server, error) {
 		clock = func() float64 { return time.Since(start).Seconds() }
 	}
 	set := core.NewArbiterSet(cfg.Policy)
-	set.SetIndexed(true)
 	switch {
 	case cfg.LogBound < 0:
 		set.SetLogBound(0)

@@ -34,9 +34,9 @@ type record struct {
 }
 
 // Event is a cancellation handle for a callback scheduled with Schedule or
-// At. The handle detaches from its underlying record when the event fires or
-// is cancelled, so holding (or re-cancelling) a stale handle is always safe
-// even though records are pooled and reused.
+// At (After schedules without one). The handle detaches from its underlying
+// record when the event fires or is cancelled, so holding (or re-cancelling)
+// a stale handle is always safe even though records are pooled and reused.
 type Event struct {
 	time float64
 	rec  *record
@@ -142,6 +142,11 @@ func (e *Engine) Now() float64 { return e.now }
 // SetTracer installs a tracer for debugging; nil disables tracing.
 func (e *Engine) SetTracer(t Tracer) { e.tracer = t }
 
+// Tracing reports whether a tracer is installed. A caller whose Tracef
+// arguments are not already interface values checks it first: the arguments
+// are boxed before Tracef can see there is nobody to read them.
+func (e *Engine) Tracing() bool { return e.tracer != nil }
+
 // Tracef emits a trace line if a tracer is installed.
 func (e *Engine) Tracef(format string, args ...any) {
 	if e.tracer != nil {
@@ -173,18 +178,41 @@ func (e *Engine) release(r *record) {
 	}
 }
 
-// Schedule registers fn to run after delay seconds. A negative delay is an
-// error in the caller; Schedule panics to surface the bug immediately.
-func (e *Engine) Schedule(delay float64, fn func()) *Event {
+// checkDelay panics on a negative or NaN delay: an error in the caller,
+// surfaced immediately.
+func checkDelay(delay float64) {
 	if delay < 0 || math.IsNaN(delay) {
 		panic(fmt.Sprintf("sim: negative or NaN delay %v", delay))
 	}
+}
+
+// Schedule registers fn to run after delay seconds. A negative delay is an
+// error in the caller; Schedule panics to surface the bug immediately.
+func (e *Engine) Schedule(delay float64, fn func()) *Event {
+	checkDelay(delay)
 	return e.At(e.now+delay, fn)
 }
 
 // At registers fn to run at absolute time t, which must not be in the past
 // and must not be NaN.
 func (e *Engine) At(t float64, fn func()) *Event {
+	r := e.push(t, fn)
+	ev := &Event{time: t, rec: r}
+	r.handle = ev
+	return ev
+}
+
+// After is Schedule for a callback nobody will cancel: no handle, so with
+// the record free list warm, no allocation. It takes its place in the event
+// order exactly as Schedule does — same clock arithmetic, same sequence
+// number — so replacing one by the other never reorders a simulation.
+func (e *Engine) After(delay float64, fn func()) {
+	checkDelay(delay)
+	e.push(e.now+delay, fn)
+}
+
+// push queues a pooled record for fn at absolute time t.
+func (e *Engine) push(t float64, fn func()) *record {
 	if t < e.now || math.IsNaN(t) {
 		panic(fmt.Sprintf("sim: scheduling in the past or at NaN: t=%v now=%v", t, e.now))
 	}
@@ -193,10 +221,8 @@ func (e *Engine) At(t float64, fn func()) *Event {
 	r.seq = e.seq
 	r.fn = fn
 	e.seq++
-	ev := &Event{time: t, rec: r}
-	r.handle = ev
 	heap.Push(&e.events, r)
-	return ev
+	return r
 }
 
 // Post registers fn to run at the current time, after every already-queued
@@ -352,9 +378,7 @@ func (e *Engine) NewTimer(fn func()) *Timer {
 // Schedule arms the timer to fire after delay seconds, replacing any pending
 // occurrence. Panics on negative or NaN delays, like Engine.Schedule.
 func (t *Timer) Schedule(delay float64) {
-	if delay < 0 || math.IsNaN(delay) {
-		panic(fmt.Sprintf("sim: negative or NaN delay %v", delay))
-	}
+	checkDelay(delay)
 	t.ScheduleAt(t.eng.now + delay)
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -664,5 +665,71 @@ func TestResetReusesRecords(t *testing.T) {
 	}
 	if reset >= fresh {
 		t.Fatalf("reset replay (%.1f allocs) not cheaper than fresh engine (%.1f)", reset, fresh)
+	}
+}
+
+// TestAfterInterleavesLikeSchedule pins what bit-identical sweeps rest on:
+// the handle-free After takes the sequence number Schedule would have taken,
+// so a schedule mixing After, Schedule, At, Post and Timers — with most
+// times tied, and callbacks scheduling more of the same — fires in exactly
+// the order of the same schedule made with Schedule alone.
+func TestAfterInterleavesLikeSchedule(t *testing.T) {
+	run := func(seed int64, mixed bool) []int {
+		e := NewEngine()
+		rng := rand.New(rand.NewSource(seed))
+		var fired []int
+		next := 0
+		var add func(depth int)
+		add = func(depth int) {
+			id := next
+			next++
+			delay := float64(rng.Intn(3)) // 0, 1 or 2: ties everywhere
+			how := rng.Intn(5)
+			fn := func() {
+				fired = append(fired, id)
+				if depth < 3 {
+					for n := rng.Intn(3); n > 0; n-- {
+						add(depth + 1)
+					}
+				}
+			}
+			switch {
+			case !mixed:
+				e.Schedule(delay, fn)
+			case how == 0:
+				e.Schedule(delay, fn)
+			case how == 1:
+				e.At(e.Now()+delay, fn)
+			case how == 2 && delay == 0:
+				e.Post(fn)
+			case how == 3:
+				e.NewTimer(fn).Schedule(delay) // one occurrence each
+			default:
+				e.After(delay, fn)
+			}
+		}
+		for i := 0; i < 40; i++ {
+			add(0)
+		}
+		e.Run()
+		return fired
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		want, got := run(seed, false), run(seed, true)
+		if len(want) < 40 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: mixed schedule fired\n%v\nSchedule alone\n%v", seed, got, want)
+		}
+	}
+}
+
+// TestAfterAllocFree: with the record free list warm, After allocates
+// nothing — the handle is what a Schedule costs.
+func TestAfterAllocFree(t *testing.T) {
+	e := NewEngine()
+	nop := func() {}
+	e.After(1, nop)
+	e.Run()
+	if allocs := testing.AllocsPerRun(100, func() { e.After(1, nop); e.Run() }); allocs != 0 {
+		t.Fatalf("After allocates %.1f objects per event, want 0", allocs)
 	}
 }

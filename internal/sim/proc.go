@@ -32,6 +32,10 @@ type Proc struct {
 	// sleeping never allocates. While the proc is not yet started, the same
 	// timer carries the start event, so launching never allocates either.
 	wake *Timer
+
+	// resumer is the handle Suspend returns: a proc is parked in at most one
+	// place, so one embedded handle serves every wait.
+	resumer Resumer
 }
 
 // Go starts body as a new process at the current time. The body runs when
@@ -141,11 +145,14 @@ func (p *Proc) SleepUntil(t float64) {
 
 // Suspend parks the process until Resume is called on the handle returned.
 // The handle's Resume is idempotent: calls after the first are no-ops, so it
-// is safe to race a timeout against another waker.
+// is safe to race a timeout against another waker. The handle belongs to the
+// process and is re-armed by its next Suspend, which allocates nothing; a
+// waker must not keep it past the wait it was handed for.
 //
 //	h := p.Suspend()   // from another event: h.Resume()
 func (p *Proc) Suspend() *Resumer {
-	return &Resumer{p: p}
+	p.resumer = Resumer{p: p}
+	return &p.resumer
 }
 
 // Resumer resumes a suspended process exactly once.
