@@ -14,6 +14,8 @@ import (
 	"repro/internal/ior"
 	"repro/internal/pfs"
 	"repro/internal/platform"
+	"repro/internal/replay"
+	"repro/internal/replay/replaytest"
 	"repro/internal/sim"
 	"repro/internal/swf"
 )
@@ -532,4 +534,43 @@ func BenchmarkArbiterRotating(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(3*b.N), "ns/decision")
 		})
 	}
+}
+
+// BenchmarkReplayCompare is the after-the-incident study on a fixed
+// synthesized trace (64 applications on 4 storage targets, 20 two-step phases
+// each): replay.Under per standard policy, then the whole replay.Compare.
+// The model policies decide from estimates, so their rows are where a
+// decision that allocates shows: CI's alloc guard holds the dynamic row's
+// allocs/op within 3x of the fcfs row's (it was 321x).
+func BenchmarkReplayCompare(b *testing.B) {
+	tr := replaytest.Trace(64, 4, 20)
+	policies := replay.StandardPolicies(tr.Header, -1)
+	for _, np := range policies {
+		b.Run("policy="+np.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			var res replay.Result
+			for i := 0; i < b.N; i++ {
+				var err error
+				if res, err = replay.Under(tr, np.Policy); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(res.Arbitrations), "arbitrations/op")
+		})
+	}
+	b.Run("compare", func(b *testing.B) {
+		b.ReportAllocs()
+		var arbitrations uint64
+		for i := 0; i < b.N; i++ {
+			c, err := replay.Compare(tr, policies)
+			if err != nil {
+				b.Fatal(err)
+			}
+			arbitrations = 0
+			for _, o := range c.Outcomes {
+				arbitrations += o.Arbitrations
+			}
+		}
+		b.ReportMetric(float64(arbitrations), "arbitrations/op")
+	})
 }

@@ -301,8 +301,10 @@
 //     Post ring, and offers owner-managed reusable Timers for the
 //     cancel/reschedule-heavy "next completion" pattern.
 //   - fluid's Resource and closed-form Solver reuse their water-fill
-//     scratch, and delta.Sweep runs on a fixed worker pool with per-worker
-//     scratch.
+//     scratch — a Solver is one caller's, never shared between goroutines,
+//     and with FinishTimesInto the finish times land in a slice that
+//     caller owns too, so a solve allocates nothing — and delta.Sweep runs
+//     on a fixed worker pool with per-worker scratch.
 //
 // Benchmark methodology: go test -bench=Fabric -benchmem (micro), and
 // BenchmarkDeltaSweepFabric for the macro path (a TrueNetwork ∆-sweep).
@@ -402,8 +404,15 @@
 // A coordinated point is held to the same zero. A decision's reason is a
 // core.Reason — a kind, a name and a number — rendered into today's wording
 // only by whoever prints the log; every Arbiter, the Layer's included, asks
-// its policy through core.IndexedArbitrator when the policy has that form
-// (fcfs, interrupt, interfere, delay), so no Allowed map is built; pokes and
+// its policy through core.IndexedArbitrator, the form every shipped policy
+// has (fcfs, interrupt, interfere, delay, dynamic, priority, fairshare), so
+// no Allowed map is built. What a model policy estimates in — dynamic's solo
+// times, its one schedule order and one set of finish times that each
+// candidate is costed in, the fluid.Solver behind its interference estimate —
+// is a core.Scratch owned by the Arbiter and handed over on that call, not
+// by the policy: a policy is a value the shards of a daemon, the per-target
+// machines of a replay and the workers of a sweep all share and decide with
+// at once, an Arbiter belongs to one goroutine. Pokes and
 // grant messages go through the handle-free sim.Engine.After, rechecks
 // through one sim.Timer, waits through the process's own Resumer, and
 // Prepare parses its info once into a typed stack (Xeon @ 2.10GHz, 2 vCPU,
@@ -411,6 +420,24 @@
 //
 //	BenchmarkDeltaPointReusedCoordinated       74.7 µs/op  406 allocs → 37.7 µs/op  0 allocs
 //	BenchmarkDeltaSweepFabricDenseCoordinated  1.85 ms/op  19580 allocs → 1.14 ms/op  ~5 allocs
+//
+// The dynamic policy was the last to decide on the map path: per decision a
+// candidate slice with four closures, five orders, a set of times per
+// candidate, a fresh Solver, an Allowed map and a formatted sentence. On the
+// indexed path a what-if replay under it costs what the estimate's
+// arithmetic costs, and replay allocates its own buffers once — a stream per
+// target, a wait log per stream, a flip log sized from the streams already
+// replayed — and keeps the sessions inside an access step in a list instead
+// of scanning for them per event. BenchmarkReplayCompare (a fixed 64-app,
+// 4-target, 20-phase trace; same box, medians of three alternating runs of
+// the parent's and this tree's test binaries):
+//
+//	policy=fcfs                  3.82 ms/op     565 allocs → 2.34 ms/op   435 allocs
+//	policy=interrupt             4.35 ms/op    4399 allocs → 2.48 ms/op  4283 allocs
+//	policy=interfere             3.96 ms/op     564 allocs → 2.12 ms/op   451 allocs
+//	policy=delay(0.50)           9.69 ms/op     644 allocs → 6.88 ms/op   513 allocs
+//	policy=dynamic(cpu-seconds)  30.7 ms/op  181233 allocs → 12.0 ms/op   676 allocs
+//	compare (all five)           43.0 ms/op  187083 allocs → 21.7 ms/op  6246 allocs
 //
 // # Sharded arbitration throughput
 //

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 )
@@ -97,11 +98,19 @@ func (a *AppState) setState(s State) {
 }
 
 // Prepare stacks information about the upcoming I/O accesses, as the paper's
-// Prepare(MPI_Info) does. Recognized keys update the view policies see.
+// Prepare(MPI_Info) does. Recognized keys update the view policies see; a
+// value that does not parse, or parses to NaN or an infinity (the info is
+// whatever a client sent), is ignored like a key that is not there.
 func (a *AppState) Prepare(info Info) {
+	finite := func(v float64) float64 {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return -1
+		}
+		return v
+	}
 	a.infoStack = append(a.infoStack, infoFields{
-		bytesTotal: info.Float(KeyBytesTotal, -1),
-		aloneBW:    info.Float(KeyAloneBW, -1),
+		bytesTotal: finite(info.Float(KeyBytesTotal, -1)),
+		aloneBW:    finite(info.Float(KeyAloneBW, -1)),
 		files:      info.Int(KeyFiles, -1),
 		rounds:     info.Int(KeyRounds, -1),
 		cores:      info.Int(KeyCores, -1),
@@ -203,15 +212,19 @@ func (a *AppState) Progress(bytesDone float64) {
 
 // IndexedArbitrator is the allocation-free form of a decision, and the path
 // every Arbiter takes — simulator Layer, daemon shard and replay alike —
-// whenever the policy offers it: instead of returning a Decision with a
-// freshly allocated Allowed map, the policy marks allowed[i] for each
-// authorized apps[i]. The views arrive sorted by (arrival, name) and allowed
-// arrives all-false, len(allowed) == len(apps). As with Policy.Arbitrate,
-// apps is the Arbiter's own persistent view array and must be treated as
-// read-only. The reason is a value (see Reason), so explaining a decision
-// formats nothing; recheck follows Decision.RecheckAfter semantics.
+// whenever the policy offers it, as every policy of this package does:
+// instead of returning a Decision with a freshly allocated Allowed map, the
+// policy marks allowed[i] for each authorized apps[i]. The views arrive
+// sorted by (arrival, name) and allowed arrives all-false, len(allowed) ==
+// len(apps). As with Policy.Arbitrate, apps is the Arbiter's own persistent
+// view array and must be treated as read-only. scratch is the calling
+// Arbiter's (never nil): whatever a policy needs room to estimate in goes
+// there and not into the policy value, which other Arbiters may be deciding
+// with at the same moment (see Scratch). The reason is a value (see Reason),
+// so explaining a decision formats nothing; recheck follows
+// Decision.RecheckAfter semantics.
 type IndexedArbitrator interface {
-	ArbitrateIndexed(now float64, apps []AppView, allowed []bool) (reason Reason, recheck float64)
+	ArbitrateIndexed(now float64, apps []AppView, allowed []bool, scratch *Scratch) (reason Reason, recheck float64)
 }
 
 // Outcome is the result of one Arbiter.Arbitrate call. The Granted and
@@ -275,10 +288,11 @@ type Arbiter struct {
 	head  int
 	nAuth int // authorized applications, all of them queued
 
-	// Per-decision scratch, reused across calls.
+	// Per-decision scratch, reused across calls; model is the policy's.
 	allowed []bool
 	granted []*AppState
 	revoked []*AppState
+	model   Scratch
 
 	// log is append-only when unbounded, each record's Allowed cut from the
 	// names arena, and Reset keeps the capacity of both; with a positive
@@ -514,7 +528,7 @@ func (ar *Arbiter) Arbitrate(now float64) Outcome {
 	var reason Reason
 	var recheck float64
 	if ar.indexed != nil {
-		reason, recheck = ar.indexed.ArbitrateIndexed(now, views, allowed)
+		reason, recheck = ar.indexed.ArbitrateIndexed(now, views, allowed, &ar.model)
 	} else {
 		dec := ar.policy.Arbitrate(now, views)
 		reason, recheck = dec.Reason, dec.RecheckAfter
@@ -558,13 +572,15 @@ func (ar *Arbiter) Arbitrate(now float64) Outcome {
 			ar.names, names = names, names[start:len(names):len(names)]
 		}
 		sort.Strings(names)
-		rec := DecisionRecord{Time: now, Policy: ar.policyName, Allowed: names, Reason: reason}
+		var rec *DecisionRecord // filled in place: a record is twelve words to copy
 		if wrap {
-			ar.log[ar.logHead] = rec
+			rec = &ar.log[ar.logHead]
 			ar.logHead = (ar.logHead + 1) % ar.logBound
 		} else {
-			ar.log = append(ar.log, rec)
+			ar.log = append(ar.log, DecisionRecord{})
+			rec = &ar.log[len(ar.log)-1]
 		}
+		rec.Time, rec.Policy, rec.Allowed, rec.Reason = now, ar.policyName, names, reason
 	}
 
 	return Outcome{

@@ -2,20 +2,34 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 )
 
-// TestIndexedMatchesMapDecisions pins the equivalence of the two policy
-// paths: for every policy offering the indexed fast path, both paths must
-// authorize exactly the same set of applications across a range of states.
-func TestIndexedMatchesMapDecisions(t *testing.T) {
+// shippedPolicies is every policy the package ships, dynamic with and without
+// its interfere candidate: each must offer the indexed path and stay on the
+// allocation-free side of it.
+func shippedPolicies() []Policy {
 	model := &PerfModel{FSBandwidth: 1e9, ProcNIC: 1e7}
-	policies := []Policy{
+	return []Policy{
 		InterferePolicy{},
 		FCFSPolicy{},
 		InterruptPolicy{},
 		DelayPolicy{Overlap: 0.5, Model: model},
+		DynamicPolicy{Metric: CPUSecondsWasted{}, Model: model, AllowInterfere: true},
+		DynamicPolicy{Metric: SumInterferenceFactors{Model: model}, Model: model},
+		PriorityPolicy{Priorities: map[string]int{"app-3": 2, "app-05": 1}},
+		FairSharePolicy{Quantum: 2},
 	}
+}
+
+// TestIndexedMatchesMapDecisions pins the equivalence of the two ways to ask
+// a policy: ArbitrateIndexed and the Decision that Arbitrate reads back from
+// it must authorize exactly the same set of applications across a range of
+// states, for every shipped policy.
+func TestIndexedMatchesMapDecisions(t *testing.T) {
+	policies := shippedPolicies()
 	mkViews := func(n int, actives int) []AppView {
 		vs := make([]AppView, n)
 		for i := range vs {
@@ -40,7 +54,7 @@ func TestIndexedMatchesMapDecisions(t *testing.T) {
 				vs := mkViews(n, actives)
 				dec := p.Arbitrate(100, vs)
 				allowed := make([]bool, n)
-				_, recheck := ip.ArbitrateIndexed(100, vs, allowed)
+				_, recheck := ip.ArbitrateIndexed(100, vs, allowed, new(Scratch))
 				for i, v := range vs {
 					if allowed[i] != dec.Allowed[v.Name] {
 						t.Fatalf("%s n=%d actives=%d: %s indexed=%v map=%v",
@@ -162,14 +176,14 @@ func TestResetRestoresRegistrationCores(t *testing.T) {
 }
 
 // TestArbiterStaysAllocFree holds the arbitration hot path to zero
-// allocations per grant cycle under every policy with an indexed form, in
-// both configurations that run it: the daemon shard's (a 256-record ring, as
+// allocations per grant cycle under every shipped policy, in both
+// configurations that run it: the daemon shard's (a 256-record ring, as
 // internal/server sets it) and the simulator's (unbounded, Reset between
 // runs). Fcfs alone used to be guarded; delay allocated its formatted
-// Name() into every record.
+// Name() into every record, dynamic a dozen slices, a map and a sentence
+// per decision.
 func TestArbiterStaysAllocFree(t *testing.T) {
-	model := &PerfModel{FSBandwidth: 1e9, ProcNIC: 1e7}
-	for _, p := range []Policy{InterferePolicy{}, FCFSPolicy{}, InterruptPolicy{}, DelayPolicy{Overlap: 0.5, Model: model}} {
+	for _, p := range shippedPolicies() {
 		for _, logBound := range []int{256, -1} {
 			ar := NewArbiter(p)
 			ar.SetLogBound(logBound)
@@ -214,6 +228,66 @@ func TestArbiterStaysAllocFree(t *testing.T) {
 			if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
 				t.Errorf("%s, log bound %d: %.1f allocations per run, want 0", p.Name(), logBound, allocs)
 			}
+		}
+	}
+}
+
+// TestSharedPolicyValueConcurrentArbiters decides with one DynamicPolicy
+// value from two Arbiters on two goroutines, as a daemon's shards, a
+// replay's machines and a sweep's workers do: under -race this is the
+// property that keeps the model scratch in the Arbiter and out of the policy
+// value. Both must also reach the decisions a lone Arbiter reaches.
+func TestSharedPolicyValueConcurrentArbiters(t *testing.T) {
+	model := &PerfModel{FSBandwidth: 1e9, ProcNIC: 1e7}
+	var pol Policy = DynamicPolicy{Metric: CPUSecondsWasted{}, Model: model, AllowInterfere: true}
+	run := func() []string {
+		ar := NewArbiter(pol)
+		apps := make([]*AppState, 6)
+		for i := range apps {
+			apps[i], _ = ar.Register(fmt.Sprintf("app-%d", i), 16<<i)
+		}
+		info := Info{}
+		var reasons []string
+		now := 0.0
+		decide := func() {
+			now++
+			reasons = append(reasons, fmt.Sprint(ar.Arbitrate(now).Reason, ar.LastRecord().Allowed))
+		}
+		for round := 0; round < 50; round++ {
+			for i, a := range apps {
+				info.SetFloat(KeyBytesTotal, 1e8*float64(1+(i+round)%5))
+				a.Prepare(info)
+				a.Inform(now)
+				decide()
+			}
+			for _, a := range apps {
+				if a.Authorized() && a.Activate() == nil {
+					decide()
+					a.Progress(3e7)
+					_ = a.Release() // just activated
+				}
+				decide()
+				a.End()
+				_ = a.Complete() // prepared above
+				decide()
+			}
+		}
+		return reasons
+	}
+	want := run()
+	got := make([][]string, 2)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = run()
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		if !slices.Equal(got[g], want) {
+			t.Errorf("goroutine %d decided differently from a lone arbiter", g)
 		}
 	}
 }

@@ -374,7 +374,7 @@ func TestSharedFinishTimes(t *testing.T) {
 		{Name: "A", Cores: 100, BytesTotal: 100},
 		{Name: "B", Cores: 100, BytesTotal: 100},
 	}
-	fin := m.SharedFinishTimes(apps)
+	fin := m.sharedFinishTimes(new(Scratch), apps)
 	// Equal weights, combined demand saturates: both at 50 B/s -> 2s.
 	if !almostEq(fin[0], 2, 1e-6) || !almostEq(fin[1], 2, 1e-6) {
 		t.Fatalf("fin = %v, want [2 2]", fin)
@@ -546,5 +546,72 @@ func TestFairShareEndToEndAlternates(t *testing.T) {
 	}
 	if doneA < 7.5 || doneB < 7.5 {
 		t.Fatalf("both should be slowed: %v %v", doneA, doneB)
+	}
+}
+
+// TestPrepareIgnoresNonFiniteFloats: Prepare info is whatever a client sent,
+// and strconv.ParseFloat reads "Inf" and "NaN" as numbers. A declared size or
+// bandwidth that is not a finite number is no declaration at all.
+func TestPrepareIgnoresNonFiniteFloats(t *testing.T) {
+	for _, tc := range []struct {
+		value string
+		want  float64 // the view's value afterwards; 7 is what was declared before
+	}{
+		{"Inf", 7}, {"+Inf", 7}, {"-Inf", 7}, {"inf", 7}, {"Infinity", 7}, {"NaN", 7}, {"nan", 7},
+		{"1e999", 7}, {"-3", 7}, {"garbage", 7}, {"", 7},
+		{"0", 0}, {"12.5", 12.5}, {"1e300", 1e300},
+	} {
+		for _, key := range []string{KeyBytesTotal, KeyAloneBW} {
+			ar := NewArbiter(FCFSPolicy{})
+			a, err := ar.Register("a", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.Prepare(Info{key: "7"})
+			a.Prepare(Info{key: tc.value})
+			got := a.View().BytesTotal
+			if key == KeyAloneBW {
+				got = a.View().AloneBW
+			}
+			if got != tc.want {
+				t.Errorf("%s=%q on top of 7: view has %v, want %v", key, tc.value, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestDynamicWithoutFiniteCost: when every candidate schedule costs +Inf (or
+// NaN) none is cheaper than another, and the decision used to index its
+// candidates with -1. Serialize, the first candidate, stands.
+func TestDynamicWithoutFiniteCost(t *testing.T) {
+	inf := math.Inf(1)
+	model := &PerfModel{FSBandwidth: 1000, ProcNIC: 1}
+	for _, tc := range []struct {
+		name   string
+		model  *PerfModel
+		totals [3]float64
+		states [3]State
+		allow  string
+	}{
+		{"every size infinite", model, [3]float64{inf, inf, inf}, [3]State{Waiting, Waiting, Waiting}, "A"},
+		{"the holder continues", model, [3]float64{inf, inf, inf}, [3]State{Waiting, Active, Waiting}, "B"},
+		{"one size infinite", model, [3]float64{100, inf, 100}, [3]State{Active, Waiting, Waiting}, "A"},
+		{"no bandwidth", &PerfModel{}, [3]float64{100, 100, 100}, [3]State{Waiting, Waiting, Waiting}, "A"},
+	} {
+		for _, interfere := range []bool{false, true} {
+			pol := DynamicPolicy{Metric: CPUSecondsWasted{}, Model: tc.model, AllowInterfere: interfere}
+			apps := make([]AppView, 3)
+			for i := range apps {
+				apps[i] = AppView{Name: string(rune('A' + i)), Cores: 8, Arrival: float64(i),
+					BytesTotal: tc.totals[i], State: tc.states[i]}
+			}
+			dec := pol.Arbitrate(3, apps)
+			if len(dec.Allowed) != 1 || !dec.Allowed[tc.allow] {
+				t.Errorf("%s, interfere=%v: allowed %v, want only %s", tc.name, interfere, dec.Allowed, tc.allow)
+			}
+			if want := "dynamic: serialize after " + tc.allow + " (cost +Inf by cpu-seconds)"; dec.Reason.String() != want {
+				t.Errorf("%s, interfere=%v: reason %q, want %q", tc.name, interfere, dec.Reason, want)
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -39,7 +40,7 @@ func (r *refArbiter) arbitrate(now float64) (out Outcome) {
 	allowed := make([]bool, len(views))
 	out.Acted = true
 	if ip, ok := r.policy.(IndexedArbitrator); ok {
-		out.Reason, out.RecheckAfter = ip.ArbitrateIndexed(now, views, allowed)
+		out.Reason, out.RecheckAfter = ip.ArbitrateIndexed(now, views, allowed, new(Scratch))
 	} else {
 		dec := r.policy.Arbitrate(now, views)
 		out.Reason, out.RecheckAfter = dec.Reason, dec.RecheckAfter
@@ -102,24 +103,32 @@ func (s *spy) Arbitrate(now float64, apps []AppView) Decision {
 type indexedSpy struct{ *spy }
 
 // ArbitrateIndexed also asks the policy's other path, Policy.Arbitrate, and
-// requires the same decision from it, rendered reason included.
-func (s indexedSpy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool) (Reason, float64) {
+// the oracle where the policy has one (see oracleDecision), and requires the
+// same decision from each, rendered reason included.
+func (s indexedSpy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool, scratch *Scratch) (Reason, float64) {
 	s.seen = append(s.seen[:0], apps...)
-	reason, recheck := s.Policy.(IndexedArbitrator).ArbitrateIndexed(now, apps, allowed)
-	dec := s.Policy.Arbitrate(now, apps)
+	reason, recheck := s.Policy.(IndexedArbitrator).ArbitrateIndexed(now, apps, allowed, scratch)
+	s.same("Arbitrate", s.Policy.Arbitrate(now, apps), apps, allowed, reason, recheck)
+	if dec, ok := oracleDecision(s.Policy, now, apps); ok {
+		s.same("the oracle", dec, apps, allowed, reason, recheck)
+	}
 	if !reflect.DeepEqual(s.seen, apps) {
 		s.t.Fatalf("%s wrote to its views", s.Name())
 	}
+	return reason, recheck
+}
+
+// same fails the test unless dec is the decision ArbitrateIndexed took.
+func (s indexedSpy) same(who string, dec Decision, apps []AppView, allowed []bool, reason Reason, recheck float64) {
 	if dec.Reason.String() != reason.String() || dec.RecheckAfter != recheck {
-		s.t.Fatalf("%s: Arbitrate says %q recheck %v, ArbitrateIndexed %q recheck %v",
-			s.Name(), dec.Reason, dec.RecheckAfter, reason, recheck)
+		s.t.Fatalf("%s: %s says %q recheck %v, ArbitrateIndexed %q recheck %v",
+			s.Name(), who, dec.Reason, dec.RecheckAfter, reason, recheck)
 	}
 	for i, v := range apps {
 		if dec.Allowed[v.Name] != allowed[i] {
-			s.t.Fatalf("%s: the two paths disagree on %s", s.Name(), v.Name)
+			s.t.Fatalf("%s: %s and ArbitrateIndexed disagree on %s in %+v", s.Name(), who, v.Name, apps)
 		}
 	}
-	return reason, recheck
 }
 
 // newSpy wraps p for one arbiter. An Arbiter takes the indexed path whenever
@@ -134,11 +143,14 @@ func newSpy(t *testing.T, p Policy, indexed bool) (*spy, Policy) {
 }
 
 // wording is the reason text as the policies formatted it eagerly, before
-// reasons became values; the oracle renders it independently of Reason.String.
-// ok is false for the policies that always handed over a finished text.
+// reasons became values, rendered independently of Reason.String: the dynamic,
+// priority and fair-share sentences are the ones their old bodies printed.
 func wording(p Policy, views []AppView) (text string, ok bool) {
 	if len(views) == 0 {
 		return "", false // nothing to arbitrate, nothing said
+	}
+	if dec, ok := oracleDecision(p, 0, views); ok {
+		return dec.Reason.String(), true
 	}
 	switch p := p.(type) {
 	case InterferePolicy:
@@ -159,14 +171,16 @@ func wording(p Policy, views []AppView) (text string, ok bool) {
 
 var diffModel = &PerfModel{FSBandwidth: 1e9, ProcNIC: 1e7}
 
-// diffPolicies is every policy in the package; the first four also offer
-// the indexed path.
+// diffPolicies is every policy in the package — all offer the indexed path —
+// with dynamic under two metrics, with and without its interfere candidate.
 var diffPolicies = []Policy{
 	InterferePolicy{},
 	FCFSPolicy{},
 	InterruptPolicy{},
 	DelayPolicy{Overlap: 0.5, Model: diffModel},
 	DynamicPolicy{Metric: CPUSecondsWasted{}, Model: diffModel, AllowInterfere: true},
+	DynamicPolicy{Metric: CPUSecondsWasted{}, Model: diffModel},
+	DynamicPolicy{Metric: SumInterferenceFactors{Model: diffModel}, Model: diffModel, AllowInterfere: true},
 	DynamicPolicy{Metric: SumInterferenceFactors{Model: diffModel}, Model: diffModel},
 	PriorityPolicy{Priorities: map[string]int{"c": 2, "0": 1}},
 	FairSharePolicy{Quantum: 2},
@@ -206,6 +220,7 @@ var slotNames = []string{"m", "k", "z", "c", "a", "0"}
 // the seeded test asserts the generator reaches every one of them.
 type coverage struct {
 	arrivalTies, endInformNoArbitrate, lateFirstName, unregisterMidPhase, resetMidPhase, arbitrations int
+	dynamic                                                                                           [4]int // decisions each dynamic candidate won: serialize, sjf, interrupt, interfere
 }
 
 type diffRun struct {
@@ -373,6 +388,9 @@ func (d *diffRun) step(i int, op, arg byte) {
 		if text, ok := wording(d.realSpy.Policy, d.refSpy.seen); ok && got.Reason.String() != text {
 			t.Fatalf("step %d: reason reads %q, was %q", i, got.Reason, text)
 		}
+		if k := got.Reason.kind; k >= reasonDynSerialize {
+			d.cov.dynamic[k-reasonDynSerialize]++
+		}
 		if g, w := appNames(got.Granted), appNames(want.Granted); !reflect.DeepEqual(g, w) {
 			t.Fatalf("step %d: granted %v, reference %v", i, g, w)
 		}
@@ -533,7 +551,8 @@ func TestArbiterMatchesReference(t *testing.T) {
 		}
 	}
 	if cov.arrivalTies == 0 || cov.endInformNoArbitrate == 0 || cov.lateFirstName == 0 ||
-		cov.unregisterMidPhase == 0 || cov.resetMidPhase == 0 || cov.arbitrations < 1000 {
+		cov.unregisterMidPhase == 0 || cov.resetMidPhase == 0 || cov.arbitrations < 1000 ||
+		slices.Contains(cov.dynamic[:], 0) {
 		t.Fatalf("schedules missed a hazard: %+v", cov)
 	}
 	t.Logf("coverage: %+v", cov)

@@ -1,9 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/fluid"
 )
@@ -41,17 +40,35 @@ func (m *PerfModel) SoloTime(v AppView, bytes float64) float64 {
 	return bytes / bw
 }
 
-// SharedFinishTimes estimates per-app completion times (from now) if all
+// Scratch is the working memory a model policy estimates in: one solo time
+// per queued application, one schedule order and one set of finish times
+// that every candidate is costed in one after another, and the fluid solver
+// behind the interference estimate. It belongs to the Arbiter, which hands it
+// to its policy on every ArbitrateIndexed call — not to the policy, because a
+// policy is a value that many Arbiters share (the shards of a daemon, the
+// per-target machines of a replay, the workers of a sweep) and decide with
+// concurrently. Nothing in it outlives the call or refers to the views, and
+// the zero value is ready.
+type Scratch struct {
+	solo   []float64
+	order  []int
+	times  []float64
+	flows  []fluid.Flow
+	solver fluid.Solver
+}
+
+// sharedFinishTimes estimates per-app completion times (from now) if all
 // the given apps interfere, using the same weighted max-min fluid model as
 // the simulated servers: weight = cores (concurrent client streams), cap =
-// injection limit.
-func (m *PerfModel) SharedFinishTimes(apps []AppView) []float64 {
-	flows := make([]fluid.Flow, len(apps))
-	for i, a := range apps {
+// injection limit. The result is s.times, valid until s is used again.
+func (m *PerfModel) sharedFinishTimes(s *Scratch, apps []AppView) []float64 {
+	s.flows = s.flows[:0]
+	for _, a := range apps {
 		inj := float64(a.Cores) * m.ProcNIC
-		flows[i] = fluid.Flow{Work: a.Remaining(), Weight: float64(a.Cores), Cap: inj}
+		s.flows = append(s.flows, fluid.Flow{Work: a.Remaining(), Weight: float64(a.Cores), Cap: inj})
 	}
-	return fluid.FinishTimes(m.FSBandwidth, flows)
+	s.times = s.solver.FinishTimesInto(s.times, m.FSBandwidth, s.flows)
+	return s.times
 }
 
 // Metric is a machine-wide efficiency objective: given the per-app estimated
@@ -149,118 +166,103 @@ type DynamicPolicy struct {
 func (d DynamicPolicy) Name() string { return "dynamic(" + d.Metric.Name() + ")" }
 
 // Arbitrate implements Policy.
-func (d DynamicPolicy) Arbitrate(now float64, apps []AppView) Decision {
+func (d DynamicPolicy) Arbitrate(now float64, apps []AppView) Decision { return decide(d, now, apps) }
+
+// ArbitrateIndexed implements IndexedArbitrator. Candidate schedules are
+// built around the applications currently writing, so a decision made earlier
+// is not flip-flopped at every re-arbitration: serialize continues whoever is
+// writing and queues the waiters by arrival; shortest-job-first (with several
+// waiters) queues them by remaining solo time instead — the paper's "choose a
+// place in the queue" generalization, which minimizes the summed waiting that
+// metrics like CPU-seconds reward; interrupt (a holder and a waiter) promotes
+// the newest waiter ahead of the holder; interfere lets everybody go. Each is
+// costed in turn in the scratch's one order and one set of times, the first
+// of the cheapest wins, and only the winner marks allowed.
+func (d DynamicPolicy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool, s *Scratch) (Reason, float64) {
 	if d.Model == nil || d.Metric == nil {
 		panic("core: DynamicPolicy needs Model and Metric")
 	}
 	if len(apps) == 1 {
-		return AllowAll(apps, "single application")
+		allowed[0] = true
+		return TextReason("single application"), 0
 	}
 
-	type candidate struct {
-		name    string
-		decide  func() Decision
-		ioTimes []float64
-	}
-	var cands []candidate
-
-	// Serial schedules: finish times accumulate in queue order.
-	serialTimes := func(order []int) []float64 {
-		times := make([]float64, len(apps))
-		acc := 0.0
-		for _, i := range order {
-			acc += d.Model.SoloTime(apps[i], apps[i].Remaining())
-			times[i] = acc
-		}
-		return times
-	}
-
-	// Split into currently-active holders and waiters (both pre-sorted by
-	// arrival). Candidate schedules are built around the holder so a
-	// decision made earlier is not flip-flopped at every re-arbitration:
-	// the serialize candidate continues whoever is writing, and the
-	// interrupt candidate promotes the newest waiter ahead of it.
-	var actives, waiters []int
+	// The holders, then the waiters, both by arrival as the views are: the
+	// serialize schedule, which the other two reorder in place.
+	s.solo, s.order = s.solo[:0], s.order[:0]
 	for i, a := range apps {
+		s.solo = append(s.solo, d.Model.SoloTime(a, a.Remaining()))
 		if a.State == Active {
-			actives = append(actives, i)
-		} else {
-			waiters = append(waiters, i)
+			s.order = append(s.order, i)
 		}
 	}
+	actives := len(s.order)
+	for i, a := range apps {
+		if a.State != Active {
+			s.order = append(s.order, i)
+		}
+	}
+	waiters := s.order[actives:]
+	newest := s.order[len(s.order)-1] // the newest waiter, if anybody waits
 
-	continueOrder := append(append([]int{}, actives...), waiters...)
-	cands = append(cands, candidate{
-		name:    "serialize",
-		ioTimes: serialTimes(continueOrder),
-		decide: func() Decision {
-			head := apps[continueOrder[0]].Name
-			return AllowOnly(head, "dynamic: serialize after "+head)
-		},
-	})
-
+	// Should no candidate have a finite cost (nothing declared, or a model
+	// without bandwidth), serialize stands: it is what fcfs would do.
+	kind, head, bestCost := reasonDynSerialize, s.order[0], math.Inf(1)
+	if cost := d.serialCost(apps, s); cost < bestCost {
+		bestCost = cost
+	}
 	if len(waiters) > 1 {
-		// Shortest-remaining-first among the waiters (holders keep going):
-		// with several applications queued, the paper's "choose a place in
-		// the queue" generalization. SJF minimizes the sum of waiting
-		// times, which metrics like CPU-seconds reward.
-		sjf := append([]int{}, actives...)
-		ws := append([]int{}, waiters...)
-		sort.Slice(ws, func(a, b int) bool {
-			ta := d.Model.SoloTime(apps[ws[a]], apps[ws[a]].Remaining())
-			tb := d.Model.SoloTime(apps[ws[b]], apps[ws[b]].Remaining())
-			if ta != tb {
-				return ta < tb
-			}
-			return apps[ws[a]].Name < apps[ws[b]].Name
-		})
-		sjf = append(sjf, ws...)
-		cands = append(cands, candidate{
-			name:    "sjf",
-			ioTimes: serialTimes(sjf),
-			decide: func() Decision {
-				head := apps[sjf[0]].Name
-				return AllowOnly(head, "dynamic: shortest job first ("+head+")")
-			},
-		})
-	}
-
-	if len(waiters) > 0 && len(actives) > 0 {
-		newest := waiters[len(waiters)-1]
-		intOrder := []int{newest}
-		intOrder = append(intOrder, actives...)
-		for _, wi := range waiters {
-			if wi != newest {
-				intOrder = append(intOrder, wi)
+		for i := 1; i < len(waiters); i++ { // by (solo time, name)
+			for j := i; j > 0; j-- {
+				a, b := waiters[j-1], waiters[j]
+				if s.solo[a] < s.solo[b] || s.solo[a] == s.solo[b] && apps[a].Name < apps[b].Name {
+					break
+				}
+				waiters[j-1], waiters[j] = b, a
 			}
 		}
-		cands = append(cands, candidate{
-			name:    "interrupt",
-			ioTimes: serialTimes(intOrder),
-			decide: func() Decision {
-				return AllowOnly(apps[newest].Name, "dynamic: interrupt for newcomer")
-			},
-		})
+		if cost := d.serialCost(apps, s); cost < bestCost {
+			kind, head, bestCost = reasonDynSJF, s.order[0], cost
+		}
 	}
-
+	if len(waiters) > 0 && actives > 0 {
+		// The newcomer, then the holders and the other waiters by arrival.
+		s.order = append(s.order[:0], newest)
+		for i := range apps {
+			if apps[i].State == Active {
+				s.order = append(s.order, i)
+			}
+		}
+		for i := range apps {
+			if apps[i].State != Active && i != newest {
+				s.order = append(s.order, i)
+			}
+		}
+		if cost := d.serialCost(apps, s); cost < bestCost {
+			kind, head, bestCost = reasonDynInterrupt, newest, cost
+		}
+	}
 	if d.AllowInterfere {
-		cands = append(cands, candidate{
-			name:    "interfere",
-			ioTimes: d.Model.SharedFinishTimes(apps),
-			decide: func() Decision {
-				return AllowAll(apps, "dynamic: interference is cheap")
-			},
-		})
-	}
-
-	best, bestCost := -1, math.Inf(1)
-	for i, c := range cands {
-		cost := d.Metric.Cost(apps, c.ioTimes)
-		if cost < bestCost {
-			best, bestCost = i, cost
+		if cost := d.Metric.Cost(apps, d.Model.sharedFinishTimes(s, apps)); cost < bestCost {
+			for i := range allowed {
+				allowed[i] = true
+			}
+			return Reason{kind: reasonDynInterfere, v: cost, m: d.Metric.Name()}, 0
 		}
 	}
-	dec := cands[best].decide()
-	dec.Reason = TextReason(fmt.Sprintf("%s (cost %.4g by %s)", dec.Reason, bestCost, d.Metric.Name()))
-	return dec
+	allowed[head] = true
+	return Reason{kind: kind, s: apps[head].Name, v: bestCost, m: d.Metric.Name()}, 0
+}
+
+// serialCost costs the schedule that runs the applications one after another
+// in s.order: finish times accumulate along it.
+func (d DynamicPolicy) serialCost(apps []AppView, s *Scratch) float64 {
+	s.times = slices.Grow(s.times[:0], len(apps))
+	times := s.times[:len(apps)]
+	acc := 0.0
+	for _, i := range s.order {
+		acc += s.solo[i]
+		times[i] = acc
+	}
+	return d.Metric.Cost(apps, times)
 }

@@ -89,9 +89,11 @@ func AllowOnly(name, reason string) Decision {
 // participating applications changes. The views are sorted by arrival time
 // (ties by name). The apps slice is the Arbiter's own view array, which
 // persists from one decision to the next: a policy must treat it as
-// read-only (reorder a copy, as DynamicPolicy and FairSharePolicy do) and
-// must not retain it past the call. A policy that can decide without the
-// Allowed map also implements IndexedArbitrator; an Arbiter then asks it so.
+// read-only (reorder indices, as DynamicPolicy does) and must not retain it
+// past the call. A policy that can decide without the Allowed map also
+// implements IndexedArbitrator, as every policy of this package does; an
+// Arbiter then asks it so, and Arbitrate serves whoever holds the policy
+// alone. AllowAll and AllowOnly build the Decision of one that cannot.
 type Policy interface {
 	Name() string
 	Arbitrate(now float64, apps []AppView) Decision

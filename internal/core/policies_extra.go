@@ -1,10 +1,5 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
-
 // PriorityPolicy authorizes the waiting application with the highest
 // operator-assigned priority; ties fall back to arrival order. Applications
 // without an assigned priority default to zero. This models a
@@ -19,15 +14,19 @@ type PriorityPolicy struct {
 func (PriorityPolicy) Name() string { return "priority" }
 
 // Arbitrate implements Policy.
-func (p PriorityPolicy) Arbitrate(now float64, apps []AppView) Decision {
-	best := apps[0]
-	bestPrio := p.Priorities[best.Name]
-	for _, a := range apps[1:] {
+func (p PriorityPolicy) Arbitrate(now float64, apps []AppView) Decision { return decide(p, now, apps) }
+
+// ArbitrateIndexed implements IndexedArbitrator: the first of the highest
+// priority, in arrival order as the views are.
+func (p PriorityPolicy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool, _ *Scratch) (Reason, float64) {
+	best, bestPrio := 0, p.Priorities[apps[0].Name]
+	for i, a := range apps[1:] {
 		if prio := p.Priorities[a.Name]; prio > bestPrio {
-			best, bestPrio = a, prio
+			best, bestPrio = i+1, prio
 		}
 	}
-	return AllowOnly(best.Name, fmt.Sprintf("priority %d", bestPrio))
+	allowed[best] = true
+	return Reason{kind: reasonPriority, v: float64(bestPrio)}, 0 // exact to 2^53
 }
 
 // FairSharePolicy time-slices the file system between the applications that
@@ -44,35 +43,30 @@ type FairSharePolicy struct {
 // Name implements Policy.
 func (FairSharePolicy) Name() string { return "fairshare" }
 
-// Arbitrate implements Policy. Consumed service is approximated by the
-// progress each application has reported (bytes done): the app with the
-// least progress fraction is served next.
-func (f FairSharePolicy) Arbitrate(now float64, apps []AppView) Decision {
-	type cand struct {
-		name string
-		frac float64
-	}
-	cands := make([]cand, 0, len(apps))
-	for _, a := range apps {
+// Arbitrate implements Policy.
+func (f FairSharePolicy) Arbitrate(now float64, apps []AppView) Decision { return decide(f, now, apps) }
+
+// ArbitrateIndexed implements IndexedArbitrator. Consumed service is
+// approximated by the progress each application has reported (bytes done):
+// the app with the least progress fraction, the first by name among equals,
+// is served next.
+func (f FairSharePolicy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool, _ *Scratch) (Reason, float64) {
+	least, leastFrac := -1, 0.0
+	for i, a := range apps {
 		frac := 0.0
 		if a.BytesTotal > 0 {
 			frac = a.BytesDone / a.BytesTotal
 		}
-		cands = append(cands, cand{a.Name, frac})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].frac != cands[j].frac {
-			return cands[i].frac < cands[j].frac
+		if least < 0 || frac < leastFrac || frac == leastFrac && a.Name < apps[least].Name {
+			least, leastFrac = i, frac
 		}
-		return cands[i].name < cands[j].name
-	})
-	q := f.Quantum
-	if q <= 0 {
-		q = 1
 	}
-	dec := AllowOnly(cands[0].name, fmt.Sprintf("least served (%.0f%% done)", 100*cands[0].frac))
+	allowed[least] = true
+	recheck := 0.0
 	if len(apps) > 1 {
-		dec.RecheckAfter = q
+		if recheck = f.Quantum; recheck <= 0 {
+			recheck = 1
+		}
 	}
-	return dec
+	return Reason{kind: reasonLeastServed, v: 100 * leastFrac}, recheck
 }

@@ -5,12 +5,13 @@ import (
 	"math"
 )
 
-// decide is Policy.Arbitrate for the policies of this file: they decide in
-// ArbitrateIndexed, the path every Arbiter takes, and a caller asking one
-// directly gets that same decision read back into a Decision.
+// decide is Policy.Arbitrate for every policy of this package: they decide
+// in ArbitrateIndexed, the path every Arbiter takes, and a caller asking one
+// directly gets that same decision, taken in a scratch of its own, read back
+// into a Decision.
 func decide(p IndexedArbitrator, now float64, apps []AppView) Decision {
 	allowed := make([]bool, len(apps))
-	reason, recheck := p.ArbitrateIndexed(now, apps, allowed)
+	reason, recheck := p.ArbitrateIndexed(now, apps, allowed, new(Scratch))
 	dec := Decision{Allowed: make(map[string]bool, len(apps)), RecheckAfter: recheck, Reason: reason}
 	for i, ok := range allowed {
 		if ok {
@@ -31,7 +32,7 @@ func (InterferePolicy) Name() string { return "interfere" }
 func (p InterferePolicy) Arbitrate(now float64, apps []AppView) Decision { return decide(p, now, apps) }
 
 // ArbitrateIndexed implements IndexedArbitrator: everyone is allowed.
-func (InterferePolicy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool) (Reason, float64) {
+func (InterferePolicy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool, _ *Scratch) (Reason, float64) {
 	for i := range allowed {
 		allowed[i] = true
 	}
@@ -51,7 +52,7 @@ func (p FCFSPolicy) Arbitrate(now float64, apps []AppView) Decision { return dec
 
 // ArbitrateIndexed implements IndexedArbitrator: the earliest arrival —
 // views arrive sorted by (arrival, name) — holds the file system.
-func (FCFSPolicy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool) (Reason, float64) {
+func (FCFSPolicy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool, _ *Scratch) (Reason, float64) {
 	allowed[0] = true
 	return Reason{kind: reasonFirst, s: apps[0].Name, v: apps[0].Arrival}, 0
 }
@@ -69,7 +70,7 @@ func (InterruptPolicy) Name() string { return "interrupt" }
 func (p InterruptPolicy) Arbitrate(now float64, apps []AppView) Decision { return decide(p, now, apps) }
 
 // ArbitrateIndexed implements IndexedArbitrator: the newest arrival preempts.
-func (InterruptPolicy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool) (Reason, float64) {
+func (InterruptPolicy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool, _ *Scratch) (Reason, float64) {
 	newest := len(apps) - 1
 	allowed[newest] = true
 	return Reason{kind: reasonLast, s: apps[newest].Name, v: apps[newest].Arrival}, 0
@@ -94,7 +95,7 @@ func (d DelayPolicy) Arbitrate(now float64, apps []AppView) Decision { return de
 
 // ArbitrateIndexed implements IndexedArbitrator. The earliest arrival is the
 // holder; later arrivals overlap only inside their allowed window.
-func (d DelayPolicy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool) (Reason, float64) {
+func (d DelayPolicy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool, _ *Scratch) (Reason, float64) {
 	if d.Model == nil {
 		panic("core: DelayPolicy needs a PerfModel")
 	}

@@ -406,3 +406,76 @@ func TestNaNCapacityPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestInfiniteWorkNeverFinishes: the completion tolerance scales with a
+// flow's total work, so an infinite flow used to count as done at the first
+// other completion. It never finishes — and keeps its share of the capacity
+// while the finite flows do.
+func TestInfiniteWorkNeverFinishes(t *testing.T) {
+	inf := math.Inf(1)
+	for _, tc := range []struct {
+		name  string
+		flows []Flow
+		want  []float64
+	}{
+		{"alone", []Flow{{Work: inf, Weight: 1}}, []float64{inf}},
+		{"beside a finite flow", []Flow{{Work: 100, Weight: 1}, {Work: inf, Weight: 1}}, []float64{2, inf}},
+		{"capped, beside two", []Flow{{Work: inf, Weight: 1, Cap: 20}, {Work: 80, Weight: 1}, {Work: 160, Weight: 1}}, []float64{inf, 2, 3}},
+		{"all infinite", []Flow{{Work: inf, Weight: 1}, {Work: inf, Weight: 2}}, []float64{inf, inf}},
+	} {
+		got := FinishTimes(100, tc.flows)
+		staggered := StaggeredFinishTimes(100, tc.flows, make([]float64, len(tc.flows)))
+		for i := range tc.want {
+			if got[i] != tc.want[i] && !almostEq(got[i], tc.want[i], 1e-9) {
+				t.Errorf("%s: FinishTimes = %v, want %v", tc.name, got, tc.want)
+				break
+			}
+			if staggered[i] != tc.want[i] && !almostEq(staggered[i], tc.want[i], 1e-9) {
+				t.Errorf("%s: StaggeredFinishTimes = %v, want %v", tc.name, staggered, tc.want)
+				break
+			}
+		}
+	}
+}
+
+// TestFinishTimesIntoMatchesFinishTimes pins the caller-owned-output form to
+// the allocating one, element for element on the solver cases above, whatever
+// the destination held before — and to no allocation once solver and
+// destination have seen the flow count.
+func TestFinishTimesIntoMatchesFinishTimes(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var s Solver
+	var dst []float64
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(8)
+		capacity := 1 + rng.Float64()*100
+		flows := make([]Flow, n)
+		for i := range flows {
+			flows[i] = Flow{Work: rng.Float64() * 1e4, Weight: 1 + rng.Float64()*4}
+			if rng.Intn(3) == 0 {
+				flows[i].Cap = rng.Float64() * 20
+			}
+			if rng.Intn(5) == 0 {
+				flows[i].Work = 0
+			}
+		}
+		for i := range dst {
+			dst[i] = -1 // stale
+		}
+		dst = s.FinishTimesInto(dst, capacity, flows)
+		want := FinishTimes(capacity, flows)
+		if len(dst) != len(want) {
+			t.Fatalf("trial %d: %d times for %d flows", trial, len(dst), len(want))
+		}
+		for i := range want {
+			if dst[i] != want[i] {
+				t.Fatalf("trial %d flow %d: into %v, fresh %v", trial, i, dst[i], want[i])
+			}
+		}
+	}
+	flows := []Flow{{Work: 100, Weight: 1}, {Work: 50, Weight: 2, Cap: 10}, {Work: 0, Weight: 1}, {Work: 70, Weight: 1}}
+	dst = s.FinishTimesInto(dst, 100, flows)
+	if allocs := testing.AllocsPerRun(100, func() { dst = s.FinishTimesInto(dst, 100, flows) }); allocs != 0 {
+		t.Errorf("FinishTimesInto allocates %.1f times per call from the second call on, want 0", allocs)
+	}
+}

@@ -45,6 +45,7 @@ package replay
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/config"
@@ -223,6 +224,7 @@ func checkReplayable(tr *trace.Trace) error {
 type shardEvents struct {
 	Target string
 	Events []trace.Event
+	waits  int // EvWait events among them: every wait a replay can serve
 }
 
 // partition splits a trace into per-target event streams, in sorted target
@@ -239,16 +241,32 @@ func partition(tr *trace.Trace) []shardEvents {
 		app   string
 		cores int32
 	}
+	// Count first, so that each stream is allocated once: a stream holds the
+	// trace's events on its target, plus — in a client capture only — the
+	// few registers and unregisters copied in, which append makes room for.
 	idx := make(map[string]int)
 	var parts []shardEvents
-	emit := func(target string, ev trace.Event) {
-		i, ok := idx[target]
+	var counts []int
+	for i := range tr.Events {
+		ev := &tr.Events[i]
+		p, ok := idx[ev.Target]
 		if !ok {
-			i = len(parts)
-			idx[target] = i
-			parts = append(parts, shardEvents{Target: target})
+			p = len(parts)
+			idx[ev.Target] = p
+			parts = append(parts, shardEvents{Target: ev.Target})
+			counts = append(counts, 0)
 		}
-		parts[i].Events = append(parts[i].Events, ev)
+		counts[p]++
+		if ev.Type == trace.EvWait {
+			parts[p].waits++
+		}
+	}
+	for i := range parts {
+		parts[i].Events = make([]trace.Event, 0, counts[i])
+	}
+	emit := func(target string, ev trace.Event) {
+		p := &parts[idx[target]] // every target emitted to is some event's
+		p.Events = append(p.Events, ev)
 	}
 	type attachKey struct {
 		target string
@@ -303,6 +321,9 @@ func partition(tr *trace.Trace) []shardEvents {
 			emit(ev.Target, ev)
 		}
 	}
+	// A target nothing was emitted to (a client capture's registers are
+	// metadata, an unregister may find nothing attached) has no stream.
+	parts = slices.DeleteFunc(parts, func(p shardEvents) bool { return len(p.Events) == 0 })
 	sort.Slice(parts, func(i, j int) bool { return parts[i].Target < parts[j].Target })
 	return parts
 }
@@ -312,6 +333,11 @@ func partition(tr *trace.Trace) []shardEvents {
 // re-sort by (Name, Target, SID), the makespan is the max.
 func mergeResults(policy string, parts []Result) Result {
 	out := Result{Policy: policy}
+	var flips, waits, apps int
+	for i := range parts {
+		flips, waits, apps = flips+len(parts[i].Flips), waits+len(parts[i].Waits), apps+len(parts[i].Apps)
+	}
+	out.Flips, out.Waits, out.Apps = make([]Flip, 0, flips), make([]float64, 0, waits), make([]AppResult, 0, apps)
 	for i := range parts {
 		r := &parts[i]
 		out.Events += r.Events
@@ -362,12 +388,21 @@ func Under(tr *trace.Trace, pol core.Policy) (Result, error) {
 // the streams, so one partition serves every policy of a comparison.
 func under(parts []shardEvents, pol core.Policy) (Result, error) {
 	results := make([]Result, 0, len(parts))
+	// A grant per served wait and a revoke per grant is all a serializing or
+	// preempting policy flips. One that also takes grants back on its own
+	// rechecks (delay) flips more, by a factor only its replay shows: the
+	// streams replayed so far size the flip log of the next.
+	flipsPerWait := 2
 	for _, p := range parts {
-		m := newMachine(pol, p.Target, true, false)
+		m := newMachine(pol, p, flipsPerWait*p.waits, true, false)
 		if err := m.run(p.Events); err != nil {
 			return Result{}, err
 		}
-		results = append(results, m.finish())
+		res := m.finish()
+		if n := len(res.Flips); p.waits > 0 && n > flipsPerWait*p.waits {
+			flipsPerWait = (n + p.waits - 1) / p.waits
+		}
+		results = append(results, res)
 	}
 	return mergeResults(pol.Name(), results), nil
 }
@@ -417,7 +452,7 @@ func Verify(tr *trace.Trace) (VerifyResult, error) {
 	v := VerifyResult{Match: true}
 	results := make([]Result, 0, len(parts))
 	for _, p := range parts {
-		m := newMachine(pol, p.Target, false, true)
+		m := newMachine(pol, p, 2*p.waits, false, true)
 		if err := m.run(p.Events); err != nil {
 			return VerifyResult{}, err
 		}
@@ -484,10 +519,14 @@ type sess struct {
 // machine drives core.Arbiter through one target's replay. It mirrors
 // internal/server's per-shard handle/arbitrate logic without the network.
 type machine struct {
-	arb        *core.Arbiter
-	target     string
-	byID       map[uint32]*sess
-	order      []*sess
+	arb    *core.Arbiter
+	target string
+	byID   map[uint32]*sess
+	order  []*sess
+	// active holds the sessions inside an access step — one under a
+	// serializing policy, whoever overlaps under a permissive one — so that
+	// accrue, which runs per event, visits them and not every session.
+	active     []*sess
 	now        float64
 	recheckAt  float64
 	synthesize bool // derive rechecks from RecheckAfter (what-if mode)
@@ -498,17 +537,36 @@ type machine struct {
 	res      Result
 }
 
-func newMachine(pol core.Policy, target string, synthesize, collect bool) *machine {
+// newMachine builds the replay of one stream, its flip log allocated for the
+// given number of flips. A stream's waits bound what its replay can serve, so
+// the wait log is allocated once.
+func newMachine(pol core.Policy, stream shardEvents, flips int, synthesize, collect bool) *machine {
 	arb := core.NewArbiter(pol)
 	arb.SetLogBound(0)
 	return &machine{
 		arb:        arb,
-		target:     target,
+		target:     stream.Target,
 		byID:       make(map[uint32]*sess),
 		recheckAt:  math.Inf(1),
 		synthesize: synthesize,
 		collect:    collect,
-		res:        Result{Policy: pol.Name()},
+		res: Result{Policy: pol.Name(),
+			Flips: make([]Flip, 0, flips), Waits: make([]float64, 0, stream.waits)},
+	}
+}
+
+// activate moves a session whose Wait was just served into its access step.
+func (m *machine) activate(s *sess) {
+	if was := s.app.State(); s.app.Activate() == nil && was != core.Active {
+		m.active = append(m.active, s)
+	}
+}
+
+// deactivate drops a session that left its access step (released, ended its
+// phase or went away) from the active list; a no-op for any other.
+func (m *machine) deactivate(s *sess) {
+	if i := slices.Index(m.active, s); i >= 0 {
+		m.active = slices.Delete(m.active, i, i+1)
 	}
 }
 
@@ -609,7 +667,7 @@ func (m *machine) step(ev *trace.Event) error {
 			return nil // client-capture skew; the daemon never records these
 		}
 		if s.app.Authorized() {
-			s.app.Activate()
+			m.activate(s)
 			s.res.WaitsImmediate++
 			s.res.Grants++
 			m.res.GrantsServed++
@@ -625,6 +683,7 @@ func (m *machine) step(ev *trace.Event) error {
 			s.app.Progress(ev.Bytes)
 		}
 		if s.app.Release() == nil {
+			m.deactivate(s)
 			m.arbitrate(t)
 		}
 
@@ -638,6 +697,7 @@ func (m *machine) step(ev *trace.Event) error {
 			s.res.IOTimeS += t - s.phaseStart
 		}
 		s.app.End()
+		m.deactivate(s)
 		m.arbitrate(t)
 
 	case trace.EvUnregister:
@@ -651,6 +711,7 @@ func (m *machine) step(ev *trace.Event) error {
 		}
 		m.arb.Unregister(s.app)
 		s.app = nil
+		m.deactivate(s)
 		if m.synthesize && wasBusy {
 			// Mirrors the daemon's re-arbitration after a mid-phase session
 			// vanished; in verify mode the recorded EvRecheck drives it.
@@ -679,23 +740,13 @@ func (m *machine) step(ev *trace.Event) error {
 // revoked-but-still-active session keeps accruing — preemption takes effect
 // only at its next coordination point, exactly as in the live protocol.
 func (m *machine) accrue(dt float64) {
-	if dt <= 0 {
+	n := len(m.active)
+	if dt <= 0 || n == 0 {
 		return
 	}
-	n := 0
-	for _, s := range m.order {
-		if s.app != nil && s.app.State() == core.Active {
-			n++
-		}
-	}
-	if n == 0 {
-		return
-	}
-	for _, s := range m.order {
-		if s.app != nil && s.app.State() == core.Active {
-			s.res.ActiveS += dt
-			s.res.StretchedActiveS += dt * float64(n)
-		}
+	for _, s := range m.active {
+		s.res.ActiveS += dt
+		s.res.StretchedActiveS += dt * float64(n)
 	}
 	m.res.OverlapS += dt * float64(n-1)
 }
@@ -711,7 +762,7 @@ func (m *machine) arbitrate(t float64) {
 		s := a.Data.(*sess)
 		m.res.Flips = append(m.res.Flips, Flip{Time: t, SID: s.sid, Target: m.target, Grant: true})
 		if s.pending {
-			s.app.Activate() // the served Wait enters the access step
+			m.activate(s) // the served Wait enters the access step
 			d := t - s.waitFrom
 			s.res.WaitS += d
 			if s.waitConvoy {

@@ -316,3 +316,27 @@ func TestUnservedCensoring(t *testing.T) {
 		t.Fatalf("grants = %d, want 1", res.GrantsServed)
 	}
 }
+
+// TestUnderStreamWithoutWaits: a stream whose sessions inform and end without
+// ever waiting still flips authorizations; its replay sizes nothing from the
+// (zero) wait count.
+func TestUnderStreamWithoutWaits(t *testing.T) {
+	tr := &trace.Trace{
+		Header: trace.Header{Source: trace.SourceDaemon, Policy: "fcfs"},
+		Events: []trace.Event{
+			{Type: trace.EvRegister, Time: 0, SID: 1, App: "A", Cores: 1},
+			{Type: trace.EvRegister, Time: 0, SID: 2, App: "B", Cores: 1},
+			{Type: trace.EvInform, Time: 1, SID: 1},
+			{Type: trace.EvInform, Time: 2, SID: 2},
+			{Type: trace.EvEnd, Time: 3, SID: 1},
+			{Type: trace.EvEnd, Time: 4, SID: 2},
+		},
+	}
+	res, err := Under(tr, core.FCFSPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Flips) != 2 || len(res.Waits) != 0 {
+		t.Fatalf("flips=%d waits=%d, want 2 grants and no waits", len(res.Flips), len(res.Waits))
+	}
+}

@@ -17,9 +17,10 @@
 // original single-goroutine behavior.
 //
 // The arbitration hot path is allocation-conscious like the simulator's
-// contention path: each Arbiter reuses its view/decision scratch, policies
-// implementing core.IndexedArbitrator (fcfs, interrupt, interfere, delay)
-// run map-free, and responses are written through per-connection buffered
+// contention path: each Arbiter reuses its view/decision scratch (and owns
+// the model scratch its policy estimates in: the policy value is shared by
+// every shard), the policies — all implement core.IndexedArbitrator — run
+// map-free, and responses are written through per-connection buffered
 // writers with batched flushes.
 package server
 
