@@ -249,11 +249,11 @@ func main() {
 		case <-secondSig:
 		}
 	}
-	// ListenAndServe returns as soon as the accept loop stops; the
-	// arbitration goroutine may still be draining queued envelopes (and
-	// recording them). Close blocks until the whole teardown — including
-	// the signal goroutine's — is complete, so the trace writer below
-	// cannot race a Record.
+	// ListenAndServe returns as soon as the accept loop stops; connection
+	// readers may still be arbitrating (and recording). Close blocks until
+	// the whole teardown — including the signal goroutine's — is complete
+	// and every shard is marked stopped, so the trace writer below cannot
+	// race a Record.
 	srv.Close()
 	if adminSrv != nil {
 		adminSrv.Close()

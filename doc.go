@@ -33,20 +33,35 @@
 //     over TCP, sharded by storage target. Real platforms expose many
 //     independent targets (PFS servers, burst buffers) and contention is
 //     per target, so a coordination domain is one target: core.ArbiterSet
-//     keys one core.Arbiter per target, each owned by its own arbitration
-//     goroutine; per-connection reader goroutines route every request to
-//     the shard of the target it addresses, a control goroutine owns
-//     session lifecycle, and the stats combining layer merges per-target
-//     snapshots into the machine-wide wire.Stats (plus a per-target
-//     breakdown). There is still no lock on the hot path, each target's
+//     keys one core.Arbiter per target, and a shard — that arbiter, the
+//     target's bindings and counters — is a piece of state behind a mutex,
+//     not a goroutine behind a queue. Shards run to completion: the
+//     per-connection reader goroutine that decoded a request resolves the
+//     shard of the target it addresses, takes its lock, arbitrates, queues
+//     the responses (a non-blocking send to the connection's writer) and
+//     unlocks. The control goroutine, which owns session lifecycle, does
+//     the same when it detaches or rebinds a session or snapshots stats;
+//     so do Drain and a policy's recheck timer. The stats combining layer
+//     merges per-target snapshots into the machine-wide wire.Stats (plus a
+//     per-target breakdown). The one lock on the hot path is the target's
+//     own, held for a decision (well under a microsecond); each target's
 //     decisions are deterministic given that target's serialized request
-//     order, and a grant on one target never convoys behind a holder on
-//     another. Clients that never name a target run on the single default
-//     target "" — the original one-goroutine daemon, byte for byte (one
-//     deliberate stats nuance: an application's stats row appears at its
-//     first coordination verb, when it attaches to a target's arbiter,
-//     rather than at register — registration alone no longer names a
-//     coordination domain).
+//     order — the lock order, which is the order the trace records — and
+//     a grant on one target never convoys behind a holder on another. The
+//     daemon's goroutine count follows its connections, never its targets,
+//     and shutdown marks every shard stopped under its lock, so nothing is
+//     recorded after Close returns. Two honest costs of not handing
+//     requests off: arbitration on one target runs on at most as many
+//     cores as there are connections with a request for it (a mux
+//     connection's streams share its one reader), and a reader waiting for
+//     target A's lock delays that connection's already-buffered frames for
+//     target B by the holder's critical section — a decision, or at worst
+//     one target's slice of a stats snapshot. Clients that never name a
+//     target run on the single default target "" (one deliberate stats
+//     nuance: an application's stats row appears at its first coordination
+//     verb, when it attaches to a target's arbiter, rather than at
+//     register — registration alone no longer names a coordination
+//     domain).
 //     internal/client mirrors the Coordinator/Session API (Client.Target
 //     scopes a handle to one target) so driver code is the same shape in
 //     both modes, and calciom-load replays SWF traces or synthetic phase
@@ -143,7 +158,7 @@
 //
 // # Trace record and replay
 //
-// The daemon can record everything its arbitration goroutine did —
+// The daemon can record everything arbitration did on each target —
 // state-mutating requests, explicit re-arbitrations, and the authorization
 // flips they produced — into a compact, versioned, append-only event log
 // (internal/trace), and internal/replay re-drives such a log through
@@ -194,7 +209,7 @@
 // trailer is reported as truncated, and the trailer's drop count marks a
 // trace lossy — replay refuses it rather than silently diverging.
 //
-// Recording rides the arbitration goroutine without touching its
+// Recording rides arbitration, under the shard's lock, without touching its
 // guarantees: events travel by value through a fixed-capacity channel to a
 // drain goroutine that owns all encoding and file I/O, so the hot path
 // neither blocks nor allocates (BenchmarkServerArbitrateRecording: 0
@@ -442,7 +457,7 @@
 // # Sharded arbitration throughput
 //
 // The daemon's arbitration is sharded by storage target (one Arbiter and
-// one goroutine per target, no shared coordination state), which scales
+// one lock per target, no shared coordination state), which scales
 // aggregate grant throughput two ways at once: arbitration work is O(apps
 // in the shard) per grant, and shards run concurrently across cores.
 // BenchmarkServerArbitrateSharded drives one fixed 64-session fleet split
@@ -454,8 +469,8 @@
 //	targets=4    2.2 µs/op   445k grants/s  0 allocs/op  (6.5x)
 //	targets=8    1.1 µs/op   919k grants/s  0 allocs/op  (13.5x)
 //
-// On multi-core machines the per-shard goroutines add wall-clock
-// parallelism on top. TestStressShardedExactlyOneWriterPerTarget pins the
+// On multi-core machines connections addressing different targets
+// arbitrate in parallel on top. TestStressShardedExactlyOneWriterPerTarget pins the
 // safety side under -race: within a target fcfs still admits exactly one
 // writer, while a grant on one target never blocks a waiter on another.
 //
@@ -471,7 +486,7 @@
 //	/debug/pprof/   the standard net/http/pprof profiles
 //
 // Enabling the listener also enables collection; without -admin the
-// registry is nil and the arbitration goroutines run the exact
+// registry is nil and arbitration runs the exact
 // pre-observability instruction stream (fault-free agg and replay output is
 // byte-identical either way). Collection follows the same discipline as
 // trace recording: every per-shard series is resolved once at shard
@@ -524,15 +539,27 @@
 //     session timeout) drops connections that never register — the
 //     slow-loris hole idle eviction cannot see, because eviction only
 //     covers registered sessions.
-//   - Load shedding: each shard queue has a high-water mark (3/4 of
-//     capacity) above which advisory verbs — inform, progress, check,
-//     stats — are answered from the reader goroutine with the retryable
-//     code "overloaded" instead of being enqueued. State-critical verbs
-//     (register, prepare, complete, wait, release, end) are never shed:
-//     shedding a release or end would wedge the grant pipeline behind a
-//     holder the daemon itself refused to hear from. Brownout exit is
-//     hysteretic (low-water mark at 1/4), so the daemon does not flap at
-//     the threshold; while any queue is hot, /healthz reports "overloaded".
+//   - Load shedding: a shard has no queue to measure, so it counts the
+//     requests in flight on it — one holding its lock, the rest waiting
+//     for it. A reader runs its connection's request itself, so the count
+//     is the number of connections piled up on the target: what the old
+//     per-shard queue's depth was when every connection had one request
+//     outstanding. At the high-water mark (192, 3/4 of the control queue's
+//     capacity) advisory verbs — inform, progress, check — are answered
+//     from the reader goroutine with the retryable code "overloaded"
+//     instead of joining the wait; the control queue applies the same
+//     marks to its depth for stats. State-critical verbs (register,
+//     prepare, complete, wait, release, end) are never shed: shedding a
+//     release or end would wedge the grant pipeline behind a holder the
+//     daemon itself refused to hear from. Brownout exit is hysteretic
+//     (low-water mark at 64) and needs no further request to happen — the
+//     request whose departure takes the count down clears the bit — so
+//     the daemon neither flaps at the threshold nor stays "overloaded"
+//     when idle; while any shard or the control queue is hot, /healthz
+//     reports "overloaded". A connection's backlog beyond its one request
+//     in flight is not the daemon's to hold: it waits in the socket
+//     buffer, where TCP flow control pushes back on the sender, and the
+//     per-connection rate limit below bounds how fast it can grow.
 //   - Per-connection rate limiting (-max-requests-per-sec /
 //     max_requests_per_sec): a token bucket per connection (burst = one
 //     second's worth), maintained as plain locals on the reader goroutine —

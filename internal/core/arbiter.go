@@ -263,9 +263,9 @@ type Outcome struct {
 // allocation.
 //
 // The Arbiter is not goroutine-safe: the sim engine is single-threaded, and
-// the daemon funnels every request through one arbitration goroutine (which
-// is also what makes daemon decisions deterministic given a serialized
-// request order).
+// the daemon runs every request for a target under that target's shard lock
+// (which is also what makes daemon decisions deterministic given a
+// serialized request order).
 type Arbiter struct {
 	policy     Policy
 	indexed    IndexedArbitrator // the policy's indexed form, nil if it has none

@@ -20,9 +20,10 @@ type TargetDecision struct {
 //
 // Concurrency contract: the registry itself (Get/Lookup/Targets/Len) is safe
 // for concurrent use — the daemon's reader goroutines resolve targets while
-// shard goroutines arbitrate. Each Arbiter, however, keeps the single-owner
-// discipline of the unsharded design: exactly one goroutine (the target's
-// arbitration goroutine) may call its mutating methods. The combining
+// others arbitrate. Each Arbiter, however, keeps the single-owner
+// discipline of the unsharded design: one goroutine at a time (in the
+// daemon, whoever holds the target's shard lock) may call its mutating
+// methods. The combining
 // methods (LastRecord, Log, Reset, Each) read or write across every arbiter
 // and are therefore only safe once those owners are quiescent — snapshots in
 // the live daemon are instead assembled per shard and merged by the caller.

@@ -6,7 +6,7 @@
 // Like the live daemon, replay is sharded by storage target: the trace is
 // partitioned into per-target event streams (a version-1 trace is one
 // stream, the default target ""), each stream is re-arbitrated through its
-// own Arbiter exactly as that target's shard goroutine would have, and the
+// own Arbiter exactly as that target's shard did under its lock, and the
 // per-target results are merged into one Result. Registration is per
 // target: a daemon trace records each shard's attach as its own EvRegister,
 // so the partition reproduces each shard's registration order; client-side

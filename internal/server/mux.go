@@ -18,8 +18,8 @@ import (
 // physical connection carries many logical sessions, each a stream id in
 // the frame prefix. The demux loop (serveMux, on the accepting goroutine)
 // owns the stream table and feeds the same routing path plain connections
-// use — every stream is an ordinary *session to the control and shard
-// goroutines. The shared write loop (muxWriteLoop) group-commits: it drains
+// use — every stream is an ordinary *session to the control goroutine and
+// the shards. The shared write loop (muxWriteLoop) group-commits: it drains
 // every response queued across all streams into the buffered writer and
 // flushes once, so K concurrent grant cycles cost ~1 write syscall instead
 // of K. The per-connection rate limiter and byte accounting cover the
@@ -56,8 +56,8 @@ type muxConn struct {
 	slowDrops *obs.Counter
 }
 
-// send enqueues one stream's response without ever blocking an arbitration
-// goroutine. Overflow kills the whole connection — with one write loop per
+// send enqueues one stream's response without ever blocking its caller,
+// which holds a shard's lock. Overflow kills the whole connection — with one write loop per
 // connection there is no way to disconnect a single slow stream, and a
 // client that cannot drain its shared socket has already lost every stream
 // on it.
@@ -232,14 +232,14 @@ func (srv *Server) muxWriteLoop(mc *muxConn) {
 		select {
 		case mr := <-mc.out:
 			write(mr)
-			// The sending shard parked this goroutine in the scheduler's
+			// The sending reader parked this goroutine in the scheduler's
 			// run-next slot; step behind the other runnable goroutines so
 			// responses they are about to queue join this flush instead of
 			// paying for their own.
 			runtime.Gosched()
 			flush(drain(1))
 		case <-mc.quit:
-			// Drain what the arbitration goroutines queued before teardown.
+			// Drain what arbitration queued before teardown.
 			flush(drain(0))
 			return
 		case <-srv.stop:

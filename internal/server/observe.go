@@ -10,8 +10,8 @@ import (
 )
 
 // shardMetrics is one target's hot-path instrumentation, resolved once at
-// shard creation so the arbitration goroutine only ever touches atomic adds
-// through pointers it already holds. Nil when the server has no registry.
+// shard creation so arbitration only ever touches atomic adds through
+// pointers the shard already holds. Nil when the server has no registry.
 type shardMetrics struct {
 	grants         *obs.Counter
 	arbitrations   *obs.Counter
@@ -46,7 +46,7 @@ func newShardMetrics(r *obs.Registry, target string) *shardMetrics {
 			"Grant hold time in seconds, from serve to release/end/revoke.",
 			obs.DefaultLatencyBuckets, l),
 		sheds: r.Counter("calciomd_sheds_total",
-			"Advisory requests shed with code overloaded while the target's queue was in brownout.", l),
+			"Advisory requests shed with code overloaded while the target was in brownout.", l),
 	}
 }
 
@@ -145,8 +145,8 @@ func (srv *Server) Draining() bool {
 	return srv.draining && !srv.closed
 }
 
-// Overloaded reports whether any request queue — a shard's or the control
-// goroutine's — is currently in brownout (shedding advisory verbs).
+// Overloaded reports whether the control queue or any shard is currently in
+// brownout (shedding advisory verbs).
 func (srv *Server) Overloaded() bool {
 	if srv.ctrlHot.Load() {
 		return true
@@ -162,8 +162,8 @@ func (srv *Server) Overloaded() bool {
 }
 
 // Health returns the daemon's health word for /healthz: "closed",
-// "draining", "overloaded" (a request queue is in brownout and advisory
-// verbs are being shed), "degraded" (some client has reported fail-open
+// "draining", "overloaded" (the control queue or a shard is in brownout and
+// advisory verbs are being shed), "degraded" (some client has reported fail-open
 // coordination) or "serving".
 func (srv *Server) Health() string {
 	srv.mu.Lock()

@@ -3,8 +3,11 @@ package server
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -89,32 +92,149 @@ func TestHandshakeTimeout(t *testing.T) {
 }
 
 // TestShedHysteresis drives the brownout water marks directly on a bare
-// shard queue: shedding starts at the high-water mark, persists through the
-// band between the marks, and stops only at the low-water mark.
+// shard's in-flight count: shedding starts at the high-water mark, persists
+// through the band between the marks, and stops only at the low-water mark.
 func TestShedHysteresis(t *testing.T) {
-	sh := &shard{ch: make(chan envelope, queueCap)}
-	for i := 0; i < shedHiWater-1; i++ {
-		sh.ch <- envelope{}
-	}
+	sh := &shard{}
+	sh.inflight.Store(shedHiWater - 1)
 	if sh.shed() {
-		t.Fatalf("queue %d (below hi-water %d) must not shed", len(sh.ch), shedHiWater)
+		t.Fatalf("%d in flight (below hi-water %d) must not shed", sh.inflight.Load(), shedHiWater)
 	}
-	sh.ch <- envelope{}
+	sh.inflight.Add(1)
 	if !sh.shed() {
-		t.Fatalf("queue %d (at hi-water) must shed", len(sh.ch))
+		t.Fatalf("%d in flight (at hi-water) must shed", sh.inflight.Load())
 	}
-	for len(sh.ch) > shedLoWater+1 {
-		<-sh.ch
-	}
+	sh.inflight.Store(shedLoWater + 1)
 	if !sh.shed() {
-		t.Fatalf("queue %d (between the marks) must stay in brownout", len(sh.ch))
+		t.Fatalf("%d in flight (between the marks) must stay in brownout", sh.inflight.Load())
 	}
-	<-sh.ch
+	sh.inflight.Add(-1)
 	if sh.shed() {
-		t.Fatalf("queue %d (at lo-water %d) must exit brownout", len(sh.ch), shedLoWater)
+		t.Fatalf("%d in flight (at lo-water %d) must exit brownout", sh.inflight.Load(), shedLoWater)
 	}
 	if sh.hot.Load() {
 		t.Fatal("hot bit must clear when brownout exits")
+	}
+}
+
+// TestBrownoutEndToEnd piles shedHiWater plain connections onto one shard
+// whose lock the test holds — each connection's reader blocked with one
+// request in flight, the pile-up the in-flight count exists to see — and
+// checks the brownout from outside: advisory verbs are answered overloaded
+// without joining the wait, state-critical verbs are admitted and complete
+// once the lock frees, and /healthz flips to overloaded and back.
+func TestBrownoutEndToEnd(t *testing.T) {
+	srv, addr := startTestServer(t, Config{Policy: core.InterferePolicy{}, Metrics: obs.NewRegistry()})
+	ts := httptest.NewServer((&obs.Admin{Health: srv.Health}).Handler())
+	defer ts.Close()
+	healthz := func() string {
+		resp, err := ts.Client().Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatalf("GET /healthz: %v", err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("GET /healthz: %v", err)
+		}
+		return strings.TrimSpace(string(body))
+	}
+	register := func(name string) *client.Client {
+		c := dialT(t, addr)
+		if err := c.Register(name, 1); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	// Staged before the pile-up, one per state-critical verb: under the
+	// interfere policy everyone is authorized, so the waiter needs only its
+	// wait, the holder its release, the third its end.
+	probe, waiter, holder, ender := register("probe"), register("waiter"), register("holder"), register("ender")
+	for _, c := range []*client.Client{waiter, holder, ender} {
+		if err := c.Inform(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := holder.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got := healthz(); got != "serving" {
+		t.Fatalf("/healthz before the pile-up: %q", got)
+	}
+
+	sh, err := srv.shardFor("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh.mu.Lock()
+	locked := true
+	defer func() {
+		if locked {
+			sh.mu.Unlock()
+		}
+	}()
+	piled := make(chan error, shedHiWater)
+	for i := 0; i < shedHiWater; i++ {
+		c := register(fmt.Sprintf("pile-%03d", i))
+		go func() { piled <- c.Prepare(info(1)) }()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for sh.inflight.Load() < shedHiWater {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d requests in flight, want %d", sh.inflight.Load(), shedHiWater)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Advisory verbs: shed at once, by the reader, without the lock.
+	var re *client.ReplyError
+	if err := probe.Inform(); !errors.As(err, &re) || re.Code != wire.CodeOverloaded {
+		t.Fatalf("inform under brownout = %v, want a %q reply", err, wire.CodeOverloaded)
+	}
+	if _, err := probe.Check(); !errors.As(err, &re) || re.Code != wire.CodeOverloaded {
+		t.Fatalf("check under brownout = %v, want a %q reply", err, wire.CodeOverloaded)
+	}
+	if err := probe.Progress(1); !errors.As(err, &re) || re.Code != wire.CodeOverloaded {
+		t.Fatalf("progress under brownout = %v, want a %q reply", err, wire.CodeOverloaded)
+	}
+	if got := sh.m.sheds.Value(); got != 3 {
+		t.Fatalf("sheds counter = %d, want 3", got)
+	}
+	if got := healthz(); got != "overloaded" {
+		t.Fatalf("/healthz under brownout: %q", got)
+	}
+	// State-critical verbs: admitted — they join the wait for the lock.
+	critical := make(chan error, 3)
+	go func() { critical <- waiter.Wait() }()
+	go func() { critical <- holder.Release(0) }()
+	go func() { critical <- ender.End() }()
+	for sh.inflight.Load() < shedHiWater+3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests in flight, want the %d piled plus wait, release and end",
+				sh.inflight.Load(), shedHiWater)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	sh.mu.Unlock()
+	locked = false
+	for i := 0; i < 3; i++ {
+		if err := <-critical; err != nil {
+			t.Fatalf("state-critical verb under brownout: %v", err)
+		}
+	}
+	for i := 0; i < shedHiWater; i++ {
+		if err := <-piled; err != nil {
+			t.Fatalf("piled request: %v", err)
+		}
+	}
+	// Drained: the last request out cleared the brownout bit, with no
+	// advisory verb needed to re-evaluate it.
+	if got := healthz(); got != "serving" {
+		t.Fatalf("/healthz after the pile-up drained: %q", got)
+	}
+	if err := probe.Inform(); err != nil {
+		t.Fatalf("inform after recovery: %v", err)
 	}
 }
 

@@ -2,19 +2,24 @@
 // the paper's arbitration layer run as a network service instead of inside
 // the discrete-event simulator.
 //
-// Architecture: coordination is sharded by storage target. One goroutine per
-// connection reads wire.Request frames and routes each to the arbitration
-// goroutine of the target it addresses (register and stats go to a control
-// goroutine that owns session lifecycle); one goroutine per connection
-// writes responses and pushed grants/revocations back out. Each target's
+// Architecture: coordination is sharded by storage target, and a shard is a
+// piece of state behind a mutex, not a goroutine behind a queue. One
+// goroutine per connection reads wire.Request frames and runs each
+// coordination request to completion itself: it resolves the shard of the
+// target the request addresses, takes that shard's lock, arbitrates, queues
+// the responses and unlocks (register and stats go to a control goroutine
+// that owns session lifecycle); one goroutine per connection writes
+// responses and pushed grants/revocations back out. Each target's
 // coordination state — its core.Arbiter from the shared core.ArbiterSet,
-// per-session bindings, pending Waits, the decision log — is owned by that
-// target's arbitration goroutine alone, so there is still no lock on the hot
-// path, per-target decisions are fully deterministic given that target's
-// serialized request order, and a grant on one target never waits for — or
-// convoys behind — arbitration on another. A daemon whose clients never name
-// a target runs exactly one shard (the default target ""), which is the
-// original single-goroutine behavior.
+// per-session bindings, pending Waits, the decision log — is touched only
+// under that target's lock, so per-target decisions are fully deterministic
+// given that target's serialized request order (the lock order, which is
+// also the order the trace records), and a grant on one target never waits
+// for — or convoys behind — arbitration on another: hold times are one
+// decision's, well under a microsecond. The number of goroutines depends on
+// the number of connections, never on the number of targets. A daemon whose
+// clients never name a target runs exactly one shard (the default target
+// "").
 //
 // The arbitration hot path is allocation-conscious like the simulator's
 // contention path: each Arbiter reuses its view/decision scratch (and owns
@@ -56,8 +61,8 @@ type Config struct {
 	// interference factors (and is required by delay/dynamic policies,
 	// which are constructed with it).
 	Model *core.PerfModel
-	// MaxTargets bounds how many distinct storage targets (shards, each a
-	// goroutine plus an arbiter) the daemon will create; requests naming a
+	// MaxTargets bounds how many distinct storage targets (shards, each an
+	// arbiter plus its bindings) the daemon will create; requests naming a
 	// target beyond the bound are rejected, so a client cannot grow the
 	// shard set without limit. 0 means the default (DefaultMaxTargets);
 	// negative removes the bound.
@@ -78,7 +83,7 @@ type Config struct {
 	// Clock returns the coordination time in seconds. Nil means monotonic
 	// wall time since the server started. Tests inject a logical clock to
 	// make entire runs deterministic. The clock must be safe for concurrent
-	// use: every target's arbitration goroutine reads it.
+	// use: every connection's reader goroutine reads it.
 	Clock func() float64
 	// LogBound bounds each target's decision log kept for stats: 0 means
 	// the default (256), negative disables logging entirely (benchmarks).
@@ -90,8 +95,8 @@ type Config struct {
 	// the authorization flips arbitration produced) for offline replay with
 	// internal/replay. Every event carries the storage target whose shard
 	// recorded it, so replay can partition the file back into per-target
-	// streams. Recording rides the arbitration goroutines but adds neither
-	// blocking nor allocation to them: events travel by value into the
+	// streams. Recording happens under the shard's lock but adds neither
+	// blocking nor allocation to it: events travel by value into the
 	// writer's buffered channel, and overflow is drop-counted, never waited
 	// on. The caller owns the writer and must Close it only after the
 	// server has shut down.
@@ -99,8 +104,8 @@ type Config struct {
 	// Metrics, when set, receives hot-path instrumentation: per-target
 	// grant/arbitration/revoke counters, queue-depth gauges, and
 	// wait-to-grant and hold-time histograms. Each shard resolves its series
-	// once at creation, so the arbitration goroutines only ever perform
-	// atomic adds — the hot path stays allocation-free with metrics on. Nil
+	// once at creation, so arbitration only ever performs atomic adds — the
+	// hot path stays allocation-free with metrics on. Nil
 	// disables collection entirely (and stats carry no histograms).
 	Metrics *obs.Registry
 	// Events, when set, receives sampled grant-lifecycle events
@@ -142,38 +147,30 @@ type Config struct {
 	SockBuffer int
 }
 
-// envelope kinds. kindConnect/kindDisconnect/kindStats and control-plane
-// kindRequest (register, stats) flow into the control goroutine;
-// kindRequest for coordination verbs, kindRecheck, kindDetach and
-// kindSnapshot flow into a shard's arbitration goroutine.
+// envelope kinds: everything the control goroutine is sent. Coordination
+// verbs never travel in an envelope — the reader runs them itself under the
+// shard's lock — except the few read before their session had an identity
+// (kindRequest, see session.viaControl).
 const (
 	kindRequest = iota
 	kindConnect
 	kindDisconnect
-	kindRecheck
 	kindStats
-	kindDetach
-	kindSnapshot
-	// kindRebind moves a limbo session's binding to the session that
-	// resumed it (shard-bound; env.s is the old session, env.to the new).
-	kindRebind
-	// kindExpire is a limbo session's grace deadline (control-bound).
+	// kindExpire is a limbo session's grace deadline.
 	kindExpire
-	// kindDrain fails the shard's pending Waits with a retryable draining
-	// error and refuses new ones (shard-bound; ackCh closed when done).
-	kindDrain
 	// kindHandshakeExpire is an unregistered connection's handshake
-	// deadline (control-bound): if the session still has no identity the
-	// slow-loris connection is dropped.
+	// deadline: if the session still has no identity the slow-loris
+	// connection is dropped.
 	kindHandshakeExpire
 )
 
-// Shard request queues and the control queue share one capacity; the
-// shedding water marks hang off it. A shard enters brownout when its queue
-// reaches shedHiWater (advisory verbs are answered with the retryable
-// wire.CodeOverloaded instead of being enqueued) and exits only once the
-// queue has drained to shedLoWater — hysteresis wide enough that a queue
-// oscillating near one mark cannot flap the brownout bit.
+// The shedding water marks hang off the control queue's capacity. The
+// control queue enters brownout when its depth reaches shedHiWater (stats
+// requests are answered with the retryable wire.CodeOverloaded instead of
+// being enqueued) and exits only once it has drained to shedLoWater —
+// hysteresis wide enough that a depth oscillating near one mark cannot flap
+// the brownout bit. A shard has no queue; the same marks apply to its count
+// of requests in flight (see shard.inflight).
 const (
 	queueCap    = 256
 	shedHiWater = queueCap * 3 / 4
@@ -183,16 +180,12 @@ const (
 type envelope struct {
 	kind    int
 	s       *session
-	to      *session // kindRebind: the resuming session
 	req     wire.Request
 	statsCh chan wire.Stats
-	snapCh  chan shardSnap
-	ackCh   chan struct{}
-	now     float64
 }
 
 // ident is a session's registration identity, written once by the control
-// goroutine at register and read by shard goroutines through an atomic
+// goroutine at register and read by reader goroutines through an atomic
 // pointer.
 type ident struct {
 	name      string
@@ -207,8 +200,8 @@ type ident struct {
 }
 
 // session is one client connection. The shared fields are written by the
-// control goroutine and read by reader/writer/shard goroutines; per-target
-// coordination state lives in bindings owned by shard goroutines.
+// control goroutine and read by reader and writer goroutines; per-target
+// coordination state lives in bindings guarded by the shards' locks.
 type session struct {
 	conn net.Conn
 	// rd and wr are the connection's byte streams, wrapped for byte
@@ -232,7 +225,7 @@ type session struct {
 	stream uint64
 
 	id           atomic.Pointer[ident]
-	gone         atomic.Bool   // dropped; shards ignore later envelopes
+	gone         atomic.Bool   // dropped; shards ignore later requests
 	torn         atomic.Bool   // teardown ran (limbo and drop may both reach it)
 	lastSeen     atomic.Uint64 // float64 bits of the last request time
 	pendingWaits atomic.Int32  // deferred Waits across all targets
@@ -248,8 +241,9 @@ type session struct {
 	handshake *time.Timer
 	// slowDrops, resolved at accept, counts this path: send disconnecting
 	// the client because its response buffer overflowed. Nil without a
-	// metrics registry. Incremented from shard goroutines, hence a counter
-	// pointer rather than a trip through the control goroutine.
+	// metrics registry. Incremented by whichever goroutine's send overflowed,
+	// hence a counter pointer rather than a trip through the control
+	// goroutine.
 	slowDrops *obs.Counter
 	// viaControl counts this session's coordination frames still in
 	// flight through the control goroutine (frames read before the
@@ -257,8 +251,15 @@ type session struct {
 	// routing through the control goroutine, so per-session order is one
 	// FIFO path — a later frame can never overtake an earlier one into a
 	// shard. The reader increments before sending; the control goroutine
-	// decrements after forwarding (or answering).
+	// decrements after serving (or answering) the frame.
 	viaControl atomic.Int32
+	// lastShard is a one-entry routing cache owned by the connection's
+	// reader goroutine (shards are never removed while serving): a session
+	// nearly always addresses the target it addressed last, which saves the
+	// shard-table read lock and map lookup per request. On a mux connection
+	// the demux loop interleaves many sessions, so the entry lives with the
+	// session rather than the loop.
+	lastShard *shard
 }
 
 // touch stamps the session's idle-eviction clock.
@@ -284,9 +285,9 @@ func (s *session) teardown() {
 	}
 }
 
-// send enqueues a response without ever blocking an arbitration goroutine: a
-// client too slow to drain its buffer is disconnected rather than allowed
-// to stall arbitration for everyone else.
+// send enqueues a response without ever blocking its caller, which holds a
+// shard's lock: a client too slow to drain its buffer is disconnected rather
+// than allowed to stall arbitration for everyone else.
 func (s *session) send(r wire.Response) {
 	if s.dead.Load() {
 		return
@@ -330,8 +331,8 @@ func (s *session) name() string {
 	return ""
 }
 
-// binding is one session's coordination state on one storage target, owned
-// exclusively by that target's arbitration goroutine. It carries what the
+// binding is one session's coordination state on one storage target,
+// guarded by that target's shard lock. It carries what the
 // unsharded daemon kept per session: protocol state, the pending Wait, and
 // the LASSi-style live accounting.
 type binding struct {
@@ -365,29 +366,35 @@ type binding struct {
 }
 
 // shard is one storage target's coordination domain: an arbiter from the
-// server's ArbiterSet plus everything the arbitration goroutine owns for
-// that target. In serving mode each shard has its own goroutine (run); in
-// inline mode (tests, benchmarks driving handle directly) the caller's
-// goroutine plays that role.
+// server's ArbiterSet plus the target's bindings and counters, all behind
+// mu. Whoever has work for the target — a connection's reader, the control
+// goroutine, Drain, the recheck timer — locks the shard, runs the work to
+// completion on its own goroutine and unlocks; nothing under the lock
+// blocks. Tests and benchmarks driving Server.handle take the same path.
 type shard struct {
 	srv    *Server
 	target string
 	arb    *core.Arbiter
-	ch     chan envelope
-	done   chan struct{}
 
 	// Resolved once at shard creation; nil when the server has no registry
-	// or event log. Shard goroutines touch them without further lookups.
+	// or event log.
 	m  *shardMetrics
 	ev *obs.EventLog
 
-	// hot is the brownout bit: set by reader goroutines when the queue
-	// crosses shedHiWater, cleared (by readers or the shard goroutine)
-	// once it drains to shedLoWater. While set, advisory verbs are shed
-	// with the retryable wire.CodeOverloaded instead of enqueued.
-	hot atomic.Bool
+	// inflight counts requests that have reached the shard and not finished:
+	// one holding the lock, the rest waiting for it. A connection has at
+	// most one request in flight (its reader runs it), so this is the
+	// queue depth the overload signal needs without a queue. hot is the
+	// brownout bit: set when inflight crosses shedHiWater, cleared once it
+	// drains to shedLoWater. While set, advisory verbs are shed with the
+	// retryable wire.CodeOverloaded instead of joining the wait.
+	inflight atomic.Int32
+	hot      atomic.Bool
 
-	// Owned by the shard's arbitration goroutine.
+	mu sync.Mutex
+	// Guarded by mu. stopped is set at shutdown: nothing is dispatched (and
+	// so nothing recorded to the trace) after Close returns.
+	stopped      bool
 	bindings     map[*session]*binding
 	recheck      *time.Timer
 	arbitrations uint64
@@ -404,8 +411,8 @@ type shard struct {
 	goneProtoWait      float64
 }
 
-// shardSnap is one shard's slice of a stats snapshot, assembled inside the
-// shard's goroutine and merged by the control goroutine.
+// shardSnap is one shard's slice of a stats snapshot, assembled under the
+// shard's lock and merged by the control goroutine.
 type shardSnap struct {
 	target       string
 	bindings     int
@@ -437,10 +444,9 @@ type Server struct {
 	reqCh chan envelope
 	stop  chan struct{}
 
-	shmu       sync.RWMutex
-	shards     map[string]*shard
-	shardList  []*shard // sorted by target
-	shardsLive bool     // serving: new shards start their own goroutine
+	shmu      sync.RWMutex
+	shards    map[string]*shard
+	shardList []*shard // sorted by target
 
 	mu sync.Mutex
 	ln net.Listener
@@ -457,7 +463,8 @@ type Server struct {
 	wg        sync.WaitGroup
 	final     wire.Stats // last snapshot, served after the loop exits
 
-	// Owned by the control goroutine (or the caller in inline mode).
+	// Owned by the control goroutine (or the caller, on a server that never
+	// served).
 	sessions map[*session]struct{}
 	names    map[string]*session // registered application names
 	sidSeq   uint32              // last trace session identity handed out
@@ -540,10 +547,9 @@ const DefaultMaxTargets = 256
 // the configured bound.
 var errTooManyTargets = errors.New("too many storage targets")
 
-// shardFor returns the target's shard, creating it (and, when serving, its
-// arbitration goroutine) on first use — unless that would exceed the
-// target bound. Safe for concurrent use by the connection reader
-// goroutines.
+// shardFor returns the target's shard, creating it on first use — unless
+// that would exceed the target bound. Safe for concurrent use by the
+// connection reader goroutines.
 func (srv *Server) shardFor(target string) (*shard, error) {
 	srv.shmu.RLock()
 	sh := srv.shards[target]
@@ -567,10 +573,16 @@ func (srv *Server) shardFor(target string) (*shard, error) {
 		srv:      srv,
 		target:   target,
 		arb:      srv.set.Get(target),
-		ch:       make(chan envelope, queueCap),
-		done:     make(chan struct{}),
 		bindings: make(map[*session]*binding),
 		ev:       srv.cfg.Events,
+	}
+	select {
+	case <-srv.stop:
+		// Created during shutdown: shutdown's pass over the shard list may
+		// already be over (it takes shmu after stop closes), so the shard is
+		// born stopped and never dispatches.
+		sh.stopped = true
+	default:
 	}
 	if srv.cfg.Metrics != nil {
 		sh.m = newShardMetrics(srv.cfg.Metrics, target)
@@ -580,9 +592,6 @@ func (srv *Server) shardFor(target string) (*shard, error) {
 	srv.shardList = append(srv.shardList, nil)
 	copy(srv.shardList[i+1:], srv.shardList[i:])
 	srv.shardList[i] = sh
-	if srv.shardsLive {
-		go sh.run()
-	}
 	return sh, nil
 }
 
@@ -644,12 +653,6 @@ func (srv *Server) Serve(ln net.Listener) error {
 	srv.serving = true
 	srv.ln = ln
 	srv.mu.Unlock()
-	srv.shmu.Lock()
-	srv.shardsLive = true
-	for _, sh := range srv.shardList {
-		go sh.run()
-	}
-	srv.shmu.Unlock()
 	// Closed when every accept loop has returned: after that, no new
 	// startSession can run, which Close relies on for a complete teardown.
 	defer close(srv.serveDone)
@@ -711,7 +714,7 @@ func (srv *Server) Serve(ln net.Listener) error {
 // going away, and can retry against its successor instead of hanging into
 // Close's teardown. Coordination state is otherwise intact — sessions may
 // still Release/End cleanly. Drain returns once every existing shard has
-// acknowledged; call Close afterwards to tear the daemon down.
+// been drained; call Close afterwards to tear the daemon down.
 func (srv *Server) Drain() {
 	srv.mu.Lock()
 	if srv.closed || srv.draining {
@@ -719,7 +722,7 @@ func (srv *Server) Drain() {
 		return
 	}
 	srv.draining = true
-	ln, serving := srv.ln, srv.serving
+	ln := srv.ln
 	extras := srv.extraLns
 	srv.mu.Unlock()
 	if ln != nil {
@@ -730,18 +733,9 @@ func (srv *Server) Drain() {
 	}
 	srv.logf("calciomd: draining")
 	for _, sh := range srv.shardsSorted() {
-		if !serving {
+		if sh.enter() {
 			sh.drainWaits()
-			continue
-		}
-		ack := make(chan struct{})
-		select {
-		case sh.ch <- envelope{kind: kindDrain, ackCh: ack}:
-			select {
-			case <-ack:
-			case <-srv.stop:
-			}
-		case <-srv.stop:
+			sh.mu.Unlock()
 		}
 	}
 }
@@ -750,9 +744,10 @@ func (srv *Server) Drain() {
 // control loop are torn down, and Close returns once all goroutines have
 // exited. Concurrent and repeated Close calls are safe, and every one of
 // them blocks until the teardown is complete — a caller that saw Serve
-// return (the accept loop exits before the arbitration goroutines) can
-// Close and then safely release resources the arbitration goroutines were
-// using, such as a trace writer.
+// return (the accept loop exits before the readers do) can Close and then
+// safely release resources arbitration was using, such as a trace writer:
+// every shard is marked stopped under its lock, so even a recheck timer
+// firing later records nothing.
 func (srv *Server) Close() error {
 	srv.mu.Lock()
 	if srv.closed {
@@ -778,7 +773,11 @@ func (srv *Server) Close() error {
 		<-srv.serveDone
 	}
 	close(srv.stop)
-	if serving {
+	if !serving {
+		// No control loop ever owned the coordination state; shut it down
+		// here.
+		srv.shutdown()
+	} else {
 		<-srv.loopDone
 		// Sessions whose kindConnect envelope was still queued when the
 		// loop exited were never adopted by it; tear them down here or
@@ -810,10 +809,9 @@ func (srv *Server) GrantsServed() uint64 {
 }
 
 // Stats returns a live metrics snapshot, consistent because each target's
-// slice is computed inside that target's arbitration goroutine and merged
-// by the control goroutine. After Close it returns the final snapshot taken
-// at shutdown; on a server that never served it snapshots inline (nothing
-// else owns the state).
+// slice is computed under that target's lock and merged by the control
+// goroutine. After Close it returns the final snapshot taken at shutdown;
+// on a server that never served the caller plays the control goroutine.
 func (srv *Server) Stats() wire.Stats {
 	srv.mu.Lock()
 	if !srv.serving {
@@ -821,9 +819,8 @@ func (srv *Server) Stats() wire.Stats {
 		if srv.closed {
 			return srv.final
 		}
-		// Inline mode: no goroutines own coordination state, and holding
-		// mu keeps a concurrent Serve from flipping to serving mode (and
-		// starting shard goroutines) mid-snapshot.
+		// No control goroutine owns the session table, and holding mu keeps
+		// a concurrent Serve from starting one mid-snapshot.
 		return srv.snapshot(srv.clock())
 	}
 	srv.mu.Unlock()
@@ -953,11 +950,12 @@ func sheddable(t string) bool {
 }
 
 // shed reports whether the shard is in brownout, updating the hysteresis
-// bit from the current queue depth. Called by reader goroutines before
-// enqueueing an advisory verb; racing readers may briefly disagree near a
-// water mark, which is harmless — every shed is individually retryable.
+// bit from the current in-flight count. Called by reader goroutines before
+// an advisory verb joins the wait for the lock; racing readers may briefly
+// disagree near a water mark, which is harmless — every shed is
+// individually retryable.
 func (sh *shard) shed() bool {
-	q := len(sh.ch)
+	q := int(sh.inflight.Load())
 	if sh.hot.Load() {
 		if q <= shedLoWater {
 			sh.hot.Store(false)
@@ -1061,13 +1059,9 @@ func (srv *Server) negotiate(br *bufio.Reader, wr io.Writer) (wire.Codec, bool, 
 	return wirebin.Codec{}, hello[1] == wire.VersionBinaryMux, nil
 }
 
-// readLoop routes each request to the goroutine owning its state: register
-// and stats to the control loop, coordination verbs to the shard of the
-// target they address. A coordination frame read before the session has an
-// identity — a client pipelining ahead of its register response — also
-// goes to the control loop, which processes it strictly after the register
-// it was queued behind and forwards it to the right shard, so the frame is
-// never misrouted to the wrong coordination domain.
+// readLoop is a plain connection's reader goroutine: it decodes, charges the
+// rate limit and routes each request (see route), running coordination verbs
+// to completion itself.
 func (srv *Server) readLoop(s *session, br *bufio.Reader) {
 	dec := s.codec.NewRequestReader(br)
 	rl := srv.newRateLimiter()
@@ -1161,22 +1155,26 @@ func (rl *rateLimiter) admit(srv *Server, s *session, req *wire.Request) (bool, 
 	return true, false
 }
 
-// route sends one decoded request toward the goroutine owning its state:
-// register and stats to the control loop, coordination verbs to the shard
-// of the target they address. A coordination frame read before the session
-// has an identity — a client pipelining ahead of its register response —
-// also goes to the control loop, which processes it strictly after the
-// register it was queued behind and forwards it to the right shard, so the
-// frame is never misrouted to the wrong coordination domain. Returns false
-// when the server is stopping.
+// route handles one decoded request on the connection's reader goroutine. A
+// coordination verb is served right here, under the lock of the shard of the
+// target it addresses; register and stats go to the control loop. A
+// coordination frame read before the session has an identity — a client
+// pipelining ahead of its register response — also goes to the control
+// loop, which processes it strictly after the register it was queued behind
+// and serves it on the right shard, so the frame is never misrouted to the
+// wrong coordination domain. Returns false when the server is stopping.
 func (srv *Server) route(s *session, req wire.Request) bool {
-	ch := srv.reqCh
 	coordination := req.Type != wire.TypeRegister && req.Type != wire.TypeStats
 	if coordination && s.id.Load() != nil && s.viaControl.Load() == 0 {
-		sh, err := srv.shardFor(srv.routeTarget(s, req.Target))
-		if err != nil {
-			s.reply(req.Seq, err, req.Target)
-			return true
+		target := srv.routeTarget(s, req.Target)
+		sh := s.lastShard
+		if sh == nil || sh.target != target {
+			var err error
+			if sh, err = srv.shardFor(target); err != nil {
+				s.reply(req.Seq, err, req.Target)
+				return true
+			}
+			s.lastShard = sh
 		}
 		if sheddable(req.Type) && sh.shed() {
 			if sh.m != nil {
@@ -1185,8 +1183,9 @@ func (srv *Server) route(s *session, req wire.Request) bool {
 			srv.shedReply(s, req.Seq, req.Type, sh.target, srv.clock())
 			return true
 		}
-		ch = sh.ch
-	} else if coordination {
+		return sh.serve(s, req)
+	}
+	if coordination {
 		s.viaControl.Add(1)
 	} else if req.Type == wire.TypeStats && srv.ctrlShed() {
 		if srv.m != nil {
@@ -1196,7 +1195,7 @@ func (srv *Server) route(s *session, req wire.Request) bool {
 		return true
 	}
 	select {
-	case ch <- envelope{kind: kindRequest, s: s, req: req}:
+	case srv.reqCh <- envelope{kind: kindRequest, s: s, req: req}:
 	case <-srv.stop:
 		return false
 	}
@@ -1224,7 +1223,7 @@ func (srv *Server) writeLoop(s *session) {
 		case resp := <-s.out:
 			write(resp)
 		case <-s.quit:
-			// Drain what the arbitration goroutines queued before teardown.
+			// Drain what arbitration queued before teardown.
 			for {
 				select {
 				case resp := <-s.out:
@@ -1240,7 +1239,7 @@ func (srv *Server) writeLoop(s *session) {
 
 // loop is the control goroutine: session lifecycle (connect, register,
 // disconnect, eviction), stats merging and shutdown. Coordination state
-// lives with the shard goroutines.
+// lives in the shards, which it locks like any reader does.
 func (srv *Server) loop() {
 	defer close(srv.loopDone)
 	var evict <-chan time.Time
@@ -1298,7 +1297,7 @@ func (srv *Server) dispatch(env envelope) {
 			srv.drop(env.s, "grace expired")
 		}
 	case kindStats:
-		env.statsCh <- srv.snapshotLive()
+		env.statsCh <- srv.snapshot(srv.clock())
 	case kindRequest:
 		if env.s.gone.Load() {
 			env.s.replyGone(env.req.Seq, env.req.Target)
@@ -1310,17 +1309,17 @@ func (srv *Server) dispatch(env envelope) {
 		case wire.TypeRegister:
 			srv.register(env.s, env.req, now)
 		case wire.TypeStats:
-			st := srv.snapshotLive()
+			st := srv.snapshot(now)
 			env.s.send(wire.Response{Seq: env.req.Seq, Type: wire.TypeResp, OK: true, Stats: &st})
 		default:
 			// A coordination frame the reader routed through this queue
 			// because the session had no identity yet (or had earlier such
 			// frames still in flight — see session.viaControl). If a
 			// pipelined register ahead of it in this queue has landed by
-			// now, forward to the proper shard; otherwise the client
-			// really isn't registered. The decrement comes after the
-			// forward has been enqueued, so the reader resumes direct
-			// routing only once this frame is in the shard's FIFO.
+			// now, serve it on the proper shard; otherwise the client
+			// really isn't registered. The decrement comes after the frame
+			// has been served, so the reader resumes direct routing only
+			// once this frame has had its turn under the shard's lock.
 			if env.s.id.Load() == nil {
 				env.s.reply(env.req.Seq, errors.New("not registered"), env.req.Target)
 				env.s.viaControl.Add(-1)
@@ -1332,10 +1331,7 @@ func (srv *Server) dispatch(env envelope) {
 				env.s.viaControl.Add(-1)
 				return
 			}
-			select {
-			case sh.ch <- env:
-			case <-srv.stop:
-			}
+			sh.serve(env.s, env.req)
 			env.s.viaControl.Add(-1)
 		}
 	}
@@ -1409,10 +1405,10 @@ func (srv *Server) register(s *session, req wire.Request, now float64) {
 }
 
 // resume supersedes old with s: the name, trace sid and per-target
-// accounting move to the new connection; the old session is torn down. The
-// rebind envelopes are enqueued before the register reply is sent, so by the
-// time the client's next coordination frame reaches a shard the binding is
-// already its.
+// accounting move to the new connection; the old session is torn down. Every
+// shard is rebound before the register reply is sent, so by the time the
+// client's next coordination frame reaches a shard the binding is already
+// its.
 func (srv *Server) resume(s, old *session, req wire.Request) {
 	oid := old.id.Load()
 	id := &ident{name: req.App, cores: req.Cores, sid: oid.sid,
@@ -1427,19 +1423,10 @@ func (srv *Server) resume(s, old *session, req wire.Request) {
 	old.limbo = false
 	old.gone.Store(true)
 	delete(srv.sessions, old)
-	live := func() bool {
-		srv.shmu.RLock()
-		defer srv.shmu.RUnlock()
-		return srv.shardsLive
-	}()
 	for _, sh := range srv.shardsSorted() {
-		if !live {
+		if sh.enter() {
 			sh.rebind(old, s)
-			continue
-		}
-		select {
-		case sh.ch <- envelope{kind: kindRebind, s: old, to: s}:
-		case <-srv.stop:
+			sh.mu.Unlock()
 		}
 	}
 	old.teardown()
@@ -1538,8 +1525,8 @@ func codeFor(err error) string {
 	return wire.CodeProtocol
 }
 
-// drop removes a session: its name is freed, every shard is told to detach
-// its binding (unregistering the app and re-arbitrating survivors), and the
+// drop removes a session: its name is freed, every shard detaches its
+// binding (unregistering the app and re-arbitrating survivors), and the
 // write loop is released. Safe to call once per session; later calls are
 // no-ops.
 func (srv *Server) drop(s *session, why string) {
@@ -1556,20 +1543,10 @@ func (srv *Server) drop(s *session, why string) {
 		delete(srv.names, id.name)
 		srv.logf("calciomd: %s: %s", id.name, why)
 	}
-	live := func() bool {
-		srv.shmu.RLock()
-		defer srv.shmu.RUnlock()
-		return srv.shardsLive
-	}()
 	for _, sh := range srv.shardsSorted() {
-		if !live {
+		if sh.enter() {
 			sh.detach(s)
-			continue
-		}
-		select {
-		case sh.ch <- envelope{kind: kindDetach, s: s}:
-		case <-srv.stop:
-			// Shutdown owns the rest of the teardown.
+			sh.mu.Unlock()
 		}
 	}
 	s.teardown()
@@ -1601,27 +1578,28 @@ func (srv *Server) evictIdle() {
 	}
 }
 
-// shutdown runs on the control goroutine once stop is closed: it waits for
-// every shard goroutine to exit (after which this goroutine owns all
-// coordination state again), takes the final snapshot inline, and tears
-// down the remaining sessions. Shards created after stop closed never
-// dispatch anything (run checks stop first), so waiting on the current list
-// is complete.
+// shutdown runs once stop is closed, on the control goroutine (or in Close,
+// on a server that never served): it marks every shard stopped under its
+// lock — a reader, timer or Drain that takes the lock afterwards leaves
+// without dispatching, so nothing is recorded to the trace from here on —
+// takes the final snapshot, and tears down the remaining sessions. Shards
+// created after stop closed are born stopped (see shardFor), so the pass
+// over the current list is complete.
 func (srv *Server) shutdown() {
 	for _, sh := range srv.shardsSorted() {
-		<-sh.done
+		sh.mu.Lock()
+		sh.stopped = true
+		if sh.recheck != nil {
+			sh.recheck.Stop()
+			sh.recheck = nil
+		}
+		sh.mu.Unlock()
 	}
 	now := srv.clock()
 	st := srv.snapshot(now)
 	srv.mu.Lock()
 	srv.final = st
 	srv.mu.Unlock()
-	for _, sh := range srv.shardsSorted() {
-		if sh.recheck != nil {
-			sh.recheck.Stop()
-			sh.recheck = nil
-		}
-	}
 	for s := range srv.sessions {
 		s.gone.Store(true)
 		s.teardown()
@@ -1630,62 +1608,59 @@ func (srv *Server) shutdown() {
 	srv.logf("calciomd: shutdown after %.3fs, %d grants served", now, st.GrantsServed)
 }
 
-// run is a shard's arbitration goroutine. The priority check on stop
-// guarantees a shard created during shutdown never dispatches (and so never
-// records a trace event after the control loop has exited).
-func (sh *shard) run() {
-	defer close(sh.done)
-	for {
-		select {
-		case <-sh.srv.stop:
-			return
-		default:
-		}
-		select {
-		case env := <-sh.ch:
-			sh.dispatch(env)
-			// Clear a stale brownout once the queue has drained (readers
-			// only re-evaluate on arrival; see Server.loop).
-			if sh.hot.Load() && len(sh.ch) <= shedLoWater {
-				sh.hot.Store(false)
-			}
-		case <-sh.srv.stop:
-			return
-		}
+// enter locks the shard for one piece of work. It returns false, with the
+// lock released, once the shard has stopped; on true the caller does its
+// work and unlocks.
+func (sh *shard) enter() bool {
+	sh.mu.Lock()
+	if sh.stopped {
+		sh.mu.Unlock()
+		return false
 	}
+	return true
 }
 
-func (sh *shard) dispatch(env envelope) {
-	switch env.kind {
-	case kindRequest:
-		if env.s.gone.Load() {
-			env.s.replyGone(env.req.Seq, env.req.Target)
-			return
+// serve runs one coordination request to completion on the calling
+// goroutine, under the shard's lock; the clock is read under the lock too,
+// so event times rise in the order the trace records them. Returns false
+// when the shard has stopped.
+func (sh *shard) serve(s *session, req wire.Request) bool {
+	sh.inflight.Add(1)
+	ok := sh.enter()
+	if ok {
+		if s.gone.Load() {
+			s.replyGone(req.Seq, req.Target)
+		} else {
+			now := sh.srv.clock()
+			s.touch(now)
+			sh.handle(s, req, now)
 		}
-		now := sh.srv.clock()
-		env.s.touch(now)
-		sh.handle(env.s, env.req, now)
-	case kindRecheck:
-		now := sh.srv.clock()
-		sh.rec(trace.Event{Type: trace.EvRecheck, Time: now})
-		sh.arbitrate(now)
-	case kindDetach:
-		sh.detach(env.s)
-	case kindRebind:
-		sh.rebind(env.s, env.to)
-	case kindDrain:
-		sh.drainWaits()
-		close(env.ackCh)
-	case kindSnapshot:
-		env.snapCh <- sh.snap(env.now)
+		sh.mu.Unlock()
 	}
+	// Clear a stale brownout once the pile-up has drained: readers only
+	// re-evaluate the bit when an advisory verb arrives, so an idle daemon
+	// would otherwise report overloaded forever.
+	if sh.inflight.Add(-1) <= shedLoWater && sh.hot.Load() {
+		sh.hot.Store(false)
+	}
+	return ok
 }
 
-// handle processes one request. It must stay panic-free for any request a
-// client can send: protocol violations become error responses. Called from
-// the shard's goroutine in serving mode, or from the caller's goroutine in
-// inline mode (tests and benchmarks may drive disjoint shards concurrently
-// — all state touched here is shard-local).
+// fireRecheck is the recheck timer's callback: the re-arbitration a policy
+// asked for (delay's deferred decision), on the timer's goroutine.
+func (sh *shard) fireRecheck() {
+	if !sh.enter() {
+		return
+	}
+	now := sh.srv.clock()
+	sh.rec(trace.Event{Type: trace.EvRecheck, Time: now})
+	sh.arbitrate(now)
+	sh.mu.Unlock()
+}
+
+// handle processes one request under the shard's lock. It must stay
+// panic-free for any request a client can send: protocol violations become
+// error responses.
 func (sh *shard) handle(s *session, req wire.Request, now float64) {
 	b := sh.bindings[s]
 	if b == nil {
@@ -2085,12 +2060,7 @@ func (sh *shard) arbitrate(now float64) {
 		b.s.send(wire.Response{Type: wire.TypeRevoke, Target: sh.target})
 	}
 	if out.RecheckAfter > 0 {
-		sh.recheck = time.AfterFunc(secondsToDuration(out.RecheckAfter), func() {
-			select {
-			case sh.ch <- envelope{kind: kindRecheck}:
-			case <-sh.srv.stop:
-			}
-		})
+		sh.recheck = time.AfterFunc(secondsToDuration(out.RecheckAfter), sh.fireRecheck)
 	}
 }
 
@@ -2103,7 +2073,7 @@ func secondsToDuration(s float64) time.Duration {
 
 // snap builds this shard's slice of the stats snapshot: per-binding
 // LASSi-style accounting in registration order, the shard aggregates, and
-// the latest decision. Runs on the shard's goroutine (or inline).
+// the latest decision. Runs under the shard's lock.
 func (sh *shard) snap(now float64) shardSnap {
 	sn := shardSnap{
 		target:         sh.target,
@@ -2172,35 +2142,16 @@ func (sh *shard) snap(now float64) shardSnap {
 	return sn
 }
 
-// snapshotLive gathers every shard's slice through its arbitration
-// goroutine and merges. Runs on the control goroutine.
-func (srv *Server) snapshotLive() wire.Stats {
-	now := srv.clock()
-	shards := srv.shardsSorted()
-	snaps := make([]shardSnap, 0, len(shards))
-	for _, sh := range shards {
-		ch := make(chan shardSnap, 1)
-		select {
-		case sh.ch <- envelope{kind: kindSnapshot, now: now, snapCh: ch}:
-			select {
-			case sn := <-ch:
-				snaps = append(snaps, sn)
-			case <-srv.stop: // shard is exiting; shutdown owns the final snapshot
-			}
-		case <-srv.stop:
-		}
-	}
-	return srv.merge(now, snaps)
-}
-
-// snapshot builds the full snapshot inline: every shard's slice on the
-// calling goroutine. Only valid when no shard goroutines run (inline mode,
-// or shutdown after they exited).
+// snapshot gathers every shard's slice, each under its lock, and merges.
+// Runs on whichever goroutine owns the session table: the control goroutine,
+// or the caller on a server that never served.
 func (srv *Server) snapshot(now float64) wire.Stats {
 	shards := srv.shardsSorted()
 	snaps := make([]shardSnap, 0, len(shards))
 	for _, sh := range shards {
+		sh.mu.Lock()
 		snaps = append(snaps, sh.snap(now))
+		sh.mu.Unlock()
 	}
 	return srv.merge(now, snaps)
 }
@@ -2278,17 +2229,20 @@ func (srv *Server) merge(now float64, snaps []shardSnap) wire.Stats {
 	return st
 }
 
-// handle is the inline-mode entry point: it plays the roles of the reader,
-// control and shard goroutines on the caller's goroutine. Tests and
-// benchmarks drive serialized (or per-shard-concurrent) request sequences
-// through it; a serving server routes through readLoop instead.
+// handle drives a server that is not serving: the caller's goroutine plays
+// both the reader (coordination verbs, through the same shard.serve a
+// connection's reader calls) and the control goroutine (register, stats).
+// Tests and benchmarks drive serialized (or per-shard-concurrent) request
+// sequences through it.
 func (srv *Server) handle(s *session, req wire.Request) {
-	now := srv.clock()
-	s.touch(now)
 	switch req.Type {
 	case wire.TypeRegister:
+		now := srv.clock()
+		s.touch(now)
 		srv.register(s, req, now)
 	case wire.TypeStats:
+		now := srv.clock()
+		s.touch(now)
 		st := srv.snapshot(now)
 		s.send(wire.Response{Seq: req.Seq, Type: wire.TypeResp, OK: true, Stats: &st})
 	default:
@@ -2297,6 +2251,6 @@ func (srv *Server) handle(s *session, req wire.Request) {
 			s.reply(req.Seq, err, req.Target)
 			return
 		}
-		sh.handle(s, req, now)
+		sh.serve(s, req)
 	}
 }

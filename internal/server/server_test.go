@@ -15,7 +15,7 @@ import (
 
 // logicalClock returns a deterministic strictly-monotonic clock: each call
 // advances time by one microsecond. It is mutex-protected because the
-// control and shard goroutines all read the server clock.
+// control and reader goroutines all read the server clock.
 func logicalClock() func() float64 {
 	var mu sync.Mutex
 	var t float64
@@ -431,9 +431,9 @@ func TestEndCancelsPendingWait(t *testing.T) {
 }
 
 // TestCloseWaitersBlockUntilTeardown: every Close call — not just the
-// first — must return only after the arbitration loop has exited, so a
-// caller that saw Serve return can Close and then release resources the
-// arbitration goroutine was using (calciomd's trace writer relies on it).
+// first — must return only after the teardown is complete, so a caller
+// that saw Serve return can Close and then release resources arbitration
+// was using (calciomd's trace writer relies on it).
 func TestCloseWaitersBlockUntilTeardown(t *testing.T) {
 	srv, addr := startTestServer(t, Config{})
 	c := dialT(t, addr)

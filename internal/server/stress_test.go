@@ -73,8 +73,8 @@ func stressClient(t *testing.T, addr, name string, phases, steps int,
 // TestStressFCFSExactlyOneWriter floods the daemon with concurrent sessions
 // issuing interleaved Prepare/Wait/Release and asserts the fcfs invariant:
 // at any instant at most one application holds an authorized access step.
-// Run with -race (the CI race job does) to also exercise the
-// connection/arbitration goroutine handoffs.
+// Run with -race (the CI race job does) to also exercise the readers
+// sharing a shard under its lock.
 func TestStressFCFSExactlyOneWriter(t *testing.T) {
 	const clients, phases, steps = 48, 3, 3
 	_, addr := startTestServer(t, Config{Policy: core.FCFSPolicy{}})
@@ -139,7 +139,7 @@ func TestStressInterruptSingleAuthorization(t *testing.T) {
 	if want := uint64(clients * phases * steps); st.GrantsServed != want {
 		t.Fatalf("grants served = %d, want %d", st.GrantsServed, want)
 	}
-	srv.Close() // quiesce the shard goroutines before reading their logs
+	srv.Close() // quiesce the readers before reading the shards' logs
 	log := srv.set.Log()
 	if len(log) == 0 {
 		t.Fatal("no decisions logged")

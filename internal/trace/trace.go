@@ -1,6 +1,6 @@
 // Package trace defines the calciomd coordination trace: a compact,
-// versioned, append-only event log of everything the arbitration goroutine
-// did — requests that mutated coordination state, explicit re-arbitrations,
+// versioned, append-only event log of everything arbitration did, shard by
+// shard — requests that mutated coordination state, explicit re-arbitrations,
 // and the authorization flips they produced — precise enough that
 // internal/replay can re-drive the recorded run through core.Arbiter and
 // reproduce the grant sequence event for event, or re-arbitrate the same
@@ -64,7 +64,7 @@
 //
 // # Writer discipline
 //
-// Writer.Record is called from the daemon's arbitration goroutine, so it
+// Writer.Record is called under a daemon shard's lock, so it
 // must never block and never allocate: events are passed by value through a
 // fixed-capacity channel to a drain goroutine that owns all encoding and
 // file I/O. When the channel is full the event is dropped and counted
@@ -184,7 +184,7 @@ type Event struct {
 // the recording policy and its performance model.
 type Header struct {
 	// Source is "calciomd" for daemon-side traces (authoritative: recorded
-	// inside the arbitration goroutine, outcome events included) or
+	// under the shard's lock, outcome events included) or
 	// "client" for client-side captures (observational: per-client send
 	// times, grant events are client-observed, exact verification is not
 	// available).
@@ -213,11 +213,12 @@ const DefaultBuffer = 1 << 16
 // goroutine through a fixed-capacity channel and returns immediately.
 // Record never blocks and never allocates; overflow is counted in Dropped
 // instead. One goroutine may call Record at a time per ordering guarantee
-// domain (the daemon's arbitration goroutine); concurrent Record from many
-// goroutines is safe but interleaves events in channel order.
+// domain (the daemon records a target's events under that target's shard
+// lock); concurrent Record from many goroutines is safe but interleaves
+// events in channel order.
 //
 // Close must not race Record: stop recording first (the daemon closes the
-// writer only after the arbitration loop has exited).
+// writer only after Server.Close has marked every shard stopped).
 type Writer struct {
 	ch   chan Event
 	quit chan struct{}

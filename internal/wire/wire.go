@@ -277,8 +277,8 @@ func (h *Hist) Quantile(q float64) float64 {
 }
 
 // Stats is the daemon's LASSi-style live snapshot: per-application I/O and
-// wait accounting plus machine-wide aggregates, computed on demand from the
-// arbitration goroutines so it is always consistent. Apps are sorted by
+// wait accounting plus machine-wide aggregates, computed on demand under
+// each shard's lock so it is always consistent. Apps are sorted by
 // (name, target); Targets by target name. The top-level counters are the
 // sums over all targets, so a single-target daemon reports exactly what it
 // did before targets existed.
