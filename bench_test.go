@@ -541,7 +541,7 @@ func BenchmarkArbiterRotating(b *testing.B) {
 // each): replay.Under per standard policy, then the whole replay.Compare.
 // The model policies decide from estimates, so their rows are where a
 // decision that allocates shows: CI's alloc guard holds the dynamic row's
-// allocs/op within 3x of the fcfs row's (it was 321x).
+// allocs/op within 1.5x of the fcfs row's (it was 321x).
 func BenchmarkReplayCompare(b *testing.B) {
 	tr := replaytest.Trace(64, 4, 20)
 	policies := replay.StandardPolicies(tr.Header, -1)

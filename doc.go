@@ -316,10 +316,8 @@
 //     Post ring, and offers owner-managed reusable Timers for the
 //     cancel/reschedule-heavy "next completion" pattern.
 //   - fluid's Resource and closed-form Solver reuse their water-fill
-//     scratch — a Solver is one caller's, never shared between goroutines,
-//     and with FinishTimesInto the finish times land in a slice that
-//     caller owns too, so a solve allocates nothing — and delta.Sweep runs
-//     on a fixed worker pool with per-worker scratch.
+//     scratch — a Solver is one caller's, never shared between goroutines —
+//     and delta.Sweep runs on a fixed worker pool with per-worker scratch.
 //
 // Benchmark methodology: go test -bench=Fabric -benchmem (micro), and
 // BenchmarkDeltaSweepFabric for the macro path (a TrueNetwork ∆-sweep).
@@ -417,13 +415,14 @@
 // pins that executor reuse stays bit-identical to fresh sweeps.
 //
 // A coordinated point is held to the same zero. A decision's reason is a
-// core.Reason — a kind, a name and a number — rendered into today's wording
-// only by whoever prints the log; every Arbiter, the Layer's included, asks
+// core.Reason — a kind, a name and a number, four words that every decision
+// copies into its log record — rendered into today's wording only by whoever
+// prints the log; every Arbiter, the Layer's included, asks
 // its policy through core.IndexedArbitrator, the form every shipped policy
 // has (fcfs, interrupt, interfere, delay, dynamic, priority, fairshare), so
 // no Allowed map is built. What a model policy estimates in — dynamic's solo
 // times, its one schedule order and one set of finish times that each
-// candidate is costed in, the fluid.Solver behind its interference estimate —
+// candidate is costed in, the sort behind its interference estimate —
 // is a core.Scratch owned by the Arbiter and handed over on that call, not
 // by the policy: a policy is a value the shards of a daemon, the per-target
 // machines of a replay and the workers of a sweep all share and decide with
@@ -453,6 +452,42 @@
 //	policy=delay(0.50)           9.69 ms/op     644 allocs → 6.88 ms/op   513 allocs
 //	policy=dynamic(cpu-seconds)  30.7 ms/op  181233 allocs → 12.0 ms/op   676 allocs
 //	compare (all five)           43.0 ms/op  187083 allocs → 21.7 ms/op  6246 allocs
+//
+// What the estimate's arithmetic cost was a water-fill per completion:
+// dynamic's interfere candidate asked fluid.FinishTimes when each application
+// would finish if all wrote at once, O(n²) for n queued applications and a
+// third of a what-if replay. The policy's flows are special, though — weight
+// = cores and cap = cores × ProcNIC, every cap the same multiple of its
+// weight — and for those max-min sharing is one rate per core for everybody
+// still writing, min(ProcNIC, FSBandwidth / cores still writing): nobody is
+// capped while somebody else is not. So applications finish in the order of
+// their bytes per core, and core.PerfModel.sharedFinishTimes sorts by that
+// once and walks the order, dividing what each application has left by its
+// own rate at that point and taking its cores out — O(n log n), in the
+// Arbiter's Scratch, exact for this model rather than an approximation of
+// it. It divides per application (bytes left / (cores × ProcNIC), as
+// SoloTime does) and not per core, because with one application left writing
+// interfere and serialize are the same schedule and must cost the same
+// float: serialize, costed first, keeps such a tie. It agrees with the
+// water-fill to 1.3e-15 relative over 200 000 random application sets —
+// zero cores, unknown sizes and models without bandwidth or injection limit
+// included, infinite where the water-fill is infinite — and no decision,
+// decision log or figure moved. fluid.FinishTimes stays what it was: the
+// solver for arbitrary weights and caps (the ∆-graph's analytic curves use
+// its staggered form), and the oracle the closed form is tested and fuzzed
+// against. BenchmarkSharedFinishTimes beside the same applications through
+// the water-fill (internal/core; same box):
+//
+//	apps=8     0.90 µs/op  7 allocs → 0.19 µs/op  0 allocs
+//	apps=64    28.6 µs/op  7 allocs → 2.7 µs/op   0 allocs
+//	apps=256   514 µs/op   7 allocs → 14.1 µs/op  0 allocs
+//
+// and BenchmarkReplayCompare's rows that moved (interrupt's is a session
+// preempted before its Release no longer formatting an error nobody reads):
+//
+//	policy=interrupt             2.58 ms/op  4283 allocs → 2.12 ms/op   455 allocs
+//	policy=dynamic(cpu-seconds)  12.8 ms/op   676 allocs → 5.6 ms/op    566 allocs
+//	compare (all five)           22.3 ms/op  6247 allocs → 15.6 ms/op  2311 allocs
 //
 // # Sharded arbitration throughput
 //

@@ -5,13 +5,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/approx"
 	"repro/internal/sim"
 )
-
-func almostEq(a, b, tol float64) bool {
-	d := math.Abs(a - b)
-	return d <= tol*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-}
 
 func TestInfoHelpers(t *testing.T) {
 	in := Info{}
@@ -85,11 +81,11 @@ func TestFCFSSerializesSecondArrival(t *testing.T) {
 	fakeIO(eng, a, 0, 10, 1, basicInfo(10, 100), &doneA)
 	fakeIO(eng, b, 3, 10, 1, basicInfo(10, 100), &doneB)
 	eng.Run()
-	if !almostEq(doneA, 10, 1e-2) {
+	if !approx.Equal(doneA, 10, 1e-2) {
 		t.Fatalf("A done at %v, want ~10 (undisturbed)", doneA)
 	}
 	// B waits for A (t=10) then runs 10s.
-	if !almostEq(doneB, 20, 1e-2) {
+	if !approx.Equal(doneB, 20, 1e-2) {
 		t.Fatalf("B done at %v, want ~20 (serialized)", doneB)
 	}
 }
@@ -103,10 +99,10 @@ func TestFCFSFirstArrivalKeepsAccessAcrossYields(t *testing.T) {
 	fakeIO(eng, a, 0, 5, 1, basicInfo(5, 10), &doneA)
 	fakeIO(eng, b, 0.5, 5, 1, basicInfo(5, 10), &doneB)
 	eng.Run()
-	if !almostEq(doneA, 5, 1e-2) {
+	if !approx.Equal(doneA, 5, 1e-2) {
 		t.Fatalf("A done at %v, want ~5", doneA)
 	}
-	if !almostEq(doneB, 10, 1e-2) {
+	if !approx.Equal(doneB, 10, 1e-2) {
 		t.Fatalf("B done at %v, want ~10", doneB)
 	}
 }
@@ -122,11 +118,11 @@ func TestInterruptPausesFirstApp(t *testing.T) {
 	eng.Run()
 	// B is authorized immediately on arrival (t=3) and runs 4s -> ~7;
 	// A overlaps for one round until its yield point at t=4.
-	if !almostEq(doneB, 7, 0.1) {
+	if !approx.Equal(doneB, 7, 0.1) {
 		t.Fatalf("B done at %v, want ~7 (prompt access)", doneB)
 	}
 	// A: 4 rounds by t=4, paused until ~7, 6 rounds left -> ~13.
-	if !almostEq(doneA, 13, 0.1) {
+	if !approx.Equal(doneA, 13, 0.1) {
 		t.Fatalf("A done at %v, want ~13 (interrupted)", doneA)
 	}
 }
@@ -141,7 +137,7 @@ func TestInterferePolicyLetsBothRun(t *testing.T) {
 	fakeIO(eng, b, 1, 5, 1, basicInfo(5, 10), &doneB)
 	eng.Run()
 	// No blocking: both finish after their own 5s.
-	if !almostEq(doneA, 5, 1e-2) || !almostEq(doneB, 6, 1e-2) {
+	if !approx.Equal(doneA, 5, 1e-2) || !approx.Equal(doneB, 6, 1e-2) {
 		t.Fatalf("done = %v %v, want 5, 6", doneA, doneB)
 	}
 }
@@ -307,11 +303,11 @@ func TestDynamicPolicyEndToEnd(t *testing.T) {
 	eng.Run()
 	// B arrives at t=1 with solo 2s; A remaining 7s > 2s -> interrupt: B is
 	// authorized at once and finishes at ~3 (one round overlaps with A).
-	if !almostEq(doneB, 3, 0.1) {
+	if !approx.Equal(doneB, 3, 0.1) {
 		t.Fatalf("B done at %v, want ~3 (interrupted A)", doneB)
 	}
 	// A: round 1 ends t=2, paused until ~3, rounds 2-4 -> done ~9.
-	if !almostEq(doneA, 9, 0.1) {
+	if !approx.Equal(doneA, 9, 0.1) {
 		t.Fatalf("A done at %v, want ~9", doneA)
 	}
 }
@@ -328,7 +324,7 @@ func TestDelayPolicyWindow(t *testing.T) {
 	if dec.Allowed["B"] {
 		t.Fatalf("B should be delayed: %+v", dec)
 	}
-	if !almostEq(dec.RecheckAfter, 8, 1e-6) {
+	if !approx.Equal(dec.RecheckAfter, 8, 1e-6) {
 		t.Fatalf("recheck = %v, want 8", dec.RecheckAfter)
 	}
 	// A nearly done: overlap allowed.
@@ -357,7 +353,7 @@ func TestMetrics(t *testing.T) {
 		{Cores: 1, BytesTotal: 2, AloneBW: 1}, // solo 2s
 		{Cores: 1, BytesTotal: 3, AloneBW: 1}, // solo 3s
 	}
-	if got := si.Cost(apps, []float64{4, 3}); !almostEq(got, 4.0/2+3.0/3, 1e-9) {
+	if got := si.Cost(apps, []float64{4, 3}); !approx.Equal(got, 4.0/2+3.0/3, 1e-9) {
 		t.Fatalf("sumI = %v", got)
 	}
 }
@@ -376,7 +372,7 @@ func TestSharedFinishTimes(t *testing.T) {
 	}
 	fin := m.sharedFinishTimes(new(Scratch), apps)
 	// Equal weights, combined demand saturates: both at 50 B/s -> 2s.
-	if !almostEq(fin[0], 2, 1e-6) || !almostEq(fin[1], 2, 1e-6) {
+	if !approx.Equal(fin[0], 2, 1e-6) || !approx.Equal(fin[1], 2, 1e-6) {
 		t.Fatalf("fin = %v, want [2 2]", fin)
 	}
 }
@@ -393,7 +389,7 @@ func TestThreeAppFCFSQueue(t *testing.T) {
 	fakeIO(eng, c, 2, 4, 1, basicInfo(4, 10), &doneC)
 	eng.Run()
 	// Strict arrival order: A 0-4, B 4-8, C 8-12.
-	if !almostEq(doneA, 4, 0.05) || !almostEq(doneB, 8, 0.05) || !almostEq(doneC, 12, 0.05) {
+	if !approx.Equal(doneA, 4, 0.05) || !approx.Equal(doneB, 8, 0.05) || !approx.Equal(doneC, 12, 0.05) {
 		t.Fatalf("done = %v %v %v, want 4 8 12", doneA, doneB, doneC)
 	}
 }
@@ -414,7 +410,7 @@ func TestThreeAppInterruptStack(t *testing.T) {
 		t.Fatalf("completion order wrong: A=%v B=%v C=%v", doneA, doneB, doneC)
 	}
 	// C runs essentially solo from its arrival (one round of overlap).
-	if !almostEq(doneC, 5, 0.1) {
+	if !approx.Equal(doneC, 5, 0.1) {
 		t.Fatalf("C done at %v, want ~5", doneC)
 	}
 }
@@ -477,14 +473,14 @@ func TestWaitTimeAccounting(t *testing.T) {
 	fakeIO(eng, b, 1, 5, 1, basicInfo(5, 1), &doneB)
 	eng.Run()
 	// B waited ~4s for A.
-	if w := b.C.WaitTime(); !almostEq(w, 4, 0.05) {
+	if w := b.C.WaitTime(); !approx.Equal(w, 4, 0.05) {
 		t.Fatalf("B wait time %v, want ~4", w)
 	}
 	if w := a.C.WaitTime(); w > 0.05 {
 		t.Fatalf("A wait time %v, want ~0", w)
 	}
 	// IOTime covers the whole phase including the wait.
-	if io := b.C.IOTime(); !almostEq(io, 9, 0.1) {
+	if io := b.C.IOTime(); !approx.Equal(io, 9, 0.1) {
 		t.Fatalf("B io time %v, want ~9", io)
 	}
 }

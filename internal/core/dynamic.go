@@ -1,10 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
-
-	"repro/internal/fluid"
 )
 
 // PerfModel estimates I/O completion times from the information applications
@@ -42,32 +41,73 @@ func (m *PerfModel) SoloTime(v AppView, bytes float64) float64 {
 
 // Scratch is the working memory a model policy estimates in: one solo time
 // per queued application, one schedule order and one set of finish times
-// that every candidate is costed in one after another, and the fluid solver
-// behind the interference estimate. It belongs to the Arbiter, which hands it
-// to its policy on every ArbitrateIndexed call — not to the policy, because a
-// policy is a value that many Arbiters share (the shards of a daemon, the
-// per-target machines of a replay, the workers of a sweep) and decide with
-// concurrently. Nothing in it outlives the call or refers to the views, and
-// the zero value is ready.
+// that every candidate is costed in one after another, and the sort behind
+// the interference estimate. It belongs to the Arbiter, which hands it to its
+// policy on every ArbitrateIndexed call — not to the policy, a value that
+// many Arbiters share and decide with concurrently. Nothing in it outlives
+// the call or refers to the views, and the zero value is ready.
 type Scratch struct {
 	solo   []float64
 	order  []int
 	times  []float64
-	flows  []fluid.Flow
-	solver fluid.Solver
+	shares []coreShare
 }
 
-// sharedFinishTimes estimates per-app completion times (from now) if all
-// the given apps interfere, using the same weighted max-min fluid model as
-// the simulated servers: weight = cores (concurrent client streams), cap =
-// injection limit. The result is s.times, valid until s is used again.
+// coreShare is an application with bytes left, by index, and its bytes per
+// core: the order sharedFinishTimes finishes them in (ties by index).
+type coreShare struct {
+	perCore float64
+	i       int
+}
+
+func cmpCoreShare(a, b coreShare) int {
+	return cmp.Or(cmp.Compare(a.perCore, b.perCore), cmp.Compare(a.i, b.i))
+}
+
+// sharedFinishTimes estimates per-app completion times (from now) if all the
+// given apps interfere, under the weighted max-min fluid model of the
+// simulated servers: weight = cores, cap = cores × ProcNIC (none unless
+// positive). Caps proportional to weights leave one rate per core for
+// everybody still writing, min(ProcNIC, FSBandwidth / cores still writing),
+// so applications finish in the order of their bytes per core and one pass
+// over it replaces fluid.FinishTimes' water-fill per completion (doc.go has
+// the argument). Each step divides one application's bytes left by its own
+// rate, the capped one spelled as AloneBW spells it: an application left
+// writing alone gets exactly its SoloTime, and a cost that ties with a serial
+// schedule's still ties. The result is s.times, valid until s is used again.
 func (m *PerfModel) sharedFinishTimes(s *Scratch, apps []AppView) []float64 {
-	s.flows = s.flows[:0]
-	for _, a := range apps {
-		inj := float64(a.Cores) * m.ProcNIC
-		s.flows = append(s.flows, fluid.Flow{Work: a.Remaining(), Weight: float64(a.Cores), Cap: inj})
+	s.times = slices.Grow(s.times[:0], len(apps))[:len(apps)]
+	s.shares = s.shares[:0]
+	writing := 0.0 // cores of the applications with bytes left
+	for i := range apps {
+		s.times[i] = 0
+		if work := apps[i].Remaining(); work > 0 {
+			cores := float64(max(apps[i].Cores, 0))
+			s.shares = append(s.shares, coreShare{work / cores, i})
+			writing += cores
+		}
 	}
-	s.times = s.solver.FinishTimesInto(s.times, m.FSBandwidth, s.flows)
+	slices.SortFunc(s.shares, cmpCoreShare)
+	now, served := 0.0, 0.0 // served: bytes per core everybody still writing has written
+	for k, sh := range s.shares {
+		a := &apps[sh.i]
+		cores := float64(a.Cores)
+		rate := m.FSBandwidth / writing * cores
+		if inj := cores * m.ProcNIC; inj > 0 && inj < rate {
+			rate = inj
+		}
+		if math.IsInf(sh.perCore, 1) || !(rate > 0) {
+			// A phase of unknown size, no cores or no bandwidth: neither this
+			// application nor any after it in the order finishes.
+			for _, rest := range s.shares[k:] {
+				s.times[rest.i] = math.Inf(1)
+			}
+			break
+		}
+		now += max(a.Remaining()-cores*served, 0) / rate
+		s.times[sh.i] = now
+		served, writing = sh.perCore, writing-cores
+	}
 	return s.times
 }
 
@@ -247,11 +287,11 @@ func (d DynamicPolicy) ArbitrateIndexed(now float64, apps []AppView, allowed []b
 			for i := range allowed {
 				allowed[i] = true
 			}
-			return Reason{kind: reasonDynInterfere, v: cost, m: d.Metric.Name()}, 0
+			return dynamicReason(reasonDynInterfere, "", cost, d.Metric.Name()), 0
 		}
 	}
 	allowed[head] = true
-	return Reason{kind: kind, s: apps[head].Name, v: bestCost, m: d.Metric.Name()}, 0
+	return dynamicReason(kind, apps[head].Name, bestCost, d.Metric.Name()), 0
 }
 
 // serialCost costs the schedule that runs the applications one after another

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/approx"
 	"repro/internal/sim"
 )
 
@@ -220,7 +221,7 @@ func TestStaleGrantMessageWakesNobody(t *testing.T) {
 		woke = append(woke, p.Now())
 	})
 	eng.RunUntil(100)
-	if len(woke) != 2 || !almostEq(woke[0], 11, 1e-9) || !almostEq(woke[1], 12.3, 1e-9) {
+	if len(woke) != 2 || !approx.Equal(woke[0], 11, 1e-9) || !approx.Equal(woke[1], 12.3, 1e-9) {
 		t.Fatalf("B's waits returned at %v, want [11 12.3]: the second on its own grant message, not the stale one at 11.4", woke)
 	}
 	if b.grantsLive != 0 || b.grantsStale != 0 {

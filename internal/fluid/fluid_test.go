@@ -6,17 +6,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/approx"
 	"repro/internal/sim"
 )
-
-func almostEq(a, b, tol float64) bool {
-	if math.IsInf(a, 1) && math.IsInf(b, 1) {
-		return true
-	}
-	d := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return d <= tol*math.Max(1, scale)
-}
 
 func TestSingleJobFullRate(t *testing.T) {
 	e := sim.NewEngine()
@@ -24,7 +16,7 @@ func TestSingleJobFullRate(t *testing.T) {
 	var done float64 = -1
 	r.Submit("j", 1000, 1, 0, func() { done = e.Now() })
 	e.Run()
-	if !almostEq(done, 10, 1e-9) {
+	if !approx.Equal(done, 10, 1e-9) {
 		t.Fatalf("completion at %v, want 10", done)
 	}
 }
@@ -37,7 +29,7 @@ func TestEqualSharing(t *testing.T) {
 	r.Submit("b", 1000, 1, 0, func() { t2 = e.Now() })
 	e.Run()
 	// Both share 50/50 and finish together at t=20.
-	if !almostEq(t1, 20, 1e-9) || !almostEq(t2, 20, 1e-9) {
+	if !approx.Equal(t1, 20, 1e-9) || !approx.Equal(t2, 20, 1e-9) {
 		t.Fatalf("completions %v %v, want 20 20", t1, t2)
 	}
 }
@@ -50,7 +42,7 @@ func TestWeightedSharing(t *testing.T) {
 	r.Submit("big", 300, 3, 0, func() { tBig = e.Now() })
 	r.Submit("small", 100, 1, 0, func() { tSmall = e.Now() })
 	e.Run()
-	if !almostEq(tBig, 4, 1e-9) || !almostEq(tSmall, 4, 1e-9) {
+	if !approx.Equal(tBig, 4, 1e-9) || !approx.Equal(tSmall, 4, 1e-9) {
 		t.Fatalf("completions big=%v small=%v, want 4 4", tBig, tSmall)
 	}
 }
@@ -63,10 +55,10 @@ func TestRateCapRedistribution(t *testing.T) {
 	r.Submit("capped", 100, 1, 10, func() { tCapped = e.Now() })
 	r.Submit("free", 900, 1, 0, func() { tFree = e.Now() })
 	e.Run()
-	if !almostEq(tCapped, 10, 1e-9) {
+	if !approx.Equal(tCapped, 10, 1e-9) {
 		t.Fatalf("capped done at %v, want 10", tCapped)
 	}
-	if !almostEq(tFree, 10, 1e-9) {
+	if !approx.Equal(tFree, 10, 1e-9) {
 		t.Fatalf("free done at %v, want 10 (90 B/s for 900)", tFree)
 	}
 }
@@ -81,11 +73,11 @@ func TestLateArrivalSlowsFirst(t *testing.T) {
 	})
 	e.Run()
 	// A runs alone 5s (500 done), then shares: remaining 500 at 50 B/s -> 15.
-	if !almostEq(tA, 15, 1e-9) {
+	if !approx.Equal(tA, 15, 1e-9) {
 		t.Fatalf("tA = %v, want 15", tA)
 	}
 	// B: 500 done by t=15, then alone: 500 at 100 -> t=20.
-	if !almostEq(tB, 20, 1e-9) {
+	if !approx.Equal(tB, 20, 1e-9) {
 		t.Fatalf("tB = %v, want 20", tB)
 	}
 }
@@ -99,7 +91,7 @@ func TestCancelReleasesShare(t *testing.T) {
 	e.Schedule(5, func() { ja.Cancel() })
 	e.Run()
 	// B gets 50 B/s for 5s (250), then full 100: (1000-250)/100 = 7.5 -> 12.5.
-	if !almostEq(tB, 12.5, 1e-9) {
+	if !approx.Equal(tB, 12.5, 1e-9) {
 		t.Fatalf("tB = %v, want 12.5", tB)
 	}
 	if ja.Done() {
@@ -115,7 +107,7 @@ func TestSetCapacity(t *testing.T) {
 	e.Schedule(5, func() { r.SetCapacity(50) })
 	e.Run()
 	// 500 at 100, then 500 at 50 -> 5 + 10 = 15.
-	if !almostEq(done, 15, 1e-9) {
+	if !approx.Equal(done, 15, 1e-9) {
 		t.Fatalf("done = %v, want 15", done)
 	}
 }
@@ -130,7 +122,7 @@ func TestZeroCapacityStalls(t *testing.T) {
 	e.Run()
 	// From t=10: 1500 total work, k has 500 weight-1 of 2 jobs: k at 50 B/s
 	// finishes at t=20; j continues.
-	if !almostEq(done, 20, 1e-9) {
+	if !approx.Equal(done, 20, 1e-9) {
 		t.Fatalf("done = %v, want 20", done)
 	}
 }
@@ -161,7 +153,7 @@ func TestSetWeightMidFlight(t *testing.T) {
 	})
 	e.Run()
 	// a: 5s at 50 (250), then 75 B/s: (1000-250)/75 = 10 -> t=15.
-	if !almostEq(tA, 15, 1e-9) {
+	if !approx.Equal(tA, 15, 1e-9) {
 		t.Fatalf("tA = %v, want 15", tA)
 	}
 }
@@ -171,7 +163,7 @@ func TestRemainingQuery(t *testing.T) {
 	r := NewResource(e, "r", 100)
 	j := r.Submit("j", 1000, 1, 0, nil)
 	e.Schedule(3, func() {
-		if got := j.Remaining(); !almostEq(got, 700, 1e-9) {
+		if got := j.Remaining(); !approx.Equal(got, 700, 1e-9) {
 			t.Errorf("remaining = %v, want 700", got)
 		}
 	})
@@ -231,7 +223,7 @@ func TestPropertySimMatchesSolver(t *testing.T) {
 		}
 		e.Run()
 		for i := range got {
-			if !almostEq(got[i], want[i], 1e-6) {
+			if !approx.Equal(got[i], want[i], 1e-6) {
 				t.Logf("seed %d: job %d sim=%v solver=%v", seed, i, got[i], want[i])
 				return false
 			}
@@ -266,7 +258,7 @@ func TestPropertyWorkConservation(t *testing.T) {
 		}
 		// With no caps the resource is fully utilized until the last
 		// completion: makespan == total/capacity.
-		return almostEq(makespan, total/capacity, 1e-6)
+		return approx.Equal(makespan, total/capacity, 1e-6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -301,7 +293,7 @@ func TestPropertyStaggeredMatchesSim(t *testing.T) {
 		}
 		e.Run()
 		for i := range got {
-			if !almostEq(got[i], want[i], 1e-6) {
+			if !approx.Equal(got[i], want[i], 1e-6) {
 				t.Logf("seed %d: job %d sim=%v solver=%v", seed, i, got[i], want[i])
 				return false
 			}
@@ -326,7 +318,7 @@ func TestStaggeredSimpleOverlap(t *testing.T) {
 	fin := StaggeredFinishTimes(100, flows, []float64{0, 5})
 	// A alone 5s -> 500 left shared at 50 -> done t=15.
 	// B: 500 done by 15, then alone -> t=20.
-	if !almostEq(fin[0], 15, 1e-9) || !almostEq(fin[1], 20, 1e-9) {
+	if !approx.Equal(fin[0], 15, 1e-9) || !approx.Equal(fin[1], 20, 1e-9) {
 		t.Fatalf("fin = %v, want [15 20]", fin)
 	}
 }
@@ -426,56 +418,14 @@ func TestInfiniteWorkNeverFinishes(t *testing.T) {
 		got := FinishTimes(100, tc.flows)
 		staggered := StaggeredFinishTimes(100, tc.flows, make([]float64, len(tc.flows)))
 		for i := range tc.want {
-			if got[i] != tc.want[i] && !almostEq(got[i], tc.want[i], 1e-9) {
+			if !approx.Equal(got[i], tc.want[i], 1e-9) {
 				t.Errorf("%s: FinishTimes = %v, want %v", tc.name, got, tc.want)
 				break
 			}
-			if staggered[i] != tc.want[i] && !almostEq(staggered[i], tc.want[i], 1e-9) {
+			if !approx.Equal(staggered[i], tc.want[i], 1e-9) {
 				t.Errorf("%s: StaggeredFinishTimes = %v, want %v", tc.name, staggered, tc.want)
 				break
 			}
 		}
-	}
-}
-
-// TestFinishTimesIntoMatchesFinishTimes pins the caller-owned-output form to
-// the allocating one, element for element on the solver cases above, whatever
-// the destination held before — and to no allocation once solver and
-// destination have seen the flow count.
-func TestFinishTimesIntoMatchesFinishTimes(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var s Solver
-	var dst []float64
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(8)
-		capacity := 1 + rng.Float64()*100
-		flows := make([]Flow, n)
-		for i := range flows {
-			flows[i] = Flow{Work: rng.Float64() * 1e4, Weight: 1 + rng.Float64()*4}
-			if rng.Intn(3) == 0 {
-				flows[i].Cap = rng.Float64() * 20
-			}
-			if rng.Intn(5) == 0 {
-				flows[i].Work = 0
-			}
-		}
-		for i := range dst {
-			dst[i] = -1 // stale
-		}
-		dst = s.FinishTimesInto(dst, capacity, flows)
-		want := FinishTimes(capacity, flows)
-		if len(dst) != len(want) {
-			t.Fatalf("trial %d: %d times for %d flows", trial, len(dst), len(want))
-		}
-		for i := range want {
-			if dst[i] != want[i] {
-				t.Fatalf("trial %d flow %d: into %v, fresh %v", trial, i, dst[i], want[i])
-			}
-		}
-	}
-	flows := []Flow{{Work: 100, Weight: 1}, {Work: 50, Weight: 2, Cap: 10}, {Work: 0, Weight: 1}, {Work: 70, Weight: 1}}
-	dst = s.FinishTimesInto(dst, 100, flows)
-	if allocs := testing.AllocsPerRun(100, func() { dst = s.FinishTimesInto(dst, 100, flows) }); allocs != 0 {
-		t.Errorf("FinishTimesInto allocates %.1f times per call from the second call on, want 0", allocs)
 	}
 }

@@ -11,10 +11,8 @@ type Flow struct {
 
 // Solver computes closed-form finish times under weighted max-min sharing
 // with caps, reusing its internal scratch across calls: the per-step
-// water-fill allocates nothing after the first use at a given flow count,
-// and with FinishTimesInto the result lands in a slice the caller owns, so a
-// caller that keeps both makes a solve allocation-free. A Solver is not safe
-// for concurrent use; its zero value is ready.
+// water-fill allocates nothing after the first use at a given flow count. A
+// Solver is not safe for concurrent use; its zero value is ready.
 type Solver struct {
 	rates   []float64
 	idx     []int
@@ -23,18 +21,14 @@ type Solver struct {
 	arrived []bool
 }
 
-// grow resizes the scratch for n flows, reusing capacity when possible and
-// at least doubling it otherwise: a caller whose flow count creeps up (a
-// queue filling one application at a time) reallocates a few times, not at
-// every step.
+// grow resizes the scratch for n flows, reusing capacity when possible.
 func (s *Solver) grow(n int) {
 	if cap(s.rates) < n {
-		c := max(n, 2*cap(s.rates))
-		s.rates = make([]float64, n, c)
-		s.idx = make([]int, 0, c)
-		s.rem = make([]float64, n, c)
-		s.active = make([]bool, n, c)
-		s.arrived = make([]bool, n, c)
+		s.rates = make([]float64, n)
+		s.idx = make([]int, 0, n)
+		s.rem = make([]float64, n)
+		s.active = make([]bool, n)
+		s.arrived = make([]bool, n)
 	}
 	s.rates = s.rates[:n]
 	s.rem = s.rem[:n]
@@ -49,31 +43,18 @@ func (s *Solver) grow(n int) {
 // finish: zero capacity and zero cap, or infinite work). The returned slice
 // is freshly allocated and owned by the caller; only the intermediate
 // scratch is reused.
-func (s *Solver) FinishTimes(capacity float64, flows []Flow) []float64 {
-	return s.FinishTimesInto(nil, capacity, flows)
-}
-
-// FinishTimesInto is FinishTimes writing into dst's backing when it holds
-// len(flows) times (a fresh slice otherwise) and returning the result, as
-// append does; what dst held is overwritten.
 //
 // The algorithm steps from completion to completion: rates are constant
 // between completions, so each step advances to the earliest remaining
 // finish. O(n^2) in the number of flows.
-func (s *Solver) FinishTimesInto(dst []float64, capacity float64, flows []Flow) []float64 {
+func (s *Solver) FinishTimes(capacity float64, flows []Flow) []float64 {
 	n := len(flows)
 	s.grow(n)
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	finish := dst[:n]
+	finish := make([]float64, n)
 	rem, active := s.rem, s.active
 	for i, f := range flows {
 		rem[i] = f.Work
 		active[i] = f.Work > 0
-		if !active[i] {
-			finish[i] = 0
-		}
 	}
 	now := 0.0
 	for {

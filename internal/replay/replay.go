@@ -682,7 +682,9 @@ func (m *machine) step(ev *trace.Event) error {
 		if ev.Bytes > 0 {
 			s.app.Progress(ev.Bytes)
 		}
-		if s.app.Release() == nil {
+		// A session preempted since its grant has nothing to release, and
+		// asking Release would format an error nobody reads.
+		if s.app.State() == core.Active && s.app.Release() == nil {
 			m.deactivate(s)
 			m.arbitrate(t)
 		}

@@ -492,10 +492,11 @@ type Reader struct {
 	sawSync    bool
 	truncAfter uint64 // records successfully read before the tear
 
-	// targets interns target strings: a long trace repeats a handful of
-	// target names on every record, so Next allocates each name once.
-	targets map[string]string
-	scratch []byte
+	// interned holds the strings a long trace repeats on every record — a
+	// handful of target names, the Prepare keys — so Next allocates each once.
+	interned map[string]string
+	scratch  []byte   // the string being read
+	fixed    [24]byte // the fixed-width fields being read: a local would escape through io.ReadFull
 }
 
 // NewReader parses the stream preamble.
@@ -587,22 +588,22 @@ func (r *Reader) Next(ev *Event) error {
 }
 
 func (r *Reader) next(ev *Event) error {
-	var fixed [13]byte // type + time + sid
 	var t Type
 	for {
-		if _, err := io.ReadFull(r.r, fixed[:1]); err != nil {
+		b, err := r.readFixed(1)
+		if err != nil {
 			if err == io.EOF {
 				return ErrTruncated
 			}
 			return fmt.Errorf("trace: record: %w", err)
 		}
-		t = Type(fixed[0])
+		t = Type(b[0])
 		if t != evSync {
 			break
 		}
 		// Sync record: stream bookkeeping, consumed transparently.
-		var sy [16]byte
-		if _, err := io.ReadFull(r.r, sy[:]); err != nil {
+		sy, err := r.readFixed(16)
+		if err != nil {
 			return fmt.Errorf("trace: sync: %w", noEOF(err))
 		}
 		r.syncRead = binary.LittleEndian.Uint64(sy[0:8])
@@ -613,8 +614,8 @@ func (r *Reader) next(ev *Event) error {
 		}
 	}
 	if t == evTrailer {
-		var tr [24]byte
-		if _, err := io.ReadFull(r.r, tr[:]); err != nil {
+		tr, err := r.readFixed(24)
+		if err != nil {
 			return fmt.Errorf("trace: trailer: %w", noEOF(err))
 		}
 		r.recorded = binary.LittleEndian.Uint64(tr[8:16])
@@ -626,18 +627,19 @@ func (r *Reader) next(ev *Event) error {
 		return io.EOF
 	}
 	if t < EvRegister || t > EvRevoke {
-		return fmt.Errorf("trace: corrupt: unknown record type %d", fixed[0])
+		return fmt.Errorf("trace: corrupt: unknown record type %d", uint8(t))
 	}
-	if _, err := io.ReadFull(r.r, fixed[1:]); err != nil {
+	ts, err := r.readFixed(12) // time + sid
+	if err != nil {
 		return fmt.Errorf("trace: record %s: %w", t, noEOF(err))
 	}
 	*ev = Event{
 		Type: t,
-		Time: math.Float64frombits(binary.LittleEndian.Uint64(fixed[1:9])),
-		SID:  binary.LittleEndian.Uint32(fixed[9:13]),
+		Time: math.Float64frombits(binary.LittleEndian.Uint64(ts[0:8])),
+		SID:  binary.LittleEndian.Uint32(ts[8:12]),
 	}
 	if r.version >= 2 {
-		target, err := r.readTarget()
+		target, err := r.readInterned()
 		if err != nil {
 			return fmt.Errorf("trace: %s target: %w", t, err)
 		}
@@ -649,21 +651,21 @@ func (r *Reader) next(ev *Event) error {
 		if err != nil {
 			return fmt.Errorf("trace: register name: %w", err)
 		}
-		var cores [4]byte
-		if _, err := io.ReadFull(r.r, cores[:]); err != nil {
+		cores, err := r.readFixed(4)
+		if err != nil {
 			return fmt.Errorf("trace: register cores: %w", noEOF(err))
 		}
 		ev.App = name
-		ev.Cores = int32(binary.LittleEndian.Uint32(cores[:]))
+		ev.Cores = int32(binary.LittleEndian.Uint32(cores))
 	case EvPrepare:
-		var cnt [2]byte
-		if _, err := io.ReadFull(r.r, cnt[:]); err != nil {
+		cnt, err := r.readFixed(2)
+		if err != nil {
 			return fmt.Errorf("trace: prepare count: %w", noEOF(err))
 		}
-		n := int(binary.LittleEndian.Uint16(cnt[:]))
+		n := int(binary.LittleEndian.Uint16(cnt))
 		info := make(map[string]string, n)
 		for i := 0; i < n; i++ {
-			k, err := r.readString()
+			k, err := r.readInterned()
 			if err != nil {
 				return fmt.Errorf("trace: prepare key: %w", err)
 			}
@@ -675,56 +677,62 @@ func (r *Reader) next(ev *Event) error {
 		}
 		ev.Info = info
 	case EvInform, EvProgress, EvRelease:
-		var by [8]byte
-		if _, err := io.ReadFull(r.r, by[:]); err != nil {
+		by, err := r.readFixed(8)
+		if err != nil {
 			return fmt.Errorf("trace: %s bytes: %w", t, noEOF(err))
 		}
-		ev.Bytes = math.Float64frombits(binary.LittleEndian.Uint64(by[:]))
+		ev.Bytes = math.Float64frombits(binary.LittleEndian.Uint64(by))
 	}
 	r.read++
 	return nil
 }
 
-// readTarget reads a u16-length-prefixed target name, interning it so a
-// trace that repeats a few target names on millions of records allocates
-// each name only once.
-func (r *Reader) readTarget() (string, error) {
-	var ln [2]byte
-	if _, err := io.ReadFull(r.r, ln[:]); err != nil {
-		return "", noEOF(err)
+// readFixed reads the next n <= len(r.fixed) bytes; the result is valid
+// until the next read of any kind.
+func (r *Reader) readFixed(n int) ([]byte, error) {
+	b := r.fixed[:n]
+	_, err := io.ReadFull(r.r, b)
+	return b, err
+}
+
+// readBytes reads a u16-length-prefixed string into r.scratch.
+func (r *Reader) readBytes() ([]byte, error) {
+	ln, err := r.readFixed(2)
+	if err != nil {
+		return nil, noEOF(err)
 	}
-	n := int(binary.LittleEndian.Uint16(ln[:]))
-	if n == 0 {
-		return "", nil
-	}
+	n := int(binary.LittleEndian.Uint16(ln))
 	if cap(r.scratch) < n {
 		r.scratch = make([]byte, n)
 	}
 	r.scratch = r.scratch[:n]
 	if _, err := io.ReadFull(r.r, r.scratch); err != nil {
-		return "", noEOF(err)
+		return nil, noEOF(err)
 	}
-	if s, ok := r.targets[string(r.scratch)]; ok {
-		return s, nil
-	}
-	if r.targets == nil {
-		r.targets = make(map[string]string)
-	}
-	s := string(r.scratch)
-	r.targets[s] = s
-	return s, nil
+	return r.scratch, nil
 }
 
 func (r *Reader) readString() (string, error) {
-	var ln [2]byte
-	if _, err := io.ReadFull(r.r, ln[:]); err != nil {
-		return "", noEOF(err)
+	b, err := r.readBytes()
+	return string(b), err
+}
+
+// readInterned is readString for the strings a trace repeats: each distinct
+// one is allocated once.
+func (r *Reader) readInterned() (string, error) {
+	b, err := r.readBytes()
+	if err != nil || len(b) == 0 {
+		return "", err
 	}
-	b := make([]byte, binary.LittleEndian.Uint16(ln[:]))
-	if _, err := io.ReadFull(r.r, b); err != nil {
-		return "", noEOF(err)
+	if s, ok := r.interned[string(b)]; ok {
+		return s, nil
 	}
-	return string(b), nil
+	if r.interned == nil {
+		r.interned = make(map[string]string)
+	}
+	s := string(b)
+	r.interned[s] = s
+	return s, nil
 }
 
 // noEOF converts a mid-record io.EOF into io.ErrUnexpectedEOF so callers
