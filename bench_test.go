@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"sync"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/replay/replaytest"
 	"repro/internal/sim"
 	"repro/internal/swf"
+	"repro/internal/trace"
 )
 
 // Every table and figure of the paper's evaluation has a benchmark here
@@ -541,7 +543,9 @@ func BenchmarkArbiterRotating(b *testing.B) {
 // each): replay.Under per standard policy, then the whole replay.Compare.
 // The model policies decide from estimates, so their rows are where a
 // decision that allocates shows: CI's alloc guard holds the dynamic row's
-// allocs/op within 1.5x of the fcfs row's (it was 321x).
+// allocs/op within 1.5x of the fcfs row's (it was 321x). A replay spreads
+// its policy x target cells over GOMAXPROCS workers, so read the rows at
+// -cpu 1,2: the one-P row is the work, the other what a second core buys.
 func BenchmarkReplayCompare(b *testing.B) {
 	tr := replaytest.Trace(64, 4, 20)
 	policies := replay.StandardPolicies(tr.Header, -1)
@@ -573,4 +577,32 @@ func BenchmarkReplayCompare(b *testing.B) {
 		}
 		b.ReportMetric(float64(arbitrations), "arbitrations/op")
 	})
+}
+
+// BenchmarkTraceRead loads the same synthesized trace from its encoded
+// bytes: B/op is the event slice (reserved from the source's length, not
+// grown into) plus an Info map per Prepare.
+func BenchmarkTraceRead(b *testing.B) {
+	tr := replaytest.Trace(64, 4, 20)
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf, tr.Header, len(tr.Events))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, ev := range tr.Events {
+		w.Record(ev)
+	}
+	if err := w.Close(); err != nil || w.Dropped() != 0 {
+		b.Fatalf("encode: %v, %d events dropped", err, w.Dropped())
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(buf.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := trace.Read(bytes.NewReader(buf.Bytes()))
+		if err != nil || len(got.Events) != len(tr.Events) {
+			b.Fatalf("read %d events of %d: %v", len(got.Events), len(tr.Events), err)
+		}
+	}
+	b.ReportMetric(float64(len(tr.Events))*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }

@@ -242,6 +242,17 @@
 // predictions; calciom-replay prints the comparison with a recommended
 // policy and is byte-identical across runs on one trace.
 //
+// Concurrency: the policy x target replays of one call share nothing but
+// read-only input, so a replay call (Under, Compare, Verify) spreads them
+// over up to GOMAXPROCS goroutines, the caller's among them, for its own
+// duration and leaves none behind. Results never depend on how many there
+// were or who ran what: every replay fills its own slot, every merge goes by
+// index, and an error is the first in (policy, target) order. In return the
+// trace is read-only to replay — the streams point into it — and a policy
+// passed to Compare must be safe for concurrent ArbitrateIndexed on distinct
+// Arbiters, as every shipped one is: a policy is a shared value that decides
+// on the calling Arbiter's Scratch.
+//
 // # Failure model
 //
 // Daemon mode is engineered so that no single failure wedges an

@@ -45,8 +45,11 @@ package replay
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -220,10 +223,12 @@ func checkReplayable(tr *trace.Trace) error {
 	return nil
 }
 
-// shardEvents is one storage target's slice of a partitioned trace.
+// shardEvents is one storage target's slice of a partitioned trace. Its
+// events are the trace's own, by pointer — replay only ever reads them — but
+// for the few registers and unregisters a client capture has copied in.
 type shardEvents struct {
 	Target string
-	Events []trace.Event
+	Events []*trace.Event
 	waits  int // EvWait events among them: every wait a replay can serve
 }
 
@@ -262,9 +267,9 @@ func partition(tr *trace.Trace) []shardEvents {
 		}
 	}
 	for i := range parts {
-		parts[i].Events = make([]trace.Event, 0, counts[i])
+		parts[i].Events = make([]*trace.Event, 0, counts[i])
 	}
-	emit := func(target string, ev trace.Event) {
+	emit := func(target string, ev *trace.Event) {
 		p := &parts[idx[target]] // every target emitted to is some event's
 		p.Events = append(p.Events, ev)
 	}
@@ -275,7 +280,8 @@ func partition(tr *trace.Trace) []shardEvents {
 	regs := make(map[uint32]regInfo)
 	attached := make(map[attachKey]bool)
 	client := tr.Header.Source == trace.SourceClient
-	for _, ev := range tr.Events {
+	for i := range tr.Events {
+		ev := &tr.Events[i]
 		switch ev.Type {
 		case trace.EvRegister:
 			regs[ev.SID] = regInfo{app: ev.App, cores: ev.Cores}
@@ -299,22 +305,22 @@ func partition(tr *trace.Trace) []shardEvents {
 			if client {
 				// One recorded unregister stands for the whole session:
 				// propagate it to every other target it attached to.
-				for i := range parts {
-					t := parts[i].Target
+				for j := range parts {
+					t := parts[j].Target
 					if t == ev.Target || !attached[attachKey{t, ev.SID}] {
 						continue
 					}
 					delete(attached, attachKey{t, ev.SID})
-					cp := ev
+					cp := *ev
 					cp.Target = t
-					emit(t, cp)
+					emit(t, &cp)
 				}
 			}
 		default:
 			if !attached[attachKey{ev.Target, ev.SID}] && ev.SID != 0 {
 				if reg, ok := regs[ev.SID]; ok {
 					attached[attachKey{ev.Target, ev.SID}] = true
-					emit(ev.Target, trace.Event{Type: trace.EvRegister, Time: ev.Time,
+					emit(ev.Target, &trace.Event{Type: trace.EvRegister, Time: ev.Time,
 						SID: ev.SID, App: reg.app, Cores: reg.cores, Target: ev.Target})
 				}
 			}
@@ -381,30 +387,82 @@ func Under(tr *trace.Trace, pol core.Policy) (Result, error) {
 	if err := checkReplayable(tr); err != nil {
 		return Result{}, err
 	}
-	return under(partition(tr), pol)
+	results, err := replayGrid(partition(tr), []core.Policy{pol}, nil)
+	if err != nil {
+		return Result{}, err
+	}
+	return results[0], nil
 }
 
-// under is Under on an already partitioned trace. The machines only read
-// the streams, so one partition serves every policy of a comparison.
-func under(parts []shardEvents, pol core.Policy) (Result, error) {
-	results := make([]Result, 0, len(parts))
-	// A grant per served wait and a revoke per grant is all a serializing or
-	// preempting policy flips. One that also takes grants back on its own
-	// rechecks (delay) flips more, by a factor only its replay shows: the
-	// streams replayed so far size the flip log of the next.
-	flipsPerWait := 2
-	for _, p := range parts {
-		m := newMachine(pol, p, flipsPerWait*p.waits, true, false)
-		if err := m.run(p.Events); err != nil {
-			return Result{}, err
+// replayGrid re-arbitrates every stream under every policy and returns one
+// merged Result per policy. The policies × streams cells share nothing but
+// read-only input (the streams, the policy values), so up to GOMAXPROCS
+// workers, the caller's goroutine one of them, take cells off a counter in
+// (policy, stream) order, each cell on a machine of its own, and whoever
+// finishes a policy's last stream merges that policy. No result depends on
+// who ran what: a cell writes its own slot and every merge goes by index.
+// The first error in cell order is the one returned.
+//
+// With check set the cells verify instead of asking what-if: they
+// re-arbitrate exactly where the recording did, collect its flips, and pass
+// the finished machine and result to check — from any worker, one stream each.
+func replayGrid(streams []shardEvents, pols []core.Policy, check func(stream int, m *machine, res *Result)) ([]Result, error) {
+	var (
+		next   atomic.Int64
+		parts  = make([]Result, len(pols)*len(streams)) // cell (p, s) at p*len(streams)+s
+		errs   = make([]error, len(parts))
+		merged = make([]Result, len(pols))
+		left   = make([]atomic.Int64, len(pols)) // cells a policy's merge still waits for
+		// A grant per served wait and a revoke per grant is all a serializing or
+		// preempting policy flips. One that also takes grants back on its own
+		// rechecks (delay) flips more, by a factor only its replay shows: the
+		// cells of a policy that have finished size the flip log of its next.
+		flipsPerWait = make([]atomic.Int64, len(pols))
+	)
+	for p, pol := range pols {
+		left[p].Store(int64(len(streams)))
+		flipsPerWait[p].Store(2)
+		if len(streams) == 0 {
+			merged[p] = mergeResults(pol.Name(), nil)
 		}
-		res := m.finish()
-		if n := len(res.Flips); p.waits > 0 && n > flipsPerWait*p.waits {
-			flipsPerWait = (n + p.waits - 1) / p.waits
-		}
-		results = append(results, res)
 	}
-	return mergeResults(pol.Name(), results), nil
+	work := func() {
+		for c := int(next.Add(1)) - 1; c < len(parts); c = int(next.Add(1)) - 1 {
+			p, s := c/len(streams), c%len(streams)
+			stream, hint := streams[s], &flipsPerWait[p]
+			m := newMachine(pols[p], stream, int(hint.Load())*stream.waits, check != nil)
+			if errs[c] = m.run(stream.Events); errs[c] == nil {
+				parts[c] = m.finish()
+				if stream.waits > 0 {
+					per := int64((len(parts[c].Flips) + stream.waits - 1) / stream.waits)
+					for old := hint.Load(); per > old && !hint.CompareAndSwap(old, per); old = hint.Load() {
+					}
+				}
+				if check != nil {
+					check(s, m, &parts[c])
+				}
+			}
+			if left[p].Add(-1) == 0 {
+				mine := parts[p*len(streams) : (p+1)*len(streams)]
+				merged[p] = mergeResults(pols[p].Name(), mine)
+				clear(mine) // merged by copy: a policy's parts go as soon as it is whole
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(parts)); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	if c := slices.IndexFunc(errs, func(err error) bool { return err != nil }); c >= 0 {
+		return nil, errs[c]
+	}
+	return merged, nil
 }
 
 // ShardVerify is one storage target's slice of an exact reproduction check.
@@ -448,37 +506,37 @@ func Verify(tr *trace.Trace) (VerifyResult, error) {
 	if err != nil {
 		return VerifyResult{}, fmt.Errorf("replay: recording policy: %w", err)
 	}
-	parts := partition(tr)
-	v := VerifyResult{Match: true}
-	results := make([]Result, 0, len(parts))
-	for _, p := range parts {
-		m := newMachine(pol, p, 2*p.waits, false, true)
-		if err := m.run(p.Events); err != nil {
-			return VerifyResult{}, err
-		}
-		res := m.finish()
+	streams := partition(tr)
+	v := VerifyResult{Match: true, Shards: make([]ShardVerify, len(streams))}
+	recorded := make([][]Flip, len(streams))
+	results, err := replayGrid(streams, []core.Policy{pol}, func(s int, m *machine, res *Result) {
 		// On a truncated trace the file may have lost flip records whose
 		// triggering requests survived, so the recorded flips are verified
 		// as a prefix of the replayed sequence instead of an exact match.
 		match, mismatch := compareFlips(m.recorded, res.Flips, tr.Truncated)
-		if !match && p.Target != "" {
-			mismatch = fmt.Sprintf("target %s: %s", p.Target, mismatch)
+		if !match && m.target != "" {
+			mismatch = fmt.Sprintf("target %s: %s", m.target, mismatch)
 		}
-		v.Shards = append(v.Shards, ShardVerify{
-			Target:       p.Target,
+		v.Shards[s] = ShardVerify{
+			Target:       m.target,
 			GrantsServed: res.GrantsServed,
 			Flips:        len(res.Flips),
 			Recorded:     len(m.recorded),
 			Match:        match,
 			Mismatch:     mismatch,
-		})
-		if !match && v.Match {
-			v.Match, v.Mismatch = false, mismatch
 		}
-		v.Recorded = append(v.Recorded, m.recorded...)
-		results = append(results, res)
+		recorded[s] = m.recorded
+	})
+	if err != nil {
+		return VerifyResult{}, err
 	}
-	v.Result = mergeResults(pol.Name(), results)
+	v.Result = results[0]
+	for s, sh := range v.Shards {
+		if !sh.Match && v.Match {
+			v.Match, v.Mismatch = false, sh.Mismatch
+		}
+		v.Recorded = append(v.Recorded, recorded[s]...)
+	}
 	return v, nil
 }
 
@@ -526,11 +584,12 @@ type machine struct {
 	// active holds the sessions inside an access step — one under a
 	// serializing policy, whoever overlaps under a permissive one — so that
 	// accrue, which runs per event, visits them and not every session.
-	active     []*sess
-	now        float64
-	recheckAt  float64
-	synthesize bool // derive rechecks from RecheckAfter (what-if mode)
-	collect    bool // collect recorded EvGrant/EvRevoke for verification
+	active    []*sess
+	now       float64
+	recheckAt float64
+	// verify: re-arbitrate at the recorded EvRechecks and collect the recorded
+	// flips. A what-if machine ignores both and follows RecheckAfter instead.
+	verify bool
 
 	events   int
 	recorded []Flip
@@ -540,16 +599,15 @@ type machine struct {
 // newMachine builds the replay of one stream, its flip log allocated for the
 // given number of flips. A stream's waits bound what its replay can serve, so
 // the wait log is allocated once.
-func newMachine(pol core.Policy, stream shardEvents, flips int, synthesize, collect bool) *machine {
+func newMachine(pol core.Policy, stream shardEvents, flips int, verify bool) *machine {
 	arb := core.NewArbiter(pol)
 	arb.SetLogBound(0)
 	return &machine{
-		arb:        arb,
-		target:     stream.Target,
-		byID:       make(map[uint32]*sess),
-		recheckAt:  math.Inf(1),
-		synthesize: synthesize,
-		collect:    collect,
+		arb:       arb,
+		target:    stream.Target,
+		byID:      make(map[uint32]*sess),
+		recheckAt: math.Inf(1),
+		verify:    verify,
 		res: Result{Policy: pol.Name(),
 			Flips: make([]Flip, 0, flips), Waits: make([]float64, 0, stream.waits)},
 	}
@@ -570,10 +628,10 @@ func (m *machine) deactivate(s *sess) {
 	}
 }
 
-func (m *machine) run(events []trace.Event) error {
-	for i := range events {
-		if err := m.step(&events[i]); err != nil {
-			return fmt.Errorf("replay: event %d (%s): %w", i, events[i].Type, err)
+func (m *machine) run(events []*trace.Event) error {
+	for i, ev := range events {
+		if err := m.step(ev); err != nil {
+			return fmt.Errorf("replay: event %d (%s): %w", i, ev.Type, err)
 		}
 	}
 	return nil
@@ -589,7 +647,7 @@ func (m *machine) step(ev *trace.Event) error {
 	}
 	// Synthesized rechecks due before this event fire first, exactly as the
 	// daemon's recheck timer would have.
-	for m.synthesize && m.recheckAt <= t {
+	for !m.verify && m.recheckAt <= t {
 		rt := m.recheckAt
 		m.recheckAt = math.Inf(1)
 		m.accrue(rt - m.now)
@@ -609,7 +667,7 @@ func (m *machine) step(ev *trace.Event) error {
 		// A session the replay does not know (or that already left): a
 		// client-side capture can record such skew; ignore.
 		if ev.Type == trace.EvGrant || ev.Type == trace.EvRevoke {
-			if m.collect {
+			if m.verify {
 				m.recorded = append(m.recorded, Flip{Time: t, SID: ev.SID, Target: m.target, Grant: ev.Type == trace.EvGrant})
 			}
 		}
@@ -714,19 +772,19 @@ func (m *machine) step(ev *trace.Event) error {
 		m.arb.Unregister(s.app)
 		s.app = nil
 		m.deactivate(s)
-		if m.synthesize && wasBusy {
+		if !m.verify && wasBusy {
 			// Mirrors the daemon's re-arbitration after a mid-phase session
 			// vanished; in verify mode the recorded EvRecheck drives it.
 			m.arbitrate(t)
 		}
 
 	case trace.EvRecheck:
-		if !m.synthesize {
+		if m.verify {
 			m.arbitrate(t)
 		}
 
 	case trace.EvGrant, trace.EvRevoke:
-		if m.collect {
+		if m.verify {
 			m.recorded = append(m.recorded, Flip{Time: t, SID: ev.SID, Target: m.target, Grant: ev.Type == trace.EvGrant})
 		}
 
@@ -886,11 +944,23 @@ func Compare(tr *trace.Trace, policies []Named) (Comparison, error) {
 	if err := checkReplayable(tr); err != nil {
 		return Comparison{}, err
 	}
-	parts := partition(tr)
-	base, err := under(parts, basePol)
+	// The baseline replay comes first; a candidate that is the recording
+	// policy itself reuses it instead of re-arbitrating the whole trace.
+	pols := append(make([]core.Policy, 0, 1+len(policies)), basePol)
+	row := make([]int, len(policies)) // each candidate's place in pols
+	for i, np := range policies {
+		if np.Policy.Name() != basePol.Name() {
+			row[i] = len(pols)
+			pols = append(pols, np.Policy)
+		}
+	}
+	// What makes a stream unreplayable does so under any policy, so an error
+	// is the baseline's and carries no candidate's name.
+	results, err := replayGrid(partition(tr), pols, nil)
 	if err != nil {
 		return Comparison{}, err
 	}
+	base := results[0]
 	// Service time per (session, target): recorded phase time minus the
 	// wait the baseline attributes to coordination.
 	type svcKey struct {
@@ -906,19 +976,8 @@ func Compare(tr *trace.Trace, policies []Named) (Comparison, error) {
 		service[svcKey{a.SID, a.Target}] = s
 	}
 	c := Comparison{Recording: tr.Header.Policy, Baseline: base}
-	for _, np := range policies {
-		var res Result
-		if np.Policy.Name() == base.Policy {
-			// The candidate is the recording policy itself: reuse the
-			// baseline replay instead of re-arbitrating the whole trace.
-			res = base
-		} else {
-			var err error
-			res, err = under(parts, np.Policy)
-			if err != nil {
-				return Comparison{}, fmt.Errorf("replay: %s: %w", np.Name, err)
-			}
-		}
+	for i, np := range policies {
+		res := results[row[i]]
 		res.Policy = np.Name
 		rep := metrics.Report{Apps: make([]metrics.AppResult, 0, len(res.Apps))}
 		var est float64

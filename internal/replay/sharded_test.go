@@ -127,12 +127,11 @@ func TestVerifyShardedPerTarget(t *testing.T) {
 	}
 }
 
-// TestClientCapturePartitionPropagatesSession: a client-side capture
-// records one register and one unregister per session, yet the session
-// coordinates on two targets — the partitioner must attach it to both (at
-// first touch) and detach it from both, so the replay sees every stream.
-func TestClientCapturePartitionPropagatesSession(t *testing.T) {
-	tr := &trace.Trace{
+// clientCaptureTrace is a client-side capture: one register and one
+// unregister for a session that coordinates on two targets, so its streams
+// carry a synthesized register each and one a propagated unregister.
+func clientCaptureTrace() *trace.Trace {
+	return &trace.Trace{
 		Header: trace.Header{Source: trace.SourceClient, Policy: "fcfs"},
 		Events: []trace.Event{
 			{Type: trace.EvRegister, Time: 0, SID: 1, App: "A", Cores: 4}, // default target only
@@ -147,7 +146,14 @@ func TestClientCapturePartitionPropagatesSession(t *testing.T) {
 			{Type: trace.EvUnregister, Time: 5, SID: 1},
 		},
 	}
-	res, err := Under(tr, core.FCFSPolicy{})
+}
+
+// TestClientCapturePartitionPropagatesSession: a client-side capture
+// records one register and one unregister per session, yet the session
+// coordinates on two targets — the partitioner must attach it to both (at
+// first touch) and detach it from both, so the replay sees every stream.
+func TestClientCapturePartitionPropagatesSession(t *testing.T) {
+	res, err := Under(clientCaptureTrace(), core.FCFSPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}

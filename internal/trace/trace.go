@@ -764,12 +764,16 @@ func Read(r io.Reader) (*Trace, error) { return read(r, false) }
 func ReadLenient(r io.Reader) (*Trace, error) { return read(r, true) }
 
 func read(r io.Reader, lenient bool) (*Trace, error) {
+	size := remaining(r) // before the Reader's buffer takes its first bite
 	tr, err := NewReader(r)
 	if err != nil {
 		return nil, err
 	}
 	tr.SetLenient(lenient)
-	out := &Trace{Header: tr.Header()}
+	// A record is at least 13 bytes, so a sixteenth of the bytes on hand is
+	// a count the slice outgrows at most once — and never more than the
+	// source really holds, whatever its contents claim.
+	out := &Trace{Header: tr.Header(), Events: make([]Event, 0, size/16)}
 	for {
 		var ev Event
 		if err := tr.Next(&ev); err != nil {
@@ -783,6 +787,21 @@ func read(r io.Reader, lenient bool) (*Trace, error) {
 	out.Dropped = tr.Dropped()
 	out.Truncated = tr.Truncated()
 	return out, nil
+}
+
+// remaining returns how many bytes r has yet to deliver when r can say —
+// the bytes and strings readers by Len, a regular file by its size — and 0
+// otherwise.
+func remaining(r io.Reader) int64 {
+	switch src := r.(type) {
+	case interface{ Len() int }:
+		return int64(src.Len())
+	case interface{ Stat() (os.FileInfo, error) }:
+		if fi, err := src.Stat(); err == nil && fi.Mode().IsRegular() {
+			return fi.Size()
+		}
+	}
+	return 0
 }
 
 // Load reads a trace file.
