@@ -395,6 +395,24 @@ func BenchmarkEngineProcSleep(b *testing.B) {
 	eng.Run()
 }
 
+// BenchmarkEngineProcSpawn is one Go + (empty) body + Reset on a warm engine:
+// what launching a process costs once the pooled proc and its coroutine exist.
+func BenchmarkEngineProcSpawn(b *testing.B) {
+	eng := sim.NewEngine()
+	body := func(p *sim.Proc) {}
+	spawn := func() {
+		eng.Go("p", body)
+		eng.Run()
+		eng.Reset()
+	}
+	spawn()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		spawn()
+	}
+}
+
 func BenchmarkFluidContention(b *testing.B) {
 	// 64 concurrent jobs repeatedly joining/leaving one resource.
 	for i := 0; i < b.N; i++ {
@@ -418,6 +436,41 @@ func BenchmarkPFSWrite(b *testing.B) {
 			f.Write(p, pfs.Request{App: "a", Length: 1 << 30, Weight: 64})
 		})
 		eng.Run()
+	}
+}
+
+// BenchmarkPFSWriteFabric is the explicit-fabric write path on a reused
+// 4-server file system: two applications, each behind its own NIC link,
+// interleave eight striped writes that touch every server — per write one
+// fill at submit and one per batch of completions.
+func BenchmarkPFSWriteFabric(b *testing.B) {
+	eng := sim.NewEngine()
+	fb := fabric.New(eng)
+	fs := pfs.New(eng, pfs.Config{Servers: 4, StripeBytes: 1 << 20, ServerBW: 1 << 30, Fabric: fb})
+	nics := [2]*fabric.Link{fb.NewLink("nicA", 6<<30), fb.NewLink("nicB", 3<<30)}
+	names := [2]string{"A", "B"}
+	var bodies [2]func(p *sim.Proc)
+	for i := range bodies {
+		bodies[i] = func(p *sim.Proc) {
+			f := fs.Create(names[i])
+			for k := int64(0); k < 8; k++ {
+				f.Write(p, pfs.Request{App: names[i], Offset: k << 26, Length: 1 << 26, Weight: 64, ClientLink: nics[i]})
+			}
+		}
+	}
+	run := func() {
+		eng.Reset()
+		fb.Reset()
+		fs.Reset()
+		eng.Go(names[0], bodies[0])
+		eng.GoAt(0.01, names[1], bodies[1])
+		eng.Run()
+	}
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }
 

@@ -325,7 +325,12 @@
 //     (handles detach at fire time, so stale Cancels are always safe),
 //     runs fire-and-forget zero-delay callbacks through the reusable
 //     Post ring, and offers owner-managed reusable Timers for the
-//     cancel/reschedule-heavy "next completion" pattern.
+//     cancel/reschedule-heavy "next completion" pattern. A simulated
+//     process is a coroutine (iter.Pull) kept by its pooled Proc: waking
+//     and parking one is a switch on the scheduler's own thread, not two
+//     channel hand-offs through the Go scheduler. A striped pfs request
+//     brackets its per-server fabric.Starts with Hold/Release, so it costs
+//     one progressive fill, not one per server, with the same bits.
 //   - fluid's Resource and closed-form Solver reuse their water-fill
 //     scratch — a Solver is one caller's, never shared between goroutines —
 //     and delta.Sweep runs on a fixed worker pool with per-worker scratch.
@@ -358,13 +363,14 @@
 // logical state:
 //
 //   - sim.Engine.Reset: retains the event-record free list, the Post ring,
-//     the heap backing and the pooled procs (channel + wake timer + bound
-//     closures each; the per-body goroutine exits with its body, so an
-//     abandoned engine leaks nothing); clears the clock, sequence counter
-//     and pending events.
+//     the heap backing and the pooled procs (coroutine + wake timer +
+//     bound closure each; an idle coroutine references no engine and a
+//     cleanup stops it when the engine is collected, so an abandoned engine
+//     leaks nothing); clears the clock, sequence counter and pending events.
 //   - fabric.Fabric.Reset: retains links (and any capacity changes), solver
 //     scratch and retired flows (moved to the free list, so Start stops
-//     allocating); clears active flows, flow IDs and the progress clock.
+//     allocating); clears active flows, flow IDs, the progress clock and
+//     any hold.
 //   - fluid.Resource.Reset / disk.Store.Reset: retain water-fill scratch
 //     and retired jobs; clear job sets, dirty bytes and fill state, and
 //     restore construction-time capacity.
@@ -392,7 +398,8 @@
 //     whoever prints them before the next run (calciom-sim, the examples)
 //     or only counts them (machine.Run, through LogLen) copies nothing.
 //   - ior.Runner.Reset: retains the armed workload (presets fold their
-//     defaults in exactly once, at construction), cached file names and
+//     defaults in exactly once, at construction, where the round plan and
+//     byte counts are derived too), cached file names and
 //     the Prepare info built from them; clears per-run statistics, keeping
 //     their backing.
 //

@@ -2,10 +2,12 @@ package config
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/delta"
+	"repro/internal/experiments"
 	"repro/internal/ior"
 	"repro/internal/pfs"
 )
@@ -110,5 +112,26 @@ func TestDumpRoundTrip(t *testing.T) {
 	}
 	if sc.Name != "rt" || len(sc.Apps) != 1 {
 		t.Fatalf("round trip lost data: %+v", sc)
+	}
+}
+
+// TestExampleScenarioIsTheFabricPair holds examples/scenario.json — the file
+// calciom-delta's -config help points at — to the scenario it claims to be:
+// bench_test.go's fabricPairScenario, two 2048-process applications on
+// Surveyor under the explicit-fabric model.
+func TestExampleScenarioIsTheFabricPair(t *testing.T) {
+	got, err := Load("../../examples/scenario.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := experiments.SurveyorPlatform()
+	want.TrueNetwork = true
+	w := ior.Workload{Pattern: ior.Contiguous, BlockSize: 32 << 20, BlocksPerProc: 1, ReqBytes: 4 << 20}
+	want.Apps = []delta.AppSpec{
+		{Name: "A", Procs: 2048, Nodes: 512, W: w, Gran: ior.PerRound},
+		{Name: "B", Procs: 2048, Nodes: 512, W: w, Gran: ior.PerRound},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("examples/scenario.json is\n%+v\nwant\n%+v", got, want)
 	}
 }

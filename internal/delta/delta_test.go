@@ -1,20 +1,15 @@
 package delta
 
 import (
-	"math"
 	"testing"
 
+	"repro/internal/approx"
 	"repro/internal/core"
 	"repro/internal/ior"
 	"repro/internal/pfs"
 )
 
 const miB = int64(1) << 20
-
-func almostEq(a, b, tol float64) bool {
-	d := math.Abs(a - b)
-	return d <= tol*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-}
 
 // testScenario: 4 servers x 64 MiB/s = 256 MiB/s; apps of 32 procs at
 // 4 MiB/s NIC (128 MiB/s injection) writing 8 MiB/proc = 256 MiB each.
@@ -38,7 +33,7 @@ func testScenario() Scenario {
 func TestSoloTime(t *testing.T) {
 	sc := testScenario()
 	// 256 MiB at injection 128 MiB/s: 2s.
-	if got := sc.Solo(0); !almostEq(got, 2, 1e-6) {
+	if got := sc.Solo(0); !approx.Equal(got, 2, 1e-6) {
 		t.Fatalf("solo = %v, want 2", got)
 	}
 }
@@ -48,7 +43,7 @@ func TestRunUncoordinatedOverlap(t *testing.T) {
 	res := sc.Run(Uncoordinated, []float64{0, 0})
 	// Combined demand 256 equals capacity: both take 2s... demand is
 	// 2x128 = 256 = capacity, so no slowdown at all.
-	if !almostEq(res.IOTime[0], 2, 1e-3) || !almostEq(res.IOTime[1], 2, 1e-3) {
+	if !approx.Equal(res.IOTime[0], 2, 1e-3) || !approx.Equal(res.IOTime[1], 2, 1e-3) {
 		t.Fatalf("io times %v, want [2 2] (demand == capacity)", res.IOTime)
 	}
 	if res.Decisions != nil {
@@ -59,11 +54,11 @@ func TestRunUncoordinatedOverlap(t *testing.T) {
 func TestRunFCFSSerializes(t *testing.T) {
 	sc := testScenario()
 	res := sc.Run(FCFS, []float64{0, 0.5})
-	if !almostEq(res.IOTime[0], 2, 1e-2) {
+	if !approx.Equal(res.IOTime[0], 2, 1e-2) {
 		t.Fatalf("A = %v, want ~2 (protected)", res.IOTime[0])
 	}
 	// B waits 1.5s then writes 2s.
-	if !almostEq(res.IOTime[1], 3.5, 1e-2) {
+	if !approx.Equal(res.IOTime[1], 3.5, 1e-2) {
 		t.Fatalf("B = %v, want ~3.5", res.IOTime[1])
 	}
 	if len(res.Decisions) == 0 {
@@ -82,7 +77,7 @@ func TestSweepShapes(t *testing.T) {
 		t.Fatal("series length mismatch")
 	}
 	// No overlap at |dt| >= 2: factors 1.
-	if !almostEq(s.FactorA[0], 1, 1e-6) || !almostEq(s.FactorB[4], 1, 1e-6) {
+	if !approx.Equal(s.FactorA[0], 1, 1e-6) || !approx.Equal(s.FactorB[4], 1, 1e-6) {
 		t.Fatalf("edge factors %v %v, want 1", s.FactorA[0], s.FactorB[4])
 	}
 	for i := range dts {
@@ -110,15 +105,15 @@ func TestExpectedModel(t *testing.T) {
 	s := sc.Expected(dts)
 	solo := s.SoloA
 	// Peak 2x solo at dt=0.
-	if !almostEq(s.TimeA[2], 2*solo, 1e-6) {
+	if !approx.Equal(s.TimeA[2], 2*solo, 1e-6) {
 		t.Fatalf("expected peak %v, want %v", s.TimeA[2], 2*solo)
 	}
 	// No overlap far out.
-	if !almostEq(s.TimeA[0], solo, 1e-6) || !almostEq(s.TimeB[4], solo, 1e-6) {
+	if !approx.Equal(s.TimeA[0], solo, 1e-6) || !approx.Equal(s.TimeB[4], solo, 1e-6) {
 		t.Fatal("expected tails should be solo")
 	}
 	// Piecewise linear: dt=1 -> first app 2*solo - dt.
-	if !almostEq(s.TimeA[3], 2*solo-1, 1e-6) {
+	if !approx.Equal(s.TimeA[3], 2*solo-1, 1e-6) {
 		t.Fatalf("expected at dt=1: %v, want %v", s.TimeA[3], 2*solo-1)
 	}
 }
@@ -172,7 +167,7 @@ func TestMakespan(t *testing.T) {
 	sc := testScenario()
 	res := sc.Run(Uncoordinated, []float64{0, 5})
 	// B starts at 5 and takes 2s.
-	if !almostEq(res.Makespan, 7, 1e-3) {
+	if !approx.Equal(res.Makespan, 7, 1e-3) {
 		t.Fatalf("makespan %v, want ~7", res.Makespan)
 	}
 }

@@ -1,16 +1,11 @@
 package disk
 
 import (
-	"math"
 	"testing"
 
+	"repro/internal/approx"
 	"repro/internal/sim"
 )
-
-func almostEq(a, b, tol float64) bool {
-	d := math.Abs(a - b)
-	return d <= tol*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-}
 
 func TestPlainDiskNoCache(t *testing.T) {
 	e := sim.NewEngine()
@@ -18,7 +13,7 @@ func TestPlainDiskNoCache(t *testing.T) {
 	var done float64
 	s.Resource().Submit("w", 1000, 1, 0, func() { done = e.Now() })
 	e.Run()
-	if !almostEq(done, 10, 1e-9) {
+	if !approx.Equal(done, 10, 1e-9) {
 		t.Fatalf("done = %v, want 10", done)
 	}
 }
@@ -31,7 +26,7 @@ func TestCacheAbsorbsSmallBurst(t *testing.T) {
 	s.Resource().Submit("w", 1000, 1, 0, func() { done = e.Now() })
 	e.Run()
 	// Fully absorbed at cache speed: 1s. (Dirty grows at 900/s -> 900 < 5000.)
-	if !almostEq(done, 1, 1e-9) {
+	if !approx.Equal(done, 1, 1e-9) {
 		t.Fatalf("done = %v, want 1 (cache speed)", done)
 	}
 }
@@ -44,7 +39,7 @@ func TestCacheOverflowFallsToDiskSpeed(t *testing.T) {
 	e.Run()
 	// Cache fills at net 900/s -> full at t=1 (1000 ingested). Remaining
 	// 9000 at disk speed 100 -> 90s more: t=91.
-	if !almostEq(done, 91, 1e-6) {
+	if !approx.Equal(done, 91, 1e-6) {
 		t.Fatalf("done = %v, want 91", done)
 	}
 }
@@ -60,10 +55,10 @@ func TestCacheDrainsBetweenBursts(t *testing.T) {
 		s.Resource().Submit("w2", 900, 1, 0, func() { t2 = e.Now() })
 	})
 	e.Run()
-	if !almostEq(t1, 0.9, 1e-9) {
+	if !approx.Equal(t1, 0.9, 1e-9) {
 		t.Fatalf("t1 = %v, want 0.9", t1)
 	}
-	if !almostEq(t2, 20.9, 1e-9) {
+	if !approx.Equal(t2, 20.9, 1e-9) {
 		t.Fatalf("t2 = %v, want 20.9 (cache drained)", t2)
 	}
 }
@@ -78,7 +73,7 @@ func TestOverlappingBurstsOverflow(t *testing.T) {
 	e.Run()
 	// Ingest 1000/s, net fill 900/s -> full at t=1000/900=1.111s with
 	// 1111 ingested. Remaining 689 at 100/s -> t = 1.111 + 6.89 = 8.0s.
-	if !almostEq(t2, 8.0, 1e-3) {
+	if !approx.Equal(t2, 8.0, 1e-3) {
 		t.Fatalf("t2 = %v, want ~8.0 (overflow to disk speed)", t2)
 	}
 	if t1 > t2 {
@@ -97,7 +92,7 @@ func TestDirtyQuery(t *testing.T) {
 	s.Resource().Submit("w", 1000, 1, 0, nil)
 	e.At(0.5, func() {
 		// Ingested 500, drained 50 -> dirty 450.
-		if got := s.Dirty(); !almostEq(got, 450, 1e-6) {
+		if got := s.Dirty(); !approx.Equal(got, 450, 1e-6) {
 			t.Errorf("dirty = %v, want 450", got)
 		}
 	})

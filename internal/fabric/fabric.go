@@ -16,6 +16,17 @@
 // swap-delete (no maps), and all iteration is in slice order, which makes
 // floating-point accumulation order — and therefore every simulated rate —
 // reproducible bit-for-bit across runs.
+//
+// A caller making several changes at one instant — a striped request starting
+// one flow per server — brackets them with Hold and Release. Inside the hold
+// every Start, Cancel and SetCapacity still integrates progress, links or
+// unlinks its flow and completes whatever has finished, exactly where it
+// would otherwise, so flow order, link membership order and completion
+// callback order are those of the unbracketed calls; only the progressive
+// fill and the re-arming of the completion timer wait for the outermost
+// Release, which runs them once if anything changed. Rates are stale until
+// then, and the clock must not advance inside a hold. Rates and finish times
+// come out bit-identical to the unbracketed calls'.
 package fabric
 
 import (
@@ -82,7 +93,7 @@ type Flow struct {
 // Name returns the flow name.
 func (f *Flow) Name() string { return f.name }
 
-// Rate returns the currently assigned rate.
+// Rate returns the currently assigned rate; unspecified inside a Hold.
 func (f *Flow) Rate() float64 { return f.rate }
 
 // Done reports completion.
@@ -122,6 +133,9 @@ type Fabric struct {
 	linkWeight    []float64
 	frozen        []bool
 	finished      []*Flow
+
+	held  int  // Hold nesting depth
+	stale bool // a change inside the hold awaits its fill
 }
 
 // New creates an empty fabric.
@@ -182,6 +196,22 @@ func (fb *Fabric) Start(name string, bytes, weight float64, links []*Link, onDon
 	}
 	fb.reassign()
 	return f
+}
+
+// Hold defers the rate computation of the changes that follow to the
+// matching Release (see the package comment). Holds nest.
+func (fb *Fabric) Hold() { fb.held++ }
+
+// Release ends a Hold; the outermost one recomputes the rates if anything
+// changed since its Hold.
+func (fb *Fabric) Release() {
+	if fb.held == 0 {
+		panic("fabric: Release without Hold")
+	}
+	fb.held--
+	if fb.held == 0 && fb.stale {
+		fb.fill()
+	}
 }
 
 // getFlow pops a pooled flow or allocates a fresh one.
@@ -271,7 +301,8 @@ func (f *Flow) eps() float64 {
 // reassign completes finished flows, recomputes max-min rates and schedules
 // the next completion. All simultaneous completions are collected and
 // removed in one batch, so N flows finishing at the same instant cost one
-// progressive fill, not N.
+// progressive fill, not N. Inside a hold the recomputation is left to the
+// Release; completions are not.
 func (fb *Fabric) reassign() {
 	finished := fb.finished[:0]
 	for _, f := range fb.flows {
@@ -286,19 +317,10 @@ func (fb *Fabric) reassign() {
 		fb.remove(f)
 	}
 
-	fb.progressiveFill()
-
-	fb.completion.Cancel()
-	next := math.Inf(1)
-	for _, f := range fb.flows {
-		if f.rate > 0 {
-			if t := f.remaining / f.rate; t < next {
-				next = t
-			}
-		}
-	}
-	if !math.IsInf(next, 1) {
-		fb.completion.Schedule(next)
+	if fb.held > 0 {
+		fb.stale = true
+	} else {
+		fb.fill()
 	}
 
 	// Deterministic callback order: sort the batch by the documented total
@@ -320,9 +342,32 @@ func (fb *Fabric) reassign() {
 	fb.finished = finished[:0]
 }
 
+// fill assigns max-min rates to the active flows and arms the completion
+// timer for the first of them to finish.
+func (fb *Fabric) fill() {
+	fb.stale = false
+	if fb.eng.Tracing() {
+		fb.eng.Tracef("fabric: fill flows=%d", len(fb.flows))
+	}
+	fb.progressiveFill()
+
+	fb.completion.Cancel()
+	next := math.Inf(1)
+	for _, f := range fb.flows {
+		if f.rate > 0 {
+			if t := f.remaining / f.rate; t < next {
+				next = t
+			}
+		}
+	}
+	if !math.IsInf(next, 1) {
+		fb.completion.Schedule(next)
+	}
+}
+
 // Reset returns the fabric to a pristine state on a freshly reset engine:
-// no active flows, flow IDs restarted, progress clock re-anchored at the
-// engine's current time. Links — and any capacity changes made to them —
+// no active flows, no hold, flow IDs restarted, progress clock re-anchored at
+// the engine's current time. Links — and any capacity changes made to them —
 // survive, as do the solver scratch arrays and the retired flows, which move
 // to the free list so a reused fabric replays a run allocation-free.
 //
@@ -355,6 +400,7 @@ func (fb *Fabric) Reset() {
 	fb.nextID = 0
 	fb.lastUpdate = fb.eng.Now()
 	fb.completion.Cancel()
+	fb.held, fb.stale = 0, false
 }
 
 func (fb *Fabric) onCompletion() {

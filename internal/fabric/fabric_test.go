@@ -6,14 +6,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/approx"
 	"repro/internal/fluid"
 	"repro/internal/sim"
 )
-
-func almostEq(a, b, tol float64) bool {
-	d := math.Abs(a - b)
-	return d <= tol*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-}
 
 func TestSingleLinkSingleFlow(t *testing.T) {
 	eng := sim.NewEngine()
@@ -22,7 +18,7 @@ func TestSingleLinkSingleFlow(t *testing.T) {
 	var done float64
 	fb.Start("f", 1000, 1, []*Link{l}, func() { done = eng.Now() })
 	eng.Run()
-	if !almostEq(done, 10, 1e-9) {
+	if !approx.Equal(done, 10, 1e-9) {
 		t.Fatalf("done = %v, want 10", done)
 	}
 }
@@ -35,7 +31,7 @@ func TestBottleneckIsTightestLink(t *testing.T) {
 	var done float64
 	fb.Start("f", 100, 1, []*Link{nic, server}, func() { done = eng.Now() })
 	eng.Run()
-	if !almostEq(done, 10, 1e-9) {
+	if !approx.Equal(done, 10, 1e-9) {
 		t.Fatalf("done = %v, want 10 (NIC bound)", done)
 	}
 }
@@ -49,10 +45,10 @@ func TestClassicMaxMinExample(t *testing.T) {
 	l2 := fb.NewLink("l2", 3)
 	f1 := fb.Start("f1", 1e6, 1, []*Link{l1}, nil)
 	f2 := fb.Start("f2", 1e6, 1, []*Link{l1, l2}, nil)
-	if !almostEq(f1.Rate(), 7, 1e-9) {
+	if !approx.Equal(f1.Rate(), 7, 1e-9) {
 		t.Fatalf("f1 rate = %v, want 7", f1.Rate())
 	}
-	if !almostEq(f2.Rate(), 3, 1e-9) {
+	if !approx.Equal(f2.Rate(), 3, 1e-9) {
 		t.Fatalf("f2 rate = %v, want 3", f2.Rate())
 	}
 	f1.Cancel()
@@ -66,7 +62,7 @@ func TestWeightedShares(t *testing.T) {
 	l := fb.NewLink("l", 100)
 	f1 := fb.Start("f1", 1e6, 3, []*Link{l}, nil)
 	f2 := fb.Start("f2", 1e6, 1, []*Link{l}, nil)
-	if !almostEq(f1.Rate(), 75, 1e-9) || !almostEq(f2.Rate(), 25, 1e-9) {
+	if !approx.Equal(f1.Rate(), 75, 1e-9) || !approx.Equal(f2.Rate(), 25, 1e-9) {
 		t.Fatalf("rates %v/%v, want 75/25", f1.Rate(), f2.Rate())
 	}
 	f1.Cancel()
@@ -84,7 +80,7 @@ func TestFreedCapacityRedistributes(t *testing.T) {
 	eng.Run()
 	// Both at 50 until f1 finishes at t=10; f2 then gets 100 for its
 	// remaining 500: t2 = 15.
-	if !almostEq(t1, 10, 1e-9) || !almostEq(t2, 15, 1e-9) {
+	if !approx.Equal(t1, 10, 1e-9) || !approx.Equal(t2, 15, 1e-9) {
 		t.Fatalf("t1=%v t2=%v, want 10, 15", t1, t2)
 	}
 }
@@ -98,7 +94,7 @@ func TestSetCapacityMidFlight(t *testing.T) {
 	eng.Schedule(5, func() { l.SetCapacity(50) })
 	eng.Run()
 	// 500 at 100, then 500 at 50: t = 15.
-	if !almostEq(done, 15, 1e-9) {
+	if !approx.Equal(done, 15, 1e-9) {
 		t.Fatalf("done = %v, want 15", done)
 	}
 }
@@ -193,7 +189,7 @@ func TestPropertySingleLinkMatchesFluid(t *testing.T) {
 		eng2.Run()
 
 		for i := range works {
-			if !almostEq(gotFab[i], gotFluid[i], 1e-6) {
+			if !approx.Equal(gotFab[i], gotFluid[i], 1e-6) {
 				t.Logf("seed %d flow %d: fabric %v fluid %v", seed, i, gotFab[i], gotFluid[i])
 				return false
 			}
@@ -290,7 +286,7 @@ func TestPropertyDrainAtCapacity(t *testing.T) {
 			fb.Start("f", w, 1+rng.Float64()*3, []*Link{l}, func() { last = eng.Now() })
 		}
 		eng.Run()
-		return almostEq(last, total/100, 1e-6)
+		return approx.Equal(last, total/100, 1e-6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -341,11 +337,11 @@ func TestBatchedCompletions(t *testing.T) {
 		t.Fatalf("%d flows finished, want 4 (batch)", len(finishedAt))
 	}
 	for _, at := range finishedAt {
-		if !almostEq(at, 5, 1e-9) {
+		if !approx.Equal(at, 5, 1e-9) {
 			t.Fatalf("finish times %v, want all 5", finishedAt)
 		}
 	}
-	if !almostEq(long.Rate(), 100, 1e-9) {
+	if !approx.Equal(long.Rate(), 100, 1e-9) {
 		t.Fatalf("survivor rate = %v, want 100 after batch refill", long.Rate())
 	}
 }

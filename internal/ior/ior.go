@@ -226,11 +226,11 @@ func (s *Stats) TotalBytes() int64 {
 }
 
 // Runner executes a workload for one application. A Runner is reusable: the
-// workload is armed (defaults folded in) once at construction, and Reset
-// clears only the per-run statistics, keeping the armed workload, the
-// cached file names and Prepare info and the stats backing array, so
-// re-running a scenario on a reused platform allocates nothing in steady
-// state.
+// workload is armed (defaults folded in, round plan and byte counts derived)
+// once at construction, and Reset clears only the per-run statistics, keeping
+// the armed workload, the cached file names and Prepare info and the stats
+// backing array, so re-running a scenario on a reused platform allocates
+// nothing in steady state. W must not be changed after NewRunner.
 type Runner struct {
 	App     *mpi.App
 	W       Workload
@@ -250,6 +250,11 @@ type Runner struct {
 	// depends only on the armed workload and the application.
 	info core.Info
 
+	// What every phase of the armed workload shares, derived once.
+	plan       plan
+	fileBytes  int64
+	phaseBytes int64
+
 	// runFn is r.Run bound once, so starting the runner does not allocate
 	// a method-value closure per run.
 	runFn func(p *sim.Proc)
@@ -257,7 +262,13 @@ type Runner struct {
 
 // NewRunner builds a runner; session may be nil for uncoordinated runs.
 func NewRunner(app *mpi.App, w Workload, session *core.Session, gran Granularity) *Runner {
-	return &Runner{App: app, W: w.withDefaults(), Session: session, Gran: gran}
+	w = w.withDefaults()
+	return &Runner{
+		App: app, W: w, Session: session, Gran: gran,
+		plan:       w.planFor(app),
+		fileBytes:  w.FileBytes(app.Procs),
+		phaseBytes: w.PhaseBytes(app.Procs),
+	}
 }
 
 // Reset clears the per-run statistics (retaining their backing) and drops
@@ -294,7 +305,7 @@ func (r *Runner) Start(t float64) *sim.Proc {
 // IO(0) C(0) IO(1) C(1) ... IO(n-1); an Adaptive workload may swap an
 // IO(k)/C(k) pair when the file system is busy at IO(k)'s start.
 func (r *Runner) Run(p *sim.Proc) {
-	w := r.W
+	w := &r.W
 	for phase := 0; phase < w.Phases; phase++ {
 		computeAfter := phase < w.Phases-1 && w.ComputeTime > 0
 		if w.Adaptive && r.Session != nil && computeAfter && r.Session.C.SystemBusy() {
@@ -325,9 +336,8 @@ func (r *Runner) record(kind timeline.Kind, start, end float64) {
 
 func (r *Runner) runPhase(p *sim.Proc, phase int) {
 	app := r.App
-	w := r.W
-	pl := w.planFor(app)
-	phaseBytes := w.PhaseBytes(app.Procs)
+	w := &r.W
+	pl := &r.plan
 
 	// The observed I/O time starts when the application *wants* to write:
 	// time spent waiting for authorization is part of the phase, exactly as
@@ -335,7 +345,7 @@ func (r *Runner) runPhase(p *sim.Proc, phase int) {
 	ps := PhaseStat{Start: p.Now()}
 	if r.Session != nil {
 		if r.info == nil {
-			r.info = Info(app, w)
+			r.info = Info(app, *w)
 		}
 		t0 := p.Now()
 		r.Session.Begin(p, r.info)
@@ -401,7 +411,7 @@ func (r *Runner) runPhase(p *sim.Proc, phase int) {
 	}
 
 	ps.End = p.Now()
-	ps.Bytes = phaseBytes
+	ps.Bytes = r.phaseBytes
 	r.Stats.Phases = append(r.Stats.Phases, ps)
 	if r.Session != nil {
 		r.Session.End(p)

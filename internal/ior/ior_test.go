@@ -1,9 +1,9 @@
 package ior
 
 import (
-	"math"
 	"testing"
 
+	"repro/internal/approx"
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/pfs"
@@ -11,11 +11,6 @@ import (
 )
 
 const miB = int64(1) << 20
-
-func almostEq(a, b, tol float64) bool {
-	d := math.Abs(a - b)
-	return d <= tol*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-}
 
 func newPlatform() *mpi.Platform {
 	eng := sim.NewEngine()
@@ -86,7 +81,7 @@ func TestRunContiguousAloneTiming(t *testing.T) {
 		t.Fatalf("phases = %d", len(r.Stats.Phases))
 	}
 	want := 256.0 / 64.0
-	if got := r.Stats.TotalIOTime(); !almostEq(got, want, 1e-6) {
+	if got := r.Stats.TotalIOTime(); !approx.Equal(got, want, 1e-6) {
 		t.Fatalf("io time = %v, want %v", got, want)
 	}
 	if got := r.Stats.TotalBytes(); got != 256*miB {
@@ -96,10 +91,10 @@ func TestRunContiguousAloneTiming(t *testing.T) {
 	if ph.CommTime != 0 {
 		t.Fatalf("contiguous should have no comm time, got %v", ph.CommTime)
 	}
-	if !almostEq(ph.WriteTime, want, 1e-6) {
+	if !approx.Equal(ph.WriteTime, want, 1e-6) {
 		t.Fatalf("write time = %v", ph.WriteTime)
 	}
-	if !almostEq(ph.Throughput(), 64*float64(miB), 1e-6) {
+	if !approx.Equal(ph.Throughput(), 64*float64(miB), 1e-6) {
 		t.Fatalf("throughput = %v", ph.Throughput())
 	}
 }
@@ -121,7 +116,7 @@ func TestRunStridedHasCommPhases(t *testing.T) {
 	if ph.WriteTime <= 0 {
 		t.Fatal("no write time recorded")
 	}
-	if !almostEq(ph.IOTime(), ph.CommTime+ph.WriteTime, 1e-6) {
+	if !approx.Equal(ph.IOTime(), ph.CommTime+ph.WriteTime, 1e-6) {
 		t.Fatalf("phase %v != comm %v + write %v", ph.IOTime(), ph.CommTime, ph.WriteTime)
 	}
 }
@@ -142,7 +137,7 @@ func TestMultiplePhasesWithComputeTime(t *testing.T) {
 	// Phase k starts >= 5s after phase k-1 ended.
 	for i := 1; i < 3; i++ {
 		gap := r.Stats.Phases[i].Start - r.Stats.Phases[i-1].End
-		if !almostEq(gap, 5, 1e-9) {
+		if !approx.Equal(gap, 5, 1e-9) {
 			t.Fatalf("gap %d = %v, want 5", i, gap)
 		}
 	}
@@ -241,7 +236,7 @@ func TestLastRoundPartial(t *testing.T) {
 		t.Fatalf("bytes = %d, want all written", got)
 	}
 	// Injection 16 MiB/s: exactly 2.5s.
-	if got := r.Stats.TotalIOTime(); !almostEq(got, 2.5, 1e-6) {
+	if got := r.Stats.TotalIOTime(); !approx.Equal(got, 2.5, 1e-6) {
 		t.Fatalf("time = %v, want 2.5", got)
 	}
 }
@@ -257,7 +252,7 @@ func TestReadWorkload(t *testing.T) {
 	r.Start(0)
 	pl.Eng.Run()
 	// Same contention model as writes: injection-bound at 64 MiB/s.
-	if got := r.Stats.TotalIOTime(); !almostEq(got, 4.0, 1e-6) {
+	if got := r.Stats.TotalIOTime(); !approx.Equal(got, 4.0, 1e-6) {
 		t.Fatalf("read io time = %v, want 4.0", got)
 	}
 	if WriteAccess.String() != "write" || ReadAccess.String() != "read" {

@@ -291,6 +291,11 @@ func (f *File) transfer(p *sim.Proc, req Request, dir string) float64 {
 	if req.RateCap > 0 {
 		perCap = req.RateCap / float64(touched)
 	}
+	// One fill for the whole stripe, not one per touched server.
+	fb := sys.cfg.Fabric
+	if fb != nil {
+		fb.Hold()
+	}
 	for i, b := range per {
 		if b == 0 {
 			continue
@@ -306,6 +311,9 @@ func (f *File) transfer(p *sim.Proc, req Request, dir string) float64 {
 		r.client = req.ClientLink
 		r.wg = wg
 		r.sv.submit(r)
+	}
+	if fb != nil {
+		fb.Release()
 	}
 	wg.Wait(p)
 	sys.putWG(wg)

@@ -1,19 +1,14 @@
 package pfs
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/approx"
 	"repro/internal/fabric"
 	"repro/internal/sim"
 )
-
-func almostEq(a, b, tol float64) bool {
-	d := math.Abs(a - b)
-	return d <= tol*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-}
 
 // naivePerServer is the obvious O(length/stripe) reference implementation.
 func naivePerServer(offset, length, stripe int64, nservers, first int) []int64 {
@@ -131,7 +126,7 @@ func TestWriteAlone(t *testing.T) {
 	})
 	eng.Run()
 	// 400 MiB over 4 servers at 100 MiB/s each -> 1 second.
-	if !almostEq(elapsed, 1.0, 1e-6) {
+	if !approx.Equal(elapsed, 1.0, 1e-6) {
 		t.Fatalf("elapsed = %v, want 1.0", elapsed)
 	}
 }
@@ -146,7 +141,7 @@ func TestWriteInjectionCap(t *testing.T) {
 		elapsed = f.Write(p, Request{App: "a", Length: 400 << 20, Weight: 4, RateCap: 100 << 20})
 	})
 	eng.Run()
-	if !almostEq(elapsed, 4.0, 1e-6) {
+	if !approx.Equal(elapsed, 4.0, 1e-6) {
 		t.Fatalf("elapsed = %v, want 4.0 (injection limited)", elapsed)
 	}
 }
@@ -164,7 +159,7 @@ func TestTwoWritersShare(t *testing.T) {
 	})
 	eng.Run()
 	// Equal weights: both take 2x the alone time.
-	if !almostEq(ta, 2.0, 1e-6) || !almostEq(tb, 2.0, 1e-6) {
+	if !approx.Equal(ta, 2.0, 1e-6) || !approx.Equal(tb, 2.0, 1e-6) {
 		t.Fatalf("ta=%v tb=%v, want 2.0 both", ta, tb)
 	}
 }
@@ -188,7 +183,7 @@ func TestWeightProportionalCrush(t *testing.T) {
 	}
 	// Small app alone would need 10/400 s = 0.025s; in contention its share
 	// is 400*(1/43) MiB/s -> ~1.07s.
-	if !almostEq(tb, 10.0/(400.0/43.0), 1e-3) {
+	if !approx.Equal(tb, 10.0/(400.0/43.0), 1e-3) {
 		t.Fatalf("tb = %v, want ~1.075", tb)
 	}
 }
@@ -209,10 +204,10 @@ func TestFIFOServersServeOneAtATime(t *testing.T) {
 	})
 	eng.Run()
 	// A runs alone (~1s), B queues behind it on every server (~2s total).
-	if !almostEq(ta, 1.0, 1e-3) {
+	if !approx.Equal(ta, 1.0, 1e-3) {
 		t.Fatalf("ta = %v, want ~1.0 under FIFO", ta)
 	}
-	if !almostEq(tb, 2.0, 1e-3) {
+	if !approx.Equal(tb, 2.0, 1e-3) {
 		t.Fatalf("tb = %v, want ~2.0 under FIFO", tb)
 	}
 }
@@ -237,7 +232,7 @@ func TestExclusiveServesAppAtATime(t *testing.T) {
 	if done["a"] >= done["b"] {
 		t.Fatalf("app a should finish first: %v", done)
 	}
-	if !almostEq(done["a"], 0.5, 1e-3) || !almostEq(done["b"], 1.0, 1e-3) {
+	if !approx.Equal(done["a"], 0.5, 1e-3) || !approx.Equal(done["b"], 1.0, 1e-3) {
 		t.Fatalf("done = %v, want a~0.5 b~1.0", done)
 	}
 }
@@ -274,7 +269,7 @@ func TestConfigValidate(t *testing.T) {
 func TestAggregateBW(t *testing.T) {
 	eng := sim.NewEngine()
 	fs := New(eng, defaultCfg())
-	if got := fs.AggregateBW(); !almostEq(got, 4*100<<20, 1e-12) {
+	if got := fs.AggregateBW(); !approx.Equal(got, 4*100<<20, 1e-12) {
 		t.Fatalf("aggregate = %v", got)
 	}
 }
@@ -298,7 +293,7 @@ func TestFabricModeWrite(t *testing.T) {
 		elapsed = f.Write(p, Request{App: "a", Length: 400 << 20, Weight: 4, ClientLink: nicA})
 	})
 	eng.Run()
-	if !almostEq(elapsed, 4.0, 1e-6) {
+	if !approx.Equal(elapsed, 4.0, 1e-6) {
 		t.Fatalf("elapsed = %v, want 4.0 (NIC bound)", elapsed)
 	}
 }
@@ -328,7 +323,7 @@ func TestFabricModeGlobalMaxMin(t *testing.T) {
 	if tSmall < 2 {
 		t.Fatalf("small app finished too fast under contention: %v (want > 2x alone)", tSmall)
 	}
-	if !almostEq(tBig, 720.0/(400.0*42.0/43.0), 1e-3) {
+	if !approx.Equal(tBig, 720.0/(400.0*42.0/43.0), 1e-3) {
 		t.Fatalf("big app time %v, want ~1.84", tBig)
 	}
 	if tBig > tSmall {
@@ -356,7 +351,7 @@ func TestReadAlone(t *testing.T) {
 		elapsed = f.Read(p, Request{App: "a", Length: 400 << 20, Weight: 4})
 	})
 	eng.Run()
-	if !almostEq(elapsed, 1.0, 1e-6) {
+	if !approx.Equal(elapsed, 1.0, 1e-6) {
 		t.Fatalf("read elapsed = %v, want 1.0", elapsed)
 	}
 }
@@ -374,7 +369,7 @@ func TestReaderInterferesWithWriter(t *testing.T) {
 	})
 	eng.Run()
 	// Disk heads and NICs are shared across directions: both take 2x.
-	if !almostEq(tw, 2.0, 1e-6) || !almostEq(tr, 2.0, 1e-6) {
+	if !approx.Equal(tw, 2.0, 1e-6) || !approx.Equal(tr, 2.0, 1e-6) {
 		t.Fatalf("tw=%v tr=%v, want 2.0 both", tw, tr)
 	}
 }

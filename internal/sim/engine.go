@@ -1,10 +1,12 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // The engine advances a virtual clock by executing events in (time, sequence)
-// order. Simulated processes are goroutines that run one at a time under a
-// strict handshake with the scheduler, so a simulation is fully deterministic
-// regardless of GOMAXPROCS: at any instant either the scheduler or exactly
-// one process goroutine is runnable.
+// order. Simulated processes are coroutines (iter.Pull) that the scheduler
+// switches into and that switch back when they park, on the scheduler's own
+// thread, so a simulation is fully deterministic regardless of GOMAXPROCS: at
+// any instant either the scheduler or exactly one process is running. Each
+// pooled Proc keeps its coroutine for every body it later runs; see Proc for
+// what that means for a discarded engine and for a body that panics.
 //
 // Time is a float64 number of seconds. Ties are broken by event creation
 // order, so schedules built in the same order replay identically.
@@ -19,6 +21,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"runtime"
 )
 
 // record is the engine-internal scheduled-callback state. Records are stored
@@ -102,17 +105,17 @@ type Engine struct {
 	// fire or are cancelled, so steady-state scheduling does not allocate.
 	free []*record
 
-	// yield is signalled by a process goroutine when it parks or exits,
-	// returning control to the scheduler.
-	yield chan struct{}
-
-	// procFree holds pooled procs (channel + wake timer + bound closures;
-	// no goroutine while idle) ready for reuse by Go/GoAt. Finished procs
-	// first land on procRetired — not directly on the free list — so a
-	// *Proc handle returned by Go stays valid (Done, Name) for the rest of
-	// the run; Reset moves retired procs to the free list.
+	// procFree holds pooled procs (coroutine + wake timer + bound closure)
+	// ready for reuse by Go/GoAt. Finished procs first land on procRetired —
+	// not directly on the free list — so a *Proc handle returned by Go stays
+	// valid (Done, Name) for the rest of the run; Reset moves retired procs
+	// to the free list.
 	procFree    []*Proc
 	procRetired []*Proc
+
+	// coros is what the cleanup registered in NewEngine stops once the
+	// engine is unreachable.
+	coros *coroSet
 
 	procs   int // live (started, not finished) processes
 	stopped bool
@@ -133,7 +136,9 @@ func (f TracerFunc) Trace(now float64, format string, args ...any) { f(now, form
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{yield: make(chan struct{})}
+	e := &Engine{coros: new(coroSet)}
+	runtime.AddCleanup(e, (*coroSet).stop, e.coros)
+	return e
 }
 
 // Now returns the current virtual time in seconds.
@@ -261,7 +266,7 @@ func (e *Engine) Pending() int { return len(e.events) + len(e.zq) - e.zhead }
 // point on one engine and stop paying the per-run event allocations (the
 // delta package's sweep workers do exactly this).
 //
-// Reset panics if live processes remain: their goroutines are parked on
+// Reset panics if live processes remain: their coroutines are parked on
 // state the reset would orphan. Pending events are dropped, their
 // cancellation handles detached (a stale Cancel stays a no-op) and
 // Timer-owned records disarmed in place, so owners may re-arm their Timers

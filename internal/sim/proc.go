@@ -1,31 +1,38 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a simulated process: a goroutine that runs exclusively while all
-// other goroutines (including the scheduler) are blocked. Procs communicate
-// and synchronize only through the engine, never through Go channels of
-// their own, which keeps runs deterministic.
+// Proc is a simulated process: a coroutine that runs exclusively while the
+// scheduler and every other process are suspended. Procs communicate and
+// synchronize only through the engine, never through Go channels of their
+// own, which keeps runs deterministic.
 //
-// Procs are pooled: when a body returns, its goroutine exits and the proc
-// (channel, wake timer, bound closures) parks on a retired list; Engine.Reset
-// moves retired procs to a free list for reuse by later Go/GoAt calls, which
-// spawn a fresh goroutine per body. A *Proc handle therefore stays valid —
-// Done, Name — until the engine is reset, and must not be retained across a
-// Reset. An idle pooled proc holds no goroutine, so discarding an engine
-// leaks nothing.
+// Procs are pooled with their coroutine: when a body returns the proc parks
+// on a retired list and Engine.Reset moves it to a free list, so a later
+// Go/GoAt runs its body on the coroutine built with the proc — no goroutine
+// spawned, no stack regrown, nothing allocated. A *Proc handle therefore
+// stays valid — Done, Name — until the engine is reset, and must not be
+// retained across a Reset.
+//
+// An idle coroutine references no Proc and hence no Engine, and a cleanup on
+// the engine stops them all when it is collected, so discarding an engine
+// leaks nothing; a proc abandoned mid-body (or launched and never run) pins
+// its engine. A panic in a body surfaces from Run or RunUntil on the caller's
+// goroutine with the proc marked done; its coroutine is gone, so the proc is
+// not pooled again. A body must not call runtime.Goexit (no t.FailNow).
 type Proc struct {
 	eng  *Engine
 	name string
-	run  chan struct{} // scheduler -> proc token
+	co   *coro
 	done bool
 	body func(p *Proc)
 
-	// transferFn and bodyFn are p.transfer / p.runBody bound once, so
-	// posting wake-ups and spawning the per-body goroutine never allocate
-	// method-value closures.
+	// transferFn is p.transfer bound once, so posting wake-ups never
+	// allocates a method-value closure.
 	transferFn func()
-	bodyFn     func()
 
 	// wake is the reusable timer that resumes a sleeping proc. A proc has
 	// at most one pending sleep, so a single owned record suffices and
@@ -36,6 +43,55 @@ type Proc struct {
 	// resumer is the handle Suspend returns: a proc is parked in at most one
 	// place, so one embedded handle serves every wait.
 	resumer Resumer
+}
+
+// coro is the coroutine a pooled proc runs its bodies on: next switches into
+// it and yield back, on the calling thread, with no trip through the Go
+// scheduler. p is nil while it idles between bodies (see Proc).
+type coro struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	p     *Proc
+}
+
+// coroSet lists every coroutine an engine built, for the engine's cleanup;
+// it must not reference the engine.
+type coroSet struct{ all []*coro }
+
+func (s *coroSet) stop() {
+	for _, c := range s.all {
+		c.stop()
+	}
+}
+
+// loop runs the proc's body, idles in yield until the next Go/GoAt on the
+// pooled proc transfers in, and repeats until stopped.
+func (c *coro) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		c.runBody()
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+func (c *coro) runBody() {
+	p := c.p
+	e := p.eng
+	returned := false
+	defer func() {
+		c.p = nil
+		p.done = true
+		p.body = nil
+		e.procs--
+		if returned { // a panic ends the coroutine: nothing left to pool
+			e.procRetired = append(e.procRetired, p)
+		}
+	}()
+	p.body(p)
+	returned = true
 }
 
 // Go starts body as a new process at the current time. The body runs when
@@ -53,6 +109,7 @@ func (e *Engine) GoAt(t float64, name string, body func(p *Proc)) *Proc {
 	p.name = name
 	p.body = body
 	p.done = false
+	p.co.p = p
 	e.procs++
 	// The wake timer is necessarily unarmed here (the proc is not running),
 	// so it can carry the start event.
@@ -60,52 +117,31 @@ func (e *Engine) GoAt(t float64, name string, body func(p *Proc)) *Proc {
 	return p
 }
 
-// getProc pops a pooled proc or builds a fresh one, then spawns the
-// goroutine that will run exactly one body and exit. The goroutine is
-// per-body — never parked idle — so an engine that falls out of scope is
-// ordinary garbage; only the proc's channel, timer and closures recycle.
+// getProc pops a pooled proc or builds a fresh one with its coroutine.
 func (e *Engine) getProc() *Proc {
-	var p *Proc
 	if n := len(e.procFree); n > 0 {
-		p = e.procFree[n-1]
+		p := e.procFree[n-1]
 		e.procFree[n-1] = nil
 		e.procFree = e.procFree[:n-1]
-	} else {
-		p = &Proc{eng: e, run: make(chan struct{})}
-		p.transferFn = p.transfer
-		p.bodyFn = p.runBody
-		p.wake = e.NewTimer(p.transferFn)
+		return p
 	}
-	go p.bodyFn()
+	c := &coro{}
+	c.next, c.stop = iter.Pull(c.loop)
+	e.coros.all = append(e.coros.all, c)
+	p := &Proc{eng: e, co: c}
+	p.transferFn = p.transfer
+	p.wake = e.NewTimer(p.transferFn)
 	return p
 }
 
-func (p *Proc) runBody() {
-	<-p.run // wait for the scheduler to hand over control
-	e := p.eng
-	defer func() {
-		p.done = true
-		p.body = nil
-		e.procs--
-		e.procRetired = append(e.procRetired, p)
-		e.yield <- struct{}{}
-	}()
-	p.body(p)
-}
+// transfer switches to the proc's coroutine and returns when it parks or its
+// body ends. Must be called from scheduler context (inside an event callback).
+func (p *Proc) transfer() { p.co.next() }
 
-// transfer hands control to the proc goroutine and blocks until it parks or
-// exits. Must be called from scheduler context (inside an event callback).
-func (p *Proc) transfer() {
-	p.run <- struct{}{}
-	<-p.eng.yield
-}
-
-// park blocks the proc until something calls resume. Must be called from the
-// proc's own goroutine.
-func (p *Proc) park() {
-	p.eng.yield <- struct{}{}
-	<-p.run
-}
+// park switches back to the scheduler until something transfers in again.
+// Must be called from the proc's own body. A coroutine parked here is never
+// stopped — its proc pins the engine — so yield's result says nothing.
+func (p *Proc) park() { p.co.yield(struct{}{}) }
 
 // Name returns the process name given to Go.
 func (p *Proc) Name() string { return p.name }
@@ -176,7 +212,7 @@ func (r *Resumer) Resume() {
 func (r *Resumer) Fired() bool { return r.fired }
 
 // Park parks the process; it returns when the associated Resumer fires.
-// Park must be called from the process's own goroutine, after installing the
+// Park must be called from the process's own body, after installing the
 // Resumer where some event will find it.
 func (r *Resumer) Park() { r.p.park() }
 
