@@ -14,6 +14,14 @@
 // handle; the internal reader goroutine that dispatches responses and
 // per-target authorization pushes is fully encapsulated.
 //
+// There is one connection machine. A Client is a stream on a connection:
+// DialOptions gives a connection of exactly one stream — the v1/v2 framing
+// elides its id — that closes with its client, and DialMux a v3 connection
+// that many Clients share, each frame carrying its stream id. Negotiation,
+// the read loop, connection loss, recovery, fail-open and resume are the
+// same code for both; the framing only decides how frames are encoded and
+// when they are flushed.
+//
 // # Fault tolerance
 //
 // A Client dialed with Options.Reconnect survives its coordinator: a lost
@@ -39,13 +47,9 @@
 package client
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -147,8 +151,8 @@ type Options struct {
 	// DegradedHist, when non-nil, observes the length in seconds of every
 	// closed degraded window, so a fleet embedding the client can expose
 	// its fail-open episodes on the same /metrics surface as the daemon.
-	// Observation happens when a window closes (connection re-adopted or
-	// final report), never on the coordination path.
+	// Observation happens when a window closes (stream resumed or final
+	// report), never on the coordination path.
 	DegradedHist *obs.Histogram
 	// Codec selects the wire encoding. Nil (or wire.JSON) speaks the v1
 	// length-prefixed JSON protocol byte for byte. wirebin.Codec negotiates
@@ -170,44 +174,29 @@ type tjournal struct {
 	holding   bool        // Wait succeeded since the last End
 }
 
-// Client is one application's connection to the coordination daemon.
+// Client is one application's session with the coordination daemon: a
+// stream on a connection.
 type Client struct {
-	addr string
-	opts Options
+	cn     *conn
+	stream uint64
+	owned  bool // the connection has no other stream and closes with the client
 
-	// cmu guards the connection state machine: the current connection and
-	// its generation, healthy/degraded/terminal mode, and the stateCh pulse
-	// callers park on while the connection is down.
-	cmu        sync.Mutex
-	conn       net.Conn
-	gen        uint64
-	healthy    bool
-	degraded   bool
-	termErr    error
-	closed     bool
-	stateCh    chan struct{} // non-nil while down/degraded; closed on any mode change
-	recovering bool          // a recoverLoop goroutine is running
-
-	// codec is the negotiated wire format, resolved once at dial (nil
-	// Options.Codec means wire.JSON) and immutable afterwards.
-	codec wire.Codec
-
-	wmu sync.Mutex
-	bw  *bufio.Writer
-	enc wire.RequestWriter // encodes into bw; rebuilt with it at adopt
+	// cmu guards the stream's state machine: healthy (its connection is up
+	// and it has resumed on it), degraded or terminal, and the stateCh pulse
+	// callers park on while it is down.
+	cmu      sync.Mutex
+	gen      uint64 // the connection generation the stream is up on
+	healthy  bool
+	degraded bool
+	termErr  error
+	closed   bool
+	stateCh  chan struct{} // non-nil while down/degraded; closed on any mode change
 
 	seq atomic.Uint64
 
 	mu      sync.Mutex
 	pending map[uint64]*pendingCall
 	err     error // terminal receive error; set once (fail-fast mode)
-
-	// mx/stream are set on clients created by Mux.Client: the shared
-	// physical connection this logical session rides and its stream id.
-	// Such a client never owns conn/bw/enc — writes go through mx and the
-	// mux read loop dispatches responses by stream id.
-	mx     *Mux
-	stream uint64
 
 	// auth caches the server's per-target view, updated by responses and by
 	// pushed grant/revoke notifications (the server echoes the resolved
@@ -229,14 +218,14 @@ type Client struct {
 	registered  bool
 	incarnation uint64
 
-	// epoch counts adopted connections; a journal whose epoch lags must
+	// epoch counts the stream's resumes; a journal whose epoch lags must
 	// resync before its target's next call.
 	epoch   atomic.Uint64
 	jmu     sync.Mutex
 	journal map[string]*tjournal
 
 	// Degraded (fail-open) accounting. pendSelf/pendDegraded are the
-	// not-yet-reported amounts a resume handshake carries to the daemon.
+	// not-yet-reported amounts a resume register carries to the daemon.
 	dmu           sync.Mutex
 	selfGrants    uint64
 	degradedSec   float64
@@ -268,36 +257,16 @@ func Dial(addr string) (*Client, error) { return DialOptions(addr, Options{}) }
 // and fails open on schedule; with FailOpen zero the initial dial must
 // succeed.
 func DialOptions(addr string, opts Options) (*Client, error) {
-	if opts.BackoffMin <= 0 {
-		opts.BackoffMin = DefaultBackoffMin
+	codec := opts.Codec
+	if codec == nil {
+		codec = wire.JSON
 	}
-	if opts.BackoffMax < opts.BackoffMin {
-		opts.BackoffMax = DefaultBackoffMax
+	cn := newConn(addr, opts, codec, false)
+	c, _ := cn.stream()
+	c.owned = true
+	if err := cn.start(); err != nil {
+		return nil, err
 	}
-	c := &Client{
-		addr:    addr,
-		opts:    opts,
-		codec:   opts.Codec,
-		pending: make(map[uint64]*pendingCall),
-		auth:    make(map[string]bool),
-		journal: make(map[string]*tjournal),
-		done:    make(chan struct{}),
-	}
-	if c.codec == nil {
-		c.codec = wire.JSON
-	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		if !opts.Reconnect || opts.FailOpen <= 0 {
-			return nil, err
-		}
-		// Start down: recoverLoop owns the dial, fail-open owns the bound.
-		c.stateCh = make(chan struct{})
-		c.recovering = true
-		go c.recoverLoop()
-		return c, nil
-	}
-	c.adopt(conn, false)
 	return c, nil
 }
 
@@ -343,93 +312,25 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	conn := c.conn
 	if c.stateCh != nil {
 		close(c.stateCh)
 		c.stateCh = nil
 	}
 	c.cmu.Unlock()
 	c.finish()
-	if c.mx != nil {
-		// A mux client owns no connection: leave the shared one alone and
-		// just remove the stream, so the daemon's idle eviction (or the mux
-		// closing) reclaims the server-side session.
-		c.mx.detach(c.stream)
-	}
+	// A mux stream leaves the shared connection alone, so the daemon's idle
+	// eviction (or the mux closing) reclaims the server-side session.
+	c.cn.detach(c.stream)
 	c.failPending(false, ErrClosed)
-	if conn != nil {
-		conn.Close()
+	if c.owned {
+		c.cn.close()
 	}
 	return nil
 }
 
-// adopt installs a (re)established connection and wakes blocked callers.
-// negotiated reports whether codec negotiation already happened on the
-// connection (the resume handshake does it before adopt); when it has not
-// and the codec is binary, the two-byte hello is buffered here — flushed
-// with the first request, so negotiation costs no round trip — and the read
-// loop strips the daemon's ack before the first frame.
-func (c *Client) adopt(conn net.Conn, negotiated bool) {
-	c.cmu.Lock()
-	c.conn = conn
-	c.gen++
-	gen := c.gen
-	c.healthy = true
-	c.recovering = false
-	if c.degraded {
-		c.degraded = false
-		c.endWindow()
-	}
-	st := c.stateCh
-	c.stateCh = nil
-	c.cmu.Unlock()
-	c.epoch.Add(1)
-	expectAck := !negotiated && c.codec.Name() != "json"
-	c.wmu.Lock()
-	c.bw = bufio.NewWriter(conn)
-	if expectAck {
-		c.bw.Write([]byte{wire.HelloMagic, wire.VersionBinary})
-	}
-	c.enc = c.codec.NewRequestWriter(c.bw)
-	c.wmu.Unlock()
-	go c.readLoop(conn, gen, expectAck)
-	if st != nil {
-		close(st)
-	}
-}
-
-// readLoop dispatches responses to their waiting callers and folds
-// unsolicited grant/revoke pushes into the cached authorization state. One
-// runs per adopted connection; on exit it reports the loss.
-func (c *Client) readLoop(conn net.Conn, gen uint64, expectAck bool) {
-	br := bufio.NewReader(conn)
-	var err error
-	if expectAck {
-		var ack [2]byte
-		if _, err = io.ReadFull(br, ack[:]); err == nil &&
-			(ack[0] != wire.HelloMagic || ack[1] != wire.VersionBinary) {
-			err = fmt.Errorf("client: bad codec negotiation ack %x", ack)
-		}
-		if err != nil {
-			c.connLost(gen, err)
-			return
-		}
-	}
-	dec := c.codec.NewResponseReader(br)
-	for {
-		var resp wire.Response
-		if err = dec.Read(&resp); err != nil {
-			break
-		}
-		c.dispatch(&resp)
-	}
-	c.connLost(gen, err)
-}
-
 // dispatch folds one received response into the client: pushes update the
 // cached authorization, replies complete their pending call. Called from the
-// single reader of whichever connection serves this client — its own read
-// loop, or the shared mux read loop.
+// single reader of the connection, in arrival order.
 func (c *Client) dispatch(resp *wire.Response) {
 	switch resp.Type {
 	case wire.TypeGrant:
@@ -458,156 +359,87 @@ func (c *Client) dispatch(resp *wire.Response) {
 	}
 }
 
-// connLost handles the death of the connection generation gen: parked calls
-// are failed (they retry through the recovery path), and either the
-// recovery goroutine starts (Reconnect) or the client dies (fail-fast).
-func (c *Client) connLost(gen uint64, cause error) {
+// down parks the stream when its connection is lost: parked calls fail
+// (they retry through recovery), and the stream waits for its resume
+// (Reconnect) or dies (fail-fast).
+func (c *Client) down(err error, reconnect bool) {
 	c.cmu.Lock()
-	if c.closed || gen != c.gen || !c.healthy {
+	if c.closed || c.termErr != nil {
 		c.cmu.Unlock()
 		return
 	}
 	c.healthy = false
-	c.conn.Close()
-	reconnect := c.opts.Reconnect
-	if reconnect {
+	if !reconnect {
+		c.termErr = err
+	} else if c.stateCh == nil {
 		c.stateCh = make(chan struct{})
-		c.recovering = true
-	} else {
-		c.termErr = fmt.Errorf("client: connection lost: %w", cause)
 	}
 	c.cmu.Unlock()
-
-	c.failPending(reconnect, fmt.Errorf("client: connection lost: %w", cause))
-	if reconnect {
-		go c.recoverLoop()
-	} else {
+	c.failPending(reconnect, err)
+	if !reconnect {
 		c.finish()
 	}
 }
 
-// recoverLoop redials with exponential backoff plus jitter until a
-// connection is adopted, the client closes, or a resume is fatally
-// rejected. When FailOpen is set and the deadline passes, the client enters
-// degraded mode (callers self-serve) while the loop keeps trying.
-func (c *Client) recoverLoop() {
-	backoff := c.opts.BackoffMin
-	var failAt time.Time
-	if c.opts.FailOpen > 0 {
-		failAt = time.Now().Add(c.opts.FailOpen)
-	}
-	for {
-		c.cmu.Lock()
-		if c.closed {
-			c.cmu.Unlock()
-			return
-		}
-		degraded := c.degraded
-		c.cmu.Unlock()
-		if !degraded && !failAt.IsZero() && time.Now().After(failAt) {
-			c.enterDegraded()
-		}
-		conn, err := net.DialTimeout("tcp", c.addr, time.Second)
-		if err == nil {
-			ferr, fatal := c.handshake(conn)
-			if ferr == nil {
-				c.adopt(conn, true)
-				return
-			}
-			conn.Close()
-			if fatal {
-				c.terminal(ferr)
-				return
-			}
-		}
-		d := backoff + time.Duration(rand.Int63n(int64(backoff)/2+1))
-		select {
-		case <-time.After(d):
-		case <-c.done:
-			return
-		}
-		if backoff *= 2; backoff > c.opts.BackoffMax {
-			backoff = c.opts.BackoffMax
-		}
-	}
-}
-
-// handshake re-registers on a fresh connection before it is adopted: the
-// resume carries the same name, the next incarnation, and the accumulated
-// degraded report, pipelined behind the codec hello when the codec is
-// binary (so adopt never re-negotiates a handshaken connection). A client
-// that never registered resumes nothing but still negotiates the codec.
-// Returns (nil, _) on success; fatal reports an unrecoverable rejection
-// (another incarnation won the name).
-func (c *Client) handshake(conn net.Conn) (error, bool) {
-	binary := c.codec.Name() != "json"
+// resume re-establishes the stream on connection gen: a registered stream
+// re-registers (same name, next incarnation, the degraded report so far)
+// through an ordinary round trip before its callers unpark; an unregistered
+// one unparks at once. It reports false when the connection must be given
+// up — lost under the register, or a retryable rejection (draining, busy)
+// that a fresh connection may not meet; a fatal rejection (another
+// incarnation won the name) ends the stream, not the connection.
+func (c *Client) resume(gen uint64) bool {
 	c.regMu.Lock()
 	registered := c.registered
-	var req wire.Request
+	req := wire.Request{Type: wire.TypeRegister, App: c.regName, Cores: c.regCores, Target: c.defTarget}
 	if registered {
 		c.incarnation++
-		req = wire.Request{
-			Seq:         c.seq.Add(1),
-			Type:        wire.TypeRegister,
-			App:         c.regName,
-			Cores:       c.regCores,
-			Target:      c.defTarget,
-			Incarnation: c.incarnation,
-		}
+		req.Incarnation = c.incarnation
 	}
 	c.regMu.Unlock()
-	if !registered && !binary {
-		return nil, false
-	}
-	var reportSelf uint64
-	var reportDeg float64
-	var hs bytes.Buffer
-	if binary {
-		hs.Write([]byte{wire.HelloMagic, wire.VersionBinary})
-	}
 	if registered {
-		reportSelf, reportDeg = c.snapshotReport()
-		req.SelfGrants = reportSelf
-		req.DegradedS = reportDeg
-		if err := c.codec.NewRequestWriter(&hs).Write(&req); err != nil {
-			return err, false
+		req.SelfGrants, req.DegradedS = c.snapshotReport()
+		if _, err := c.rawCall(gen, req); err != nil {
+			var re *ReplyError
+			if isTransport(err) || errors.As(err, &re) && wire.Retryable(re.Code) {
+				return false
+			}
+			if re != nil {
+				c.terminal(re)
+			}
+			return true // terminal now, or closed meanwhile: nothing to resume
 		}
+		c.markReported(req.SelfGrants, req.DegradedS)
 	}
+	c.up(gen)
+	return true
+}
 
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	defer conn.SetDeadline(time.Time{})
-	if _, err := conn.Write(hs.Bytes()); err != nil {
-		return err, false
+// up unparks the stream once it is back on connection gen — unless that
+// connection has already been lost again, in which case the stream stays
+// down for the next resume.
+func (c *Client) up(gen uint64) {
+	c.cn.mu.Lock()
+	defer c.cn.mu.Unlock()
+	if gen != c.cn.gen || !c.cn.up {
+		return
 	}
-	if binary {
-		var ack [2]byte
-		if _, err := io.ReadFull(conn, ack[:]); err != nil {
-			return err, false
-		}
-		if ack[0] != wire.HelloMagic || ack[1] != wire.VersionBinary {
-			return fmt.Errorf("client: bad codec negotiation ack %x", ack), false
-		}
+	c.cmu.Lock()
+	if c.closed || c.termErr != nil {
+		c.cmu.Unlock()
+		return
 	}
-	if !registered {
-		return nil, false
+	c.gen, c.healthy = gen, true
+	if c.degraded {
+		c.degraded = false
+		c.endWindow()
 	}
-	// Reading on the raw connection (no buffering) cannot over-read past
-	// the register answer, so the reader the adopted connection builds
-	// later sees a clean frame boundary.
-	dec := c.codec.NewResponseReader(conn)
-	for {
-		var resp wire.Response
-		if err := dec.Read(&resp); err != nil {
-			return err, false
-		}
-		if resp.Type != wire.TypeResp || resp.Seq != req.Seq {
-			continue // a stale push; the register answer is still coming
-		}
-		if resp.Err != "" {
-			return &ReplyError{Code: resp.Code, Msg: resp.Err}, !wire.Retryable(resp.Code)
-		}
-		c.markReported(reportSelf, reportDeg)
-		return nil, false
+	st := c.stateCh
+	c.stateCh = nil
+	c.cmu.Unlock()
+	c.epoch.Add(1)
+	if st != nil {
+		close(st)
 	}
 }
 
@@ -620,7 +452,6 @@ func (c *Client) terminal(err error) {
 		return
 	}
 	c.termErr = err
-	c.recovering = false
 	st := c.stateCh
 	c.stateCh = nil
 	c.cmu.Unlock()
@@ -630,7 +461,7 @@ func (c *Client) terminal(err error) {
 }
 
 // enterDegraded flips the client into fail-open mode: coordination verbs
-// self-serve from here until a connection is adopted.
+// self-serve from here until the stream resumes.
 func (c *Client) enterDegraded() {
 	c.cmu.Lock()
 	if c.closed || c.degraded || c.healthy {
@@ -659,8 +490,8 @@ func (c *Client) endWindow() {
 		c.degradedSec += d
 		c.pendDegraded += d
 		c.inWindow = false
-		if c.opts.DegradedHist != nil {
-			c.opts.DegradedHist.Observe(d)
+		if c.cn.opts.DegradedHist != nil {
+			c.cn.opts.DegradedHist.Observe(d)
 		}
 	}
 	c.dmu.Unlock()
@@ -679,7 +510,7 @@ func (c *Client) snapshotReport() (uint64, float64) {
 }
 
 // markReported subtracts amounts the daemon has accepted. Self-grants that
-// landed during the handshake stay pending for the next report; reported
+// landed while the register was in flight stay pending for the next report; reported
 // open-window seconds are rebased by moving the window start forward.
 func (c *Client) markReported(self uint64, deg float64) {
 	c.dmu.Lock()
@@ -720,59 +551,40 @@ func (c *Client) DegradedReport() DegradedReport {
 	return r
 }
 
-// mode reads the connection state machine for the retry loop.
-type mode int
-
-const (
-	modeHealthy mode = iota
-	modeDown
-	modeDegraded
-	modeTerminal
-	modeClosed
-)
-
-func (c *Client) mode() (mode, chan struct{}, error) {
-	c.cmu.Lock()
-	defer c.cmu.Unlock()
-	switch {
-	case c.closed:
-		return modeClosed, nil, ErrClosed
-	case c.termErr != nil:
-		return modeTerminal, nil, c.termErr
-	case c.degraded:
-		return modeDegraded, nil, nil
-	case c.healthy:
-		return modeHealthy, nil, nil
-	default:
-		return modeDown, c.stateCh, nil
-	}
-}
-
-// await parks until the connection state changes from down, returning the
-// mode that ended the wait.
-func (c *Client) await() (mode, error) {
+// await parks while the stream is down. It returns the error of a closed
+// or terminal stream, whether the stream is degraded (self-serving), or the
+// connection generation it is up on.
+func (c *Client) await() (uint64, bool, error) {
 	for {
-		m, st, err := c.mode()
-		if m != modeDown {
-			return m, err
-		}
-		if st == nil {
-			return m, errors.New("client: connection down")
+		c.cmu.Lock()
+		gen, closed, termErr, degraded, healthy, st := c.gen, c.closed, c.termErr, c.degraded, c.healthy, c.stateCh
+		c.cmu.Unlock()
+		switch {
+		case closed:
+			return 0, false, ErrClosed
+		case termErr != nil:
+			return 0, false, termErr
+		case degraded || healthy:
+			return gen, degraded, nil
+		case st == nil:
+			return 0, false, errors.New("client: connection down")
 		}
 		select {
 		case <-st:
 		case <-c.done:
-			return modeClosed, ErrClosed
+			return 0, false, ErrClosed
 		}
 	}
 }
 
-// rawCall performs one blocking request/response round trip on the current
-// connection. Responses may be served out of order by the daemon (Wait is
-// answered only at grant time), so each call parks on its own channel keyed
-// by Seq. Failures are typed: *transportError is retryable after recovery,
-// *ReplyError is the daemon's answer.
-func (c *Client) rawCall(req wire.Request) (wire.Response, error) {
+// rawCall performs one blocking request/response round trip on connection
+// generation gen; on any other — the connection was lost since the caller
+// looked — it fails as a transport error instead of reaching a daemon that
+// has not seen this stream resume. Responses may be served out of order by
+// the daemon (Wait is answered only at grant time), so each call parks on
+// its own channel keyed by Seq. Failures are typed: *transportError is
+// retryable after recovery, *ReplyError is the daemon's answer.
+func (c *Client) rawCall(gen uint64, req wire.Request) (wire.Response, error) {
 	req.Seq = c.seq.Add(1)
 	pc := callPool.Get().(*pendingCall)
 	c.mu.Lock()
@@ -785,21 +597,7 @@ func (c *Client) rawCall(req wire.Request) (wire.Response, error) {
 	c.pending[req.Seq] = pc
 	c.mu.Unlock()
 
-	var err error
-	if c.mx != nil {
-		err = c.mx.send(c.stream, &req)
-	} else {
-		c.wmu.Lock()
-		if c.enc == nil {
-			err = errors.New("not connected")
-		} else {
-			if err = c.enc.Write(&req); err == nil {
-				err = c.bw.Flush()
-			}
-		}
-		c.wmu.Unlock()
-	}
-	if err != nil {
+	if err := c.cn.send(gen, c.stream, &req); err != nil {
 		// Reclaim the entry — unless a concurrent connection-loss sweep (or
 		// a response racing the send failure) already took it, in which case
 		// a completion is in flight and must be drained before reuse.
@@ -833,62 +631,58 @@ func (c *Client) rawCall(req wire.Request) (wire.Response, error) {
 	return comp.resp, nil
 }
 
-// call wraps rawCall with the recovery loop for requests with no per-target
-// journal (stats): transport errors wait out the outage and retry;
-// retryable daemon errors force a reconnect cycle (draining) or an
-// in-place backoff (busy/overloaded) first.
-func (c *Client) call(req wire.Request) (wire.Response, error) {
+// retry is the one robust round trip every call makes. attempt runs one
+// try on an up stream; degraded answers instead once the stream has failed
+// open. While the stream is down the call parks until recovery; with
+// Reconnect, transport errors retry after it, and retryable daemon errors
+// first cycle the connection (draining) or back off in place
+// (busy/overloaded). Without Reconnect every error is final.
+func (c *Client) retry(attempt func(gen uint64) (wire.Response, error), degraded func() (wire.Response, error)) (wire.Response, error) {
 	overload := 0
 	for {
-		m, _, err := c.mode()
-		switch m {
-		case modeClosed, modeTerminal:
+		gen, d, err := c.await()
+		if err != nil {
 			return wire.Response{}, err
-		case modeDegraded:
-			return wire.Response{}, errors.New("client: degraded: coordinator unreachable")
-		case modeDown:
-			if _, err := c.await(); err != nil {
-				return wire.Response{}, err
-			}
-			continue
 		}
-		resp, err := c.rawCall(req)
-		if err == nil {
-			return resp, nil
+		if d {
+			return degraded()
 		}
-		if !c.opts.Reconnect {
+		resp, err := attempt(gen)
+		if err == nil || !c.cn.opts.Reconnect {
 			return resp, err
 		}
 		if isTransport(err) {
-			continue // loop re-reads mode and parks in await
+			continue // the connection died under the call; park until recovery
 		}
 		var re *ReplyError
-		if errors.As(err, &re) && wire.Retryable(re.Code) {
-			if overload = c.retryReply(re.Code, overload); overload < 0 {
-				return wire.Response{}, ErrClosed
-			}
-			continue
+		if !errors.As(err, &re) || !wire.Retryable(re.Code) {
+			return resp, err
 		}
-		return resp, err
+		if overload = c.retryReply(re.Code, overload, gen); overload < 0 {
+			return wire.Response{}, ErrClosed
+		}
 	}
 }
 
 // retryReply handles one retryable daemon error inside a retry loop:
-// draining cycles the connection (the daemon is going away; the successor
-// is reached by redial), while the overload codes — busy at admission,
-// overloaded under shedding or rate limiting — back off in place, because
+// draining loses connection generation gen, the one the reply came on (the
+// daemon is going away; the successor is reached by redial), while the
+// overload codes — busy at admission, overloaded under shedding or rate
+// limiting — back off in place, because
 // the connection is healthy and cycling it would only add load to a daemon
 // already protecting itself. attempt counts prior overload backoffs (for
 // the exponential schedule); the return is the next attempt count, or -1
 // when the client closed mid-backoff and the caller must give up.
-func (c *Client) retryReply(code string, attempt int) int {
+func (c *Client) retryReply(code string, attempt int, gen uint64) int {
 	if code == wire.CodeDraining {
-		c.kickReconnect()
+		// Synchronously, as the reader would on seeing the connection die:
+		// the retry then parks until recovery.
+		c.cn.connLost(gen, errors.New("daemon draining"))
 		return attempt
 	}
-	d := c.opts.BackoffMin << min(attempt, 16)
-	if d <= 0 || d > c.opts.BackoffMax {
-		d = c.opts.BackoffMax
+	d := c.cn.opts.BackoffMin << min(attempt, 16)
+	if d <= 0 || d > c.cn.opts.BackoffMax {
+		d = c.cn.opts.BackoffMax
 	}
 	d += time.Duration(rand.Int63n(int64(d)/2 + 1))
 	select {
@@ -897,23 +691,6 @@ func (c *Client) retryReply(code string, attempt int) int {
 	case <-c.done:
 		return -1
 	}
-}
-
-// kickReconnect force-cycles the current connection (the daemon said it is
-// draining): closing it makes the read loop exit into the recovery path.
-func (c *Client) kickReconnect() {
-	if c.mx != nil {
-		c.mx.kick()
-		return
-	}
-	c.cmu.Lock()
-	if c.healthy && c.conn != nil {
-		c.conn.Close()
-	}
-	c.cmu.Unlock()
-	// Give the read loop a moment to observe the close; await handles the
-	// rest once connLost has run.
-	time.Sleep(time.Millisecond)
 }
 
 func (c *Client) setAuth(target string, v bool) {
@@ -943,8 +720,8 @@ func (c *Client) journalFor(target string) *tjournal {
 // reset the session's protocol state at rebind, so the stacked prepares,
 // the open phase, and — when the client held authorization — a blocking
 // re-acquiring Wait are re-issued before the interrupted call retries.
-func (c *Client) ensureSynced(t Target) error {
-	if !c.opts.Reconnect {
+func (c *Client) ensureSynced(t Target, gen uint64) error {
+	if !c.cn.opts.Reconnect {
 		return nil
 	}
 	c.regMu.Lock()
@@ -960,7 +737,7 @@ func (c *Client) ensureSynced(t Target) error {
 	}
 	j.epoch = cur
 	redrive := func(req wire.Request) error {
-		if _, err := c.rawCall(req); err != nil {
+		if _, err := c.rawCall(gen, req); err != nil {
 			j.epoch = 0 // resync again after the next recovery
 			return err
 		}
@@ -1033,52 +810,20 @@ func (c *Client) selfServe(t Target, req wire.Request) wire.Response {
 }
 
 // invoke is the robust round trip for one coordination verb on one target:
-// degraded mode self-serves, a stale journal resyncs first, transport
-// errors wait out the outage and retry, and retryable daemon errors force
-// a reconnect cycle (draining) or an in-place backoff (busy/overloaded).
-// On success the journal advances.
+// degraded mode self-serves, a stale journal resyncs first, and on success
+// the journal advances.
 func (t Target) invoke(req wire.Request) (wire.Response, error) {
 	c := t.c
-	overload := 0
-	for {
-		m, _, err := c.mode()
-		switch m {
-		case modeClosed, modeTerminal:
-			return wire.Response{}, err
-		case modeDegraded:
-			return c.selfServe(t, req), nil
-		case modeDown:
-			if _, err := c.await(); err != nil {
-				return wire.Response{}, err
-			}
-			continue
-		}
-		if err := c.ensureSynced(t); err != nil {
-			if isTransport(err) && c.opts.Reconnect {
-				continue
-			}
+	return c.retry(func(gen uint64) (wire.Response, error) {
+		if err := c.ensureSynced(t, gen); err != nil {
 			return wire.Response{}, err
 		}
-		resp, err := c.rawCall(req)
+		resp, err := c.rawCall(gen, req)
 		if err == nil {
 			c.journalFor(t.resolved()).note(req.Type, core.Info(req.Info))
-			return resp, nil
-		}
-		if !c.opts.Reconnect {
-			return resp, err
-		}
-		if isTransport(err) {
-			continue
-		}
-		var re *ReplyError
-		if errors.As(err, &re) && wire.Retryable(re.Code) {
-			if overload = c.retryReply(re.Code, overload); overload < 0 {
-				return wire.Response{}, ErrClosed
-			}
-			continue
 		}
 		return resp, err
-	}
+	}, func() (wire.Response, error) { return c.selfServe(t, req), nil })
 }
 
 // Target is a handle for one storage target's coordination domain: the
@@ -1136,56 +881,30 @@ func (c *Client) RegisterOn(name string, cores int, target string) error {
 		c.traceReg.Store(true)
 		c.rec(trace.Event{Type: trace.EvRegister, Time: at, App: name, Cores: int32(cores), Target: target})
 	}
-	overload := 0
-	for {
-		m, _, err := c.mode()
-		switch m {
-		case modeClosed, modeTerminal:
-			return err
-		case modeDegraded:
-			// Fail-open before the daemon ever heard of us: the session runs
-			// uncoordinated and registers (reporting the lapse) on recovery.
-			commit()
-			return nil
-		case modeDown:
-			if _, err := c.await(); err != nil {
-				return err
-			}
-			continue
-		}
-		req := wire.Request{Type: wire.TypeRegister, App: name, Cores: cores, Target: target}
-		if c.opts.Reconnect {
+	req := wire.Request{Type: wire.TypeRegister, App: name, Cores: cores, Target: target}
+	_, err := c.retry(func(gen uint64) (wire.Response, error) {
+		if c.cn.opts.Reconnect {
 			c.regMu.Lock()
 			c.incarnation++
 			req.Incarnation = c.incarnation
 			c.regMu.Unlock()
-			req.SelfGrants, req.DegradedS = c.snapshotReport()
 		}
-		_, err = c.rawCall(req)
+		req.SelfGrants, req.DegradedS = c.snapshotReport()
+		// A register lost in transit may still have landed; the next
+		// attempt's higher incarnation resumes it either way.
+		resp, err := c.rawCall(gen, req)
 		if err == nil {
-			if c.opts.Reconnect {
-				c.markReported(req.SelfGrants, req.DegradedS)
-			}
+			c.markReported(req.SelfGrants, req.DegradedS)
 			commit()
-			return nil
 		}
-		if !c.opts.Reconnect {
-			return err
-		}
-		if isTransport(err) {
-			// The register may have landed before the connection died; the
-			// next attempt's higher incarnation resumes it either way.
-			continue
-		}
-		var re *ReplyError
-		if errors.As(err, &re) && wire.Retryable(re.Code) {
-			if overload = c.retryReply(re.Code, overload); overload < 0 {
-				return ErrClosed
-			}
-			continue
-		}
-		return err
-	}
+		return resp, err
+	}, func() (wire.Response, error) {
+		// Fail-open before the daemon ever heard of us: the session runs
+		// uncoordinated and registers (reporting the lapse) on recovery.
+		commit()
+		return wire.Response{}, nil
+	})
+	return err
 }
 
 // Prepare stacks information about the upcoming I/O accesses on this
@@ -1332,7 +1051,11 @@ func (c *Client) End() error { return c.Target("").End() }
 // Stats fetches the daemon's live metrics snapshot. It cannot be
 // self-served: in degraded mode it errors.
 func (c *Client) Stats() (wire.Stats, error) {
-	resp, err := c.call(wire.Request{Type: wire.TypeStats})
+	resp, err := c.retry(func(gen uint64) (wire.Response, error) {
+		return c.rawCall(gen, wire.Request{Type: wire.TypeStats})
+	}, func() (wire.Response, error) {
+		return wire.Response{}, errors.New("client: degraded: coordinator unreachable")
+	})
 	if err != nil {
 		return wire.Stats{}, err
 	}

@@ -230,49 +230,80 @@ func TestStaleIncarnationRejected(t *testing.T) {
 }
 
 // TestDrainAnswersPendingWaits: a graceful drain must answer parked waits
-// with the retryable draining code instead of leaving them hanging.
+// with the retryable draining code instead of leaving them hanging — on
+// plain connections and on streams sharing a mux connection. A reconnecting
+// client instead loses the draining connection on the spot and, with no
+// successor to reach, fails the wait open.
 func TestDrainAnswersPendingWaits(t *testing.T) {
-	srv, addr := startServer(t, server.Config{})
-	a, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if err := a.Register("A", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Register("B", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.NewSession(a).Begin(info(100)); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Prepare(info(100)); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Inform(); err != nil {
-		t.Fatal(err)
-	}
-	bWait := make(chan error, 1)
-	go func() { bWait <- b.Wait() }()
-	time.Sleep(30 * time.Millisecond)
-	srv.Drain()
-	select {
-	case err := <-bWait:
-		var re *client.ReplyError
-		if !errors.As(err, &re) || re.Code != wire.CodeDraining {
-			t.Fatalf("parked wait after drain: err=%v, want code %q", err, wire.CodeDraining)
-		}
-		if !wire.Retryable(re.Code) {
-			t.Fatal("draining must be classified retryable")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("parked wait hung across drain")
+	for _, tc := range []struct {
+		name string
+		mux  bool
+		opts client.Options
+	}{
+		{"plain", false, client.Options{}},
+		{"mux", true, client.Options{}},
+		{"mux-reconnect", true, client.Options{Reconnect: true, FailOpen: 100 * time.Millisecond,
+			BackoffMin: 10 * time.Millisecond, BackoffMax: 20 * time.Millisecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, addr := startServer(t, server.Config{})
+			dial := func() (*client.Client, error) { return client.DialOptions(addr, tc.opts) }
+			if tc.mux {
+				m, err := client.DialMux(addr, tc.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer m.Close()
+				dial = m.Client
+			}
+			a, err := dial()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Close()
+			b, err := dial()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			if err := a.Register("A", 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Register("B", 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := client.NewSession(a).Begin(info(100)); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Prepare(info(100)); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Inform(); err != nil {
+				t.Fatal(err)
+			}
+			bWait := make(chan error, 1)
+			go func() { bWait <- b.Wait() }()
+			time.Sleep(30 * time.Millisecond)
+			srv.Drain()
+			select {
+			case err := <-bWait:
+				if tc.opts.Reconnect {
+					if r := b.DegradedReport(); err != nil || r.SelfGrants != 1 {
+						t.Fatalf("parked wait after drain: err=%v, %+v, want a self-grant", err, r)
+					}
+					return
+				}
+				var re *client.ReplyError
+				if !errors.As(err, &re) || re.Code != wire.CodeDraining {
+					t.Fatalf("parked wait after drain: err=%v, want code %q", err, wire.CodeDraining)
+				}
+				if !wire.Retryable(re.Code) {
+					t.Fatal("draining must be classified retryable")
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("parked wait hung across drain")
+			}
+		})
 	}
 }
 

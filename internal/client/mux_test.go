@@ -180,7 +180,8 @@ func TestRawCallAllocs(t *testing.T) {
 		}
 	})
 	// Measured 4.0 with the pool (channel + pending map entry reused);
-	// before pooling the same loop measured ~6. Headroom for runtime noise,
+	// before pooling the same loop measured ~6, and 0 since the readers and
+	// encoders reuse their message structs. Headroom for runtime noise,
 	// strict enough to catch the pool regressing.
 	if got > 5 {
 		t.Fatalf("Inform round trip allocates %.1f objects, want <= 5 (pooled pending calls)", got)

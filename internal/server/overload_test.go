@@ -301,8 +301,7 @@ func TestSlowClientDisconnect(t *testing.T) {
 	}
 	cconn, sconn := net.Pipe()
 	defer cconn.Close()
-	s := &session{conn: sconn, out: make(chan wire.Response, 1), quit: make(chan struct{})}
-	s.slowDrops = srv.m.slowDisconnects
+	s := &session{c: &conn{srv: srv, nc: sconn, out: make(chan outFrame, 1), quit: make(chan struct{})}}
 	srv.sessions[s] = struct{}{}
 	srv.handle(s, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "A", Cores: 4}) // fills the only slot
 	srv.handle(s, wire.Request{Seq: 2, Type: wire.TypeInform})                       // overflows it

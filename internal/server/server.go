@@ -36,6 +36,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -199,34 +200,17 @@ type ident struct {
 	incarnation uint64
 }
 
-// session is one client connection. The shared fields are written by the
-// control goroutine and read by reader and writer goroutines; per-target
-// coordination state lives in bindings guarded by the shards' locks.
+// session is one client session: a stream of a connection. The shared
+// fields are written by the control goroutine and read by reader and
+// writer goroutines; per-target coordination state lives in bindings
+// guarded by the shards' locks.
 type session struct {
-	conn net.Conn
-	// rd and wr are the connection's byte streams, wrapped for byte
-	// accounting when a metrics registry is configured. The reader and
-	// writer goroutines buffer on top of them.
-	rd io.Reader
-	wr io.Writer
-	// codec is the wire format negotiated from the connection's first byte
-	// (see wire.HelloMagic). serveConn completes negotiation before the
-	// session exists, so the write loop starts with the codec installed.
-	codec wire.Codec
-	out   chan wire.Response
-	quit  chan struct{} // closed at teardown; the write loop drains and exits
-	dead  atomic.Bool
-
-	// mc and stream are set on mux stream sessions only: the session is one
-	// logical stream of a shared mux connection. out and quit are nil then —
-	// responses go through mc's group-commit write loop, and teardown marks
-	// the stream dead without touching the shared connection.
-	mc     *muxConn
+	c      *conn
 	stream uint64
+	dead   atomic.Bool // torn down: later responses are dropped
 
 	id           atomic.Pointer[ident]
 	gone         atomic.Bool   // dropped; shards ignore later requests
-	torn         atomic.Bool   // teardown ran (limbo and drop may both reach it)
 	lastSeen     atomic.Uint64 // float64 bits of the last request time
 	pendingWaits atomic.Int32  // deferred Waits across all targets
 
@@ -239,12 +223,6 @@ type session struct {
 	// kindConnect envelope is enqueued and owned by the control goroutine
 	// afterwards; a successful register (or resume, or drop) disarms it.
 	handshake *time.Timer
-	// slowDrops, resolved at accept, counts this path: send disconnecting
-	// the client because its response buffer overflowed. Nil without a
-	// metrics registry. Incremented by whichever goroutine's send overflowed,
-	// hence a counter pointer rather than a trip through the control
-	// goroutine.
-	slowDrops *obs.Counter
 	// viaControl counts this session's coordination frames still in
 	// flight through the control goroutine (frames read before the
 	// session had an identity). While it is nonzero the reader keeps
@@ -257,8 +235,8 @@ type session struct {
 	// reader goroutine (shards are never removed while serving): a session
 	// nearly always addresses the target it addressed last, which saves the
 	// shard-table read lock and map lookup per request. On a mux connection
-	// the demux loop interleaves many sessions, so the entry lives with the
-	// session rather than the loop.
+	// the reader interleaves many sessions, so the entry lives with the
+	// session rather than the reader.
 	lastShard *shard
 }
 
@@ -275,51 +253,35 @@ func (s *session) disarmHandshake() {
 
 func (s *session) seen() float64 { return math.Float64frombits(s.lastSeen.Load()) }
 
-// teardown ends the session's write loop (which closes the connection).
-// Idempotent: the limbo path tears a connection down at disconnect, and the
+// teardown ends the session. Dropping the only stream of a plain
+// connection closes the connection; a mux stream's connection lives on.
+// Idempotent: the limbo path tears a session down at disconnect, and the
 // eventual drop (grace expiry, resume, shutdown) reaches here again.
 func (s *session) teardown() {
 	s.dead.Store(true)
-	if s.quit != nil && s.torn.CompareAndSwap(false, true) {
-		close(s.quit)
+	if s.c != nil && !s.c.mux {
+		s.c.teardown()
 	}
 }
 
-// send enqueues a response without ever blocking its caller, which holds a
-// shard's lock: a client too slow to drain its buffer is disconnected rather
-// than allowed to stall arbitration for everyone else.
+// send enqueues a response on the session's connection without ever
+// blocking its caller, which holds a shard's lock.
 func (s *session) send(r wire.Response) {
-	if s.dead.Load() {
-		return
-	}
-	if s.mc != nil {
-		s.mc.send(s, r)
-		return
-	}
-	if s.out == nil {
-		return
-	}
-	select {
-	case s.out <- r:
-	default:
-		s.dead.Store(true)
-		if s.slowDrops != nil {
-			s.slowDrops.Inc()
-		}
-		s.conn.Close()
+	if s.c != nil && !s.dead.Load() {
+		s.c.send(s.stream, r)
 	}
 }
 
-// replyGone answers a request that reached a dropped session. For plain
-// connections this is moot — drop tore the connection down, so the client
-// sees the disconnect — but a mux stream's connection outlives the stream,
-// and without an error reply the client would hang on the request forever.
+// replyGone answers a request that reached a dropped session. On a plain
+// connection this is moot — drop tore the connection down, so the send is
+// dropped and the client sees the disconnect — but a mux stream's
+// connection outlives the stream, and without an error reply the client
+// would hang on the request forever.
 func (s *session) replyGone(seq uint64, target string) {
-	if s.mc == nil || seq == 0 {
-		return
+	if s.c != nil && seq != 0 {
+		s.c.send(s.stream, wire.Response{Seq: seq, Type: wire.TypeResp,
+			Err: "session dropped", Code: wire.CodeProtocol, Target: target})
 	}
-	s.mc.send(s, wire.Response{Seq: seq, Type: wire.TypeResp,
-		Err: "session dropped", Code: wire.CodeProtocol, Target: target})
 }
 
 // name returns the session's registered application name, or "" before
@@ -779,24 +741,10 @@ func (srv *Server) Close() error {
 		srv.shutdown()
 	} else {
 		<-srv.loopDone
-		// Sessions whose kindConnect envelope was still queued when the
-		// loop exited were never adopted by it; tear them down here or
-		// their writer goroutines would block forever (and Close would
-		// never return). Leftover envelopes of other kinds reference
-		// sessions the loop already closed.
-		for {
-			select {
-			case env := <-srv.reqCh:
-				if env.kind == kindConnect {
-					env.s.gone.Store(true)
-					env.s.teardown()
-				}
-				continue
-			default:
-			}
-			break
-		}
 	}
+	// Every connection's writer leaves on stop and closes its connection,
+	// which ends its reader too — sessions the control loop never adopted
+	// included.
 	srv.wg.Wait()
 	return nil
 }
@@ -844,69 +792,206 @@ func (srv *Server) startSession(conn net.Conn) {
 	go srv.serveConn(conn)
 }
 
-// serveConn owns a freshly accepted connection: it negotiates the wire
-// codec first — under the handshake deadline, so a silent connection cannot
-// park in negotiation forever — and only then builds the session machinery
-// the negotiated mode needs. A mux connection gets a demux loop and a
-// shared group-commit write loop; a plain connection gets the classic
-// one-session reader/writer pair.
-func (srv *Server) serveConn(conn net.Conn) {
-	defer srv.wg.Done()
-	var rd io.Reader = conn
-	var wr io.Writer = conn
-	if srv.m != nil {
-		rd = countReader{conn, srv.m.bytesIn}
-		wr = countWriter{conn, srv.m.bytesOut}
+// maxMuxStreams bounds one connection's stream table so a misbehaving
+// client cannot grow daemon state without bound; crossing it drops the
+// connection.
+const maxMuxStreams = 1 << 16
+
+// muxWriteBufferBytes sizes a mux connection's buffered writer: larger than
+// a plain connection's 4KiB because one flush carries frames for many
+// streams.
+const muxWriteBufferBytes = 32 << 10
+
+// conn is one accepted connection and the sessions (streams) riding it,
+// served by one reader goroutine and one writer goroutine. A plain v1/v2
+// connection is a conn with exactly one implicit stream whose id the
+// framing elides; a v3 mux connection carries many, each frame prefixed by
+// its stream id. The handshake deadline, rate limit, slow-client
+// disconnect and byte counting exist once; the negotiated framing selects
+// only the encoding, the flush strategy and what a dropped stream means.
+type conn struct {
+	srv   *Server
+	nc    net.Conn
+	codec wire.Codec
+	mux   bool
+	out   chan outFrame
+	quit  chan struct{} // closed at teardown; the writer drains and exits
+	dead  atomic.Bool   // overflowed, failed or torn down: later responses are dropped
+	torn  atomic.Bool
+}
+
+// outFrame is one queued response and the stream it answers.
+type outFrame struct {
+	stream uint64
+	resp   wire.Response
+}
+
+// send enqueues one stream's response without ever blocking its caller,
+// which holds a shard's lock: a client too slow to drain the queue is
+// disconnected rather than allowed to stall arbitration for everyone else.
+// Overflow kills the whole connection — with one writer per connection
+// there is no way to disconnect a single slow stream, and a client that
+// cannot drain its socket has already lost every stream on it.
+func (c *conn) send(stream uint64, r wire.Response) {
+	if c.dead.Load() {
+		return
 	}
-	if d := srv.cfg.HandshakeTimeout; d > 0 {
-		conn.SetReadDeadline(time.Now().Add(d))
+	select {
+	case c.out <- outFrame{stream, r}:
+	default:
+		if c.dead.CompareAndSwap(false, true) {
+			if c.srv.m != nil {
+				c.srv.m.slowDisconnects.Inc()
+			}
+			c.nc.Close()
+		}
+	}
+}
+
+// teardown ends the writer, which drains what was queued and closes the
+// connection. Idempotent.
+func (c *conn) teardown() {
+	c.dead.Store(true)
+	if c.torn.CompareAndSwap(false, true) {
+		close(c.quit)
+	}
+}
+
+// oneStream reads a plain connection's frames: the framing elides the
+// stream id, so every frame belongs to the one implicit stream.
+type oneStream struct{ wire.RequestReader }
+
+func (o oneStream) Read(req *wire.Request) (uint64, error) { return 1, o.RequestReader.Read(req) }
+
+// serveConn is an accepted connection's reader goroutine. It negotiates the
+// wire codec, starts the writer, then reads frames, charges the rate limit
+// (one bucket for the physical connection, which is what the syscall
+// budget cares about) and routes each to its stream's session (see route),
+// running coordination verbs to completion itself. The first frame naming
+// a stream opens it with its own register deadline; until the first frame
+// the connection has no session, so the handshake deadline is a read
+// deadline and a silent connection cannot park here forever.
+func (srv *Server) serveConn(nc net.Conn) {
+	defer srv.wg.Done()
+	var rd io.Reader = nc
+	var wr io.Writer = nc
+	if srv.m != nil {
+		rd = countReader{nc, srv.m.bytesIn}
+		wr = countWriter{nc, srv.m.bytesOut}
+	}
+	deadline := srv.cfg.HandshakeTimeout > 0
+	if deadline {
+		nc.SetReadDeadline(time.Now().Add(srv.cfg.HandshakeTimeout))
 	}
 	br := bufio.NewReader(rd)
 	codec, mux, err := srv.negotiate(br, wr)
 	if err != nil {
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			if srv.m != nil {
-				srv.m.handshakeTimeouts.Inc()
-			}
-			srv.logf("calciomd: dropping unregistered connection: handshake timeout")
-		}
-		conn.Close()
+		srv.handshakeFailed(err)
+		nc.Close()
 		return
-	}
-	if srv.cfg.HandshakeTimeout > 0 {
-		conn.SetReadDeadline(time.Time{})
 	}
 	if srv.m != nil {
 		srv.m.conns(codec.Name(), mux).Inc()
 	}
+	queue := srv.cfg.WriteBuffer
+	if queue <= 0 {
+		queue = 256
+	}
+	var frames interface {
+		Read(*wire.Request) (uint64, error)
+	} = oneStream{codec.NewRequestReader(br)}
 	if mux {
-		srv.serveMux(conn, br, wr)
-		return
+		// One queue for every stream: scaled up from the per-session buffer
+		// so a grant storm across thousands of streams is absorbed by
+		// batching rather than tripping the overflow disconnect.
+		queue *= 16
+		frames = wirebin.NewMuxRequestReader(br)
 	}
-	s := srv.newSession(conn, rd, wr)
-	s.codec = codec
-	if !srv.announce(s) {
-		conn.Close()
-		return
-	}
+	c := &conn{srv: srv, nc: nc, codec: codec, mux: mux,
+		out: make(chan outFrame, queue), quit: make(chan struct{})}
 	srv.wg.Add(1)
-	go srv.writeLoop(s)
-	srv.readLoop(s, br)
+	go c.writeLoop(wr)
+
+	rl := srv.newRateLimiter()
+	streams := make(map[uint64]*session)
+	defer func() {
+		for _, s := range streams {
+			select {
+			case srv.reqCh <- envelope{kind: kindDisconnect, s: s}:
+			case <-srv.stop:
+			}
+		}
+		if mux && srv.m != nil {
+			srv.m.muxStreams.Add(-int64(len(streams)))
+		}
+		c.teardown()
+	}()
+	var req wire.Request
+	for {
+		req = wire.Request{}
+		sid, err := frames.Read(&req)
+		if err != nil {
+			if deadline {
+				srv.handshakeFailed(err)
+			}
+			return
+		}
+		if deadline {
+			nc.SetReadDeadline(time.Time{})
+			deadline = false
+		}
+		if req.Seq == 0 {
+			return // reserved for pushes; a zero Seq is a client bug
+		}
+		s := streams[sid]
+		if s != nil && s.gone.Load() {
+			if !mux {
+				return // the only stream was dropped: the connection goes with it
+			}
+			// The stream was dropped (idle eviction, register deadline)
+			// while the connection lived on; forget it so the frame reopens
+			// the stream below — the client is expected to register again,
+			// exactly as it would after a reconnect.
+			delete(streams, sid)
+			if srv.m != nil {
+				srv.m.muxStreams.Add(-1)
+			}
+			s = nil
+		}
+		if s == nil {
+			if len(streams) >= maxMuxStreams {
+				srv.logf("calciomd: mux connection exceeded %d streams, dropping", maxMuxStreams)
+				return
+			}
+			s = &session{c: c, stream: sid}
+			if !srv.announce(s) {
+				return
+			}
+			streams[sid] = s
+			if mux && srv.m != nil {
+				srv.m.muxStreams.Add(1)
+			}
+		}
+		admit, kill := rl.admit(srv, s, &req)
+		if kill {
+			return
+		}
+		if admit && !srv.route(s, req) {
+			return
+		}
+	}
 }
 
-// newSession builds a plain (non-mux) session for an accepted connection.
-func (srv *Server) newSession(conn net.Conn, rd io.Reader, wr io.Writer) *session {
-	buf := srv.cfg.WriteBuffer
-	if buf <= 0 {
-		buf = 256
+// handshakeFailed counts and logs a connection that reached its handshake
+// deadline before its first frame.
+func (srv *Server) handshakeFailed(err error) {
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		if srv.m != nil {
+			srv.m.handshakeTimeouts.Inc()
+		}
+		srv.logf("calciomd: dropping unregistered connection: handshake timeout")
 	}
-	s := &session{conn: conn, rd: rd, wr: wr,
-		out: make(chan wire.Response, buf), quit: make(chan struct{})}
-	if srv.m != nil {
-		s.slowDrops = srv.m.slowDisconnects
-	}
-	return s
 }
 
 // announce arms the session's register deadline and hands it to the control
@@ -1059,37 +1144,6 @@ func (srv *Server) negotiate(br *bufio.Reader, wr io.Writer) (wire.Codec, bool, 
 	return wirebin.Codec{}, hello[1] == wire.VersionBinaryMux, nil
 }
 
-// readLoop is a plain connection's reader goroutine: it decodes, charges the
-// rate limit and routes each request (see route), running coordination verbs
-// to completion itself.
-func (srv *Server) readLoop(s *session, br *bufio.Reader) {
-	dec := s.codec.NewRequestReader(br)
-	rl := srv.newRateLimiter()
-	for {
-		var req wire.Request
-		if err := dec.Read(&req); err != nil {
-			break
-		}
-		if req.Seq == 0 {
-			break // reserved for pushes; a zero Seq is a client bug
-		}
-		admit, kill := rl.admit(srv, s, &req)
-		if kill {
-			break
-		}
-		if !admit {
-			continue
-		}
-		if !srv.route(s, req) {
-			return
-		}
-	}
-	select {
-	case srv.reqCh <- envelope{kind: kindDisconnect, s: s}:
-	case <-srv.stop:
-	}
-}
-
 // rateLimiter is a per-connection token bucket, plain locals on the reader
 // goroutine: zero allocation, zero locks, refilled from the server clock so
 // injected logical clocks keep tests deterministic. Burst equals the rate
@@ -1202,37 +1256,70 @@ func (srv *Server) route(s *session, req wire.Request) bool {
 	return true
 }
 
-func (srv *Server) writeLoop(s *session) {
-	defer srv.wg.Done()
-	defer s.conn.Close()
-	bw := bufio.NewWriter(s.wr)
-	enc := s.codec.NewResponseWriter(bw)
-	write := func(resp wire.Response) {
-		if err := enc.Write(&resp); err != nil {
-			s.dead.Store(true)
+// writeLoop is the connection's writer goroutine: each wakeup drains every
+// response queued across the connection's streams into one buffered writer
+// and flushes once. A plain connection flushes as soon as its queue is
+// empty. A mux connection first steps behind the other runnable goroutines
+// — the sending reader parked the writer in the scheduler's run-next slot —
+// so responses they are about to queue join this flush instead of paying
+// for their own (group commit).
+func (c *conn) writeLoop(wr io.Writer) {
+	defer c.srv.wg.Done()
+	defer c.nc.Close()
+	size := 4096
+	if c.mux {
+		size = muxWriteBufferBytes
+	}
+	bw := bufio.NewWriterSize(wr, size)
+	enc := c.codec.NewResponseWriter(bw)
+	var resp wire.Response // the plain encoder's argument, reused
+	var scratch []byte
+	// write encodes one frame; an unencodable response is dropped, not the
+	// connection (a failed write surfaces at the flush).
+	write := func(f *outFrame) {
+		if !c.mux {
+			resp = f.resp
+			enc.Write(&resp)
+		} else if b, err := wirebin.AppendMuxResponse(scratch[:0], f.stream, &f.resp); err == nil {
+			scratch = b
+			bw.Write(b)
 		}
-		// Batch: flush only when no further response is queued.
-		if len(s.out) == 0 {
-			if err := bw.Flush(); err != nil {
-				s.dead.Store(true)
+	}
+	// flush writes everything still queued, without blocking, behind the n
+	// frames already written and commits the batch with one syscall.
+	flush := func(n int) {
+		for more := true; more; {
+			select {
+			case f := <-c.out:
+				write(&f)
+				n++
+			default:
+				more = false
 			}
+		}
+		if err := bw.Flush(); err != nil {
+			c.dead.Store(true)
+		}
+		if n > 0 && c.mux && c.srv.m != nil {
+			c.srv.m.muxBatchFrames.Observe(float64(n))
 		}
 	}
 	for {
 		select {
-		case resp := <-s.out:
-			write(resp)
-		case <-s.quit:
-			// Drain what arbitration queued before teardown.
-			for {
-				select {
-				case resp := <-s.out:
-					write(resp)
-					continue
-				default:
-				}
-				return
+		case f := <-c.out:
+			write(&f)
+			if c.mux {
+				runtime.Gosched()
 			}
+			flush(1)
+		case <-c.quit:
+			flush(0) // what arbitration queued before teardown
+			return
+		case <-c.srv.stop:
+			// Shutdown: closing the connection unblocks the reader, whose
+			// teardown path owns the per-stream disconnects.
+			flush(0)
+			return
 		}
 	}
 }
@@ -1527,7 +1614,7 @@ func codeFor(err error) string {
 
 // drop removes a session: its name is freed, every shard detaches its
 // binding (unregistering the app and re-arbitrating survivors), and the
-// write loop is released. Safe to call once per session; later calls are
+// session is torn down. Safe to call once per session; later calls are
 // no-ops.
 func (srv *Server) drop(s *session, why string) {
 	if !s.gone.CompareAndSwap(false, true) {

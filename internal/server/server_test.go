@@ -36,6 +36,25 @@ func testBindingOn(srv *Server, s *session, target string) *binding {
 	return sh.bindings[s]
 }
 
+// testSession is a session on a connection with no writer: up to n of its
+// responses queue, for queued to read back.
+func testSession(n int) *session {
+	return &session{c: &conn{out: make(chan outFrame, n), quit: make(chan struct{})}, stream: 1}
+}
+
+// queued drains the responses queued for a testSession.
+func queued(s *session) []wire.Response {
+	var out []wire.Response
+	for {
+		select {
+		case f := <-s.c.out:
+			out = append(out, f.resp)
+		default:
+			return out
+		}
+	}
+}
+
 // testBinding is testBindingOn for the default target (inline-mode tests
 // mostly drive a single shard).
 func testBinding(srv *Server, s *session) *binding {
@@ -387,19 +406,8 @@ func TestEndCancelsPendingWait(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drain := func(s *session) []wire.Response {
-		var out []wire.Response
-		for {
-			select {
-			case r := <-s.out:
-				out = append(out, r)
-			default:
-				return out
-			}
-		}
-	}
-	a := &session{out: make(chan wire.Response, 16)}
-	b := &session{out: make(chan wire.Response, 16)}
+	drain := queued
+	a, b := testSession(16), testSession(16)
 	srv.handle(a, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "A", Cores: 1})
 	srv.handle(b, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "B", Cores: 1})
 	srv.handle(a, wire.Request{Seq: 2, Type: wire.TypeInform})

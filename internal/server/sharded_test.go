@@ -26,9 +26,7 @@ func TestShardedTargetsIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hold := &session{out: make(chan wire.Response, 16)}
-	wait := &session{out: make(chan wire.Response, 16)}
-	other := &session{out: make(chan wire.Response, 16)}
+	hold, wait, other := testSession(16), testSession(16), testSession(16)
 	srv.handle(hold, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "hold", Cores: 1})
 	srv.handle(wait, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "wait", Cores: 1})
 	srv.handle(other, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "other", Cores: 1})
@@ -94,7 +92,7 @@ func TestShardedDefaultTargetRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &session{out: make(chan wire.Response, 16)}
+	s := testSession(16)
 	srv.handle(s, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "A", Cores: 1, Target: "bb0"})
 	srv.handle(s, wire.Request{Seq: 2, Type: wire.TypeInform}) // no Target: routes to bb0
 	srv.handle(s, wire.Request{Seq: 3, Type: wire.TypeWait})
@@ -114,23 +112,15 @@ func TestMaxTargetsBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &session{out: make(chan wire.Response, 16)}
+	s := testSession(16)
 	srv.handle(s, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "A", Cores: 1})
 	srv.handle(s, wire.Request{Seq: 2, Type: wire.TypeInform, Target: "t1"})
 	srv.handle(s, wire.Request{Seq: 3, Type: wire.TypeEnd, Target: "t1"})
 	srv.handle(s, wire.Request{Seq: 4, Type: wire.TypeInform, Target: "t2"})
 	srv.handle(s, wire.Request{Seq: 5, Type: wire.TypeEnd, Target: "t2"})
 	srv.handle(s, wire.Request{Seq: 6, Type: wire.TypeInform, Target: "t3"})
-	var last wire.Response
-	for {
-		select {
-		case r := <-s.out:
-			last = r
-		default:
-			goto done
-		}
-	}
-done:
+	got := queued(s)
+	last := got[len(got)-1]
 	if last.Seq != 6 || last.Err == "" || !strings.Contains(last.Err, "too many storage targets") {
 		t.Fatalf("third target not rejected: %+v", last)
 	}

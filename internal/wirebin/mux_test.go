@@ -166,7 +166,7 @@ func TestMuxSteadyStateAllocFree(t *testing.T) {
 	var req wire.Request
 	decode := func() {
 		src.Reset(stream)
-		rr.fr.br = src
+		rr.fr.r = src
 		for range reqs {
 			if _, err := rr.Read(&req); err != nil {
 				t.Fatal(err)

@@ -45,6 +45,7 @@
 package wirebin
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -160,30 +161,26 @@ func (Codec) NewResponseWriter(w io.Writer) wire.ResponseWriter {
 
 // frameReader reads uvarint-length-prefixed frames into a reused buffer.
 type frameReader struct {
-	r  io.Reader
-	br io.ByteReader
-	n  int // frames read, for error context
-	// one is the fallback single-byte scratch when r is not a ByteReader
-	// (e.g. a raw net.Conn during the client resume handshake, where
-	// buffering would over-read bytes the post-handshake reader needs).
-	one [1]byte
+	r   byteReader
+	n   int // frames read, for error context
 	buf []byte
 }
 
-func newFrameReader(r io.Reader) *frameReader {
-	fr := &frameReader{r: r}
-	fr.br, _ = r.(io.ByteReader)
-	return fr
+// byteReader is what frames are read from: the length varint a byte at a
+// time, the payload in one go.
+type byteReader interface {
+	io.Reader
+	io.ByteReader
 }
 
-func (fr *frameReader) readByte() (byte, error) {
-	if fr.br != nil {
-		return fr.br.ReadByte()
+// newFrameReader reads frames from r, buffering it unless it is already a
+// byteReader (a reader owns the stream it decodes).
+func newFrameReader(r io.Reader) *frameReader {
+	br, ok := r.(byteReader)
+	if !ok {
+		br = bufio.NewReader(r)
 	}
-	if _, err := io.ReadFull(fr.r, fr.one[:]); err != nil {
-		return 0, err
-	}
-	return fr.one[0], nil
+	return &frameReader{r: br}
 }
 
 // next reads one frame and returns its payload, valid until the next call.
@@ -192,7 +189,7 @@ func (fr *frameReader) readByte() (byte, error) {
 func (fr *frameReader) next() ([]byte, error) {
 	var n uint64
 	for shift := uint(0); ; shift += 7 {
-		b, err := fr.readByte()
+		b, err := fr.r.ReadByte()
 		if err != nil {
 			if err == io.EOF && shift > 0 {
 				err = io.ErrUnexpectedEOF

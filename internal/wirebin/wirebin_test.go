@@ -263,7 +263,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	var req wire.Request
 	decode := func() {
 		src.Reset(stream)
-		rr.fr.br = src // bytes.Reader is its own ByteReader
+		rr.fr.r = src // bytes.Reader is its own ByteReader
 		for range reqs {
 			if err := rr.Read(&req); err != nil {
 				t.Fatal(err)
@@ -309,7 +309,7 @@ func TestClientSideAllocFree(t *testing.T) {
 	var resp wire.Response
 	if allocs := testing.AllocsPerRun(100, func() {
 		src.Reset(frame)
-		rr.fr.br = src
+		rr.fr.r = src
 		if err := rr.Read(&resp); err != nil {
 			t.Fatal(err)
 		}
