@@ -89,14 +89,18 @@
 //
 // That JSON framing is protocol version 1 and remains the default: a
 // client that never negotiates gets today's protocol, byte for byte. A
-// client that wants the binary codec (version 2, internal/wirebin) opens
-// with a two-byte hello [0xCB, 2] pipelined in front of its first
-// request; the daemon sniffs the first byte — a v1 length prefix always
-// starts 0x00 because the frame cap is far below 2^24, so 0xCB is
-// unambiguous — answers with the same two bytes, and both directions
-// switch. An unknown version closes the connection. Negotiation costs no
-// extra round trip, and a session keeps its codec for the connection's
-// lifetime (a reconnecting client renegotiates on the fresh connection).
+// client that wants the binary codec (version 2, internal/wirebin) or its
+// mux extension (version 3, below) buffers a two-byte hello [0xCB, 2] or
+// [0xCB, 3] in front of its first frame, so the two leave in one write;
+// the daemon sniffs the first byte — a v1 length prefix always starts 0x00
+// because the frame cap is far below 2^24, so 0xCB is unambiguous —
+// answers with the same two bytes, and both directions switch; the
+// client's reader checks that ack before the first response frame. An
+// unknown version closes the connection. Negotiation costs no extra round
+// trip, and a connection keeps its codec for its lifetime (a reconnecting
+// client renegotiates on the fresh connection, the hello riding in front
+// of its resume register). A silent connection is bounded by the
+// handshake deadline until its first frame, which opens its first session.
 //
 // The v2 frame is a uvarint payload length (0 and oversize rejected)
 // followed by the payload. A request payload is verb (u8: register=1,
@@ -142,8 +146,11 @@
 // inbound frames, and one shared write loop group-commits — each wakeup
 // drains every response queued across all streams into one buffered
 // writer and flushes once, so K concurrent grant cycles cost ~1 write
-// syscall instead of K (client-side writes batch the same way). The v1
-// and v2 protocols are untouched: a client that negotiates 2 or nothing
+// syscall instead of K (client-side writes batch the same way). A v1 or
+// v2 connection is the same machine on both sides with exactly one
+// implicit stream whose id the framing elides: it flushes as soon as its
+// queue is empty, and dropping its session closes it. The v1 and v2
+// protocols are untouched: a client that negotiates 2 or nothing
 // gets the previous framing byte for byte. client.DialMux is the client
 // half (Mux.Client hands out logical *Client streams sharing one socket),
 // calciom-load -mux-conns M drives a whole fleet over M sockets, and
@@ -276,7 +283,12 @@
 //     If the daemon stays unreachable past Options.FailOpen, the client
 //     degrades to self-granting — coordination is an optimization, not a
 //     correctness requirement, so an unreachable daemon must never block
-//     I/O forever. Every self-grant and every degraded second is counted
+//     I/O forever. A successor that accepts the connection but never
+//     answers is unreachable too: a resume must finish within one 5 s read
+//     deadline on the fresh connection, or that connection is lost like
+//     any other and the fail-open clock keeps running — for a plain
+//     client and for every stream of a mux alike, since both run one
+//     connection machine. Every self-grant and every degraded second is counted
 //     locally, reported to the daemon on resume, and folded into
 //     wire.Stats per application, so an operator can see exactly how much
 //     I/O ran uncoordinated. The daemon's trace survives its crash:

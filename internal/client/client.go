@@ -179,7 +179,6 @@ type tjournal struct {
 type Client struct {
 	cn     *conn
 	stream uint64
-	owned  bool // the connection has no other stream and closes with the client
 
 	// cmu guards the stream's state machine: healthy (its connection is up
 	// and it has resumed on it), degraded or terminal, and the stateCh pulse
@@ -263,7 +262,6 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 	}
 	cn := newConn(addr, opts, codec, false)
 	c, _ := cn.stream()
-	c.owned = true
 	if err := cn.start(); err != nil {
 		return nil, err
 	}
@@ -319,10 +317,11 @@ func (c *Client) Close() error {
 	c.cmu.Unlock()
 	c.finish()
 	// A mux stream leaves the shared connection alone, so the daemon's idle
-	// eviction (or the mux closing) reclaims the server-side session.
+	// eviction (or the mux closing) reclaims the server-side session; a
+	// plain connection's only stream takes its connection with it.
 	c.cn.detach(c.stream)
 	c.failPending(false, ErrClosed)
-	if c.owned {
+	if !c.cn.mux {
 		c.cn.close()
 	}
 	return nil
@@ -510,8 +509,9 @@ func (c *Client) snapshotReport() (uint64, float64) {
 }
 
 // markReported subtracts amounts the daemon has accepted. Self-grants that
-// landed while the register was in flight stay pending for the next report; reported
-// open-window seconds are rebased by moving the window start forward.
+// landed while the register was in flight stay pending for the next
+// report; reported open-window seconds are rebased by moving the window
+// start forward.
 func (c *Client) markReported(self uint64, deg float64) {
 	c.dmu.Lock()
 	defer c.dmu.Unlock()
@@ -668,11 +668,11 @@ func (c *Client) retry(attempt func(gen uint64) (wire.Response, error), degraded
 // draining loses connection generation gen, the one the reply came on (the
 // daemon is going away; the successor is reached by redial), while the
 // overload codes — busy at admission, overloaded under shedding or rate
-// limiting — back off in place, because
-// the connection is healthy and cycling it would only add load to a daemon
-// already protecting itself. attempt counts prior overload backoffs (for
-// the exponential schedule); the return is the next attempt count, or -1
-// when the client closed mid-backoff and the caller must give up.
+// limiting — back off in place, because the connection is healthy and
+// cycling it would only add load to a daemon already protecting itself.
+// attempt counts prior overload backoffs (for the exponential schedule);
+// the return is the next attempt count, or -1 when the client closed
+// mid-backoff and the caller must give up.
 func (c *Client) retryReply(code string, attempt int, gen uint64) int {
 	if code == wire.CodeDraining {
 		// Synchronously, as the reader would on seeing the connection die:
