@@ -38,8 +38,9 @@
 //     not a goroutine behind a queue. Shards run to completion: the
 //     per-connection reader goroutine that decoded a request resolves the
 //     shard of the target it addresses, takes its lock, arbitrates, queues
-//     the responses (a non-blocking send to the connection's writer) and
-//     unlocks. Session lifecycle is state behind one more lock, the
+//     the responses on the connection (an append under a small write lock)
+//     and unlocks; it writes them itself before it next reads the socket.
+//     Session lifecycle is state behind one more lock, the
 //     control lock, used the same way: the reader runs register and stats
 //     under it and its exit path the disconnect, and the handshake, grace
 //     and idle-eviction timers run their checks under it. The order is
@@ -125,10 +126,10 @@
 // nothing on either side of the wire — the internal/trace discipline
 // applied to the protocol. On this workload's grant cycle the wire cost
 // drops from ~120 to ~16 bytes per request (see ROADMAP's performance
-// table). Per-connection machinery rides along: reused read/write
-// buffers, write coalescing (one syscall per flush when the response
-// queue drains), -accept-loops listener sharding and -sock-buffer kernel
-// socket buffer tuning.
+// table). Per-connection machinery rides along: reused read buffers and
+// encode scratch, write coalescing (the responses to one read's worth of
+// requests leave in one write), -accept-loops listener sharding and
+// -sock-buffer kernel socket buffer tuning.
 //
 // Version 3 is the mux extension of the binary codec: one physical
 // connection carries many logical sessions, each identified by a stream
@@ -147,14 +148,20 @@
 // same register deadline a fresh connection gets — and each stream is an
 // ordinary session to the arbitration core: per-stream seq spaces,
 // grant/revoke pushes, grace windows and resume-by-incarnation all work
-// per stream. The transport is where the win is: one reader demuxes all
-// inbound frames, and one shared write loop group-commits — each wakeup
-// drains every response queued across all streams into one buffered
-// writer and flushes once, so K concurrent grant cycles cost ~1 write
-// syscall instead of K (client-side writes batch the same way). A v1 or
-// v2 connection is the same machine on both sides with exactly one
-// implicit stream whose id the framing elides: it flushes as soon as its
-// queue is empty, and dropping its session closes it. The v1 and v2
+// per stream. The transport is where the win is, and each side writes a
+// frame from the goroutine that made it wherever it can. The
+// daemon's one reader demuxes all inbound frames, runs each, and just
+// before it reads the socket again writes every response queued across
+// all streams in one write; the connection's writer goroutine writes only
+// what other goroutines queue while the reader waits in Read (a grant
+// pushed by another connection's reader, a recheck timer, Drain). A client
+// sender that finds no write in progress becomes the writer: it steps
+// behind the other runnable goroutines until no more streams join, then
+// writes the batch, while senders arriving meanwhile only append. So K
+// concurrent grant cycles cost ~1 write syscall per side instead of K. A
+// v1 or v2 connection is the same machine on both sides with exactly one
+// implicit stream whose id the framing elides: its client writes without
+// stepping aside, and dropping its session closes it. The v1 and v2
 // protocols are untouched: a client that negotiates 2 or nothing
 // gets the previous framing byte for byte. client.DialMux is the client
 // half (Mux.Client hands out logical *Client streams sharing one socket),
@@ -640,10 +647,14 @@
 // The client contract: "busy" and "overloaded" are retryable-in-place
 // (wire.Retryable) — a reconnecting client backs off exponentially and
 // retries on the same connection, unlike "draining" which cycles the
-// connection. Clients that are too slow to drain their response buffer are
+// connection. A client that stops reading stalls only itself: its reader,
+// blocked writing the replies to its own requests, reads nothing more from
+// that connection (TCP pushes back on that one client, and no lock is
+// held), while responses other goroutines produce for it — pushed grants
+// and revocations — queue up to the write-buffer bound, past which it is
 // disconnected (calciomd_slow_disconnects_total) rather than allowed to
-// stall arbitration, and with a grace window their grants survive for a
-// resume. Every layer is observable: calciomd_busy_rejects_total,
+// stall arbitration; with a grace window its grants survive for a resume.
+// Every layer is observable: calciomd_busy_rejects_total,
 // calciomd_sheds_total (per target), calciomd_stats_sheds_total,
 // calciomd_rate_limited_total, calciomd_handshake_timeouts_total, and
 // busy-reject/shed/rate-limited events in the -log-level stream.

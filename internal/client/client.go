@@ -811,10 +811,12 @@ func (c *Client) selfServe(t Target, req wire.Request) wire.Response {
 
 // invoke is the robust round trip for one coordination verb on one target:
 // degraded mode self-serves, a stale journal resyncs first, and on success
-// the journal advances.
-func (t Target) invoke(req wire.Request) (wire.Response, error) {
+// the journal advances and a capture records ev stamped at the call's start
+// (Wait passes none: it records its own).
+func (t Target) invoke(req wire.Request, ev trace.Event) (wire.Response, error) {
 	c := t.c
-	return c.retry(func(gen uint64) (wire.Response, error) {
+	req.Target, ev.Time, ev.Target = t.send, c.tnow(), t.resolved()
+	resp, err := c.retry(func(gen uint64) (wire.Response, error) {
 		if err := c.ensureSynced(t, gen); err != nil {
 			return wire.Response{}, err
 		}
@@ -824,6 +826,10 @@ func (t Target) invoke(req wire.Request) (wire.Response, error) {
 		}
 		return resp, err
 	}, func() (wire.Response, error) { return c.selfServe(t, req), nil })
+	if err == nil && ev.Type != 0 {
+		c.rec(ev)
+	}
+	return resp, err
 }
 
 // Target is a handle for one storage target's coordination domain: the
@@ -910,21 +916,13 @@ func (c *Client) RegisterOn(name string, cores int, target string) error {
 // Prepare stacks information about the upcoming I/O accesses on this
 // target, as the paper's Prepare(MPI_Info) does.
 func (t Target) Prepare(info core.Info) error {
-	at := t.c.tnow()
-	_, err := t.invoke(wire.Request{Type: wire.TypePrepare, Info: info, Target: t.send})
-	if err == nil {
-		t.c.rec(trace.Event{Type: trace.EvPrepare, Time: at, Info: info, Target: t.resolved()})
-	}
+	_, err := t.invoke(wire.Request{Type: wire.TypePrepare, Info: info}, trace.Event{Type: trace.EvPrepare, Info: info})
 	return err
 }
 
 // Complete unstacks the most recent Prepare.
 func (t Target) Complete() error {
-	at := t.c.tnow()
-	_, err := t.invoke(wire.Request{Type: wire.TypeComplete, Target: t.send})
-	if err == nil {
-		t.c.rec(trace.Event{Type: trace.EvComplete, Time: at, Target: t.resolved()})
-	}
+	_, err := t.invoke(wire.Request{Type: wire.TypeComplete}, trace.Event{Type: trace.EvComplete})
 	return err
 }
 
@@ -932,11 +930,7 @@ func (t Target) Complete() error {
 // I/O on this target. Non-blocking beyond the round trip; triggers the
 // target's arbitration.
 func (t Target) Inform() error {
-	at := t.c.tnow()
-	_, err := t.invoke(wire.Request{Type: wire.TypeInform, Target: t.send})
-	if err == nil {
-		t.c.rec(trace.Event{Type: trace.EvInform, Time: at, Target: t.resolved()})
-	}
+	_, err := t.invoke(wire.Request{Type: wire.TypeInform}, trace.Event{Type: trace.EvInform})
 	return err
 }
 
@@ -944,11 +938,8 @@ func (t Target) Inform() error {
 // Coordinator.Progress it neither opens a phase nor triggers arbitration;
 // the value influences the next inform/release arbitration.
 func (t Target) Progress(bytesDone float64) error {
-	at := t.c.tnow()
-	_, err := t.invoke(wire.Request{Type: wire.TypeProgress, BytesDone: bytesDone, Target: t.send})
-	if err == nil {
-		t.c.rec(trace.Event{Type: trace.EvProgress, Time: at, Bytes: bytesDone, Target: t.resolved()})
-	}
+	_, err := t.invoke(wire.Request{Type: wire.TypeProgress, BytesDone: bytesDone},
+		trace.Event{Type: trace.EvProgress, Bytes: bytesDone})
 	return err
 }
 
@@ -956,13 +947,8 @@ func (t Target) Progress(bytesDone float64) error {
 // blocks waiting for a grant. In degraded mode it reports true: a session
 // coordinating with itself is always authorized.
 func (t Target) Check() (bool, error) {
-	at := t.c.tnow()
-	resp, err := t.invoke(wire.Request{Type: wire.TypeCheck, Target: t.send})
-	if err != nil {
-		return false, err
-	}
-	t.c.rec(trace.Event{Type: trace.EvCheck, Time: at, Target: t.resolved()})
-	return resp.Authorized, nil
+	resp, err := t.invoke(wire.Request{Type: wire.TypeCheck}, trace.Event{Type: trace.EvCheck})
+	return resp.Authorized && err == nil, err
 }
 
 // Authorized returns the cached authorization state for this target,
@@ -978,7 +964,7 @@ func (t Target) Authorized() bool { return t.c.getAuth(t.resolved()) }
 // after the session resumes, so the grant is re-acquired, not lost.
 func (t Target) Wait() error {
 	t.c.rec(trace.Event{Type: trace.EvWait, Time: t.c.tnow(), Target: t.resolved()})
-	_, err := t.invoke(wire.Request{Type: wire.TypeWait, Target: t.send})
+	_, err := t.invoke(wire.Request{Type: wire.TypeWait}, trace.Event{})
 	if err == nil {
 		t.c.rec(trace.Event{Type: trace.EvGrant, Time: t.c.tnow(), Target: t.resolved()})
 	}
@@ -988,21 +974,14 @@ func (t Target) Wait() error {
 // Release ends one step of the I/O access, reporting progress. A new
 // Inform is required before the next access step.
 func (t Target) Release(bytesDone float64) error {
-	at := t.c.tnow()
-	_, err := t.invoke(wire.Request{Type: wire.TypeRelease, BytesDone: bytesDone, Target: t.send})
-	if err == nil {
-		t.c.rec(trace.Event{Type: trace.EvRelease, Time: at, Bytes: bytesDone, Target: t.resolved()})
-	}
+	_, err := t.invoke(wire.Request{Type: wire.TypeRelease, BytesDone: bytesDone},
+		trace.Event{Type: trace.EvRelease, Bytes: bytesDone})
 	return err
 }
 
 // End terminates the I/O phase on this target entirely.
 func (t Target) End() error {
-	at := t.c.tnow()
-	_, err := t.invoke(wire.Request{Type: wire.TypeEnd, Target: t.send})
-	if err == nil {
-		t.c.rec(trace.Event{Type: trace.EvEnd, Time: at, Target: t.resolved()})
-	}
+	_, err := t.invoke(wire.Request{Type: wire.TypeEnd}, trace.Event{Type: trace.EvEnd})
 	return err
 }
 

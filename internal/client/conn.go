@@ -16,8 +16,8 @@ import (
 	"repro/internal/wirebin"
 )
 
-// muxBufferBytes sizes a mux connection's buffered reader and writer:
-// larger than a plain connection's because one flush carries many streams.
+// muxBufferBytes sizes a mux connection's buffered reader: larger than a
+// plain connection's because one daemon write carries many streams.
 const muxBufferBytes = 32 << 10
 
 // resumeWindow bounds a resume: a fresh connection whose registered streams
@@ -50,18 +50,17 @@ type conn struct {
 	streams    map[uint64]*Client
 	nextStream uint64
 
-	// wmu guards the write side: bw buffers frames for generation wgen, nil
-	// once that generation is lost. A plain connection encodes through enc
-	// and flushes inline; a mux connection appends into scratch and nudges
-	// flushCh, so every stream that sends before the flusher runs rides
-	// one write syscall (group commit).
-	wmu     sync.Mutex
-	bw      *bufio.Writer
-	wgen    uint64
-	enc     wire.RequestWriter
-	encReq  wire.Request // enc's argument, so callers' requests stay on their stacks
-	scratch []byte
-	flushCh chan struct{}
+	// wmu guards the write side: out holds the frames encoded for
+	// generation wgen and not yet written to wnc, which is nil once that
+	// generation is lost. It is never held across a write (see send).
+	wmu      sync.Mutex
+	wnc      net.Conn
+	wgen     uint64
+	out      outBuf
+	spare    outBuf // the buffer last written, reused as the next out
+	flushing bool
+	enc      wire.RequestWriter // a plain connection's encoder, into out
+	encReq   wire.Request       // enc's argument, so callers' requests stay on their stacks
 
 	done chan struct{} // closed with the connection
 }
@@ -88,7 +87,6 @@ func DialMux(addr string, opts Options) (*Mux, error) {
 	if err := cn.start(); err != nil {
 		return nil, err
 	}
-	go cn.flusher()
 	return &Mux{cn}, nil
 }
 
@@ -113,7 +111,7 @@ func newConn(addr string, opts Options, codec wire.Codec, mux bool) *conn {
 		opts.BackoffMax = DefaultBackoffMax
 	}
 	return &conn{addr: addr, opts: opts, codec: codec, mux: mux,
-		streams: make(map[uint64]*Client), flushCh: make(chan struct{}, 1), done: make(chan struct{})}
+		streams: make(map[uint64]*Client), done: make(chan struct{})}
 }
 
 // start makes the first connection. A failed dial is fatal unless both
@@ -230,12 +228,12 @@ func (cn *conn) open(nc net.Conn) bool {
 		hello = wire.VersionBinary
 	}
 	cn.wmu.Lock()
-	cn.bw, cn.wgen = bufio.NewWriterSize(nc, size), gen
+	cn.wnc, cn.wgen, cn.out = nc, gen, cn.out[:0]
 	if hello != 0 {
-		cn.bw.Write([]byte{wire.HelloMagic, hello})
+		cn.out = append(cn.out, wire.HelloMagic, hello)
 	}
 	if !cn.mux {
-		cn.enc = cn.codec.NewRequestWriter(cn.bw)
+		cn.enc = cn.codec.NewRequestWriter(&cn.out)
 	}
 	cn.wmu.Unlock()
 	go cn.readLoop(bufio.NewReaderSize(nc, size), gen, hello)
@@ -319,60 +317,65 @@ type oneStream struct{ wire.ResponseReader }
 
 func (o oneStream) Read(resp *wire.Response) (uint64, error) { return 1, o.ResponseReader.Read(resp) }
 
-// send writes one stream's request on connection generation gen, failing
-// if that generation is not the live one. A plain connection flushes
-// inline: its one stream has nobody to batch with. A mux connection appends
-// to the shared buffer and nudges the flusher; a flush error is not
+// send buffers one stream's request for connection generation gen,
+// failing if that generation is not the live one. A sender that finds no
+// flush in progress flushes; senders that arrive while it writes only
+// append, and their frames ride its next write. A flush error is not
 // reported here — the broken connection fails the read loop, which owns
 // connection loss.
 func (cn *conn) send(gen, stream uint64, req *wire.Request) error {
 	cn.wmu.Lock()
-	var err error
-	switch {
-	case cn.bw == nil || cn.wgen != gen:
-		err = errors.New("not connected")
-	case cn.mux:
-		if cn.scratch, err = wirebin.AppendMuxRequest(cn.scratch[:0], stream, req); err == nil {
-			_, err = cn.bw.Write(cn.scratch)
-		}
-	default:
-		cn.encReq = *req
-		if err = cn.enc.Write(&cn.encReq); err == nil {
-			err = cn.bw.Flush()
-		}
+	if cn.wnc == nil || cn.wgen != gen {
+		cn.wmu.Unlock()
+		return errors.New("not connected")
 	}
+	var err error
+	if cn.mux {
+		cn.out, err = wirebin.AppendMuxRequest(cn.out, stream, req)
+	} else {
+		cn.encReq = *req
+		err = cn.enc.Write(&cn.encReq)
+	}
+	lead := err == nil && !cn.flushing
+	cn.flushing = cn.flushing || lead
 	cn.wmu.Unlock()
-	if err == nil && cn.mux {
-		select {
-		case cn.flushCh <- struct{}{}:
-		default: // a flush is already scheduled; it will carry this frame
-		}
+	if lead {
+		cn.flush() // no flush was in progress: this sender writes
 	}
 	return err
 }
 
-// flusher is a mux connection's flush half, one per Mux for its lifetime:
-// it wakes after a burst of sends and commits whatever they buffered. The
-// channel holds at most one pending nudge — a flush commits everything
-// buffered so far, so one scheduled flush covers any number of writers.
-func (cn *conn) flusher() {
-	for {
-		select {
-		case <-cn.flushCh:
-		case <-cn.done:
-			return
+// flush writes the buffered frames without holding wmu, swapping buffers
+// with the senders, until a pass finds nothing new. On a mux connection a
+// write first steps behind the other runnable goroutines until a step adds
+// no frame, so streams ready to send share its syscall (group commit).
+func (cn *conn) flush() {
+	cn.wmu.Lock()
+	for n := 0; len(cn.out) > 0 && cn.wnc != nil; {
+		if cn.mux && n != len(cn.out) {
+			n = len(cn.out)
+			cn.wmu.Unlock()
+			runtime.Gosched()
+			cn.wmu.Lock()
+			continue
 		}
-		// The nudge parks the flusher in the scheduler's run-next slot, ahead
-		// of every other runnable goroutine; step to the back of the queue so
-		// streams that are ready to send get their frames into this flush
-		// instead of each paying for their own.
-		runtime.Gosched()
-		cn.wmu.Lock()
-		if cn.bw != nil {
-			cn.bw.Flush()
-		}
+		buf, nc := cn.out, cn.wnc
+		cn.out, n = cn.spare[:0], 0
 		cn.wmu.Unlock()
+		nc.Write(buf)
+		cn.wmu.Lock()
+		cn.spare = buf
 	}
+	cn.flushing = false
+	cn.wmu.Unlock()
+}
+
+// outBuf is an encoder's destination: Write appends.
+type outBuf []byte
+
+func (b *outBuf) Write(p []byte) (int, error) {
+	*b = append(*b, p...)
+	return len(p), nil
 }
 
 // connLost handles the death of connection generation gen — seen by its
@@ -401,7 +404,7 @@ func (cn *conn) connLost(gen uint64, cause error) {
 	// are failed, so a call that parks after the sweep cannot be buffered
 	// into a connection nobody will ever answer on.
 	cn.wmu.Lock()
-	cn.bw = nil
+	cn.wnc, cn.out = nil, cn.out[:0]
 	cn.wmu.Unlock()
 	for _, c := range streams {
 		c.down(err, reconnect)

@@ -1,7 +1,10 @@
 package client_test
 
 import (
+	"bytes"
 	"fmt"
+	"regexp"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -187,3 +190,57 @@ func TestRawCallAllocs(t *testing.T) {
 		t.Fatalf("Inform round trip allocates %.1f objects, want <= 5 (pooled pending calls)", got)
 	}
 }
+
+// TestMuxOneGoroutine: a request leaves on the goroutine that made it, so a
+// Mux carrying 8 registered streams that have run grant cycles runs exactly
+// one goroutine of its own, its reader — none to hand frames to.
+// Goroutines are told apart by stack; ones that ran client code before the
+// Mux existed do not count.
+func TestMuxOneGoroutine(t *testing.T) {
+	clientGoroutines := func() map[string]bool {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		ids := map[string]bool{}
+		for _, m := range goroutineRE.FindAllSubmatch(buf, -1) {
+			if bytes.Contains(m[2], []byte("repro/internal/client.(*")) {
+				ids[string(m[1])] = true
+			}
+		}
+		return ids
+	}
+	before := clientGoroutines()
+	_, addr := startServer(t, server.Config{})
+	m, err := client.DialMux(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for i := 0; i < 8; i++ {
+		c, err := m.Client()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Register(fmt.Sprintf("g-%d", i), 1); err != nil {
+			t.Fatal(err)
+		}
+		sess := client.NewSessionOn(c, fmt.Sprintf("t%d", i))
+		if err := sess.Begin(info(10)); err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.End(10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var mine []string
+	for id := range clientGoroutines() {
+		if !before[id] {
+			mine = append(mine, id)
+		}
+	}
+	if len(mine) != 1 {
+		t.Fatalf("a Mux with 8 streams runs %d client goroutines (ids %v), want 1: its reader", len(mine), mine)
+	}
+}
+
+// goroutineRE splits a runtime.Stack dump into goroutine ids and stacks.
+var goroutineRE = regexp.MustCompile(`(?s)goroutine (\d+) \[[^\]]*\]:\n(.*?)(?:\n\n|$)`)

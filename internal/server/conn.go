@@ -2,12 +2,13 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"runtime"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -25,64 +26,170 @@ func (srv *Server) startSession(conn net.Conn) {
 // connection.
 const maxMuxStreams = 1 << 16
 
-// muxWriteBufferBytes sizes a mux connection's buffered writer: larger than
-// a plain connection's 4KiB because one flush carries frames for many
-// streams.
-const muxWriteBufferBytes = 32 << 10
-
-// conn is one accepted connection and the sessions (streams) riding it,
-// served by one reader goroutine and one writer goroutine. A plain v1/v2
-// connection is a conn with exactly one implicit stream whose id the
-// framing elides; a v3 mux connection carries many, each frame prefixed by
-// its stream id. The handshake deadline, rate limit, slow-client
+// conn is one accepted connection and the sessions (streams) riding it. A
+// plain v1/v2 connection is a conn with exactly one implicit stream whose id
+// the framing elides; a v3 mux connection carries many, each frame prefixed
+// by its stream id. The handshake deadline, rate limit, slow-client
 // disconnect and byte counting exist once; the negotiated framing selects
-// only the encoding, the flush strategy and what a dropped stream means.
+// only the encoding and what a dropped stream means.
+//
+// A response leaves on the goroutine that made it. Responses queue on the
+// connection, and its reader goroutine flushes the queue itself just before
+// each read from the socket (flushReader), outside every lock, so the
+// responses to one read's worth of frames leave in one write. The writer
+// goroutine writes only what other goroutines — another connection's reader
+// pushing a grant, a recheck timer, the control plane, Drain — queue while
+// the reader is blocked in Read, and at teardown what is still queued.
 type conn struct {
-	srv   *Server
-	nc    net.Conn
-	codec wire.Codec
-	mux   bool
-	out   chan outFrame
-	quit  chan struct{} // closed at teardown; the writer drains and exits
-	dead  atomic.Bool   // overflowed, failed or torn down: later responses are dropped
-	torn  atomic.Bool
+	srv  *Server
+	nc   net.Conn
+	wr   io.Writer // nc, or nc behind the byte counter
+	mux  bool
+	enc  wire.ResponseWriter // a plain connection's encoder, into buf
+	buf  bytes.Buffer        // one write's frames, owned by the flushing goroutine
+	quit chan struct{}       // closed at teardown; the writer writes what is queued and closes
+	kick chan struct{}       // wakes the writer for frames queued while the reader reads
+
+	// wmu guards the queue and the flush state; it is never held across a
+	// write. At most one goroutine flushes at a time (flushing), and it
+	// writes everything queued before it stops.
+	wmu      sync.Mutex
+	queue    []reply // at most max responses waiting for a flush
+	spare    []reply // the batch last written, reused as the next queue
+	max      int
+	flushing bool
+	idle     bool // the reader is blocked in Read: a sender kicks the writer
+	dead     bool // overflowed, failed or torn down: later responses are dropped
+	closing  bool // torn down: only the writer flushes, then closes
 }
 
-// outFrame is one queued response and the stream it answers.
-type outFrame struct {
+// reply is one queued response and the stream it answers.
+type reply struct {
 	stream uint64
 	resp   wire.Response
 }
 
-// send enqueues one stream's response without ever blocking its caller,
-// which holds a shard's lock: a client too slow to drain the queue is
-// disconnected rather than allowed to stall arbitration for everyone else.
-// Overflow kills the whole connection — with one writer per connection
-// there is no way to disconnect a single slow stream, and a client that
-// cannot drain its socket has already lost every stream on it.
+// send queues one stream's response without ever blocking its caller, which
+// may hold a shard's lock or the control lock: a client too slow to drain
+// the queue is disconnected rather than allowed to stall arbitration for
+// everyone else. Overflow kills the whole connection — a client that cannot
+// drain its socket has already lost every stream on it. The reader writes
+// what it queued itself before its next read; any other sender kicks the
+// writer if the reader is blocked in Read.
 func (c *conn) send(stream uint64, r wire.Response) {
-	if c.dead.Load() {
-		return
-	}
-	select {
-	case c.out <- outFrame{stream, r}:
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	switch {
+	case c.dead:
+	case len(c.queue) >= c.max:
+		c.dead = true
+		if c.srv.m != nil {
+			c.srv.m.slowDisconnects.Inc()
+		}
+		c.nc.Close()
 	default:
-		if c.dead.CompareAndSwap(false, true) {
-			if c.srv.m != nil {
-				c.srv.m.slowDisconnects.Inc()
-			}
-			c.nc.Close()
+		c.queue = append(c.queue, reply{stream, r})
+		if c.idle && !c.flushing {
+			c.wake()
 		}
 	}
 }
 
-// teardown ends the writer, which drains what was queued and closes the
-// connection. Idempotent.
+// wake kicks the writer; a kick already pending covers this one.
+func (c *conn) wake() {
+	select {
+	case c.kick <- struct{}{}:
+	default:
+	}
+}
+
+// teardown ends the connection: the writer writes what is queued and
+// closes it. Idempotent.
 func (c *conn) teardown() {
-	c.dead.Store(true)
-	if c.torn.CompareAndSwap(false, true) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.dead = true
+	if !c.closing {
+		c.closing = true
 		close(c.quit)
 	}
+}
+
+// flush is the one write path, run by the reader before each read and by
+// the writer. The caller takes the queue unless a flush is in progress (that
+// one writes everything queued before it stops), encodes it outside every
+// lock, commits it with one write, and goes on until the queue is empty.
+// Once the connection is closing only the writer flushes: a reader's flush
+// that runs into teardown hands the close to the writer, and the writer's
+// flush ends with the close, reported as true.
+func (c *conn) flush(reader bool) bool {
+	c.wmu.Lock()
+	if reader {
+		c.idle = true
+	}
+	if c.flushing || c.closing && reader {
+		c.wmu.Unlock()
+		return false
+	}
+	c.flushing = true
+	for len(c.queue) > 0 {
+		batch := c.queue
+		c.queue = c.spare[:0]
+		c.wmu.Unlock()
+		ok := c.write(batch)
+		c.wmu.Lock()
+		c.spare, c.dead = batch, c.dead || !ok
+	}
+	c.flushing = false
+	closing := c.closing
+	c.wmu.Unlock()
+	switch {
+	case !closing:
+		return false
+	case reader:
+		c.wake()
+		return false
+	}
+	c.nc.Close()
+	return true
+}
+
+// write encodes one batch and commits it with one write, reporting whether
+// the write succeeded. An unencodable response is dropped, not the
+// connection.
+func (c *conn) write(batch []reply) bool {
+	c.buf.Reset()
+	for i := range batch {
+		f := &batch[i]
+		if !c.mux {
+			c.enc.Write(&f.resp)
+		} else if b, err := wirebin.AppendMuxResponse(c.buf.AvailableBuffer(), f.stream, &f.resp); err == nil {
+			c.buf.Write(b)
+		}
+	}
+	_, err := c.wr.Write(c.buf.Bytes())
+	if c.mux && c.srv.m != nil {
+		c.srv.m.muxBatchFrames.Observe(float64(len(batch)))
+	}
+	return err == nil
+}
+
+// flushReader sits under the reader's bufio.Reader, so every read from the
+// socket first writes the responses queued since the last one. A reader
+// blocked writing its own replies reads nothing more from that connection:
+// backpressure onto that one client, with no lock held.
+type flushReader struct {
+	c *conn
+	r io.Reader
+}
+
+func (f flushReader) Read(p []byte) (int, error) {
+	f.c.flush(true)
+	n, err := f.r.Read(p)
+	f.c.wmu.Lock()
+	f.c.idle = false
+	f.c.wmu.Unlock()
+	return n, err
 }
 
 // oneStream reads a plain connection's frames: the framing elides the
@@ -101,18 +208,18 @@ func (o oneStream) Read(req *wire.Request) (uint64, error) { return 1, o.Request
 // connection cannot park here forever.
 func (srv *Server) serveConn(nc net.Conn) {
 	defer srv.wg.Done()
+	c := &conn{srv: srv, nc: nc, wr: nc, quit: make(chan struct{}), kick: make(chan struct{}, 1)}
 	var rd io.Reader = nc
-	var wr io.Writer = nc
 	if srv.m != nil {
-		rd = countReader{nc, srv.m.bytesIn}
-		wr = countWriter{nc, srv.m.bytesOut}
+		cn := counted{nc, srv.m.bytesIn, srv.m.bytesOut}
+		rd, c.wr = cn, cn
 	}
 	deadline := srv.cfg.HandshakeTimeout > 0
 	if deadline {
 		nc.SetReadDeadline(time.Now().Add(srv.cfg.HandshakeTimeout))
 	}
-	br := bufio.NewReader(rd)
-	codec, mux, err := srv.negotiate(br, wr)
+	br := bufio.NewReader(flushReader{c, rd})
+	codec, mux, err := srv.negotiate(br, c.wr)
 	if err != nil {
 		srv.handshakeFailed(err)
 		nc.Close()
@@ -121,24 +228,23 @@ func (srv *Server) serveConn(nc net.Conn) {
 	if srv.m != nil {
 		srv.m.conns(codec.Name(), mux).Inc()
 	}
-	queue := srv.cfg.WriteBuffer
-	if queue <= 0 {
-		queue = 256
+	c.max = srv.cfg.WriteBuffer
+	if c.max <= 0 {
+		c.max = 256
 	}
 	var frames interface {
 		Read(*wire.Request) (uint64, error)
 	} = oneStream{codec.NewRequestReader(br)}
 	if mux {
-		// One queue for every stream: scaled up from the per-session buffer
+		// One queue for every stream: scaled up from the per-session bound
 		// so a grant storm across thousands of streams is absorbed by
 		// batching rather than tripping the overflow disconnect.
-		queue *= 16
+		c.max *= 16
 		frames = wirebin.NewMuxRequestReader(br)
 	}
-	c := &conn{srv: srv, nc: nc, codec: codec, mux: mux,
-		out: make(chan outFrame, queue), quit: make(chan struct{})}
+	c.mux, c.enc = mux, codec.NewResponseWriter(&c.buf)
 	srv.wg.Add(1)
-	go c.writeLoop(wr)
+	go c.writeLoop()
 
 	rl := srv.newRateLimiter()
 	streams := make(map[uint64]*session)
@@ -249,32 +355,23 @@ func (srv *Server) shedReply(s *session, seq uint64, verb, target string, now fl
 		Code: wire.CodeOverloaded, Target: target})
 }
 
-// countReader and countWriter sit between a connection and its buffered
-// reader/writer, counting wire bytes into registry counters with one atomic
-// add per syscall-level read or write.
-type countReader struct {
-	r io.Reader
-	c *obs.Counter
+// counted sits under a connection's reads and writes, counting wire bytes
+// into registry counters with one atomic add per syscall-level read or
+// write.
+type counted struct {
+	net.Conn
+	rx, tx *obs.Counter
 }
 
-func (cr countReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	if n > 0 {
-		cr.c.Add(uint64(n))
-	}
+func (c counted) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.rx.Add(uint64(n))
 	return n, err
 }
 
-type countWriter struct {
-	w io.Writer
-	c *obs.Counter
-}
-
-func (cw countWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	if n > 0 {
-		cw.c.Add(uint64(n))
-	}
+func (c counted) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.tx.Add(uint64(n))
 	return n, err
 }
 
@@ -282,8 +379,8 @@ func (cw countWriter) Write(p []byte) (int, error) {
 // JSON client's first byte is always 0x00 (frame lengths are bounded far
 // below 1<<24), so anything but wire.HelloMagic falls through to the JSON
 // codec with the byte stream untouched. On a hello it consumes the two
-// hello bytes, writes the two-byte ack echoing the accepted version (no
-// write loop exists yet, so serveConn's goroutine owns the connection), and
+// hello bytes, writes the two-byte ack echoing the accepted version (the
+// writer is not started yet, so serveConn's goroutine owns the socket), and
 // switches the connection to the negotiated codec before the first frame.
 // The returned mux flag selects the session-multiplexed framing on top of
 // the binary codec (wire.VersionBinaryMux).
@@ -373,69 +470,34 @@ func (rl *rateLimiter) admit(srv *Server, s *session, req *wire.Request) (bool, 
 	return true, false
 }
 
-// writeLoop is the connection's writer goroutine: each wakeup drains every
-// response queued across the connection's streams into one buffered writer
-// and flushes once. A plain connection flushes as soon as its queue is
-// empty. A mux connection first steps behind the other runnable goroutines
-// — the sending reader parked the writer in the scheduler's run-next slot —
-// so responses they are about to queue join this flush instead of paying
-// for their own (group commit).
-func (c *conn) writeLoop(wr io.Writer) {
+// writeLoop is the connection's writer goroutine. A sender kicks it only
+// for frames queued while the reader is blocked in Read; on a mux connection
+// it first steps behind the other runnable goroutines — the kick parked it
+// in the scheduler's run-next slot — so responses they are about to queue
+// join this write instead of paying for their own (group commit). At
+// teardown it writes what is still queued, after any flush in progress, and
+// closes the connection.
+func (c *conn) writeLoop() {
 	defer c.srv.wg.Done()
-	defer c.nc.Close()
-	size := 4096
-	if c.mux {
-		size = muxWriteBufferBytes
-	}
-	bw := bufio.NewWriterSize(wr, size)
-	enc := c.codec.NewResponseWriter(bw)
-	var resp wire.Response // the plain encoder's argument, reused
-	var scratch []byte
-	// write encodes one frame; an unencodable response is dropped, not the
-	// connection (a failed write surfaces at the flush).
-	write := func(f *outFrame) {
-		if !c.mux {
-			resp = f.resp
-			enc.Write(&resp)
-		} else if b, err := wirebin.AppendMuxResponse(scratch[:0], f.stream, &f.resp); err == nil {
-			scratch = b
-			bw.Write(b)
-		}
-	}
-	// flush writes everything still queued, without blocking, behind the n
-	// frames already written and commits the batch with one syscall.
-	flush := func(n int) {
-		for more := true; more; {
-			select {
-			case f := <-c.out:
-				write(&f)
-				n++
-			default:
-				more = false
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			c.dead.Store(true)
-		}
-		if n > 0 && c.mux && c.srv.m != nil {
-			c.srv.m.muxBatchFrames.Observe(float64(n))
-		}
-	}
+	quit, stop := c.quit, c.srv.stop
 	for {
 		select {
-		case f := <-c.out:
-			write(&f)
+		case <-c.kick:
 			if c.mux {
 				runtime.Gosched()
 			}
-			flush(1)
-		case <-c.quit:
-			flush(0) // what arbitration queued before teardown
-			return
-		case <-c.srv.stop:
+		case <-quit:
+			quit = nil
+		case <-stop:
 			// Shutdown: closing the connection unblocks the reader; shutdown
-			// has torn the sessions down.
-			flush(0)
+			// has torn the sessions down, but a mux connection outlives its
+			// streams, so tear it down here. A client that has stopped
+			// reading gets a second to take what is queued, not forever.
+			c.nc.SetWriteDeadline(time.Now().Add(time.Second))
+			c.teardown()
+			quit, stop = nil, nil
+		}
+		if c.flush(false) {
 			return
 		}
 	}

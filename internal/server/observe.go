@@ -76,8 +76,8 @@ type serverMetrics struct {
 	bytesOut       *obs.Counter
 
 	// Mux instrumentation: live logical streams across all mux connections,
-	// and how many response frames each group-commit flush carried (the
-	// batching the mux write loop exists to produce).
+	// and how many response frames each write carried, whoever made it (the
+	// reader before its next read, or the writer goroutine).
 	muxStreams     *obs.Gauge
 	muxBatchFrames *obs.Histogram
 }
@@ -191,13 +191,13 @@ func (srv *Server) Health() string {
 func (srv *Server) WriteStatsMetrics(w io.Writer) {
 	st := srv.Stats()
 	fmt.Fprintf(w, "# HELP calciomd_sessions Connected (or grace-window) sessions.\n# TYPE calciomd_sessions gauge\ncalciomd_sessions %d\n", st.Sessions)
-	fmt.Fprintf(w, "# HELP calciomd_cpu_seconds_wasted Core-seconds idled by I/O slowdown (paper §IV metric).\n# TYPE calciomd_cpu_seconds_wasted gauge\ncalciomd_cpu_seconds_wasted %s\n", formatScrapeFloat(st.CPUSecondsWasted))
+	fmt.Fprintf(w, "# HELP calciomd_cpu_seconds_wasted Core-seconds idled by I/O slowdown (paper §IV metric).\n# TYPE calciomd_cpu_seconds_wasted gauge\ncalciomd_cpu_seconds_wasted %g\n", st.CPUSecondsWasted)
 	writeAppCounter(w, st, "calciomd_app_grants_total", "Grants served per application and target.", "counter",
 		func(a *wire.AppStats) string { return fmt.Sprintf("%d", a.Grants) })
 	writeAppCounter(w, st, "calciomd_app_io_seconds_total", "Cumulative I/O phase time per application and target.", "counter",
-		func(a *wire.AppStats) string { return formatScrapeFloat(a.IOTimeS) })
+		func(a *wire.AppStats) string { return fmt.Sprintf("%g", a.IOTimeS) })
 	writeAppCounter(w, st, "calciomd_app_wait_seconds_total", "Cumulative wait time per application and target.", "counter",
-		func(a *wire.AppStats) string { return formatScrapeFloat(a.WaitTimeS) })
+		func(a *wire.AppStats) string { return fmt.Sprintf("%g", a.WaitTimeS) })
 	if len(st.Degraded) > 0 {
 		fmt.Fprintf(w, "# HELP calciomd_app_resumes_total Successful resumes per application name.\n# TYPE calciomd_app_resumes_total counter\n")
 		for i := range st.Degraded {
@@ -226,16 +226,4 @@ func scrapeEscape(v string) string {
 		return v
 	}
 	return scrapeEscaper.Replace(v)
-}
-
-// formatScrapeFloat matches obs's float rendering so the appended series
-// read like the registry's.
-func formatScrapeFloat(v float64) string {
-	return fmt.Sprintf("%g", v)
-}
-
-// histFromSnapshot converts an obs histogram snapshot into the wire summary
-// riding stats.
-func histFromSnapshot(s obs.HistSnapshot) *wire.Hist {
-	return &wire.Hist{BoundsS: s.Bounds, Counts: s.Counts, SumS: s.Sum, Count: s.Count}
 }

@@ -1,13 +1,16 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -377,7 +380,7 @@ func TestSlowClientDisconnect(t *testing.T) {
 	}
 	cconn, sconn := net.Pipe()
 	defer cconn.Close()
-	s := &session{c: &conn{srv: srv, nc: sconn, out: make(chan outFrame, 1), quit: make(chan struct{})}}
+	s := &session{c: &conn{srv: srv, nc: sconn, max: 1, quit: make(chan struct{})}}
 	srv.sessions[s] = struct{}{}
 	srv.handle(s, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "A", Cores: 4}) // fills the only slot
 	srv.handle(s, wire.Request{Seq: 2, Type: wire.TypeInform})                       // overflows it
@@ -401,6 +404,148 @@ func TestSlowClientDisconnect(t *testing.T) {
 	if bb := testBinding(srv, s); bb == nil || !bb.app.Authorized() {
 		t.Fatal("the slow client's grant must survive into the grace window, not be revoked immediately")
 	}
+}
+
+// TestWritePathIsolation: a client that stops reading costs only its own
+// connection, end to end. Responses leave on the goroutine that made them,
+// so the two ways of producing them are covered: pushes produced on another
+// connection's reader (the stalled client's writer blocks, its queue
+// overflows, and it is cut off and counted), and the stalled client's own
+// replies (its reader blocks writing them and reads nothing more — TCP
+// pushes back on that client alone, and nobody is cut off). Either way
+// another connection's grant cycles on the same target keep completing.
+// Small socket buffers make the stall arrive within a few hundred frames.
+func TestWritePathIsolation(t *testing.T) {
+	// stalled dials a raw v1 connection, writes frames and never reads. Its
+	// receive buffer is shrunk before it connects, so the window it
+	// advertises is small from the first segment on.
+	stalled := func(t *testing.T, addr string, reqs ...wire.Request) net.Conn {
+		d := net.Dialer{Control: func(_, _ string, rc syscall.RawConn) error {
+			return rc.Control(func(fd uintptr) {
+				syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF, 4096)
+			})
+		}}
+		nc, err := d.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nc.Close() })
+		for _, req := range reqs {
+			if err := wire.Write(nc, req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return nc
+	}
+	// cycles runs n grant cycles on target x, each within a deadline.
+	cycles := func(t *testing.T, c *client.Client, n int) {
+		t.Helper()
+		tg := c.Target("x")
+		for i := 0; i < n; i++ {
+			done := make(chan error, 1)
+			go func() {
+				err := tg.Inform()
+				if err == nil {
+					err = tg.Wait()
+				}
+				if err == nil {
+					err = tg.Release(0)
+				}
+				if err == nil {
+					err = tg.End()
+				}
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("cycle %d: %v", i, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("cycle %d stalled behind a client that does not read", i)
+			}
+		}
+	}
+
+	t.Run("pushes", func(t *testing.T) {
+		// Under interrupt every inform of C's revokes R's authorization and
+		// every end of C's gives it back: two pushes to R per cycle, all
+		// produced on C's reader while R's reader sits in Read.
+		srv, addr := startTestServer(t, Config{Policy: core.InterruptPolicy{},
+			WriteBuffer: 8, SockBuffer: 4096, Metrics: obs.NewRegistry()})
+		stalled(t, addr,
+			wire.Request{Seq: 1, Type: wire.TypeRegister, App: "R", Cores: 1, Target: "x"},
+			wire.Request{Seq: 2, Type: wire.TypeInform})
+		c := dialT(t, addr)
+		if err := c.Register("C", 1); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(20 * time.Second)
+		for srv.m.slowDisconnects.Value() == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("a client that never reads its pushes was never cut off")
+			}
+			cycles(t, c, 10)
+		}
+		cycles(t, c, 10)
+		if got := srv.m.slowDisconnects.Value(); got != 1 {
+			t.Fatalf("calciomd_slow_disconnects_total = %d, want 1", got)
+		}
+	})
+
+	t.Run("pipelining", func(t *testing.T) {
+		srv, addr := startTestServer(t, Config{SockBuffer: 4096, Metrics: obs.NewRegistry()})
+		p := stalled(t, addr, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "P", Cores: 1})
+		// Checks on the contended target: far more replies than the
+		// sockets between the two ends can hold.
+		var frames bytes.Buffer
+		for seq := uint64(2); frames.Len() < 4<<20; seq++ {
+			wire.Write(&frames, wire.Request{Seq: seq, Type: wire.TypeCheck, Target: "x"})
+		}
+		go p.Write(frames.Bytes())
+		// P's reader ends up blocked writing P's replies, holding no lock,
+		// and for good: nothing more leaves the daemon.
+		deadline := time.Now().Add(20 * time.Second)
+		for out := uint64(0); !blockedWriting() || srv.m.bytesOut.Value() != out; {
+			if time.Now().After(deadline) {
+				t.Fatal("the reader of a client that never reads never blocked writing its replies")
+			}
+			out = srv.m.bytesOut.Value()
+			time.Sleep(200 * time.Millisecond)
+		}
+		c := dialT(t, addr)
+		if err := c.Register("C", 1); err != nil {
+			t.Fatal(err)
+		}
+		cycles(t, c, 200)
+		if got := srv.m.slowDisconnects.Value(); got != 0 {
+			t.Fatalf("calciomd_slow_disconnects_total = %d: a client that only stalls itself must not be cut off", got)
+		}
+		// Nor does shutdown wait for it forever.
+		closed := make(chan struct{})
+		go func() {
+			srv.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Close hangs behind a client that does not read")
+		}
+	})
+}
+
+// blockedWriting reports whether some connection's reader is blocked in a
+// socket write, flushing its replies before it reads again.
+func blockedWriting() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "server.flushReader.Read") && strings.Contains(g, "poll.(*FD).Write") {
+			return true
+		}
+	}
+	return false
 }
 
 // BenchmarkServerArbitrateLimited is BenchmarkServerArbitrate with the whole

@@ -8,9 +8,10 @@
 // to completion itself: for a coordination verb it resolves the shard of the
 // target the request addresses, takes that shard's lock, arbitrates, queues
 // the responses and unlocks; register and stats run the same way under the
-// control lock, behind which session lifecycle lives (see Server.ctl). One
-// goroutine per connection writes responses and pushed grants/revocations
-// back out. Each target's coordination state — its core.Arbiter from the
+// control lock, behind which session lifecycle lives (see Server.ctl). The
+// reader writes what it queued before it reads again; one writer goroutine
+// per connection writes what other goroutines (pushed grants, revocations)
+// queue meanwhile. Each target's coordination state — its core.Arbiter from the
 // shared core.ArbiterSet, per-session bindings, pending Waits, the decision
 // log — is touched only under that target's lock, so per-target decisions
 // are fully deterministic given that target's serialized request order (the
@@ -25,8 +26,8 @@
 // contention path: each Arbiter reuses its view/decision scratch (and owns
 // the model scratch its policy estimates in: the policy value is shared by
 // every shard), the policies — all implement core.IndexedArbitrator — run
-// map-free, and responses are written through per-connection buffered
-// writers with batched flushes.
+// map-free, and the responses to one read's worth of requests leave in one
+// write.
 package server
 
 import (
@@ -125,10 +126,12 @@ type Config struct {
 	// a second consecutive violation disconnects the client. 0 disables
 	// per-connection rate limiting.
 	RateLimit float64
-	// WriteBuffer overrides each connection's response-buffer capacity
-	// (default 256). A client too slow to drain it is disconnected rather
-	// than allowed to stall arbitration; tests shrink the buffer to drive
-	// that path deterministically.
+	// WriteBuffer bounds the responses waiting in each connection's queue
+	// for a write (default 256; 16 times that on a mux connection) — those
+	// to one read's worth of the client's frames, and pushes queued while
+	// a write is blocked. A client too slow to drain it is disconnected
+	// rather than allowed to stall arbitration; tests shrink the bound to
+	// drive that path deterministically.
 	WriteBuffer int
 	// AcceptLoops sets how many goroutines run the listener's accept loop
 	// (default 1). Sharding the accept loop keeps connection-churn-heavy

@@ -36,23 +36,22 @@ func testBindingOn(srv *Server, s *session, target string) *binding {
 	return sh.bindings[s]
 }
 
-// testSession is a session on a connection with no writer: up to n of its
-// responses queue, for queued to read back.
+// testSession is a session on a connection with no reader or writer: up
+// to n of its responses queue, for queued to read back.
 func testSession(n int) *session {
-	return &session{c: &conn{out: make(chan outFrame, n), quit: make(chan struct{})}, stream: 1}
+	return &session{c: &conn{max: n, quit: make(chan struct{})}, stream: 1}
 }
 
-// queued drains the responses queued for a testSession.
+// queued takes the responses queued for a testSession.
 func queued(s *session) []wire.Response {
+	s.c.wmu.Lock()
+	defer s.c.wmu.Unlock()
 	var out []wire.Response
-	for {
-		select {
-		case f := <-s.c.out:
-			out = append(out, f.resp)
-		default:
-			return out
-		}
+	for _, f := range s.c.queue {
+		out = append(out, f.resp)
 	}
+	s.c.queue = s.c.queue[:0]
+	return out
 }
 
 // testBinding is testBindingOn for the default target (inline-mode tests

@@ -351,15 +351,7 @@ func (sh *shard) detach(s *session) {
 	if b == nil {
 		return
 	}
-	delete(sh.bindings, s)
-	sh.goneWaitsImmediate += b.waitsImmediate
-	sh.goneWaitsDeferred += b.waitsDeferred
-	sh.goneConvoyWait += b.convoyWait
-	sh.goneProtoWait += b.protoWait
-	if b.waitSeq != 0 {
-		b.waitSeq = 0
-		sh.unpark(s)
-	}
+	sh.retire(s, b)
 	now := sh.srv.clock()
 	wasBusy := b.app.State() != core.Idle
 	sh.arb.Unregister(b.app)
@@ -392,17 +384,9 @@ func (sh *shard) rebind(old, s *session) {
 	}
 	id := s.id.Load()
 	now := sh.srv.clock()
-	delete(sh.bindings, old)
-	sh.goneWaitsImmediate += ob.waitsImmediate
-	sh.goneWaitsDeferred += ob.waitsDeferred
-	sh.goneConvoyWait += ob.convoyWait
-	sh.goneProtoWait += ob.protoWait
-	if ob.waitSeq != 0 {
-		// The deferred Wait died with the old connection; the client will
-		// re-issue it after the resume.
-		ob.waitSeq = 0
-		sh.unpark(old)
-	}
+	// A deferred Wait died with the old connection; the client re-issues it
+	// after the resume.
+	sh.retire(old, ob)
 	wasBusy := ob.app.State() != core.Idle
 	ioTime := ob.ioTime
 	if wasBusy {
@@ -410,25 +394,33 @@ func (sh *shard) rebind(old, s *session) {
 	}
 	sh.arb.Unregister(ob.app)
 	sh.rec(trace.Event{Type: trace.EvUnregister, Time: now, SID: ob.sid})
-	app, err := sh.arb.Register(id.name, id.cores)
-	if err != nil {
-		// Unreachable: the name was unregistered two lines up. Degrade to a
-		// plain detach; the client's next verb will attach afresh.
-		if wasBusy {
-			sh.rec(trace.Event{Type: trace.EvRecheck, Time: now})
-			sh.arbitrate(now)
-		}
-		return
+	// The name was unregistered just above, so Register cannot fail; if it
+	// did, this degrades to a plain detach and the next verb attaches afresh.
+	if app, err := sh.arb.Register(id.name, id.cores); err == nil {
+		b := &binding{s: s, app: app, sid: ob.sid,
+			phases: ob.phases, grants: ob.grants, ioTime: ioTime, waitTime: ob.waitTime}
+		app.Data = b
+		sh.bindings[s] = b
+		sh.rec(trace.Event{Type: trace.EvRegister, Time: now, SID: ob.sid,
+			App: id.name, Cores: int32(id.cores)})
 	}
-	b := &binding{s: s, app: app, sid: ob.sid,
-		phases: ob.phases, grants: ob.grants, ioTime: ioTime, waitTime: ob.waitTime}
-	app.Data = b
-	sh.bindings[s] = b
-	sh.rec(trace.Event{Type: trace.EvRegister, Time: now, SID: ob.sid,
-		App: id.name, Cores: int32(id.cores)})
 	if wasBusy {
 		sh.rec(trace.Event{Type: trace.EvRecheck, Time: now})
 		sh.arbitrate(now)
+	}
+}
+
+// retire removes a departing binding: its wait decomposition folds into
+// the shard's cumulative counters and its parked Wait, if any, unparks.
+func (sh *shard) retire(s *session, b *binding) {
+	delete(sh.bindings, s)
+	sh.goneWaitsImmediate += b.waitsImmediate
+	sh.goneWaitsDeferred += b.waitsDeferred
+	sh.goneConvoyWait += b.convoyWait
+	sh.goneProtoWait += b.protoWait
+	if b.waitSeq != 0 {
+		b.waitSeq = 0
+		sh.unpark(s)
 	}
 }
 

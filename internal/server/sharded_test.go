@@ -132,9 +132,10 @@ func TestMaxTargetsBound(t *testing.T) {
 // TestPipelinedRegisterInformNotMisrouted: a client that pipelines
 // coordination frames behind its register (without awaiting the response)
 // must have those frames land on its registered default target — never
-// silently misrouted to the default shard "" — in order: the wait pipelined
-// after the inform must see the informed phase, even though the inform may
-// travel through the control goroutine while the wait is routed directly.
+// silently misrouted to the default shard "" — in order: the reader
+// finishes the register under the control lock before it decodes the
+// inform, and the inform before the wait, so the wait sees the informed
+// phase.
 func TestPipelinedRegisterInformNotMisrouted(t *testing.T) {
 	srv, addr := startTestServer(t, Config{Policy: core.FCFSPolicy{}})
 	conn, err := net.Dial("tcp", addr)

@@ -99,6 +99,46 @@ func BenchmarkSocketGrants20k(b *testing.B) {
 	benchSocketMux(b, 20480, 64)
 }
 
+// BenchmarkSocketRoundTrip is the latency guard for a lone request: one
+// session, sequential Checks, nobody to batch with — what each register and
+// warm-up cycle of a fleet's setup costs. Reports µs per round trip.
+func BenchmarkSocketRoundTrip(b *testing.B) {
+	for _, name := range []string{"json", "binary", "mux"} {
+		b.Run(name, func(b *testing.B) {
+			addr, _ := startBenchServer(b)
+			var c *client.Client
+			var err error
+			switch name {
+			case "json":
+				c, err = client.DialOptions(addr, client.Options{Codec: wire.JSON})
+			case "binary":
+				c, err = client.DialOptions(addr, client.Options{Codec: wirebin.Codec{}})
+			default:
+				var m *client.Mux
+				if m, err = client.DialMux(addr, client.Options{}); err == nil {
+					defer m.Close()
+					c, err = m.Client()
+				}
+			}
+			if err == nil {
+				defer c.Close()
+				err = c.Register("rtt", 1)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Check(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/rtt")
+		})
+	}
+}
+
 // benchSocketMux times a fleet of logical sessions multiplexed over conns
 // physical connections against an in-process daemon.
 func benchSocketMux(b *testing.B, sessions, conns int) {

@@ -11,26 +11,14 @@ import (
 )
 
 // shardSnap is one shard's slice of a stats snapshot, assembled under the
-// shard's lock and merged under the control lock.
+// shard's lock and merged under the control lock: the target's row, its
+// latest decision's time, and its application rows.
 type shardSnap struct {
-	target       string
-	bindings     int
-	arbitrations uint64
-	grantsServed uint64
-
-	waitsImmediate uint64
-	waitsDeferred  uint64
-	convoyWait     float64
-	protoWait      float64
-
-	lastDecision string
-	lastTime     float64
-	hasDecision  bool
-
-	waitHist *wire.Hist // nil unless the server collects metrics
-
-	apps []wire.AppStats
-	rep  []metrics.AppResult
+	wire.TargetStats
+	lastTime    float64
+	hasDecision bool
+	apps        []wire.AppStats
+	rep         []metrics.AppResult
 }
 
 // GrantsServed returns the total number of Wait authorizations served
@@ -56,23 +44,24 @@ func (srv *Server) Stats() wire.Stats {
 // LASSi-style accounting in registration order, the shard aggregates, and
 // the latest decision. Runs under the shard's lock.
 func (sh *shard) snap(now float64) shardSnap {
-	sn := shardSnap{
-		target:         sh.target,
-		bindings:       len(sh.bindings),
-		arbitrations:   sh.arbitrations,
-		grantsServed:   sh.grantsServed,
-		waitsImmediate: sh.goneWaitsImmediate,
-		waitsDeferred:  sh.goneWaitsDeferred,
-		convoyWait:     sh.goneConvoyWait,
-		protoWait:      sh.goneProtoWait,
-	}
+	sn := shardSnap{TargetStats: wire.TargetStats{
+		Target:         sh.target,
+		Apps:           len(sh.bindings),
+		Arbitrations:   sh.arbitrations,
+		GrantsServed:   sh.grantsServed,
+		WaitsImmediate: sh.goneWaitsImmediate,
+		WaitsDeferred:  sh.goneWaitsDeferred,
+		ConvoyWaitS:    sh.goneConvoyWait,
+		ProtocolWaitS:  sh.goneProtoWait,
+	}}
 	if rec := sh.arb.LastRecord(); rec != nil {
-		sn.lastDecision = fmt.Sprintf("t=%.3f allowed=%v %s", rec.Time, rec.Allowed, rec.Reason)
+		sn.LastDecision = fmt.Sprintf("t=%.3f allowed=%v %s", rec.Time, rec.Allowed, rec.Reason)
 		sn.lastTime = rec.Time
 		sn.hasDecision = true
 	}
 	if sh.m != nil {
-		sn.waitHist = histFromSnapshot(sh.m.waitSeconds.Snapshot())
+		h := sh.m.waitSeconds.Snapshot()
+		sn.WaitHist = &wire.Hist{BoundsS: h.Bounds, Counts: h.Counts, SumS: h.Sum, Count: h.Count}
 	}
 	model := sh.srv.cfg.Model
 	for _, a := range sh.arb.Apps() {
@@ -102,10 +91,10 @@ func (sh *shard) snap(now float64) shardSnap {
 			ConvoyWaitS:    b.convoyWait,
 			ProtocolWaitS:  b.protoWait,
 		}
-		sn.waitsImmediate += b.waitsImmediate
-		sn.waitsDeferred += b.waitsDeferred
-		sn.convoyWait += b.convoyWait
-		sn.protoWait += b.protoWait
+		sn.WaitsImmediate += b.waitsImmediate
+		sn.WaitsDeferred += b.waitsDeferred
+		sn.ConvoyWaitS += b.convoyWait
+		sn.ProtocolWaitS += b.protoWait
 		alone := 0.0
 		if model != nil {
 			// Live interference: observed time for the bytes moved so far
@@ -149,39 +138,23 @@ func (srv *Server) merge(now float64, snaps []shardSnap) wire.Stats {
 	lastTime := math.Inf(-1)
 	for i := range snaps {
 		sn := &snaps[i]
-		st.Arbitrations += sn.arbitrations
-		st.GrantsServed += sn.grantsServed
-		st.WaitsImmediate += sn.waitsImmediate
-		st.WaitsDeferred += sn.waitsDeferred
-		st.ConvoyWaitS += sn.convoyWait
-		st.ProtocolWaitS += sn.protoWait
+		st.Arbitrations += sn.Arbitrations
+		st.GrantsServed += sn.GrantsServed
+		st.WaitsImmediate += sn.WaitsImmediate
+		st.WaitsDeferred += sn.WaitsDeferred
+		st.ConvoyWaitS += sn.ConvoyWaitS
+		st.ProtocolWaitS += sn.ProtocolWaitS
 		if sn.hasDecision && sn.lastTime > lastTime {
 			lastTime = sn.lastTime
-			st.LastDecision = sn.lastDecision
+			st.LastDecision = sn.LastDecision
 		}
-		if sn.waitHist != nil {
-			if st.WaitHist == nil {
-				st.WaitHist = &wire.Hist{
-					BoundsS: sn.waitHist.BoundsS,
-					Counts:  make([]uint64, len(sn.waitHist.Counts)),
-				}
-			}
-			st.WaitHist.Add(sn.waitHist)
+		if sn.WaitHist != nil && st.WaitHist == nil {
+			st.WaitHist = &wire.Hist{BoundsS: sn.WaitHist.BoundsS, Counts: make([]uint64, len(sn.WaitHist.Counts))}
 		}
+		st.WaitHist.Add(sn.WaitHist) // a no-op without metrics
 		st.Apps = append(st.Apps, sn.apps...)
 		rep.Apps = append(rep.Apps, sn.rep...)
-		st.Targets = append(st.Targets, wire.TargetStats{
-			Target:         sn.target,
-			Apps:           sn.bindings,
-			Arbitrations:   sn.arbitrations,
-			GrantsServed:   sn.grantsServed,
-			WaitsImmediate: sn.waitsImmediate,
-			WaitsDeferred:  sn.waitsDeferred,
-			ConvoyWaitS:    sn.convoyWait,
-			ProtocolWaitS:  sn.protoWait,
-			LastDecision:   sn.lastDecision,
-			WaitHist:       sn.waitHist,
-		})
+		st.Targets = append(st.Targets, sn.TargetStats)
 	}
 	sort.Slice(st.Apps, func(i, j int) bool {
 		if st.Apps[i].Name != st.Apps[j].Name {
