@@ -12,11 +12,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/delta"
 	"repro/internal/experiments"
 	"repro/internal/ior"
@@ -38,6 +38,9 @@ func main() {
 	points := flag.Int("points", 21, "sweep points")
 	factors := flag.Bool("factors", false, "plot interference factors instead of times")
 	flag.Parse()
+	if err := checkSweep(*points, *dtMin, *dtMax); err != nil {
+		fatalf("%v", err)
+	}
 
 	var sc delta.Scenario
 	if *cfgFile != "" {
@@ -53,8 +56,10 @@ func main() {
 		return
 	}
 
-	var coresPerNode int
-	sc, coresPerNode = pickPlatform(*platform)
+	sc, nodes, ok := experiments.PlatformByName(*platform)
+	if !ok {
+		fatalf("unknown platform %q", *platform)
+	}
 
 	w := ior.Workload{
 		BlockSize:     2 * miB,
@@ -74,8 +79,8 @@ func main() {
 	}
 
 	sc.Apps = []delta.AppSpec{
-		{Name: "A", Procs: *procsA, Nodes: nodes(*procsA, coresPerNode), W: w, Gran: ior.PerRound},
-		{Name: "B", Procs: *procsB, Nodes: nodes(*procsB, coresPerNode), W: w, Gran: ior.PerRound},
+		{Name: "A", Procs: *procsA, Nodes: nodes(*procsA), W: w, Gran: ior.PerRound},
+		{Name: "B", Procs: *procsB, Nodes: nodes(*procsB), W: w, Gran: ior.PerRound},
 	}
 	fmt.Printf("platform=%s A=%d procs B=%d procs %s %d MiB/proc\n\n",
 		sc.Name, *procsA, *procsB, *pattern, *mibPerProc)
@@ -91,7 +96,7 @@ func runSweeps(sc delta.Scenario, policies string, dtMin, dtMax float64, points 
 
 	var plotSeries []textplot.Series
 	for _, pname := range strings.Split(policies, ",") {
-		factory, ok := pickPolicy(strings.TrimSpace(pname))
+		factory, ok := delta.PolicyByName(strings.TrimSpace(pname))
 		if !ok {
 			fatalf("unknown policy %q", pname)
 		}
@@ -120,41 +125,17 @@ func runSweeps(sc delta.Scenario, policies string, dtMin, dtMax float64, points 
 	fmt.Println(textplot.Line("∆-graph: "+ylabel+" vs dt", dts, plotSeries, 72, 18))
 }
 
-func pickPlatform(name string) (delta.Scenario, int) {
-	switch name {
-	case "rennes":
-		return experiments.RennesPlatform(), experiments.RennesCoresPerNode
-	case "nancy":
-		return experiments.NancyPlatform(false), experiments.NancyCoresPerNode
-	case "surveyor":
-		return experiments.SurveyorPlatform(), experiments.SurveyorCoresPerNode
+// checkSweep rejects a sweep the engine cannot run: under two points there
+// is no step from dt-min to dt-max, NaN has no time, and an infinite offset
+// never arrives.
+func checkSweep(points int, dtMin, dtMax float64) error {
+	if points < 2 {
+		return fmt.Errorf("-points must be at least 2, got %d", points)
 	}
-	fatalf("unknown platform %q", name)
-	return delta.Scenario{}, 0
-}
-
-func pickPolicy(name string) (delta.PolicyFactory, bool) {
-	switch name {
-	case "interfere", "uncoordinated":
-		return delta.Uncoordinated, true
-	case "fcfs":
-		return delta.FCFS, true
-	case "interrupt":
-		return delta.Interrupt, true
-	case "dynamic":
-		return delta.Dynamic(core.CPUSecondsWasted{}, false), true
-	case "delay":
-		return delta.Delay(0.5), true
+	if math.IsNaN(dtMin) || math.IsInf(dtMin, 0) || math.IsNaN(dtMax) || math.IsInf(dtMax, 0) {
+		return fmt.Errorf("-dt-min and -dt-max must be finite, got %v and %v", dtMin, dtMax)
 	}
-	return nil, false
-}
-
-func nodes(procs, perNode int) int {
-	n := procs / perNode
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return nil
 }
 
 func fatalf(format string, args ...any) {

@@ -11,9 +11,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/delta"
 	"repro/internal/experiments"
 	"repro/internal/ior"
@@ -32,8 +32,16 @@ func main() {
 	filesB := flag.Int("files-b", 1, "files written by B")
 	mibPerProc := flag.Int64("mib-per-proc", 4, "MiB per process per file")
 	flag.Parse()
+	if err := checkOffset(*dt); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
-	sc, perNode := pick(*platform)
+	sc, nodes, ok := experiments.PlatformByName(*platform)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "unknown platform %q\n", *platform)
+		os.Exit(2)
+	}
 	mk := func(files int) ior.Workload {
 		return ior.Workload{
 			Pattern:       ior.Contiguous,
@@ -43,16 +51,12 @@ func main() {
 			ReqBytes:      miB,
 		}
 	}
-	nodes := *procs / perNode
-	if nodes < 1 {
-		nodes = 1
-	}
 	sc.Apps = []delta.AppSpec{
-		{Name: "A", Procs: *procs, Nodes: nodes, W: mk(*filesA), Gran: ior.PerRound},
-		{Name: "B", Procs: *procs, Nodes: nodes, W: mk(*filesB), Gran: ior.PerRound},
+		{Name: "A", Procs: *procs, Nodes: nodes(*procs), W: mk(*filesA), Gran: ior.PerRound},
+		{Name: "B", Procs: *procs, Nodes: nodes(*procs), W: mk(*filesB), Gran: ior.PerRound},
 	}
 
-	factory, ok := pickPolicy(*policy)
+	factory, ok := delta.PolicyByName(*policy)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown policy %q\n", *policy)
 		os.Exit(2)
@@ -96,32 +100,11 @@ func main() {
 	fmt.Print(rec.Gantt(90))
 }
 
-func pick(name string) (delta.Scenario, int) {
-	switch name {
-	case "rennes":
-		return experiments.RennesPlatform(), experiments.RennesCoresPerNode
-	case "nancy":
-		return experiments.NancyPlatform(false), experiments.NancyCoresPerNode
-	case "surveyor":
-		return experiments.SurveyorPlatform(), experiments.SurveyorCoresPerNode
+// checkOffset rejects a start offset the engine cannot schedule: NaN has no
+// time, and an infinite one never arrives.
+func checkOffset(dt float64) error {
+	if math.IsNaN(dt) || math.IsInf(dt, 0) {
+		return fmt.Errorf("-dt must be finite, got %v", dt)
 	}
-	fmt.Fprintf(os.Stderr, "unknown platform %q\n", name)
-	os.Exit(2)
-	return delta.Scenario{}, 0
-}
-
-func pickPolicy(name string) (delta.PolicyFactory, bool) {
-	switch name {
-	case "none", "interfere":
-		return delta.Uncoordinated, true
-	case "fcfs":
-		return delta.FCFS, true
-	case "interrupt":
-		return delta.Interrupt, true
-	case "dynamic":
-		return delta.Dynamic(core.CPUSecondsWasted{}, false), true
-	case "delay":
-		return delta.Delay(0.5), true
-	}
-	return nil, false
+	return nil
 }

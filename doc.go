@@ -268,7 +268,7 @@
 // were or who ran what: every replay fills its own slot, every merge goes by
 // index, and an error is the first in (policy, target) order. In return the
 // trace is read-only to replay — the streams point into it — and a policy
-// passed to Compare must be safe for concurrent ArbitrateIndexed on distinct
+// passed to Compare must be safe for concurrent Arbitrate calls on distinct
 // Arbiters, as every shipped one is: a policy is a shared value that decides
 // on the calling Arbiter's Scratch.
 //
@@ -459,10 +459,14 @@
 // A coordinated point is held to the same zero. A decision's reason is a
 // core.Reason — a kind, a name and a number, four words that every decision
 // copies into its log record — rendered into today's wording only by whoever
-// prints the log; every Arbiter, the Layer's included, asks
-// its policy through core.IndexedArbitrator, the form every shipped policy
-// has (fcfs, interrupt, interfere, delay, dynamic, priority, fairshare), so
-// no Allowed map is built. What a model policy estimates in — dynamic's solo
+// prints the log. A core.Policy has one way to decide, its Arbitrate method,
+// and every Arbiter — the Layer's, a daemon shard's, a replay's — asks it so:
+// the policy sets allowed[i] for each queued view apps[i] it authorizes, in
+// a slice the Arbiter owns and clears, and returns the reason and the
+// recheck delay. Every shipped policy (fcfs, interrupt, interfere, delay,
+// dynamic, priority, fairshare) and every test policy decides this way; a
+// test policy that authorizes by name marks the index whose view carries
+// that name. What a model policy estimates in — dynamic's solo
 // times, its one schedule order and one set of finish times that each
 // candidate is costed in, the sort behind its interference estimate —
 // is a core.Scratch owned by the Arbiter and handed over on that call, not
@@ -477,16 +481,16 @@
 //	BenchmarkDeltaPointReusedCoordinated       74.7 µs/op  406 allocs → 37.7 µs/op  0 allocs
 //	BenchmarkDeltaSweepFabricDenseCoordinated  1.85 ms/op  19580 allocs → 1.14 ms/op  ~5 allocs
 //
-// The dynamic policy was the last to decide on the map path: per decision a
-// candidate slice with four closures, five orders, a set of times per
-// candidate, a fresh Solver, an Allowed map and a formatted sentence. On the
-// indexed path a what-if replay under it costs what the estimate's
-// arithmetic costs, and replay allocates its own buffers once — a stream per
-// target, a wait log per stream, a flip log sized from the streams already
-// replayed — and keeps the sessions inside an access step in a list instead
-// of scanning for them per event. BenchmarkReplayCompare (a fixed 64-app,
-// 4-target, 20-phase trace; same box, medians of three alternating runs of
-// the parent's and this tree's test binaries):
+// The dynamic policy used to build, per decision, a candidate slice with four
+// closures, five orders, a set of times per candidate, a fresh Solver, a map
+// of the authorized names and a formatted sentence. Deciding into allowed
+// in the Arbiter's scratch, a what-if replay under it costs what the
+// estimate's arithmetic costs, and replay allocates its own buffers once — a
+// stream per target, a wait log per stream, a flip log sized from the
+// streams already replayed — and keeps the sessions inside an access step in
+// a list instead of scanning for them per event. BenchmarkReplayCompare (a
+// fixed 64-app, 4-target, 20-phase trace; same box, medians of three
+// alternating runs of the parent's and this tree's test binaries):
 //
 //	policy=fcfs                  3.82 ms/op     565 allocs → 2.34 ms/op   435 allocs
 //	policy=interrupt             4.35 ms/op    4399 allocs → 2.48 ms/op  4283 allocs

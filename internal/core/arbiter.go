@@ -210,23 +210,6 @@ func (a *AppState) Progress(bytesDone float64) {
 	}
 }
 
-// IndexedArbitrator is the allocation-free form of a decision, and the path
-// every Arbiter takes — simulator Layer, daemon shard and replay alike —
-// whenever the policy offers it, as every policy of this package does:
-// instead of returning a Decision with a freshly allocated Allowed map, the
-// policy marks allowed[i] for each authorized apps[i]. The views arrive
-// sorted by (arrival, name) and allowed arrives all-false, len(allowed) ==
-// len(apps). As with Policy.Arbitrate, apps is the Arbiter's own persistent
-// view array and must be treated as read-only. scratch is the calling
-// Arbiter's (never nil): whatever a policy needs room to estimate in goes
-// there and not into the policy value, which other Arbiters may be deciding
-// with at the same moment (see Scratch). The reason is a value (see Reason),
-// so explaining a decision formats nothing; recheck follows
-// Decision.RecheckAfter semantics.
-type IndexedArbitrator interface {
-	ArbitrateIndexed(now float64, apps []AppView, allowed []bool, scratch *Scratch) (reason Reason, recheck float64)
-}
-
 // Outcome is the result of one Arbiter.Arbitrate call. The Granted and
 // Revoked slices are scratch owned by the Arbiter, valid until the next
 // Arbitrate call; callers must not retain them.
@@ -258,9 +241,8 @@ type Outcome struct {
 // application from the tail, End and Unregister remove it, every other
 // AppState mutator rewrites its own view slot, and decision application
 // visits only the applications whose authorization flipped. Steady-state
-// arbitration reuses all scratch, the decision log included; with a policy
-// implementing IndexedArbitrator the hot path performs no per-request
-// allocation.
+// arbitration reuses all scratch, the decision log included, and the hot
+// path performs no per-request allocation.
 //
 // The Arbiter is not goroutine-safe: the sim engine is single-threaded, and
 // the daemon runs every request for a target under that target's shard lock
@@ -268,9 +250,8 @@ type Outcome struct {
 // serialized request order).
 type Arbiter struct {
 	policy     Policy
-	indexed    IndexedArbitrator // the policy's indexed form, nil if it has none
-	policyName string            // policy.Name(), resolved once: a name may be formatted
-	logBound   int               // <0 unlimited, 0 disabled, >0 keep last N records
+	policyName string // policy.Name(), resolved once: a name may be formatted
+	logBound   int    // <0 unlimited, 0 disabled, >0 keep last N records
 
 	apps []*AppState // registration order
 
@@ -309,16 +290,12 @@ func NewArbiter(policy Policy) *Arbiter {
 	if policy == nil {
 		panic("core: nil policy")
 	}
-	indexed, _ := policy.(IndexedArbitrator)
-	return &Arbiter{policy: policy, indexed: indexed, policyName: policy.Name(), logBound: -1}
+	return &Arbiter{policy: policy, policyName: policy.Name(), logBound: -1}
 }
 
-// Policy returns the active policy.
-func (ar *Arbiter) Policy() Policy { return ar.policy }
-
-// SetIndexed does nothing: every Arbiter takes the indexed path whenever its
-// policy has one. It stays only while benchmark/micro.go, frozen during the
-// change that made it so, still calls it; both go with the next benchmark PR.
+// SetIndexed does nothing: a policy has one way to decide. It stays only
+// while benchmark/micro.go, frozen during the change that made it so, still
+// calls it; both go with the next benchmark PR.
 func (ar *Arbiter) SetIndexed(bool) {}
 
 // Reset returns the arbiter to its just-constructed state while keeping the
@@ -525,17 +502,7 @@ func (ar *Arbiter) Arbitrate(now float64) Outcome {
 	allowed := ar.allowed[:n]
 	clear(allowed)
 
-	var reason Reason
-	var recheck float64
-	if ar.indexed != nil {
-		reason, recheck = ar.indexed.ArbitrateIndexed(now, views, allowed, &ar.model)
-	} else {
-		dec := ar.policy.Arbitrate(now, views)
-		reason, recheck = dec.Reason, dec.RecheckAfter
-		for i := range views {
-			allowed[i] = dec.Allowed[views[i].Name]
-		}
-	}
+	reason, recheck := ar.policy.Arbitrate(now, views, allowed, &ar.model)
 
 	queue, auth := ar.queue[ar.head:], ar.auth[ar.head:]
 	ar.granted = ar.granted[:0]

@@ -8,8 +8,7 @@ import (
 )
 
 // shippedPolicies is every policy the package ships, dynamic with and without
-// its interfere candidate: each must offer the indexed path and stay on the
-// allocation-free side of it.
+// its interfere candidate: each must decide without allocating.
 func shippedPolicies() []Policy {
 	model := &PerfModel{FSBandwidth: 1e9, ProcNIC: 1e7}
 	return []Policy{
@@ -21,51 +20,6 @@ func shippedPolicies() []Policy {
 		DynamicPolicy{Metric: SumInterferenceFactors{Model: model}, Model: model},
 		PriorityPolicy{Priorities: map[string]int{"app-3": 2, "app-05": 1}},
 		FairSharePolicy{Quantum: 2},
-	}
-}
-
-// TestIndexedMatchesMapDecisions pins the equivalence of the two ways to ask
-// a policy: ArbitrateIndexed and the Decision that Arbitrate reads back from
-// it must authorize exactly the same set of applications across a range of
-// states, for every shipped policy.
-func TestIndexedMatchesMapDecisions(t *testing.T) {
-	policies := shippedPolicies()
-	mkViews := func(n int, actives int) []AppView {
-		vs := make([]AppView, n)
-		for i := range vs {
-			st := Waiting
-			if i < actives {
-				st = Active
-			}
-			vs[i] = AppView{
-				Name: fmt.Sprintf("app-%02d", i), Cores: 16 * (i + 1), State: st,
-				Arrival: float64(i), BytesTotal: 1e8 * float64(i+1), BytesDone: 1e7 * float64(i),
-			}
-		}
-		return vs
-	}
-	for _, p := range policies {
-		ip, ok := p.(IndexedArbitrator)
-		if !ok {
-			t.Fatalf("%s: no indexed path", p.Name())
-		}
-		for n := 1; n <= 5; n++ {
-			for actives := 0; actives <= 1; actives++ {
-				vs := mkViews(n, actives)
-				dec := p.Arbitrate(100, vs)
-				allowed := make([]bool, n)
-				_, recheck := ip.ArbitrateIndexed(100, vs, allowed, new(Scratch))
-				for i, v := range vs {
-					if allowed[i] != dec.Allowed[v.Name] {
-						t.Fatalf("%s n=%d actives=%d: %s indexed=%v map=%v",
-							p.Name(), n, actives, v.Name, allowed[i], dec.Allowed[v.Name])
-					}
-				}
-				if (recheck > 0) != (dec.RecheckAfter > 0) {
-					t.Fatalf("%s n=%d: recheck indexed=%v map=%v", p.Name(), n, recheck, dec.RecheckAfter)
-				}
-			}
-		}
 	}
 }
 

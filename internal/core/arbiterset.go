@@ -1,16 +1,6 @@
 package core
 
-import (
-	"sort"
-	"sync"
-)
-
-// TargetDecision is one arbitration decision attributed to the storage
-// target whose arbiter made it, the unit of the combined cross-target log.
-type TargetDecision struct {
-	Target string
-	DecisionRecord
-}
+import "sync"
 
 // ArbiterSet owns one Arbiter per storage target: the coordination domain of
 // the sharded daemon, where contention — and therefore arbitration — is
@@ -18,15 +8,11 @@ type TargetDecision struct {
 // convoy behind one writing to server B). Arbiters are created on demand by
 // Get and live for the set's lifetime.
 //
-// Concurrency contract: the registry itself (Get/Lookup/Targets/Len) is safe
-// for concurrent use — the daemon's reader goroutines resolve targets while
-// others arbitrate. Each Arbiter, however, keeps the single-owner
-// discipline of the unsharded design: one goroutine at a time (in the
-// daemon, whoever holds the target's shard lock) may call its mutating
-// methods. The combining
-// methods (LastRecord, Log, Reset, Each) read or write across every arbiter
-// and are therefore only safe once those owners are quiescent — snapshots in
-// the live daemon are instead assembled per shard and merged by the caller.
+// Concurrency contract: Get is safe for concurrent use — the daemon's reader
+// goroutines resolve targets while others arbitrate. Each Arbiter, however,
+// keeps the single-owner discipline of the unsharded design: one goroutine
+// at a time (in the daemon, whoever holds the target's shard lock) may call
+// its mutating methods.
 type ArbiterSet struct {
 	policy   Policy
 	logBound int
@@ -34,7 +20,6 @@ type ArbiterSet struct {
 
 	mu       sync.RWMutex
 	byTarget map[string]*Arbiter
-	targets  []string // sorted
 }
 
 // NewArbiterSet builds an empty set. Every arbiter created by Get runs the
@@ -47,9 +32,6 @@ func NewArbiterSet(policy Policy) *ArbiterSet {
 	}
 	return &ArbiterSet{policy: policy, byTarget: make(map[string]*Arbiter)}
 }
-
-// Policy returns the policy shared by every arbiter in the set.
-func (s *ArbiterSet) Policy() Policy { return s.policy }
 
 // SetLogBound applies the decision-log bound to every current and future
 // arbiter (see Arbiter.SetLogBound). Call it before the first Arbitrate.
@@ -81,85 +63,5 @@ func (s *ArbiterSet) Get(target string) *Arbiter {
 		ar.SetLogBound(s.logBound)
 	}
 	s.byTarget[target] = ar
-	i := sort.SearchStrings(s.targets, target)
-	s.targets = append(s.targets, "")
-	copy(s.targets[i+1:], s.targets[i:])
-	s.targets[i] = target
 	return ar
-}
-
-// Lookup returns the target's arbiter, or nil when none exists yet.
-func (s *ArbiterSet) Lookup(target string) *Arbiter {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.byTarget[target]
-}
-
-// Targets returns the known target names, sorted.
-func (s *ArbiterSet) Targets() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]string(nil), s.targets...)
-}
-
-// Len returns the number of targets.
-func (s *ArbiterSet) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.byTarget)
-}
-
-// Each visits every arbiter in sorted target order. See the concurrency
-// contract: the arbiters' owner goroutines must be quiescent.
-func (s *ArbiterSet) Each(fn func(target string, ar *Arbiter)) {
-	s.mu.RLock()
-	targets := append([]string(nil), s.targets...)
-	s.mu.RUnlock()
-	for _, t := range targets {
-		fn(t, s.Lookup(t))
-	}
-}
-
-// Reset returns every arbiter to its just-constructed state (keeping
-// registered applications, per Arbiter.Reset). The registry itself — which
-// targets exist — is retained.
-func (s *ArbiterSet) Reset() {
-	s.Each(func(_ string, ar *Arbiter) { ar.Reset() })
-}
-
-// LastRecord is the combining layer's "latest decision": the most recent
-// decision record across every target, ties broken toward the smaller
-// target name so the answer is deterministic. It returns zero values when
-// no arbiter has decided anything.
-func (s *ArbiterSet) LastRecord() (target string, rec *DecisionRecord) {
-	s.Each(func(t string, ar *Arbiter) {
-		r := ar.LastRecord()
-		if r == nil {
-			return
-		}
-		if rec == nil || r.Time > rec.Time {
-			target, rec = t, r
-		}
-	})
-	return target, rec
-}
-
-// Log merges the per-target decision logs into one cross-target record,
-// ordered by time with ties broken by target name then per-target order —
-// deterministic for a deterministic set of shard histories. It allocates
-// the merged slice; like Arbiter.Log it is a cold path.
-func (s *ArbiterSet) Log() []TargetDecision {
-	var out []TargetDecision
-	s.Each(func(t string, ar *Arbiter) {
-		for _, rec := range ar.Log() {
-			out = append(out, TargetDecision{Target: t, DecisionRecord: rec})
-		}
-	})
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Time != out[j].Time {
-			return out[i].Time < out[j].Time
-		}
-		return out[i].Target < out[j].Target
-	})
-	return out
 }

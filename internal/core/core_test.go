@@ -253,12 +253,12 @@ func TestDynamicDecisionThreshold(t *testing.T) {
 		}
 	}
 	// A has plenty remaining (3000 = 3s) vs B small (1000 = 1s): interrupt.
-	dec := pol.Arbitrate(5, mk(3000, 1000))
+	dec := decide(pol, 5, mk(3000, 1000))
 	if !dec.Allowed["B"] || dec.Allowed["A"] {
 		t.Fatalf("want interrupt (B only), got %+v", dec)
 	}
 	// A nearly done (500 = 0.5s) vs B 1s: FCFS (B waits).
-	dec = pol.Arbitrate(5, mk(500, 1000))
+	dec = decide(pol, 5, mk(500, 1000))
 	if !dec.Allowed["A"] || dec.Allowed["B"] {
 		t.Fatalf("want FCFS (A only), got %+v", dec)
 	}
@@ -320,7 +320,7 @@ func TestDelayPolicyWindow(t *testing.T) {
 		{Name: "B", Cores: 1, Arrival: 1, BytesTotal: 200, AloneBW: 100, State: Waiting},
 	}
 	// A rem = 10s; B solo = 2s; window 2 < 10 -> B delayed, recheck in 8s.
-	dec := pol.Arbitrate(1, apps)
+	dec := decide(pol, 1, apps)
 	if dec.Allowed["B"] {
 		t.Fatalf("B should be delayed: %+v", dec)
 	}
@@ -329,7 +329,7 @@ func TestDelayPolicyWindow(t *testing.T) {
 	}
 	// A nearly done: overlap allowed.
 	apps[0].BytesDone = 900
-	dec = pol.Arbitrate(1, apps)
+	dec = decide(pol, 1, apps)
 	if !dec.Allowed["B"] || !dec.Allowed["A"] {
 		t.Fatalf("both should run: %+v", dec)
 	}
@@ -427,7 +427,7 @@ func TestThreeAppDynamicSJFQueue(t *testing.T) {
 		{Name: "B", Cores: 64, Arrival: 1, BytesTotal: 5000, AloneBW: 100, State: Waiting},
 		{Name: "C", Cores: 64, Arrival: 2, BytesTotal: 100, AloneBW: 100, State: Waiting},
 	}
-	dec := pol.Arbitrate(2, apps)
+	dec := decide(pol, 2, apps)
 	// A is nearly done (1s left): not worth interrupting for C (1s solo).
 	// After A, C should go before B — but right now only A is authorized.
 	if !dec.Allowed["A"] || dec.Allowed["B"] || dec.Allowed["C"] {
@@ -435,7 +435,7 @@ func TestThreeAppDynamicSJFQueue(t *testing.T) {
 	}
 	// Once A leaves, SJF should pick C over the earlier-arrived B.
 	apps2 := []AppView{apps[1], apps[2]}
-	dec = pol.Arbitrate(3, apps2)
+	dec = decide(pol, 3, apps2)
 	if !dec.Allowed["C"] || dec.Allowed["B"] {
 		t.Fatalf("expected SJF to pick C: %+v", dec)
 	}
@@ -491,13 +491,13 @@ func TestPriorityPolicy(t *testing.T) {
 		{Name: "A", Arrival: 0, State: Active},
 		{Name: "B", Arrival: 3, State: Waiting},
 	}
-	dec := pol.Arbitrate(3, apps)
+	dec := decide(pol, 3, apps)
 	if !dec.Allowed["B"] || dec.Allowed["A"] {
 		t.Fatalf("high-priority B should win: %+v", dec)
 	}
 	// Without priorities, arrival order wins (first in sorted views).
 	pol = PriorityPolicy{}
-	dec = pol.Arbitrate(3, apps)
+	dec = decide(pol, 3, apps)
 	if !dec.Allowed["A"] {
 		t.Fatalf("equal priorities should fall back to arrival: %+v", dec)
 	}
@@ -509,7 +509,7 @@ func TestFairSharePolicy(t *testing.T) {
 		{Name: "A", BytesTotal: 100, BytesDone: 80, State: Active},
 		{Name: "B", BytesTotal: 100, BytesDone: 10, State: Waiting},
 	}
-	dec := pol.Arbitrate(0, apps)
+	dec := decide(pol, 0, apps)
 	if !dec.Allowed["B"] {
 		t.Fatalf("least-served B should win: %+v", dec)
 	}
@@ -517,7 +517,7 @@ func TestFairSharePolicy(t *testing.T) {
 		t.Fatalf("recheck = %v, want quantum 2", dec.RecheckAfter)
 	}
 	// Single app: no recheck needed.
-	dec = pol.Arbitrate(0, apps[:1])
+	dec = decide(pol, 0, apps[:1])
 	if dec.RecheckAfter != 0 {
 		t.Fatalf("single app should not schedule rechecks: %+v", dec)
 	}
@@ -601,7 +601,7 @@ func TestDynamicWithoutFiniteCost(t *testing.T) {
 				apps[i] = AppView{Name: string(rune('A' + i)), Cores: 8, Arrival: float64(i),
 					BytesTotal: tc.totals[i], State: tc.states[i]}
 			}
-			dec := pol.Arbitrate(3, apps)
+			dec := decide(pol, 3, apps)
 			if len(dec.Allowed) != 1 || !dec.Allowed[tc.allow] {
 				t.Errorf("%s, interfere=%v: allowed %v, want only %s", tc.name, interfere, dec.Allowed, tc.allow)
 			}

@@ -39,15 +39,7 @@ func (r *refArbiter) arbitrate(now float64) (out Outcome) {
 	}
 	allowed := make([]bool, len(views))
 	out.Acted = true
-	if ip, ok := r.policy.(IndexedArbitrator); ok {
-		out.Reason, out.RecheckAfter = ip.ArbitrateIndexed(now, views, allowed, new(Scratch))
-	} else {
-		dec := r.policy.Arbitrate(now, views)
-		out.Reason, out.RecheckAfter = dec.Reason, dec.RecheckAfter
-		for i, v := range views {
-			allowed[i] = dec.Allowed[v.Name]
-		}
-	}
+	out.Reason, out.RecheckAfter = r.policy.Arbitrate(now, views, allowed, new(Scratch))
 	allowedNow := make(map[*AppState]bool)
 	names := []string(nil)
 	for i, a := range viewApps {
@@ -84,62 +76,33 @@ func (r *refArbiter) otherAuthorized(app *AppState) bool {
 }
 
 // spy records the views a policy was shown and fails the test if the policy
-// wrote to them: they are the Arbiter's persistent array.
+// wrote to them — they are the Arbiter's persistent array — or decided
+// otherwise than the oracle where the policy has one (see oracleDecision),
+// rendered reason included.
 type spy struct {
 	Policy
 	t    *testing.T
 	seen []AppView
 }
 
-func (s *spy) Arbitrate(now float64, apps []AppView) Decision {
+func (s *spy) Arbitrate(now float64, apps []AppView, allowed []bool, scratch *Scratch) (Reason, float64) {
 	s.seen = append(s.seen[:0], apps...)
-	dec := s.Policy.Arbitrate(now, apps)
-	if !reflect.DeepEqual(s.seen, apps) {
-		s.t.Fatalf("%s wrote to its views", s.Name())
-	}
-	return dec
-}
-
-type indexedSpy struct{ *spy }
-
-// ArbitrateIndexed also asks the policy's other path, Policy.Arbitrate, and
-// the oracle where the policy has one (see oracleDecision), and requires the
-// same decision from each, rendered reason included.
-func (s indexedSpy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool, scratch *Scratch) (Reason, float64) {
-	s.seen = append(s.seen[:0], apps...)
-	reason, recheck := s.Policy.(IndexedArbitrator).ArbitrateIndexed(now, apps, allowed, scratch)
-	s.same("Arbitrate", s.Policy.Arbitrate(now, apps), apps, allowed, reason, recheck)
+	reason, recheck := s.Policy.Arbitrate(now, apps, allowed, scratch)
 	if dec, ok := oracleDecision(s.Policy, now, apps); ok {
-		s.same("the oracle", dec, apps, allowed, reason, recheck)
+		if dec.Reason.String() != reason.String() || dec.RecheckAfter != recheck {
+			s.t.Fatalf("%s: the oracle says %q recheck %v, Arbitrate %q recheck %v",
+				s.Name(), dec.Reason, dec.RecheckAfter, reason, recheck)
+		}
+		for i, v := range apps {
+			if dec.Allowed[v.Name] != allowed[i] {
+				s.t.Fatalf("%s: the oracle and Arbitrate disagree on %s in %+v", s.Name(), v.Name, apps)
+			}
+		}
 	}
 	if !reflect.DeepEqual(s.seen, apps) {
 		s.t.Fatalf("%s wrote to its views", s.Name())
 	}
 	return reason, recheck
-}
-
-// same fails the test unless dec is the decision ArbitrateIndexed took.
-func (s indexedSpy) same(who string, dec Decision, apps []AppView, allowed []bool, reason Reason, recheck float64) {
-	if dec.Reason.String() != reason.String() || dec.RecheckAfter != recheck {
-		s.t.Fatalf("%s: %s says %q recheck %v, ArbitrateIndexed %q recheck %v",
-			s.Name(), who, dec.Reason, dec.RecheckAfter, reason, recheck)
-	}
-	for i, v := range apps {
-		if dec.Allowed[v.Name] != allowed[i] {
-			s.t.Fatalf("%s: %s and ArbitrateIndexed disagree on %s in %+v", s.Name(), who, v.Name, apps)
-		}
-	}
-}
-
-// newSpy wraps p for one arbiter. An Arbiter takes the indexed path whenever
-// its policy has one; with indexed false the wrapper hides that method, which
-// is how a schedule is driven down the map path of a policy that has both.
-func newSpy(t *testing.T, p Policy, indexed bool) (*spy, Policy) {
-	s := &spy{Policy: p, t: t}
-	if _, ok := p.(IndexedArbitrator); ok && indexed {
-		return s, indexedSpy{s}
-	}
-	return s, s
 }
 
 // wording is the reason text as the policies formatted it eagerly, before
@@ -171,8 +134,7 @@ func wording(p Policy, views []AppView) (text string, ok bool) {
 
 var diffModel = &PerfModel{FSBandwidth: 1e9, ProcNIC: 1e7}
 
-// diffPolicies is every policy in the package — all offer the indexed path —
-// with dynamic under two metrics, with and without its interfere candidate.
+// diffPolicies is every policy in the package, with dynamic under two metrics, with and without its interfere candidate.
 var diffPolicies = []Policy{
 	InterferePolicy{},
 	FCFSPolicy{},
@@ -237,16 +199,14 @@ type diffRun struct {
 	cov       *coverage
 }
 
-func newDiffRun(t *testing.T, p Policy, indexed bool, logBound int, cov *coverage) *diffRun {
+func newDiffRun(t *testing.T, p Policy, logBound int, cov *coverage) *diffRun {
 	d := &diffRun{t: t, logBound: logBound, cov: cov,
 		realApps: make([]*AppState, len(slotNames)), refApps: make([]*AppState, len(slotNames)),
 		endedCold: make([]bool, len(slotNames))}
-	var rp, fp Policy
-	d.realSpy, rp = newSpy(t, p, indexed)
-	d.refSpy, fp = newSpy(t, p, indexed)
-	d.real = NewArbiter(rp)
+	d.realSpy, d.refSpy = &spy{Policy: p, t: t}, &spy{Policy: p, t: t}
+	d.real = NewArbiter(d.realSpy)
 	d.real.SetLogBound(logBound)
-	d.ref = &refArbiter{policy: fp}
+	d.ref = &refArbiter{policy: d.refSpy}
 	return d
 }
 
@@ -529,24 +489,20 @@ func craftedSchedules() [][]byte {
 
 // TestArbiterMatchesReference drives the incremental Arbiter and the
 // rebuild-and-sort reference through the same schedules — the crafted ones
-// and seeded random ones — under every policy, on the map and the indexed
-// path, with unbounded and ring-bounded logging.
+// and seeded random ones — under every policy, with unbounded and
+// ring-bounded logging.
 func TestArbiterMatchesReference(t *testing.T) {
 	var cov coverage
 	for pi, p := range diffPolicies {
-		for _, indexed := range []bool{false, true} {
-			logBound := -1
-			if indexed {
-				logBound = 5 // the daemon's configuration: a bounded ring
-			}
+		for _, logBound := range []int{-1, 5} { // unbounded, and the daemon's bounded ring
 			for _, s := range craftedSchedules() {
-				newDiffRun(t, p, indexed, logBound, &cov).run(s)
+				newDiffRun(t, p, logBound, &cov).run(s)
 			}
 			for seed := int64(1); seed <= 12; seed++ {
 				rng := rand.New(rand.NewSource(seed*100 + int64(pi)))
 				s := make([]byte, 1200)
 				rng.Read(s)
-				newDiffRun(t, p, indexed, logBound, &cov).run(s)
+				newDiffRun(t, p, logBound, &cov).run(s)
 			}
 		}
 	}
@@ -559,7 +515,7 @@ func TestArbiterMatchesReference(t *testing.T) {
 }
 
 // FuzzArbiterSchedule is the same differential check with the schedule, the
-// policy, the path and the log bound chosen by the fuzzer.
+// policy and the log bound chosen by the fuzzer.
 func FuzzArbiterSchedule(f *testing.F) {
 	for i, s := range craftedSchedules() {
 		f.Add(append([]byte{byte(i)}, s...))
@@ -571,7 +527,7 @@ func FuzzArbiterSchedule(f *testing.F) {
 		sel := int(data[0])
 		p := diffPolicies[sel%len(diffPolicies)]
 		sel /= len(diffPolicies)
-		logBound := []int{-1, 0, 1, 5}[sel/2%4]
-		newDiffRun(t, p, sel%2 == 1, logBound, new(coverage)).run(data[1:])
+		logBound := []int{-1, 0, 1, 5}[sel%4]
+		newDiffRun(t, p, logBound, new(coverage)).run(data[1:])
 	})
 }

@@ -43,8 +43,8 @@ func (m *PerfModel) SoloTime(v AppView, bytes float64) float64 {
 // per queued application, one schedule order and one set of finish times
 // that every candidate is costed in one after another, and the sort behind
 // the interference estimate. It belongs to the Arbiter, which hands it to its
-// policy on every ArbitrateIndexed call — not to the policy, a value that
-// many Arbiters share and decide with concurrently. Nothing in it outlives
+// policy on every Arbitrate call — not to the policy, a value that many
+// Arbiters share and decide with concurrently. Nothing in it outlives
 // the call or refers to the views, and the zero value is ready.
 type Scratch struct {
 	solo   []float64
@@ -205,12 +205,9 @@ type DynamicPolicy struct {
 // Name implements Policy.
 func (d DynamicPolicy) Name() string { return "dynamic(" + d.Metric.Name() + ")" }
 
-// Arbitrate implements Policy.
-func (d DynamicPolicy) Arbitrate(now float64, apps []AppView) Decision { return decide(d, now, apps) }
-
-// ArbitrateIndexed implements IndexedArbitrator. Candidate schedules are
-// built around the applications currently writing, so a decision made earlier
-// is not flip-flopped at every re-arbitration: serialize continues whoever is
+// Arbitrate implements Policy. Candidate schedules are built around the
+// applications currently writing, so a decision made earlier is not
+// flip-flopped at every re-arbitration: serialize continues whoever is
 // writing and queues the waiters by arrival; shortest-job-first (with several
 // waiters) queues them by remaining solo time instead — the paper's "choose a
 // place in the queue" generalization, which minimizes the summed waiting that
@@ -218,7 +215,7 @@ func (d DynamicPolicy) Arbitrate(now float64, apps []AppView) Decision { return 
 // the newest waiter ahead of the holder; interfere lets everybody go. Each is
 // costed in turn in the scratch's one order and one set of times, the first
 // of the cheapest wins, and only the winner marks allowed.
-func (d DynamicPolicy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool, s *Scratch) (Reason, float64) {
+func (d DynamicPolicy) Arbitrate(now float64, apps []AppView, allowed []bool, s *Scratch) (Reason, float64) {
 	if d.Model == nil || d.Metric == nil {
 		panic("core: DynamicPolicy needs Model and Metric")
 	}

@@ -58,45 +58,25 @@ func (v AppView) Remaining() float64 {
 	return r
 }
 
-// Decision is a policy's arbitration outcome.
-type Decision struct {
-	// Allowed maps application name -> authorized to access the file
-	// system. Missing names are treated as not allowed.
-	Allowed map[string]bool
-	// RecheckAfter, when positive, asks the layer to re-arbitrate after
-	// that many seconds even if nothing changes (used by delay policies).
-	RecheckAfter float64
-	// Reason is a human-readable explanation, kept in the decision log.
-	Reason Reason
-}
-
-// AllowAll builds a decision authorizing every listed app.
-func AllowAll(apps []AppView, reason string) Decision {
-	d := Decision{Allowed: make(map[string]bool, len(apps)), Reason: TextReason(reason)}
-	for _, a := range apps {
-		d.Allowed[a.Name] = true
-	}
-	return d
-}
-
-// AllowOnly builds a decision authorizing exactly one app.
-func AllowOnly(name, reason string) Decision {
-	return Decision{Allowed: map[string]bool{name: true}, Reason: TextReason(reason)}
-}
-
 // Policy arbitrates file-system access among the applications currently in
 // an I/O phase. Arbitrate is called whenever the set or progress of
-// participating applications changes. The views are sorted by arrival time
-// (ties by name). The apps slice is the Arbiter's own view array, which
+// participating applications changes, by every Arbiter — simulator Layer,
+// daemon shard and replay alike — and decides without allocating: the
+// policy marks allowed[i] for each authorized apps[i]. The views arrive
+// sorted by arrival time (ties by name) and allowed arrives all-false,
+// len(allowed) == len(apps). apps is the Arbiter's own view array, which
 // persists from one decision to the next: a policy must treat it as
 // read-only (reorder indices, as DynamicPolicy does) and must not retain it
-// past the call. A policy that can decide without the Allowed map also
-// implements IndexedArbitrator, as every policy of this package does; an
-// Arbiter then asks it so, and Arbitrate serves whoever holds the policy
-// alone. AllowAll and AllowOnly build the Decision of one that cannot.
+// past the call. scratch is the calling Arbiter's (never nil): whatever a
+// policy needs room to estimate in goes there and not into the policy value,
+// which other Arbiters may be deciding with at the same moment (see
+// Scratch). The reason is a value (see Reason), so explaining a decision
+// formats nothing; a positive recheck asks the Arbiter's owner to
+// re-arbitrate after that many seconds even if nothing changes (used by
+// delay policies).
 type Policy interface {
 	Name() string
-	Arbitrate(now float64, apps []AppView) Decision
+	Arbitrate(now float64, apps []AppView, allowed []bool, scratch *Scratch) (reason Reason, recheck float64)
 }
 
 // DecisionRecord is a logged arbitration outcome. Allowed aliases the
@@ -123,7 +103,7 @@ type Layer struct {
 	arb         *Arbiter
 	latency     float64
 	arbitrateFn func()     // l.arbitrate, bound once: a poke allocates nothing
-	recheck     *sim.Timer // the pending Decision.RecheckAfter, if any
+	recheck     *sim.Timer // the pending Outcome.RecheckAfter, if any
 }
 
 // NewLayer creates a coordination layer with the given policy and one-way
@@ -138,9 +118,6 @@ func NewLayer(eng *sim.Engine, policy Policy, latency float64) *Layer {
 	l.recheck = eng.NewTimer(l.arbitrateFn)
 	return l
 }
-
-// Policy returns the active policy.
-func (l *Layer) Policy() Policy { return l.arb.Policy() }
 
 // Reset returns the layer to its just-constructed state on a freshly reset
 // engine, keeping the registered coordinators (and hence the policy and the

@@ -178,10 +178,13 @@ type scripted struct {
 
 func (scripted) Name() string { return "scripted" }
 
-func (s scripted) Arbitrate(now float64, apps []AppView) Decision {
+func (s scripted) Arbitrate(now float64, apps []AppView, allowed []bool, _ *Scratch) (Reason, float64) {
 	name := s.script[min(*s.n, len(s.script)-1)]
 	*s.n++
-	return AllowOnly(name, "scripted")
+	for i, a := range apps {
+		allowed[i] = a.Name == name
+	}
+	return TextReason("scripted"), 0
 }
 
 // TestStaleGrantMessageWakesNobody: B is granted, revoked and granted again

@@ -9,14 +9,50 @@ import (
 )
 
 // The decisions of DynamicPolicy, PriorityPolicy and FairSharePolicy as they
-// were taken before the three moved to the indexed path — a candidate slice,
+// were taken before the three decided in place — a candidate slice,
 // fresh orders and times per candidate, an Allowed map and an eagerly
 // formatted reason per decision — kept verbatim as the oracle the
-// differential test holds ArbitrateIndexed to, Allowed and wording both.
+// differential test holds Policy.Arbitrate to, Allowed and wording both.
+
+// decision is a policy's outcome read back by name: the form the oracles
+// decide in, and how a test asks one policy directly (see decide).
+type decision struct {
+	Allowed      map[string]bool // authorized names; missing ones are not
+	RecheckAfter float64
+	Reason       Reason
+}
+
+// allowAll authorizes every listed app.
+func allowAll(apps []AppView, reason string) decision {
+	d := decision{Allowed: make(map[string]bool, len(apps)), Reason: TextReason(reason)}
+	for _, a := range apps {
+		d.Allowed[a.Name] = true
+	}
+	return d
+}
+
+// allowOnly authorizes exactly one app.
+func allowOnly(name, reason string) decision {
+	return decision{Allowed: map[string]bool{name: true}, Reason: TextReason(reason)}
+}
+
+// decide asks p for one decision in a scratch of its own and reads it back
+// by name.
+func decide(p Policy, now float64, apps []AppView) decision {
+	allowed := make([]bool, len(apps))
+	reason, recheck := p.Arbitrate(now, apps, allowed, new(Scratch))
+	dec := decision{Allowed: make(map[string]bool, len(apps)), RecheckAfter: recheck, Reason: reason}
+	for i, ok := range allowed {
+		if ok {
+			dec.Allowed[apps[i].Name] = true
+		}
+	}
+	return dec
+}
 
 // oracleDecision is the old Policy.Arbitrate of p; ok is false for the
 // policies whose indexed form is older than this file.
-func oracleDecision(p Policy, now float64, apps []AppView) (dec Decision, ok bool) {
+func oracleDecision(p Policy, now float64, apps []AppView) (dec decision, ok bool) {
 	switch p := p.(type) {
 	case DynamicPolicy:
 		return oracleDynamic(p, now, apps), true
@@ -25,7 +61,7 @@ func oracleDecision(p Policy, now float64, apps []AppView) (dec Decision, ok boo
 	case FairSharePolicy:
 		return oracleFairShare(p, now, apps), true
 	}
-	return Decision{}, false
+	return decision{}, false
 }
 
 func oracleSharedFinishTimes(m *PerfModel, apps []AppView) []float64 {
@@ -37,14 +73,14 @@ func oracleSharedFinishTimes(m *PerfModel, apps []AppView) []float64 {
 	return fluid.FinishTimes(m.FSBandwidth, flows)
 }
 
-func oracleDynamic(d DynamicPolicy, now float64, apps []AppView) Decision {
+func oracleDynamic(d DynamicPolicy, now float64, apps []AppView) decision {
 	if len(apps) == 1 {
-		return AllowAll(apps, "single application")
+		return allowAll(apps, "single application")
 	}
 
 	type candidate struct {
 		name    string
-		decide  func() Decision
+		decide  func() decision
 		ioTimes []float64
 	}
 	var cands []candidate
@@ -73,9 +109,9 @@ func oracleDynamic(d DynamicPolicy, now float64, apps []AppView) Decision {
 	cands = append(cands, candidate{
 		name:    "serialize",
 		ioTimes: serialTimes(continueOrder),
-		decide: func() Decision {
+		decide: func() decision {
 			head := apps[continueOrder[0]].Name
-			return AllowOnly(head, "dynamic: serialize after "+head)
+			return allowOnly(head, "dynamic: serialize after "+head)
 		},
 	})
 
@@ -94,9 +130,9 @@ func oracleDynamic(d DynamicPolicy, now float64, apps []AppView) Decision {
 		cands = append(cands, candidate{
 			name:    "sjf",
 			ioTimes: serialTimes(sjf),
-			decide: func() Decision {
+			decide: func() decision {
 				head := apps[sjf[0]].Name
-				return AllowOnly(head, "dynamic: shortest job first ("+head+")")
+				return allowOnly(head, "dynamic: shortest job first ("+head+")")
 			},
 		})
 	}
@@ -113,8 +149,8 @@ func oracleDynamic(d DynamicPolicy, now float64, apps []AppView) Decision {
 		cands = append(cands, candidate{
 			name:    "interrupt",
 			ioTimes: serialTimes(intOrder),
-			decide: func() Decision {
-				return AllowOnly(apps[newest].Name, "dynamic: interrupt for newcomer")
+			decide: func() decision {
+				return allowOnly(apps[newest].Name, "dynamic: interrupt for newcomer")
 			},
 		})
 	}
@@ -123,8 +159,8 @@ func oracleDynamic(d DynamicPolicy, now float64, apps []AppView) Decision {
 		cands = append(cands, candidate{
 			name:    "interfere",
 			ioTimes: oracleSharedFinishTimes(d.Model, apps),
-			decide: func() Decision {
-				return AllowAll(apps, "dynamic: interference is cheap")
+			decide: func() decision {
+				return allowAll(apps, "dynamic: interference is cheap")
 			},
 		})
 	}
@@ -141,7 +177,7 @@ func oracleDynamic(d DynamicPolicy, now float64, apps []AppView) Decision {
 	return dec
 }
 
-func oraclePriority(p PriorityPolicy, now float64, apps []AppView) Decision {
+func oraclePriority(p PriorityPolicy, now float64, apps []AppView) decision {
 	best := apps[0]
 	bestPrio := p.Priorities[best.Name]
 	for _, a := range apps[1:] {
@@ -149,10 +185,10 @@ func oraclePriority(p PriorityPolicy, now float64, apps []AppView) Decision {
 			best, bestPrio = a, prio
 		}
 	}
-	return AllowOnly(best.Name, fmt.Sprintf("priority %d", bestPrio))
+	return allowOnly(best.Name, fmt.Sprintf("priority %d", bestPrio))
 }
 
-func oracleFairShare(f FairSharePolicy, now float64, apps []AppView) Decision {
+func oracleFairShare(f FairSharePolicy, now float64, apps []AppView) decision {
 	type cand struct {
 		name string
 		frac float64
@@ -175,7 +211,7 @@ func oracleFairShare(f FairSharePolicy, now float64, apps []AppView) Decision {
 	if q <= 0 {
 		q = 1
 	}
-	dec := AllowOnly(cands[0].name, fmt.Sprintf("least served (%.0f%% done)", 100*cands[0].frac))
+	dec := allowOnly(cands[0].name, fmt.Sprintf("least served (%.0f%% done)", 100*cands[0].frac))
 	if len(apps) > 1 {
 		dec.RecheckAfter = q
 	}

@@ -13,12 +13,9 @@ type PriorityPolicy struct {
 // Name implements Policy.
 func (PriorityPolicy) Name() string { return "priority" }
 
-// Arbitrate implements Policy.
-func (p PriorityPolicy) Arbitrate(now float64, apps []AppView) Decision { return decide(p, now, apps) }
-
-// ArbitrateIndexed implements IndexedArbitrator: the first of the highest
-// priority, in arrival order as the views are.
-func (p PriorityPolicy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool, _ *Scratch) (Reason, float64) {
+// Arbitrate implements Policy: the first of the highest priority, in arrival
+// order as the views are.
+func (p PriorityPolicy) Arbitrate(now float64, apps []AppView, allowed []bool, _ *Scratch) (Reason, float64) {
 	best, bestPrio := 0, p.Priorities[apps[0].Name]
 	for i, a := range apps[1:] {
 		if prio := p.Priorities[a.Name]; prio > bestPrio {
@@ -43,14 +40,10 @@ type FairSharePolicy struct {
 // Name implements Policy.
 func (FairSharePolicy) Name() string { return "fairshare" }
 
-// Arbitrate implements Policy.
-func (f FairSharePolicy) Arbitrate(now float64, apps []AppView) Decision { return decide(f, now, apps) }
-
-// ArbitrateIndexed implements IndexedArbitrator. Consumed service is
-// approximated by the progress each application has reported (bytes done):
-// the app with the least progress fraction, the first by name among equals,
-// is served next.
-func (f FairSharePolicy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool, _ *Scratch) (Reason, float64) {
+// Arbitrate implements Policy. Consumed service is approximated by the
+// progress each application has reported (bytes done): the app with the
+// least progress fraction, the first by name among equals, is served next.
+func (f FairSharePolicy) Arbitrate(now float64, apps []AppView, allowed []bool, _ *Scratch) (Reason, float64) {
 	least, leastFrac := -1, 0.0
 	for i, a := range apps {
 		frac := 0.0

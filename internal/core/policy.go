@@ -5,22 +5,6 @@ import (
 	"math"
 )
 
-// decide is Policy.Arbitrate for every policy of this package: they decide
-// in ArbitrateIndexed, the path every Arbiter takes, and a caller asking one
-// directly gets that same decision, taken in a scratch of its own, read back
-// into a Decision.
-func decide(p IndexedArbitrator, now float64, apps []AppView) Decision {
-	allowed := make([]bool, len(apps))
-	reason, recheck := p.ArbitrateIndexed(now, apps, allowed, new(Scratch))
-	dec := Decision{Allowed: make(map[string]bool, len(apps)), RecheckAfter: recheck, Reason: reason}
-	for i, ok := range allowed {
-		if ok {
-			dec.Allowed[apps[i].Name] = true
-		}
-	}
-	return dec
-}
-
 // InterferePolicy lets every application access the file system at once:
 // the uncoordinated baseline ("let them interfere").
 type InterferePolicy struct{}
@@ -28,11 +12,8 @@ type InterferePolicy struct{}
 // Name implements Policy.
 func (InterferePolicy) Name() string { return "interfere" }
 
-// Arbitrate implements Policy.
-func (p InterferePolicy) Arbitrate(now float64, apps []AppView) Decision { return decide(p, now, apps) }
-
-// ArbitrateIndexed implements IndexedArbitrator: everyone is allowed.
-func (InterferePolicy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool, _ *Scratch) (Reason, float64) {
+// Arbitrate implements Policy: everyone is allowed.
+func (InterferePolicy) Arbitrate(now float64, apps []AppView, allowed []bool, _ *Scratch) (Reason, float64) {
 	for i := range allowed {
 		allowed[i] = true
 	}
@@ -47,12 +28,9 @@ type FCFSPolicy struct{}
 // Name implements Policy.
 func (FCFSPolicy) Name() string { return "fcfs" }
 
-// Arbitrate implements Policy.
-func (p FCFSPolicy) Arbitrate(now float64, apps []AppView) Decision { return decide(p, now, apps) }
-
-// ArbitrateIndexed implements IndexedArbitrator: the earliest arrival —
-// views arrive sorted by (arrival, name) — holds the file system.
-func (FCFSPolicy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool, _ *Scratch) (Reason, float64) {
+// Arbitrate implements Policy: the earliest arrival — views arrive sorted by
+// (arrival, name) — holds the file system.
+func (FCFSPolicy) Arbitrate(now float64, apps []AppView, allowed []bool, _ *Scratch) (Reason, float64) {
 	allowed[0] = true
 	return Reason{kind: reasonFirst, s: apps[0].Name, v: apps[0].Arrival}, 0
 }
@@ -66,11 +44,8 @@ type InterruptPolicy struct{}
 // Name implements Policy.
 func (InterruptPolicy) Name() string { return "interrupt" }
 
-// Arbitrate implements Policy.
-func (p InterruptPolicy) Arbitrate(now float64, apps []AppView) Decision { return decide(p, now, apps) }
-
-// ArbitrateIndexed implements IndexedArbitrator: the newest arrival preempts.
-func (InterruptPolicy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool, _ *Scratch) (Reason, float64) {
+// Arbitrate implements Policy: the newest arrival preempts.
+func (InterruptPolicy) Arbitrate(now float64, apps []AppView, allowed []bool, _ *Scratch) (Reason, float64) {
 	newest := len(apps) - 1
 	allowed[newest] = true
 	return Reason{kind: reasonLast, s: apps[newest].Name, v: apps[newest].Arrival}, 0
@@ -90,12 +65,9 @@ type DelayPolicy struct {
 // Name implements Policy.
 func (d DelayPolicy) Name() string { return fmt.Sprintf("delay(%.2f)", d.Overlap) }
 
-// Arbitrate implements Policy.
-func (d DelayPolicy) Arbitrate(now float64, apps []AppView) Decision { return decide(d, now, apps) }
-
-// ArbitrateIndexed implements IndexedArbitrator. The earliest arrival is the
-// holder; later arrivals overlap only inside their allowed window.
-func (d DelayPolicy) ArbitrateIndexed(now float64, apps []AppView, allowed []bool, _ *Scratch) (Reason, float64) {
+// Arbitrate implements Policy. The earliest arrival is the holder; later
+// arrivals overlap only inside their allowed window.
+func (d DelayPolicy) Arbitrate(now float64, apps []AppView, allowed []bool, _ *Scratch) (Reason, float64) {
 	if d.Model == nil {
 		panic("core: DelayPolicy needs a PerfModel")
 	}

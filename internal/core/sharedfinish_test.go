@@ -96,7 +96,7 @@ func TestSharedFinishTimesLoneWriterIsSoloTime(t *testing.T) {
 	}
 	pol := DynamicPolicy{Metric: CPUSecondsWasted{}, Model: diffModel, AllowInterfere: true}
 	allowed := make([]bool, len(apps))
-	reason, _ := pol.ArbitrateIndexed(2, apps, allowed, &s)
+	reason, _ := pol.Arbitrate(2, apps, allowed, &s)
 	if want := "dynamic: serialize after c (cost 7 by cpu-seconds)"; !allowed[0] || allowed[1] || reason.String() != want {
 		t.Fatalf("step 223: allowed %v, %q; want [true false], %q", allowed, reason, want)
 	}

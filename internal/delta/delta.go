@@ -81,6 +81,26 @@ func Delay(overlap float64) PolicyFactory {
 	}
 }
 
+// PolicyByName resolves a policy as the ∆ command lines name it: interfere
+// (or none, or uncoordinated) is no coordination layer at all, dynamic
+// chooses by CPU-seconds wasted between serializing and interrupting, and
+// delay lets a newcomer overlap half its solo time.
+func PolicyByName(name string) (PolicyFactory, bool) {
+	switch name {
+	case "interfere", "none", "uncoordinated":
+		return Uncoordinated, true
+	case "fcfs":
+		return FCFS, true
+	case "interrupt":
+		return Interrupt, true
+	case "dynamic":
+		return Dynamic(core.CPUSecondsWasted{}, false), true
+	case "delay":
+		return Delay(0.5), true
+	}
+	return nil, false
+}
+
 // Result is the outcome of one run.
 type Result struct {
 	IOTime    []float64 // per app: observed I/O time summed over phases

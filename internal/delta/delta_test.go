@@ -250,3 +250,39 @@ func (r *scenarioRNG) scenario() Scenario {
 		},
 	}
 }
+
+// TestPolicyByName pins the ∆ command lines' policy names: every alias both
+// accept, the policy each resolves to (interfere's is no layer at all), and
+// the rejection of a name neither knows.
+func TestPolicyByName(t *testing.T) {
+	model := testScenario().Model()
+	for _, tc := range []struct{ name, want string }{
+		{"interfere", ""},
+		{"none", ""},
+		{"uncoordinated", ""},
+		{"fcfs", "fcfs"},
+		{"interrupt", "interrupt"},
+		{"dynamic", "dynamic(cpu-seconds)"},
+		{"delay", "delay(0.50)"},
+	} {
+		factory, ok := PolicyByName(tc.name)
+		if !ok {
+			t.Fatalf("%q rejected", tc.name)
+		}
+		got := ""
+		if factory != nil {
+			got = factory(model).Name()
+		}
+		if got != tc.want {
+			t.Errorf("%q resolves to policy %q, want %q", tc.name, got, tc.want)
+		}
+	}
+	if dyn, _ := PolicyByName("dynamic"); dyn(model).(core.DynamicPolicy).AllowInterfere {
+		t.Error("dynamic lets the applications interfere; the ∆ command lines choose between serializing and interrupting")
+	}
+	for _, name := range []string{"", "FCFS", "priority", "fcfs,interrupt", " delay"} {
+		if _, ok := PolicyByName(name); ok {
+			t.Errorf("%q accepted", name)
+		}
+	}
+}

@@ -661,3 +661,37 @@ func TestExtensionFairShare(t *testing.T) {
 		}
 	}
 }
+
+// TestPlatformByName pins the ∆ command lines' platform names: each resolves
+// to its scenario and that platform's node width, at least one node a job.
+func TestPlatformByName(t *testing.T) {
+	for _, tc := range []struct {
+		name, scenario string
+		perNode        int
+	}{
+		{"rennes", RennesPlatform().Name, RennesCoresPerNode},
+		{"nancy", NancyPlatform(false).Name, NancyCoresPerNode},
+		{"surveyor", SurveyorPlatform().Name, SurveyorCoresPerNode},
+	} {
+		sc, nodes, ok := PlatformByName(tc.name)
+		if !ok {
+			t.Fatalf("%q rejected", tc.name)
+		}
+		if sc.Name != tc.scenario {
+			t.Errorf("%q resolves to scenario %q, want %q", tc.name, sc.Name, tc.scenario)
+		}
+		for _, procs := range []int{1, tc.perNode, 10 * tc.perNode, 10*tc.perNode + 1} {
+			if got, want := nodes(procs), max(1, procs/tc.perNode); got != want {
+				t.Errorf("%q: %d procs on %d nodes, want %d", tc.name, procs, got, want)
+			}
+		}
+	}
+	if sc, _, _ := PlatformByName("nancy"); sc.FS.CacheBW != 0 {
+		t.Error("nancy resolves with the page cache on")
+	}
+	for _, name := range []string{"", "Rennes", "intrepid"} {
+		if _, _, ok := PlatformByName(name); ok {
+			t.Errorf("%q accepted", name)
+		}
+	}
+}

@@ -105,6 +105,24 @@ func SurveyorPlatform() delta.Scenario {
 // SurveyorCoresPerNode is the BG/P node width.
 const SurveyorCoresPerNode = 4
 
+// PlatformByName resolves a platform as the ∆ command lines name it —
+// rennes, nancy (page cache off) or surveyor — to its scenario and the node
+// count of a job of procs cores on it.
+func PlatformByName(name string) (sc delta.Scenario, nodes func(procs int) int, ok bool) {
+	var perNode int
+	switch name {
+	case "rennes":
+		sc, perNode = RennesPlatform(), RennesCoresPerNode
+	case "nancy":
+		sc, perNode = NancyPlatform(false), NancyCoresPerNode
+	case "surveyor":
+		sc, perNode = SurveyorPlatform(), SurveyorCoresPerNode
+	default:
+		return delta.Scenario{}, nil, false
+	}
+	return sc, func(procs int) int { return nodesFor(procs, perNode) }, true
+}
+
 // nodesFor returns the node count for a job of procs cores at the given
 // node width, at least 1.
 func nodesFor(procs, coresPerNode int) int {

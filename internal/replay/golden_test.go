@@ -51,8 +51,8 @@ func renderStudy(c *Comparison) []byte {
 
 // TestCompareGolden holds a whole what-if study — every standard policy, the
 // model-based delay and dynamic ones included — to the bytes the tree
-// rendered before DynamicPolicy moved to the indexed path and the replay
-// buffers were sized up front: those were performance changes, so not one
+// rendered before DynamicPolicy decided in the Arbiter's scratch and the
+// replay buffers were sized up front: those were performance changes, so not one
 // decision, wait or estimate may differ.
 func TestCompareGolden(t *testing.T) {
 	tr := replaytest.Trace(12, 2, 6)

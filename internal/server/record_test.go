@@ -233,12 +233,13 @@ type denyFirstPolicy struct{ calls *int }
 
 func (denyFirstPolicy) Name() string { return "deny-first" }
 
-func (p denyFirstPolicy) Arbitrate(now float64, apps []core.AppView) core.Decision {
+func (p denyFirstPolicy) Arbitrate(now float64, apps []core.AppView, allowed []bool, _ *core.Scratch) (core.Reason, float64) {
 	*p.calls++
 	if *p.calls == 1 {
-		return core.Decision{Allowed: map[string]bool{}, Reason: core.TextReason("warming up")}
+		return core.TextReason("warming up"), 0
 	}
-	return core.AllowOnly(apps[0].Name, "fcfs after warmup")
+	allowed[0] = true
+	return core.TextReason("fcfs after warmup"), 0
 }
 
 // TestConvoyProtocolBreakdown checks both buckets of the wait

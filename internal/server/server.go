@@ -25,9 +25,9 @@
 // The arbitration hot path is allocation-conscious like the simulator's
 // contention path: each Arbiter reuses its view/decision scratch (and owns
 // the model scratch its policy estimates in: the policy value is shared by
-// every shard), the policies — all implement core.IndexedArbitrator — run
-// map-free, and the responses to one read's worth of requests leave in one
-// write.
+// every shard), a policy decides by marking the authorized views in the
+// Arbiter's allowed slice, and the responses to one read's worth of
+// requests leave in one write.
 package server
 
 import (

@@ -337,8 +337,10 @@ func TestDeterministicGivenSerializedOrder(t *testing.T) {
 			}
 		}
 		var sb strings.Builder
-		for _, d := range srv.set.Log() {
-			fmt.Fprintf(&sb, "t=%.6f allowed=%v %s\n", d.Time, d.Allowed, d.Reason)
+		for _, sh := range srv.shardsSorted() {
+			for _, d := range sh.arb.Log() {
+				fmt.Fprintf(&sb, "t=%.6f allowed=%v %s\n", d.Time, d.Allowed, d.Reason)
+			}
 		}
 		st := srv.snapshot(srv.clock())
 		fmt.Fprintf(&sb, "grants=%d arbitrations=%d\n", st.GrantsServed, st.Arbitrations)

@@ -140,14 +140,18 @@ func TestStressInterruptSingleAuthorization(t *testing.T) {
 		t.Fatalf("grants served = %d, want %d", st.GrantsServed, want)
 	}
 	srv.Close() // quiesce the readers before reading the shards' logs
-	log := srv.set.Log()
-	if len(log) == 0 {
-		t.Fatal("no decisions logged")
-	}
-	for _, d := range log {
-		if len(d.Allowed) > 1 {
-			t.Fatalf("interrupt decision authorized %v (want at most one)", d.Allowed)
+	logged := 0
+	for _, sh := range srv.shardsSorted() {
+		log := sh.arb.Log()
+		logged += len(log)
+		for _, d := range log {
+			if len(d.Allowed) > 1 {
+				t.Fatalf("interrupt decision authorized %v (want at most one)", d.Allowed)
+			}
 		}
+	}
+	if logged == 0 {
+		t.Fatal("no decisions logged")
 	}
 }
 
