@@ -32,7 +32,7 @@ func main() {
 	procsB := flag.Int("procs-b", 336, "processes of application B")
 	mibPerProc := flag.Int64("mib-per-proc", 16, "MiB written per process")
 	pattern := flag.String("pattern", "contiguous", "pattern: contiguous | strided")
-	policies := flag.String("policies", "interfere,fcfs", "comma-separated: interfere|fcfs|interrupt|dynamic|delay")
+	policies := flag.String("policies", "interfere,fcfs", "comma-separated: "+delta.PolicyNames)
 	dtMin := flag.Float64("dt-min", -15, "minimum dt (seconds)")
 	dtMax := flag.Float64("dt-max", 15, "maximum dt (seconds)")
 	points := flag.Int("points", 21, "sweep points")

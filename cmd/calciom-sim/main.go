@@ -25,7 +25,7 @@ const miB = int64(1) << 20
 
 func main() {
 	platform := flag.String("platform", "surveyor", "platform: rennes | nancy | surveyor")
-	policy := flag.String("policy", "dynamic", "policy: interfere|fcfs|interrupt|dynamic|delay|none")
+	policy := flag.String("policy", "dynamic", "policy: "+delta.PolicyNames)
 	dt := flag.Float64("dt", 5, "start offset of application B (seconds)")
 	procs := flag.Int("procs", 2048, "processes per application")
 	filesA := flag.Int("files-a", 4, "files written by A")

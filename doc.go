@@ -93,6 +93,20 @@
 //	end       Target?                 end the I/O phase
 //	stats     —                       LASSi-style live metrics snapshot
 //
+// encoding/json is the specification of a v1 payload, but the hot path does
+// not reflect: an append encoder writes exactly json.Marshal's bytes (field
+// order, omitempty, sorted info keys, its float format), and a one-pass
+// scanner decodes the canonical subset — one object, keys spelled as the
+// struct tags in any order, any whitespace, ASCII strings without escapes,
+// numbers that fit their field, info at most once — returning the verb
+// constants and interning targets, app names and codes, so a grant cycle
+// encodes and decodes without allocating on either side. Every other frame
+// (an escape or non-ASCII byte, an unknown key or one differing only in
+// case, null, a repeated info, a number the field cannot hold, a stats
+// payload) goes to encoding/json, which is also the reference a
+// differential fuzz test holds both paths to; the bytes alone choose the
+// path.
+//
 // That JSON framing is protocol version 1 and remains the default: a
 // client that never negotiates gets today's protocol, byte for byte. A
 // client that wants the binary codec (version 2, internal/wirebin) or its

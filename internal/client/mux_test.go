@@ -12,6 +12,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/client"
 	"repro/internal/server"
+	"repro/internal/wire"
 	"repro/internal/wirebin"
 )
 
@@ -161,33 +162,39 @@ func TestMuxResumeAfterCut(t *testing.T) {
 // reuses its parked-call state (channel and pool entry) instead of
 // allocating it, which removed two of the client's ~4.75 allocations per
 // request. The bound covers the whole process — client call path, client
-// read loop, and the in-process daemon's (zero-alloc) hot path.
+// read loop, and the in-process daemon's (zero-alloc) hot path — and holds
+// for both codecs, since v1 JSON encodes and decodes without allocating
+// too.
 func TestRawCallAllocs(t *testing.T) {
 	_, addr := startServer(t, server.Config{})
-	c, err := client.DialOptions(addr, client.Options{Codec: wirebin.Codec{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Register("alloc", 1); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		if err := c.Inform(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := testing.AllocsPerRun(2000, func() {
-		if err := c.Inform(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// Measured 4.0 with the pool (channel + pending map entry reused);
-	// before pooling the same loop measured ~6, and 0 since the readers and
-	// encoders reuse their message structs. Headroom for runtime noise,
-	// strict enough to catch the pool regressing.
-	if got > 5 {
-		t.Fatalf("Inform round trip allocates %.1f objects, want <= 5 (pooled pending calls)", got)
+	for _, codec := range []wire.Codec{wire.JSON, wirebin.Codec{}} {
+		t.Run(codec.Name(), func(t *testing.T) {
+			c, err := client.DialOptions(addr, client.Options{Codec: codec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.Register("alloc-"+codec.Name(), 1); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 200; i++ {
+				if err := c.Inform(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := testing.AllocsPerRun(2000, func() {
+				if err := c.Inform(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			// Measured 4.0 with the pool (channel + pending map entry
+			// reused); before pooling the same loop measured ~6, and 0 since
+			// the readers and encoders reuse their message structs. Headroom
+			// for runtime noise, strict enough to catch the pool regressing.
+			if got > 5 {
+				t.Fatalf("Inform round trip allocates %.1f objects, want <= 5 (pooled pending calls)", got)
+			}
+		})
 	}
 }
 

@@ -81,6 +81,10 @@ func Delay(overlap float64) PolicyFactory {
 	}
 }
 
+// PolicyNames lists every name PolicyByName accepts, for the ∆ command
+// lines' help text.
+const PolicyNames = "interfere|none|uncoordinated|fcfs|interrupt|dynamic|delay"
+
 // PolicyByName resolves a policy as the ∆ command lines name it: interfere
 // (or none, or uncoordinated) is no coordination layer at all, dynamic
 // chooses by CPU-seconds wasted between serializing and interrupting, and

@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/approx"
@@ -253,9 +254,11 @@ func (r *scenarioRNG) scenario() Scenario {
 
 // TestPolicyByName pins the ∆ command lines' policy names: every alias both
 // accept, the policy each resolves to (interfere's is no layer at all), and
-// the rejection of a name neither knows.
+// the rejection of a name neither knows; PolicyNames, their help text,
+// lists exactly the accepted names.
 func TestPolicyByName(t *testing.T) {
 	model := testScenario().Model()
+	var names []string
 	for _, tc := range []struct{ name, want string }{
 		{"interfere", ""},
 		{"none", ""},
@@ -265,6 +268,7 @@ func TestPolicyByName(t *testing.T) {
 		{"dynamic", "dynamic(cpu-seconds)"},
 		{"delay", "delay(0.50)"},
 	} {
+		names = append(names, tc.name)
 		factory, ok := PolicyByName(tc.name)
 		if !ok {
 			t.Fatalf("%q rejected", tc.name)
@@ -276,6 +280,9 @@ func TestPolicyByName(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%q resolves to policy %q, want %q", tc.name, got, tc.want)
 		}
+	}
+	if got := strings.Join(names, "|"); PolicyNames != got {
+		t.Errorf("PolicyNames = %q, want %q", PolicyNames, got)
 	}
 	if dyn, _ := PolicyByName("dynamic"); dyn(model).(core.DynamicPolicy).AllowInterfere {
 		t.Error("dynamic lets the applications interfere; the ∆ command lines choose between serializing and interrupting")

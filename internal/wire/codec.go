@@ -79,25 +79,33 @@ type jsonCodec struct{}
 
 func (jsonCodec) Name() string { return "json" }
 
-func (jsonCodec) NewRequestReader(r io.Reader) RequestReader { return &jsonRequestReader{NewReader(r)} }
-func (jsonCodec) NewRequestWriter(w io.Writer) RequestWriter { return jsonRequestWriter{w} }
-func (jsonCodec) NewResponseReader(r io.Reader) ResponseReader {
-	return &jsonResponseReader{NewReader(r)}
+func (jsonCodec) NewRequestReader(r io.Reader) RequestReader {
+	return jsonReader[Request]{NewReader(r)}
 }
-func (jsonCodec) NewResponseWriter(w io.Writer) ResponseWriter { return jsonResponseWriter{w} }
+func (jsonCodec) NewRequestWriter(w io.Writer) RequestWriter { return &jsonWriter[Request]{w: w} }
+func (jsonCodec) NewResponseReader(r io.Reader) ResponseReader {
+	return jsonReader[Response]{NewReader(r)}
+}
+func (jsonCodec) NewResponseWriter(w io.Writer) ResponseWriter { return &jsonWriter[Response]{w: w} }
 
-type jsonRequestReader struct{ r *Reader }
+// jsonReader is one direction's read half: a Reader typed to its message.
+type jsonReader[T Request | Response] struct{ r *Reader }
 
-func (j *jsonRequestReader) Read(req *Request) error { return j.r.Read(req) }
+func (j jsonReader[T]) Read(v *T) error { return j.r.Read(v) }
 
-type jsonResponseReader struct{ r *Reader }
+// jsonWriter is one direction's write half. It encodes into a buffer kept
+// between calls and writes header and payload as one frame.
+type jsonWriter[T Request | Response] struct {
+	w   io.Writer
+	buf []byte
+}
 
-func (j *jsonResponseReader) Read(resp *Response) error { return j.r.Read(resp) }
-
-type jsonRequestWriter struct{ w io.Writer }
-
-func (j jsonRequestWriter) Write(req *Request) error { return Write(j.w, req) }
-
-type jsonResponseWriter struct{ w io.Writer }
-
-func (j jsonResponseWriter) Write(resp *Response) error { return Write(j.w, resp) }
+func (j *jsonWriter[T]) Write(v *T) error {
+	buf, err := appendFrame(j.buf[:0], v)
+	if err != nil {
+		return err
+	}
+	j.buf = buf[:0]
+	_, err = j.w.Write(buf)
+	return err
+}

@@ -333,18 +333,11 @@ type DegradedStats struct {
 	Resumes uint64 `json:"resumes,omitempty"`
 }
 
-// Write marshals v and writes it as one frame.
+// Write writes v as one frame: a *Request or *Response through the v1
+// encoder (json.go), anything else marshalled by encoding/json.
 func Write(w io.Writer, v any) error {
-	buf, err := json.Marshal(v)
+	buf, err := appendFrame(make([]byte, 0, 128), v)
 	if err != nil {
-		return fmt.Errorf("wire: marshal: %w", err)
-	}
-	if len(buf) > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds max %d", len(buf), MaxFrame)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(buf)))
-	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
 	_, err = w.Write(buf)
@@ -352,24 +345,27 @@ func Write(w io.Writer, v any) error {
 }
 
 // Reader decodes frames from a stream, reusing one payload buffer across
-// reads.
+// reads and interning the names it decodes.
 type Reader struct {
-	r   io.Reader
-	buf []byte
+	r       io.Reader
+	hdr     [4]byte // a field, not a local: a local would escape into r.Read
+	buf     []byte
+	interns Interner
 }
 
 // NewReader wraps a stream. The caller should pass something buffered.
 func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 
-// Read decodes the next frame into v. io.EOF is returned untouched on a
-// clean end of stream (EOF at a frame boundary); a partial frame becomes
-// io.ErrUnexpectedEOF.
+// Read decodes the next frame into v, exactly as json.Unmarshal would: a
+// *Request or *Response through the v1 scanner (json.go), anything else and
+// every payload outside the scanner's subset by encoding/json. io.EOF is
+// returned untouched on a clean end of stream (EOF at a frame boundary); a
+// partial frame becomes io.ErrUnexpectedEOF.
 func (d *Reader) Read(v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(d.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
 		return err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(d.hdr[:])
 	if n == 0 || n > MaxFrame {
 		return fmt.Errorf("wire: bad frame length %d", n)
 	}
@@ -382,6 +378,16 @@ func (d *Reader) Read(v any) error {
 			err = io.ErrUnexpectedEOF
 		}
 		return err
+	}
+	switch v := v.(type) {
+	case *Request:
+		if decodeRequest(d.buf, v, &d.interns) {
+			return nil
+		}
+	case *Response:
+		if decodeResponse(d.buf, v, &d.interns) {
+			return nil
+		}
 	}
 	if err := json.Unmarshal(d.buf, v); err != nil {
 		return fmt.Errorf("wire: unmarshal: %w", err)

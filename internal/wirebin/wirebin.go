@@ -38,10 +38,10 @@
 // below does not extend to it.
 //
 // Encoders append into a per-connection scratch buffer and decoders reuse a
-// per-connection payload buffer and intern target/app strings (the same
-// discipline internal/trace uses), so steady-state coordination verbs —
-// inform/progress/check/wait/release/end and their responses — encode and
-// decode with zero allocations per message.
+// per-connection payload buffer and intern target/app/code strings through
+// a wire.Interner (the v1 JSON codec keeps one too), so steady-state
+// coordination verbs — inform/progress/check/wait/release/end and their
+// responses — encode and decode with zero allocations per message.
 package wirebin
 
 import (
@@ -92,11 +92,6 @@ const (
 	respFlagTarget     = 1 << 4
 	respFlagStats      = 1 << 5
 )
-
-// internLimit bounds the per-connection string intern tables so a peer
-// cycling through distinct names cannot grow a decoder without bound; past
-// the limit lookups still hit but misses allocate without being retained.
-const internLimit = 1024
 
 var verbCode = map[string]byte{
 	wire.TypeRegister: verbRegister,
@@ -275,22 +270,6 @@ func (d *dec) bytes() ([]byte, error) {
 	b := d.buf[:n]
 	d.buf = d.buf[n:]
 	return b, nil
-}
-
-// intern maps a byte slice to a stable string, allocating only on first
-// sight (the map lookup with a string(b) key does not allocate on hit).
-func intern(m map[string]string, b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	if s, ok := m[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	if len(m) < internLimit {
-		m[s] = s
-	}
-	return s
 }
 
 func appendUvarint(buf []byte, v uint64) []byte {
@@ -519,7 +498,7 @@ func (rw *ResponseWriter) Write(resp *wire.Response) error {
 // target and app names so steady-state verbs decode without allocating.
 type RequestReader struct {
 	fr      *frameReader
-	interns map[string]string
+	interns wire.Interner
 }
 
 func (rr *RequestReader) Read(req *wire.Request) error {
@@ -527,13 +506,10 @@ func (rr *RequestReader) Read(req *wire.Request) error {
 	if err != nil {
 		return err
 	}
-	if rr.interns == nil {
-		rr.interns = make(map[string]string)
-	}
-	return decodeRequest(payload, req, rr.interns)
+	return decodeRequest(payload, req, &rr.interns)
 }
 
-func decodeRequest(payload []byte, req *wire.Request, interns map[string]string) error {
+func decodeRequest(payload []byte, req *wire.Request, interns *wire.Interner) error {
 	d := dec{payload}
 	verb, err := d.u8()
 	if err != nil {
@@ -559,7 +535,7 @@ func decodeRequest(payload []byte, req *wire.Request, interns map[string]string)
 		if err != nil {
 			return err
 		}
-		req.Target = intern(interns, b)
+		req.Target = interns.Intern(b)
 	}
 	if flags&reqFlagBytesDone != 0 {
 		if req.BytesDone, err = d.f64(); err != nil {
@@ -597,7 +573,7 @@ func decodeRequest(payload []byte, req *wire.Request, interns map[string]string)
 		if err != nil {
 			return err
 		}
-		req.App = intern(interns, b)
+		req.App = interns.Intern(b)
 		cores, err := d.uvarint()
 		if err != nil {
 			return err
@@ -622,7 +598,7 @@ func decodeRequest(payload []byte, req *wire.Request, interns map[string]string)
 // ResponseReader decodes response frames (the client's read side).
 type ResponseReader struct {
 	fr      *frameReader
-	interns map[string]string
+	interns wire.Interner
 }
 
 func (rr *ResponseReader) Read(resp *wire.Response) error {
@@ -630,13 +606,10 @@ func (rr *ResponseReader) Read(resp *wire.Response) error {
 	if err != nil {
 		return err
 	}
-	if rr.interns == nil {
-		rr.interns = make(map[string]string)
-	}
-	return decodeResponse(payload, resp, rr.interns)
+	return decodeResponse(payload, resp, &rr.interns)
 }
 
-func decodeResponse(payload []byte, resp *wire.Response, interns map[string]string) error {
+func decodeResponse(payload []byte, resp *wire.Response, interns *wire.Interner) error {
 	d := dec{payload}
 	tc, err := d.u8()
 	if err != nil {
@@ -674,14 +647,14 @@ func decodeResponse(payload []byte, resp *wire.Response, interns map[string]stri
 		if err != nil {
 			return err
 		}
-		resp.Code = intern(interns, b)
+		resp.Code = interns.Intern(b)
 	}
 	if flags&respFlagTarget != 0 {
 		b, err := d.bytes()
 		if err != nil {
 			return err
 		}
-		resp.Target = intern(interns, b)
+		resp.Target = interns.Intern(b)
 	}
 	if flags&respFlagStats != 0 {
 		b, err := d.bytes()
@@ -723,7 +696,7 @@ func muxStream(payload []byte) (uint64, []byte, error) {
 // and one intern table.
 type MuxRequestReader struct {
 	fr      *frameReader
-	interns map[string]string
+	interns wire.Interner
 }
 
 func NewMuxRequestReader(r io.Reader) *MuxRequestReader {
@@ -739,17 +712,14 @@ func (rr *MuxRequestReader) Read(req *wire.Request) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if rr.interns == nil {
-		rr.interns = make(map[string]string)
-	}
-	return stream, decodeRequest(rest, req, rr.interns)
+	return stream, decodeRequest(rest, req, &rr.interns)
 }
 
 // MuxResponseReader decodes mux response frames (the client's read side of a
 // mux connection).
 type MuxResponseReader struct {
 	fr      *frameReader
-	interns map[string]string
+	interns wire.Interner
 }
 
 func NewMuxResponseReader(r io.Reader) *MuxResponseReader {
@@ -765,8 +735,5 @@ func (rr *MuxResponseReader) Read(resp *wire.Response) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if rr.interns == nil {
-		rr.interns = make(map[string]string)
-	}
-	return stream, decodeResponse(rest, resp, rr.interns)
+	return stream, decodeResponse(rest, resp, &rr.interns)
 }

@@ -318,18 +318,6 @@ func TestClientSideAllocFree(t *testing.T) {
 	}
 }
 
-// TestInternBound checks the intern table stops retaining new names past
-// its bound instead of growing without limit.
-func TestInternBound(t *testing.T) {
-	m := make(map[string]string)
-	for i := 0; i < 4*internLimit; i++ {
-		intern(m, []byte(strings.Repeat("x", 1+i%13)+string(rune('a'+i%26))))
-	}
-	if len(m) > internLimit {
-		t.Fatalf("intern table grew to %d entries, bound is %d", len(m), internLimit)
-	}
-}
-
 func TestNaNBytesDoneRoundTrips(t *testing.T) {
 	req := wire.Request{Seq: 1, Type: wire.TypeInform, BytesDone: math.NaN()}
 	frame := encodeReq(t, &req)
