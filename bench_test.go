@@ -633,8 +633,8 @@ func BenchmarkReplayCompare(b *testing.B) {
 }
 
 // BenchmarkTraceRead loads the same synthesized trace from its encoded
-// bytes: B/op is the event slice (reserved from the source's length, not
-// grown into) plus an Info map per Prepare.
+// bytes: B/op is the event slice (reserved for the count in the trailer,
+// not grown into) plus an Info map per Prepare.
 func BenchmarkTraceRead(b *testing.B) {
 	tr := replaytest.Trace(64, 4, 20)
 	var buf bytes.Buffer

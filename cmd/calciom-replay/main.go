@@ -21,8 +21,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -33,22 +35,52 @@ import (
 )
 
 func main() {
-	path := flag.String("trace", "", "trace file recorded by calciomd -record or calciom-load -record")
-	policies := flag.String("policies", "", "comma-separated subset to compare: fcfs,interrupt,interfere,delay,dynamic (default: all available)")
-	overlap := flag.Float64("delay-overlap", -1, "delay policy overlap fraction (-1: the recording's own, or 0.5)")
-	fsMiBps := flag.Float64("fs-mibps", 0, "override the performance model's file-system bandwidth (enables delay/dynamic on model-free traces)")
-	nicMiBps := flag.Float64("proc-nic-mibps", 0, "override the performance model's per-core injection bandwidth")
-	apps := flag.Bool("apps", false, "print per-application rows for every policy")
-	width := flag.Int("width", 40, "bar chart width")
-	allowTrunc := flag.Bool("allow-truncated", false, "accept a truncated trace (crashed recorder): read up to the torn tail, report the truncation point, verify the grant sequence as a prefix")
-	jsonOut := flag.Bool("json", false, "emit the comparison as one JSON document (per-policy objects with the text table's fields plus wait histograms) instead of text")
-	flag.Parse()
-	if *path == "" && flag.NArg() == 1 {
-		*path = flag.Arg(0)
+	err := run(os.Args[1:], os.Stdout)
+	var u usageError
+	switch {
+	case err == nil || err == flag.ErrHelp:
+		return
+	case errors.As(err, &u):
+		if !u.reported {
+			fmt.Fprintln(os.Stderr, err)
+		}
+		os.Exit(2)
+	}
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(1)
+}
+
+// usageError is a command line at fault (exit status 2); the flag package
+// has reported a malformed one already.
+type usageError struct {
+	error
+	reported bool
+}
+
+// run is the command: it writes the report to stdout and returns what
+// failed, a usageError when the command line is at fault.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("calciom-replay", flag.ContinueOnError)
+	path := fs.String("trace", "", "trace file recorded by calciomd -record or calciom-load -record")
+	policies := fs.String("policies", "", "comma-separated subset to compare: fcfs,interrupt,interfere,delay,dynamic (default: all available)")
+	overlap := fs.Float64("delay-overlap", -1, "delay policy overlap fraction (-1: the recording's own, or 0.5)")
+	fsMiBps := fs.Float64("fs-mibps", 0, "override the performance model's file-system bandwidth (enables delay/dynamic on model-free traces)")
+	nicMiBps := fs.Float64("proc-nic-mibps", 0, "override the performance model's per-core injection bandwidth")
+	apps := fs.Bool("apps", false, "print per-application rows for every policy")
+	width := fs.Int("width", 40, "bar chart width")
+	allowTrunc := fs.Bool("allow-truncated", false, "accept a truncated trace (crashed recorder): read up to the torn tail, report the truncation point, verify the grant sequence as a prefix")
+	jsonOut := fs.Bool("json", false, "emit the comparison as one JSON document (per-policy objects with the text table's fields plus wait histograms) instead of text")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return err
+		}
+		return usageError{err, true}
+	}
+	if *path == "" && fs.NArg() == 1 {
+		*path = fs.Arg(0)
 	}
 	if *path == "" {
-		fmt.Fprintln(os.Stderr, "calciom-replay: -trace is required")
-		os.Exit(2)
+		return usageError{errors.New("calciom-replay: -trace is required"), false}
 	}
 
 	load := trace.Load
@@ -57,8 +89,7 @@ func main() {
 	}
 	tr, err := load(*path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	if *fsMiBps > 0 {
 		tr.Header.FSMiBps = *fsMiBps
@@ -68,17 +99,12 @@ func main() {
 	}
 
 	first, last := tr.Span()
-	sessions := 0
-	for _, ev := range tr.Events {
-		if ev.Type == trace.EvRegister {
-			sessions++
-		}
-	}
+	sessions := tr.Sessions()
 	if !*jsonOut {
-		fmt.Printf("trace: path=%s source=%s policy=%s events=%d sessions=%d span=%.3fs dropped=%d\n",
+		fmt.Fprintf(stdout, "trace: path=%s source=%s policy=%s events=%d sessions=%d span=%.3fs dropped=%d\n",
 			*path, tr.Header.Source, tr.Header.Policy, len(tr.Events), sessions, last-first, tr.Dropped)
 		if tr.Truncated {
-			fmt.Printf("trace: TRUNCATED after event %d (recorder died mid-write; analyzing the surviving prefix)\n",
+			fmt.Fprintf(stdout, "trace: TRUNCATED after event %d (recorder died mid-write; analyzing the surviving prefix)\n",
 				len(tr.Events))
 		}
 	}
@@ -89,42 +115,38 @@ func main() {
 	if tr.Header.Source == trace.SourceDaemon {
 		v, err := replay.Verify(tr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		verified = &v
 		if !*jsonOut {
-			fmt.Printf("verify: policy=%s grants=%d arbitrations=%d flips=%d match=%v\n",
+			fmt.Fprintf(stdout, "verify: policy=%s grants=%d arbitrations=%d flips=%d match=%v\n",
 				tr.Header.Policy, v.GrantsServed, v.Arbitrations, len(v.Flips), v.Match)
 			if len(v.Shards) > 1 {
 				// Sharded recording: the check is per storage target (each
 				// target's grant sequence is its own serialized order).
 				for _, sh := range v.Shards {
-					fmt.Printf("verify-target: target=%s grants=%d flips=%d match=%v\n",
+					fmt.Fprintf(stdout, "verify-target: target=%s grants=%d flips=%d match=%v\n",
 						sh.Target, sh.GrantsServed, sh.Flips, sh.Match)
 				}
 			}
 		}
 		if !v.Match {
-			fmt.Fprintf(os.Stderr, "calciom-replay: replay diverged from recording: %s\n", v.Mismatch)
-			os.Exit(1)
+			return fmt.Errorf("calciom-replay: replay diverged from recording: %s", v.Mismatch)
 		}
 	} else if !*jsonOut {
-		fmt.Printf("verify: skipped (client-side capture has no authoritative grant sequence)\n")
+		fmt.Fprintf(stdout, "verify: skipped (client-side capture has no authoritative grant sequence)\n")
 	}
 
 	cands := replay.StandardPolicies(tr.Header, *overlap)
 	if *policies != "" {
 		cands = filterPolicies(cands, *policies)
 		if len(cands) == 0 {
-			fmt.Fprintf(os.Stderr, "calciom-replay: no known policy in %q\n", *policies)
-			os.Exit(2)
+			return usageError{fmt.Errorf("calciom-replay: no known policy in %q", *policies), false}
 		}
 	}
 	c, err := replay.Compare(tr, cands)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 
 	if *jsonOut {
@@ -167,17 +189,13 @@ func main() {
 			}
 			doc.Policies = append(doc.Policies, p)
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+		return enc.Encode(doc)
 	}
 
-	fmt.Println()
-	fmt.Printf("%-22s %7s %5s %5s %10s %10s %10s %10s %10s %10s %8s %10s\n",
+	fmt.Fprintln(stdout)
+	fmt.Fprintf(stdout, "%-22s %7s %5s %5s %10s %10s %10s %10s %10s %10s %8s %10s\n",
 		"policy", "grants", "uns", "abrt", "wait_tot", "wait_p99", "wait_max", "convoy", "protocol", "overlap", "sumI", "cpu_sec")
 	for i := range c.Outcomes {
 		o := &c.Outcomes[i]
@@ -185,12 +203,12 @@ func main() {
 		if i == c.Best {
 			mark = "*"
 		}
-		fmt.Printf("%-21s%s %7d %5d %5d %9.3fs %9.4fs %9.4fs %9.3fs %9.3fs %9.3fs %8.3f %10.1f\n",
+		fmt.Fprintf(stdout, "%-21s%s %7d %5d %5d %9.3fs %9.4fs %9.4fs %9.3fs %9.3fs %9.3fs %8.3f %10.1f\n",
 			o.Policy, mark, o.GrantsServed, o.Unserved, o.Aborted, o.TotalWaitS,
 			o.WaitPercentile(99), o.MaxWait(), o.ConvoyWaitS, o.ProtocolWaitS,
 			o.OverlapS, o.SumInterference, o.CPUSecondsWasted)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
 	labels := make([]string, len(c.Outcomes))
 	values := make([]float64, len(c.Outcomes))
@@ -198,27 +216,28 @@ func main() {
 		labels[i] = c.Outcomes[i].Policy
 		values[i] = c.Outcomes[i].CPUSecondsWasted
 	}
-	fmt.Print(textplot.Bar("estimated CPU-seconds wasted by policy (lower is better)", labels, values, *width))
-	fmt.Println()
+	fmt.Fprint(stdout, textplot.Bar("estimated CPU-seconds wasted by policy (lower is better)", labels, values, *width))
+	fmt.Fprintln(stdout)
 
 	if *apps {
 		for i := range c.Outcomes {
 			o := &c.Outcomes[i]
-			fmt.Printf("apps under %s:\n", o.Policy)
-			fmt.Printf("  %-24s %6s %7s %7s %10s %10s %10s %10s\n",
+			fmt.Fprintf(stdout, "apps under %s:\n", o.Policy)
+			fmt.Fprintf(stdout, "  %-24s %6s %7s %7s %10s %10s %10s %10s\n",
 				"app", "cores", "phases", "grants", "io_s", "wait_s", "convoy_s", "proto_s")
 			for _, a := range o.Apps {
-				fmt.Printf("  %-24s %6d %7d %7d %10.3f %10.3f %10.3f %10.3f\n",
+				fmt.Fprintf(stdout, "  %-24s %6d %7d %7d %10.3f %10.3f %10.3f %10.3f\n",
 					a.Name, a.Cores, a.Phases, a.Grants, a.IOTimeS, a.WaitS, a.ConvoyWaitS, a.ProtocolWaitS)
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	}
 
 	best := &c.Outcomes[c.Best]
-	fmt.Printf("replay: trace=%s recording=%s policies=%d best=%s cpu_sec=%.3f wait_s=%.3f overlap_s=%.3f unserved=%d\n",
+	fmt.Fprintf(stdout, "replay: trace=%s recording=%s policies=%d best=%s cpu_sec=%.3f wait_s=%.3f overlap_s=%.3f unserved=%d\n",
 		*path, c.Recording, len(c.Outcomes), best.Policy, best.CPUSecondsWasted,
 		best.TotalWaitS, best.OverlapS, best.Unserved)
+	return nil
 }
 
 // The -json document: one object per policy carrying the text table's

@@ -1,0 +1,54 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// recording is calciomd's trace of ten clients whose phases alternate
+// between four storage targets: each session registers on two of them.
+const recording = "../../internal/replay/testdata/daemon_4targets.trace"
+
+// TestSessionsCountsDistinctSessions: the daemon records a register per
+// target a session attaches to, so the recording holds twenty registers of
+// ten sessions, and the report says ten — in text and in JSON.
+func TestSessionsCountsDistinctSessions(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-trace", recording}, &out); err != nil {
+		t.Fatal(err)
+	}
+	first, _, _ := strings.Cut(out.String(), "\n")
+	if !strings.Contains(first, " events=460 sessions=10 ") {
+		t.Errorf("header line %q, want events=460 sessions=10", first)
+	}
+	if !strings.Contains(out.String(), "verify: policy=delay grants=80 arbitrations=200 flips=60 match=true\n") {
+		t.Errorf("no matching verify line in:\n%s", out.String())
+	}
+
+	out.Reset()
+	if err := run([]string{"-json", recording}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), `"sessions": 10,`) {
+		t.Errorf("JSON report without \"sessions\": 10:\n%s", out.String())
+	}
+}
+
+// TestUsageErrors: a command line naming nothing to do fails as a usage
+// error (exit status 2) before anything is printed.
+func TestUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{},
+		{"-trace", recording, "-policies", "nonesuch"},
+	} {
+		var out bytes.Buffer
+		err := run(args, &out)
+		if _, ok := err.(usageError); !ok {
+			t.Errorf("run(%q) = %v, want a usage error", args, err)
+		}
+		if len(args) == 0 && out.Len() > 0 {
+			t.Errorf("run(%q) printed %q", args, out.String())
+		}
+	}
+}

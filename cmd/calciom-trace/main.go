@@ -15,8 +15,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -26,64 +28,81 @@ import (
 )
 
 func main() {
-	file := flag.String("file", "", "SWF trace file (empty: synthetic Intrepid-like)")
-	days := flag.Float64("days", 243, "synthetic trace length in days")
-	seed := flag.Int64("seed", 20090101, "synthetic trace seed")
-	mu := flag.Float64("mu", 0.05, "E[µ]: fraction of time an app spends in I/O")
-	plot := flag.Bool("plot", true, "render ASCII charts")
-	coord := flag.String("coord", "", "summarize this coordination trace (calciomd/calciom-load -record) instead of an SWF trace")
-	allowTrunc := flag.Bool("allow-truncated", false, "with -coord: accept a truncated (crashed-recorder) trace, reporting the truncation point")
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdout)
+	switch {
+	case err == nil || err == flag.ErrHelp:
+		return
+	case errors.Is(err, errUsage):
+		os.Exit(2) // the flag package has reported it
+	}
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(1)
+}
+
+// errUsage is a malformed command line (exit status 2).
+var errUsage = errors.New("calciom-trace: usage")
+
+// run is the command: it writes the report to stdout and returns what
+// failed.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("calciom-trace", flag.ContinueOnError)
+	file := fs.String("file", "", "SWF trace file (empty: synthetic Intrepid-like)")
+	days := fs.Float64("days", 243, "synthetic trace length in days")
+	seed := fs.Int64("seed", 20090101, "synthetic trace seed")
+	mu := fs.Float64("mu", 0.05, "E[µ]: fraction of time an app spends in I/O")
+	plot := fs.Bool("plot", true, "render ASCII charts")
+	coord := fs.String("coord", "", "summarize this coordination trace (calciomd/calciom-load -record) instead of an SWF trace")
+	allowTrunc := fs.Bool("allow-truncated", false, "with -coord: accept a truncated (crashed-recorder) trace, reporting the truncation point")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return err
+		}
+		return errUsage
+	}
 
 	if *coord != "" {
-		if err := summarizeCoord(*coord, *allowTrunc); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+		return summarizeCoord(stdout, *coord, *allowTrunc)
 	}
 
 	var tr *swf.Trace
 	if *file != "" {
 		f, err := os.Open(*file)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		defer f.Close()
 		tr, err = swf.Parse(f)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("trace: %s (%d jobs)\n\n", *file, len(tr.Jobs))
+		fmt.Fprintf(stdout, "trace: %s (%d jobs)\n\n", *file, len(tr.Jobs))
 	} else {
 		tr = swf.Generate(swf.GenConfig{Seed: *seed, Days: *days})
-		fmt.Printf("trace: synthetic Intrepid-like, %d jobs over %.0f days (seed %d)\n\n",
+		fmt.Fprintf(stdout, "trace: synthetic Intrepid-like, %d jobs over %.0f days (seed %d)\n\n",
 			len(tr.Jobs), *days, *seed)
 	}
 
 	// Fig. 1a.
-	fmt.Println("job-size distribution (Fig. 1a):")
-	fmt.Printf("%10s  %8s  %8s  %9s  %9s\n", "cores<=", "%jobs", "CDF%", "%time", "timeCDF%")
+	fmt.Fprintln(stdout, "job-size distribution (Fig. 1a):")
+	fmt.Fprintf(stdout, "%10s  %8s  %8s  %9s  %9s\n", "cores<=", "%jobs", "CDF%", "%time", "timeCDF%")
 	buckets := swf.SizeDistribution(tr)
 	var labels []string
 	var shares []float64
 	for _, b := range buckets {
-		fmt.Printf("%10d  %8.2f  %8.2f  %9.2f  %9.2f\n",
+		fmt.Fprintf(stdout, "%10d  %8.2f  %8.2f  %9.2f  %9.2f\n",
 			b.Cores, 100*b.Share, 100*b.CDF, 100*b.TimeShare, 100*b.TimeCDF)
 		labels = append(labels, fmt.Sprintf("%d", b.Cores))
 		shares = append(shares, 100*b.Share)
 	}
-	fmt.Printf("median job size: %d cores\n\n", swf.MedianJobSize(tr))
+	fmt.Fprintf(stdout, "median job size: %d cores\n\n", swf.MedianJobSize(tr))
 	if *plot {
-		fmt.Println(textplot.Bar("% of jobs by size bucket", labels, shares, 40))
+		fmt.Fprintln(stdout, textplot.Bar("% of jobs by size bucket", labels, shares, 40))
 	}
 
 	// Fig. 1b.
 	dist := swf.ConcurrencyDistribution(tr)
-	fmt.Println("concurrent-jobs distribution (Fig. 1b):")
-	fmt.Printf("mean concurrency: %.2f\n", swf.MeanConcurrency(tr))
+	fmt.Fprintln(stdout, "concurrent-jobs distribution (Fig. 1b):")
+	fmt.Fprintf(stdout, "mean concurrency: %.2f\n", swf.MeanConcurrency(tr))
 	if *plot {
 		var xs []float64
 		var ys []float64
@@ -91,20 +110,21 @@ func main() {
 			xs = append(xs, float64(k))
 			ys = append(ys, p)
 		}
-		fmt.Println(textplot.Line("proportion of time vs #concurrent jobs", xs,
+		fmt.Fprintln(stdout, textplot.Line("proportion of time vs #concurrent jobs", xs,
 			[]textplot.Series{{Name: "P(X=k)", Y: ys}}, 64, 12))
 	}
 
 	// §II-B probability.
-	fmt.Printf("P(another app is doing I/O) at E[µ]=%.0f%%: %.1f%%\n",
+	fmt.Fprintf(stdout, "P(another app is doing I/O) at E[µ]=%.0f%%: %.1f%%\n",
 		100**mu, 100*swf.ProbOtherDoingIO(tr, *mu))
-	fmt.Println("(paper: 64% at E[µ]=5% on the Intrepid trace)")
+	fmt.Fprintln(stdout, "(paper: 64% at E[µ]=5% on the Intrepid trace)")
+	return nil
 }
 
 // summarizeCoord prints a deterministic summary of a coordination trace:
 // the analysis entry point for a trace that may have survived a daemon
 // crash, where the first question is "how much of it is usable?".
-func summarizeCoord(path string, allowTrunc bool) error {
+func summarizeCoord(stdout io.Writer, path string, allowTrunc bool) error {
 	load := trace.Load
 	if allowTrunc {
 		load = trace.LoadLenient
@@ -113,20 +133,17 @@ func summarizeCoord(path string, allowTrunc bool) error {
 	if err != nil {
 		return err
 	}
-	sessions, targets := 0, map[string]bool{}
+	targets := map[string]bool{}
 	byType := map[string]int{}
 	for _, ev := range tr.Events {
 		byType[ev.Type.String()]++
-		if ev.Type == trace.EvRegister {
-			sessions++
-		}
 		targets[ev.Target] = true
 	}
 	first, last := tr.Span()
-	fmt.Printf("coord-trace: path=%s source=%s policy=%s events=%d sessions=%d targets=%d span=%.3fs dropped=%d\n",
-		path, tr.Header.Source, tr.Header.Policy, len(tr.Events), sessions, len(targets), last-first, tr.Dropped)
+	fmt.Fprintf(stdout, "coord-trace: path=%s source=%s policy=%s events=%d sessions=%d targets=%d span=%.3fs dropped=%d\n",
+		path, tr.Header.Source, tr.Header.Policy, len(tr.Events), tr.Sessions(), len(targets), last-first, tr.Dropped)
 	if tr.Truncated {
-		fmt.Printf("coord-trace: TRUNCATED after event %d (recorder died mid-write)\n", len(tr.Events))
+		fmt.Fprintf(stdout, "coord-trace: TRUNCATED after event %d (recorder died mid-write)\n", len(tr.Events))
 	}
 	names := make([]string, 0, len(byType))
 	for name := range byType {
@@ -134,7 +151,7 @@ func summarizeCoord(path string, allowTrunc bool) error {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		fmt.Printf("coord-trace: type=%s count=%d\n", name, byType[name])
+		fmt.Fprintf(stdout, "coord-trace: type=%s count=%d\n", name, byType[name])
 	}
 	return nil
 }

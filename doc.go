@@ -250,11 +250,17 @@
 // and counted, never waited on — and replay refuses lossy traces rather
 // than silently diverging.
 //
-// Replay mirrors the daemon's sharding: the trace is partitioned into
+// Replay mirrors the daemon's sharding: the trace is compiled into
 // per-target streams, each re-arbitrated through its own Arbiter, and the
 // results are merged (client captures record one register/unregister per
-// session, which the partitioner propagates to every target the session
-// touches, at first touch — the daemon's lazy attach, reconstructed).
+// session, which the compiler propagates to every target the session
+// touches, at first touch — the daemon's lazy attach, reconstructed). A
+// compiled stream holds pointer-free steps (type, time, SID, dense session
+// index, bytes, the index of a registration or of a Prepare parsed once
+// with core.ParseInfo), the target's sessions in registration order and the
+// counts its replays size their logs from; every policy's replay of the
+// target reads the same one, so an info is parsed once per study, not once
+// per policy, and a session is found by index, not through a map.
 //
 // Replay has two modes. Verify replays a daemon trace under its own
 // recorded policy, re-arbitrating exactly where the recording did, and
@@ -280,8 +286,8 @@
 // over up to GOMAXPROCS goroutines, the caller's among them, for its own
 // duration and leaves none behind. Results never depend on how many there
 // were or who ran what: every replay fills its own slot, every merge goes by
-// index, and an error is the first in (policy, target) order. In return the
-// trace is read-only to replay — the streams point into it — and a policy
+// index, and an error is the first in (policy, target) order. The trace is
+// only read, once, by the compiler, and a policy
 // passed to Compare must be safe for concurrent Arbitrate calls on distinct
 // Arbiters, as every shipped one is: a policy is a shared value that decides
 // on the calling Arbiter's Scratch.
@@ -489,7 +495,8 @@
 // at once, an Arbiter belongs to one goroutine. Pokes and
 // grant messages go through the handle-free sim.Engine.After, rechecks
 // through one sim.Timer, waits through the process's own Resumer, and
-// Prepare parses its info once into a typed stack (Xeon @ 2.10GHz, 2 vCPU,
+// Coordinator.Prepare parses its info once (core.ParseInfo) into
+// AppState.Prepare's typed stack (Xeon @ 2.10GHz, 2 vCPU,
 // go1.24; the parent figures are the same benchmarks run on PR 12's tree):
 //
 //	BenchmarkDeltaPointReusedCoordinated       74.7 µs/op  406 allocs → 37.7 µs/op  0 allocs

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 )
@@ -42,14 +41,7 @@ type AppState struct {
 	rounds     int
 	aloneBW    float64
 
-	infoStack []infoFields
-}
-
-// infoFields is one stacked Prepare, parsed once, reduced to the keys a
-// policy can see; a negative field was absent or malformed.
-type infoFields struct {
-	bytesTotal, aloneBW  float64
-	files, rounds, cores int64
+	infoStack []ParsedInfo
 }
 
 // Name returns the application name.
@@ -98,23 +90,10 @@ func (a *AppState) setState(s State) {
 }
 
 // Prepare stacks information about the upcoming I/O accesses, as the paper's
-// Prepare(MPI_Info) does. Recognized keys update the view policies see; a
-// value that does not parse, or parses to NaN or an infinity (the info is
-// whatever a client sent), is ignored like a key that is not there.
-func (a *AppState) Prepare(info Info) {
-	finite := func(v float64) float64 {
-		if math.IsInf(v, 0) || math.IsNaN(v) {
-			return -1
-		}
-		return v
-	}
-	a.infoStack = append(a.infoStack, infoFields{
-		bytesTotal: finite(info.Float(KeyBytesTotal, -1)),
-		aloneBW:    finite(info.Float(KeyAloneBW, -1)),
-		files:      info.Int(KeyFiles, -1),
-		rounds:     info.Int(KeyRounds, -1),
-		cores:      info.Int(KeyCores, -1),
-	})
+// Prepare(MPI_Info) does, parsed by ParseInfo: the recognized keys update
+// the view policies see.
+func (a *AppState) Prepare(info ParsedInfo) {
+	a.infoStack = append(a.infoStack, info)
 	a.applyInfo()
 	a.refresh()
 }
@@ -297,6 +276,19 @@ func NewArbiter(policy Policy) *Arbiter {
 // while benchmark/micro.go, frozen during the change that made it so, still
 // calls it; both go with the next benchmark PR.
 func (ar *Arbiter) SetIndexed(bool) {}
+
+// Reserve sizes the arbiter for n registered applications — the
+// registration list, the queue, the decision scratch and the policy's
+// estimation scratch — so that an owner that knows its population up front
+// (a replay stream) allocates each once instead of growing it. Call it before
+// the first Register.
+func (ar *Arbiter) Reserve(n int) {
+	ar.apps = slices.Grow(ar.apps, n)
+	ar.queue, ar.views, ar.auth = slices.Grow(ar.queue, n), slices.Grow(ar.views, n), slices.Grow(ar.auth, n)
+	ar.allowed = slices.Grow(ar.allowed, n)
+	ar.granted, ar.revoked = slices.Grow(ar.granted, n), slices.Grow(ar.revoked, n)
+	ar.model.reserve(n)
+}
 
 // Reset returns the arbiter to its just-constructed state while keeping the
 // registered applications (in registration order) and the capacity of the

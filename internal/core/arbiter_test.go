@@ -116,7 +116,7 @@ func TestResetRestoresRegistrationCores(t *testing.T) {
 	}
 	info := Info{}
 	info.SetInt(KeyCores, 64)
-	a.Prepare(info)
+	a.Prepare(ParseInfo(info))
 	if a.Cores() != 64 {
 		t.Fatalf("cores after Prepare = %d, want 64", a.Cores())
 	}
@@ -157,7 +157,7 @@ func TestArbiterStaysAllocFree(t *testing.T) {
 				now := 0.0
 				for _, a := range apps {
 					now++
-					a.Prepare(info)
+					a.Prepare(ParseInfo(info))
 					a.Inform(now)
 					ar.Arbitrate(now)
 				}
@@ -210,7 +210,7 @@ func TestSharedPolicyValueConcurrentArbiters(t *testing.T) {
 		for round := 0; round < 50; round++ {
 			for i, a := range apps {
 				info.SetFloat(KeyBytesTotal, 1e8*float64(1+(i+round)%5))
-				a.Prepare(info)
+				a.Prepare(ParseInfo(info))
 				a.Inform(now)
 				decide()
 			}

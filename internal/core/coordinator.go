@@ -70,7 +70,7 @@ func (c *Coordinator) WaitTime() float64 { return c.waitTime }
 
 // Prepare stacks information about the upcoming I/O accesses, as the paper's
 // Prepare(MPI_Info) does. Recognized keys update the view the policies see.
-func (c *Coordinator) Prepare(info Info) { c.app.Prepare(info) }
+func (c *Coordinator) Prepare(info Info) { c.app.Prepare(ParseInfo(info)) }
 
 // Complete unstacks the most recent Prepare.
 func (c *Coordinator) Complete() {

@@ -227,15 +227,15 @@ func TestDecisionLog(t *testing.T) {
 func TestPerfModelAloneBW(t *testing.T) {
 	m := &PerfModel{FSBandwidth: 1000, ProcNIC: 10}
 	// Injection-limited app.
-	if got := m.AloneBW(AppView{Cores: 10}); got != 100 {
+	if got := m.AloneBW(&AppView{Cores: 10}); got != 100 {
 		t.Fatalf("AloneBW = %v, want 100", got)
 	}
 	// FS-limited app.
-	if got := m.AloneBW(AppView{Cores: 1000}); got != 1000 {
+	if got := m.AloneBW(&AppView{Cores: 1000}); got != 1000 {
 		t.Fatalf("AloneBW = %v, want 1000", got)
 	}
 	// Declared value wins.
-	if got := m.AloneBW(AppView{Cores: 10, AloneBW: 42}); got != 42 {
+	if got := m.AloneBW(&AppView{Cores: 10, AloneBW: 42}); got != 42 {
 		t.Fatalf("AloneBW = %v, want 42", got)
 	}
 }
@@ -563,8 +563,8 @@ func TestPrepareIgnoresNonFiniteFloats(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a.Prepare(Info{key: "7"})
-			a.Prepare(Info{key: tc.value})
+			a.Prepare(ParseInfo(Info{key: "7"}))
+			a.Prepare(ParseInfo(Info{key: tc.value}))
 			got := a.View().BytesTotal
 			if key == KeyAloneBW {
 				got = a.View().AloneBW

@@ -127,7 +127,7 @@ func wording(p Policy, views []AppView) (text string, ok bool) {
 		if len(views) == 1 {
 			return "single application", true
 		}
-		return fmt.Sprintf("holder %s rem=%.2fs", views[0].Name, p.Model.SoloTime(views[0], views[0].Remaining())), true
+		return fmt.Sprintf("holder %s rem=%.2fs", views[0].Name, p.Model.SoloTime(&views[0], views[0].Remaining())), true
 	}
 	return "", false
 }
@@ -267,8 +267,8 @@ func (d *diffRun) step(i int, op, arg byte) {
 		if arg%5 == 0 {
 			info.SetFloat(KeyAloneBW, 1e6*float64(1+arg%7))
 		}
-		ra.Prepare(info)
-		fa.Prepare(info)
+		ra.Prepare(ParseInfo(info))
+		fa.Prepare(ParseInfo(info))
 	case opComplete:
 		if re, fe := errText(ra.Complete()), errText(fa.Complete()); re != fe {
 			t.Fatalf("step %d: Complete: %q vs reference %q", i, re, fe)

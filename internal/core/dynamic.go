@@ -19,7 +19,7 @@ type PerfModel struct {
 }
 
 // AloneBW returns the app's estimated solo bandwidth.
-func (m *PerfModel) AloneBW(v AppView) float64 {
+func (m *PerfModel) AloneBW(v *AppView) float64 {
 	if v.AloneBW > 0 {
 		return v.AloneBW
 	}
@@ -31,7 +31,7 @@ func (m *PerfModel) AloneBW(v AppView) float64 {
 }
 
 // SoloTime estimates the time for the app to write `bytes` alone.
-func (m *PerfModel) SoloTime(v AppView, bytes float64) float64 {
+func (m *PerfModel) SoloTime(v *AppView, bytes float64) float64 {
 	bw := m.AloneBW(v)
 	if bw <= 0 {
 		return math.Inf(1)
@@ -51,6 +51,12 @@ type Scratch struct {
 	order  []int
 	times  []float64
 	shares []coreShare
+}
+
+// reserve sizes the scratch for n queued applications.
+func (s *Scratch) reserve(n int) {
+	s.solo, s.order = slices.Grow(s.solo, n), slices.Grow(s.order, n)
+	s.times, s.shares = slices.Grow(s.times, n), slices.Grow(s.shares, n)
 }
 
 // coreShare is an application with bytes left, by index, and its bytes per
@@ -129,8 +135,8 @@ func (CPUSecondsWasted) Name() string { return "cpu-seconds" }
 // Cost implements Metric.
 func (CPUSecondsWasted) Cost(apps []AppView, ioTime []float64) float64 {
 	var f float64
-	for i, a := range apps {
-		f += float64(a.Cores) * ioTime[i]
+	for i := range apps {
+		f += float64(apps[i].Cores) * ioTime[i]
 	}
 	return f
 }
@@ -162,7 +168,8 @@ func (SumInterferenceFactors) Name() string { return "sum-interference" }
 // Cost implements Metric.
 func (s SumInterferenceFactors) Cost(apps []AppView, ioTime []float64) float64 {
 	var f float64
-	for i, a := range apps {
+	for i := range apps {
+		a := &apps[i]
 		solo := s.Model.SoloTime(a, a.Remaining())
 		if solo <= 0 {
 			continue
@@ -227,15 +234,16 @@ func (d DynamicPolicy) Arbitrate(now float64, apps []AppView, allowed []bool, s 
 	// The holders, then the waiters, both by arrival as the views are: the
 	// serialize schedule, which the other two reorder in place.
 	s.solo, s.order = s.solo[:0], s.order[:0]
-	for i, a := range apps {
+	for i := range apps {
+		a := &apps[i]
 		s.solo = append(s.solo, d.Model.SoloTime(a, a.Remaining()))
 		if a.State == Active {
 			s.order = append(s.order, i)
 		}
 	}
 	actives := len(s.order)
-	for i, a := range apps {
-		if a.State != Active {
+	for i := range apps {
+		if apps[i].State != Active {
 			s.order = append(s.order, i)
 		}
 	}

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 )
@@ -28,6 +29,35 @@ const (
 	KeyCores         = "cores"           // cores the application occupies
 	KeyAloneBW       = "alone_bw"        // estimated solo bandwidth (bytes/s), optional
 )
+
+// ParsedInfo is one Prepare's info, parsed once and reduced to the keys a
+// policy can see: what AppState.Prepare stacks. A negative field was absent
+// or malformed. It is a plain value, so whoever receives an Info — the
+// simulator's Coordinator, a daemon shard, a compiled replay stream — parses
+// it where it arrives and can stack the result any number of times.
+type ParsedInfo struct {
+	bytesTotal, aloneBW  float64
+	files, rounds, cores int64
+}
+
+// ParseInfo parses the recognized keys of info. A value that does not parse,
+// or parses to NaN or an infinity (the info is whatever a client sent), is
+// ignored like a key that is not there.
+func ParseInfo(info Info) ParsedInfo {
+	finite := func(v float64) float64 {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return -1
+		}
+		return v
+	}
+	return ParsedInfo{
+		bytesTotal: finite(info.Float(KeyBytesTotal, -1)),
+		aloneBW:    finite(info.Float(KeyAloneBW, -1)),
+		files:      info.Int(KeyFiles, -1),
+		rounds:     info.Int(KeyRounds, -1),
+		cores:      info.Int(KeyCores, -1),
+	}
+}
 
 // SetInt stores an integer value.
 func (in Info) SetInt(key string, v int64) { in[key] = strconv.FormatInt(v, 10) }

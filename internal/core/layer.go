@@ -50,7 +50,7 @@ type AppView struct {
 }
 
 // Remaining returns the declared bytes still to write.
-func (v AppView) Remaining() float64 {
+func (v *AppView) Remaining() float64 {
 	r := v.BytesTotal - v.BytesDone
 	if r < 0 {
 		r = 0

@@ -108,7 +108,7 @@ func driveShard(t *testing.T, p Policy, names []string, schedule []byte) string 
 		case verbPrepare:
 			info := Info{}
 			info.SetFloat(KeyBytesTotal, 1e7*float64(1+arg%13))
-			a.Prepare(info)
+			a.Prepare(ParseInfo(info))
 		case verbInform:
 			a.Inform(now)
 			arbitrate()

@@ -90,7 +90,7 @@ func oracleDynamic(d DynamicPolicy, now float64, apps []AppView) decision {
 		times := make([]float64, len(apps))
 		acc := 0.0
 		for _, i := range order {
-			acc += d.Model.SoloTime(apps[i], apps[i].Remaining())
+			acc += d.Model.SoloTime(&apps[i], apps[i].Remaining())
 			times[i] = acc
 		}
 		return times
@@ -119,8 +119,8 @@ func oracleDynamic(d DynamicPolicy, now float64, apps []AppView) decision {
 		sjf := append([]int{}, actives...)
 		ws := append([]int{}, waiters...)
 		sort.Slice(ws, func(a, b int) bool {
-			ta := d.Model.SoloTime(apps[ws[a]], apps[ws[a]].Remaining())
-			tb := d.Model.SoloTime(apps[ws[b]], apps[ws[b]].Remaining())
+			ta := d.Model.SoloTime(&apps[ws[a]], apps[ws[a]].Remaining())
+			tb := d.Model.SoloTime(&apps[ws[b]], apps[ws[b]].Remaining())
 			if ta != tb {
 				return ta < tb
 			}

@@ -17,9 +17,9 @@ func (PriorityPolicy) Name() string { return "priority" }
 // order as the views are.
 func (p PriorityPolicy) Arbitrate(now float64, apps []AppView, allowed []bool, _ *Scratch) (Reason, float64) {
 	best, bestPrio := 0, p.Priorities[apps[0].Name]
-	for i, a := range apps[1:] {
-		if prio := p.Priorities[a.Name]; prio > bestPrio {
-			best, bestPrio = i+1, prio
+	for i := 1; i < len(apps); i++ {
+		if prio := p.Priorities[apps[i].Name]; prio > bestPrio {
+			best, bestPrio = i, prio
 		}
 	}
 	allowed[best] = true
@@ -45,7 +45,8 @@ func (FairSharePolicy) Name() string { return "fairshare" }
 // least progress fraction, the first by name among equals, is served next.
 func (f FairSharePolicy) Arbitrate(now float64, apps []AppView, allowed []bool, _ *Scratch) (Reason, float64) {
 	least, leastFrac := -1, 0.0
-	for i, a := range apps {
+	for i := range apps {
+		a := &apps[i]
 		frac := 0.0
 		if a.BytesTotal > 0 {
 			frac = a.BytesDone / a.BytesTotal

@@ -75,13 +75,14 @@ func (d DelayPolicy) Arbitrate(now float64, apps []AppView, allowed []bool, _ *S
 	if len(apps) == 1 {
 		return TextReason("single application"), 0
 	}
-	holder := apps[0]
+	holder := &apps[0]
 	remHold := d.Model.SoloTime(holder, holder.Remaining())
 	recheck := math.Inf(1)
-	for i, a := range apps[1:] {
+	for i := 1; i < len(apps); i++ {
+		a := &apps[i]
 		window := d.Overlap * d.Model.SoloTime(a, a.Remaining())
 		if remHold <= window {
-			allowed[i+1] = true
+			allowed[i] = true
 			continue
 		}
 		// Not yet: re-examine when the holder should be within range.

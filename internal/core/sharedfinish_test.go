@@ -87,7 +87,7 @@ func TestSharedFinishTimesLoneWriterIsSoloTime(t *testing.T) {
 		{Name: "c", Cores: 4, State: Active, BytesTotal: 3e7, BytesDone: 3e7},
 		{Name: "k", Cores: 33, State: Waiting, Arrival: 1, BytesTotal: 7e7},
 	}
-	solo := diffModel.SoloTime(apps[1], apps[1].Remaining())
+	solo := diffModel.SoloTime(&apps[1], apps[1].Remaining())
 	if got := diffModel.sharedFinishTimes(&s, apps); got[0] != 0 || got[1] != solo {
 		t.Fatalf("step 223: shared finish times %v, want [0 %v] exactly", got, solo)
 	}
@@ -114,7 +114,7 @@ func TestSharedFinishTimesLoneWriterIsSoloTime(t *testing.T) {
 		if inj := float64(w.Cores) * m.ProcNIC; inj <= 0 || inj >= m.FSBandwidth || math.IsInf(w.BytesTotal, 1) {
 			continue // not injection-limited: the lone writer's rate is FSBandwidth/cores × cores, an ulp from SoloTime's either way
 		}
-		if got, want := m.sharedFinishTimes(&s, apps)[writer], m.SoloTime(w, w.Remaining()); got != want {
+		if got, want := m.sharedFinishTimes(&s, apps)[writer], m.SoloTime(&w, w.Remaining()); got != want {
 			t.Fatalf("trial %d: lone writer (%d cores, %g bytes; nic %g) finishes at %v, SoloTime %v", trial, w.Cores, w.Remaining(), m.ProcNIC, got, want)
 		}
 	}

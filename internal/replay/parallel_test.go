@@ -108,11 +108,9 @@ func traceHash(tr *trace.Trace) uint64 {
 	return h.Sum64()
 }
 
-// TestReplayLeavesTraceUntouched: the streams point into the caller's trace
-// and several machines read one stream at once, so the trace is read-only to
-// replay — also where the partitioner derives events from recorded ones (a
-// client capture's per-target registers and its propagated unregister), which
-// must be copies.
+// TestReplayLeavesTraceUntouched: the trace is read-only to replay — also
+// where the compiler derives events from recorded ones (a client capture's
+// per-target registers and its propagated unregister), which must be copies.
 func TestReplayLeavesTraceUntouched(t *testing.T) {
 	atGOMAXPROCS(4, func() {
 		for name, tr := range map[string]*trace.Trace{

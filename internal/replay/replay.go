@@ -4,16 +4,16 @@
 // clock taken from the recorded timestamps.
 //
 // Like the live daemon, replay is sharded by storage target: the trace is
-// partitioned into per-target event streams (a version-1 trace is one
-// stream, the default target ""), each stream is re-arbitrated through its
-// own Arbiter exactly as that target's shard did under its lock, and the
-// per-target results are merged into one Result. Registration is per
-// target: a daemon trace records each shard's attach as its own EvRegister,
-// so the partition reproduces each shard's registration order; client-side
-// captures record one register per session, which the partitioner copies
-// into every target the session later touches (and its unregister
-// likewise), at the instant of first touch — mirroring the daemon's lazy
-// attach.
+// compiled into per-target streams (a version-1 trace is one stream, the
+// default target ""), each stream is re-arbitrated through its own Arbiter
+// exactly as that target's shard did under its lock, and the per-target
+// results are merged into one Result. Registration is per target: a daemon
+// trace records each shard's attach as its own EvRegister, so a stream
+// reproduces its shard's registration order; client-side captures record
+// one register per session, which the compiler copies into every target the
+// session later touches (and its unregister likewise), at the instant of
+// first touch — mirroring the daemon's lazy attach. A stream is compiled
+// once per call and replayed under every policy the call asks about.
 //
 // Two modes exist:
 //
@@ -223,68 +223,125 @@ func checkReplayable(tr *trace.Trace) error {
 	return nil
 }
 
-// shardEvents is one storage target's slice of a partitioned trace. Its
-// events are the trace's own, by pointer — replay only ever reads them — but
-// for the few registers and unregisters a client capture has copied in.
-type shardEvents struct {
-	Target string
-	Events []*trace.Event
-	waits  int // EvWait events among them: every wait a replay can serve
+// step is one event of a compiled stream, reduced to what a replay reads of
+// it. It holds no pointer: the streams every machine of a Compare shares
+// cost the collector nothing to scan, and a machine finds the session by
+// index, not through a map.
+type step struct {
+	typ   trace.Type
+	sid   uint32 // the recorded session identity, which flips carry
+	sess  int32  // dense session index, in registration order; -1 while the session has not registered on this target
+	arg   int32  // EvRegister: index into stream.regs; EvPrepare: index into stream.infos
+	time  float64
+	bytes float64 // EvInform, EvProgress, EvRelease
 }
 
-// partition splits a trace into per-target event streams, in sorted target
-// order. Daemon traces partition exactly: every event (register, recheck
-// and unregister included) was recorded by the shard that owns its target.
+// registration is what one EvRegister carries.
+type registration struct {
+	name  string
+	cores int
+}
+
+// stream is one storage target's events compiled for replay: the steps, the
+// number of sessions registered there, every registration and every
+// Prepare's info parsed once. It is read-only once
+// compiled, so every cell of a replay grid — each policy's machine on this
+// target — runs the same stream.
+type stream struct {
+	target   string
+	steps    []step
+	sessions int // distinct sessions: a machine's session table is this long
+	regs     []registration
+	infos    []core.ParsedInfo
+	waits    int // EvWait steps: every wait a replay can serve
+	recorded int // EvGrant and EvRevoke steps: every flip a verify compares
+}
+
+// compile splits a trace into per-target streams, in sorted target order.
+// Daemon traces partition exactly: every event (register, recheck and
+// unregister included) was recorded by the shard that owns its target.
 // Client-side captures record registration once per session, so the
-// partitioner mirrors the daemon's lazy attach: the register is copied into
-// a target's stream at the session's first event there, and the session's
+// compiler mirrors the daemon's lazy attach: the register is copied into a
+// target's stream at the session's first event there, and the session's
 // unregister is copied into every target it touched. A version-1 trace has
-// every Target empty and partitions into the single default stream —
+// every Target empty and compiles into the single default stream —
 // byte-for-byte the unsharded replay input.
-func partition(tr *trace.Trace) []shardEvents {
-	type regInfo struct {
-		app   string
-		cores int32
-	}
-	// Count first, so that each stream is allocated once: a stream holds the
-	// trace's events on its target, plus — in a client capture only — the
-	// few registers and unregisters copied in, which append makes room for.
-	idx := make(map[string]int)
-	var parts []shardEvents
-	var counts []int
+func compile(tr *trace.Trace) []stream {
+	// Find each event's stream and count the streams' events and Prepares
+	// first, so that each stream's steps and infos are allocated once: a
+	// stream holds the trace's events on its target, plus — in a client
+	// capture only — the few registers and unregisters copied in, which
+	// append makes room for.
+	idx := make(map[string]int32)
+	at := make([]int32, len(tr.Events))
+	var streams []stream
+	var counts, prepares []int
 	for i := range tr.Events {
-		ev := &tr.Events[i]
-		p, ok := idx[ev.Target]
+		name := tr.Events[i].Target
+		p, ok := idx[name]
 		if !ok {
-			p = len(parts)
-			idx[ev.Target] = p
-			parts = append(parts, shardEvents{Target: ev.Target})
-			counts = append(counts, 0)
+			p = int32(len(streams))
+			idx[name] = p
+			streams = append(streams, stream{target: name})
+			counts, prepares = append(counts, 0), append(prepares, 0)
 		}
+		at[i] = p
 		counts[p]++
-		if ev.Type == trace.EvWait {
-			parts[p].waits++
+		if tr.Events[i].Type == trace.EvPrepare {
+			prepares[p]++
 		}
 	}
-	for i := range parts {
-		parts[i].Events = make([]*trace.Event, 0, counts[i])
+	// Per stream: each SID's dense session index, from its first register
+	// there, and whether that session is attached (registered and not
+	// unregistered since).
+	dense := make([]map[uint32]int32, len(streams))
+	attached := make([][]bool, len(streams))
+	for p := range streams {
+		streams[p].steps = make([]step, 0, counts[p])
+		streams[p].infos = make([]core.ParsedInfo, 0, prepares[p])
+		dense[p] = make(map[uint32]int32)
 	}
-	emit := func(target string, ev *trace.Event) {
-		p := &parts[idx[target]] // every target emitted to is some event's
-		p.Events = append(p.Events, ev)
+	lookup := func(p int32, sid uint32) int32 {
+		if d, ok := dense[p][sid]; ok {
+			return d
+		}
+		return -1
 	}
-	type attachKey struct {
-		target string
-		sid    uint32
+	attach := func(p int32, sid uint32, d int32) int32 {
+		if d < 0 {
+			d = int32(streams[p].sessions)
+			dense[p][sid] = d
+			streams[p].sessions++
+			attached[p] = append(attached[p], false)
+		}
+		attached[p][d] = true
+		return d
 	}
-	regs := make(map[uint32]regInfo)
-	attached := make(map[attachKey]bool)
-	client := tr.Header.Source == trace.SourceClient
-	for i := range tr.Events {
-		ev := &tr.Events[i]
+	emit := func(p int32, ev *trace.Event, d int32) {
+		st := &streams[p]
+		s := step{typ: ev.Type, sid: ev.SID, sess: d, time: ev.Time, bytes: ev.Bytes}
 		switch ev.Type {
 		case trace.EvRegister:
-			regs[ev.SID] = regInfo{app: ev.App, cores: ev.Cores}
+			s.arg = int32(len(st.regs))
+			st.regs = append(st.regs, registration{name: ev.App, cores: int(ev.Cores)})
+		case trace.EvPrepare:
+			s.arg = int32(len(st.infos))
+			st.infos = append(st.infos, core.ParseInfo(ev.Info))
+		case trace.EvWait:
+			st.waits++
+		case trace.EvGrant, trace.EvRevoke:
+			st.recorded++
+		}
+		st.steps = append(st.steps, s)
+	}
+	regs := make(map[uint32]registration)
+	client := tr.Header.Source == trace.SourceClient
+	for i := range tr.Events {
+		ev, p := &tr.Events[i], at[i]
+		d := lookup(p, ev.SID)
+		switch ev.Type {
+		case trace.EvRegister:
+			regs[ev.SID] = registration{name: ev.App, cores: int(ev.Cores)}
 			if client {
 				// A client-side register is session metadata, not an
 				// attach: the session joins a target's stream lazily at
@@ -293,45 +350,40 @@ func partition(tr *trace.Trace) []shardEvents {
 				// its target.
 				continue
 			}
-			attached[attachKey{ev.Target, ev.SID}] = true
-			emit(ev.Target, ev)
+			emit(p, ev, attach(p, ev.SID, d))
 		case trace.EvRecheck:
-			emit(ev.Target, ev)
+			emit(p, ev, d)
 		case trace.EvUnregister:
-			if attached[attachKey{ev.Target, ev.SID}] {
-				delete(attached, attachKey{ev.Target, ev.SID})
-				emit(ev.Target, ev)
+			if d >= 0 && attached[p][d] {
+				attached[p][d] = false
+				emit(p, ev, d)
 			}
 			if client {
 				// One recorded unregister stands for the whole session:
 				// propagate it to every other target it attached to.
-				for j := range parts {
-					t := parts[j].Target
-					if t == ev.Target || !attached[attachKey{t, ev.SID}] {
-						continue
+				for q := range streams {
+					if dq := lookup(int32(q), ev.SID); int32(q) != p && dq >= 0 && attached[q][dq] {
+						attached[q][dq] = false
+						emit(int32(q), &trace.Event{Type: trace.EvUnregister, Time: ev.Time, SID: ev.SID}, dq)
 					}
-					delete(attached, attachKey{t, ev.SID})
-					cp := *ev
-					cp.Target = t
-					emit(t, &cp)
 				}
 			}
 		default:
-			if !attached[attachKey{ev.Target, ev.SID}] && ev.SID != 0 {
+			if ev.SID != 0 && (d < 0 || !attached[p][d]) {
 				if reg, ok := regs[ev.SID]; ok {
-					attached[attachKey{ev.Target, ev.SID}] = true
-					emit(ev.Target, &trace.Event{Type: trace.EvRegister, Time: ev.Time,
-						SID: ev.SID, App: reg.app, Cores: reg.cores, Target: ev.Target})
+					d = attach(p, ev.SID, d)
+					emit(p, &trace.Event{Type: trace.EvRegister, Time: ev.Time,
+						SID: ev.SID, App: reg.name, Cores: int32(reg.cores)}, d)
 				}
 			}
-			emit(ev.Target, ev)
+			emit(p, ev, d)
 		}
 	}
 	// A target nothing was emitted to (a client capture's registers are
 	// metadata, an unregister may find nothing attached) has no stream.
-	parts = slices.DeleteFunc(parts, func(p shardEvents) bool { return len(p.Events) == 0 })
-	sort.Slice(parts, func(i, j int) bool { return parts[i].Target < parts[j].Target })
-	return parts
+	streams = slices.DeleteFunc(streams, func(st stream) bool { return len(st.steps) == 0 })
+	sort.Slice(streams, func(i, j int) bool { return streams[i].target < streams[j].target })
+	return streams
 }
 
 // mergeResults combines per-target results into the machine-wide view:
@@ -387,7 +439,7 @@ func Under(tr *trace.Trace, pol core.Policy) (Result, error) {
 	if err := checkReplayable(tr); err != nil {
 		return Result{}, err
 	}
-	results, err := replayGrid(partition(tr), []core.Policy{pol}, nil)
+	results, err := replayGrid(compile(tr), []core.Policy{pol}, nil)
 	if err != nil {
 		return Result{}, err
 	}
@@ -406,22 +458,23 @@ func Under(tr *trace.Trace, pol core.Policy) (Result, error) {
 // With check set the cells verify instead of asking what-if: they
 // re-arbitrate exactly where the recording did, collect its flips, and pass
 // the finished machine and result to check — from any worker, one stream each.
-func replayGrid(streams []shardEvents, pols []core.Policy, check func(stream int, m *machine, res *Result)) ([]Result, error) {
+func replayGrid(streams []stream, pols []core.Policy, check func(stream int, m *machine, res *Result)) ([]Result, error) {
 	var (
 		next   atomic.Int64
 		parts  = make([]Result, len(pols)*len(streams)) // cell (p, s) at p*len(streams)+s
 		errs   = make([]error, len(parts))
 		merged = make([]Result, len(pols))
 		left   = make([]atomic.Int64, len(pols)) // cells a policy's merge still waits for
-		// A grant per served wait and a revoke per grant is all a serializing or
-		// preempting policy flips. One that also takes grants back on its own
-		// rechecks (delay) flips more, by a factor only its replay shows: the
-		// cells of a policy that have finished size the flip log of its next.
-		flipsPerWait = make([]atomic.Int64, len(pols))
+		// How often a policy flips per wait only its replay shows — fcfs about
+		// once a phase, delay several times a wait as its rechecks take grants
+		// back — so the cells of a policy that have finished size the flip log
+		// of its next, in eighths of a flip per wait; the first are sized for
+		// one flip per wait and grow if they must.
+		eighthsPerWait = make([]atomic.Int64, len(pols))
 	)
 	for p, pol := range pols {
 		left[p].Store(int64(len(streams)))
-		flipsPerWait[p].Store(2)
+		eighthsPerWait[p].Store(8)
 		if len(streams) == 0 {
 			merged[p] = mergeResults(pol.Name(), nil)
 		}
@@ -429,12 +482,12 @@ func replayGrid(streams []shardEvents, pols []core.Policy, check func(stream int
 	work := func() {
 		for c := int(next.Add(1)) - 1; c < len(parts); c = int(next.Add(1)) - 1 {
 			p, s := c/len(streams), c%len(streams)
-			stream, hint := streams[s], &flipsPerWait[p]
-			m := newMachine(pols[p], stream, int(hint.Load())*stream.waits, check != nil)
-			if errs[c] = m.run(stream.Events); errs[c] == nil {
+			st, hint := &streams[s], &eighthsPerWait[p]
+			m := newMachine(pols[p], st, (int(hint.Load())*st.waits+7)/8, check != nil)
+			if errs[c] = m.run(); errs[c] == nil {
 				parts[c] = m.finish()
-				if stream.waits > 0 {
-					per := int64((len(parts[c].Flips) + stream.waits - 1) / stream.waits)
+				if st.waits > 0 {
+					per := int64((8*len(parts[c].Flips) + st.waits - 1) / st.waits)
 					for old := hint.Load(); per > old && !hint.CompareAndSwap(old, per); old = hint.Load() {
 					}
 				}
@@ -506,7 +559,7 @@ func Verify(tr *trace.Trace) (VerifyResult, error) {
 	if err != nil {
 		return VerifyResult{}, fmt.Errorf("replay: recording policy: %w", err)
 	}
-	streams := partition(tr)
+	streams := compile(tr)
 	v := VerifyResult{Match: true, Shards: make([]ShardVerify, len(streams))}
 	recorded := make([][]Flip, len(streams))
 	results, err := replayGrid(streams, []core.Policy{pol}, func(s int, m *machine, res *Result) {
@@ -514,11 +567,11 @@ func Verify(tr *trace.Trace) (VerifyResult, error) {
 		// triggering requests survived, so the recorded flips are verified
 		// as a prefix of the replayed sequence instead of an exact match.
 		match, mismatch := compareFlips(m.recorded, res.Flips, tr.Truncated)
-		if !match && m.target != "" {
-			mismatch = fmt.Sprintf("target %s: %s", m.target, mismatch)
+		if !match && m.st.target != "" {
+			mismatch = fmt.Sprintf("target %s: %s", m.st.target, mismatch)
 		}
 		v.Shards[s] = ShardVerify{
-			Target:       m.target,
+			Target:       m.st.target,
 			GrantsServed: res.GrantsServed,
 			Flips:        len(res.Flips),
 			Recorded:     len(m.recorded),
@@ -564,11 +617,14 @@ type sess struct {
 	sid   uint32
 	name  string
 	cores int
-	app   *core.AppState // nil once unregistered
+	app   *core.AppState // nil before the first register and once unregistered
+	known bool           // registered at least once: sid, name, cores and idx are set
 
+	idx        int32 // the stream's dense session index
+	active     int32 // index in machine.active; -1 outside an access step
 	pending    bool
-	waitFrom   float64
 	waitConvoy bool
+	waitFrom   float64
 	phaseStart float64
 
 	res AppResult
@@ -577,71 +633,89 @@ type sess struct {
 // machine drives core.Arbiter through one target's replay. It mirrors
 // internal/server's per-shard handle/arbitrate logic without the network.
 type machine struct {
-	arb    *core.Arbiter
-	target string
-	byID   map[uint32]*sess
-	order  []*sess
+	arb *core.Arbiter
+	st  *stream
+	// sess is indexed by the stream's dense session index, which is also
+	// registration order.
+	sess []sess
 	// active holds the sessions inside an access step — one under a
 	// serializing policy, whoever overlaps under a permissive one — so that
-	// accrue, which runs per event, visits them and not every session.
-	active    []*sess
+	// accrue, which runs per event, visits them and not every session. Its
+	// order is immaterial: each session accrues into its own figures.
+	active    []int32
 	now       float64
 	recheckAt float64
 	// verify: re-arbitrate at the recorded EvRechecks and collect the recorded
 	// flips. A what-if machine ignores both and follows RecheckAfter instead.
 	verify bool
 
-	events   int
 	recorded []Flip
 	res      Result
 }
 
 // newMachine builds the replay of one stream, its flip log allocated for the
-// given number of flips. A stream's waits bound what its replay can serve, so
-// the wait log is allocated once.
-func newMachine(pol core.Policy, stream shardEvents, flips int, verify bool) *machine {
+// given number of flips — in verify mode, for as many as were recorded. A
+// stream's waits bound what its replay can serve, so the wait log is
+// allocated once.
+func newMachine(pol core.Policy, st *stream, flips int, verify bool) *machine {
 	arb := core.NewArbiter(pol)
 	arb.SetLogBound(0)
-	return &machine{
+	arb.Reserve(st.sessions)
+	m := &machine{
 		arb:       arb,
-		target:    stream.Target,
-		byID:      make(map[uint32]*sess),
+		st:        st,
+		sess:      make([]sess, st.sessions),
 		recheckAt: math.Inf(1),
 		verify:    verify,
-		res: Result{Policy: pol.Name(),
-			Flips: make([]Flip, 0, flips), Waits: make([]float64, 0, stream.waits)},
 	}
+	if verify {
+		flips = st.recorded
+		m.recorded = make([]Flip, 0, st.recorded)
+	}
+	m.res = Result{Policy: pol.Name(), Flips: make([]Flip, 0, flips), Waits: make([]float64, 0, st.waits)}
+	return m
 }
 
 // activate moves a session whose Wait was just served into its access step.
 func (m *machine) activate(s *sess) {
-	if was := s.app.State(); s.app.Activate() == nil && was != core.Active {
-		m.active = append(m.active, s)
+	if s.app.Activate() == nil && s.active < 0 {
+		s.active = int32(len(m.active))
+		m.active = append(m.active, s.idx)
 	}
 }
 
 // deactivate drops a session that left its access step (released, ended its
 // phase or went away) from the active list; a no-op for any other.
 func (m *machine) deactivate(s *sess) {
-	if i := slices.Index(m.active, s); i >= 0 {
-		m.active = slices.Delete(m.active, i, i+1)
+	if s.active < 0 {
+		return
 	}
+	last := m.active[len(m.active)-1]
+	m.active[s.active] = last
+	m.sess[last].active = s.active
+	m.active = m.active[:len(m.active)-1]
+	s.active = -1
 }
 
-func (m *machine) run(events []*trace.Event) error {
-	for i, ev := range events {
-		if err := m.step(ev); err != nil {
-			return fmt.Errorf("replay: event %d (%s): %w", i, ev.Type, err)
+func (m *machine) run() error {
+	for i := range m.st.steps {
+		if err := m.step(&m.st.steps[i]); err != nil {
+			return fmt.Errorf("replay: event %d (%s): %w", i, m.st.steps[i].typ, err)
 		}
 	}
 	return nil
 }
 
-func (m *machine) step(ev *trace.Event) error {
+// flip records one recorded grant or revoke (verify mode).
+func (m *machine) flip(t float64, st *step) {
+	m.recorded = append(m.recorded, Flip{Time: t, SID: st.sid, Target: m.st.target, Grant: st.typ == trace.EvGrant})
+}
+
+func (m *machine) step(st *step) error {
 	// The virtual clock never runs backwards: daemon traces are monotone by
 	// construction; client-side captures may interleave slightly out of
 	// order across connections and are clamped.
-	t := ev.Time
+	t := st.time
 	if t < m.now {
 		t = m.now
 	}
@@ -659,52 +733,37 @@ func (m *machine) step(ev *trace.Event) error {
 	}
 	m.accrue(t - m.now)
 	m.now = t
-	m.events++
+	m.res.Events++
 
-	s := m.byID[ev.SID]
-	if ev.Type != trace.EvRegister && ev.Type != trace.EvRecheck &&
-		(s == nil || s.app == nil) {
-		// A session the replay does not know (or that already left): a
-		// client-side capture can record such skew; ignore.
-		if ev.Type == trace.EvGrant || ev.Type == trace.EvRevoke {
-			if m.verify {
-				m.recorded = append(m.recorded, Flip{Time: t, SID: ev.SID, Target: m.target, Grant: ev.Type == trace.EvGrant})
-			}
+	if st.typ == trace.EvRecheck {
+		if m.verify {
+			m.arbitrate(t)
 		}
 		return nil
 	}
+	if st.typ == trace.EvRegister {
+		return m.register(st)
+	}
+	if st.sess < 0 || m.sess[st.sess].app == nil {
+		// A session the replay does not know (or that already left): a
+		// client-side capture can record such skew; ignore.
+		if m.verify && (st.typ == trace.EvGrant || st.typ == trace.EvRevoke) {
+			m.flip(t, st)
+		}
+		return nil
+	}
+	s := &m.sess[st.sess]
 
-	switch ev.Type {
-	case trace.EvRegister:
-		if s != nil && s.app != nil {
-			return fmt.Errorf("duplicate sid %d", ev.SID)
-		}
-		app, err := m.arb.Register(ev.App, int(ev.Cores))
-		if err != nil {
-			return err
-		}
-		if s != nil {
-			// A resumed session (the daemon's rebind records unregister +
-			// register under the same sid): accounting continues in the same
-			// sess, mirroring the daemon carrying its binding counters over.
-			s.app = app
-			app.Data = s
-			return nil
-		}
-		s = &sess{sid: ev.SID, name: ev.App, cores: int(ev.Cores), app: app}
-		app.Data = s
-		m.byID[ev.SID] = s
-		m.order = append(m.order, s)
-
+	switch st.typ {
 	case trace.EvPrepare:
-		s.app.Prepare(core.Info(ev.Info))
+		s.app.Prepare(m.st.infos[st.arg])
 
 	case trace.EvComplete:
 		_ = s.app.Complete() // only successful Completes are recorded
 
 	case trace.EvInform:
-		if ev.Bytes > 0 {
-			s.app.Progress(ev.Bytes)
+		if st.bytes > 0 {
+			s.app.Progress(st.bytes)
 		}
 		if s.app.Inform(t) {
 			s.phaseStart = t
@@ -713,8 +772,8 @@ func (m *machine) step(ev *trace.Event) error {
 		m.arbitrate(t)
 
 	case trace.EvProgress:
-		if ev.Bytes > 0 {
-			s.app.Progress(ev.Bytes)
+		if st.bytes > 0 {
+			s.app.Progress(st.bytes)
 		}
 
 	case trace.EvCheck:
@@ -737,8 +796,8 @@ func (m *machine) step(ev *trace.Event) error {
 		s.waitConvoy = m.arb.OtherAuthorized(s.app)
 
 	case trace.EvRelease:
-		if ev.Bytes > 0 {
-			s.app.Progress(ev.Bytes)
+		if st.bytes > 0 {
+			s.app.Progress(st.bytes)
 		}
 		// A session preempted since its grant has nothing to release, and
 		// asking Release would format an error nobody reads.
@@ -778,19 +837,36 @@ func (m *machine) step(ev *trace.Event) error {
 			m.arbitrate(t)
 		}
 
-	case trace.EvRecheck:
-		if m.verify {
-			m.arbitrate(t)
-		}
-
 	case trace.EvGrant, trace.EvRevoke:
 		if m.verify {
-			m.recorded = append(m.recorded, Flip{Time: t, SID: ev.SID, Target: m.target, Grant: ev.Type == trace.EvGrant})
+			m.flip(t, st)
 		}
 
 	default:
-		return fmt.Errorf("unhandled event type %d", ev.Type)
+		return fmt.Errorf("unhandled event type %d", st.typ)
 	}
+	return nil
+}
+
+// register attaches a session to the target's arbiter. A resumed session
+// (the daemon's rebind records unregister + register under the same sid)
+// keeps its accounting, mirroring the daemon carrying its binding counters
+// over.
+func (m *machine) register(st *step) error {
+	s := &m.sess[st.sess]
+	if s.app != nil {
+		return fmt.Errorf("duplicate sid %d", st.sid)
+	}
+	reg := &m.st.regs[st.arg]
+	app, err := m.arb.Register(reg.name, reg.cores)
+	if err != nil {
+		return err
+	}
+	if !s.known {
+		*s = sess{sid: st.sid, name: reg.name, cores: reg.cores, known: true, idx: st.sess, active: -1}
+	}
+	s.app = app
+	app.Data = s
 	return nil
 }
 
@@ -804,7 +880,8 @@ func (m *machine) accrue(dt float64) {
 	if dt <= 0 || n == 0 {
 		return
 	}
-	for _, s := range m.active {
+	for _, i := range m.active {
+		s := &m.sess[i]
 		s.res.ActiveS += dt
 		s.res.StretchedActiveS += dt * float64(n)
 	}
@@ -820,7 +897,7 @@ func (m *machine) arbitrate(t float64) {
 	}
 	for _, a := range out.Granted {
 		s := a.Data.(*sess)
-		m.res.Flips = append(m.res.Flips, Flip{Time: t, SID: s.sid, Target: m.target, Grant: true})
+		m.res.Flips = append(m.res.Flips, Flip{Time: t, SID: s.sid, Target: m.st.target, Grant: true})
 		if s.pending {
 			m.activate(s) // the served Wait enters the access step
 			d := t - s.waitFrom
@@ -839,7 +916,7 @@ func (m *machine) arbitrate(t float64) {
 	}
 	for _, a := range out.Revoked {
 		s := a.Data.(*sess)
-		m.res.Flips = append(m.res.Flips, Flip{Time: t, SID: s.sid, Target: m.target, Grant: false})
+		m.res.Flips = append(m.res.Flips, Flip{Time: t, SID: s.sid, Target: m.st.target, Grant: false})
 	}
 	if out.RecheckAfter > 0 {
 		m.recheckAt = t + out.RecheckAfter
@@ -847,10 +924,12 @@ func (m *machine) arbitrate(t float64) {
 }
 
 // finish closes the books: open phases and pending waits are censored at
-// the final virtual-clock instant, per-session results are aggregated and
-// sorted, and wait durations are sorted for percentile queries.
+// the final virtual-clock instant and per-session results are aggregated,
+// in registration order. mergeResults sorts the applications and the waits.
 func (m *machine) finish() Result {
-	for _, s := range m.order {
+	m.res.Apps = make([]AppResult, 0, len(m.sess))
+	for i := range m.sess {
+		s := &m.sess[i]
 		if s.app != nil && s.app.State() != core.Idle {
 			s.res.IOTimeS += m.now - s.phaseStart
 		}
@@ -868,7 +947,7 @@ func (m *machine) finish() Result {
 		}
 		s.res.SID = s.sid
 		s.res.Name = s.name
-		s.res.Target = m.target
+		s.res.Target = m.st.target
 		s.res.Cores = s.cores
 		m.res.Apps = append(m.res.Apps, s.res)
 
@@ -880,14 +959,6 @@ func (m *machine) finish() Result {
 		m.res.Unserved += s.res.Unserved
 		m.res.Aborted += s.res.Aborted
 	}
-	sort.Slice(m.res.Apps, func(i, j int) bool {
-		if m.res.Apps[i].Name != m.res.Apps[j].Name {
-			return m.res.Apps[i].Name < m.res.Apps[j].Name
-		}
-		return m.res.Apps[i].SID < m.res.Apps[j].SID
-	})
-	sort.Float64s(m.res.Waits)
-	m.res.Events = m.events
 	m.res.MakespanS = m.now
 	return m.res
 }
@@ -956,7 +1027,7 @@ func Compare(tr *trace.Trace, policies []Named) (Comparison, error) {
 	}
 	// What makes a stream unreplayable does so under any policy, so an error
 	// is the baseline's and carries no candidate's name.
-	results, err := replayGrid(partition(tr), pols, nil)
+	results, err := replayGrid(compile(tr), pols, nil)
 	if err != nil {
 		return Comparison{}, err
 	}

@@ -208,7 +208,7 @@ func (sh *shard) handle(s *session, req wire.Request, now float64) {
 		// The request's Info map is decode-fresh and never written after
 		// this point, so recording it by reference is safe.
 		sh.rec(trace.Event{Type: trace.EvPrepare, Time: now, SID: b.sid, Info: req.Info})
-		b.app.Prepare(core.Info(req.Info))
+		b.app.Prepare(core.ParseInfo(req.Info))
 		sh.reply(b, s, req.Seq, true, nil)
 
 	case wire.TypeComplete:

@@ -99,7 +99,7 @@ func (sh *shard) snap(now float64) shardSnap {
 		if model != nil {
 			// Live interference: observed time for the bytes moved so far
 			// versus the model's solo estimate for those bytes.
-			if solo := model.SoloTime(v, v.BytesDone); solo > 0 && !math.IsInf(solo, 1) {
+			if solo := model.SoloTime(&v, v.BytesDone); solo > 0 && !math.IsInf(solo, 1) {
 				as.Interference = ioTime / solo
 				alone = solo
 			}

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"maps"
+	"math"
 	"testing"
 )
 
@@ -23,10 +25,30 @@ func fuzzSample(f *testing.F, hdr Header, opts Options, evs []Event) []byte {
 	return b.Bytes()
 }
 
+// sameEvents compares event lists field by field, floats by their bits (a
+// trace may carry NaN, which == does not match).
+func sameEvents(a, b []Event) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := &a[i], &b[i]
+		if x.Type != y.Type || math.Float64bits(x.Time) != math.Float64bits(y.Time) || x.SID != y.SID ||
+			x.Cores != y.Cores || math.Float64bits(x.Bytes) != math.Float64bits(y.Bytes) ||
+			x.App != y.App || x.Target != y.Target || !maps.Equal(x.Info, y.Info) || (x.Info == nil) != (y.Info == nil) {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzReader feeds arbitrary bytes through the trace reader, in both strict
 // and lenient (truncation-tolerant) modes: calciom-replay opens operator
 // files, and a corrupt or truncated trace must produce an error or a
-// truncation report, never a panic or a runaway allocation. Seeds are the
+// truncation report, never a panic or a runaway allocation. Whatever strict
+// Read accepts must survive a round trip — re-encoded by a Writer, it reads
+// back to the same events — and ReadLenient must read it to the same events,
+// reporting no truncation. Seeds are the
 // golden-bytes corpus: a plain version-3 file, one with sync records, the
 // version-1 and version-2 encodings pinned by the compatibility tests, and
 // a mid-record truncation.
@@ -68,6 +90,31 @@ func FuzzReader(f *testing.F) {
 					break
 				}
 			}
+		}
+
+		tr, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		lenient, err := ReadLenient(bytes.NewReader(data))
+		if err != nil || lenient.Truncated || !sameEvents(lenient.Events, tr.Events) {
+			t.Fatalf("ReadLenient of a valid trace: err %v, truncated %v, events equal %v",
+				err, lenient != nil && lenient.Truncated, err == nil && sameEvents(lenient.Events, tr.Events))
+		}
+		var b bytes.Buffer
+		w, err := NewWriter(&b, tr.Header, len(tr.Events)+1)
+		if err != nil {
+			t.Skipf("header does not re-encode: %v", err) // it can outgrow the length field once escaped
+		}
+		for _, ev := range tr.Events {
+			w.Record(ev)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatalf("re-encoding a valid trace: %v", err)
+		}
+		back, err := Read(&b)
+		if err != nil || !sameEvents(back.Events, tr.Events) {
+			t.Fatalf("re-encoded trace reads back differently: err %v", err)
 		}
 	})
 }

@@ -470,9 +470,15 @@ func (w *Writer) appendString(b []byte, s string) []byte {
 var ErrTruncated = errors.New("trace: truncated (no trailer)")
 
 // Reader decodes a trace stream: NewReader parses the magic, version and
-// header; Next returns records until the trailer, then io.EOF.
+// header; Next returns records until the trailer, then io.EOF. Records are
+// decoded in place, out of the Reader's buffer: each field is taken from
+// buf[pos:end] and nothing is copied out but the strings an Event keeps.
 type Reader struct {
-	r       *bufio.Reader
+	src      io.Reader
+	buf      []byte
+	pos, end int   // the buffered, not yet taken bytes
+	err      error // what src returned last, once it returned an error
+
 	hdr     Header
 	version uint16
 
@@ -493,42 +499,43 @@ type Reader struct {
 	truncAfter uint64 // records successfully read before the tear
 
 	// interned holds the strings a long trace repeats on every record — a
-	// handful of target names, the Prepare keys — so Next allocates each once.
-	interned map[string]string
-	scratch  []byte   // the string being read
-	fixed    [24]byte // the fixed-width fields being read: a local would escape through io.ReadFull
+	// handful of target names, the Prepare keys — so Next allocates each
+	// once; lastTarget and lastKey are the most recent of each, which the
+	// next record usually repeats.
+	interned            map[string]string
+	lastTarget, lastKey string
 }
+
+// readBuffer is the Reader's buffer size; a field longer than it (a string
+// near the format's 64 KiB limit) grows the buffer.
+const readBuffer = 16 << 10
 
 // NewReader parses the stream preamble.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
-	var m [8]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
+	tr := &Reader{src: r, buf: make([]byte, readBuffer)}
+	m, err := tr.take(len(magic))
+	if err != nil {
 		return nil, fmt.Errorf("trace: not a calciom trace: %w", noEOF(err))
 	}
-	if m != magic {
+	if [8]byte(m) != magic {
 		return nil, errors.New("trace: not a calciom trace (bad magic)")
 	}
-	var u16 [2]byte
-	if _, err := io.ReadFull(br, u16[:]); err != nil {
+	v, err := tr.take(2)
+	if err != nil {
 		return nil, fmt.Errorf("trace: version: %w", noEOF(err))
 	}
-	version := binary.LittleEndian.Uint16(u16[:])
-	if version == 0 || version > Version {
-		return nil, fmt.Errorf("trace: unsupported format version %d (this build reads <= %d)", version, Version)
+	tr.version = binary.LittleEndian.Uint16(v)
+	if tr.version == 0 || tr.version > Version {
+		return nil, fmt.Errorf("trace: unsupported format version %d (this build reads <= %d)", tr.version, Version)
 	}
-	if _, err := io.ReadFull(br, u16[:]); err != nil {
-		return nil, fmt.Errorf("trace: header length: %w", noEOF(err))
-	}
-	hj := make([]byte, binary.LittleEndian.Uint16(u16[:]))
-	if _, err := io.ReadFull(br, hj); err != nil {
-		return nil, fmt.Errorf("trace: header: %w", noEOF(err))
-	}
-	var hdr Header
-	if err := json.Unmarshal(hj, &hdr); err != nil {
+	hj, err := tr.str()
+	if err != nil {
 		return nil, fmt.Errorf("trace: header: %w", err)
 	}
-	return &Reader{r: br, hdr: hdr, version: version}, nil
+	if err := json.Unmarshal(hj, &tr.hdr); err != nil {
+		return nil, fmt.Errorf("trace: header: %w", err)
+	}
+	return tr, nil
 }
 
 // Header returns the parsed trace header.
@@ -590,7 +597,7 @@ func (r *Reader) Next(ev *Event) error {
 func (r *Reader) next(ev *Event) error {
 	var t Type
 	for {
-		b, err := r.readFixed(1)
+		b, err := r.take(1)
 		if err != nil {
 			if err == io.EOF {
 				return ErrTruncated
@@ -602,7 +609,7 @@ func (r *Reader) next(ev *Event) error {
 			break
 		}
 		// Sync record: stream bookkeeping, consumed transparently.
-		sy, err := r.readFixed(16)
+		sy, err := r.take(16)
 		if err != nil {
 			return fmt.Errorf("trace: sync: %w", noEOF(err))
 		}
@@ -614,7 +621,7 @@ func (r *Reader) next(ev *Event) error {
 		}
 	}
 	if t == evTrailer {
-		tr, err := r.readFixed(24)
+		tr, err := r.take(24)
 		if err != nil {
 			return fmt.Errorf("trace: trailer: %w", noEOF(err))
 		}
@@ -629,7 +636,7 @@ func (r *Reader) next(ev *Event) error {
 	if t < EvRegister || t > EvRevoke {
 		return fmt.Errorf("trace: corrupt: unknown record type %d", uint8(t))
 	}
-	ts, err := r.readFixed(12) // time + sid
+	ts, err := r.take(12) // time + sid
 	if err != nil {
 		return fmt.Errorf("trace: record %s: %w", t, noEOF(err))
 	}
@@ -639,45 +646,46 @@ func (r *Reader) next(ev *Event) error {
 		SID:  binary.LittleEndian.Uint32(ts[8:12]),
 	}
 	if r.version >= 2 {
-		target, err := r.readInterned()
+		target, err := r.str()
 		if err != nil {
 			return fmt.Errorf("trace: %s target: %w", t, err)
 		}
-		ev.Target = target
+		ev.Target = r.intern(target, &r.lastTarget)
 	}
 	switch t {
 	case EvRegister:
-		name, err := r.readString()
+		name, err := r.str()
 		if err != nil {
 			return fmt.Errorf("trace: register name: %w", err)
 		}
-		cores, err := r.readFixed(4)
+		ev.App = string(name)
+		cores, err := r.take(4)
 		if err != nil {
 			return fmt.Errorf("trace: register cores: %w", noEOF(err))
 		}
-		ev.App = name
 		ev.Cores = int32(binary.LittleEndian.Uint32(cores))
 	case EvPrepare:
-		cnt, err := r.readFixed(2)
+		cnt, err := r.take(2)
 		if err != nil {
 			return fmt.Errorf("trace: prepare count: %w", noEOF(err))
 		}
 		n := int(binary.LittleEndian.Uint16(cnt))
 		info := make(map[string]string, n)
 		for i := 0; i < n; i++ {
-			k, err := r.readInterned()
+			k, err := r.str()
 			if err != nil {
 				return fmt.Errorf("trace: prepare key: %w", err)
 			}
-			v, err := r.readString()
+			key := r.intern(k, &r.lastKey)
+			v, err := r.str()
 			if err != nil {
 				return fmt.Errorf("trace: prepare value: %w", err)
 			}
-			info[k] = v
+			info[key] = string(v)
 		}
 		ev.Info = info
 	case EvInform, EvProgress, EvRelease:
-		by, err := r.readFixed(8)
+		by, err := r.take(8)
 		if err != nil {
 			return fmt.Errorf("trace: %s bytes: %w", t, noEOF(err))
 		}
@@ -687,52 +695,79 @@ func (r *Reader) next(ev *Event) error {
 	return nil
 }
 
-// readFixed reads the next n <= len(r.fixed) bytes; the result is valid
-// until the next read of any kind.
-func (r *Reader) readFixed(n int) ([]byte, error) {
-	b := r.fixed[:n]
-	_, err := io.ReadFull(r.r, b)
-	return b, err
+// take consumes the next n bytes and returns them, in the Reader's buffer:
+// they are valid until the next take. A stream that ends first yields
+// io.EOF when nothing was left and io.ErrUnexpectedEOF when some of the n
+// bytes were.
+func (r *Reader) take(n int) ([]byte, error) {
+	if r.end-r.pos < n {
+		return r.fill(n)
+	}
+	b := r.buf[r.pos : r.pos+n]
+	r.pos += n
+	return b, nil
 }
 
-// readBytes reads a u16-length-prefixed string into r.scratch.
-func (r *Reader) readBytes() ([]byte, error) {
-	ln, err := r.readFixed(2)
+// fill is take's slow path: it moves the unread bytes to the front of the
+// buffer (of one large enough for n), reads until n are buffered, and takes
+// them.
+func (r *Reader) fill(n int) ([]byte, error) {
+	buf := r.buf
+	if n > len(buf) {
+		buf = make([]byte, max(n, 2*len(buf)))
+	}
+	r.end = copy(buf, r.buf[r.pos:r.end])
+	r.buf, r.pos = buf, 0
+	for empty := 0; r.end < n && r.err == nil; {
+		k, err := r.src.Read(r.buf[r.end:])
+		r.end += k
+		r.err = err
+		if k > 0 {
+			empty = 0
+		} else if empty++; empty == 100 && err == nil {
+			r.err = io.ErrNoProgress
+		}
+	}
+	if r.end < n {
+		if r.err == io.EOF && r.end > 0 {
+			return nil, io.ErrUnexpectedEOF
+		}
+		return nil, r.err
+	}
+	r.pos = n
+	return r.buf[:n], nil
+}
+
+// str takes a u16-length-prefixed string; the bytes are valid until the
+// next take. Every end of stream inside it is unexpected.
+func (r *Reader) str() ([]byte, error) {
+	ln, err := r.take(2)
 	if err != nil {
 		return nil, noEOF(err)
 	}
-	n := int(binary.LittleEndian.Uint16(ln))
-	if cap(r.scratch) < n {
-		r.scratch = make([]byte, n)
-	}
-	r.scratch = r.scratch[:n]
-	if _, err := io.ReadFull(r.r, r.scratch); err != nil {
-		return nil, noEOF(err)
-	}
-	return r.scratch, nil
+	b, err := r.take(int(binary.LittleEndian.Uint16(ln)))
+	return b, noEOF(err)
 }
 
-func (r *Reader) readString() (string, error) {
-	b, err := r.readBytes()
-	return string(b), err
-}
-
-// readInterned is readString for the strings a trace repeats: each distinct
-// one is allocated once.
-func (r *Reader) readInterned() (string, error) {
-	b, err := r.readBytes()
-	if err != nil || len(b) == 0 {
-		return "", err
+// intern returns b as a string allocated once per distinct value: last, the
+// previous string of its kind, is checked first, then the table.
+func (r *Reader) intern(b []byte, last *string) string {
+	if len(b) == 0 {
+		return ""
 	}
-	if s, ok := r.interned[string(b)]; ok {
-		return s, nil
+	if string(b) == *last {
+		return *last
 	}
-	if r.interned == nil {
-		r.interned = make(map[string]string)
+	s, ok := r.interned[string(b)]
+	if !ok {
+		if r.interned == nil {
+			r.interned = make(map[string]string)
+		}
+		s = string(b)
+		r.interned[s] = s
 	}
-	s := string(b)
-	r.interned[s] = s
-	return s, nil
+	*last = s
+	return s
 }
 
 // noEOF converts a mid-record io.EOF into io.ErrUnexpectedEOF so callers
@@ -764,16 +799,13 @@ func Read(r io.Reader) (*Trace, error) { return read(r, false) }
 func ReadLenient(r io.Reader) (*Trace, error) { return read(r, true) }
 
 func read(r io.Reader, lenient bool) (*Trace, error) {
-	size := remaining(r) // before the Reader's buffer takes its first bite
+	reserve := reservation(r) // before the Reader's buffer takes its first bite
 	tr, err := NewReader(r)
 	if err != nil {
 		return nil, err
 	}
 	tr.SetLenient(lenient)
-	// A record is at least 13 bytes, so a sixteenth of the bytes on hand is
-	// a count the slice outgrows at most once — and never more than the
-	// source really holds, whatever its contents claim.
-	out := &Trace{Header: tr.Header(), Events: make([]Event, 0, size/16)}
+	out := &Trace{Header: tr.Header(), Events: make([]Event, 0, reserve)}
 	for {
 		var ev Event
 		if err := tr.Next(&ev); err != nil {
@@ -789,19 +821,44 @@ func read(r io.Reader, lenient bool) (*Trace, error) {
 	return out, nil
 }
 
-// remaining returns how many bytes r has yet to deliver when r can say —
-// the bytes and strings readers by Len, a regular file by its size — and 0
-// otherwise.
-func remaining(r io.Reader) int64 {
+// reservation returns how many events to reserve for reading r, when r
+// can say how many bytes it has yet to deliver — the bytes and strings
+// readers, a regular file — and 0 otherwise. It is the count in the trailer
+// those bytes end with, read from their tail without consuming anything;
+// failing that, a sixteenth of the bytes, which as a record is at least 13
+// bytes is a count the slice outgrows at most once. Either way it is never
+// more than the bytes on hand could hold, whatever their contents claim.
+func reservation(r io.Reader) int64 {
+	var left, end int64 // bytes to deliver, and the ReadAt offset they end at
+	var ra io.ReaderAt
 	switch src := r.(type) {
-	case interface{ Len() int }:
-		return int64(src.Len())
-	case interface{ Stat() (os.FileInfo, error) }:
-		if fi, err := src.Stat(); err == nil && fi.Mode().IsRegular() {
-			return fi.Size()
+	case interface {
+		Len() int
+		Size() int64
+		io.ReaderAt
+	}:
+		left, end, ra = int64(src.Len()), src.Size(), src
+	case interface {
+		Stat() (os.FileInfo, error)
+		io.ReaderAt
+	}:
+		fi, err := src.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return 0
+		}
+		left, end, ra = fi.Size(), fi.Size(), src
+	default:
+		return 0
+	}
+	var tail [25]byte // the trailer: type, time, recorded, dropped
+	if left >= int64(len(tail)) {
+		if _, err := ra.ReadAt(tail[:], end-int64(len(tail))); err == nil && Type(tail[0]) == evTrailer {
+			if n := binary.LittleEndian.Uint64(tail[9:17]); n <= uint64(left/13) {
+				return int64(n)
+			}
 		}
 	}
-	return 0
+	return left / 16
 }
 
 // Load reads a trace file.
@@ -825,6 +882,19 @@ func load(path string, read func(io.Reader) (*Trace, error)) (*Trace, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return t, nil
+}
+
+// Sessions returns how many distinct sessions registered. A daemon records
+// one register per storage target a session attaches to, and another on
+// every resume, so registers outnumber sessions on a sharded recording.
+func (t *Trace) Sessions() int {
+	sids := make(map[uint32]struct{})
+	for i := range t.Events {
+		if t.Events[i].Type == EvRegister {
+			sids[t.Events[i].SID] = struct{}{}
+		}
+	}
+	return len(sids)
 }
 
 // Span returns the time range covered by the events (0,0 when empty).
