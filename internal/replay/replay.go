@@ -79,6 +79,19 @@ func (f Flip) String() string {
 	return fmt.Sprintf("%s sid=%d t=%.6f", kind, f.SID, f.Time)
 }
 
+// flip is a Flip as a machine logs it: the target is the machine's, so the
+// log holds no pointer.
+type flip struct {
+	time  float64
+	sid   uint32
+	grant bool
+}
+
+// on returns the flip as the Flip it is on target.
+func (f flip) on(target string) Flip {
+	return Flip{Time: f.time, SID: f.sid, Target: target, Grant: f.grant}
+}
+
 // AppResult is one session's replayed outcome on one storage target.
 // Sessions are identified by the trace SID; a name can recur if an
 // application re-registered, and one SID recurs across targets when the
@@ -386,18 +399,26 @@ func compile(tr *trace.Trace) []stream {
 	return streams
 }
 
+// cell is one stream's replay under one policy, its flips as the machine
+// logged them.
+type cell struct {
+	Result
+	target string
+	flips  []flip
+}
+
 // mergeResults combines per-target results into the machine-wide view:
 // counters sum, Flips concatenate in target order, Waits re-sort, Apps
 // re-sort by (Name, Target, SID), the makespan is the max.
-func mergeResults(policy string, parts []Result) Result {
+func mergeResults(policy string, parts []cell) Result {
 	out := Result{Policy: policy}
 	var flips, waits, apps int
 	for i := range parts {
-		flips, waits, apps = flips+len(parts[i].Flips), waits+len(parts[i].Waits), apps+len(parts[i].Apps)
+		flips, waits, apps = flips+len(parts[i].flips), waits+len(parts[i].Waits), apps+len(parts[i].Apps)
 	}
 	out.Flips, out.Waits, out.Apps = make([]Flip, 0, flips), make([]float64, 0, waits), make([]AppResult, 0, apps)
 	for i := range parts {
-		r := &parts[i]
+		r := &parts[i].Result
 		out.Events += r.Events
 		out.Arbitrations += r.Arbitrations
 		out.GrantsServed += r.GrantsServed
@@ -412,7 +433,9 @@ func mergeResults(policy string, parts []Result) Result {
 		if r.MakespanS > out.MakespanS {
 			out.MakespanS = r.MakespanS
 		}
-		out.Flips = append(out.Flips, r.Flips...)
+		for _, f := range parts[i].flips {
+			out.Flips = append(out.Flips, f.on(parts[i].target))
+		}
 		out.Waits = append(out.Waits, r.Waits...)
 		out.Apps = append(out.Apps, r.Apps...)
 	}
@@ -461,20 +484,19 @@ func Under(tr *trace.Trace, pol core.Policy) (Result, error) {
 func replayGrid(streams []stream, pols []core.Policy, check func(stream int, m *machine, res *Result)) ([]Result, error) {
 	var (
 		next   atomic.Int64
-		parts  = make([]Result, len(pols)*len(streams)) // cell (p, s) at p*len(streams)+s
+		parts  = make([]cell, len(pols)*len(streams)) // cell (p, s) at p*len(streams)+s
 		errs   = make([]error, len(parts))
 		merged = make([]Result, len(pols))
 		left   = make([]atomic.Int64, len(pols)) // cells a policy's merge still waits for
-		// How often a policy flips per wait only its replay shows — fcfs about
-		// once a phase, delay several times a wait as its rechecks take grants
-		// back — so the cells of a policy that have finished size the flip log
-		// of its next, in eighths of a flip per wait; the first are sized for
-		// one flip per wait and grow if they must.
-		eighthsPerWait = make([]atomic.Int64, len(pols))
+		// A grant per served wait and a revoke per grant is all a serializing or
+		// preempting policy flips. One that also takes grants back on its own
+		// rechecks (delay) flips more, by a factor only its replay shows: the
+		// cells of a policy that have finished size the flip log of its next.
+		flipsPerWait = make([]atomic.Int64, len(pols))
 	)
 	for p, pol := range pols {
 		left[p].Store(int64(len(streams)))
-		eighthsPerWait[p].Store(8)
+		flipsPerWait[p].Store(2)
 		if len(streams) == 0 {
 			merged[p] = mergeResults(pol.Name(), nil)
 		}
@@ -482,17 +504,17 @@ func replayGrid(streams []stream, pols []core.Policy, check func(stream int, m *
 	work := func() {
 		for c := int(next.Add(1)) - 1; c < len(parts); c = int(next.Add(1)) - 1 {
 			p, s := c/len(streams), c%len(streams)
-			st, hint := &streams[s], &eighthsPerWait[p]
-			m := newMachine(pols[p], st, (int(hint.Load())*st.waits+7)/8, check != nil)
+			st, hint := &streams[s], &flipsPerWait[p]
+			m := newMachine(pols[p], st, int(hint.Load())*st.waits, check != nil)
 			if errs[c] = m.run(); errs[c] == nil {
-				parts[c] = m.finish()
+				parts[c] = cell{m.finish(), st.target, m.flips}
 				if st.waits > 0 {
-					per := int64((8*len(parts[c].Flips) + st.waits - 1) / st.waits)
+					per := int64((len(m.flips) + st.waits - 1) / st.waits)
 					for old := hint.Load(); per > old && !hint.CompareAndSwap(old, per); old = hint.Load() {
 					}
 				}
 				if check != nil {
-					check(s, m, &parts[c])
+					check(s, m, &parts[c].Result)
 				}
 			}
 			if left[p].Add(-1) == 0 {
@@ -561,19 +583,19 @@ func Verify(tr *trace.Trace) (VerifyResult, error) {
 	}
 	streams := compile(tr)
 	v := VerifyResult{Match: true, Shards: make([]ShardVerify, len(streams))}
-	recorded := make([][]Flip, len(streams))
+	recorded := make([][]flip, len(streams))
 	results, err := replayGrid(streams, []core.Policy{pol}, func(s int, m *machine, res *Result) {
 		// On a truncated trace the file may have lost flip records whose
 		// triggering requests survived, so the recorded flips are verified
 		// as a prefix of the replayed sequence instead of an exact match.
-		match, mismatch := compareFlips(m.recorded, res.Flips, tr.Truncated)
+		match, mismatch := compareFlips(m.st.target, m.recorded, m.flips, tr.Truncated)
 		if !match && m.st.target != "" {
 			mismatch = fmt.Sprintf("target %s: %s", m.st.target, mismatch)
 		}
 		v.Shards[s] = ShardVerify{
 			Target:       m.st.target,
 			GrantsServed: res.GrantsServed,
-			Flips:        len(res.Flips),
+			Flips:        len(m.flips),
 			Recorded:     len(m.recorded),
 			Match:        match,
 			Mismatch:     mismatch,
@@ -588,19 +610,21 @@ func Verify(tr *trace.Trace) (VerifyResult, error) {
 		if !sh.Match && v.Match {
 			v.Match, v.Mismatch = false, sh.Mismatch
 		}
-		v.Recorded = append(v.Recorded, recorded[s]...)
+		for _, f := range recorded[s] {
+			v.Recorded = append(v.Recorded, f.on(sh.Target))
+		}
 	}
 	return v, nil
 }
 
-func compareFlips(recorded, replayed []Flip, prefixOK bool) (bool, string) {
+func compareFlips(target string, recorded, replayed []flip, prefixOK bool) (bool, string) {
 	n := len(recorded)
 	if len(replayed) < n {
 		n = len(replayed)
 	}
 	for i := 0; i < n; i++ {
 		if recorded[i] != replayed[i] {
-			return false, fmt.Sprintf("flip %d: recorded %s, replayed %s", i, recorded[i], replayed[i])
+			return false, fmt.Sprintf("flip %d: recorded %s, replayed %s", i, recorded[i].on(target), replayed[i].on(target))
 		}
 	}
 	if prefixOK && len(recorded) <= len(replayed) {
@@ -649,7 +673,8 @@ type machine struct {
 	// flips. A what-if machine ignores both and follows RecheckAfter instead.
 	verify bool
 
-	recorded []Flip
+	flips    []flip
+	recorded []flip
 	res      Result
 }
 
@@ -670,9 +695,10 @@ func newMachine(pol core.Policy, st *stream, flips int, verify bool) *machine {
 	}
 	if verify {
 		flips = st.recorded
-		m.recorded = make([]Flip, 0, st.recorded)
+		m.recorded = make([]flip, 0, st.recorded)
 	}
-	m.res = Result{Policy: pol.Name(), Flips: make([]Flip, 0, flips), Waits: make([]float64, 0, st.waits)}
+	m.flips = make([]flip, 0, flips)
+	m.res = Result{Policy: pol.Name(), Waits: make([]float64, 0, st.waits)}
 	return m
 }
 
@@ -706,9 +732,9 @@ func (m *machine) run() error {
 	return nil
 }
 
-// flip records one recorded grant or revoke (verify mode).
-func (m *machine) flip(t float64, st *step) {
-	m.recorded = append(m.recorded, Flip{Time: t, SID: st.sid, Target: m.st.target, Grant: st.typ == trace.EvGrant})
+// record logs one recorded grant or revoke (verify mode).
+func (m *machine) record(t float64, st *step) {
+	m.recorded = append(m.recorded, flip{time: t, sid: st.sid, grant: st.typ == trace.EvGrant})
 }
 
 func (m *machine) step(st *step) error {
@@ -748,7 +774,7 @@ func (m *machine) step(st *step) error {
 		// A session the replay does not know (or that already left): a
 		// client-side capture can record such skew; ignore.
 		if m.verify && (st.typ == trace.EvGrant || st.typ == trace.EvRevoke) {
-			m.flip(t, st)
+			m.record(t, st)
 		}
 		return nil
 	}
@@ -839,7 +865,7 @@ func (m *machine) step(st *step) error {
 
 	case trace.EvGrant, trace.EvRevoke:
 		if m.verify {
-			m.flip(t, st)
+			m.record(t, st)
 		}
 
 	default:
@@ -897,7 +923,7 @@ func (m *machine) arbitrate(t float64) {
 	}
 	for _, a := range out.Granted {
 		s := a.Data.(*sess)
-		m.res.Flips = append(m.res.Flips, Flip{Time: t, SID: s.sid, Target: m.st.target, Grant: true})
+		m.flips = append(m.flips, flip{time: t, sid: s.sid, grant: true})
 		if s.pending {
 			m.activate(s) // the served Wait enters the access step
 			d := t - s.waitFrom
@@ -916,7 +942,7 @@ func (m *machine) arbitrate(t float64) {
 	}
 	for _, a := range out.Revoked {
 		s := a.Data.(*sess)
-		m.res.Flips = append(m.res.Flips, Flip{Time: t, SID: s.sid, Target: m.st.target, Grant: false})
+		m.flips = append(m.flips, flip{time: t, sid: s.sid})
 	}
 	if out.RecheckAfter > 0 {
 		m.recheckAt = t + out.RecheckAfter
