@@ -257,9 +257,9 @@ type registration struct {
 
 // stream is one storage target's events compiled for replay: the steps, the
 // number of sessions registered there, every registration and every
-// Prepare's info parsed once. It is read-only once
-// compiled, so every cell of a replay grid — each policy's machine on this
-// target — runs the same stream.
+// Prepare's info parsed once. It is read-only once compiled, so every cell
+// of a replay grid — each policy's machine on this target — runs the same
+// stream.
 type stream struct {
 	target   string
 	steps    []step

@@ -100,8 +100,17 @@ func TestReadReservesEvents(t *testing.T) {
 		}
 	}
 
+	// A buffer says how long it is but cannot read its tail: it reserves a
+	// sixteenth of its length, which a record of at least 13 bytes outgrows
+	// at most once (here, not at all).
+	got, err := trace.Read(bytes.NewBuffer(data))
+	if err != nil || !reflect.DeepEqual(got.Events, tr.Events) || cap(got.Events) != len(data)/16 {
+		t.Fatalf("Read(*bytes.Buffer): err %v, %d events read of %d, %d reserved for %d bytes",
+			err, len(got.Events), len(tr.Events), cap(got.Events), len(data))
+	}
+
 	// A source that cannot say reads the same trace, growing as it goes.
-	got, err := trace.Read(io.MultiReader(bytes.NewReader(data)))
+	got, err = trace.Read(io.MultiReader(bytes.NewReader(data)))
 	if err != nil || !reflect.DeepEqual(got.Events, tr.Events) {
 		t.Fatalf("Read(io.MultiReader): err %v, %d events read of %d", err, len(got.Events), len(tr.Events))
 	}

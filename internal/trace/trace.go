@@ -823,11 +823,12 @@ func read(r io.Reader, lenient bool) (*Trace, error) {
 
 // reservation returns how many events to reserve for reading r, when r
 // can say how many bytes it has yet to deliver — the bytes and strings
-// readers, a regular file — and 0 otherwise. It is the count in the trailer
-// those bytes end with, read from their tail without consuming anything;
-// failing that, a sixteenth of the bytes, which as a record is at least 13
-// bytes is a count the slice outgrows at most once. Either way it is never
-// more than the bytes on hand could hold, whatever their contents claim.
+// readers and buffers, a regular file — and 0 otherwise. It is the count in
+// the trailer those bytes end with, read from their tail without consuming
+// anything where r can; failing that, a sixteenth of the bytes, which as a
+// record is at least 13 bytes is a count the slice outgrows at most once.
+// Either way it is never more than the bytes on hand could hold, whatever
+// their contents claim.
 func reservation(r io.Reader) int64 {
 	var left, end int64 // bytes to deliver, and the ReadAt offset they end at
 	var ra io.ReaderAt
@@ -847,6 +848,8 @@ func reservation(r io.Reader) int64 {
 			return 0
 		}
 		left, end, ra = fi.Size(), fi.Size(), src
+	case interface{ Len() int }: // a bytes.Buffer: no tail to read
+		return int64(src.Len()) / 16
 	default:
 		return 0
 	}
