@@ -286,7 +286,12 @@
 // over up to GOMAXPROCS goroutines, the caller's among them, for its own
 // duration and leaves none behind. Results never depend on how many there
 // were or who ran what: every replay fills its own slot, every merge goes by
-// index, and an error is the first in (policy, target) order. The trace is
+// index, and an error is the first in (policy, target) order. A replay's
+// working memory — its session table, flip and wait logs, app rows — is
+// borrowed from a package-level sync.Pool and handed back, cleared of every
+// pointer, once its policy is merged, so a study's cells and the next
+// study's reuse what the first ones allocated, and the pool pins no Arbiter
+// and no trace. The trace is
 // only read, once, by the compiler, and a policy
 // passed to Compare must be safe for concurrent Arbitrate calls on distinct
 // Arbiters, as every shipped one is: a policy is a shared value that decides
@@ -506,10 +511,10 @@
 // closures, five orders, a set of times per candidate, a fresh Solver, a map
 // of the authorized names and a formatted sentence. Deciding into allowed
 // in the Arbiter's scratch, a what-if replay under it costs what the
-// estimate's arithmetic costs, and replay allocates its own buffers once — a
-// stream per target, a wait log per stream, a flip log sized from the
-// streams already replayed — and keeps the sessions inside an access step in
-// a list instead of scanning for them per event. BenchmarkReplayCompare (a
+// estimate's arithmetic costs, and replay sizes its own buffers up front — a
+// stream per target, a wait log per stream, a flip log at two flips per
+// wait — and keeps the sessions inside an access step in a list instead of
+// scanning for them per event. BenchmarkReplayCompare (a
 // fixed 64-app, 4-target, 20-phase trace; same box, medians of three
 // alternating runs of the parent's and this tree's test binaries):
 //

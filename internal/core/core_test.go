@@ -576,6 +576,47 @@ func TestPrepareIgnoresNonFiniteFloats(t *testing.T) {
 	}
 }
 
+// TestPrepareIgnoresMalformedInts is the integer keys' side of the table
+// above: a files, rounds or cores value that is not a base-10 int64 is no
+// declaration either, and a key Prepare does not know declares nothing.
+func TestPrepareIgnoresMalformedInts(t *testing.T) {
+	for _, tc := range []struct {
+		value string
+		want  [3]int // files, rounds, cores afterwards; 7 is what was declared before
+	}{
+		{"1.5", [3]int{7, 7, 7}}, {"1e3", [3]int{7, 7, 7}}, {"0x10", [3]int{7, 7, 7}},
+		{" 3", [3]int{7, 7, 7}}, {"garbage", [3]int{7, 7, 7}}, {"", [3]int{7, 7, 7}},
+		{"NaN", [3]int{7, 7, 7}}, {"9223372036854775808", [3]int{7, 7, 7}}, {"-3", [3]int{7, 7, 7}},
+		{"0", [3]int{0, 0, 7}}, // a core count must be positive
+		{"12", [3]int{12, 12, 12}}, {"+12", [3]int{12, 12, 12}},
+	} {
+		for k, key := range []string{KeyFiles, KeyRounds, KeyCores} {
+			ar := NewArbiter(FCFSPolicy{})
+			a, err := ar.Register("a", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.Prepare(ParseInfo(Info{KeyFiles: "7", KeyRounds: "7", KeyCores: "7"}))
+			a.Prepare(ParseInfo(Info{key: tc.value}))
+			v := a.View()
+			if got := [3]int{v.Files, v.Rounds, v.Cores}[k]; got != tc.want[k] {
+				t.Errorf("%s=%q on top of 7: view has %d, want %d", key, tc.value, got, tc.want[k])
+			}
+		}
+	}
+	none := ParsedInfo{bytesTotal: -1, aloneBW: -1, files: -1, rounds: -1, cores: -1}
+	for _, in := range []Info{nil, {}, {"colour": "12"}, {KeyBytesPerRound: "12", "Files": "12", "cores ": "12"}} {
+		if got := ParseInfo(in); got != none {
+			t.Errorf("ParseInfo(%v) = %+v, want every key absent", in, got)
+		}
+	}
+	mixed := Info{KeyBytesTotal: "1e9", KeyAloneBW: "Inf", KeyFiles: "4", KeyRounds: "x", KeyCores: "64", "colour": "12"}
+	want := ParsedInfo{bytesTotal: 1e9, aloneBW: -1, files: 4, rounds: -1, cores: 64}
+	if got := ParseInfo(mixed); got != want {
+		t.Errorf("ParseInfo(%v) = %+v, want %+v", mixed, got, want)
+	}
+}
+
 // TestDynamicWithoutFiniteCost: when every candidate schedule costs +Inf (or
 // NaN) none is cheaper than another, and the decision used to index its
 // candidates with -1. Serialize, the first candidate, stands.

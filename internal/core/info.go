@@ -40,23 +40,44 @@ type ParsedInfo struct {
 	files, rounds, cores int64
 }
 
-// ParseInfo parses the recognized keys of info. A value that does not parse,
-// or parses to NaN or an infinity (the info is whatever a client sent), is
-// ignored like a key that is not there.
+// ParseInfo parses the recognized keys of info, in one pass over the map. A
+// value that does not parse, or parses to NaN or an infinity (the info is
+// whatever a client sent), is ignored like a key that is not there.
 func ParseInfo(info Info) ParsedInfo {
-	finite := func(v float64) float64 {
-		if math.IsInf(v, 0) || math.IsNaN(v) {
-			return -1
+	p := ParsedInfo{bytesTotal: -1, aloneBW: -1, files: -1, rounds: -1, cores: -1}
+	for k, s := range info {
+		switch k {
+		case KeyBytesTotal:
+			p.bytesTotal = parseFinite(s)
+		case KeyAloneBW:
+			p.aloneBW = parseFinite(s)
+		case KeyFiles:
+			p.files = parseInt(s)
+		case KeyRounds:
+			p.rounds = parseInt(s)
+		case KeyCores:
+			p.cores = parseInt(s)
 		}
-		return v
 	}
-	return ParsedInfo{
-		bytesTotal: finite(info.Float(KeyBytesTotal, -1)),
-		aloneBW:    finite(info.Float(KeyAloneBW, -1)),
-		files:      info.Int(KeyFiles, -1),
-		rounds:     info.Int(KeyRounds, -1),
-		cores:      info.Int(KeyCores, -1),
+	return p
+}
+
+// parseFinite returns s as a finite float, or -1.
+func parseFinite(s string) float64 {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil || math.IsInf(v, 0) || math.IsNaN(v) {
+		return -1
 	}
+	return v
+}
+
+// parseInt returns s as an integer, or -1.
+func parseInt(s string) int64 {
+	v, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		return -1
+	}
+	return v
 }
 
 // SetInt stores an integer value.

@@ -399,26 +399,19 @@ func compile(tr *trace.Trace) []stream {
 	return streams
 }
 
-// cell is one stream's replay under one policy, its flips as the machine
-// logged them.
-type cell struct {
-	Result
-	target string
-	flips  []flip
-}
-
-// mergeResults combines per-target results into the machine-wide view:
-// counters sum, Flips concatenate in target order, Waits re-sort, Apps
-// re-sort by (Name, Target, SID), the makespan is the max.
-func mergeResults(policy string, parts []cell) Result {
+// mergeResults combines the per-target results of finished machines into
+// the machine-wide view: counters sum, Flips concatenate in target order,
+// Waits re-sort, Apps re-sort by (Name, Target, SID), the makespan is the
+// max. It copies everything it keeps, so the machines can be released.
+func mergeResults(policy string, parts []*machine) Result {
 	out := Result{Policy: policy}
 	var flips, waits, apps int
-	for i := range parts {
-		flips, waits, apps = flips+len(parts[i].flips), waits+len(parts[i].Waits), apps+len(parts[i].Apps)
+	for _, m := range parts {
+		flips, waits, apps = flips+len(m.flips), waits+len(m.res.Waits), apps+len(m.res.Apps)
 	}
 	out.Flips, out.Waits, out.Apps = make([]Flip, 0, flips), make([]float64, 0, waits), make([]AppResult, 0, apps)
-	for i := range parts {
-		r := &parts[i].Result
+	for _, m := range parts {
+		r := &m.res
 		out.Events += r.Events
 		out.Arbitrations += r.Arbitrations
 		out.GrantsServed += r.GrantsServed
@@ -433,8 +426,8 @@ func mergeResults(policy string, parts []cell) Result {
 		if r.MakespanS > out.MakespanS {
 			out.MakespanS = r.MakespanS
 		}
-		for _, f := range parts[i].flips {
-			out.Flips = append(out.Flips, f.on(parts[i].target))
+		for _, f := range m.flips {
+			out.Flips = append(out.Flips, f.on(m.st.target))
 		}
 		out.Waits = append(out.Waits, r.Waits...)
 		out.Apps = append(out.Apps, r.Apps...)
@@ -473,30 +466,29 @@ func Under(tr *trace.Trace, pol core.Policy) (Result, error) {
 // merged Result per policy. The policies × streams cells share nothing but
 // read-only input (the streams, the policy values), so up to GOMAXPROCS
 // workers, the caller's goroutine one of them, take cells off a counter in
-// (policy, stream) order, each cell on a machine of its own, and whoever
-// finishes a policy's last stream merges that policy. No result depends on
-// who ran what: a cell writes its own slot and every merge goes by index.
-// The first error in cell order is the one returned.
+// (policy, stream) order, each cell on a machine borrowed from the pool,
+// and whoever finishes a policy's last stream merges that policy and hands
+// its cells' machines back. The countdown that elects the merging worker
+// also orders every cell's writes before the merge reads them, and so
+// before the hand-back. No result depends on who ran what: a cell writes
+// its own slot and every merge goes by index. The first error in cell
+// order is the one returned.
 //
 // With check set the cells verify instead of asking what-if: they
 // re-arbitrate exactly where the recording did, collect its flips, and pass
-// the finished machine and result to check — from any worker, one stream each.
-func replayGrid(streams []stream, pols []core.Policy, check func(stream int, m *machine, res *Result)) ([]Result, error) {
+// the finished machine to check — from any worker, one stream each. The
+// machine goes back to the pool after the merge, so check copies what it
+// keeps.
+func replayGrid(streams []stream, pols []core.Policy, check func(stream int, m *machine)) ([]Result, error) {
 	var (
 		next   atomic.Int64
-		parts  = make([]cell, len(pols)*len(streams)) // cell (p, s) at p*len(streams)+s
+		parts  = make([]*machine, len(pols)*len(streams)) // cell (p, s) at p*len(streams)+s
 		errs   = make([]error, len(parts))
 		merged = make([]Result, len(pols))
 		left   = make([]atomic.Int64, len(pols)) // cells a policy's merge still waits for
-		// A grant per served wait and a revoke per grant is all a serializing or
-		// preempting policy flips. One that also takes grants back on its own
-		// rechecks (delay) flips more, by a factor only its replay shows: the
-		// cells of a policy that have finished size the flip log of its next.
-		flipsPerWait = make([]atomic.Int64, len(pols))
 	)
 	for p, pol := range pols {
 		left[p].Store(int64(len(streams)))
-		flipsPerWait[p].Store(2)
 		if len(streams) == 0 {
 			merged[p] = mergeResults(pol.Name(), nil)
 		}
@@ -504,23 +496,20 @@ func replayGrid(streams []stream, pols []core.Policy, check func(stream int, m *
 	work := func() {
 		for c := int(next.Add(1)) - 1; c < len(parts); c = int(next.Add(1)) - 1 {
 			p, s := c/len(streams), c%len(streams)
-			st, hint := &streams[s], &flipsPerWait[p]
-			m := newMachine(pols[p], st, int(hint.Load())*st.waits, check != nil)
+			m := newMachine(pols[p], &streams[s], check != nil)
 			if errs[c] = m.run(); errs[c] == nil {
-				parts[c] = cell{m.finish(), st.target, m.flips}
-				if st.waits > 0 {
-					per := int64((len(m.flips) + st.waits - 1) / st.waits)
-					for old := hint.Load(); per > old && !hint.CompareAndSwap(old, per); old = hint.Load() {
-					}
-				}
+				m.finish()
 				if check != nil {
-					check(s, m, &parts[c].Result)
+					check(s, m)
 				}
 			}
+			parts[c] = m
 			if left[p].Add(-1) == 0 {
 				mine := parts[p*len(streams) : (p+1)*len(streams)]
 				merged[p] = mergeResults(pols[p].Name(), mine)
-				clear(mine) // merged by copy: a policy's parts go as soon as it is whole
+				for _, m := range mine {
+					m.release()
+				}
 			}
 		}
 	}
@@ -582,9 +571,15 @@ func Verify(tr *trace.Trace) (VerifyResult, error) {
 		return VerifyResult{}, fmt.Errorf("replay: recording policy: %w", err)
 	}
 	streams := compile(tr)
-	v := VerifyResult{Match: true, Shards: make([]ShardVerify, len(streams))}
-	recorded := make([][]flip, len(streams))
-	results, err := replayGrid(streams, []core.Policy{pol}, func(s int, m *machine, res *Result) {
+	// A verify machine records every grant and revoke of its stream, so each
+	// target's recorded flips have their place in v.Recorded, at[s] on,
+	// before the replay starts.
+	at := make([]int, len(streams)+1)
+	for s := range streams {
+		at[s+1] = at[s] + streams[s].recorded
+	}
+	v := VerifyResult{Match: true, Recorded: make([]Flip, at[len(streams)]), Shards: make([]ShardVerify, len(streams))}
+	results, err := replayGrid(streams, []core.Policy{pol}, func(s int, m *machine) {
 		// On a truncated trace the file may have lost flip records whose
 		// triggering requests survived, so the recorded flips are verified
 		// as a prefix of the replayed sequence instead of an exact match.
@@ -594,24 +589,23 @@ func Verify(tr *trace.Trace) (VerifyResult, error) {
 		}
 		v.Shards[s] = ShardVerify{
 			Target:       m.st.target,
-			GrantsServed: res.GrantsServed,
+			GrantsServed: m.res.GrantsServed,
 			Flips:        len(m.flips),
 			Recorded:     len(m.recorded),
 			Match:        match,
 			Mismatch:     mismatch,
 		}
-		recorded[s] = m.recorded
+		for i, f := range m.recorded {
+			v.Recorded[at[s]+i] = f.on(m.st.target)
+		}
 	})
 	if err != nil {
 		return VerifyResult{}, err
 	}
 	v.Result = results[0]
-	for s, sh := range v.Shards {
+	for _, sh := range v.Shards {
 		if !sh.Match && v.Match {
 			v.Match, v.Mismatch = false, sh.Mismatch
-		}
-		for _, f := range recorded[s] {
-			v.Recorded = append(v.Recorded, f.on(sh.Target))
 		}
 	}
 	return v, nil
@@ -678,28 +672,54 @@ type machine struct {
 	res      Result
 }
 
-// newMachine builds the replay of one stream, its flip log allocated for the
-// given number of flips — in verify mode, for as many as were recorded. A
-// stream's waits bound what its replay can serve, so the wait log is
-// allocated once.
-func newMachine(pol core.Policy, st *stream, flips int, verify bool) *machine {
+// machines holds released machines for the next replay to borrow: the
+// session table, the active list, the flip logs, the wait log and the app
+// rows are a cell's working memory, dead once its policy is merged, and a
+// borrowed machine reuses them at whatever capacity earlier replays left.
+var machines = sync.Pool{New: func() any { return new(machine) }}
+
+// newMachine borrows a machine for the replay of one stream. A stream's
+// waits bound what its replay can serve, so the wait log never grows; a flip
+// log holds as many flips as were recorded in verify mode, and elsewhere
+// starts at a grant per served wait and a revoke per grant, which a delay
+// policy's own revokes outgrow.
+func newMachine(pol core.Policy, st *stream, verify bool) *machine {
 	arb := core.NewArbiter(pol)
 	arb.SetLogBound(0)
 	arb.Reserve(st.sessions)
-	m := &machine{
-		arb:       arb,
-		st:        st,
-		sess:      make([]sess, st.sessions),
+	m := machines.Get().(*machine)
+	flips, recorded := 2*st.waits, 0
+	if verify {
+		flips, recorded = st.recorded, st.recorded
+	}
+	*m = machine{
+		arb: arb,
+		st:  st,
+		// release cleared every session a replay used, so the whole
+		// capacity is zero.
+		sess:      slices.Grow(m.sess[:0], st.sessions)[:st.sessions],
+		active:    m.active[:0],
 		recheckAt: math.Inf(1),
 		verify:    verify,
+		flips:     slices.Grow(m.flips[:0], flips),
+		recorded:  slices.Grow(m.recorded[:0], recorded),
+		res: Result{
+			Policy: pol.Name(),
+			Waits:  slices.Grow(m.res.Waits[:0], st.waits),
+			Apps:   slices.Grow(m.res.Apps[:0], st.sessions),
+		},
 	}
-	if verify {
-		flips = st.recorded
-		m.recorded = make([]flip, 0, st.recorded)
-	}
-	m.flips = make([]flip, 0, flips)
-	m.res = Result{Policy: pol.Name(), Waits: make([]float64, 0, st.waits)}
 	return m
+}
+
+// release hands a merged machine back to the pool. It clears every entry
+// that holds a pointer — a session's AppState, the names in the sessions
+// and the app rows — so that the pool pins no Arbiter and no trace.
+func (m *machine) release() {
+	clear(m.sess)
+	clear(m.res.Apps)
+	m.arb, m.st = nil, nil
+	machines.Put(m)
 }
 
 // activate moves a session whose Wait was just served into its access step.
@@ -952,8 +972,7 @@ func (m *machine) arbitrate(t float64) {
 // finish closes the books: open phases and pending waits are censored at
 // the final virtual-clock instant and per-session results are aggregated,
 // in registration order. mergeResults sorts the applications and the waits.
-func (m *machine) finish() Result {
-	m.res.Apps = make([]AppResult, 0, len(m.sess))
+func (m *machine) finish() {
 	for i := range m.sess {
 		s := &m.sess[i]
 		if s.app != nil && s.app.State() != core.Idle {
@@ -986,7 +1005,6 @@ func (m *machine) finish() Result {
 		m.res.Aborted += s.res.Aborted
 	}
 	m.res.MakespanS = m.now
-	return m.res
 }
 
 // Named pairs a display name with a policy for comparison runs.
