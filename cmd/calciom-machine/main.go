@@ -69,15 +69,11 @@ func main() {
 		float64(cfg.FS.Servers)*cfg.FS.ServerBW/float64(1<<30),
 		*bytesPerCore, *period)
 
-	type entry struct {
-		name    string
-		factory delta.PolicyFactory
-	}
-	policies := map[string]entry{
-		"none":      {"uncoordinated", delta.Uncoordinated},
-		"fcfs":      {"fcfs", delta.FCFS},
-		"interrupt": {"interrupt", delta.Interrupt},
-		"dynamic":   {"dynamic(cpu-s)", delta.Dynamic(core.CPUSecondsWasted{}, true)},
+	policies := map[string]delta.PolicyFactory{
+		"none":      delta.Uncoordinated,
+		"fcfs":      delta.FCFS,
+		"interrupt": delta.Interrupt,
+		"dynamic":   delta.Dynamic(core.CPUSecondsWasted{}, true),
 	}
 	var order []string
 	if *policy == "all" {
@@ -90,8 +86,7 @@ func main() {
 	}
 
 	for _, key := range order {
-		e := policies[key]
-		res := machine.Run(cfg, tr, e.factory)
+		res := machine.Run(cfg, tr, policies[key])
 		fmt.Println(res)
 		// Worst five jobs by interference factor.
 		worst := append([]machine.JobOutcome(nil), res.Jobs...)

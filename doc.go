@@ -273,9 +273,10 @@
 // (replay.Under / replay.Compare) re-arbitrates the same arrival pattern
 // under any policy, synthesizing delay-policy rechecks on the virtual
 // clock, and derives a per-policy comparison: total and tail wait, the
-// same convoy-vs-protocol wait decomposition the live wire.Stats reports,
-// permitted-interference overlap, and estimated interference factors and
-// CPU-seconds wasted under the paper's equal-share stretch model. The
+// convoy-vs-protocol wait decomposition (each session's core.Ledger, the
+// one the live wire.Stats reports), permitted-interference overlap, and
+// estimated interference factors and CPU-seconds wasted under the paper's
+// equal-share stretch model. The
 // replay is open-loop (request instants stay where the recording put
 // them), so cross-policy numbers are comparative estimates, not absolute
 // predictions; calciom-replay prints the comparison with a recommended

@@ -362,12 +362,10 @@ func (ar *Arbiter) LastRecord() *DecisionRecord {
 // is owned by the Arbiter.
 func (ar *Arbiter) Apps() []*AppState { return ar.apps }
 
-// OtherAuthorized reports whether any registered application other than app
-// currently holds authorization. The daemon and offline trace replay both
-// use it to classify a deferred Wait as convoy (queued behind a holder)
-// versus protocol (deferred with nobody authorized), so the classification
-// cannot drift between live stats and replay.
-func (ar *Arbiter) OtherAuthorized(app *AppState) bool {
+// otherAuthorized reports whether any registered application other than
+// app currently holds authorization: what Ledger.Wait classifies a parked
+// Wait by.
+func (ar *Arbiter) otherAuthorized(app *AppState) bool {
 	n := ar.nAuth
 	if app != nil && app.ar == ar && app.authorized {
 		n--

@@ -17,8 +17,9 @@ import (
 // application pauses itself at its next coordination point.
 //
 // The protocol state itself lives in an AppState shared with the network
-// daemon's sessions; the Coordinator adds only what is simulator-specific —
-// the parked process resumer and the phase-time accounting.
+// daemon's sessions, and the phase and wait accounting in a Ledger, as it
+// does on the daemon and in replay; the Coordinator adds only what is
+// simulator-specific — the parked process resumer.
 type Coordinator struct {
 	layer *Layer
 	app   *AppState
@@ -32,25 +33,15 @@ type Coordinator struct {
 	grantFn                 func() // c.grantArrived, bound once
 	grantsLive, grantsStale int
 
-	// Accounting for metrics: total time spent between Begin and End of
-	// phases (observed I/O time including coordination waits), and time
-	// spent waiting/paused.
-	phaseStart float64
-	ioTime     float64
-	waitTime   float64
-	phases     int
+	led Ledger
 }
 
-// reset clears the simulator-specific per-run state (the parked-process
-// resumer and the phase-time accounting); the shared AppState is reset by
-// the owning Arbiter.
+// reset clears the per-run state (the parked-process resumer and the
+// ledger); the shared AppState is reset by the owning Arbiter.
 func (c *Coordinator) reset() {
 	c.waiting = nil
 	c.grantsLive, c.grantsStale = 0, 0 // the engine reset dropped the messages
-	c.phaseStart = 0
-	c.ioTime = 0
-	c.waitTime = 0
-	c.phases = 0
+	c.led = Ledger{}
 }
 
 // Name returns the application name.
@@ -63,10 +54,10 @@ func (c *Coordinator) Cores() int { return c.app.cores }
 func (c *Coordinator) State() State { return c.app.state }
 
 // IOTime returns accumulated wall time inside I/O phases (incl. waits).
-func (c *Coordinator) IOTime() float64 { return c.ioTime }
+func (c *Coordinator) IOTime() float64 { return c.led.IOTimeS }
 
 // WaitTime returns accumulated time spent blocked in Wait.
-func (c *Coordinator) WaitTime() float64 { return c.waitTime }
+func (c *Coordinator) WaitTime() float64 { return c.led.WaitS }
 
 // Prepare stacks information about the upcoming I/O accesses, as the paper's
 // Prepare(MPI_Info) does. Recognized keys update the view the policies see.
@@ -83,10 +74,7 @@ func (c *Coordinator) Complete() {
 // to all other applications. Non-blocking: the information travels with the
 // layer's message latency and triggers arbitration.
 func (c *Coordinator) Inform(p *sim.Proc) {
-	if c.app.Inform(p.Now()) {
-		c.phaseStart = p.Now()
-		c.phases++
-	}
+	c.led.Inform(c.app, p.Now())
 	c.layer.poke()
 }
 
@@ -114,18 +102,19 @@ func (c *Coordinator) Wait(p *sim.Proc) {
 	if c.app.state == Idle {
 		panic(fmt.Sprintf("core: %s: Wait before Inform", c.app.name))
 	}
-	start := p.Now()
-	for !c.app.authorized {
-		c.app.setState(Waiting)
-		c.waiting = p.Suspend()
-		c.waiting.Park()
-		c.waiting = nil
-		c.grantsStale, c.grantsLive = c.grantsStale+c.grantsLive, 0
+	if !c.led.Wait(c.app, p.Now()) {
+		for !c.app.authorized {
+			c.app.setState(Waiting)
+			c.waiting = p.Suspend()
+			c.waiting.Park()
+			c.waiting = nil
+			c.grantsStale, c.grantsLive = c.grantsStale+c.grantsLive, 0
+		}
+		c.led.Serve(p.Now())
 	}
 	if err := c.app.Activate(); err != nil {
 		panic(err.Error())
 	}
-	c.waitTime += p.Now() - start
 }
 
 // grantArrived delivers one authorization message (see waiting).
@@ -156,8 +145,8 @@ func (c *Coordinator) Progress(bytesDone float64) { c.app.Progress(bytesDone) }
 // End terminates the I/O phase entirely: the application becomes invisible
 // to arbitration until its next Inform.
 func (c *Coordinator) End(p *sim.Proc) {
+	c.led.Close(c.app, p.Now())
 	c.app.End()
-	c.ioTime += p.Now() - c.phaseStart
 	c.layer.poke()
 }
 

@@ -393,8 +393,8 @@ func (d *diffRun) compareState(i int) {
 	if g, w := appNames(ar.Apps()), appNames(d.ref.apps); !reflect.DeepEqual(g, w) {
 		t.Fatalf("step %d: registered %v, reference %v", i, g, w)
 	}
-	if ar.OtherAuthorized(nil) != d.ref.otherAuthorized(nil) {
-		t.Fatalf("step %d: OtherAuthorized(nil) diverged", i)
+	if ar.otherAuthorized(nil) != d.ref.otherAuthorized(nil) {
+		t.Fatalf("step %d: otherAuthorized(nil) diverged", i)
 	}
 	queued, authorized := 0, 0
 	for k, a := range ar.apps {
@@ -403,8 +403,8 @@ func (d *diffRun) compareState(i int) {
 			t.Fatalf("step %d: %s: view %+v authorized=%v idx=%d, reference %+v %v %d",
 				i, a.name, a.View(), a.authorized, a.idx, f.View(), f.authorized, k)
 		}
-		if ar.OtherAuthorized(a) != d.ref.otherAuthorized(f) {
-			t.Fatalf("step %d: OtherAuthorized(%s) diverged", i, a.name)
+		if ar.otherAuthorized(a) != d.ref.otherAuthorized(f) {
+			t.Fatalf("step %d: otherAuthorized(%s) diverged", i, a.name)
 		}
 		if a.authorized {
 			authorized++

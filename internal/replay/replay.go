@@ -35,9 +35,9 @@
 // after-the-fact I/O analytics: request instants stay where the recording
 // put them, even though a live application blocked longer in Wait would
 // have issued its next request later. Wait durations, their convoy-vs-
-// protocol decomposition (identical to the daemon's live wire.Stats
-// breakdown), and the derived interference and CPU-seconds estimates are
-// therefore comparative figures across policies, not absolute predictions.
+// protocol decomposition (a core.Ledger per session, as on the daemon), and
+// the derived interference and CPU-seconds estimates are therefore
+// comparative figures across policies, not absolute predictions.
 // Waits still pending when the trace ends are censored at the last recorded
 // instant and counted as Unserved.
 package replay
@@ -630,7 +630,9 @@ func compareFlips(target string, recorded, replayed []flip, prefixOK bool) (bool
 	return true, ""
 }
 
-// sess mirrors the daemon's per-session accounting.
+// sess is one session on the replayed target: its arbiter state, its
+// core.Ledger — the daemon binding's accounting — and the replay-only
+// figures of its AppResult, whose ledger fields finish fills in.
 type sess struct {
 	sid   uint32
 	name  string
@@ -638,18 +640,16 @@ type sess struct {
 	app   *core.AppState // nil before the first register and once unregistered
 	known bool           // registered at least once: sid, name, cores and idx are set
 
-	idx        int32 // the stream's dense session index
-	active     int32 // index in machine.active; -1 outside an access step
-	pending    bool
-	waitConvoy bool
-	waitFrom   float64
-	phaseStart float64
+	idx    int32 // the stream's dense session index
+	active int32 // index in machine.active; -1 outside an access step
+	led    core.Ledger
 
 	res AppResult
 }
 
-// machine drives core.Arbiter through one target's replay. It mirrors
-// internal/server's per-shard handle/arbitrate logic without the network.
+// machine drives core.Arbiter through one target's replay: internal/server's
+// per-shard handle/arbitrate logic without the network, accounted through
+// the same core.Ledger.
 type machine struct {
 	arb *core.Arbiter
 	st  *stream
@@ -811,10 +811,7 @@ func (m *machine) step(st *step) error {
 		if st.bytes > 0 {
 			s.app.Progress(st.bytes)
 		}
-		if s.app.Inform(t) {
-			s.phaseStart = t
-			s.res.Phases++
-		}
+		s.led.Inform(s.app, t)
 		m.arbitrate(t)
 
 	case trace.EvProgress:
@@ -826,20 +823,13 @@ func (m *machine) step(st *step) error {
 		// State-free.
 
 	case trace.EvWait:
-		if s.app.State() == core.Idle || s.pending {
+		if s.app.State() == core.Idle || s.led.Parked() {
 			return nil // client-capture skew; the daemon never records these
 		}
-		if s.app.Authorized() {
+		if s.led.Wait(s.app, t) {
 			m.activate(s)
-			s.res.WaitsImmediate++
-			s.res.Grants++
-			m.res.GrantsServed++
 			m.res.Waits = append(m.res.Waits, 0)
-			return nil
 		}
-		s.pending = true
-		s.waitFrom = t
-		s.waitConvoy = m.arb.OtherAuthorized(s.app)
 
 	case trace.EvRelease:
 		if st.bytes > 0 {
@@ -853,26 +843,18 @@ func (m *machine) step(st *step) error {
 		}
 
 	case trace.EvEnd:
-		if s.pending {
+		if s.led.Close(s.app, t) {
 			// The daemon fails a Wait pending under its own phase teardown.
-			s.pending = false
 			s.res.Aborted++
-		}
-		if s.app.State() != core.Idle {
-			s.res.IOTimeS += t - s.phaseStart
 		}
 		s.app.End()
 		m.deactivate(s)
 		m.arbitrate(t)
 
 	case trace.EvUnregister:
-		if s.pending {
-			s.pending = false
-			s.res.Aborted++
-		}
 		wasBusy := s.app.State() != core.Idle
-		if wasBusy {
-			s.res.IOTimeS += t - s.phaseStart
+		if s.led.Close(s.app, t) {
+			s.res.Aborted++
 		}
 		m.arb.Unregister(s.app)
 		s.app = nil
@@ -896,8 +878,7 @@ func (m *machine) step(st *step) error {
 
 // register attaches a session to the target's arbiter. A resumed session
 // (the daemon's rebind records unregister + register under the same sid)
-// keeps its accounting, mirroring the daemon carrying its binding counters
-// over.
+// keeps its ledger, as the daemon's rebind does.
 func (m *machine) register(st *step) error {
 	s := &m.sess[st.sess]
 	if s.app != nil {
@@ -944,20 +925,10 @@ func (m *machine) arbitrate(t float64) {
 	for _, a := range out.Granted {
 		s := a.Data.(*sess)
 		m.flips = append(m.flips, flip{time: t, sid: s.sid, grant: true})
-		if s.pending {
+		if s.led.Parked() {
 			m.activate(s) // the served Wait enters the access step
-			d := t - s.waitFrom
-			s.res.WaitS += d
-			if s.waitConvoy {
-				s.res.ConvoyWaitS += d
-			} else {
-				s.res.ProtocolWaitS += d
-			}
-			s.res.WaitsDeferred++
-			s.res.Grants++
-			m.res.GrantsServed++
+			d, _ := s.led.Serve(t)
 			m.res.Waits = append(m.res.Waits, d)
-			s.pending = false
 		}
 	}
 	for _, a := range out.Revoked {
@@ -973,37 +944,31 @@ func (m *machine) arbitrate(t float64) {
 // the final virtual-clock instant and per-session results are aggregated,
 // in registration order. mergeResults sorts the applications and the waits.
 func (m *machine) finish() {
+	var tot core.Ledger
 	for i := range m.sess {
 		s := &m.sess[i]
-		if s.app != nil && s.app.State() != core.Idle {
-			s.res.IOTimeS += m.now - s.phaseStart
-		}
-		if s.pending {
-			d := m.now - s.waitFrom
-			s.res.WaitS += d
-			if s.waitConvoy {
-				s.res.ConvoyWaitS += d
-			} else {
-				s.res.ProtocolWaitS += d
-			}
+		// Censor first: closing the phase would cancel the parked Wait.
+		if d, ok := s.led.Censor(m.now); ok {
 			s.res.Unserved++
 			m.res.Waits = append(m.res.Waits, d)
-			s.pending = false
 		}
-		s.res.SID = s.sid
-		s.res.Name = s.name
-		s.res.Target = m.st.target
-		s.res.Cores = s.cores
-		m.res.Apps = append(m.res.Apps, s.res)
-
-		m.res.WaitsImmediate += s.res.WaitsImmediate
-		m.res.WaitsDeferred += s.res.WaitsDeferred
-		m.res.TotalWaitS += s.res.WaitS
-		m.res.ConvoyWaitS += s.res.ConvoyWaitS
-		m.res.ProtocolWaitS += s.res.ProtocolWaitS
-		m.res.Unserved += s.res.Unserved
-		m.res.Aborted += s.res.Aborted
+		if s.app != nil {
+			s.led.Close(s.app, m.now)
+		}
+		l, r := &s.led, &s.res
+		r.SID, r.Name, r.Target, r.Cores = s.sid, s.name, m.st.target, s.cores
+		r.Phases, r.Grants = l.Phases, l.Grants
+		r.WaitsImmediate, r.WaitsDeferred = l.WaitsImmediate, l.WaitsDeferred
+		r.WaitS, r.ConvoyWaitS, r.ProtocolWaitS = l.WaitS, l.ConvoyWaitS, l.ProtocolWaitS
+		r.IOTimeS = l.IOTimeS
+		m.res.Apps = append(m.res.Apps, *r)
+		tot.Add(l)
+		m.res.Unserved += r.Unserved
+		m.res.Aborted += r.Aborted
 	}
+	m.res.GrantsServed = tot.Grants
+	m.res.WaitsImmediate, m.res.WaitsDeferred = tot.WaitsImmediate, tot.WaitsDeferred
+	m.res.TotalWaitS, m.res.ConvoyWaitS, m.res.ProtocolWaitS = tot.WaitS, tot.ConvoyWaitS, tot.ProtocolWaitS
 	m.res.MakespanS = m.now
 }
 

@@ -35,61 +35,96 @@ func driveSerialized(srv *Server, apps, rounds int) {
 	}
 }
 
+// driveResumed runs two fcfs phases of A and B in which B waits behind A
+// each time and, between the phases, resumes on a new connection.
+func driveResumed(srv *Server) {
+	a, b := &session{}, &session{}
+	srv.handle(a, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "A", Cores: 1})
+	srv.handle(b, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "B", Cores: 1, Incarnation: 1})
+	for phase := 0; phase < 2; phase++ {
+		if phase == 1 {
+			b = &session{}
+			srv.handle(b, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "B", Cores: 1, Incarnation: 2})
+		}
+		srv.handle(a, wire.Request{Seq: 2, Type: wire.TypeInform})
+		srv.handle(a, wire.Request{Seq: 3, Type: wire.TypeWait}) // immediate
+		srv.handle(b, wire.Request{Seq: 2, Type: wire.TypeInform})
+		srv.handle(b, wire.Request{Seq: 3, Type: wire.TypeWait}) // deferred behind A
+		srv.handle(a, wire.Request{Seq: 4, Type: wire.TypeRelease})
+		srv.handle(a, wire.Request{Seq: 5, Type: wire.TypeEnd}) // grants B
+		srv.handle(b, wire.Request{Seq: 4, Type: wire.TypeRelease})
+		srv.handle(b, wire.Request{Seq: 5, Type: wire.TypeEnd})
+	}
+}
+
 // TestRecordedTraceVerifiesExactly is the determinism acceptance test in
 // miniature: a recorded fcfs run, replayed under fcfs, must reproduce the
-// live authorization-flip sequence event for event and serve the same
-// number of grants.
+// live authorization-flip sequence event for event, serve the same number
+// of grants and account every application exactly as the live snapshot
+// does — also one that resumed between its phases.
 func TestRecordedTraceVerifiesExactly(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf, trace.Header{Source: trace.SourceDaemon, Policy: "fcfs"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{Policy: core.FCFSPolicy{}, Clock: logicalClock(), Trace: w})
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveSerialized(srv, 3, 5)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Dropped() != 0 {
-		t.Fatalf("%d events dropped", w.Dropped())
-	}
+	for _, tc := range []struct {
+		name  string
+		drive func(*Server)
+	}{
+		{"serialized", func(srv *Server) { driveSerialized(srv, 3, 5) }},
+		{"resumed", driveResumed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			w, err := trace.NewWriter(&buf, trace.Header{Source: trace.SourceDaemon, Policy: "fcfs"}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := New(Config{Policy: core.FCFSPolicy{}, Clock: logicalClock(), Trace: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.drive(srv)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if w.Dropped() != 0 {
+				t.Fatalf("%d events dropped", w.Dropped())
+			}
 
-	tr, err := trace.Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := replay.Verify(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.Match {
-		t.Fatalf("replay diverged from recording: %s", v.Mismatch)
-	}
-	if len(v.Recorded) == 0 {
-		t.Fatal("no flips recorded")
-	}
-	// The per-app wait decomposition must agree with the live snapshot too:
-	// same classification logic, same instants.
-	st := srv.snapshot(srv.clock())
-	if v.GrantsServed != st.GrantsServed {
-		t.Fatalf("replayed grants = %d, live = %d", v.GrantsServed, st.GrantsServed)
-	}
-	if v.Arbitrations != st.Arbitrations {
-		t.Fatalf("replayed arbitrations = %d, live = %d", v.Arbitrations, st.Arbitrations)
-	}
-	if len(st.Apps) != len(v.Apps) {
-		t.Fatalf("apps: live %d, replay %d", len(st.Apps), len(v.Apps))
-	}
-	for i, la := range st.Apps {
-		ra := v.Apps[i]
-		if la.Name != ra.Name || la.Grants != ra.Grants ||
-			la.WaitsImmediate != ra.WaitsImmediate || la.WaitsDeferred != ra.WaitsDeferred ||
-			la.ConvoyWaitS != ra.ConvoyWaitS || la.ProtocolWaitS != ra.ProtocolWaitS {
-			t.Fatalf("app %d decomposition diverged:\nlive   %+v\nreplay %+v", i, la, ra)
-		}
+			tr, err := trace.Read(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := replay.Verify(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !v.Match {
+				t.Fatalf("replay diverged from recording: %s", v.Mismatch)
+			}
+			if len(v.Recorded) == 0 {
+				t.Fatal("no flips recorded")
+			}
+			// The per-app accounting must agree with the live snapshot too:
+			// one ledger, same instants. Every phase has ended, so the live
+			// I/O time is closed as well.
+			st := srv.snapshot(srv.clock())
+			if v.GrantsServed != st.GrantsServed {
+				t.Fatalf("replayed grants = %d, live = %d", v.GrantsServed, st.GrantsServed)
+			}
+			if v.Arbitrations != st.Arbitrations {
+				t.Fatalf("replayed arbitrations = %d, live = %d", v.Arbitrations, st.Arbitrations)
+			}
+			if len(st.Apps) != len(v.Apps) {
+				t.Fatalf("apps: live %d, replay %d", len(st.Apps), len(v.Apps))
+			}
+			for i, la := range st.Apps {
+				ra := v.Apps[i]
+				if la.Name != ra.Name || la.Phases != ra.Phases || la.Grants != ra.Grants ||
+					la.WaitsImmediate != ra.WaitsImmediate || la.WaitsDeferred != ra.WaitsDeferred ||
+					la.WaitTimeS != ra.WaitS || la.ConvoyWaitS != ra.ConvoyWaitS ||
+					la.ProtocolWaitS != ra.ProtocolWaitS || la.IOTimeS != ra.IOTimeS {
+					t.Fatalf("app %d accounting diverged:\nlive   %+v\nreplay %+v", i, la, ra)
+				}
+			}
+		})
 	}
 }
 
@@ -261,19 +296,19 @@ func TestConvoyProtocolBreakdown(t *testing.T) {
 		srv.handle(a, wire.Request{Seq: 5, Type: wire.TypeEnd}) // grants B
 
 		ba, bb := testBinding(srv, a), testBinding(srv, b)
-		if ba.waitsImmediate != 1 || ba.waitsDeferred != 0 {
-			t.Fatalf("A immediate/deferred = %d/%d, want 1/0", ba.waitsImmediate, ba.waitsDeferred)
+		if ba.led.WaitsImmediate != 1 || ba.led.WaitsDeferred != 0 {
+			t.Fatalf("A immediate/deferred = %d/%d, want 1/0", ba.led.WaitsImmediate, ba.led.WaitsDeferred)
 		}
-		if bb.waitsDeferred != 1 || bb.convoyWait <= 0 || bb.protoWait != 0 {
+		if bb.led.WaitsDeferred != 1 || bb.led.ConvoyWaitS <= 0 || bb.led.ProtocolWaitS != 0 {
 			t.Fatalf("B deferred=%d convoy=%g proto=%g, want deferred behind A in the convoy bucket",
-				bb.waitsDeferred, bb.convoyWait, bb.protoWait)
+				bb.led.WaitsDeferred, bb.led.ConvoyWaitS, bb.led.ProtocolWaitS)
 		}
 		st := srv.snapshot(srv.clock())
 		// A: 1 immediate; B: 1 deferred. Aggregates mirror that.
 		if st.WaitsImmediate != 1 || st.WaitsDeferred != 1 {
 			t.Fatalf("aggregate immediate/deferred = %d/%d, want 1/1", st.WaitsImmediate, st.WaitsDeferred)
 		}
-		if st.ConvoyWaitS != bb.convoyWait || st.ProtocolWaitS != 0 {
+		if st.ConvoyWaitS != bb.led.ConvoyWaitS || st.ProtocolWaitS != 0 {
 			t.Fatalf("aggregate convoy/proto = %g/%g", st.ConvoyWaitS, st.ProtocolWaitS)
 		}
 		// The aggregates are cumulative like GrantsServed: a departed
@@ -297,8 +332,52 @@ func TestConvoyProtocolBreakdown(t *testing.T) {
 		srv.handle(a, wire.Request{Seq: 3, Type: wire.TypeWait})   // deferred, nobody authorized
 		srv.handle(a, wire.Request{Seq: 4, Type: wire.TypeInform}) // arbitration 2: granted
 		ba := testBinding(srv, a)
-		if ba.waitsDeferred != 1 || ba.protoWait <= 0 || ba.convoyWait != 0 {
-			t.Fatalf("deferred=%d proto=%g convoy=%g, want the protocol bucket", ba.waitsDeferred, ba.protoWait, ba.convoyWait)
+		if ba.led.WaitsDeferred != 1 || ba.led.ProtocolWaitS <= 0 || ba.led.ConvoyWaitS != 0 {
+			t.Fatalf("deferred=%d proto=%g convoy=%g, want the protocol bucket", ba.led.WaitsDeferred, ba.led.ProtocolWaitS, ba.led.ConvoyWaitS)
+		}
+	})
+	t.Run("resume", func(t *testing.T) {
+		srv, err := New(Config{Policy: core.FCFSPolicy{}, Clock: logicalClock()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := testSession(16), testSession(16)
+		srv.handle(a, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "A", Cores: 1})
+		srv.handle(b, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "B", Cores: 1, Incarnation: 1})
+		srv.handle(a, wire.Request{Seq: 2, Type: wire.TypeInform})
+		srv.handle(a, wire.Request{Seq: 3, Type: wire.TypeWait}) // immediate
+		srv.handle(b, wire.Request{Seq: 2, Type: wire.TypeInform})
+		srv.handle(b, wire.Request{Seq: 3, Type: wire.TypeWait}) // deferred behind A
+		srv.handle(a, wire.Request{Seq: 4, Type: wire.TypeRelease})
+		srv.handle(a, wire.Request{Seq: 5, Type: wire.TypeEnd}) // grants B
+		before := srv.snapshot(srv.clock())
+
+		// B resumes on a new connection: its whole record moves with it,
+		// and nothing reaches the departed-session totals twice.
+		b2 := testSession(16)
+		srv.handle(b2, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "B", Cores: 1, Incarnation: 2})
+		st := srv.snapshot(srv.clock())
+		var row *wire.AppStats
+		for i := range st.Apps {
+			if st.Apps[i].Name == "B" {
+				row = &st.Apps[i]
+			}
+		}
+		if row == nil {
+			t.Fatalf("no row for B after the resume: %+v", st.Apps)
+		}
+		if row.Grants != row.WaitsImmediate+row.WaitsDeferred || row.WaitTimeS != row.ConvoyWaitS+row.ProtocolWaitS {
+			t.Fatalf("B after resume: grants=%d imm=%d def=%d wait=%g convoy=%g proto=%g",
+				row.Grants, row.WaitsImmediate, row.WaitsDeferred, row.WaitTimeS, row.ConvoyWaitS, row.ProtocolWaitS)
+		}
+		if row.WaitsDeferred != 1 || row.ConvoyWaitS <= 0 {
+			t.Fatalf("B after resume: deferred=%d convoy=%g, want its convoy wait kept", row.WaitsDeferred, row.ConvoyWaitS)
+		}
+		if st.WaitsImmediate != before.WaitsImmediate || st.WaitsDeferred != before.WaitsDeferred ||
+			st.ConvoyWaitS != before.ConvoyWaitS {
+			t.Fatalf("aggregates moved across the resume: imm %d->%d def %d->%d convoy %g->%g",
+				before.WaitsImmediate, st.WaitsImmediate, before.WaitsDeferred, st.WaitsDeferred,
+				before.ConvoyWaitS, st.ConvoyWaitS)
 		}
 	})
 }

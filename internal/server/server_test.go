@@ -401,7 +401,7 @@ func BenchmarkServerArbitrate(b *testing.B) {
 
 // TestEndCancelsPendingWait: a pipelined client that tears down its phase
 // with a Wait still outstanding must get that Wait failed (not leaked — a
-// dangling waitSeq would shield the session from idle eviction forever).
+// parked Wait would shield the session from idle eviction forever).
 func TestEndCancelsPendingWait(t *testing.T) {
 	srv, err := New(Config{Policy: core.FCFSPolicy{}, Clock: logicalClock()})
 	if err != nil {
@@ -421,8 +421,8 @@ func TestEndCancelsPendingWait(t *testing.T) {
 		t.Fatalf("expected only the inform response before end, got %+v", got)
 	}
 	srv.handle(b, wire.Request{Seq: 4, Type: wire.TypeEnd})
-	if bb := testBinding(srv, b); bb.waitSeq != 0 {
-		t.Fatalf("waitSeq still dangling: %d", bb.waitSeq)
+	if bb := testBinding(srv, b); bb.led.Parked() {
+		t.Fatalf("wait %d still parked", bb.waitSeq)
 	}
 	if n := b.pendingWaits.Load(); n != 0 {
 		t.Fatalf("pendingWaits still %d after cancelled wait", n)

@@ -14,37 +14,23 @@ import (
 )
 
 // binding is one session's coordination state on one storage target,
-// guarded by that target's shard lock. It carries what the
-// unsharded daemon kept per session: protocol state, the pending Wait, and
-// the LASSi-style live accounting.
+// guarded by that target's shard lock: protocol state, and the LASSi-style
+// live accounting in a core.Ledger, which also says whether a Wait is
+// parked.
 type binding struct {
 	s   *session
 	app *core.AppState
 	sid uint32
+	led core.Ledger
 
-	waitSeq    uint64 // Seq of the deferred Wait response; 0 = none pending
-	waitFrom   float64
-	waitConvoy bool  // deferred behind another authorized app (vs protocol)
-	waitPos    int32 // Waits already parked on the target when this one was
+	waitSeq uint64 // Seq to answer the parked Wait with
+	waitPos int32  // Waits already parked on the target when it parked
 
 	// grantAt/holding track the served grant currently outstanding, for the
 	// hold-time histogram: set by serveGrant, cleared (and observed) at the
 	// next release, end or revoke.
 	grantAt float64
 	holding bool
-
-	phaseStart float64
-	phases     int
-	grants     uint64
-	ioTime     float64
-	waitTime   float64
-
-	// Wait decomposition (see wire.AppStats): immediate vs deferred counts,
-	// and deferred time split by what the wait was for.
-	waitsImmediate uint64
-	waitsDeferred  uint64
-	convoyWait     float64
-	protoWait      float64
 }
 
 // shard is one storage target's coordination domain: an arbiter from the
@@ -76,13 +62,10 @@ type shard struct {
 	pending      int32 // Waits currently parked (mirrored to m.queueDepth)
 	draining     bool  // Drain ran: pending Waits failed, new ones refused
 
-	// Wait-decomposition counters of departed bindings, folded in by
-	// detach, so the aggregates are cumulative like grantsServed (and like
-	// offline replay's totals) rather than shrinking as sessions leave.
-	goneWaitsImmediate uint64
-	goneWaitsDeferred  uint64
-	goneConvoyWait     float64
-	goneProtoWait      float64
+	// gone holds the ledgers of departed bindings, folded in by detach, so
+	// the aggregates are cumulative like grantsServed (and like offline
+	// replay's totals) rather than shrinking as sessions leave.
+	gone core.Ledger
 }
 
 // DefaultMaxTargets is the default bound on distinct storage targets.
@@ -223,10 +206,7 @@ func (sh *shard) handle(s *session, req wire.Request, now float64) {
 		if req.BytesDone > 0 {
 			b.app.Progress(req.BytesDone)
 		}
-		if b.app.Inform(now) {
-			b.phaseStart = now
-			b.phases++
-		}
+		b.led.Inform(b.app, now)
 		sh.arbitrate(now)
 		sh.reply(b, s, req.Seq, true, nil)
 
@@ -249,7 +229,7 @@ func (sh *shard) handle(s *session, req wire.Request, now float64) {
 			sh.reply(b, s, req.Seq, false, fmt.Errorf("core: %s: Wait before Inform", b.app.Name()))
 			return
 		}
-		if b.waitSeq != 0 {
+		if b.led.Parked() {
 			sh.reply(b, s, req.Seq, false, errors.New("wait already pending"))
 			return
 		}
@@ -262,8 +242,7 @@ func (sh *shard) handle(s *session, req wire.Request, now float64) {
 			return
 		}
 		sh.rec(trace.Event{Type: trace.EvWait, Time: now, SID: b.sid})
-		if b.app.Authorized() {
-			b.waitsImmediate++
+		if b.led.Wait(b.app, now) {
 			if sh.m != nil {
 				sh.m.waitsImmediate.Inc()
 				sh.m.waitSeconds.Observe(0)
@@ -276,8 +255,6 @@ func (sh *shard) handle(s *session, req wire.Request, now float64) {
 			return
 		}
 		b.waitSeq = req.Seq
-		b.waitFrom = now
-		b.waitConvoy = sh.arb.OtherAuthorized(b.app)
 		b.waitPos = sh.pending
 		s.pendingWaits.Add(1)
 		sh.pending++
@@ -301,21 +278,17 @@ func (sh *shard) handle(s *session, req wire.Request, now float64) {
 		sh.reply(b, s, req.Seq, true, nil)
 
 	case wire.TypeEnd:
-		if b.waitSeq != 0 {
+		if b.led.Close(b.app, now) {
 			// A pipelined client is tearing the phase down under its own
 			// pending Wait. Fail that Wait now: once the app is Idle it is
 			// invisible to arbitration, so the deferred response would
-			// never come and the dangling waitSeq would shield the session
-			// from idle eviction forever.
+			// never come and the parked Wait would shield the session from
+			// idle eviction forever.
 			s.send(wire.Response{Seq: b.waitSeq, Type: wire.TypeResp,
 				Err: "wait cancelled: phase ended", Code: wire.CodeProtocol, Target: sh.target})
-			b.waitSeq = 0
 			sh.unpark(s)
 		}
 		sh.rec(trace.Event{Type: trace.EvEnd, Time: now, SID: b.sid})
-		if b.app.State() != core.Idle {
-			b.ioTime += now - b.phaseStart
-		}
 		sh.endHold(b, now)
 		b.app.End()
 		sh.arbitrate(now)
@@ -343,17 +316,18 @@ func (sh *shard) attach(s *session, id *ident, now float64) (*binding, error) {
 	return b, nil
 }
 
-// detach is a session leaving this target: accounting folds into the
-// shard's cumulative counters and, if the session was mid-phase, the
-// survivors are re-arbitrated — a vanished holder must not wedge the queue.
+// detach is a session leaving this target: its ledger folds into the
+// shard's cumulative one and, if the session was mid-phase, the survivors
+// are re-arbitrated — a vanished holder must not wedge the queue.
 func (sh *shard) detach(s *session) {
 	b := sh.bindings[s]
 	if b == nil {
 		return
 	}
-	sh.retire(s, b)
 	now := sh.srv.clock()
 	wasBusy := b.app.State() != core.Idle
+	sh.retire(s, b, now)
+	sh.gone.Add(&b.led)
 	sh.arb.Unregister(b.app)
 	b.app = nil
 	sh.rec(trace.Event{Type: trace.EvUnregister, Time: now, SID: b.sid})
@@ -373,10 +347,10 @@ func (sh *shard) detach(s *session) {
 // sid — because the client cannot know which of its in-flight verbs the old
 // connection delivered; it re-drives prepare/inform/wait from its own
 // journal, which is correct against a reset state and only against one.
-// Cumulative accounting (phases, grants, I/O and wait time) carries over,
-// so stats and the `agg:` rollups see one application, not two. In the
-// trace this is EvUnregister + EvRegister (+ EvRecheck when mid-phase):
-// existing event types, so replay needs no special case.
+// The whole ledger carries over, so stats and the `agg:` rollups see one
+// application, not two. In the trace this is EvUnregister + EvRegister
+// (+ EvRecheck when mid-phase): existing event types, so replay needs no
+// special case.
 func (sh *shard) rebind(old, s *session) {
 	ob := sh.bindings[old]
 	if ob == nil {
@@ -386,19 +360,14 @@ func (sh *shard) rebind(old, s *session) {
 	now := sh.srv.clock()
 	// A deferred Wait died with the old connection; the client re-issues it
 	// after the resume.
-	sh.retire(old, ob)
 	wasBusy := ob.app.State() != core.Idle
-	ioTime := ob.ioTime
-	if wasBusy {
-		ioTime += now - ob.phaseStart
-	}
+	sh.retire(old, ob, now)
 	sh.arb.Unregister(ob.app)
 	sh.rec(trace.Event{Type: trace.EvUnregister, Time: now, SID: ob.sid})
 	// The name was unregistered just above, so Register cannot fail; if it
 	// did, this degrades to a plain detach and the next verb attaches afresh.
 	if app, err := sh.arb.Register(id.name, id.cores); err == nil {
-		b := &binding{s: s, app: app, sid: ob.sid,
-			phases: ob.phases, grants: ob.grants, ioTime: ioTime, waitTime: ob.waitTime}
+		b := &binding{s: s, app: app, sid: ob.sid, led: ob.led}
 		app.Data = b
 		sh.bindings[s] = b
 		sh.rec(trace.Event{Type: trace.EvRegister, Time: now, SID: ob.sid,
@@ -410,16 +379,11 @@ func (sh *shard) rebind(old, s *session) {
 	}
 }
 
-// retire removes a departing binding: its wait decomposition folds into
-// the shard's cumulative counters and its parked Wait, if any, unparks.
-func (sh *shard) retire(s *session, b *binding) {
+// retire removes a departing binding: its ledger closes at now and its
+// parked Wait, if any, unparks.
+func (sh *shard) retire(s *session, b *binding, now float64) {
 	delete(sh.bindings, s)
-	sh.goneWaitsImmediate += b.waitsImmediate
-	sh.goneWaitsDeferred += b.waitsDeferred
-	sh.goneConvoyWait += b.convoyWait
-	sh.goneProtoWait += b.protoWait
-	if b.waitSeq != 0 {
-		b.waitSeq = 0
+	if b.led.Close(b.app, now) {
 		sh.unpark(s)
 	}
 }
@@ -433,13 +397,12 @@ func (sh *shard) drainWaits() {
 	failed := int32(0)
 	for _, a := range sh.arb.Apps() {
 		b, ok := a.Data.(*binding)
-		if !ok || b.waitSeq == 0 {
+		if !ok || !b.led.Cancel() {
 			continue
 		}
 		b.s.send(wire.Response{Seq: b.waitSeq, Type: wire.TypeResp,
 			Err: "draining: coordinator shutting down", Code: wire.CodeDraining,
 			Authorized: b.app.Authorized(), Target: sh.target})
-		b.waitSeq = 0
 		sh.unpark(b.s)
 		failed++
 	}
@@ -469,7 +432,6 @@ func (sh *shard) reply(b *binding, s *session, seq uint64, ok bool, err error) {
 // the served grant in one place.
 func (sh *shard) serveGrant(b *binding, seq uint64, now float64) {
 	b.app.Activate()
-	b.grants++
 	sh.grantsServed++
 	b.grantAt = now
 	b.holding = true
@@ -532,15 +494,8 @@ func (sh *shard) arbitrate(now float64) {
 	for _, a := range out.Granted {
 		b := a.Data.(*binding)
 		sh.rec(trace.Event{Type: trace.EvGrant, Time: now, SID: b.sid})
-		if b.waitSeq != 0 {
-			d := now - b.waitFrom
-			b.waitTime += d
-			if b.waitConvoy {
-				b.convoyWait += d
-			} else {
-				b.protoWait += d
-			}
-			b.waitsDeferred++
+		if b.led.Parked() {
+			d, convoy := b.led.Serve(now)
 			if sh.m != nil {
 				sh.m.waitsDeferred.Inc()
 				sh.m.waitSeconds.Observe(d)
@@ -548,12 +503,10 @@ func (sh *shard) arbitrate(now float64) {
 			if sh.ev != nil {
 				sh.ev.Emit(obs.Event{Kind: obs.EvGrant, Time: now,
 					App: b.app.Name(), Target: sh.target, WaitS: d,
-					Queue: b.waitPos, Deferred: true, Convoy: b.waitConvoy})
+					Queue: b.waitPos, Deferred: true, Convoy: convoy})
 			}
-			seq := b.waitSeq
-			b.waitSeq = 0
 			sh.unpark(b.s)
-			sh.serveGrant(b, seq, now)
+			sh.serveGrant(b, b.waitSeq, now)
 		} else {
 			b.s.send(wire.Response{Type: wire.TypeGrant, Authorized: true, Target: sh.target})
 		}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/approx"
 	"repro/internal/chaos"
 	"repro/internal/client"
 	"repro/internal/config"
@@ -229,6 +230,25 @@ func TestShardLockControlPlaneRace(t *testing.T) {
 	// A cut can lose a grant's response, never invent one.
 	if seen := steadyGrants + flakyGrants.Load(); seen > final.GrantsServed {
 		t.Errorf("clients observed %d grants, daemon served %d", seen, final.GrantsServed)
+	}
+	// Every ledger balances, across the cuts and resumes too: a grant is
+	// one immediate or one deferred wait, and the wait time is its convoy
+	// and protocol parts (added in another order, hence the tolerance).
+	for _, a := range final.Apps {
+		if a.Grants != a.WaitsImmediate+a.WaitsDeferred {
+			t.Errorf("%s on %q: %d grants, %d immediate + %d deferred waits",
+				a.Name, a.Target, a.Grants, a.WaitsImmediate, a.WaitsDeferred)
+		}
+		if !approx.Equal(a.WaitTimeS, a.ConvoyWaitS+a.ProtocolWaitS, 1e-9) {
+			t.Errorf("%s on %q: waited %g s, convoy %g + protocol %g",
+				a.Name, a.Target, a.WaitTimeS, a.ConvoyWaitS, a.ProtocolWaitS)
+		}
+	}
+	for _, ts := range final.Targets {
+		if ts.WaitsImmediate+ts.WaitsDeferred != ts.GrantsServed {
+			t.Errorf("target %q: %d grants served, %d immediate + %d deferred waits",
+				ts.Target, ts.GrantsServed, ts.WaitsImmediate, ts.WaitsDeferred)
+		}
 	}
 
 	tr, err := trace.Read(bytes.NewReader(buf.Bytes()))

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/wire"
 )
@@ -45,14 +44,10 @@ func (srv *Server) Stats() wire.Stats {
 // the latest decision. Runs under the shard's lock.
 func (sh *shard) snap(now float64) shardSnap {
 	sn := shardSnap{TargetStats: wire.TargetStats{
-		Target:         sh.target,
-		Apps:           len(sh.bindings),
-		Arbitrations:   sh.arbitrations,
-		GrantsServed:   sh.grantsServed,
-		WaitsImmediate: sh.goneWaitsImmediate,
-		WaitsDeferred:  sh.goneWaitsDeferred,
-		ConvoyWaitS:    sh.goneConvoyWait,
-		ProtocolWaitS:  sh.goneProtoWait,
+		Target:       sh.target,
+		Apps:         len(sh.bindings),
+		Arbitrations: sh.arbitrations,
+		GrantsServed: sh.grantsServed,
 	}}
 	if rec := sh.arb.LastRecord(); rec != nil {
 		sn.LastDecision = fmt.Sprintf("t=%.3f allowed=%v %s", rec.Time, rec.Allowed, rec.Reason)
@@ -64,37 +59,32 @@ func (sh *shard) snap(now float64) shardSnap {
 		sn.WaitHist = &wire.Hist{BoundsS: h.Bounds, Counts: h.Counts, SumS: h.Sum, Count: h.Count}
 	}
 	model := sh.srv.cfg.Model
+	tot := sh.gone // the totals: departed ledgers, then every live one
 	for _, a := range sh.arb.Apps() {
 		b, ok := a.Data.(*binding)
 		if !ok {
 			continue
 		}
 		v := a.View()
-		ioTime := b.ioTime
-		if v.State != core.Idle {
-			ioTime += now - b.phaseStart
-		}
+		ioTime := b.led.IOTimeAt(a, now)
 		as := wire.AppStats{
 			Name:           v.Name,
 			Target:         sh.target,
 			Cores:          v.Cores,
 			State:          v.State.String(),
 			Authorized:     a.Authorized(),
-			Phases:         b.phases,
-			Grants:         b.grants,
+			Phases:         b.led.Phases,
+			Grants:         b.led.Grants,
 			BytesTotal:     v.BytesTotal,
 			BytesDone:      v.BytesDone,
 			IOTimeS:        ioTime,
-			WaitTimeS:      b.waitTime,
-			WaitsImmediate: b.waitsImmediate,
-			WaitsDeferred:  b.waitsDeferred,
-			ConvoyWaitS:    b.convoyWait,
-			ProtocolWaitS:  b.protoWait,
+			WaitTimeS:      b.led.WaitS,
+			WaitsImmediate: b.led.WaitsImmediate,
+			WaitsDeferred:  b.led.WaitsDeferred,
+			ConvoyWaitS:    b.led.ConvoyWaitS,
+			ProtocolWaitS:  b.led.ProtocolWaitS,
 		}
-		sn.WaitsImmediate += b.waitsImmediate
-		sn.WaitsDeferred += b.waitsDeferred
-		sn.ConvoyWaitS += b.convoyWait
-		sn.ProtocolWaitS += b.protoWait
+		tot.Add(&b.led)
 		alone := 0.0
 		if model != nil {
 			// Live interference: observed time for the bytes moved so far
@@ -109,6 +99,8 @@ func (sh *shard) snap(now float64) shardSnap {
 		})
 		sn.apps = append(sn.apps, as)
 	}
+	sn.WaitsImmediate, sn.WaitsDeferred = tot.WaitsImmediate, tot.WaitsDeferred
+	sn.ConvoyWaitS, sn.ProtocolWaitS = tot.ConvoyWaitS, tot.ProtocolWaitS
 	return sn
 }
 

@@ -190,7 +190,8 @@ type AppStats struct {
 	// WaitsImmediate counts Waits answered without deferral (the app was
 	// already authorized — the only cost was the protocol round trip);
 	// WaitsDeferred counts Waits parked until a later arbitration granted
-	// access. Their sum is Grants.
+	// access. Their sum is Grants, across a resume too: the session's whole
+	// record moves to the new connection.
 	WaitsImmediate uint64 `json:"waits_immediate,omitempty"`
 	WaitsDeferred  uint64 `json:"waits_deferred,omitempty"`
 	// ConvoyWaitS and ProtocolWaitS decompose WaitTimeS by the cause at the
@@ -198,8 +199,9 @@ type AppStats struct {
 	// another authorized application (the fcfs start-up convoy the load
 	// generator's -stagger flag works around); protocol time was deferred
 	// with no other holder — pure arbitration/recheck latency (a delay
-	// policy holding everyone back, for example). Replay (internal/replay)
-	// computes the identical decomposition offline.
+	// policy holding everyone back, for example). Phases, Grants, IOTimeS
+	// and the wait figures come from the session's core.Ledger, which
+	// offline replay (internal/replay) keeps as well.
 	ConvoyWaitS   float64 `json:"convoy_wait_s,omitempty"`
 	ProtocolWaitS float64 `json:"protocol_wait_s,omitempty"`
 	// Interference is observed I/O time over model-estimated solo time for
