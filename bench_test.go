@@ -634,7 +634,8 @@ func BenchmarkReplayCompare(b *testing.B) {
 
 // BenchmarkTraceRead loads the same synthesized trace from its encoded
 // bytes: B/op is the event slice (reserved for the count in the trailer,
-// not grown into) plus an Info map per Prepare.
+// not grown into) plus a parsed info per Prepare, allocated a slab chunk at a
+// time; no map is built for a Prepare.
 func BenchmarkTraceRead(b *testing.B) {
 	tr := replaytest.Trace(64, 4, 20)
 	var buf bytes.Buffer

@@ -256,11 +256,13 @@
 // session, which the compiler propagates to every target the session
 // touches, at first touch — the daemon's lazy attach, reconstructed). A
 // compiled stream holds pointer-free steps (type, time, SID, dense session
-// index, bytes, the index of a registration or of a Prepare parsed once
-// with core.ParseInfo), the target's sessions in registration order and the
-// counts its replays size their logs from; every policy's replay of the
-// target reads the same one, so an info is parsed once per study, not once
-// per policy, and a session is found by index, not through a map.
+// index, bytes, the index of a registration or of a Prepare's parsed info,
+// trace.Event.Prepared: what the reader decoded straight from the record's
+// pairs, or core.ParseInfo of an in-memory event's map), the target's
+// sessions in registration order and the counts its replays size their logs
+// from; every policy's replay of the target reads the same one, so an info
+// is parsed once per study — by the reader, for a read trace — not once per
+// policy, and a session is found by index, not through a map.
 //
 // Replay has two modes. Verify replays a daemon trace under its own
 // recorded policy, re-arbitrating exactly where the recording did, and
@@ -536,9 +538,10 @@
 // capped while somebody else is not. So applications finish in the order of
 // their bytes per core, and core.PerfModel.sharedFinishTimes sorts by that
 // once and walks the order, dividing what each application has left by its
-// own rate at that point and taking its cores out — O(n log n), in the
-// Arbiter's Scratch, exact for this model rather than an approximation of
-// it. It divides per application (bytes left / (cores × ProcNIC), as
+// own rate at that point and taking its cores out — O(n log n) (a typed
+// insertion loop up to sortCutoff = 12 entries, pdqsort's own insertion
+// cutoff, and slices.SortFunc above it), in the Arbiter's Scratch, exact for
+// this model rather than an approximation of it. It divides per application (bytes left / (cores × ProcNIC), as
 // SoloTime does) and not per core, because with one application left writing
 // interfere and serialize are the same schedule and must cost the same
 // float: serialize, costed first, keeps such a tie. It agrees with the

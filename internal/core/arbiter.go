@@ -550,10 +550,19 @@ func (ar *Arbiter) Arbitrate(now float64) Outcome {
 }
 
 // sortByRegistration orders a decision's flips — found in queue order — by
-// registration index. Almost every decision flips at most one application
-// each way.
+// registration index, with an insertion loop up to sortCutoff flips. Almost
+// every decision flips at most one application each way; a delay decision
+// can flip a whole queue.
 func sortByRegistration(apps []*AppState) {
-	if len(apps) > 1 {
+	if len(apps) > sortCutoff {
 		slices.SortFunc(apps, func(a, b *AppState) int { return a.idx - b.idx })
+		return
+	}
+	for i := 1; i < len(apps); i++ {
+		a, j := apps[i], i
+		for ; j > 0 && a.idx < apps[j-1].idx; j-- {
+			apps[j] = apps[j-1]
+		}
+		apps[j] = a
 	}
 }

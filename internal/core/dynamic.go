@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"math"
 	"slices"
 )
@@ -41,8 +40,9 @@ func (m *PerfModel) SoloTime(v *AppView, bytes float64) float64 {
 
 // Scratch is the working memory a model policy estimates in: one solo time
 // per queued application, one schedule order and one set of finish times
-// that every candidate is costed in one after another, and the sort behind
-// the interference estimate. It belongs to the Arbiter, which hands it to its
+// that every candidate is costed in one after another, and the order behind
+// the interference estimate, sorted in place (sortShares: a typed insertion
+// loop up to sortCutoff entries). It belongs to the Arbiter, which hands it to its
 // policy on every Arbitrate call — not to the policy, a value that many
 // Arbiters share and decide with concurrently. Nothing in it outlives
 // the call or refers to the views, and the zero value is ready.
@@ -66,8 +66,40 @@ type coreShare struct {
 	i       int
 }
 
-func cmpCoreShare(a, b coreShare) int {
-	return cmp.Or(cmp.Compare(a.perCore, b.perCore), cmp.Compare(a.i, b.i))
+// before reports whether a finishes before b. No perCore is NaN: bytes left
+// are positive and cores at least 0, so it is positive or +Inf.
+func (a coreShare) before(b coreShare) bool {
+	return a.perCore < b.perCore || a.perCore == b.perCore && a.i < b.i
+}
+
+// sortCutoff is the length up to which the typed orders (sortShares,
+// sortByRegistration) sort with an insertion loop of their own: pdqsort's
+// insertion cutoff, below which slices.SortFunc insertion sorts too, only
+// through an indirect comparator call per compare. Longer slices go to
+// slices.SortFunc, so a deep queue still sorts in O(n log n).
+const sortCutoff = 12
+
+// sortShares orders shares by coreShare.before.
+func sortShares(shares []coreShare) {
+	if len(shares) > sortCutoff {
+		slices.SortFunc(shares, func(a, b coreShare) int {
+			if a.before(b) {
+				return -1
+			}
+			if b.before(a) {
+				return 1
+			}
+			return 0
+		})
+		return
+	}
+	for i := 1; i < len(shares); i++ {
+		sh, j := shares[i], i
+		for ; j > 0 && sh.before(shares[j-1]); j-- {
+			shares[j] = shares[j-1]
+		}
+		shares[j] = sh
+	}
 }
 
 // sharedFinishTimes estimates per-app completion times (from now) if all the
@@ -93,7 +125,7 @@ func (m *PerfModel) sharedFinishTimes(s *Scratch, apps []AppView) []float64 {
 			writing += cores
 		}
 	}
-	slices.SortFunc(s.shares, cmpCoreShare)
+	sortShares(s.shares)
 	now, served := 0.0, 0.0 // served: bytes per core everybody still writing has written
 	for k, sh := range s.shares {
 		a := &apps[sh.i]

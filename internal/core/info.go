@@ -31,50 +31,84 @@ const (
 )
 
 // ParsedInfo is one Prepare's info, parsed once and reduced to the keys a
-// policy can see: what AppState.Prepare stacks. A negative field was absent
-// or malformed. It is a plain value, so whoever receives an Info — the
-// simulator's Coordinator, a daemon shard, a compiled replay stream — parses
-// it where it arrives and can stack the result any number of times.
+// policy can see: what AppState.Prepare stacks. A negative field was absent,
+// malformed or negative, which a policy cannot tell apart; every such field
+// holds -1. It is a plain value, so whoever receives an Info — the
+// simulator's Coordinator, a daemon shard, a trace reader decoding a recorded
+// Prepare — parses it where it arrives and can stack the result any number of
+// times.
 type ParsedInfo struct {
 	bytesTotal, aloneBW  float64
 	files, rounds, cores int64
 }
 
 // ParseInfo parses the recognized keys of info, in one pass over the map. A
-// value that does not parse, or parses to NaN or an infinity (the info is
-// whatever a client sent), is ignored like a key that is not there.
+// value that does not parse, or parses to NaN, an infinity or a negative
+// number (the info is whatever a client sent), is ignored like a key that is
+// not there. ParseInfo(nil) has every key absent.
 func ParseInfo(info Info) ParsedInfo {
 	p := ParsedInfo{bytesTotal: -1, aloneBW: -1, files: -1, rounds: -1, cores: -1}
 	for k, s := range info {
-		switch k {
-		case KeyBytesTotal:
-			p.bytesTotal = parseFinite(s)
-		case KeyAloneBW:
-			p.aloneBW = parseFinite(s)
-		case KeyFiles:
-			p.files = parseInt(s)
-		case KeyRounds:
-			p.rounds = parseInt(s)
-		case KeyCores:
-			p.cores = parseInt(s)
-		}
+		p.Set(k, s)
 	}
 	return p
 }
 
-// parseFinite returns s as a finite float, or -1.
+// Set parses one key/value pair into p: a recognized key takes the value,
+// replacing what an earlier pair of that key left (absent when the value is
+// malformed), and any other key is ignored. Setting the pairs of an Info one
+// after another, in any order, gives ParseInfo of it; a decoder that meets a
+// key twice keeps the last value, as a map would. Neither string is retained.
+func (p *ParsedInfo) Set(key, value string) {
+	switch key {
+	case KeyBytesTotal:
+		p.bytesTotal = parseFinite(value)
+	case KeyAloneBW:
+		p.aloneBW = parseFinite(value)
+	case KeyFiles:
+		p.files = parseInt(value)
+	case KeyRounds:
+		p.rounds = parseInt(value)
+	case KeyCores:
+		p.cores = parseInt(value)
+	}
+}
+
+// Info returns the canonical Info of p: one pair per recognized key present,
+// in strconv's shortest form, so that ParseInfo of it is p again.
+func (p ParsedInfo) Info() Info {
+	in := Info{}
+	if p.bytesTotal >= 0 {
+		in.SetFloat(KeyBytesTotal, p.bytesTotal)
+	}
+	if p.aloneBW >= 0 {
+		in.SetFloat(KeyAloneBW, p.aloneBW)
+	}
+	if p.files >= 0 {
+		in.SetInt(KeyFiles, p.files)
+	}
+	if p.rounds >= 0 {
+		in.SetInt(KeyRounds, p.rounds)
+	}
+	if p.cores >= 0 {
+		in.SetInt(KeyCores, p.cores)
+	}
+	return in
+}
+
+// parseFinite returns s as a finite float that is not negative, or -1.
 func parseFinite(s string) float64 {
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || math.IsInf(v, 0) || math.IsNaN(v) {
+	if err != nil || math.IsInf(v, 0) || math.IsNaN(v) || v < 0 {
 		return -1
 	}
 	return v
 }
 
-// parseInt returns s as an integer, or -1.
+// parseInt returns s as an integer that is not negative, or -1.
 func parseInt(s string) int64 {
 	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
+	if err != nil || v < 0 {
 		return -1
 	}
 	return v

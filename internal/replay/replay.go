@@ -339,7 +339,7 @@ func compile(tr *trace.Trace) []stream {
 			st.regs = append(st.regs, registration{name: ev.App, cores: int(ev.Cores)})
 		case trace.EvPrepare:
 			s.arg = int32(len(st.infos))
-			st.infos = append(st.infos, core.ParseInfo(ev.Info))
+			st.infos = append(st.infos, ev.Prepared())
 		case trace.EvWait:
 			st.waits++
 		case trace.EvGrant, trace.EvRevoke:

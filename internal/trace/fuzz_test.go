@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"maps"
 	"math"
 	"testing"
 )
@@ -26,7 +25,8 @@ func fuzzSample(f *testing.F, hdr Header, opts Options, evs []Event) []byte {
 }
 
 // sameEvents compares event lists field by field, floats by their bits (a
-// trace may carry NaN, which == does not match).
+// trace may carry NaN, which == does not match), and a Prepare by what it
+// declares: Prepared, whether the info came as a map or parsed by a reader.
 func sameEvents(a, b []Event) bool {
 	if len(a) != len(b) {
 		return false
@@ -35,7 +35,7 @@ func sameEvents(a, b []Event) bool {
 		x, y := &a[i], &b[i]
 		if x.Type != y.Type || math.Float64bits(x.Time) != math.Float64bits(y.Time) || x.SID != y.SID ||
 			x.Cores != y.Cores || math.Float64bits(x.Bytes) != math.Float64bits(y.Bytes) ||
-			x.App != y.App || x.Target != y.Target || !maps.Equal(x.Info, y.Info) || (x.Info == nil) != (y.Info == nil) {
+			x.App != y.App || x.Target != y.Target || x.Prepared() != y.Prepared() {
 			return false
 		}
 	}
@@ -50,8 +50,9 @@ func sameEvents(a, b []Event) bool {
 // back to the same events — and ReadLenient must read it to the same events,
 // reporting no truncation. Seeds are the
 // golden-bytes corpus: a plain version-3 file, one with sync records, the
-// version-1 and version-2 encodings pinned by the compatibility tests, and
-// a mid-record truncation.
+// version-1 and version-2 encodings pinned by the compatibility tests, the
+// version-3 Prepare that declares every recognized key, and a mid-record
+// truncation.
 func FuzzReader(f *testing.F) {
 	events := []Event{
 		{Type: EvRegister, Time: 1.5, SID: 7, App: "ab", Cores: 3},
@@ -75,6 +76,7 @@ func FuzzReader(f *testing.F) {
 		"CALTRACE" + "\x01\x00" + "\x25\x00" +
 		`{"source":"calciomd","policy":"fcfs"}` +
 		"\x01\x00\x00\x00\x00\x00\x00\xf8\x3f\x07\x00\x00\x00\x02\x00ab\x03\x00\x00\x00"))
+	f.Add([]byte(v3Prepare))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, lenient := range []bool{false, true} {
 			r, err := NewReader(bytes.NewReader(data))

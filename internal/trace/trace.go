@@ -42,7 +42,8 @@
 //
 //	EvRegister    u16 name len + name bytes, u32 cores
 //	EvPrepare     u16 pair count, then per pair u16 len + key, u16 len + val
-//	                (keys sorted, so encoding is deterministic)
+//	                (keys sorted, so encoding is deterministic; a reader
+//	                decodes the pairs straight into a core.ParsedInfo)
 //	EvInform      f64 bytes done (0 = none reported)
 //	EvProgress    f64 bytes done
 //	EvRelease     f64 bytes done
@@ -61,6 +62,13 @@
 // whose per-target arbiter handled the event; version 3 adds the 0xFE sync
 // record. Version-1 files read back with every Target empty, which replays
 // as one shard — the single-target behavior they recorded.
+//
+// # Reading
+//
+// A Reader parses a Prepare's pairs as it decodes them, into a
+// core.ParsedInfo (Event.Parsed): it builds no map and keeps no value
+// strings, and a consumer that wants the info as policies see it asks
+// Event.Prepared, which parses Info for events built in memory instead.
 //
 // # Writer discipline
 //
@@ -86,6 +94,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/core"
 )
 
 // Version is the trace format version this package writes.
@@ -173,10 +183,26 @@ type Event struct {
 	// belongs to; "" is the default target (and the only value version-1
 	// traces can carry).
 	Target string
-	// Info is the EvPrepare payload. It is recorded by reference: the
-	// recorder must not mutate the map after Record (the daemon's request
-	// maps are write-once by construction).
+	// Info is the EvPrepare payload as a writer takes it; a read Prepare
+	// carries Parsed instead. It is recorded by reference: the recorder must
+	// not mutate the map after Record (the daemon's request maps are
+	// write-once by construction).
 	Info map[string]string
+	// Parsed is a read EvPrepare's payload, decoded straight from the
+	// record's pairs: no map is built for it. A Writer given an event with
+	// Parsed and no Info encodes Parsed.Info(), so a read trace records back
+	// to the same parsed values. Events from one read may share the memory
+	// Parsed points into; treat it as read-only.
+	Parsed *core.ParsedInfo
+}
+
+// Prepared returns an EvPrepare's info as the policies see it: *Parsed when
+// the event was read, and core.ParseInfo of Info when it was built in memory.
+func (ev *Event) Prepared() core.ParsedInfo {
+	if ev.Parsed != nil {
+		return *ev.Parsed
+	}
+	return core.ParseInfo(ev.Info)
 }
 
 // Header is the one-time JSON blob after the magic: where the trace came
@@ -429,12 +455,16 @@ func (w *Writer) encode(ev Event) {
 		}
 		b = binary.LittleEndian.AppendUint32(b, uint32(ev.Cores))
 	case EvPrepare:
-		if len(ev.Info) > math.MaxUint16 {
-			w.err = fmt.Errorf("trace: unencodable record: info with %d pairs", len(ev.Info))
+		info := ev.Info
+		if info == nil && ev.Parsed != nil {
+			info = ev.Parsed.Info()
+		}
+		if len(info) > math.MaxUint16 {
+			w.err = fmt.Errorf("trace: unencodable record: info with %d pairs", len(info))
 			return
 		}
-		keys := make([]string, 0, len(ev.Info))
-		for k := range ev.Info {
+		keys := make([]string, 0, len(info))
+		for k := range info {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
@@ -443,7 +473,7 @@ func (w *Writer) encode(ev Event) {
 			if b = w.appendString(b, k); b == nil {
 				return
 			}
-			if b = w.appendString(b, ev.Info[k]); b == nil {
+			if b = w.appendString(b, info[k]); b == nil {
 				return
 			}
 		}
@@ -472,7 +502,8 @@ var ErrTruncated = errors.New("trace: truncated (no trailer)")
 // Reader decodes a trace stream: NewReader parses the magic, version and
 // header; Next returns records until the trailer, then io.EOF. Records are
 // decoded in place, out of the Reader's buffer: each field is taken from
-// buf[pos:end] and nothing is copied out but the strings an Event keeps.
+// buf[pos:end] and nothing is copied out but the strings an Event keeps and
+// a Prepare's parsed info.
 type Reader struct {
 	src      io.Reader
 	buf      []byte
@@ -498,12 +529,18 @@ type Reader struct {
 	sawSync    bool
 	truncAfter uint64 // records successfully read before the tear
 
-	// interned holds the strings a long trace repeats on every record — a
-	// handful of target names, the Prepare keys — so Next allocates each
-	// once; lastTarget and lastKey are the most recent of each, which the
+	// interned holds the target names a long trace repeats on every record,
+	// so Next allocates each once; lastTarget is the most recent, which the
 	// next record usually repeats.
-	interned            map[string]string
-	lastTarget, lastKey string
+	interned   map[string]string
+	lastTarget string
+
+	// slab is where Prepares' parsed infos are allocated, one chunk at a
+	// time: events keep pointers into it, so a full chunk is left to them
+	// and a fresh one started. key holds a Prepare key while its value is
+	// taken (the take may move the buffer under it).
+	slab []core.ParsedInfo
+	key  []byte
 }
 
 // readBuffer is the Reader's buffer size; a field longer than it (a string
@@ -572,7 +609,9 @@ func (r *Reader) TruncatedAfter() uint64 { return r.truncAfter }
 // Next fills ev with the next record. It returns io.EOF after the trailer,
 // ErrTruncated when the stream ends without one, and a descriptive error on
 // corruption — except under SetLenient, where a torn tail ends the stream
-// cleanly. The Info map and App string are freshly allocated per record;
+// cleanly. A Prepare comes back with Parsed set and Info nil: its pairs are
+// parsed as they are decoded, into memory the Reader hands out in chunks
+// and never reuses. The App string is freshly allocated per record;
 // everything else reuses ev's storage.
 func (r *Reader) Next(ev *Event) error {
 	if r.done {
@@ -650,7 +689,7 @@ func (r *Reader) next(ev *Event) error {
 		if err != nil {
 			return fmt.Errorf("trace: %s target: %w", t, err)
 		}
-		ev.Target = r.intern(target, &r.lastTarget)
+		ev.Target = r.intern(target)
 	}
 	switch t {
 	case EvRegister:
@@ -670,20 +709,20 @@ func (r *Reader) next(ev *Event) error {
 			return fmt.Errorf("trace: prepare count: %w", noEOF(err))
 		}
 		n := int(binary.LittleEndian.Uint16(cnt))
-		info := make(map[string]string, n)
+		info := r.parsed()
 		for i := 0; i < n; i++ {
 			k, err := r.str()
 			if err != nil {
 				return fmt.Errorf("trace: prepare key: %w", err)
 			}
-			key := r.intern(k, &r.lastKey)
+			r.key = append(r.key[:0], k...)
 			v, err := r.str()
 			if err != nil {
 				return fmt.Errorf("trace: prepare value: %w", err)
 			}
-			info[key] = string(v)
+			info.Set(string(r.key), string(v))
 		}
-		ev.Info = info
+		ev.Parsed = info
 	case EvInform, EvProgress, EvRelease:
 		by, err := r.take(8)
 		if err != nil {
@@ -749,14 +788,14 @@ func (r *Reader) str() ([]byte, error) {
 	return b, noEOF(err)
 }
 
-// intern returns b as a string allocated once per distinct value: last, the
-// previous string of its kind, is checked first, then the table.
-func (r *Reader) intern(b []byte, last *string) string {
+// intern returns b as a string allocated once per distinct value: the
+// previous target name is checked first, then the table.
+func (r *Reader) intern(b []byte) string {
 	if len(b) == 0 {
 		return ""
 	}
-	if string(b) == *last {
-		return *last
+	if string(b) == r.lastTarget {
+		return r.lastTarget
 	}
 	s, ok := r.interned[string(b)]
 	if !ok {
@@ -766,8 +805,28 @@ func (r *Reader) intern(b []byte, last *string) string {
 		s = string(b)
 		r.interned[s] = s
 	}
-	*last = s
+	r.lastTarget = s
 	return s
+}
+
+// Slab chunk sizes: the first chunk holds minSlab parsed infos and each next
+// one twice its predecessor, up to maxSlab, so a short trace allocates
+// little and a long one a few chunks.
+const minSlab, maxSlab = 64, 4096
+
+// parsed takes the next slot of the slab, every key absent.
+func (r *Reader) parsed() *core.ParsedInfo {
+	n := len(r.slab)
+	if n == cap(r.slab) {
+		chunk := make([]core.ParsedInfo, min(max(2*n, minSlab), maxSlab))
+		absent := core.ParseInfo(nil)
+		for i := range chunk {
+			chunk[i] = absent
+		}
+		r.slab, n = chunk[:0], 0
+	}
+	r.slab = r.slab[:n+1]
+	return &r.slab[n]
 }
 
 // noEOF converts a mid-record io.EOF into io.ErrUnexpectedEOF so callers

@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"reflect"
+	"maps"
 	"strings"
 	"sync"
 	"testing"
@@ -70,8 +70,11 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("got %d events, want %d", len(tr.Events), len(evs))
 	}
 	for i := range evs {
-		if !reflect.DeepEqual(tr.Events[i], evs[i]) {
+		if !sameEvents(tr.Events[i:i+1], evs[i:i+1]) {
 			t.Fatalf("event %d: got %+v want %+v", i, tr.Events[i], evs[i])
+		}
+		if ev := &tr.Events[i]; ev.Type == EvPrepare && (ev.Info != nil || ev.Parsed == nil) {
+			t.Fatalf("event %d: a read Prepare carries Info %v and Parsed %v, want only Parsed", i, ev.Info, ev.Parsed)
 		}
 	}
 	first, last := tr.Span()
@@ -139,7 +142,7 @@ func TestReadVersion2(t *testing.T) {
 		t.Fatalf("got %d events, want %d", len(tr.Events), len(want))
 	}
 	for i := range want {
-		if !reflect.DeepEqual(tr.Events[i], want[i]) {
+		if !sameEvents(tr.Events[i:i+1], want[i:i+1]) {
 			t.Fatalf("event %d: got %+v want %+v", i, tr.Events[i], want[i])
 		}
 	}
@@ -173,12 +176,54 @@ func TestReadVersion1(t *testing.T) {
 		t.Fatalf("got %d events, want %d", len(tr.Events), len(want))
 	}
 	for i := range want {
-		if !reflect.DeepEqual(tr.Events[i], want[i]) {
+		if !sameEvents(tr.Events[i:i+1], want[i:i+1]) {
 			t.Fatalf("event %d: got %+v want %+v", i, tr.Events[i], want[i])
 		}
 		if tr.Events[i].Target != "" {
 			t.Fatalf("event %d: version-1 record decoded with target %q", i, tr.Events[i].Target)
 		}
+	}
+}
+
+// v3Prepare is a version-3 file of one Prepare declaring all five keys a
+// policy reads, one it does not know and one value that does not parse,
+// pinned byte for byte: the pairs the v1 and v2 files above carry are all
+// unknown, so this is the record through which reading a Prepare still
+// exercises a real parse.
+const v3Prepare = "" +
+	"CALTRACE" + "\x03\x00" + "\x25\x00" +
+	`{"source":"calciomd","policy":"fcfs"}` +
+	// prepare: type 2, time 2.0, sid 7, target "", 6 sorted pairs
+	"\x02\x00\x00\x00\x00\x00\x00\x00\x40\x07\x00\x00\x00\x00\x00\x06\x00" +
+	"\x08\x00alone_bw\x05\x002.5e9" + "\x0b\x00bytes_total\x04\x001024" + "\x06\x00colour\x04\x00blue" +
+	"\x05\x00cores\x02\x0064" + "\x05\x00files\x01\x003" + "\x06\x00rounds\x01\x00x" +
+	// trailer: 0xFF, time 0, recorded 1, dropped 0
+	"\xff\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+
+// TestReadVersion3Prepare: a Writer given the Prepare's map encodes
+// v3Prepare, and reading it yields the parse of that map — the recognized
+// keys with valid values, nothing of the unknown key or the malformed one —
+// which records back as its canonical pairs and reads back the same.
+func TestReadVersion3Prepare(t *testing.T) {
+	info := map[string]string{"alone_bw": "2.5e9", "bytes_total": "1024", "colour": "blue", "cores": "64", "files": "3", "rounds": "x"}
+	evs := []Event{{Type: EvPrepare, Time: 2, SID: 7, Info: info}}
+	if data := writeSample(t, Header{Source: SourceDaemon, Policy: "fcfs"}, evs); string(data) != v3Prepare {
+		t.Fatalf("version-3 prepare encoding changed:\n got %q\nwant %q", data, v3Prepare)
+	}
+	tr, err := Read(strings.NewReader(v3Prepare))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameEvents(tr.Events, evs) {
+		t.Fatalf("read %+v, want the parse of %v", tr.Events, info)
+	}
+	canonical := map[string]string{"alone_bw": "2.5e+09", "bytes_total": "1024", "cores": "64", "files": "3"}
+	if got := tr.Events[0].Prepared().Info(); !maps.Equal(got, canonical) {
+		t.Fatalf("parsed info %v, want %v", got, canonical)
+	}
+	back, err := Read(bytes.NewReader(writeSample(t, tr.Header, tr.Events)))
+	if err != nil || !sameEvents(back.Events, evs) {
+		t.Fatalf("re-recorded prepare reads back as %+v (err %v)", back.Events, err)
 	}
 }
 
