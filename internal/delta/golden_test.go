@@ -11,7 +11,7 @@ import (
 	"repro/internal/core"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the testdata/ decision-log goldens")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata/ goldens")
 
 // goldenScenario is testScenario made asymmetric — A writes two files, B one
 // and shows up 0.7 s into A's phase — so interrupt, delay and dynamic each
