@@ -384,6 +384,23 @@ func BenchmarkEngineEvents(b *testing.B) {
 	eng.Run()
 }
 
+// BenchmarkEngineTimerRearm re-arms one pending Timer among 64 pending
+// records, to a time that lands anywhere among them: the fabric's completion
+// timer, moved at every rate change while the simulation's other events wait.
+func BenchmarkEngineTimerRearm(b *testing.B) {
+	eng := sim.NewEngine()
+	for k := 1; k <= 64; k++ {
+		eng.After(float64(k), func() {})
+	}
+	tm := eng.NewTimer(func() {})
+	tm.ScheduleAt(0.5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tm.ScheduleAt(float64(i*37%128) / 2)
+	}
+}
+
 func BenchmarkEngineProcSleep(b *testing.B) {
 	eng := sim.NewEngine()
 	eng.Go("p", func(p *sim.Proc) {

@@ -448,12 +448,16 @@
 //     run's decisions past the next run takes a core.CloneLog of them
 //     (delta.RunOn does, which is why Result.Decisions is a snapshot);
 //     whoever prints them before the next run (calciom-sim, the examples)
-//     or only counts them (machine.Run, through LogLen) copies nothing.
+//     or only counts them (machine.Run, through LogLen) copies nothing. A
+//     delta.Sweeper's workers read no decision at all: each sets its
+//     pooled platform's Layer.SetLogBound(0), so their coordinated points
+//     log nothing (RunOn, calciom-sim and the decision-log goldens keep
+//     their logs).
 //   - ior.Runner.Reset: retains the armed workload (presets fold their
 //     defaults in exactly once, at construction, where the round plan and
-//     byte counts are derived too), cached file names and
-//     the Prepare info built from them; clears per-run statistics, keeping
-//     their backing.
+//     byte counts are derived too), cached file names and the Prepare info
+//     built from them, parsed once (core.ParseInfo) when the first phase
+//     needs it; clears per-run statistics, keeping their backing.
 //
 // Construction order is reproduced exactly on reuse (fabric, then server
 // links, then app NICs, then registrations), so dense IDs — and with them
@@ -503,9 +507,10 @@
 // at once, an Arbiter belongs to one goroutine. Pokes and
 // grant messages go through the handle-free sim.Engine.After, rechecks
 // through one sim.Timer, waits through the process's own Resumer, and
-// Coordinator.Prepare parses its info once (core.ParseInfo) into
-// AppState.Prepare's typed stack (Xeon @ 2.10GHz, 2 vCPU,
-// go1.24; the parent figures are the same benchmarks run on PR 12's tree):
+// Coordinator.Prepare takes a core.ParsedInfo, which ior.Runner parses
+// once and stacks on AppState.Prepare's typed stack every phase (Xeon @
+// 2.10GHz, 2 vCPU, go1.24; the parent figures are the same benchmarks run
+// on PR 12's tree):
 //
 //	BenchmarkDeltaPointReusedCoordinated       74.7 µs/op  406 allocs → 37.7 µs/op  0 allocs
 //	BenchmarkDeltaSweepFabricDenseCoordinated  1.85 ms/op  19580 allocs → 1.14 ms/op  ~5 allocs

@@ -60,8 +60,10 @@ func (c *Coordinator) IOTime() float64 { return c.led.IOTimeS }
 func (c *Coordinator) WaitTime() float64 { return c.led.WaitS }
 
 // Prepare stacks information about the upcoming I/O accesses, as the paper's
-// Prepare(MPI_Info) does. Recognized keys update the view the policies see.
-func (c *Coordinator) Prepare(info Info) { c.app.Prepare(ParseInfo(info)) }
+// Prepare(MPI_Info) does, parsed where the caller builds it (ParseInfo):
+// recognized keys update the view the policies see. A driver that prepares
+// the same info every phase parses it once and passes the value each time.
+func (c *Coordinator) Prepare(info ParsedInfo) { c.app.Prepare(info) }
 
 // Complete unstacks the most recent Prepare.
 func (c *Coordinator) Complete() {
@@ -160,7 +162,7 @@ type Session struct {
 func NewSession(c *Coordinator) *Session { return &Session{C: c} }
 
 // Begin opens an I/O phase: Prepare + Inform + Wait.
-func (s *Session) Begin(p *sim.Proc, info Info) {
+func (s *Session) Begin(p *sim.Proc, info ParsedInfo) {
 	s.C.Prepare(info)
 	s.C.Inform(p)
 	s.C.Wait(p)

@@ -50,7 +50,7 @@ func TestPropertyInfoRoundTrip(t *testing.T) {
 // roundTime seconds each, using the coordination session.
 func fakeIO(eng *sim.Engine, sess *Session, start float64, nrounds int, roundTime float64, info Info, done *float64) {
 	eng.GoAt(start, sess.C.Name(), func(p *sim.Proc) {
-		sess.Begin(p, info)
+		sess.Begin(p, ParseInfo(info))
 		for r := 0; r < nrounds; r++ {
 			p.Sleep(roundTime) // the "atomic access"
 			sess.C.Progress(float64(r+1) / float64(nrounds))
@@ -192,10 +192,10 @@ func TestPrepareCompleteStack(t *testing.T) {
 	base := Info{}
 	base.SetFloat(KeyBytesTotal, 100)
 	base.SetInt(KeyFiles, 2)
-	c.Prepare(base)
+	c.Prepare(ParseInfo(base))
 	over := Info{}
 	over.SetFloat(KeyBytesTotal, 50)
-	c.Prepare(over)
+	c.Prepare(ParseInfo(over))
 	v := c.app.View()
 	if v.BytesTotal != 50 || v.Files != 2 {
 		t.Fatalf("stacked view = %+v", v)
@@ -282,7 +282,7 @@ func TestDynamicPolicyEndToEnd(t *testing.T) {
 
 	var doneA, doneB float64
 	eng.Go("A", func(p *sim.Proc) {
-		a.Begin(p, infoA)
+		a.Begin(p, ParseInfo(infoA))
 		for r := 0; r < 4; r++ {
 			p.Sleep(2)
 			a.C.Progress(float64(2 * (r + 1)))
@@ -294,7 +294,7 @@ func TestDynamicPolicyEndToEnd(t *testing.T) {
 		doneA = p.Now()
 	})
 	eng.GoAt(1, "B", func(p *sim.Proc) {
-		b.Begin(p, infoB)
+		b.Begin(p, ParseInfo(infoB))
 		p.Sleep(2)
 		b.C.Progress(2)
 		b.End(p)

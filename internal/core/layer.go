@@ -138,6 +138,11 @@ func (l *Layer) Latency() float64 { return l.latency }
 // Log returns the arbitration decision log, valid until the next Reset.
 func (l *Layer) Log() []DecisionRecord { return l.arb.Log() }
 
+// SetLogBound bounds the decision log, as Arbiter.SetLogBound does: a
+// harness that reads no decisions (a ∆-sweep worker) sets 0 and logs
+// nothing. Set it before the first arbitration.
+func (l *Layer) SetLogBound(n int) { l.arb.SetLogBound(n) }
+
 // LogLen returns the number of decisions logged.
 func (l *Layer) LogLen() int { return len(l.arb.log) }
 

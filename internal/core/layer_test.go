@@ -50,7 +50,7 @@ func driveLayer(p Policy, names []string, schedule []byte) string {
 			case verbPrepare:
 				info := Info{}
 				info.SetFloat(KeyBytesTotal, 1e7*float64(1+arg%13))
-				c.Prepare(info)
+				c.Prepare(ParseInfo(info))
 			case verbInform:
 				c.Inform(pr)
 			case verbWait:

@@ -35,7 +35,7 @@ func randomScenario(seed int64, policy Policy, nApps int) (*Layer, bool) {
 				info.SetFloat(KeyBytesTotal, bytes)
 				info.SetFloat(KeyAloneBW, 1)
 				info.SetInt(KeyCores, int64(cores))
-				sess.Begin(p, info)
+				sess.Begin(p, ParseInfo(info))
 				for r := 0; r < rounds; r++ {
 					p.Sleep(roundTime)
 					sess.C.Progress(float64(r+1) * roundTime)
@@ -154,7 +154,7 @@ func TestPropertyLoneAppNeverWaits(t *testing.T) {
 		eng.Go("A", func(p *sim.Proc) {
 			info := Info{}
 			info.SetFloat(KeyBytesTotal, 1)
-			sess.Begin(p, info)
+			sess.Begin(p, ParseInfo(info))
 			p.Sleep(ioTime)
 			sess.End(p)
 			done = p.Now()

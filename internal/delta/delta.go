@@ -220,10 +220,12 @@ func (sc Scenario) Sweep(factory PolicyFactory, dts []float64) Series {
 // Sweeper is a persistent ∆-sweep executor: it owns the solo-calibration
 // pool, and a set of persistent worker goroutines (one platform pool each)
 // fed per sweep through a channel, all reused across Sweep calls — a
-// repeated sweep pays neither platform construction, solo recalibration nor
-// worker-goroutine spawning; the steady-state SweepInto performs zero
-// allocations (TestSweeperSteadyStateAllocs). Results are bit-identical to
-// a fresh Sweep.
+// repeated sweep pays neither platform construction nor worker-goroutine
+// spawning. It does re-run both solo calibrations on every call, as two more
+// runs on the calibration pool's reused platforms. The workers' coordination
+// layers keep no decision log (a Series reads none). The steady-state
+// SweepInto performs zero allocations (TestSweeperSteadyStateAllocs).
+// Results are bit-identical to a fresh Sweep.
 //
 // Like platform.Pool, a Sweeper cannot distinguish policy constructors: use
 // one Sweeper per policy family (the pools would otherwise hand a platform
@@ -279,6 +281,9 @@ type sweepJob struct {
 // results are independent of the worker count and of scheduling order.
 func (job *sweepJob) run(pool *platform.Pool) {
 	pl := pool.Acquire(job.spec, job.factory)
+	if pl.Layer != nil {
+		pl.Layer.SetLogBound(0) // a Series reads no decision; the pool is the worker's own
+	}
 	var starts [2]float64
 	n := len(job.dts)
 	s := job.s

@@ -12,10 +12,11 @@
 //
 // The solver is the hot path of every TrueNetwork simulation, so it is
 // index-based and allocation-free in steady state: links carry dense integer
-// IDs indexing reusable per-link scratch arrays, memberships are slices with
-// swap-delete (no maps), and all iteration is in slice order, which makes
-// floating-point accumulation order — and therefore every simulated rate —
-// reproducible bit-for-bit across runs.
+// IDs indexing the capacities and reusable per-link scratch arrays, a flow's
+// path holds each link's ID beside it so the fill reads no Link, memberships
+// are slices with swap-delete (no maps), and all iteration is in slice
+// order, which makes floating-point accumulation order — and therefore every
+// simulated rate — reproducible bit-for-bit across runs.
 //
 // A caller making several changes at one instant — a striped request starting
 // one flow per server — brackets them with Hold and Release. Inside the hold
@@ -37,13 +38,13 @@ import (
 )
 
 // Link is one capacity-limited element of the fabric. Links have dense IDs
-// (creation order) that index the solver's per-link scratch arrays.
+// (creation order) that index the fabric's capacities and the solver's
+// per-link scratch arrays.
 type Link struct {
-	fab      *Fabric
-	id       int
-	name     string
-	capacity float64
-	flows    []linkRef // flows currently crossing this link
+	fab   *Fabric
+	id    int
+	name  string
+	flows []linkRef // flows currently crossing this link
 }
 
 // linkRef is one entry of a link's membership slice: the flow plus the index
@@ -51,14 +52,23 @@ type Link struct {
 // can repair the other side's back-index in O(1).
 type linkRef struct {
 	f    *Flow
-	slot int // index of this link in f.links / f.pos
+	slot int // index of this link's hop in f.path
+}
+
+// hop is one link of a flow's path: the link, its dense ID (so the solver
+// indexes its arrays without reading the Link) and the flow's position in
+// the link's membership slice.
+type hop struct {
+	link *Link
+	id   int
+	pos  int // index of the flow in link.flows
 }
 
 // Name returns the link name.
 func (l *Link) Name() string { return l.name }
 
 // Capacity returns the link capacity.
-func (l *Link) Capacity() float64 { return l.capacity }
+func (l *Link) Capacity() float64 { return l.fab.capacity[l.id] }
 
 // Flows returns the number of flows currently crossing the link.
 func (l *Link) Flows() int { return len(l.flows) }
@@ -69,7 +79,7 @@ func (l *Link) SetCapacity(c float64) {
 		panic("fabric: negative or NaN capacity")
 	}
 	l.fab.advance()
-	l.capacity = c
+	l.fab.capacity[l.id] = c
 	l.fab.reassign()
 }
 
@@ -79,11 +89,11 @@ type Flow struct {
 	id        uint64 // creation sequence; total-order tiebreak
 	idx       int    // index in fab.flows; -1 once done or cancelled
 	name      string
-	links     []*Link
-	pos       []int // pos[k] = index of this flow in links[k].flows
+	path      []hop
 	weight    float64
 	remaining float64
 	total     float64
+	eps       float64 // completion tolerance: done once remaining <= eps
 	rate      float64
 	done      bool
 	cancelled bool
@@ -112,7 +122,8 @@ func (f *Flow) Remaining() float64 {
 type Fabric struct {
 	eng        *sim.Engine
 	links      []*Link
-	flows      []*Flow // active flows, dense, swap-delete on removal
+	capacity   []float64 // indexed by Link.id
+	flows      []*Flow   // active flows, dense, swap-delete on removal
 	nextID     uint64
 	lastUpdate float64
 	completion *sim.Timer
@@ -150,8 +161,9 @@ func (fb *Fabric) NewLink(name string, capacity float64) *Link {
 	if capacity < 0 || math.IsNaN(capacity) {
 		panic(fmt.Sprintf("fabric: negative or NaN capacity %v", capacity))
 	}
-	l := &Link{fab: fb, id: len(fb.links), name: name, capacity: capacity}
+	l := &Link{fab: fb, id: len(fb.links), name: name}
 	fb.links = append(fb.links, l)
+	fb.capacity = append(fb.capacity, capacity)
 	fb.linkRemaining = append(fb.linkRemaining, 0)
 	fb.linkActive = append(fb.linkActive, 0)
 	fb.linkWeight = append(fb.linkWeight, 0)
@@ -177,21 +189,21 @@ func (fb *Fabric) Start(name string, bytes, weight float64, links []*Link, onDon
 	f := fb.getFlow()
 	f.fab, f.id, f.name, f.weight = fb, fb.nextID, name, weight
 	f.remaining, f.total, f.onDone = bytes, bytes, onDone
-	f.rate, f.done, f.cancelled = 0, false, false
-	f.links = append(f.links[:0], links...)
-	f.pos = f.pos[:0]
-	for range links {
-		f.pos = append(f.pos, 0)
+	f.eps = bytes * 1e-9
+	if f.eps < 1e-6 {
+		f.eps = 1e-6
 	}
+	f.rate, f.done, f.cancelled = 0, false, false
 	fb.nextID++
 	fb.advance()
 	f.idx = len(fb.flows)
 	fb.flows = append(fb.flows, f)
-	for k, l := range f.links {
+	f.path = f.path[:0]
+	for k, l := range links {
 		if l.fab != fb {
 			panic("fabric: link belongs to a different fabric")
 		}
-		f.pos[k] = len(l.flows)
+		f.path = append(f.path, hop{link: l, id: l.id, pos: len(l.flows)})
 		l.flows = append(l.flows, linkRef{f: f, slot: k})
 	}
 	fb.reassign()
@@ -253,13 +265,13 @@ func (f *Flow) Cancel() {
 // remove unlinks f from the active set and every link it crosses, repairing
 // the swapped-in entries' back-indices.
 func (fb *Fabric) remove(f *Flow) {
-	for k, l := range f.links {
-		p := f.pos[k]
+	for _, h := range f.path {
+		l, p := h.link, h.pos
 		last := len(l.flows) - 1
 		if p != last {
 			moved := l.flows[last]
 			l.flows[p] = moved
-			moved.f.pos[moved.slot] = p
+			moved.f.path[moved.slot].pos = p
 		}
 		l.flows[last] = linkRef{}
 		l.flows = l.flows[:last]
@@ -290,14 +302,6 @@ func (fb *Fabric) advance() {
 	fb.lastUpdate = now
 }
 
-func (f *Flow) eps() float64 {
-	e := f.total * 1e-9
-	if e < 1e-6 {
-		e = 1e-6
-	}
-	return e
-}
-
 // reassign completes finished flows, recomputes max-min rates and schedules
 // the next completion. All simultaneous completions are collected and
 // removed in one batch, so N flows finishing at the same instant cost one
@@ -306,7 +310,7 @@ func (f *Flow) eps() float64 {
 func (fb *Fabric) reassign() {
 	finished := fb.finished[:0]
 	for _, f := range fb.flows {
-		if f.remaining <= f.eps() {
+		if f.remaining <= f.eps {
 			f.remaining = 0
 			f.done = true
 			f.rate = 0
@@ -421,11 +425,9 @@ func (fb *Fabric) progressiveFill() {
 	remaining := fb.linkRemaining
 	active := fb.linkActive
 	weight := fb.linkWeight
-	for i, l := range fb.links {
-		remaining[i] = l.capacity
-		active[i] = 0
-		weight[i] = 0
-	}
+	copy(remaining, fb.capacity)
+	clear(active)
+	clear(weight)
 	if cap(fb.frozen) < len(fb.flows) {
 		fb.frozen = make([]bool, len(fb.flows))
 	}
@@ -433,9 +435,9 @@ func (fb *Fabric) progressiveFill() {
 	for i, f := range fb.flows {
 		frozen[i] = false
 		f.rate = 0
-		for _, l := range f.links {
-			active[l.id]++
-			weight[l.id] += f.weight
+		for _, h := range f.path {
+			active[h.id]++
+			weight[h.id] += f.weight
 		}
 	}
 	unfrozen := len(fb.flows)
@@ -445,7 +447,7 @@ func (fb *Fabric) progressiveFill() {
 		// remaining / weight-of-active-flows.
 		level := math.Inf(1)
 		tight := -1
-		for i := range fb.links {
+		for i := range remaining {
 			if active[i] == 0 || weight[i] <= 0 {
 				continue
 			}
@@ -473,10 +475,10 @@ func (fb *Fabric) progressiveFill() {
 			}
 			inc := level * f.weight
 			f.rate += inc
-			for _, l := range f.links {
-				remaining[l.id] -= inc
-				if remaining[l.id] < 0 {
-					remaining[l.id] = 0
+			for _, h := range f.path {
+				remaining[h.id] -= inc
+				if remaining[h.id] < 0 {
+					remaining[h.id] = 0
 				}
 			}
 		}
@@ -487,9 +489,9 @@ func (fb *Fabric) progressiveFill() {
 			}
 			frozen[f.idx] = true
 			unfrozen--
-			for _, l := range f.links {
-				active[l.id]--
-				weight[l.id] -= f.weight
+			for _, h := range f.path {
+				active[h.id]--
+				weight[h.id] -= f.weight
 			}
 		}
 	}

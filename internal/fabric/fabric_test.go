@@ -237,8 +237,8 @@ func TestPropertyCapacityRespected(t *testing.T) {
 		}
 		ok := true
 		for _, l := range links {
-			if sum := linkRate(l); sum > l.capacity*(1+1e-9) {
-				t.Logf("seed %d: link over capacity: %v > %v", seed, sum, l.capacity)
+			if sum := linkRate(l); sum > l.Capacity()*(1+1e-9) {
+				t.Logf("seed %d: link over capacity: %v > %v", seed, sum, l.Capacity())
 				ok = false
 			}
 		}
@@ -246,9 +246,9 @@ func TestPropertyCapacityRespected(t *testing.T) {
 		// crosses at least one saturated link.
 		for _, fl := range flows {
 			bottlenecked := false
-			for _, l := range fl.links {
-				sum := linkRate(l)
-				if sum >= l.capacity*(1-1e-9) {
+			for _, h := range fl.path {
+				sum := linkRate(h.link)
+				if sum >= h.link.Capacity()*(1-1e-9) {
 					bottlenecked = true
 				}
 			}

@@ -228,9 +228,9 @@ func (s *Stats) TotalBytes() int64 {
 // Runner executes a workload for one application. A Runner is reusable: the
 // workload is armed (defaults folded in, round plan and byte counts derived)
 // once at construction, and Reset clears only the per-run statistics, keeping
-// the armed workload, the cached file names and Prepare info and the stats
-// backing array, so re-running a scenario on a reused platform allocates
-// nothing in steady state. W must not be changed after NewRunner.
+// the armed workload, the cached file names, the parsed Prepare info and the
+// stats backing array, so re-running a scenario on a reused platform
+// allocates nothing in steady state. W must not be changed after NewRunner.
 type Runner struct {
 	App     *mpi.App
 	W       Workload
@@ -246,9 +246,11 @@ type Runner struct {
 	// repeated runs of a reused runner format no strings.
 	fileNames []string
 
-	// info is the Prepare info of every phase, built on first use: it
-	// depends only on the armed workload and the application.
-	info core.Info
+	// info is the parsed Prepare info of every phase, built and parsed on
+	// first use (hasInfo): it depends only on the armed workload and the
+	// application.
+	info    core.ParsedInfo
+	hasInfo bool
 
 	// What every phase of the armed workload shares, derived once.
 	plan       plan
@@ -344,8 +346,8 @@ func (r *Runner) runPhase(p *sim.Proc, phase int) {
 	// the paper measures the serialized application's write time.
 	ps := PhaseStat{Start: p.Now()}
 	if r.Session != nil {
-		if r.info == nil {
-			r.info = Info(app, *w)
+		if !r.hasInfo {
+			r.info, r.hasInfo = core.ParseInfo(Info(app, *w)), true
 		}
 		t0 := p.Now()
 		r.Session.Begin(p, r.info)

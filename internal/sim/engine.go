@@ -9,7 +9,10 @@
 // what that means for a discarded engine and for a body that panics.
 //
 // Time is a float64 number of seconds. Ties are broken by event creation
-// order, so schedules built in the same order replay identically.
+// order, so schedules built in the same order replay identically. Pending
+// events wait in a binary heap typed to the engine's records (eventHeap):
+// it compares (time, sequence) inline, keeps each record's heap index for
+// Cancel, and lets a re-armed Timer move its record in place.
 //
 // The engine is built for allocation-free steady-state operation: fired and
 // cancelled event records return to a free list, zero-delay callbacks run
@@ -18,7 +21,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"runtime"
@@ -51,33 +53,96 @@ func (ev *Event) Time() float64 { return ev.time }
 // Cancelled reports whether the event has fired or been cancelled.
 func (ev *Event) Cancelled() bool { return ev.rec == nil }
 
+// eventHeap is a binary min-heap of records ordered by (time, seq) that
+// keeps every queued record's idx current. The order is strict and total —
+// each record takes a fresh sequence number when it is queued — so the pop
+// order depends only on what was queued, never on the heap's layout.
 type eventHeap []*record
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
+// before is the heap order: earlier time first, then creation order.
+func before(a, b *record) bool {
+	return a.time < b.time || (a.time == b.time && a.seq < b.seq)
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	r := x.(*record)
-	r.idx = len(*h)
+
+// push queues r.
+func (h *eventHeap) push(r *record) {
 	*h = append(*h, r)
+	h.up(r, len(*h)-1)
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	r := old[n-1]
-	old[n-1] = nil
+
+// pop removes and returns the first record.
+func (h *eventHeap) pop() *record {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s[n] = nil
+	*h = s[:n]
+	if n > 0 {
+		h.down(last, 0)
+	}
+	top.idx = -1
+	return top
+}
+
+// remove takes the queued record r out of the heap.
+func (h *eventHeap) remove(r *record) {
+	s := *h
+	i, n := r.idx, len(s)-1
+	last := s[n]
+	s[n] = nil
+	*h = s[:n]
+	if i != n {
+		h.fix(last, i)
+	}
 	r.idx = -1
-	*h = old[:n-1]
-	return r
+}
+
+// fix restores the order around r, placed at index i, after its key changed
+// or after it filled the hole a removal left at i.
+func (h eventHeap) fix(r *record, i int) {
+	if i > 0 && before(r, h[(i-1)/2]) {
+		h.up(r, i)
+	} else {
+		h.down(r, i)
+	}
+}
+
+// up moves r from the hole at index i towards the root until its parent
+// comes before it, shifting the parents it passes down into the hole.
+func (h eventHeap) up(r *record, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		q := h[p]
+		if !before(r, q) {
+			break
+		}
+		h[i], q.idx = q, i
+		i = p
+	}
+	h[i], r.idx = r, i
+}
+
+// down moves r from the hole at index i towards the leaves until no child
+// comes before it, shifting the smaller child up into the hole each step.
+func (h eventHeap) down(r *record, i int) {
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && before(h[c+1], h[c]) {
+			c++
+		}
+		q := h[c]
+		if !before(q, r) {
+			break
+		}
+		h[i], q.idx = q, i
+		i = c
+	}
+	h[i], r.idx = r, i
 }
 
 // zeroCall is one entry of the zero-delay FIFO ring. Entries are created by
@@ -226,7 +291,7 @@ func (e *Engine) push(t float64, fn func()) *record {
 	r.seq = e.seq
 	r.fn = fn
 	e.seq++
-	heap.Push(&e.events, r)
+	e.events.push(r)
 	return r
 }
 
@@ -250,7 +315,7 @@ func (e *Engine) Cancel(ev *Event) {
 	}
 	r := ev.rec
 	if r.idx >= 0 {
-		heap.Remove(&e.events, r.idx)
+		e.events.remove(r)
 	}
 	e.release(r)
 }
@@ -343,7 +408,7 @@ func (e *Engine) RunUntil(horizon float64) float64 {
 		if next.time > horizon {
 			break
 		}
-		heap.Pop(&e.events)
+		e.events.pop()
 		e.now = next.time
 		fn := next.fn
 		e.release(next)
@@ -394,18 +459,22 @@ func (t *Timer) ScheduleAt(at float64) {
 	if at < e.now || math.IsNaN(at) {
 		panic(fmt.Sprintf("sim: scheduling in the past or at NaN: t=%v now=%v", at, e.now))
 	}
-	t.Cancel()
-	t.rec.time = at
-	t.rec.seq = e.seq
-	t.rec.fn = t.fn
+	r := &t.rec
+	r.time = at
+	r.seq = e.seq
+	r.fn = t.fn
 	e.seq++
-	heap.Push(&e.events, &t.rec)
+	if r.idx >= 0 {
+		e.events.fix(r, r.idx) // re-armed in place: the key changed, the record did not
+	} else {
+		e.events.push(r)
+	}
 }
 
 // Cancel disarms a pending timer; a no-op if the timer is not pending.
 func (t *Timer) Cancel() {
 	if t.rec.idx >= 0 {
-		heap.Remove(&t.eng.events, t.rec.idx)
+		t.eng.events.remove(&t.rec)
 		t.rec.fn = nil
 	}
 }
