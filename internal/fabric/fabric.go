@@ -355,7 +355,6 @@ func (fb *Fabric) fill() {
 	}
 	fb.progressiveFill()
 
-	fb.completion.Cancel()
 	next := math.Inf(1)
 	for _, f := range fb.flows {
 		if f.rate > 0 {
@@ -364,8 +363,10 @@ func (fb *Fabric) fill() {
 			}
 		}
 	}
-	if !math.IsInf(next, 1) {
-		fb.completion.Schedule(next)
+	if math.IsInf(next, 1) {
+		fb.completion.Cancel()
+	} else {
+		fb.completion.Schedule(next) // re-armed in place if still pending
 	}
 }
 
