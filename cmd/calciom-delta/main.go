@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -25,40 +26,62 @@ import (
 
 const miB = int64(1) << 20
 
-func main() {
-	cfgFile := flag.String("config", "", "JSON scenario file (overrides platform/app flags; see examples/scenario.json)")
-	platform := flag.String("platform", "rennes", "platform: rennes | nancy | surveyor")
-	procsA := flag.Int("procs-a", 336, "processes of application A")
-	procsB := flag.Int("procs-b", 336, "processes of application B")
-	mibPerProc := flag.Int64("mib-per-proc", 16, "MiB written per process")
-	pattern := flag.String("pattern", "contiguous", "pattern: contiguous | strided")
-	policies := flag.String("policies", "interfere,fcfs", "comma-separated: "+delta.PolicyNames)
-	dtMin := flag.Float64("dt-min", -15, "minimum dt (seconds)")
-	dtMax := flag.Float64("dt-max", 15, "maximum dt (seconds)")
-	points := flag.Int("points", 21, "sweep points")
-	factors := flag.Bool("factors", false, "plot interference factors instead of times")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it writes the tables and the plot to stdout and
+// returns the exit status, 2 for any error — every one is the command
+// line's or its scenario file's.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("calciom-delta", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	cfgFile := fs.String("config", "", "JSON scenario file (overrides platform/app flags; see examples/scenario.json)")
+	platform := fs.String("platform", "rennes", "platform: rennes | nancy | surveyor")
+	procsA := fs.Int("procs-a", 336, "processes of application A")
+	procsB := fs.Int("procs-b", 336, "processes of application B")
+	mibPerProc := fs.Int64("mib-per-proc", 16, "MiB written per process")
+	pattern := fs.String("pattern", "contiguous", "pattern: contiguous | strided")
+	policies := fs.String("policies", "interfere,fcfs", "comma-separated: "+delta.PolicyNames)
+	dtMin := fs.Float64("dt-min", -15, "minimum dt (seconds)")
+	dtMax := fs.Float64("dt-max", 15, "maximum dt (seconds)")
+	points := fs.Int("points", 21, "sweep points")
+	factors := fs.Bool("factors", false, "plot interference factors instead of times")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, format+"\n", a...)
+		return 2
+	}
 	if err := checkSweep(*points, *dtMin, *dtMax); err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
+	}
+	var factories []delta.PolicyFactory
+	for _, pname := range strings.Split(*policies, ",") {
+		factory, ok := delta.PolicyByName(strings.TrimSpace(pname))
+		if !ok {
+			return fail("unknown policy %q", pname)
+		}
+		factories = append(factories, factory)
 	}
 
-	var sc delta.Scenario
 	if *cfgFile != "" {
-		var err error
-		sc, err = config.Load(*cfgFile)
+		sc, err := config.Load(*cfgFile)
 		if err != nil {
-			fatalf("%v", err)
+			return fail("%v", err)
 		}
 		if len(sc.Apps) != 2 {
-			fatalf("config must define exactly 2 apps for a ∆-graph, got %d", len(sc.Apps))
+			return fail("config must define exactly 2 apps for a ∆-graph, got %d", len(sc.Apps))
 		}
-		runSweeps(sc, *policies, *dtMin, *dtMax, *points, *factors)
-		return
+		runSweeps(stdout, sc, factories, *dtMin, *dtMax, *points, *factors)
+		return 0
 	}
 
 	sc, nodes, ok := experiments.PlatformByName(*platform)
 	if !ok {
-		fatalf("unknown platform %q", *platform)
+		return fail("unknown platform %q", *platform)
 	}
 
 	w := ior.Workload{
@@ -75,39 +98,36 @@ func main() {
 	case "strided":
 		w.Pattern = ior.Strided
 	default:
-		fatalf("unknown pattern %q", *pattern)
+		return fail("unknown pattern %q", *pattern)
 	}
 
 	sc.Apps = []delta.AppSpec{
 		{Name: "A", Procs: *procsA, Nodes: nodes(*procsA), W: w, Gran: ior.PerRound},
 		{Name: "B", Procs: *procsB, Nodes: nodes(*procsB), W: w, Gran: ior.PerRound},
 	}
-	fmt.Printf("platform=%s A=%d procs B=%d procs %s %d MiB/proc\n\n",
+	fmt.Fprintf(stdout, "platform=%s A=%d procs B=%d procs %s %d MiB/proc\n\n",
 		sc.Name, *procsA, *procsB, *pattern, *mibPerProc)
-	runSweeps(sc, *policies, *dtMin, *dtMax, *points, *factors)
+	runSweeps(stdout, sc, factories, *dtMin, *dtMax, *points, *factors)
+	return 0
 }
 
 // runSweeps sweeps every requested policy and prints tables plus one plot.
-func runSweeps(sc delta.Scenario, policies string, dtMin, dtMax float64, points int, factors bool) {
+func runSweeps(stdout io.Writer, sc delta.Scenario, factories []delta.PolicyFactory, dtMin, dtMax float64, points int, factors bool) {
 	dts := make([]float64, points)
 	for i := range dts {
 		dts[i] = dtMin + (dtMax-dtMin)*float64(i)/float64(points-1)
 	}
 
 	var plotSeries []textplot.Series
-	for _, pname := range strings.Split(policies, ",") {
-		factory, ok := delta.PolicyByName(strings.TrimSpace(pname))
-		if !ok {
-			fatalf("unknown policy %q", pname)
-		}
+	for _, factory := range factories {
 		s := sc.Sweep(factory, dts)
-		fmt.Printf("policy %-12s soloA=%.3fs soloB=%.3fs\n", s.Policy, s.SoloA, s.SoloB)
-		fmt.Printf("%8s  %10s  %10s  %8s  %8s\n", "dt", "timeA", "timeB", "factorA", "factorB")
+		fmt.Fprintf(stdout, "policy %-12s soloA=%.3fs soloB=%.3fs\n", s.Policy, s.SoloA, s.SoloB)
+		fmt.Fprintf(stdout, "%8s  %10s  %10s  %8s  %8s\n", "dt", "timeA", "timeB", "factorA", "factorB")
 		for i := range dts {
-			fmt.Printf("%8.2f  %10.3f  %10.3f  %8.3f  %8.3f\n",
+			fmt.Fprintf(stdout, "%8.2f  %10.3f  %10.3f  %8.3f  %8.3f\n",
 				dts[i], s.TimeA[i], s.TimeB[i], s.FactorA[i], s.FactorB[i])
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		ya, yb := s.TimeA, s.TimeB
 		if factors {
 			ya, yb = s.FactorA, s.FactorB
@@ -122,7 +142,7 @@ func runSweeps(sc delta.Scenario, policies string, dtMin, dtMax float64, points 
 	if factors {
 		ylabel = "interference factor"
 	}
-	fmt.Println(textplot.Line("∆-graph: "+ylabel+" vs dt", dts, plotSeries, 72, 18))
+	fmt.Fprintln(stdout, textplot.Line("∆-graph: "+ylabel+" vs dt", dts, plotSeries, 72, 18))
 }
 
 // checkSweep rejects a sweep the engine cannot run: under two points there
@@ -136,9 +156,4 @@ func checkSweep(points int, dtMin, dtMax float64) error {
 		return fmt.Errorf("-dt-min and -dt-max must be finite, got %v and %v", dtMin, dtMax)
 	}
 	return nil
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(2)
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -26,6 +27,28 @@ func TestCheckSweep(t *testing.T) {
 	} {
 		if err := checkSweep(tc.points, tc.dtMin, tc.dtMax); (err == nil) != tc.ok {
 			t.Errorf("checkSweep(%d, %v, %v) = %v, want ok=%v", tc.points, tc.dtMin, tc.dtMax, err, tc.ok)
+		}
+	}
+}
+
+// TestUsageErrors: every error is the command line's, exits 2 and comes
+// before anything is printed.
+func TestUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-nonesuch"},
+		{"-platform", "nonesuch"},
+		{"-pattern", "nonesuch"},
+		{"-policies", "fcfs,nonesuch"},
+		{"-points", "1"},
+		{"-dt-min", "NaN"},
+		{"-config", "nonesuch.json"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("calciom-delta %q: exit %d, want 2", args, code)
+		}
+		if stdout.Len() > 0 || stderr.Len() == 0 {
+			t.Errorf("calciom-delta %q printed %q to stdout and %q to stderr", args, stdout.String(), stderr.String())
 		}
 	}
 }

@@ -13,58 +13,67 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
 	"repro/internal/experiments"
 )
 
-func main() {
-	list := flag.Bool("list", false, "list experiment IDs and exit")
-	run := flag.String("run", "all", "experiment ID to run, or 'all'")
-	out := flag.String("out", "", "directory to write <id>.txt and <id>.csv files")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it writes the tables to stdout and returns the exit
+// status — 2 when the command line is at fault, 1 when writing failed.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("calciom-experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list experiment IDs and exit")
+	id := fs.String("run", "all", "experiment ID to run, or 'all'")
+	out := fs.String("out", "", "directory to write <id>.txt and <id>.csv files")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, e := range experiments.All() {
-			fmt.Printf("%-22s %s\n", e.ID, e.Paper)
+			fmt.Fprintf(stdout, "%-22s %s\n", e.ID, e.Paper)
 		}
-		return
+		return 0
 	}
 
-	var selected []experiments.Experiment
-	if *run == "all" {
-		selected = experiments.All()
-	} else {
-		e := experiments.ByID(*run)
+	selected := experiments.All()
+	if *id != "all" {
+		e := experiments.ByID(*id)
 		if e == nil {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; try -list\n", *run)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "unknown experiment %q; try -list\n", *id)
+			return 2
 		}
 		selected = []experiments.Experiment{*e}
 	}
 
 	if *out != "" {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	}
 
 	for _, e := range selected {
 		tbl := e.Run()
-		if err := tbl.Render(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		err := tbl.Render(stdout)
+		fmt.Fprintln(stdout)
+		if err == nil && *out != "" {
+			err = writeFiles(*out, tbl.ID, tbl)
 		}
-		fmt.Println()
-		if *out != "" {
-			if err := writeFiles(*out, tbl.ID, tbl); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	}
+	return 0
 }
 
 func writeFiles(dir, id string, tbl *experiments.Table) error {

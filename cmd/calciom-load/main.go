@@ -62,8 +62,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -99,6 +102,12 @@ type counters struct {
 	bytes  float64
 }
 
+func (c *counters) add(o counters) {
+	c.phases += o.phases
+	c.grants += o.grants
+	c.bytes += o.bytes
+}
+
 // result accumulates one client's deterministic counters (total and per
 // target) and its wait latencies. connected reports that Dial+Register
 // succeeded, separating "never reached the daemon" from "failed
@@ -114,47 +123,71 @@ type result struct {
 	degraded  client.DegradedReport
 }
 
-func main() {
-	addr := flag.String("addr", "127.0.0.1:9595", "calciomd address")
-	prefix := flag.String("prefix", "app", "application name prefix (make it unique per run when reusing a daemon: a previous run's sessions may still be unregistering)")
-	clients := flag.Int("clients", 64, "concurrent client connections")
-	phases := flag.Int("phases", 4, "synthetic: I/O phases per client")
-	steps := flag.Int("steps", 4, "synthetic: access steps (coordination points) per phase")
-	mib := flag.Float64("mib", 64, "synthetic: MiB declared per phase")
-	cores := flag.Int("cores", 32, "synthetic: cores declared per application")
-	think := flag.Duration("think", 0, "compute time between phases")
-	stagger := flag.Duration("stagger", 0, "per-client start offset: client i begins i*stagger after launch, spreading the initial Inform burst so wait-latency percentiles measure protocol cost rather than the fcfs start-up convoy")
-	targets := flag.Int("targets", 1, "spread phases round-robin across this many storage targets (t0..tN-1); <=1 keeps the single default target")
-	swfPath := flag.String("swf", "", "replay this SWF trace instead of the synthetic mix")
-	jobs := flag.Int("jobs", 0, "SWF: cap on jobs replayed (0 = clients*phases)")
-	swfMiBPerProc := flag.Float64("swf-mib-per-proc", 1, "SWF: declared MiB per job process")
-	record := flag.String("record", "", "capture the fleet's traffic client-side to this trace file")
-	registerTarget := flag.String("register-target", "", "register every client with this default storage target (tasks without an explicit target coordinate there)")
-	reconnect := flag.Bool("reconnect", false, "survive daemon restarts: reconnect with backoff and resume sessions")
-	failOpen := flag.Duration("fail-open", 0, "self-grant after the daemon has been unreachable this long (implies -reconnect)")
-	chaosReset := flag.Duration("chaos-reset", 0, "chaos proxy: reset each connection roughly this long after accept")
-	chaosDelay := flag.Duration("chaos-delay", 0, "chaos proxy: delay every forwarded chunk this long")
-	chaosPartEvery := flag.Duration("chaos-partition-every", 0, "chaos proxy: start a partition window this often")
-	chaosPartFor := flag.Duration("chaos-partition-for", 0, "chaos proxy: partition window length")
-	chaosSeed := flag.Int64("chaos-seed", 1, "chaos proxy: deterministic fault schedule seed")
-	chaosGarbage := flag.Bool("chaos-garbage", false, "chaos proxy: inject seeded protocol garbage (bit flips, junk frames) into the client→daemon stream")
-	flood := flag.Bool("flood", false, "overload probe: every client registers at once, admitted clients run max-rate check loops and earn one grant each; prints a shed: line instead of the workload blocks")
-	floodChecks := flag.Int("flood-checks", 8, "flood: back-to-back Check calls per admitted client")
-	churn := flag.Bool("churn", false, "connection-churn probe: every client repeatedly connects, registers, runs one coordinated phase and disconnects; prints a churn: line instead of the workload blocks")
-	churnLoops := flag.Int("churn-loops", 8, "churn: connect/register/phase/disconnect loops per client")
-	codec := flag.String("codec", "json", "wire codec: json (v1, the default protocol) or binary (negotiate the v2 binary codec at connect)")
-	muxConns := flag.Int("mux-conns", 0, "multiplex the fleet over this many shared physical connections (negotiates the v3 mux extension of the binary codec; implies -codec binary; 0 = one plain connection per client)")
-	scrape := flag.String("scrape", "", "after the burst, fetch the daemon's Prometheus endpoint at this URL (e.g. http://127.0.0.1:9596/metrics) and print a byte-stable scrape: line")
-	flag.Parse()
-	if *failOpen > 0 {
-		*reconnect = true
-	}
-	robust := *reconnect || *failOpen > 0
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// run is the command: it writes its report to stdout and diagnostics to
+// stderr, and returns the exit status — 2 when the command line is at fault
+// or the fleet cannot get started, 1 when the run itself failed.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("calciom-load", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "127.0.0.1:9595", "calciomd address")
+	prefix := fs.String("prefix", "app", "application name prefix (make it unique per run when reusing a daemon: a previous run's sessions may still be unregistering)")
+	clients := fs.Int("clients", 64, "concurrent client connections")
+	phases := fs.Int("phases", 4, "synthetic: I/O phases per client")
+	steps := fs.Int("steps", 4, "synthetic: access steps (coordination points) per phase")
+	mib := fs.Float64("mib", 64, "synthetic: MiB declared per phase")
+	cores := fs.Int("cores", 32, "synthetic: cores declared per application")
+	think := fs.Duration("think", 0, "compute time between phases")
+	stagger := fs.Duration("stagger", 0, "per-client start offset: client i begins i*stagger after launch, spreading the initial Inform burst so wait-latency percentiles measure protocol cost rather than the fcfs start-up convoy")
+	targets := fs.Int("targets", 1, "spread phases round-robin across this many storage targets (t0..tN-1); <=1 keeps the single default target")
+	swfPath := fs.String("swf", "", "replay this SWF trace instead of the synthetic mix")
+	jobs := fs.Int("jobs", 0, "SWF: cap on jobs replayed (0 = clients*phases)")
+	swfMiBPerProc := fs.Float64("swf-mib-per-proc", 1, "SWF: declared MiB per job process")
+	record := fs.String("record", "", "capture the fleet's traffic client-side to this trace file")
+	registerTarget := fs.String("register-target", "", "register every client with this default storage target (tasks without an explicit target coordinate there)")
+	reconnect := fs.Bool("reconnect", false, "survive daemon restarts: reconnect with backoff and resume sessions")
+	failOpen := fs.Duration("fail-open", 0, "self-grant after the daemon has been unreachable this long (implies -reconnect)")
+	chaosReset := fs.Duration("chaos-reset", 0, "chaos proxy: reset each connection roughly this long after accept")
+	chaosDelay := fs.Duration("chaos-delay", 0, "chaos proxy: delay every forwarded chunk this long")
+	chaosPartEvery := fs.Duration("chaos-partition-every", 0, "chaos proxy: start a partition window this often")
+	chaosPartFor := fs.Duration("chaos-partition-for", 0, "chaos proxy: partition window length")
+	chaosSeed := fs.Int64("chaos-seed", 1, "chaos proxy: deterministic fault schedule seed")
+	chaosGarbage := fs.Bool("chaos-garbage", false, "chaos proxy: inject seeded protocol garbage (bit flips, junk frames) into the client→daemon stream")
+	flood := fs.Bool("flood", false, "overload probe: every client registers at once, admitted clients run max-rate check loops and earn one grant each; prints a shed: line instead of the workload blocks")
+	floodChecks := fs.Int("flood-checks", 8, "flood: back-to-back Check calls per admitted client")
+	churn := fs.Bool("churn", false, "connection-churn probe: every client repeatedly connects, registers, runs one coordinated phase and disconnects; prints a churn: line instead of the workload blocks")
+	churnLoops := fs.Int("churn-loops", 8, "churn: connect/register/phase/disconnect loops per client")
+	codec := fs.String("codec", "json", "wire codec: json (v1, the default protocol) or binary (negotiate the v2 binary codec at connect)")
+	muxConns := fs.Int("mux-conns", 0, "multiplex the fleet over this many shared physical connections (negotiates the v3 mux extension of the binary codec; implies -codec binary; 0 = one plain connection per client)")
+	scrape := fs.String("scrape", "", "after the burst, fetch the daemon's Prometheus endpoint at this URL (e.g. http://127.0.0.1:9596/metrics) and print a byte-stable scrape: line")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(status int, format string, a ...any) int {
+		fmt.Fprintf(stderr, format+"\n", a...)
+		return status
+	}
+	switch {
+	case *muxConns < 0 || *targets < 0 || *jobs < 0 || *floodChecks < 0:
+		return fail(2, "calciom-load: -mux-conns, -targets, -jobs and -flood-checks must not be negative")
+	case *churnLoops < 1:
+		return fail(2, "calciom-load: -churn-loops must be at least 1")
+	case *muxConns > 0 && (*flood || *churn):
+		return fail(2, "calciom-load: -mux-conns applies to the workload modes, not -flood/-churn")
+	case *codec != "json" && *codec != "binary":
+		return fail(2, "calciom-load: unknown -codec %q (want json or binary)", *codec)
+	}
+	copts := client.Options{Reconnect: *reconnect || *failOpen > 0, FailOpen: *failOpen}
+	if *codec == "binary" {
+		copts.Codec = wirebin.Codec{}
+	}
 	tasks, err := buildTasks(*swfPath, *clients, *phases, *steps, *mib, *cores, *jobs, *swfMiBPerProc)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return fail(2, "%v", err)
 	}
 	// Phase j coordinates on target t(j mod N): round-robin by task index,
 	// so the per-target workload split is deterministic regardless of how
@@ -163,6 +196,45 @@ func main() {
 		for i := range tasks {
 			tasks[i].target = fmt.Sprintf("t%d", i%*targets)
 		}
+	}
+
+	// With chaos enabled the fleet dials a fault-injecting proxy in front of
+	// the daemon; the final daemonView still goes direct so the report is
+	// not a chaos casualty.
+	dialAddr := *addr
+	if *chaosReset > 0 || *chaosDelay > 0 || *chaosGarbage || (*chaosPartEvery > 0 && *chaosPartFor > 0) {
+		var logMu sync.Mutex
+		p, err := chaos.New(chaos.Options{
+			Target:         *addr,
+			ResetEvery:     *chaosReset,
+			Delay:          *chaosDelay,
+			PartitionEvery: *chaosPartEvery,
+			PartitionFor:   *chaosPartFor,
+			Garbage:        *chaosGarbage,
+			Seed:           *chaosSeed,
+			Logf: func(format string, args ...any) {
+				logMu.Lock()
+				defer logMu.Unlock()
+				fmt.Fprintf(stderr, format+"\n", args...)
+			},
+		})
+		if err != nil {
+			return fail(2, "%v", err)
+		}
+		defer p.Close()
+		dialAddr = p.Addr()
+		fmt.Fprintf(stderr, "chaos: proxying %s via %s\n", *addr, dialAddr)
+	}
+
+	// Flood mode probes the daemon's overload protection and churn mode the
+	// connect path — accept, codec negotiation, register, one grant cycle,
+	// teardown — instead of running the workload: each reports one line and
+	// exits. The workload flags (and -record) do not apply.
+	if *flood {
+		return runFlood(stdout, stderr, dialAddr, *addr, *prefix, *clients, *floodChecks, copts)
+	}
+	if *churn {
+		return runChurn(stdout, stderr, dialAddr, *addr, *prefix, *clients, *churnLoops, copts)
 	}
 
 	// Client-side capture: one shared writer, one session per client, all
@@ -175,49 +247,16 @@ func main() {
 		if policy == "?" {
 			policy = ""
 		}
-		tf, err = os.Create(*record)
-		if err == nil {
-			tw, err = trace.NewWriter(tf, trace.Header{Source: trace.SourceClient, Policy: policy}, 0)
+		if tf, err = os.Create(*record); err != nil {
+			return fail(2, "%v", err)
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+		// The report below closes and checks both; these cover the error
+		// returns.
+		defer tf.Close()
+		if tw, err = trace.NewWriter(tf, trace.Header{Source: trace.SourceClient, Policy: policy}, 0); err != nil {
+			return fail(2, "%v", err)
 		}
-	}
-
-	// With chaos enabled the fleet dials a fault-injecting proxy in front of
-	// the daemon; the final daemonView still goes direct so the report is
-	// not a chaos casualty.
-	dialAddr := *addr
-	if *chaosReset > 0 || *chaosDelay > 0 || *chaosGarbage || (*chaosPartEvery > 0 && *chaosPartFor > 0) {
-		p, err := chaos.New(chaos.Options{
-			Target:         *addr,
-			ResetEvery:     *chaosReset,
-			Delay:          *chaosDelay,
-			PartitionEvery: *chaosPartEvery,
-			PartitionFor:   *chaosPartFor,
-			Garbage:        *chaosGarbage,
-			Seed:           *chaosSeed,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			},
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer p.Close()
-		dialAddr = p.Addr()
-		fmt.Fprintf(os.Stderr, "chaos: proxying %s via %s\n", *addr, dialAddr)
-	}
-	copts := client.Options{Reconnect: *reconnect, FailOpen: *failOpen}
-	switch *codec {
-	case "json":
-	case "binary":
-		copts.Codec = wirebin.Codec{}
-	default:
-		fmt.Fprintf(os.Stderr, "calciom-load: unknown -codec %q (want json or binary)\n", *codec)
-		os.Exit(2)
+		defer tw.Close()
 	}
 
 	// dial hands client i its connection. Without -mux-conns each client
@@ -227,44 +266,16 @@ func main() {
 	// round-robin across them as logical streams.
 	dial := func(int) (*client.Client, error) { return client.DialOptions(dialAddr, copts) }
 	if *muxConns > 0 {
-		if *flood || *churn {
-			fmt.Fprintln(os.Stderr, "calciom-load: -mux-conns applies to the workload modes, not -flood/-churn")
-			os.Exit(2)
-		}
 		muxes := make([]*client.Mux, *muxConns)
 		for i := range muxes {
 			m, err := client.DialMux(dialAddr, copts)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "calciom-load: mux dial %d: %v\n", i, err)
-				os.Exit(2)
+				return fail(2, "calciom-load: mux dial %d: %v", i, err)
 			}
 			muxes[i] = m
 			defer m.Close()
 		}
-		conns := *muxConns
-		dial = func(i int) (*client.Client, error) { return muxes[i%conns].Client() }
-	}
-
-	// Flood mode probes the daemon's overload protection instead of running
-	// the workload: it reports a shed: line and exits. The workload flags
-	// (and -record) do not apply.
-	if *flood {
-		if tw != nil {
-			tw.Close()
-			tf.Close()
-		}
-		os.Exit(runFlood(dialAddr, *addr, *prefix, *clients, *floodChecks, copts))
-	}
-
-	// Churn mode probes the connect path — accept, codec negotiation,
-	// register, one grant cycle, teardown — instead of steady-state
-	// throughput. It reports a churn: line and exits.
-	if *churn {
-		if tw != nil {
-			tw.Close()
-			tf.Close()
-		}
-		os.Exit(runChurn(dialAddr, *addr, *prefix, *clients, *churnLoops, copts))
+		dial = func(i int) (*client.Client, error) { return muxes[i%len(muxes)].Client() }
 	}
 
 	var wg sync.WaitGroup
@@ -300,34 +311,29 @@ func main() {
 	// Only clients that completed their workload feed the byte-stable agg
 	// counters; failures are explicit (attempted vs connected, the error
 	// count, and a partial: line), never silently folded in.
-	var tot, partial result
+	var tot, partial counters
+	var lats []time.Duration
 	var deg client.DegradedReport
 	perTarget := map[string]counters{}
 	connected, nerr := 0, 0
-	for i := range results {
-		if results[i].connected {
+	for i, r := range results {
+		if r.connected {
 			connected++
 		}
-		deg.SelfGrants += results[i].degraded.SelfGrants
-		deg.Seconds += results[i].degraded.Seconds
-		deg.Windows += results[i].degraded.Windows
+		deg.SelfGrants += r.degraded.SelfGrants
+		deg.Seconds += r.degraded.Seconds
+		deg.Windows += r.degraded.Windows
 		if errs[i] != nil {
 			nerr++
-			partial.phases += results[i].phases
-			partial.grants += results[i].grants
-			partial.bytes += results[i].bytes
-			fmt.Fprintf(os.Stderr, "%s-%04d: %v\n", *prefix, i, errs[i])
+			partial.add(r.counters)
+			fmt.Fprintf(stderr, "%s-%04d: %v\n", *prefix, i, errs[i])
 			continue
 		}
-		tot.phases += results[i].phases
-		tot.grants += results[i].grants
-		tot.bytes += results[i].bytes
-		tot.lats = append(tot.lats, results[i].lats...)
-		for target, c := range results[i].perTarget {
+		tot.add(r.counters)
+		lats = append(lats, r.lats...)
+		for target, c := range r.perTarget {
 			agg := perTarget[target]
-			agg.phases += c.phases
-			agg.grants += c.grants
-			agg.bytes += c.bytes
+			agg.add(c)
 			perTarget[target] = agg
 		}
 	}
@@ -337,23 +343,18 @@ func main() {
 	// interleaving. The daemon line reports the server's cumulative view
 	// (it keeps counting across load runs against a long-lived daemon).
 	policy, daemonGrants := daemonView(*addr)
-	fmt.Printf("agg: clients=%d connected=%d tasks=%d phases=%d grants=%d mib=%.0f errors=%d\n",
+	fmt.Fprintf(stdout, "agg: clients=%d connected=%d tasks=%d phases=%d grants=%d mib=%.0f errors=%d\n",
 		*clients, connected, len(tasks), tot.phases, tot.grants, tot.bytes/miB, nerr)
 	if *targets > 1 {
 		// One byte-stable line per target, deterministically sorted.
-		names := make([]string, 0, len(perTarget))
-		for target := range perTarget {
-			names = append(names, target)
-		}
-		sort.Strings(names)
-		for _, target := range names {
+		for _, target := range slices.Sorted(maps.Keys(perTarget)) {
 			c := perTarget[target]
-			fmt.Printf("agg-target: target=%s phases=%d grants=%d mib=%.0f\n",
+			fmt.Fprintf(stdout, "agg-target: target=%s phases=%d grants=%d mib=%.0f\n",
 				target, c.phases, c.grants, c.bytes/miB)
 		}
 	}
 	if nerr > 0 {
-		fmt.Printf("partial: clients=%d phases=%d grants=%d mib=%.0f\n",
+		fmt.Fprintf(stdout, "partial: clients=%d phases=%d grants=%d mib=%.0f\n",
 			nerr, partial.phases, partial.grants, partial.bytes/miB)
 	}
 	// The degraded line appears only when the robust client is in play, so
@@ -362,16 +363,16 @@ func main() {
 	// daemon-self-grants is what resumed sessions managed to report before
 	// the run ended (a client that finished while still degraded reports
 	// nothing). degraded-s is wall clock and varies.
-	if robust {
+	if copts.Reconnect {
 		var dself uint64
 		var dapps int
 		if st, err := daemonStats(*addr); err == nil {
 			dself, dapps = st.SelfGrants, len(st.Degraded)
 		}
-		fmt.Printf("degraded: self-grants=%d windows=%d degraded-s=%.3f daemon-self-grants=%d daemon-degraded-apps=%d\n",
+		fmt.Fprintf(stdout, "degraded: self-grants=%d windows=%d degraded-s=%.3f daemon-self-grants=%d daemon-degraded-apps=%d\n",
 			deg.SelfGrants, deg.Windows, deg.Seconds, dself, dapps)
 	}
-	fmt.Printf("daemon: policy=%s grants-served=%d\n", policy, daemonGrants)
+	fmt.Fprintf(stdout, "daemon: policy=%s grants-served=%d\n", policy, daemonGrants)
 	// The scrape line is the daemon's /metrics view of the same counters the
 	// agg block reports client-side: grants and waits summed across targets,
 	// plus the wait-histogram observation count. Against a fresh daemon and
@@ -380,10 +381,9 @@ func main() {
 	if *scrape != "" {
 		sums, err := scrapeMetrics(*scrape)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "calciom-load: scrape: %v\n", err)
-			os.Exit(1)
+			return fail(1, "calciom-load: scrape: %v", err)
 		}
-		fmt.Printf("scrape: grants=%d waits-immediate=%d waits-deferred=%d wait-count=%d connections=%d mux-connections=%d\n",
+		fmt.Fprintf(stdout, "scrape: grants=%d waits-immediate=%d waits-deferred=%d wait-count=%d connections=%d mux-connections=%d\n",
 			sums["calciomd_grants_total"],
 			sums["calciomd_waits_immediate_total"],
 			sums["calciomd_waits_deferred_total"],
@@ -391,12 +391,12 @@ func main() {
 			sums["calciomd_connections_total"],
 			sums[muxConnsKey])
 	}
-	fmt.Printf("timing: elapsed=%.3fs throughput=%.0f grants/s\n",
+	fmt.Fprintf(stdout, "timing: elapsed=%.3fs throughput=%.0f grants/s\n",
 		elapsed.Seconds(), float64(tot.grants)/elapsed.Seconds())
-	if len(tot.lats) > 0 {
-		sort.Slice(tot.lats, func(i, j int) bool { return tot.lats[i] < tot.lats[j] })
-		fmt.Printf("timing: wait-latency p50=%s p90=%s p99=%s max=%s\n",
-			pct(tot.lats, 50), pct(tot.lats, 90), pct(tot.lats, 99), tot.lats[len(tot.lats)-1])
+	if len(lats) > 0 {
+		slices.Sort(lats)
+		fmt.Fprintf(stdout, "timing: wait-latency p50=%s p90=%s p99=%s max=%s\n",
+			pct(lats, 50), pct(lats, 90), pct(lats, 99), lats[len(lats)-1])
 	}
 	if tw != nil {
 		err := tw.Close()
@@ -404,14 +404,14 @@ func main() {
 			err = cerr
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "calciom-load: trace: %v\n", err)
-			os.Exit(1)
+			return fail(1, "calciom-load: trace: %v", err)
 		}
-		fmt.Printf("trace: events=%d dropped=%d path=%s\n", tw.Recorded(), tw.Dropped(), *record)
+		fmt.Fprintf(stdout, "trace: events=%d dropped=%d path=%s\n", tw.Recorded(), tw.Dropped(), *record)
 	}
 	if nerr > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // runFlood probes the daemon's overload-protection layer: every client
@@ -427,7 +427,7 @@ func main() {
 // into the shed: line; with a fixed fleet against a fresh daemon the
 // clients/admitted/busy/grants/errors fields are deterministic, while
 // overloaded depends on timing.
-func runFlood(dialAddr, addr, prefix string, clients, checks int, opts client.Options) int {
+func runFlood(stdout, stderr io.Writer, dialAddr, addr, prefix string, clients, checks int, opts client.Options) int {
 	type floodResult struct {
 		admitted   bool
 		busy       bool
@@ -445,18 +445,6 @@ func runFlood(dialAddr, addr, prefix string, clients, checks int, opts client.Op
 		go func(i int) {
 			defer wg.Done()
 			r := &results[i]
-			regDone := false
-			defer func() {
-				if !regDone {
-					regWG.Done()
-				}
-			}()
-			c, err := client.DialOptions(dialAddr, opts)
-			if err != nil {
-				r.err = err
-				return
-			}
-			defer c.Close()
 			// Retry-in-place on overloaded replies: the rate limiter answers
 			// the first over-budget request with one retryable overloaded
 			// error and disconnects only on sustained abuse, so backing off
@@ -473,17 +461,19 @@ func runFlood(dialAddr, addr, prefix string, clients, checks int, opts client.Op
 					return err
 				}
 			}
-			name := fmt.Sprintf("%s-%04d", prefix, i)
-			err = over(func() error { return c.Register(name, 1) })
-			regDone = true
+			c, err := client.DialOptions(dialAddr, opts)
+			if err == nil {
+				defer c.Close()
+				err = over(func() error { return c.Register(fmt.Sprintf("%s-%04d", prefix, i), 1) })
+			}
 			regWG.Done()
-			if err != nil {
-				var re *client.ReplyError
-				if errors.As(err, &re) && re.Code == wire.CodeBusy {
-					r.busy = true
-				} else {
-					r.err = err
-				}
+			var re *client.ReplyError
+			switch {
+			case errors.As(err, &re) && re.Code == wire.CodeBusy:
+				r.busy = true
+				return
+			case err != nil:
+				r.err = err
 				return
 			}
 			r.admitted = true
@@ -494,45 +484,31 @@ func runFlood(dialAddr, addr, prefix string, clients, checks int, opts client.Op
 					return
 				}
 			}
-			steps := []func() error{
-				tg.Inform,
-				tg.Wait,
-				func() error { return tg.Release(0) },
-				tg.End,
+			if r.err = grantCycle(tg, over); r.err == nil {
+				r.grants++
 			}
-			for _, step := range steps {
-				if r.err = over(step); r.err != nil {
-					return
-				}
-			}
-			r.grants++
 		}(i)
 	}
 	wg.Wait()
 
 	admitted, busy, overloaded, grants, nerr := 0, 0, 0, 0, 0
-	for i := range results {
-		if results[i].admitted {
+	for i, r := range results {
+		if r.admitted {
 			admitted++
 		}
-		if results[i].busy {
+		if r.busy {
 			busy++
 		}
-		overloaded += results[i].overloaded
-		grants += results[i].grants
-		if results[i].err != nil {
+		overloaded += r.overloaded
+		grants += r.grants
+		if r.err != nil {
 			nerr++
-			fmt.Fprintf(os.Stderr, "%s-%04d: %v\n", prefix, i, results[i].err)
+			fmt.Fprintf(stderr, "%s-%04d: %v\n", prefix, i, r.err)
 		}
 	}
-	fmt.Printf("shed: clients=%d admitted=%d busy=%d overloaded=%d grants=%d errors=%d\n",
+	fmt.Fprintf(stdout, "shed: clients=%d admitted=%d busy=%d overloaded=%d grants=%d errors=%d\n",
 		clients, admitted, busy, overloaded, grants, nerr)
-	policy, daemonGrants := daemonView(addr)
-	fmt.Printf("daemon: policy=%s grants-served=%d\n", policy, daemonGrants)
-	if nerr > 0 {
-		return 1
-	}
-	return 0
+	return reportDaemon(stdout, addr, nerr)
 }
 
 // runChurn probes the connect path instead of steady-state throughput:
@@ -545,7 +521,7 @@ func runFlood(dialAddr, addr, prefix string, clients, checks int, opts client.Op
 // byte-stable: connects and grants both equal clients*loops on a clean
 // run, and any failure is an error (no shed/busy tolerance — churn mode
 // assumes an unloaded daemon).
-func runChurn(dialAddr, addr, prefix string, clients, loops int, opts client.Options) int {
+func runChurn(stdout, stderr io.Writer, dialAddr, addr, prefix string, clients, loops int, opts client.Options) int {
 	type churnResult struct {
 		connects int
 		grants   int
@@ -569,22 +545,12 @@ func runChurn(dialAddr, addr, prefix string, clients, loops int, opts client.Opt
 						return err
 					}
 					r.connects++
-					tg := c.Target("")
-					for _, step := range []func() error{
-						tg.Inform,
-						tg.Wait,
-						func() error { return tg.Release(0) },
-						tg.End,
-					} {
-						if err := step(); err != nil {
-							return err
-						}
-					}
-					r.grants++
-					return nil
+					return grantCycle(c.Target(""), func(f func() error) error { return f() })
 				}()
 				if err != nil {
 					r.errs = append(r.errs, fmt.Errorf("loop %d: %w", l, err))
+				} else {
+					r.grants++
 				}
 			}
 		}(i)
@@ -592,18 +558,35 @@ func runChurn(dialAddr, addr, prefix string, clients, loops int, opts client.Opt
 	wg.Wait()
 
 	connects, grants, nerr := 0, 0, 0
-	for i := range results {
-		connects += results[i].connects
-		grants += results[i].grants
-		nerr += len(results[i].errs)
-		for _, err := range results[i].errs {
-			fmt.Fprintf(os.Stderr, "%s-%04d: %v\n", prefix, i, err)
+	for i, r := range results {
+		connects += r.connects
+		grants += r.grants
+		nerr += len(r.errs)
+		for _, err := range r.errs {
+			fmt.Fprintf(stderr, "%s-%04d: %v\n", prefix, i, err)
 		}
 	}
-	fmt.Printf("churn: clients=%d loops=%d connects=%d grants=%d errors=%d\n",
+	fmt.Fprintf(stdout, "churn: clients=%d loops=%d connects=%d grants=%d errors=%d\n",
 		clients, loops, connects, grants, nerr)
+	return reportDaemon(stdout, addr, nerr)
+}
+
+// grantCycle runs the minimal coordinated phase, Inform, Wait, Release and
+// End, each step through do.
+func grantCycle(tg client.Target, do func(func() error) error) error {
+	for _, step := range []func() error{tg.Inform, tg.Wait, func() error { return tg.Release(0) }, tg.End} {
+		if err := do(step); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// reportDaemon prints the daemon line that closes a probe's report and
+// returns the probe's exit status: 1 when any of its clients failed.
+func reportDaemon(stdout io.Writer, addr string, nerr int) int {
 	policy, daemonGrants := daemonView(addr)
-	fmt.Printf("daemon: policy=%s grants-served=%d\n", policy, daemonGrants)
+	fmt.Fprintf(stdout, "daemon: policy=%s grants-served=%d\n", policy, daemonGrants)
 	if nerr > 0 {
 		return 1
 	}
@@ -632,29 +615,25 @@ func buildTasks(swfPath string, clients, phases, steps int, mib float64, cores, 
 	if err != nil {
 		return nil, err
 	}
-	js := append([]swf.Job(nil), tr.Jobs...)
+	// SWF writes -1 for a processor count it does not know: such a job has
+	// no size to register or bytes to declare, so it is not replayed.
+	js := slices.DeleteFunc(tr.Jobs, func(j swf.Job) bool { return j.Procs <= 0 })
 	sort.Slice(js, func(a, b int) bool {
 		if js[a].Submit != js[b].Submit {
 			return js[a].Submit < js[b].Submit
 		}
 		return js[a].ID < js[b].ID
 	})
-	if jobs <= 0 {
+	if jobs == 0 {
 		jobs = clients * phases
 	}
-	if jobs < len(js) {
-		js = js[:jobs]
-	}
+	js = js[:min(jobs, len(js))]
 	if len(js) == 0 {
 		return nil, fmt.Errorf("calciom-load: trace %s has no jobs", swfPath)
 	}
 	tasks := make([]task, len(js))
 	for i, j := range js {
-		st := 1 + j.Procs/8192
-		if st > 8 {
-			st = 8
-		}
-		tasks[i] = task{bytes: float64(j.Procs) * mibPerProc * miB, cores: j.Procs, steps: st}
+		tasks[i] = task{bytes: float64(j.Procs) * mibPerProc * miB, cores: j.Procs, steps: min(1+j.Procs/8192, 8)}
 	}
 	return tasks, nil
 }
@@ -696,6 +675,7 @@ func runClient(dial func() (*client.Client, error), name string, tasks []task, t
 	res.connected = true
 	for _, tk := range tasks {
 		tg := c.Target(tk.target)
+		pc := res.perTarget[tk.target]
 		wait := func() error {
 			t0 := time.Now()
 			if err := tg.Wait(); err != nil {
@@ -703,50 +683,26 @@ func runClient(dial func() (*client.Client, error), name string, tasks []task, t
 			}
 			res.lats = append(res.lats, time.Since(t0))
 			res.grants++
-			c := res.perTarget[tk.target]
-			c.grants++
-			res.perTarget[tk.target] = c
+			pc.grants++
 			return nil
 		}
 		in := core.Info{}
 		in.SetFloat(core.KeyBytesTotal, tk.bytes)
 		in.SetInt(core.KeyCores, int64(tk.cores))
-		if err := tg.Prepare(in); err != nil {
-			return res, err
-		}
-		if err := tg.Inform(); err != nil {
-			return res, err
-		}
-		if err := wait(); err != nil {
-			return res, err
-		}
-		for s := 1; s <= tk.steps; s++ {
-			done := tk.bytes * float64(s) / float64(tk.steps)
-			if s < tk.steps {
-				if err := tg.Release(done); err != nil {
-					return res, err
-				}
-				if err := tg.Inform(); err != nil {
-					return res, err
-				}
-				if err := wait(); err != nil {
-					return res, err
-				}
-			} else {
-				if err := tg.Release(done); err != nil {
-					return res, err
-				}
+		err := do(func() error { return tg.Prepare(in) }, tg.Inform, wait)
+		for s := 1; s <= tk.steps && err == nil; s++ {
+			if err = tg.Release(tk.bytes * float64(s) / float64(tk.steps)); err == nil && s < tk.steps {
+				err = do(tg.Inform, wait)
 			}
 		}
-		if err := tg.Complete(); err != nil {
-			return res, err
+		if err == nil {
+			err = do(tg.Complete, tg.End)
 		}
-		if err := tg.End(); err != nil {
+		if err != nil {
 			return res, err
 		}
 		res.phases++
 		res.bytes += tk.bytes
-		pc := res.perTarget[tk.target]
 		pc.phases++
 		pc.bytes += tk.bytes
 		res.perTarget[tk.target] = pc
@@ -755,6 +711,16 @@ func runClient(dial func() (*client.Client, error), name string, tasks []task, t
 		}
 	}
 	return res, nil
+}
+
+// do runs steps in order up to the first that fails.
+func do(steps ...func() error) error {
+	for _, step := range steps {
+		if err := step(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // muxConnsKey is the synthetic sums entry scrapeMetrics fills with the
@@ -779,12 +745,9 @@ func scrapeMetrics(url string) (map[string]uint64, error) {
 	sums := map[string]uint64{}
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
-		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
+		// A sample is "name value"; comments and blank lines are not.
+		fields := strings.Fields(sc.Text())
+		if len(fields) != 2 || strings.HasPrefix(fields[0], "#") {
 			continue
 		}
 		name := fields[0]

@@ -12,7 +12,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/delta"
@@ -20,42 +22,61 @@ import (
 	"repro/internal/swf"
 )
 
-func main() {
-	file := flag.String("file", "", "SWF trace file (empty: synthetic Intrepid-like)")
-	days := flag.Float64("days", 1, "trace length in days (synthetic) / horizon (real)")
-	seed := flag.Int64("seed", 42, "synthetic trace seed")
-	jobs := flag.Int("jobs", 150, "max jobs to replay (0 = all)")
-	servers := flag.Int("servers", 32, "file-system servers")
-	bytesPerCore := flag.Int64("mib-per-core", 8, "MiB written per core per phase")
-	period := flag.Float64("period", 300, "seconds of compute between I/O phases")
-	policy := flag.String("policy", "all", "policy: none|fcfs|interrupt|dynamic|all")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	var tr *swf.Trace
-	var err error
-	if *file != "" {
-		f, err2 := os.Open(*file)
-		if err2 != nil {
-			fmt.Fprintln(os.Stderr, err2)
-			os.Exit(1)
+// policies is this command's own table, not delta.PolicyByName's: its
+// dynamic policy lets two jobs interfere when the model predicts that is
+// cheaper, where the ∆ tools' dynamic never does.
+var policies = map[string]delta.PolicyFactory{
+	"none":      delta.Uncoordinated,
+	"fcfs":      delta.FCFS,
+	"interrupt": delta.Interrupt,
+	"dynamic":   delta.Dynamic(core.CPUSecondsWasted{}, true),
+}
+
+// run is the command: it writes the study to stdout and returns the exit
+// status — 2 when the command line is at fault, 1 when the trace is.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("calciom-machine", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	file := fs.String("file", "", "SWF trace file (empty: synthetic Intrepid-like)")
+	days := fs.Float64("days", 1, "trace length in days (synthetic) / horizon (real)")
+	seed := fs.Int64("seed", 42, "synthetic trace seed")
+	jobs := fs.Int("jobs", 150, "max jobs to replay (0 = all)")
+	servers := fs.Int("servers", 32, "file-system servers")
+	bytesPerCore := fs.Int64("mib-per-core", 8, "MiB written per core per phase")
+	period := fs.Float64("period", 300, "seconds of compute between I/O phases")
+	policy := fs.String("policy", "all", "policy: none|fcfs|interrupt|dynamic|all")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
 		}
-		defer f.Close()
-		tr, err = swf.Parse(f)
+		return 2
+	}
+	var tr *swf.Trace
+	if *file != "" {
+		f, err := os.Open(*file)
+		if err == nil {
+			tr, err = swf.Parse(f)
+			f.Close()
+		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		// Clamp to the horizon.
 		horizon := *days * 86400
-		var jobsIn []swf.Job
-		for _, j := range tr.Jobs {
-			if j.Submit <= horizon {
-				jobsIn = append(jobsIn, j)
-			}
-		}
-		tr.Jobs = jobsIn
+		tr.Jobs = slices.DeleteFunc(tr.Jobs, func(j swf.Job) bool { return !(j.Submit <= horizon) })
 	} else {
 		tr = swf.Generate(swf.GenConfig{Seed: *seed, Days: *days})
+	}
+	order := []string{"none", "fcfs", "interrupt", "dynamic"}
+	if *policy != "all" {
+		if _, ok := policies[*policy]; !ok {
+			fmt.Fprintf(stderr, "unknown policy %q\n", *policy)
+			return 2
+		}
+		order = []string{*policy}
 	}
 
 	cfg := machine.IntrepidConfig()
@@ -64,30 +85,14 @@ func main() {
 	cfg.PhasePeriod = *period
 	cfg.MaxJobs = *jobs
 
-	fmt.Printf("trace: %d jobs; machine: %d servers (%.1f GiB/s), %d MiB/core every %.0fs\n\n",
+	fmt.Fprintf(stdout, "trace: %d jobs; machine: %d servers (%.1f GiB/s), %d MiB/core every %.0fs\n\n",
 		len(tr.Jobs), cfg.FS.Servers,
 		float64(cfg.FS.Servers)*cfg.FS.ServerBW/float64(1<<30),
 		*bytesPerCore, *period)
 
-	policies := map[string]delta.PolicyFactory{
-		"none":      delta.Uncoordinated,
-		"fcfs":      delta.FCFS,
-		"interrupt": delta.Interrupt,
-		"dynamic":   delta.Dynamic(core.CPUSecondsWasted{}, true),
-	}
-	var order []string
-	if *policy == "all" {
-		order = []string{"none", "fcfs", "interrupt", "dynamic"}
-	} else if _, ok := policies[*policy]; ok {
-		order = []string{*policy}
-	} else {
-		fmt.Fprintf(os.Stderr, "unknown policy %q\n", *policy)
-		os.Exit(2)
-	}
-
 	for _, key := range order {
 		res := machine.Run(cfg, tr, policies[key])
-		fmt.Println(res)
+		fmt.Fprintln(stdout, res)
 		// Worst five jobs by interference factor.
 		worst := append([]machine.JobOutcome(nil), res.Jobs...)
 		for i := 0; i < len(worst); i++ {
@@ -97,14 +102,11 @@ func main() {
 				}
 			}
 		}
-		n := 5
-		if len(worst) < n {
-			n = len(worst)
-		}
-		for _, w := range worst[:n] {
-			fmt.Printf("   worst: job%-6d %7d cores  I=%6.2f  (io %.1fs vs solo %.1fs)\n",
+		for _, w := range worst[:min(5, len(worst))] {
+			fmt.Fprintf(stdout, "   worst: job%-6d %7d cores  I=%6.2f  (io %.1fs vs solo %.1fs)\n",
 				w.ID, w.Cores, w.Factor, w.IOTime, w.SoloIO)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
+	return 0
 }

@@ -34,33 +34,14 @@ import (
 	"repro/internal/wire"
 )
 
-func main() {
-	err := run(os.Args[1:], os.Stdout)
-	var u usageError
-	switch {
-	case err == nil || err == flag.ErrHelp:
-		return
-	case errors.As(err, &u):
-		if !u.reported {
-			fmt.Fprintln(os.Stderr, err)
-		}
-		os.Exit(2)
-	}
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// usageError is a command line at fault (exit status 2); the flag package
-// has reported a malformed one already.
-type usageError struct {
-	error
-	reported bool
-}
-
-// run is the command: it writes the report to stdout and returns what
-// failed, a usageError when the command line is at fault.
-func run(args []string, stdout io.Writer) error {
+// run is the command: it writes the report to stdout and returns the exit
+// status — 2 when the command line is at fault, 1 when the trace cannot be
+// read, compared or reproduced.
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("calciom-replay", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	path := fs.String("trace", "", "trace file recorded by calciomd -record or calciom-load -record")
 	policies := fs.String("policies", "", "comma-separated subset to compare: fcfs,interrupt,interfere,delay,dynamic (default: all available)")
 	overlap := fs.Float64("delay-overlap", -1, "delay policy overlap fraction (-1: the recording's own, or 0.5)")
@@ -72,15 +53,19 @@ func run(args []string, stdout io.Writer) error {
 	jsonOut := fs.Bool("json", false, "emit the comparison as one JSON document (per-policy objects with the text table's fields plus wait histograms) instead of text")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
-			return err
+			return 0
 		}
-		return usageError{err, true}
+		return 2
+	}
+	fail := func(status int, err error) int {
+		fmt.Fprintln(stderr, err)
+		return status
 	}
 	if *path == "" && fs.NArg() == 1 {
 		*path = fs.Arg(0)
 	}
 	if *path == "" {
-		return usageError{errors.New("calciom-replay: -trace is required"), false}
+		return fail(2, errors.New("calciom-replay: -trace is required"))
 	}
 
 	load := trace.Load
@@ -89,7 +74,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	tr, err := load(*path)
 	if err != nil {
-		return err
+		return fail(1, err)
 	}
 	if *fsMiBps > 0 {
 		tr.Header.FSMiBps = *fsMiBps
@@ -115,7 +100,7 @@ func run(args []string, stdout io.Writer) error {
 	if tr.Header.Source == trace.SourceDaemon {
 		v, err := replay.Verify(tr)
 		if err != nil {
-			return err
+			return fail(1, err)
 		}
 		verified = &v
 		if !*jsonOut {
@@ -131,7 +116,7 @@ func run(args []string, stdout io.Writer) error {
 			}
 		}
 		if !v.Match {
-			return fmt.Errorf("calciom-replay: replay diverged from recording: %s", v.Mismatch)
+			return fail(1, fmt.Errorf("calciom-replay: replay diverged from recording: %s", v.Mismatch))
 		}
 	} else if !*jsonOut {
 		fmt.Fprintf(stdout, "verify: skipped (client-side capture has no authoritative grant sequence)\n")
@@ -141,12 +126,12 @@ func run(args []string, stdout io.Writer) error {
 	if *policies != "" {
 		cands = filterPolicies(cands, *policies)
 		if len(cands) == 0 {
-			return usageError{fmt.Errorf("calciom-replay: no known policy in %q", *policies), false}
+			return fail(2, fmt.Errorf("calciom-replay: no known policy in %q", *policies))
 		}
 	}
 	c, err := replay.Compare(tr, cands)
 	if err != nil {
-		return err
+		return fail(1, err)
 	}
 
 	if *jsonOut {
@@ -191,7 +176,10 @@ func run(args []string, stdout io.Writer) error {
 		}
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		return enc.Encode(doc)
+		if err := enc.Encode(doc); err != nil {
+			return fail(1, err)
+		}
+		return 0
 	}
 
 	fmt.Fprintln(stdout)
@@ -237,7 +225,7 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "replay: trace=%s recording=%s policies=%d best=%s cpu_sec=%.3f wait_s=%.3f overlap_s=%.3f unserved=%d\n",
 		*path, c.Recording, len(c.Outcomes), best.Policy, best.CPUSecondsWasted,
 		best.TotalWaitS, best.OverlapS, best.Unserved)
-	return nil
+	return 0
 }
 
 // The -json document: one object per policy carrying the text table's

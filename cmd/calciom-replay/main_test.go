@@ -14,9 +14,9 @@ const recording = "../../internal/replay/testdata/daemon_4targets.trace"
 // target a session attaches to, so the recording holds twenty registers of
 // ten sessions, and the report says ten — in text and in JSON.
 func TestSessionsCountsDistinctSessions(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-trace", recording}, &out); err != nil {
-		t.Fatal(err)
+	var out, errs bytes.Buffer
+	if code := run([]string{"-trace", recording}, &out, &errs); code != 0 {
+		t.Fatalf("exit %d: %s", code, errs.String())
 	}
 	first, _, _ := strings.Cut(out.String(), "\n")
 	if !strings.Contains(first, " events=460 sessions=10 ") {
@@ -27,8 +27,8 @@ func TestSessionsCountsDistinctSessions(t *testing.T) {
 	}
 
 	out.Reset()
-	if err := run([]string{"-json", recording}, &out); err != nil {
-		t.Fatal(err)
+	if code := run([]string{"-json", recording}, &out, &errs); code != 0 {
+		t.Fatalf("exit %d: %s", code, errs.String())
 	}
 	if !strings.Contains(out.String(), `"sessions": 10,`) {
 		t.Errorf("JSON report without \"sessions\": 10:\n%s", out.String())
@@ -42,10 +42,9 @@ func TestUsageErrors(t *testing.T) {
 		{},
 		{"-trace", recording, "-policies", "nonesuch"},
 	} {
-		var out bytes.Buffer
-		err := run(args, &out)
-		if _, ok := err.(usageError); !ok {
-			t.Errorf("run(%q) = %v, want a usage error", args, err)
+		var out, errs bytes.Buffer
+		if code := run(args, &out, &errs); code != 2 {
+			t.Errorf("run(%q) = %d, want 2 (a usage error)", args, code)
 		}
 		if len(args) == 0 && out.Len() > 0 {
 			t.Errorf("run(%q) printed %q", args, out.String())

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 
@@ -23,24 +24,35 @@ import (
 
 const miB = int64(1) << 20
 
-func main() {
-	platform := flag.String("platform", "surveyor", "platform: rennes | nancy | surveyor")
-	policy := flag.String("policy", "dynamic", "policy: "+delta.PolicyNames)
-	dt := flag.Float64("dt", 5, "start offset of application B (seconds)")
-	procs := flag.Int("procs", 2048, "processes per application")
-	filesA := flag.Int("files-a", 4, "files written by A")
-	filesB := flag.Int("files-b", 1, "files written by B")
-	mibPerProc := flag.Int64("mib-per-proc", 4, "MiB per process per file")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it narrates the run to stdout and returns the exit
+// status, 2 for any error — every one is the command line's.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("calciom-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	platform := fs.String("platform", "surveyor", "platform: rennes | nancy | surveyor")
+	policy := fs.String("policy", "dynamic", "policy: "+delta.PolicyNames)
+	dt := fs.Float64("dt", 5, "start offset of application B (seconds)")
+	procs := fs.Int("procs", 2048, "processes per application")
+	filesA := fs.Int("files-a", 4, "files written by A")
+	filesB := fs.Int("files-b", 1, "files written by B")
+	mibPerProc := fs.Int64("mib-per-proc", 4, "MiB per process per file")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 	if err := checkOffset(*dt); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	sc, nodes, ok := experiments.PlatformByName(*platform)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown platform %q\n", *platform)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown platform %q\n", *platform)
+		return 2
 	}
 	mk := func(files int) ior.Workload {
 		return ior.Workload{
@@ -58,14 +70,14 @@ func main() {
 
 	factory, ok := delta.PolicyByName(*policy)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown policy %q\n", *policy)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown policy %q\n", *policy)
+		return 2
 	}
 
 	soloA, soloB := sc.Solo(0), sc.Solo(1)
-	fmt.Printf("scenario: %s, 2x%d procs; A: %d files, B: %d files, %d MiB/proc\n",
+	fmt.Fprintf(stdout, "scenario: %s, 2x%d procs; A: %d files, B: %d files, %d MiB/proc\n",
 		sc.Name, *procs, *filesA, *filesB, *mibPerProc)
-	fmt.Printf("solo times: A=%.3fs B=%.3fs; dt=%.2fs; policy=%s\n\n", soloA, soloB, *dt, *policy)
+	fmt.Fprintf(stdout, "solo times: A=%.3fs B=%.3fs; dt=%.2fs; policy=%s\n\n", soloA, soloB, *dt, *policy)
 
 	starts := []float64{0, *dt}
 	if *dt < 0 {
@@ -75,29 +87,30 @@ func main() {
 	res := sc.RunWithTimeline(factory, starts, rec)
 
 	if len(res.Decisions) > 0 {
-		fmt.Println("arbitration decisions:")
+		fmt.Fprintln(stdout, "arbitration decisions:")
 		for _, d := range res.Decisions {
-			fmt.Printf("  t=%8.3f  allowed=%-8v  %s\n", d.Time, d.Allowed, d.Reason)
+			fmt.Fprintf(stdout, "  t=%8.3f  allowed=%-8v  %s\n", d.Time, d.Allowed, d.Reason)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	rep := metrics.Report{Apps: []metrics.AppResult{
 		{Name: "A", Cores: *procs, IOTime: res.IOTime[0], AloneTime: soloA},
 		{Name: "B", Cores: *procs, IOTime: res.IOTime[1], AloneTime: soloB},
 	}}
-	fmt.Println("outcome:")
-	fmt.Println(rep)
-	fmt.Printf("makespan: %.3fs\n", res.Makespan)
+	fmt.Fprintln(stdout, "outcome:")
+	fmt.Fprintln(stdout, rep)
+	fmt.Fprintf(stdout, "makespan: %.3fs\n", res.Makespan)
 	for i, st := range res.Stats {
 		for p, ph := range st.Phases {
-			fmt.Printf("  %s phase %d: start=%.3f end=%.3f comm=%.3f write=%.3f (%.1f MiB/s)\n",
+			fmt.Fprintf(stdout, "  %s phase %d: start=%.3f end=%.3f comm=%.3f write=%.3f (%.1f MiB/s)\n",
 				sc.Apps[i].Name, p, ph.Start, ph.End, ph.CommTime, ph.WriteTime,
 				ph.Throughput()/float64(miB))
 		}
 	}
-	fmt.Println()
-	fmt.Print(rec.Gantt(90))
+	fmt.Fprintln(stdout)
+	fmt.Fprint(stdout, rec.Gantt(90))
+	return 0
 }
 
 // checkOffset rejects a start offset the engine cannot schedule: NaN has no

@@ -15,37 +15,25 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 
 	"repro/internal/swf"
 	"repro/internal/textplot"
 	"repro/internal/trace"
 )
 
-func main() {
-	err := run(os.Args[1:], os.Stdout)
-	switch {
-	case err == nil || err == flag.ErrHelp:
-		return
-	case errors.Is(err, errUsage):
-		os.Exit(2) // the flag package has reported it
-	}
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// errUsage is a malformed command line (exit status 2).
-var errUsage = errors.New("calciom-trace: usage")
-
-// run is the command: it writes the report to stdout and returns what
-// failed.
-func run(args []string, stdout io.Writer) error {
+// run is the command: it writes the report to stdout and returns the exit
+// status — 2 for a malformed command line, 1 for a trace it cannot read.
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("calciom-trace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	file := fs.String("file", "", "SWF trace file (empty: synthetic Intrepid-like)")
 	days := fs.Float64("days", 243, "synthetic trace length in days")
 	seed := fs.Int64("seed", 20090101, "synthetic trace seed")
@@ -55,25 +43,25 @@ func run(args []string, stdout io.Writer) error {
 	allowTrunc := fs.Bool("allow-truncated", false, "with -coord: accept a truncated (crashed-recorder) trace, reporting the truncation point")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
-			return err
+			return 0
 		}
-		return errUsage
+		return 2
 	}
 
 	if *coord != "" {
-		return summarizeCoord(stdout, *coord, *allowTrunc)
+		return summarizeCoord(stdout, stderr, *coord, *allowTrunc)
 	}
 
 	var tr *swf.Trace
 	if *file != "" {
 		f, err := os.Open(*file)
-		if err != nil {
-			return err
+		if err == nil {
+			tr, err = swf.Parse(f)
+			f.Close()
 		}
-		defer f.Close()
-		tr, err = swf.Parse(f)
 		if err != nil {
-			return err
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		fmt.Fprintf(stdout, "trace: %s (%d jobs)\n\n", *file, len(tr.Jobs))
 	} else {
@@ -118,20 +106,21 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "P(another app is doing I/O) at E[µ]=%.0f%%: %.1f%%\n",
 		100**mu, 100*swf.ProbOtherDoingIO(tr, *mu))
 	fmt.Fprintln(stdout, "(paper: 64% at E[µ]=5% on the Intrepid trace)")
-	return nil
+	return 0
 }
 
 // summarizeCoord prints a deterministic summary of a coordination trace:
 // the analysis entry point for a trace that may have survived a daemon
 // crash, where the first question is "how much of it is usable?".
-func summarizeCoord(stdout io.Writer, path string, allowTrunc bool) error {
+func summarizeCoord(stdout, stderr io.Writer, path string, allowTrunc bool) int {
 	load := trace.Load
 	if allowTrunc {
 		load = trace.LoadLenient
 	}
 	tr, err := load(path)
 	if err != nil {
-		return err
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	targets := map[string]bool{}
 	byType := map[string]int{}
@@ -145,13 +134,8 @@ func summarizeCoord(stdout io.Writer, path string, allowTrunc bool) error {
 	if tr.Truncated {
 		fmt.Fprintf(stdout, "coord-trace: TRUNCATED after event %d (recorder died mid-write)\n", len(tr.Events))
 	}
-	names := make([]string, 0, len(byType))
-	for name := range byType {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(byType)) {
 		fmt.Fprintf(stdout, "coord-trace: type=%s count=%d\n", name, byType[name])
 	}
-	return nil
+	return 0
 }

@@ -42,6 +42,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -57,100 +58,97 @@ import (
 )
 
 func main() {
-	cfgPath := flag.String("config", "", "JSON daemon configuration file")
-	listen := flag.String("listen", "", "listen address (overrides config)")
-	policy := flag.String("policy", "", "arbitration policy: fcfs|interrupt|interfere|delay (overrides config)")
-	timeout := flag.Float64("session-timeout", -1, "evict sessions idle this many seconds; 0 disables (overrides config)")
-	grace := flag.Float64("grant-grace", -1, "keep a disconnected session's grants this many seconds for resume; 0 drops immediately (overrides config)")
-	record := flag.String("record", "", "record every coordination event to this trace file (overrides config)")
-	statsEvery := flag.Duration("stats-interval", 0, "print a live metrics line this often (0 = off)")
-	quiet := flag.Bool("quiet", false, "suppress connection lifecycle logging")
-	admin := flag.String("admin", "", "serve /metrics, /healthz, /statusz and pprof on this address, e.g. 127.0.0.1:9596 (overrides config)")
-	logLevel := flag.String("log-level", "", "grant-lifecycle event logging to stderr: debug|info|warn|error; empty = off (overrides config)")
-	logSample := flag.Int("log-sample", -1, "log every Nth grant event; lifecycle events always log (overrides config)")
-	maxSessions := flag.Int("max-sessions", 0, "reject registrations beyond this many live sessions with a retryable busy error; 0 = unlimited (overrides config)")
-	handshakeTimeout := flag.Float64("handshake-timeout", -1, "drop connections that have not registered within this many seconds; 0 disables (overrides config)")
-	maxRPS := flag.Float64("max-requests-per-sec", -1, "per-connection request rate limit; 0 disables (overrides config)")
-	acceptLoops := flag.Int("accept-loops", -1, "shard the listener accept loop across this many goroutines; 0 or 1 = single loop (overrides config)")
-	sockBuffer := flag.Int("sock-buffer", -1, "kernel socket read/write buffer bytes per connection; 0 = OS default (overrides config)")
-	drainLinger := flag.Duration("drain-linger", 0, "after a drain signal, keep /healthz answering \"draining\" this long (or until a second signal) before shutting down")
-	flag.Parse()
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, sig))
+}
+
+// run is the daemon: it serves until the first value on sig drains it (a
+// second one, or a closed sig, cuts the drain short), reports to stdout and
+// logs to stderr, and returns the exit status — 2 when the command line or
+// the configuration is at fault, 1 when serving or the trace failed.
+func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
+	fs := flag.NewFlagSet("calciomd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	cfgPath := fs.String("config", "", "JSON daemon configuration file")
+	listen := fs.String("listen", "", "listen address (overrides config)")
+	policy := fs.String("policy", "", "arbitration policy: fcfs|interrupt|interfere|delay (overrides config)")
+	timeout := fs.Float64("session-timeout", -1, "evict sessions idle this many seconds; 0 disables (overrides config)")
+	grace := fs.Float64("grant-grace", -1, "keep a disconnected session's grants this many seconds for resume; 0 drops immediately (overrides config)")
+	record := fs.String("record", "", "record every coordination event to this trace file (overrides config)")
+	statsEvery := fs.Duration("stats-interval", 0, "print a live metrics line this often (0 = off)")
+	quiet := fs.Bool("quiet", false, "suppress connection lifecycle logging")
+	admin := fs.String("admin", "", "serve /metrics, /healthz, /statusz and pprof on this address, e.g. 127.0.0.1:9596 (overrides config)")
+	logLevel := fs.String("log-level", "", "grant-lifecycle event logging to stderr: debug|info|warn|error; empty = off (overrides config)")
+	logSample := fs.Int("log-sample", -1, "log every Nth grant event; lifecycle events always log (overrides config)")
+	maxSessions := fs.Int("max-sessions", 0, "reject registrations beyond this many live sessions with a retryable busy error; 0 = unlimited (overrides config)")
+	handshakeTimeout := fs.Float64("handshake-timeout", -1, "drop connections that have not registered within this many seconds; 0 disables (overrides config)")
+	maxRPS := fs.Float64("max-requests-per-sec", -1, "per-connection request rate limit; 0 disables (overrides config)")
+	acceptLoops := fs.Int("accept-loops", -1, "shard the listener accept loop across this many goroutines; 0 or 1 = single loop (overrides config)")
+	sockBuffer := fs.Int("sock-buffer", -1, "kernel socket read/write buffer bytes per connection; 0 = OS default (overrides config)")
+	drainLinger := fs.Duration("drain-linger", 0, "after a drain signal, keep /healthz answering \"draining\" this long (or until a second signal) before shutting down")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(status int, err error) int {
+		fmt.Fprintln(stderr, err)
+		return status
+	}
 
 	d := config.Daemon{}
 	if *cfgPath != "" {
 		var err error
 		if d, err = config.LoadDaemon(*cfgPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return fail(2, err)
 		}
 	}
-	if *listen != "" {
-		d.ListenAddr = *listen
-	}
-	if *policy != "" {
-		d.Policy = *policy
-	}
-	if *timeout >= 0 {
-		d.SessionTimeoutS = *timeout
-	}
-	if *grace >= 0 {
-		d.GrantGraceS = *grace
-	}
-	if *record != "" {
-		d.RecordPath = *record
-	}
-	if *admin != "" {
-		d.AdminAddr = *admin
-	}
-	if *logLevel != "" {
-		d.LogLevel = *logLevel
-	}
-	if *logSample >= 0 {
-		d.LogSample = *logSample
-	}
-	if *maxSessions > 0 {
-		d.MaxSessions = *maxSessions
-	}
-	if *handshakeTimeout >= 0 {
-		d.HandshakeTimeoutS = *handshakeTimeout
-	}
-	if *maxRPS >= 0 {
-		d.MaxRequestsPerSec = *maxRPS
-	}
-	if *acceptLoops >= 0 {
-		d.AcceptLoops = *acceptLoops
-	}
-	if *sockBuffer >= 0 {
-		d.SockBufferBytes = *sockBuffer
-	}
+	// A flag overrides the configuration only when given: a string when
+	// set, a number when not at its negative (or, for -max-sessions, zero)
+	// default.
+	override(&d.ListenAddr, *listen, *listen != "")
+	override(&d.Policy, *policy, *policy != "")
+	override(&d.SessionTimeoutS, *timeout, *timeout >= 0)
+	override(&d.GrantGraceS, *grace, *grace >= 0)
+	override(&d.RecordPath, *record, *record != "")
+	override(&d.AdminAddr, *admin, *admin != "")
+	override(&d.LogLevel, *logLevel, *logLevel != "")
+	override(&d.LogSample, *logSample, *logSample >= 0)
+	override(&d.MaxSessions, *maxSessions, *maxSessions > 0)
+	override(&d.HandshakeTimeoutS, *handshakeTimeout, *handshakeTimeout >= 0)
+	override(&d.MaxRequestsPerSec, *maxRPS, *maxRPS >= 0)
+	override(&d.AcceptLoops, *acceptLoops, *acceptLoops >= 0)
+	override(&d.SockBufferBytes, *sockBuffer, *sockBuffer >= 0)
 	if err := d.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	pol, err := d.BuildPolicy()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 
 	var tw *trace.Writer
 	var tf *os.File
 	if d.RecordPath != "" {
-		tf, err = os.Create(d.RecordPath)
-		if err == nil {
-			// Crash-consistent by default: periodic sync points bound how
-			// much trace a kill -9 loses, and calciom-replay -allow-truncated
-			// reads the survivors.
-			tw, err = trace.NewWriterOptions(tf, d.TraceHeader(), d.TraceOptions())
+		if tf, err = os.Create(d.RecordPath); err != nil {
+			return fail(2, err)
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+		// The shutdown below closes and checks both; these cover the
+		// error returns.
+		defer tf.Close()
+		// Crash-consistent by default: periodic sync points bound how
+		// much trace a kill -9 loses, and calciom-replay -allow-truncated
+		// reads the survivors.
+		if tw, err = trace.NewWriterOptions(tf, d.TraceHeader(), d.TraceOptions()); err != nil {
+			return fail(2, err)
 		}
+		defer tw.Close()
 	}
 
 	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
+		fmt.Fprintf(stderr, format+"\n", args...)
 	}
 	if *quiet {
 		logf = nil
@@ -164,7 +162,7 @@ func main() {
 	}
 	var evlog *obs.EventLog
 	if level, ok := d.EventLevel(); ok {
-		handler := slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level})
+		handler := slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: level})
 		evlog = obs.NewEventLog(slog.New(handler), d.LogSampleN(), 0)
 	}
 
@@ -186,9 +184,9 @@ func main() {
 		Events:           evlog,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return fail(2, err)
 	}
+	defer srv.Close() // before the trace closes, on every return
 
 	var adminSrv *http.Server
 	if d.AdminAddr != "" {
@@ -200,8 +198,7 @@ func main() {
 		}).Handler()
 		adminLn, err := net.Listen("tcp", d.AdminAddr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return fail(2, err)
 		}
 		adminSrv = &http.Server{Handler: handler}
 		go adminSrv.Serve(adminLn)
@@ -210,8 +207,6 @@ func main() {
 		}
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	secondSig := make(chan struct{})
 	go func() {
 		// First signal: graceful drain — stop accepting, answer pending
@@ -229,7 +224,7 @@ func main() {
 		go func() {
 			for range time.Tick(*statsEvery) {
 				st := srv.Stats()
-				fmt.Printf("calciomd: t=%.1fs sessions=%d grants=%d arbitrations=%d cpu-sec-wasted=%.1f convoy-wait=%.3fs proto-wait=%.3fs\n",
+				fmt.Fprintf(stdout, "calciomd: t=%.1fs sessions=%d grants=%d arbitrations=%d cpu-sec-wasted=%.1f convoy-wait=%.3fs proto-wait=%.3fs\n",
 					st.NowS, st.Sessions, st.GrantsServed, st.Arbitrations, st.CPUSecondsWasted,
 					st.ConvoyWaitS, st.ProtocolWaitS)
 			}
@@ -237,8 +232,7 @@ func main() {
 	}
 
 	if err := srv.ListenAndServe(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(1, err)
 	}
 	// A drained daemon can linger so operators (and the chaos smoke) observe
 	// /healthz reporting "draining" before teardown; a second signal cuts
@@ -265,7 +259,7 @@ func main() {
 		}
 	}
 	st := srv.Stats()
-	fmt.Printf("calciomd: clean shutdown: policy=%s grants-served=%d arbitrations=%d uptime=%.3fs\n",
+	fmt.Fprintf(stdout, "calciomd: clean shutdown: policy=%s grants-served=%d arbitrations=%d uptime=%.3fs\n",
 		st.Policy, st.GrantsServed, st.Arbitrations, st.NowS)
 	if tw != nil {
 		err := tw.Close()
@@ -273,10 +267,17 @@ func main() {
 			err = cerr
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "calciomd: trace: %v\n", err)
-			os.Exit(1)
+			return fail(1, fmt.Errorf("calciomd: trace: %w", err))
 		}
-		fmt.Printf("calciomd: trace: events=%d dropped=%d path=%s\n",
+		fmt.Fprintf(stdout, "calciomd: trace: events=%d dropped=%d path=%s\n",
 			tw.Recorded(), tw.Dropped(), d.RecordPath)
+	}
+	return 0
+}
+
+// override sets *field to v when the flag that holds v was given.
+func override[T any](field *T, v T, given bool) {
+	if given {
+		*field = v
 	}
 }

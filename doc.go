@@ -269,9 +269,9 @@
 // requires, per target, the reproduced grant/revoke sequence to match the
 // recorded one event for event — exact, because each target's shard
 // serializes its coordination through one goroutine and the trace captures
-// that serialized order (the CI daemon-smoke job records a 64-client burst
-// and asserts the replayed grant count and sequence match the live run;
-// the multi-target smoke does the same per shard). What-if replay
+// that serialized order (TestSmoke in cmd/calciom-load records a 64-client
+// burst and asserts the replayed grant count and sequence match the live
+// run; TestSmokeMultiTarget does the same per shard). What-if replay
 // (replay.Under / replay.Compare) re-arbitrates the same arrival pattern
 // under any policy, synthesizing delay-policy rechecks on the virtual
 // clock, and derives a per-policy comparison: total and tail wait, the
@@ -629,7 +629,7 @@
 // wait histograms also ride the stats merge into wire.Stats.WaitHist, so
 // TCP stats consumers get the same distribution the scrape reports.
 // calciom-load -scrape URL diffs the scrape against client-side truth in
-// the CI smoke jobs, exactly.
+// the daemon smoke tests (go test ./cmd/calciom-load -run Smoke), exactly.
 //
 // With -log-level (debug logs per-grant events; -log-sample N thins them to
 // every Nth) the daemon emits a structured grant-lifecycle stream through

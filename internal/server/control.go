@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -190,6 +191,13 @@ func (srv *Server) register(s *session, req wire.Request, now float64) {
 	}
 	if req.App == "" {
 		s.replyCode(req.Seq, wire.CodeProtocol, errors.New("server: empty application name"), req.Target)
+		return
+	}
+	// The arbiter takes the core count whole and the trace records it as
+	// an int32: a count the two would read differently, or a negative one,
+	// is refused on the fresh and the resume path alike.
+	if req.Cores < 0 || req.Cores > math.MaxInt32 {
+		s.replyCode(req.Seq, wire.CodeProtocol, fmt.Errorf("server: cores %d out of range [0, %d]", req.Cores, math.MaxInt32), req.Target)
 		return
 	}
 	if old, dup := srv.names[req.App]; dup {

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -210,6 +212,44 @@ func TestProtocolErrors(t *testing.T) {
 	// The error must not have killed the session: a fresh name works.
 	if err := d.Register("B", 1); err != nil {
 		t.Fatalf("register after duplicate error: %v", err)
+	}
+}
+
+// TestRegisterCoresOutOfRange: the arbiter would take a core count whole
+// while the trace keeps its low 32 bits, so a count past MaxInt32 — or a
+// negative one — is a protocol error in either codec, and the session is
+// left unregistered, free to register properly. A resume carrying one
+// leaves the live session in place.
+func TestRegisterCoresOutOfRange(t *testing.T) {
+	srv, addr := startTestServer(t, Config{})
+	for _, codec := range []struct {
+		name string
+		dial func(*testing.T, string) *client.Client
+	}{{"json", dialT}, {"binary", dialBinaryT}} {
+		for _, cores := range []int{4294967297, -1} {
+			c := codec.dial(t, addr)
+			name := fmt.Sprintf("%s%d", codec.name, cores)
+			var re *client.ReplyError
+			if err := c.Register(name, cores); !errors.As(err, &re) || re.Code != wire.CodeProtocol {
+				t.Fatalf("%s: register with %d cores: %v, want a %s reply", codec.name, cores, err, wire.CodeProtocol)
+			}
+			if err := c.Register(name, math.MaxInt32); err != nil {
+				t.Fatalf("%s: register after the refused one: %v", codec.name, err)
+			}
+		}
+	}
+
+	live := testSession(4)
+	srv.handle(live, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "R", Cores: 2, Incarnation: 1})
+	for _, cores := range []int{4294967297, -1} {
+		s := testSession(4)
+		srv.handle(s, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "R", Cores: cores, Incarnation: 2})
+		if r := queued(s); len(r) != 1 || r[0].Code != wire.CodeProtocol {
+			t.Fatalf("resume with %d cores answered %+v, want one %s reply", cores, r, wire.CodeProtocol)
+		}
+		if id := live.id.Load(); live.gone.Load() || id == nil || id.cores != 2 {
+			t.Fatalf("resume with %d cores disturbed the live session", cores)
+		}
 	}
 }
 
