@@ -243,12 +243,15 @@
 // trace lossy — replay refuses it rather than silently diverging.
 //
 // Recording rides arbitration, under the shard's lock, without touching its
-// guarantees: events travel by value through a fixed-capacity channel to a
-// drain goroutine that owns all encoding and file I/O, so the hot path
-// neither blocks nor allocates (BenchmarkServerArbitrateRecording: 0
-// allocs/op, pinned by TestRecordingStaysAllocFree). Overflow is dropped
-// and counted, never waited on — and replay refuses lossy traces rather
-// than silently diverging.
+// guarantees: Record copies each event into a fixed-size chunk (256 events)
+// under the writer's leaf mutex, and a drain goroutine — woken once per
+// filled chunk, and taking the partly filled one on its sync tick and at
+// Close — owns all encoding and file I/O and hands the emptied chunks back
+// through a free list. The hot path neither blocks nor allocates
+// (BenchmarkServerArbitrateRecording: 0 allocs/op, pinned by
+// TestRecordingStaysAllocFree). Overflow is dropped and counted, never
+// waited on — and replay refuses lossy traces rather than silently
+// diverging.
 //
 // Replay mirrors the daemon's sharding: the trace is compiled into
 // per-target streams, each re-arbitrated through its own Arbiter, and the
@@ -637,8 +640,10 @@
 // queue position, deferred-vs-immediate, convoy cause), revoke (info), and
 // grace-expired/drain (warn). Emission is off the hot path — events travel
 // by value through a fixed-capacity channel to a formatting goroutine,
-// overflow is dropped and counted, never blocked on — the recording
-// subsystem's discipline, applied to logging.
+// overflow is dropped and counted, never blocked on. Unlike the trace
+// recorder, which batches events in chunks, the event log keeps a send per
+// event: it is sampled, so a send is rare, and it has no sync tick that
+// would bound how long a batched line waits.
 //
 // # Overload model
 //

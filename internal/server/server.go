@@ -91,10 +91,11 @@ type Config struct {
 	// internal/replay. Every event carries the storage target whose shard
 	// recorded it, so replay can partition the file back into per-target
 	// streams. Recording happens under the shard's lock but adds neither
-	// blocking nor allocation to it: events travel by value into the
-	// writer's buffered channel, and overflow is drop-counted, never waited
-	// on. The caller owns the writer and must Close it only after the
-	// server has shut down.
+	// blocking nor allocation to it: each event is copied into the
+	// writer's current chunk under its leaf mutex, the drain goroutine is
+	// woken once per filled chunk, and overflow is drop-counted, never
+	// waited on. The caller owns the writer and must Close it only after
+	// the server has shut down (a Record racing Close would be dropped).
 	Trace *trace.Writer
 	// Metrics, when set, receives hot-path instrumentation: per-target
 	// grant/arbitration/revoke counters, queue-depth gauges, and

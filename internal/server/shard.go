@@ -464,8 +464,9 @@ func (sh *shard) endHold(b *binding, now float64) {
 }
 
 // rec records one trace event when recording is enabled, stamped with this
-// shard's target. It is safe on the hot path: a nil check plus a by-value
-// channel send.
+// shard's target. It is safe on the hot path: a nil check plus a copy into
+// the writer's current chunk under its leaf mutex, which nests inside the
+// shard lock.
 func (sh *shard) rec(ev trace.Event) {
 	if sh.srv.cfg.Trace != nil {
 		ev.Target = sh.target

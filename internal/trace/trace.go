@@ -72,13 +72,17 @@
 //
 // # Writer discipline
 //
-// Writer.Record is called under a daemon shard's lock, so it
-// must never block and never allocate: events are passed by value through a
-// fixed-capacity channel to a drain goroutine that owns all encoding and
-// file I/O. When the channel is full the event is dropped and counted
-// instead of stalling arbitration; the drop count is written into the
-// trailer and surfaced by the reader, and replay refuses lossy traces (a
-// gap would make the reproduction silently diverge).
+// Writer.Record is called under a daemon shard's lock, so it must never
+// block and never allocate: under a leaf mutex it copies the event into a
+// fixed-size chunk, taken from a free list, and wakes the drain goroutine
+// only when a chunk fills. The drain goroutine owns all encoding and file
+// I/O: it takes the filled chunks (and, on its sync tick and at Close, the
+// partly filled one), encodes them outside the lock and returns the chunks
+// to the free list. When Buffer events already wait for the drain, the
+// event is dropped and counted instead of stalling arbitration; the drop
+// count is written into the trailer and surfaced by the reader, and replay
+// refuses lossy traces (a gap would make the reproduction silently
+// diverge).
 package trace
 
 import (
@@ -92,7 +96,6 @@ import (
 	"os"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -169,7 +172,7 @@ func (t Type) String() string {
 }
 
 // Event is one trace record. It is passed by value end to end — Record
-// copies it into the writer's channel, Reader.Next fills the caller's —
+// copies it into the writer's current chunk, Reader.Next fills the caller's —
 // so the hot path never allocates for it. Only the fields relevant to the
 // Type are meaningful; the rest are zero.
 type Event struct {
@@ -235,24 +238,44 @@ const (
 // DefaultBuffer is the writer's default in-flight event capacity.
 const DefaultBuffer = 1 << 16
 
-// Writer records events asynchronously: Record hands the event to a drain
-// goroutine through a fixed-capacity channel and returns immediately.
-// Record never blocks and never allocates; overflow is counted in Dropped
-// instead. One goroutine may call Record at a time per ordering guarantee
-// domain (the daemon records a target's events under that target's shard
-// lock); concurrent Record from many goroutines is safe but interleaves
-// events in channel order.
+// chunkEvents caps the events one chunk holds (80 bytes each, about 20 KiB):
+// a writer's chunks hold min(Buffer, chunkEvents) events.
+const chunkEvents = 256
+
+// Writer records events asynchronously: Record copies the event into a
+// fixed-size chunk under a leaf mutex and returns immediately; a drain
+// goroutine takes the chunks, encodes their events outside the lock and
+// hands the emptied chunks back for Record to reuse. Record never waits
+// for the drain and never allocates once the chunks it needs exist; more
+// than Buffer events accepted and not yet taken by the drain are dropped
+// and counted in Dropped instead. One goroutine may call Record at a time
+// per ordering guarantee domain (the daemon records a target's events
+// under that target's shard lock); concurrent Record from many goroutines
+// is safe and interleaves events in the order they take the writer's
+// mutex.
 //
-// Close must not race Record: stop recording first (the daemon closes the
-// writer only after Server.Close has marked every shard stopped).
+// A Record racing Close is dropped and counted (the daemon closes the
+// writer only after Server.Close has marked every shard stopped, so it
+// drops none).
 type Writer struct {
-	ch   chan Event
+	// mu guards the chunks and counters below; it is a leaf lock, held
+	// only to copy one event or to move chunks between the lists.
+	mu       sync.Mutex
+	cur      []Event   // the chunk Record fills; nil until a Record needs one
+	full     [][]Event // filled chunks, oldest first, not yet taken by the drain
+	free     [][]Event // emptied chunks for Record to reuse
+	pending  int       // events in cur and full: accepted, not yet taken
+	closed   bool      // set by Close: every later Record is dropped
+	recorded uint64    // events accepted
+	dropped  uint64
+
+	buffer int // cap on pending (Options.Buffer)
+	chunk  int // events per chunk
+
+	wake chan struct{} // one slot: a filled chunk was queued
 	quit chan struct{}
 	done chan struct{}
 	once sync.Once
-
-	recorded atomic.Uint64 // events accepted into the channel
-	dropped  atomic.Uint64
 
 	syncEvery    int           // emit a sync record every N encoded events (0 = never)
 	syncInterval time.Duration // and at least this often while events flow (0 = never)
@@ -264,7 +287,8 @@ type Writer struct {
 
 // Options configures a Writer beyond the mandatory header.
 type Options struct {
-	// Buffer is the in-flight event capacity; <= 0 means DefaultBuffer.
+	// Buffer caps the events accepted and not yet taken by the drain
+	// goroutine; <= 0 means DefaultBuffer.
 	Buffer int
 	// SyncEvery emits a sync record and flushes the output buffer every N
 	// encoded events, bounding how much a crashed recorder loses. 0 means
@@ -308,7 +332,9 @@ func NewWriterOptions(w io.Writer, hdr Header, opts Options) (*Writer, error) {
 		buffer = DefaultBuffer
 	}
 	tw := &Writer{
-		ch:           make(chan Event, buffer),
+		buffer:       buffer,
+		chunk:        min(buffer, chunkEvents),
+		wake:         make(chan struct{}, 1),
 		quit:         make(chan struct{}),
 		done:         make(chan struct{}),
 		syncEvery:    opts.SyncEvery,
@@ -329,31 +355,91 @@ func NewWriterOptions(w io.Writer, hdr Header, opts Options) (*Writer, error) {
 	return tw, nil
 }
 
-// Record enqueues one event. It never blocks: when the buffer is full the
-// event is dropped and counted. Safe to call on the arbitration hot path —
-// the event travels by value, so Record performs no allocation.
+// Record accepts one event. It never blocks: when Buffer events are already
+// waiting for the drain goroutine, or the writer is closed, the event is
+// dropped and counted. Safe to call on the arbitration hot path — the event
+// is copied into a reused chunk, so Record allocates only for a chunk when
+// none is free, and wakes the drain goroutine only when a chunk fills.
 func (w *Writer) Record(ev Event) {
-	select {
-	case w.ch <- ev:
-		w.recorded.Add(1)
-	default:
-		w.dropped.Add(1)
+	w.mu.Lock()
+	if w.closed || w.pending >= w.buffer {
+		w.dropped++
+		w.mu.Unlock()
+		return
+	}
+	if w.cur == nil {
+		if n := len(w.free); n > 0 {
+			w.cur, w.free = w.free[n-1], w.free[:n-1]
+		} else {
+			w.cur = make([]Event, 0, w.chunk)
+		}
+	}
+	w.cur = append(w.cur, ev)
+	w.pending++
+	w.recorded++
+	filled := len(w.cur) == cap(w.cur)
+	if filled {
+		w.full = append(w.full, w.cur)
+		w.cur = nil
+	}
+	w.mu.Unlock()
+	if filled {
+		select {
+		case w.wake <- struct{}{}:
+		default: // a wake is already pending; the drain takes every queued chunk
+		}
 	}
 }
 
 // Recorded returns the number of events accepted so far.
-func (w *Writer) Recorded() uint64 { return w.recorded.Load() }
+func (w *Writer) Recorded() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.recorded
+}
 
-// Dropped returns the number of events dropped on overflow so far.
-func (w *Writer) Dropped() uint64 { return w.dropped.Load() }
+// Dropped returns the number of events dropped so far: on overflow, or
+// handed to a closed writer.
+func (w *Writer) Dropped() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.dropped
+}
 
 // Close drains the remaining events, writes the trailer and flushes. It
-// returns the first write error, if any. Close is idempotent; Record calls
-// racing Close may be counted as dropped.
+// returns the first write error, if any. Close is idempotent; a Record
+// racing Close is either in the file or counted as dropped.
 func (w *Writer) Close() error {
-	w.once.Do(func() { close(w.quit) })
+	w.once.Do(func() {
+		w.mu.Lock()
+		w.closed = true
+		w.mu.Unlock()
+		close(w.quit)
+	})
 	<-w.done
 	return w.err
+}
+
+// take appends the queued chunks to batch, oldest first, and with partial
+// also the chunk Record is filling, which follows them in record order.
+func (w *Writer) take(batch [][]Event, partial bool) [][]Event {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	batch = append(batch, w.full...)
+	w.full = w.full[:0]
+	if partial && len(w.cur) > 0 {
+		batch = append(batch, w.cur)
+		w.cur = nil
+	}
+	w.pending = len(w.cur)
+	return batch
+}
+
+// recycle hands an emptied chunk back to Record.
+func (w *Writer) recycle(c []Event) {
+	w.mu.Lock()
+	w.free = append(w.free, c[:0])
+	w.mu.Unlock()
 }
 
 func (w *Writer) drain() {
@@ -373,7 +459,7 @@ func (w *Writer) drain() {
 		b := w.buf[:0]
 		b = append(b, byte(evSync))
 		b = binary.LittleEndian.AppendUint64(b, encoded)
-		b = binary.LittleEndian.AppendUint64(b, w.dropped.Load())
+		b = binary.LittleEndian.AppendUint64(b, w.Dropped())
 		w.buf = b
 		w.write(b)
 		if err := w.bw.Flush(); err != nil && w.err == nil {
@@ -381,35 +467,39 @@ func (w *Writer) drain() {
 		}
 		sinceSync = 0
 	}
-	handle := func(ev Event) {
-		w.encode(ev)
-		encoded++
-		sinceSync++
-		if w.syncEvery > 0 && sinceSync >= uint64(w.syncEvery) {
-			sync()
+	// flush encodes the queued chunks (and the partly filled one with
+	// partial), clearing each of the strings and maps its events point to
+	// and returning it to the free list as soon as it is encoded.
+	var batch [][]Event
+	flush := func(partial bool) {
+		batch = w.take(batch[:0], partial)
+		for _, c := range batch {
+			for i := range c {
+				w.encode(c[i])
+				encoded++
+				sinceSync++
+				if w.syncEvery > 0 && sinceSync >= uint64(w.syncEvery) {
+					sync()
+				}
+			}
+			clear(c)
+			w.recycle(c)
 		}
 	}
 	for {
 		select {
-		case ev := <-w.ch:
-			handle(ev)
+		case <-w.wake:
+			flush(false)
 		case <-tick:
+			flush(true)
 			sync()
 		case <-w.quit:
-			for {
-				select {
-				case ev := <-w.ch:
-					handle(ev)
-					continue
-				default:
-				}
-				break
-			}
+			flush(true)
 			w.buf = w.buf[:0]
 			w.buf = append(w.buf, byte(evTrailer))
 			w.buf = le64(w.buf, 0) // trailer time, reserved
-			w.buf = binary.LittleEndian.AppendUint64(w.buf, w.recorded.Load())
-			w.buf = binary.LittleEndian.AppendUint64(w.buf, w.dropped.Load())
+			w.buf = binary.LittleEndian.AppendUint64(w.buf, w.Recorded())
+			w.buf = binary.LittleEndian.AppendUint64(w.buf, w.Dropped())
 			w.write(w.buf)
 			if err := w.bw.Flush(); err != nil && w.err == nil {
 				w.err = fmt.Errorf("trace: flush: %w", err)
