@@ -584,7 +584,7 @@ func BenchmarkArbiterRotating(b *testing.B) {
 			holder := 0
 			cycle := func() {
 				a := apps[holder]
-				if !a.Authorized() || a.Activate() != nil || a.Release() != nil {
+				if !a.Authorized() || a.Activate().Err() != nil || a.Release().Err() != nil {
 					b.Fatalf("%s is not the holder", a.Name())
 				}
 				now++

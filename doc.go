@@ -21,9 +21,21 @@
 //
 // # Architecture: simulator mode and daemon mode
 //
-// The coordination layer runs in two deployments sharing one arbitration
-// core (core.Arbiter: AppView construction, the policy call, decision
-// application onto per-app authorization):
+// The coordination layer runs in two deployments sharing one coordination
+// state machine, core.Domain: one target's core.Arbiter (AppView
+// construction, the policy call, decision application onto per-app
+// authorization) and each session's core.AppState with its core.Ledger.
+// The Domain is the one place each verb's meaning is written — a Release
+// applies its progress before the state check, Inform opens a ledger phase
+// and End closes it, a Wait parked under its own phase's teardown is
+// cancelled, Inform, Release, End and a mid-phase leave ask for an
+// arbitration, a resume keeps its ledger, and the protocol-violation texts
+// are formatted once. Each verb is one call that does no I/O, reads no
+// clock and allocates nothing; its hosts only adapt it — the daemon's shard
+// (lock, wire replies, trace records, metrics, timers), replay's machine
+// (virtual clock, accrual, flip logs) and the simulator's Layer (message
+// latency, process parking). TestDomainMatchesHosts in internal/server
+// drives one schedule through the Domain and all three hosts:
 //
 //   - Simulator mode: core.Layer inside the discrete-event engine. Each
 //     application is a simulated process; coordination messages travel with
@@ -33,8 +45,9 @@
 //     over TCP, sharded by storage target. Real platforms expose many
 //     independent targets (PFS servers, burst buffers) and contention is
 //     per target, so a coordination domain is one target: core.ArbiterSet
-//     keys one core.Arbiter per target, and a shard — that arbiter, the
-//     target's bindings and counters — is a piece of state behind a mutex,
+//     keys one core.Arbiter per target, and a shard — the core.Domain over
+//     that arbiter, the target's bindings and counters — is a piece of
+//     state behind a mutex,
 //     not a goroutine behind a queue. Shards run to completion: the
 //     per-connection reader goroutine that decoded a request resolves the
 //     shard of the target it addresses, takes its lock, arbitrates, queues
@@ -194,8 +207,8 @@
 // The daemon can record everything arbitration did on each target —
 // state-mutating requests, explicit re-arbitrations, and the authorization
 // flips they produced — into a compact, versioned, append-only event log
-// (internal/trace), and internal/replay re-drives such a log through
-// core.Arbiter on a virtual clock. That closes the paper's loop as an
+// (internal/trace), and internal/replay re-drives such a log through a
+// core.Domain on a virtual clock. That closes the paper's loop as an
 // observe → replay → decide pipeline: record live traffic once, then ask
 // which coordination strategy fits it, without re-running the applications.
 //
@@ -254,7 +267,7 @@
 // diverging.
 //
 // Replay mirrors the daemon's sharding: the trace is compiled into
-// per-target streams, each re-arbitrated through its own Arbiter, and the
+// per-target streams, each re-arbitrated through its own Domain, and the
 // results are merged (client captures record one register/unregister per
 // session, which the compiler propagates to every target the session
 // touches, at first touch — the daemon's lazy attach, reconstructed). A

@@ -7,21 +7,13 @@ import (
 )
 
 // AppState is one application's protocol state as the arbitration core sees
-// it: registration identity, the folded Prepare info, phase state and the
-// current authorization. It is the piece of the coordination layer shared
-// between the two deployment modes — the discrete-event simulator wraps one
-// per Coordinator, and the network daemon wraps one per client session — so
-// view construction and decision application cannot drift between them.
-//
-// AppState methods never panic: protocol violations (Complete without
-// Prepare, Release while not active) are returned as errors, because on the
-// daemon path they are client bugs the server must survive. The simulator's
-// Coordinator converts them back to panics, as a protocol violation there is
-// a bug in the experiment itself.
+// it — registration identity, the folded Prepare info, phase state and the
+// current authorization — with its Ledger and its host's cookie: a session's
+// place in a Domain, through which every host drives it. Its methods never
+// panic: a protocol violation is returned as a Violation.
 type AppState struct {
-	// Data is an owner-managed cookie: the sim layer stores the
-	// *Coordinator, the daemon stores its session. The arbitration core
-	// never touches it.
+	// Data is the host's cookie: the simulator stores the *Coordinator, the
+	// daemon its binding, replay its session. The core never touches it.
 	Data any
 
 	name     string
@@ -42,6 +34,14 @@ type AppState struct {
 	aloneBW    float64
 
 	infoStack []ParsedInfo
+
+	// The Domain's bookkeeping: the ledger, and the open phase and parked
+	// Wait it is charging.
+	led        Ledger
+	phaseStart float64
+	waitFrom   float64
+	parked     bool
+	convoy     bool // the parked Wait found another application authorized
 }
 
 // Name returns the application name.
@@ -99,14 +99,14 @@ func (a *AppState) Prepare(info ParsedInfo) {
 }
 
 // Complete unstacks the most recent Prepare.
-func (a *AppState) Complete() error {
+func (a *AppState) Complete() Violation {
 	if len(a.infoStack) == 0 {
-		return fmt.Errorf("core: %s: Complete without Prepare", a.name)
+		return Violation{a, "Complete without Prepare"}
 	}
 	a.infoStack = a.infoStack[:len(a.infoStack)-1]
 	a.applyInfo()
 	a.refresh()
-	return nil
+	return Violation{}
 }
 
 // applyInfo folds the info stack (later entries win) into the typed view.
@@ -131,10 +131,9 @@ func (a *AppState) applyInfo() {
 	}
 }
 
-// Inform announces the application's intent (or continued intent) to do I/O.
-// On the first Inform of a phase it records the arrival time, resets the
-// progress counter and joins the arbitration queue; it reports whether this
-// opened a fresh phase.
+// Inform announces the intent to do I/O. The first Inform of a phase records
+// the arrival, resets the progress counter, joins the arbitration queue and
+// reports true.
 func (a *AppState) Inform(now float64) (fresh bool) {
 	if a.state != Idle {
 		return false
@@ -148,24 +147,22 @@ func (a *AppState) Inform(now float64) (fresh bool) {
 	return true
 }
 
-// Activate marks the application inside an I/O step, the transition a
-// successful Wait makes.
-func (a *AppState) Activate() error {
+// Activate marks the application inside an I/O step, as a served Wait does.
+func (a *AppState) Activate() Violation {
 	if a.state == Idle {
-		return fmt.Errorf("core: %s: Wait before Inform", a.name)
+		return Violation{a, "Wait before Inform"}
 	}
 	a.setState(Active)
-	return nil
+	return Violation{}
 }
 
-// Release ends one step of the I/O access; a new Inform is required before
-// the next access step, per the paper's API contract.
-func (a *AppState) Release() error {
+// Release ends one step of the I/O access.
+func (a *AppState) Release() Violation {
 	if a.state != Active {
-		return fmt.Errorf("core: %s: Release while %v", a.name, a.state)
+		return Violation{a, releaseWhile[a.state]}
 	}
 	a.setState(Waiting)
-	return nil
+	return Violation{}
 }
 
 // End terminates the I/O phase entirely: the application becomes invisible
@@ -189,31 +186,10 @@ func (a *AppState) Progress(bytesDone float64) {
 	}
 }
 
-// Outcome is the result of one Arbiter.Arbitrate call. The Granted and
-// Revoked slices are scratch owned by the Arbiter, valid until the next
-// Arbitrate call; callers must not retain them.
-type Outcome struct {
-	// Acted is false when no application was in an I/O phase (nothing to
-	// arbitrate, no decision logged).
-	Acted bool
-	// Reason is the policy's explanation for the decision.
-	Reason Reason
-	// RecheckAfter, when positive, asks the caller to re-arbitrate after
-	// that many seconds even if nothing changes.
-	RecheckAfter float64
-	// Granted lists apps whose authorization flipped false→true, in
-	// registration order.
-	Granted []*AppState
-	// Revoked lists apps whose authorization flipped true→false, in
-	// registration order.
-	Revoked []*AppState
-}
-
-// Arbiter owns the arbitration state machine shared by the simulator Layer
-// and the network daemon: the registered applications, the arrival-ordered
-// queue of those in an I/O phase with the AppViews handed to the policy, and
-// the application of the policy's decision back onto per-app authorization
-// bits.
+// Arbiter is the arbitration half of a Domain: the registered
+// applications, the arrival-ordered queue of those in an I/O phase with the
+// AppViews handed to the policy, and the application of the policy's
+// decision back onto per-app authorization bits.
 //
 // The queue is persistent and maintained incrementally, so a decision costs
 // what changed since the last one rather than a rebuild: Inform inserts the
@@ -293,9 +269,10 @@ func (ar *Arbiter) Reserve(n int) {
 // Reset returns the arbiter to its just-constructed state while keeping the
 // registered applications (in registration order) and the capacity of the
 // queue, the decision scratch and the decision log with its names arena:
-// every AppState goes back to Idle/unauthorized with an empty info stack, the
-// queue empties, and the log restarts in place — what Log handed out is
-// overwritten, so a holder that wants it past the Reset takes a CloneLog.
+// every AppState goes back to Idle/unauthorized with an empty info stack and
+// ledger, the queue empties, and the log restarts in place — what Log handed
+// out is overwritten, so a holder that wants it past the Reset takes a
+// CloneLog.
 func (ar *Arbiter) Reset() {
 	for _, a := range ar.apps {
 		a.reset()
@@ -306,16 +283,11 @@ func (ar *Arbiter) Reset() {
 	ar.log, ar.names, ar.logHead = ar.log[:0], ar.names[:0], 0
 }
 
-// reset returns the application to its just-registered protocol state.
+// reset returns the application to its just-registered state, ledger
+// included, undoing any Prepare(KeyCores) override.
 func (a *AppState) reset() {
-	a.state = Idle
-	a.arrival = 0
-	a.authorized = false
-	a.cores = a.regCores // undo any Prepare(KeyCores) override
-	a.bytesTotal, a.bytesDone = 0, 0
-	a.files, a.rounds = 0, 0
-	a.aloneBW = 0
-	a.infoStack = a.infoStack[:0]
+	*a = AppState{Data: a.Data, name: a.name, cores: a.regCores, regCores: a.regCores, idx: a.idx, ar: a.ar,
+		infoStack: a.infoStack[:0]}
 }
 
 // SetLogBound bounds the decision log: negative keeps everything (default),
@@ -358,12 +330,8 @@ func (ar *Arbiter) LastRecord() *DecisionRecord {
 	return &ar.log[len(ar.log)-1]
 }
 
-// Apps returns the registered applications in registration order. The slice
-// is owned by the Arbiter.
-func (ar *Arbiter) Apps() []*AppState { return ar.apps }
-
 // otherAuthorized reports whether any registered application other than
-// app currently holds authorization: what Ledger.Wait classifies a parked
+// app currently holds authorization: what Domain.Wait classifies a parked
 // Wait by.
 func (ar *Arbiter) otherAuthorized(app *AppState) bool {
 	n := ar.nAuth
@@ -373,20 +341,36 @@ func (ar *Arbiter) otherAuthorized(app *AppState) bool {
 	return n > 0
 }
 
+// Apps returns the registered applications in registration order. The slice
+// is owned by the Arbiter.
+func (ar *Arbiter) Apps() []*AppState { return ar.apps }
+
 // Register adds an application. Names must be unique among currently
 // registered applications.
 func (ar *Arbiter) Register(name string, cores int) (*AppState, error) {
-	if name == "" {
-		return nil, fmt.Errorf("core: empty application name")
+	a := new(AppState)
+	if err := ar.register(a, name, cores); err != nil {
+		return nil, err
 	}
-	for _, a := range ar.apps {
-		if a.name == name {
-			return nil, fmt.Errorf("core: duplicate coordinator %q", name)
+	return a, nil
+}
+
+// register (re)initializes a — fresh, or unregistered and joining a Domain
+// again — as a newly registered application that keeps its cookie and its
+// ledger.
+func (ar *Arbiter) register(a *AppState, name string, cores int) error {
+	if name == "" {
+		return fmt.Errorf("core: empty application name")
+	}
+	for _, o := range ar.apps {
+		if o.name == name {
+			return fmt.Errorf("core: duplicate coordinator %q", name)
 		}
 	}
-	a := &AppState{name: name, cores: cores, regCores: cores, idx: len(ar.apps), ar: ar}
+	*a = AppState{Data: a.Data, name: name, cores: cores, regCores: cores, idx: len(ar.apps), ar: ar,
+		infoStack: a.infoStack[:0], led: a.led}
 	ar.apps = append(ar.apps, a)
-	return a, nil
+	return nil
 }
 
 // Unregister removes an application (a daemon session disconnecting), from
@@ -476,15 +460,16 @@ func (ar *Arbiter) dequeue(a *AppState) {
 // Arbitrate runs one arbitration round at the given time: it hands the
 // policy the queued applications' views — kept sorted by (arrival, name) and
 // current by the AppState mutators — applies the decision to the
-// authorization bits that differ from it, and logs the outcome.
-// Authorization changes are reported in registration order so the caller's
-// follow-up actions (waking simulated processes, pushing grants to network
-// clients) happen in a deterministic order.
-func (ar *Arbiter) Arbitrate(now float64) Outcome {
+// authorization bits that differ from it, and logs the outcome. It returns
+// the policy's reason and recheck request, and acted false when no
+// application was in an I/O phase; the flips, in registration order, are
+// left in granted and revoked for Domain.Arbitrate to hand on.
+func (ar *Arbiter) Arbitrate(now float64) (reason Reason, recheck float64, acted bool) {
+	ar.granted, ar.revoked = ar.granted[:0], ar.revoked[:0]
 	views := ar.views[ar.head:len(ar.views):len(ar.views)] // clipped: a policy's append must not reach the backing
 	n := len(views)
 	if n == 0 {
-		return Outcome{}
+		return Reason{}, 0, false
 	}
 	if cap(ar.allowed) < n {
 		ar.allowed = make([]bool, cap(ar.views))
@@ -492,11 +477,9 @@ func (ar *Arbiter) Arbitrate(now float64) Outcome {
 	allowed := ar.allowed[:n]
 	clear(allowed)
 
-	reason, recheck := ar.policy.Arbitrate(now, views, allowed, &ar.model)
+	reason, recheck = ar.policy.Arbitrate(now, views, allowed, &ar.model)
 
 	queue, auth := ar.queue[ar.head:], ar.auth[ar.head:]
-	ar.granted = ar.granted[:0]
-	ar.revoked = ar.revoked[:0]
 	for i, ok := range allowed {
 		if ok == auth[i] {
 			continue
@@ -540,13 +523,7 @@ func (ar *Arbiter) Arbitrate(now float64) Outcome {
 		rec.Time, rec.Policy, rec.Allowed, rec.Reason = now, ar.policyName, names, reason
 	}
 
-	return Outcome{
-		Acted:        true,
-		Reason:       reason,
-		RecheckAfter: recheck,
-		Granted:      ar.granted,
-		Revoked:      ar.revoked,
-	}
+	return reason, recheck, true
 }
 
 // sortByRegistration orders a decision's flips — found in queue order — by

@@ -34,8 +34,7 @@ func TestArbiterBoundedLogRing(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		a.Inform(float64(i))
-		out := ar.Arbitrate(float64(i))
-		if !out.Acted {
+		if _, _, acted := ar.Arbitrate(float64(i)); !acted {
 			t.Fatal("no arbitration")
 		}
 		a.End()
@@ -74,7 +73,7 @@ func TestArbiterUnregisterPreservesOrder(t *testing.T) {
 	ar.Unregister(apps[1])
 	ar.Unregister(apps[3])
 	ar.Unregister(apps[3]) // double unregister is a no-op
-	got := ar.Apps()
+	got := ar.apps
 	want := []string{"app-0", "app-2", "app-4"}
 	if len(got) != len(want) {
 		t.Fatalf("apps = %d, want %d", len(got), len(want))
@@ -90,16 +89,16 @@ func TestArbiterUnregisterPreservesOrder(t *testing.T) {
 	}
 	// All still-registered apps get granted and reported in order.
 	now := 0.0
-	for _, a := range ar.Apps() {
+	for _, a := range ar.apps {
 		a.Inform(now)
 		now++
 	}
-	out := ar.Arbitrate(now)
-	if len(out.Granted) != 4 {
-		t.Fatalf("granted %d apps, want 4", len(out.Granted))
+	ar.Arbitrate(now)
+	if len(ar.granted) != 4 {
+		t.Fatalf("granted %d apps, want 4", len(ar.granted))
 	}
-	for i, a := range out.Granted {
-		if want := ar.Apps()[i].Name(); a.Name() != want {
+	for i, a := range ar.granted {
+		if want := ar.apps[i].Name(); a.Name() != want {
 			t.Fatalf("grant order %d = %s, want %s", i, a.Name(), want)
 		}
 	}
@@ -163,13 +162,13 @@ func TestArbiterStaysAllocFree(t *testing.T) {
 				}
 				for _, a := range apps {
 					now++
-					if a.Authorized() && a.Activate() == nil {
+					if a.Authorized() && a.Activate().Err() == nil {
 						a.Progress(5e7)
-						_ = a.Release() // just activated
+						a.Release() // just activated
 					}
 					ar.Arbitrate(now)
 					a.End()
-					_ = a.Complete() // prepared above
+					a.Complete() // prepared above
 					ar.Arbitrate(now)
 				}
 				if logBound < 0 {
@@ -205,7 +204,7 @@ func TestSharedPolicyValueConcurrentArbiters(t *testing.T) {
 		now := 0.0
 		decide := func() {
 			now++
-			reasons = append(reasons, fmt.Sprint(ar.Arbitrate(now).Reason, ar.LastRecord().Allowed))
+			reasons = append(reasons, fmt.Sprint(arbitrate(ar, now).Reason, ar.LastRecord().Allowed))
 		}
 		for round := 0; round < 50; round++ {
 			for i, a := range apps {
@@ -215,14 +214,14 @@ func TestSharedPolicyValueConcurrentArbiters(t *testing.T) {
 				decide()
 			}
 			for _, a := range apps {
-				if a.Authorized() && a.Activate() == nil {
+				if a.Authorized() && a.Activate().Err() == nil {
 					decide()
 					a.Progress(3e7)
-					_ = a.Release() // just activated
+					a.Release() // just activated
 				}
 				decide()
 				a.End()
-				_ = a.Complete() // prepared above
+				a.Complete() // prepared above
 				decide()
 			}
 		}

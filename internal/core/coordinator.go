@@ -1,10 +1,6 @@
 package core
 
-import (
-	"repro/internal/sim"
-
-	"fmt"
-)
+import "repro/internal/sim"
 
 // Coordinator is the per-application endpoint of the coordination layer —
 // the role rank 0 plays in the paper's prototype. It exposes the CALCioM
@@ -16,13 +12,12 @@ import (
 // authorization state that arbitration produces, and an interrupted
 // application pauses itself at its next coordination point.
 //
-// The protocol state itself lives in an AppState shared with the network
-// daemon's sessions, and the phase and wait accounting in a Ledger, as it
-// does on the daemon and in replay; the Coordinator adds only what is
-// simulator-specific — the parked process resumer.
+// The Layer's Domain applies each verb, as on the daemon and in replay; the
+// Coordinator adds the parked process and a panic on a protocol violation,
+// which here is a bug in the experiment itself.
 type Coordinator struct {
 	layer *Layer
-	app   *AppState
+	app   AppState
 
 	// waiting is the parked process while Wait blocks. A grant reaches it as
 	// a message one latency after the decision; several can be in flight
@@ -32,16 +27,12 @@ type Coordinator struct {
 	waiting                 *sim.Resumer
 	grantFn                 func() // c.grantArrived, bound once
 	grantsLive, grantsStale int
-
-	led Ledger
 }
 
-// reset clears the per-run state (the parked-process resumer and the
-// ledger); the shared AppState is reset by the owning Arbiter.
+// reset clears the per-run parked-process state; the Domain resets the rest.
 func (c *Coordinator) reset() {
 	c.waiting = nil
 	c.grantsLive, c.grantsStale = 0, 0 // the engine reset dropped the messages
-	c.led = Ledger{}
 }
 
 // Name returns the application name.
@@ -54,10 +45,10 @@ func (c *Coordinator) Cores() int { return c.app.cores }
 func (c *Coordinator) State() State { return c.app.state }
 
 // IOTime returns accumulated wall time inside I/O phases (incl. waits).
-func (c *Coordinator) IOTime() float64 { return c.led.IOTimeS }
+func (c *Coordinator) IOTime() float64 { return c.app.led.IOTimeS }
 
 // WaitTime returns accumulated time spent blocked in Wait.
-func (c *Coordinator) WaitTime() float64 { return c.led.WaitS }
+func (c *Coordinator) WaitTime() float64 { return c.app.led.WaitS }
 
 // Prepare stacks information about the upcoming I/O accesses, as the paper's
 // Prepare(MPI_Info) does, parsed where the caller builds it (ParseInfo):
@@ -66,19 +57,12 @@ func (c *Coordinator) WaitTime() float64 { return c.led.WaitS }
 func (c *Coordinator) Prepare(info ParsedInfo) { c.app.Prepare(info) }
 
 // Complete unstacks the most recent Prepare.
-func (c *Coordinator) Complete() {
-	if err := c.app.Complete(); err != nil {
-		panic(err.Error())
-	}
-}
+func (c *Coordinator) Complete() { c.apply(Effect{Violation: c.app.Complete()}) }
 
 // Inform announces the application's intent (or continued intent) to do I/O
 // to all other applications. Non-blocking: the information travels with the
 // layer's message latency and triggers arbitration.
-func (c *Coordinator) Inform(p *sim.Proc) {
-	c.led.Inform(c.app, p.Now())
-	c.layer.poke()
-}
+func (c *Coordinator) Inform(p *sim.Proc) { c.apply(c.layer.dom.Inform(p.Now(), &c.app, 0)) }
 
 // Check reports whether the application is currently authorized to access
 // the file system. It never blocks: an application free to reorganize its
@@ -92,30 +76,26 @@ func (c *Coordinator) Check() bool { return c.app.authorized }
 // their operations differently — for instance, starting a new iteration of
 // computation and coming back to the I/O phase later".
 func (c *Coordinator) SystemBusy() bool {
-	others := len(c.layer.arb.queue) - c.layer.arb.head // applications in an I/O phase
+	ar := c.layer.dom.arb
+	others := len(ar.queue) - ar.head // applications in an I/O phase
 	if c.app.state != Idle {
 		others--
 	}
 	return others > 0
 }
 
-// Wait blocks until the application is authorized, then marks it Active.
+// Wait blocks until the application is authorized, then marks it Active. A
+// parked Wait is served when its grant message lands, not at the decision,
+// and only if no later decision revoked it meanwhile.
 func (c *Coordinator) Wait(p *sim.Proc) {
-	if c.app.state == Idle {
-		panic(fmt.Sprintf("core: %s: Wait before Inform", c.app.name))
-	}
-	if !c.led.Wait(c.app, p.Now()) {
+	if !c.apply(c.layer.dom.Wait(p.Now(), &c.app, false)).Served {
 		for !c.app.authorized {
-			c.app.setState(Waiting)
 			c.waiting = p.Suspend()
 			c.waiting.Park()
 			c.waiting = nil
 			c.grantsStale, c.grantsLive = c.grantsStale+c.grantsLive, 0
 		}
-		c.led.Serve(p.Now())
-	}
-	if err := c.app.Activate(); err != nil {
-		panic(err.Error())
+		c.layer.dom.Serve(p.Now(), &c.app)
 	}
 }
 
@@ -133,12 +113,7 @@ func (c *Coordinator) grantArrived() {
 // layer re-evaluate the global strategy, and responds to pending requests
 // from other applications. A new Inform is required before the next access
 // step, per the paper's API contract.
-func (c *Coordinator) Release(p *sim.Proc) {
-	if err := c.app.Release(); err != nil {
-		panic(err.Error())
-	}
-	c.layer.poke()
-}
+func (c *Coordinator) Release(p *sim.Proc) { c.apply(c.layer.dom.Release(&c.app, 0)) }
 
 // Progress records bytes written so far in this phase. Called by the I/O
 // driver; the value rides along with the next Inform/Release message.
@@ -146,10 +121,18 @@ func (c *Coordinator) Progress(bytesDone float64) { c.app.Progress(bytesDone) }
 
 // End terminates the I/O phase entirely: the application becomes invisible
 // to arbitration until its next Inform.
-func (c *Coordinator) End(p *sim.Proc) {
-	c.led.Close(c.app, p.Now())
-	c.app.End()
-	c.layer.poke()
+func (c *Coordinator) End(p *sim.Proc) { c.apply(c.layer.dom.End(p.Now(), &c.app)) }
+
+// apply panics on a protocol violation and sends the arbitration the verb
+// asks for, which runs one message latency later.
+func (c *Coordinator) apply(e Effect) Effect {
+	if e.Violation.what != "" {
+		panic(e.Violation.Error())
+	}
+	if e.Arbitrate {
+		c.layer.poke()
+	}
+	return e
 }
 
 // Session bundles the common call sequences a driver needs at its

@@ -20,7 +20,21 @@ type refArbiter struct {
 	log    []DecisionRecord
 }
 
-func (r *refArbiter) arbitrate(now float64) (out Outcome) {
+// outcome is one decision as the tests compare it.
+type outcome struct {
+	Acted            bool
+	Reason           Reason
+	RecheckAfter     float64
+	Granted, Revoked []*AppState
+}
+
+// arbitrate runs one decision on ar and collects it.
+func arbitrate(ar *Arbiter, now float64) outcome {
+	reason, recheck, acted := ar.Arbitrate(now)
+	return outcome{acted, reason, recheck, ar.granted, ar.revoked}
+}
+
+func (r *refArbiter) arbitrate(now float64) (out outcome) {
 	var views []AppView
 	var viewApps []*AppState
 	for _, a := range r.apps {
@@ -29,7 +43,7 @@ func (r *refArbiter) arbitrate(now float64) (out Outcome) {
 		}
 	}
 	if len(views) == 0 {
-		return Outcome{}
+		return outcome{}
 	}
 	for i := 1; i < len(views); i++ {
 		for j := i; j > 0 && viewLess(&views[j], &views[j-1]); j-- {
@@ -270,7 +284,7 @@ func (d *diffRun) step(i int, op, arg byte) {
 		ra.Prepare(ParseInfo(info))
 		fa.Prepare(ParseInfo(info))
 	case opComplete:
-		if re, fe := errText(ra.Complete()), errText(fa.Complete()); re != fe {
+		if re, fe := errText(ra.Complete().Err()), errText(fa.Complete().Err()); re != fe {
 			t.Fatalf("step %d: Complete: %q vs reference %q", i, re, fe)
 		}
 	case opInform:
@@ -289,14 +303,14 @@ func (d *diffRun) step(i int, op, arg byte) {
 			t.Fatalf("step %d: Inform fresh=%v, reference %v", i, rf, ff)
 		}
 	case opActivate:
-		if re, fe := errText(ra.Activate()), errText(fa.Activate()); re != fe {
+		if re, fe := errText(ra.Activate().Err()), errText(fa.Activate().Err()); re != fe {
 			t.Fatalf("step %d: Activate: %q vs reference %q", i, re, fe)
 		}
 	case opProgress:
 		ra.Progress(1e6 * float64(arg))
 		fa.Progress(1e6 * float64(arg))
 	case opRelease:
-		if re, fe := errText(ra.Release()), errText(fa.Release()); re != fe {
+		if re, fe := errText(ra.Release().Err()), errText(fa.Release().Err()); re != fe {
 			t.Fatalf("step %d: Release: %q vs reference %q", i, re, fe)
 		}
 	case opEnd:
@@ -338,7 +352,7 @@ func (d *diffRun) step(i int, op, arg byte) {
 		d.cov.arbitrations++
 		clear(d.endedCold)
 		d.realSpy.seen, d.refSpy.seen = d.realSpy.seen[:0], d.refSpy.seen[:0]
-		got, want := d.real.Arbitrate(d.now), d.ref.arbitrate(d.now)
+		got, want := arbitrate(d.real, d.now), d.ref.arbitrate(d.now)
 		if !reflect.DeepEqual(d.realSpy.seen, d.refSpy.seen) {
 			t.Fatalf("step %d: policy saw\n%+v\nreference\n%+v", i, d.realSpy.seen, d.refSpy.seen)
 		}
@@ -390,7 +404,7 @@ func (d *diffRun) step(i int, op, arg byte) {
 // the invariants of the real arbiter's queue.
 func (d *diffRun) compareState(i int) {
 	t, ar := d.t, d.real
-	if g, w := appNames(ar.Apps()), appNames(d.ref.apps); !reflect.DeepEqual(g, w) {
+	if g, w := appNames(ar.apps), appNames(d.ref.apps); !reflect.DeepEqual(g, w) {
 		t.Fatalf("step %d: registered %v, reference %v", i, g, w)
 	}
 	if ar.otherAuthorized(nil) != d.ref.otherAuthorized(nil) {

@@ -91,19 +91,15 @@ type DecisionRecord struct {
 // Layer is the shared coordination medium: the stand-in for the common
 // communicator the paper's prototype builds by launching all instances in
 // one mpirun. Coordinators register here and every state change triggers an
-// arbitration after the configured message latency.
-//
-// The arbitration state machine itself — view construction, the policy
-// call, decision application — lives in an Arbiter shared with the network
-// daemon (internal/server); the Layer contributes only the discrete-event
-// mechanics: message latency, recheck scheduling and waking parked
-// processes.
+// arbitration after the configured message latency. The coordination state
+// lives in a Domain, as on the daemon and in replay; the Layer adds only the
+// discrete-event mechanics: latency, recheck timing, waking parked processes.
 type Layer struct {
 	eng         *sim.Engine
-	arb         *Arbiter
+	dom         *Domain
 	latency     float64
 	arbitrateFn func()     // l.arbitrate, bound once: a poke allocates nothing
-	recheck     *sim.Timer // the pending Outcome.RecheckAfter, if any
+	recheck     *sim.Timer // the pending recheck, if any
 }
 
 // NewLayer creates a coordination layer with the given policy and one-way
@@ -113,7 +109,7 @@ func NewLayer(eng *sim.Engine, policy Policy, latency float64) *Layer {
 	if latency < 0 {
 		panic("core: negative latency")
 	}
-	l := &Layer{eng: eng, arb: NewArbiter(policy), latency: latency}
+	l := &Layer{eng: eng, dom: NewDomain(NewArbiter(policy)), latency: latency}
 	l.arbitrateFn = l.arbitrate
 	l.recheck = eng.NewTimer(l.arbitrateFn)
 	return l
@@ -126,8 +122,8 @@ func NewLayer(eng *sim.Engine, policy Policy, latency float64) *Layer {
 // a slice handed out by Log is valid until here (see Arbiter.Reset).
 func (l *Layer) Reset() {
 	l.recheck.Cancel()
-	l.arb.Reset()
-	for _, a := range l.arb.Apps() {
+	l.dom.Reset()
+	for _, a := range l.dom.arb.apps {
 		a.Data.(*Coordinator).reset()
 	}
 }
@@ -136,26 +132,25 @@ func (l *Layer) Reset() {
 func (l *Layer) Latency() float64 { return l.latency }
 
 // Log returns the arbitration decision log, valid until the next Reset.
-func (l *Layer) Log() []DecisionRecord { return l.arb.Log() }
+func (l *Layer) Log() []DecisionRecord { return l.dom.arb.Log() }
 
 // SetLogBound bounds the decision log, as Arbiter.SetLogBound does: a
 // harness that reads no decisions (a ∆-sweep worker) sets 0 and logs
 // nothing. Set it before the first arbitration.
-func (l *Layer) SetLogBound(n int) { l.arb.SetLogBound(n) }
+func (l *Layer) SetLogBound(n int) { l.dom.arb.SetLogBound(n) }
 
 // LogLen returns the number of decisions logged.
-func (l *Layer) LogLen() int { return len(l.arb.log) }
+func (l *Layer) LogLen() int { return len(l.dom.arb.log) }
 
 // Register creates a coordinator for an application. Cores is the size of
 // the job, used by machine-wide efficiency metrics.
 func (l *Layer) Register(name string, cores int) *Coordinator {
-	app, err := l.arb.Register(name, cores)
-	if err != nil {
+	c := &Coordinator{layer: l}
+	c.grantFn = c.grantArrived
+	c.app.Data = c
+	if err := l.dom.Join(&c.app, name, cores); err != nil {
 		panic(err.Error())
 	}
-	c := &Coordinator{layer: l, app: app}
-	c.grantFn = c.grantArrived
-	app.Data = c
 	return c
 }
 
@@ -167,21 +162,22 @@ func (l *Layer) poke() {
 
 func (l *Layer) arbitrate() {
 	l.recheck.Cancel()
-	out := l.arb.Arbitrate(l.eng.Now())
-	if !out.Acted {
+	dec := l.dom.Arbitrate(l.eng.Now())
+	if !dec.Acted {
 		return
 	}
-	if rec := l.arb.LastRecord(); rec != nil && l.eng.Tracing() { // or the arguments box for nobody
+	if rec := l.dom.arb.LastRecord(); rec != nil && l.eng.Tracing() { // or the arguments box for nobody
 		l.eng.Tracef("calciom: policy=%s allowed=%v reason=%s", rec.Policy, rec.Allowed, rec.Reason)
 	}
-	for _, a := range out.Granted {
-		if c := a.Data.(*Coordinator); c.waiting != nil {
+	for _, a := range dec.Granted {
+		if a.Parked() {
 			// Authorization message travels back to the application.
+			c := a.Data.(*Coordinator)
 			c.grantsLive++
 			l.eng.After(l.latency, c.grantFn)
 		}
 	}
-	if out.RecheckAfter > 0 {
-		l.recheck.Schedule(out.RecheckAfter)
+	if dec.RecheckAfter > 0 {
+		l.recheck.Schedule(dec.RecheckAfter)
 	}
 }

@@ -192,7 +192,10 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-func (r *Registry) get(name, help, kind string, labels []Label) *series {
+// get finds or creates the (name, labels) series and, under the lock, has
+// init create the metric it lacks: a scrape copies series under the same
+// lock, so it never sees one half made.
+func (r *Registry) get(name, help, kind string, labels []Label, init func(*series)) *series {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.families[name]
@@ -208,72 +211,76 @@ func (r *Registry) get(name, help, kind string, labels []Label) *series {
 		s = &series{labels: key}
 		f.series[key] = s
 	}
+	init(s)
 	return s
 }
 
 // Counter registers (or finds) a counter series.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	s := r.get(name, help, kindCounter, labels)
-	if s.c == nil {
-		s.c = &Counter{}
-	}
-	return s.c
+	return r.get(name, help, kindCounter, labels, func(s *series) {
+		if s.c == nil {
+			s.c = &Counter{}
+		}
+	}).c
 }
 
 // Gauge registers (or finds) a gauge series.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s := r.get(name, help, kindGauge, labels)
-	if s.g == nil {
-		s.g = &Gauge{}
-	}
-	return s.g
+	return r.get(name, help, kindGauge, labels, func(s *series) {
+		if s.g == nil {
+			s.g = &Gauge{}
+		}
+	}).g
 }
 
 // FloatCounter registers (or finds) a float counter series (rendered as a
 // Prometheus counter).
 func (r *Registry) FloatCounter(name, help string, labels ...Label) *FloatCounter {
-	s := r.get(name, help, kindCounter, labels)
-	if s.f == nil {
-		s.f = &FloatCounter{}
-	}
-	return s.f
+	return r.get(name, help, kindCounter, labels, func(s *series) {
+		if s.f == nil {
+			s.f = &FloatCounter{}
+		}
+	}).f
 }
 
 // Histogram registers (or finds) a histogram series over the given bounds.
 // An existing series keeps its original bounds.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
-	s := r.get(name, help, kindHist, labels)
-	if s.h == nil {
-		s.h = NewHistogram(bounds)
-	}
-	return s.h
+	return r.get(name, help, kindHist, labels, func(s *series) {
+		if s.h == nil {
+			s.h = NewHistogram(bounds)
+		}
+	}).h
 }
 
 // WriteTo renders every family in Prometheus text exposition format,
-// deterministically: families sorted by name, series by label string.
+// deterministically: families sorted by name, series by label string. It
+// copies the series under the lock, so registration may run alongside, and
+// renders outside it: every value it reads is atomic.
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
+	type famSeries struct {
+		f      *family // name, help and kind never change
+		series []series
 	}
-	sort.Strings(names)
-	fams := make([]*family, len(names))
-	for i, name := range names {
-		fams[i] = r.families[name]
+	r.mu.Lock()
+	fams := make([]famSeries, 0, len(r.families))
+	for _, f := range r.families {
+		fs := famSeries{f: f, series: make([]series, 0, len(f.series))}
+		for _, s := range f.series {
+			fs.series = append(fs.series, *s)
+		}
+		fams = append(fams, fs)
 	}
 	r.mu.Unlock()
+	sort.Slice(fams, func(i, j int) bool { return fams[i].f.name < fams[j].f.name })
 
 	var b strings.Builder
-	for _, f := range fams {
+	for _, fs := range fams {
+		f := fs.f
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
-		keys := make([]string, 0, len(f.series))
-		for k := range f.series {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			s := f.series[k]
+		sort.Slice(fs.series, func(i, j int) bool { return fs.series[i].labels < fs.series[j].labels })
+		for i := range fs.series {
+			s := &fs.series[i]
 			switch {
 			case s.c != nil:
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, strconv.FormatUint(s.c.Value(), 10))

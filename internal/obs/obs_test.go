@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -169,6 +170,40 @@ func TestRegistryIdempotentAndKindConflict(t *testing.T) {
 		}
 	}()
 	r.Gauge("x_total", "x")
+}
+
+// TestRegistryScrapeRacesRegistration: a /metrics scrape runs while a
+// shard's first touch registers its series. Under -race this fails if
+// WriteTo iterates a family's series map, or reads a series' metric, that a
+// registration writes at the same time; without -race it checks that every
+// series registered before the last scrape is rendered by it.
+func TestRegistryScrapeRacesRegistration(t *testing.T) {
+	r := NewRegistry()
+	const n = 2000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			r.Counter("x_total", "x", Label{"target", strconv.Itoa(i)}).Inc()
+		}
+	}()
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false
+		default:
+		}
+		if _, err := r.WriteTo(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var b strings.Builder
+	if _, err := r.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(b.String(), "\nx_total{"); got != n {
+		t.Fatalf("rendered %d x_total series, want %d", got, n)
+	}
 }
 
 func TestLabelEscaping(t *testing.T) {

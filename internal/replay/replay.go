@@ -1,19 +1,17 @@
 // Package replay re-arbitrates a recorded coordination trace offline: it
-// drives the request events of an internal/trace log through core.Arbiter —
-// the same arbitration state machine the live daemon runs — on a virtual
+// drives the request events of an internal/trace log through core.Domain —
+// the same coordination state machine the live daemon runs — on a virtual
 // clock taken from the recorded timestamps.
 //
 // Like the live daemon, replay is sharded by storage target: the trace is
-// compiled into per-target streams (a version-1 trace is one stream, the
-// default target ""), each stream is re-arbitrated through its own Arbiter
-// exactly as that target's shard did under its lock, and the per-target
-// results are merged into one Result. Registration is per target: a daemon
-// trace records each shard's attach as its own EvRegister, so a stream
-// reproduces its shard's registration order; client-side captures record
-// one register per session, which the compiler copies into every target the
-// session later touches (and its unregister likewise), at the instant of
-// first touch — mirroring the daemon's lazy attach. A stream is compiled
-// once per call and replayed under every policy the call asks about.
+// compiled once per call into per-target streams (a version-1 trace is one
+// stream, the default target ""), each re-arbitrated through its own Domain
+// exactly as that target's shard did under its lock, under every policy the
+// call asks about, and the per-target results are merged into one Result.
+// A stream reproduces its shard's registration order: a daemon trace
+// records each shard's attach, and the register a client-side capture
+// records once per session is copied into each target at the session's
+// first event there, mirroring the daemon's lazy attach.
 //
 // Two modes exist:
 //
@@ -33,13 +31,10 @@
 //
 // The what-if replay is open-loop, in the tradition of LASSi-style
 // after-the-fact I/O analytics: request instants stay where the recording
-// put them, even though a live application blocked longer in Wait would
-// have issued its next request later. Wait durations, their convoy-vs-
-// protocol decomposition (a core.Ledger per session, as on the daemon), and
-// the derived interference and CPU-seconds estimates are therefore
-// comparative figures across policies, not absolute predictions.
-// Waits still pending when the trace ends are censored at the last recorded
-// instant and counted as Unserved.
+// put them, so its waits, their convoy-vs-protocol split and the derived
+// estimates are comparative figures across policies, not absolute
+// predictions. Waits still pending when the trace ends are censored at the
+// last recorded instant and counted as Unserved.
 package replay
 
 import (
@@ -630,28 +625,25 @@ func compareFlips(target string, recorded, replayed []flip, prefixOK bool) (bool
 	return true, ""
 }
 
-// sess is one session on the replayed target: its arbiter state, its
-// core.Ledger — the daemon binding's accounting — and the replay-only
-// figures of its AppResult, whose ledger fields finish fills in.
+// sess is one session on the replayed target: its core.AppState, ledger
+// included, and the replay-only figures of its AppResult.
 type sess struct {
+	app   core.AppState
 	sid   uint32
 	name  string
 	cores int
-	app   *core.AppState // nil before the first register and once unregistered
-	known bool           // registered at least once: sid, name, cores and idx are set
+	known bool // registered at least once: sid, name, cores and idx are set
 
 	idx    int32 // the stream's dense session index
 	active int32 // index in machine.active; -1 outside an access step
-	led    core.Ledger
 
 	res AppResult
 }
 
-// machine drives core.Arbiter through one target's replay: internal/server's
-// per-shard handle/arbitrate logic without the network, accounted through
-// the same core.Ledger.
+// machine replays one target's stream through a core.Domain, adding the
+// virtual clock, accrual and the flip logs.
 type machine struct {
-	arb *core.Arbiter
+	dom *core.Domain
 	st  *stream
 	// sess is indexed by the stream's dense session index, which is also
 	// registration order.
@@ -693,7 +685,7 @@ func newMachine(pol core.Policy, st *stream, verify bool) *machine {
 		flips, recorded = st.recorded, st.recorded
 	}
 	*m = machine{
-		arb: arb,
+		dom: core.NewDomain(arb),
 		st:  st,
 		// release cleared every session a replay used, so the whole
 		// capacity is zero.
@@ -718,13 +710,13 @@ func newMachine(pol core.Policy, st *stream, verify bool) *machine {
 func (m *machine) release() {
 	clear(m.sess)
 	clear(m.res.Apps)
-	m.arb, m.st = nil, nil
+	m.dom, m.st = nil, nil
 	machines.Put(m)
 }
 
-// activate moves a session whose Wait was just served into its access step.
+// activate adds a session whose Wait was just served to the active list.
 func (m *machine) activate(s *sess) {
-	if s.app.Activate() == nil && s.active < 0 {
+	if s.active < 0 {
 		s.active = int32(len(m.active))
 		m.active = append(m.active, s.idx)
 	}
@@ -750,11 +742,6 @@ func (m *machine) run() error {
 		}
 	}
 	return nil
-}
-
-// record logs one recorded grant or revoke (verify mode).
-func (m *machine) record(t float64, st *step) {
-	m.recorded = append(m.recorded, flip{time: t, sid: st.sid, grant: st.typ == trace.EvGrant})
 }
 
 func (m *machine) step(st *step) error {
@@ -790,84 +777,71 @@ func (m *machine) step(st *step) error {
 	if st.typ == trace.EvRegister {
 		return m.register(st)
 	}
-	if st.sess < 0 || m.sess[st.sess].app == nil {
+	if st.sess < 0 || !m.sess[st.sess].app.Joined() {
 		// A session the replay does not know (or that already left): a
 		// client-side capture can record such skew; ignore.
 		if m.verify && (st.typ == trace.EvGrant || st.typ == trace.EvRevoke) {
-			m.record(t, st)
+			m.recorded = append(m.recorded, flip{time: t, sid: st.sid, grant: st.typ == trace.EvGrant})
 		}
 		return nil
 	}
 	s := &m.sess[st.sess]
+	d, a := m.dom, &s.app
 
+	// A violation is client-capture skew, or a Release by a session
+	// preempted since its grant: nobody reads it.
 	switch st.typ {
 	case trace.EvPrepare:
-		s.app.Prepare(m.st.infos[st.arg])
+		a.Prepare(m.st.infos[st.arg])
 
 	case trace.EvComplete:
-		_ = s.app.Complete() // only successful Completes are recorded
+		a.Complete()
 
 	case trace.EvInform:
-		if st.bytes > 0 {
-			s.app.Progress(st.bytes)
-		}
-		s.led.Inform(s.app, t)
-		m.arbitrate(t)
+		m.settle(d.Inform(t, a, st.bytes), t)
 
 	case trace.EvProgress:
-		if st.bytes > 0 {
-			s.app.Progress(st.bytes)
-		}
+		a.Progress(st.bytes)
 
 	case trace.EvCheck:
 		// State-free.
 
 	case trace.EvWait:
-		if s.app.State() == core.Idle || s.led.Parked() {
-			return nil // client-capture skew; the daemon never records these
-		}
-		if s.led.Wait(s.app, t) {
+		if d.Wait(t, a, false).Served {
 			m.activate(s)
 			m.res.Waits = append(m.res.Waits, 0)
 		}
 
 	case trace.EvRelease:
-		if st.bytes > 0 {
-			s.app.Progress(st.bytes)
-		}
-		// A session preempted since its grant has nothing to release, and
-		// asking Release would format an error nobody reads.
-		if s.app.State() == core.Active && s.app.Release() == nil {
+		if e := d.Release(a, st.bytes); e.Arbitrate {
 			m.deactivate(s)
-			m.arbitrate(t)
+			m.settle(e, t)
 		}
 
 	case trace.EvEnd:
-		if s.led.Close(s.app, t) {
+		e := d.End(t, a)
+		if e.Cancelled {
 			// The daemon fails a Wait pending under its own phase teardown.
 			s.res.Aborted++
 		}
-		s.app.End()
 		m.deactivate(s)
-		m.arbitrate(t)
+		m.settle(e, t)
 
 	case trace.EvUnregister:
-		wasBusy := s.app.State() != core.Idle
-		if s.led.Close(s.app, t) {
+		e := d.Leave(t, a)
+		if e.Cancelled {
 			s.res.Aborted++
 		}
-		m.arb.Unregister(s.app)
-		s.app = nil
 		m.deactivate(s)
-		if !m.verify && wasBusy {
-			// Mirrors the daemon's re-arbitration after a mid-phase session
-			// vanished; in verify mode the recorded EvRecheck drives it.
-			m.arbitrate(t)
+		if !m.verify {
+			// In verify mode the recorded EvRecheck drives the daemon's
+			// re-arbitration after a mid-phase session vanished.
+			m.settle(e, t)
 		}
 
 	case trace.EvGrant, trace.EvRevoke:
 		if m.verify {
-			m.record(t, st)
+			m.recorded = append(m.recorded, flip{time: t, sid: st.sid, grant: st.typ == trace.EvGrant})
 		}
 
 	default:
@@ -876,25 +850,19 @@ func (m *machine) step(st *step) error {
 	return nil
 }
 
-// register attaches a session to the target's arbiter. A resumed session
-// (the daemon's rebind records unregister + register under the same sid)
-// keeps its ledger, as the daemon's rebind does.
+// register joins a session to the target's domain; a resume (unregister and
+// register under one sid, as the daemon's rebind records) keeps its ledger.
 func (m *machine) register(st *step) error {
 	s := &m.sess[st.sess]
-	if s.app != nil {
+	if s.app.Joined() {
 		return fmt.Errorf("duplicate sid %d", st.sid)
 	}
 	reg := &m.st.regs[st.arg]
-	app, err := m.arb.Register(reg.name, reg.cores)
-	if err != nil {
-		return err
-	}
 	if !s.known {
 		*s = sess{sid: st.sid, name: reg.name, cores: reg.cores, known: true, idx: st.sess, active: -1}
 	}
-	s.app = app
-	app.Data = s
-	return nil
+	s.app.Data = s
+	return m.dom.Join(&s.app, reg.name, reg.cores)
 }
 
 // accrue charges dt of virtual time to every session currently inside an
@@ -915,28 +883,28 @@ func (m *machine) accrue(dt float64) {
 	m.res.OverlapS += dt * float64(n-1)
 }
 
-func (m *machine) arbitrate(t float64) {
-	out := m.arb.Arbitrate(t)
-	m.res.Arbitrations++
-	m.recheckAt = math.Inf(1)
-	if !out.Acted {
-		return
+// settle runs the arbitration a verb's Effect asks for.
+func (m *machine) settle(e core.Effect, t float64) {
+	if e.Arbitrate {
+		m.arbitrate(t)
 	}
-	for _, a := range out.Granted {
+}
+
+func (m *machine) arbitrate(t float64) {
+	dec := m.dom.Arbitrate(t)
+	m.recheckAt = dec.RecheckAt
+	for _, a := range dec.Granted {
 		s := a.Data.(*sess)
 		m.flips = append(m.flips, flip{time: t, sid: s.sid, grant: true})
-		if s.led.Parked() {
-			m.activate(s) // the served Wait enters the access step
-			d, _ := s.led.Serve(t)
+		if a.Parked() {
+			d, _ := m.dom.Serve(t, a) // the served Wait enters the access step
+			m.activate(s)
 			m.res.Waits = append(m.res.Waits, d)
 		}
 	}
-	for _, a := range out.Revoked {
+	for _, a := range dec.Revoked {
 		s := a.Data.(*sess)
 		m.flips = append(m.flips, flip{time: t, sid: s.sid})
-	}
-	if out.RecheckAfter > 0 {
-		m.recheckAt = t + out.RecheckAfter
 	}
 }
 
@@ -947,26 +915,23 @@ func (m *machine) finish() {
 	var tot core.Ledger
 	for i := range m.sess {
 		s := &m.sess[i]
-		// Censor first: closing the phase would cancel the parked Wait.
-		if d, ok := s.led.Censor(m.now); ok {
-			s.res.Unserved++
+		r := &s.res
+		if d, ok := s.app.Censor(m.now); ok {
+			r.Unserved++
 			m.res.Waits = append(m.res.Waits, d)
 		}
-		if s.app != nil {
-			s.led.Close(s.app, m.now)
-		}
-		l, r := &s.led, &s.res
+		l := s.app.Ledger()
 		r.SID, r.Name, r.Target, r.Cores = s.sid, s.name, m.st.target, s.cores
 		r.Phases, r.Grants = l.Phases, l.Grants
 		r.WaitsImmediate, r.WaitsDeferred = l.WaitsImmediate, l.WaitsDeferred
 		r.WaitS, r.ConvoyWaitS, r.ProtocolWaitS = l.WaitS, l.ConvoyWaitS, l.ProtocolWaitS
-		r.IOTimeS = l.IOTimeS
+		r.IOTimeS = s.app.IOTimeAt(m.now)
 		m.res.Apps = append(m.res.Apps, *r)
 		tot.Add(l)
 		m.res.Unserved += r.Unserved
 		m.res.Aborted += r.Aborted
 	}
-	m.res.GrantsServed = tot.Grants
+	m.res.Arbitrations, m.res.GrantsServed = m.dom.Arbitrations(), tot.Grants
 	m.res.WaitsImmediate, m.res.WaitsDeferred = tot.WaitsImmediate, tot.WaitsDeferred
 	m.res.TotalWaitS, m.res.ConvoyWaitS, m.res.ProtocolWaitS = tot.WaitS, tot.ConvoyWaitS, tot.ProtocolWaitS
 	m.res.MakespanS = m.now

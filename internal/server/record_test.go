@@ -296,19 +296,19 @@ func TestConvoyProtocolBreakdown(t *testing.T) {
 		srv.handle(a, wire.Request{Seq: 5, Type: wire.TypeEnd}) // grants B
 
 		ba, bb := testBinding(srv, a), testBinding(srv, b)
-		if ba.led.WaitsImmediate != 1 || ba.led.WaitsDeferred != 0 {
-			t.Fatalf("A immediate/deferred = %d/%d, want 1/0", ba.led.WaitsImmediate, ba.led.WaitsDeferred)
+		if ba.app.Ledger().WaitsImmediate != 1 || ba.app.Ledger().WaitsDeferred != 0 {
+			t.Fatalf("A immediate/deferred = %d/%d, want 1/0", ba.app.Ledger().WaitsImmediate, ba.app.Ledger().WaitsDeferred)
 		}
-		if bb.led.WaitsDeferred != 1 || bb.led.ConvoyWaitS <= 0 || bb.led.ProtocolWaitS != 0 {
+		if bb.app.Ledger().WaitsDeferred != 1 || bb.app.Ledger().ConvoyWaitS <= 0 || bb.app.Ledger().ProtocolWaitS != 0 {
 			t.Fatalf("B deferred=%d convoy=%g proto=%g, want deferred behind A in the convoy bucket",
-				bb.led.WaitsDeferred, bb.led.ConvoyWaitS, bb.led.ProtocolWaitS)
+				bb.app.Ledger().WaitsDeferred, bb.app.Ledger().ConvoyWaitS, bb.app.Ledger().ProtocolWaitS)
 		}
 		st := srv.snapshot(srv.clock())
 		// A: 1 immediate; B: 1 deferred. Aggregates mirror that.
 		if st.WaitsImmediate != 1 || st.WaitsDeferred != 1 {
 			t.Fatalf("aggregate immediate/deferred = %d/%d, want 1/1", st.WaitsImmediate, st.WaitsDeferred)
 		}
-		if st.ConvoyWaitS != bb.led.ConvoyWaitS || st.ProtocolWaitS != 0 {
+		if st.ConvoyWaitS != bb.app.Ledger().ConvoyWaitS || st.ProtocolWaitS != 0 {
 			t.Fatalf("aggregate convoy/proto = %g/%g", st.ConvoyWaitS, st.ProtocolWaitS)
 		}
 		// The aggregates are cumulative like GrantsServed: a departed
@@ -332,8 +332,8 @@ func TestConvoyProtocolBreakdown(t *testing.T) {
 		srv.handle(a, wire.Request{Seq: 3, Type: wire.TypeWait})   // deferred, nobody authorized
 		srv.handle(a, wire.Request{Seq: 4, Type: wire.TypeInform}) // arbitration 2: granted
 		ba := testBinding(srv, a)
-		if ba.led.WaitsDeferred != 1 || ba.led.ProtocolWaitS <= 0 || ba.led.ConvoyWaitS != 0 {
-			t.Fatalf("deferred=%d proto=%g convoy=%g, want the protocol bucket", ba.led.WaitsDeferred, ba.led.ProtocolWaitS, ba.led.ConvoyWaitS)
+		if ba.app.Ledger().WaitsDeferred != 1 || ba.app.Ledger().ProtocolWaitS <= 0 || ba.app.Ledger().ConvoyWaitS != 0 {
+			t.Fatalf("deferred=%d proto=%g convoy=%g, want the protocol bucket", ba.app.Ledger().WaitsDeferred, ba.app.Ledger().ProtocolWaitS, ba.app.Ledger().ConvoyWaitS)
 		}
 	})
 	t.Run("resume", func(t *testing.T) {

@@ -2,32 +2,18 @@
 // the paper's arbitration layer run as a network service instead of inside
 // the discrete-event simulator.
 //
-// Architecture: coordination is sharded by storage target, and a shard is a
-// piece of state behind a mutex, not a goroutine behind a queue. One
-// goroutine per connection reads wire.Request frames and runs each request
-// to completion itself: for a coordination verb it resolves the shard of the
-// target the request addresses, takes that shard's lock, arbitrates, queues
-// the responses and unlocks; register and stats run the same way under the
+// Coordination is sharded by storage target, and a shard is a piece of
+// state behind a mutex, not a goroutine behind a queue: the core.Domain of
+// its target, which applies every verb, plus the target's bindings, trace
+// records, metrics and recheck timer. One goroutine per connection reads
+// frames and runs each request to completion itself under the lock of the
+// shard its target names; register and stats run the same way under the
 // control lock, behind which session lifecycle lives (see Server.ctl). The
 // reader writes what it queued before it reads again; one writer goroutine
 // per connection writes what other goroutines (pushed grants, revocations)
-// queue meanwhile. Each target's coordination state — its core.Arbiter from the
-// shared core.ArbiterSet, per-session bindings, pending Waits, the decision
-// log — is touched only under that target's lock, so per-target decisions
-// are fully deterministic given that target's serialized request order (the
-// lock order, which is also the order the trace records), and a grant on
-// one target never waits for — or convoys behind — arbitration on another:
-// hold times are one decision's, well under a microsecond. The number of
-// goroutines depends on the number of connections, never on the number of
-// targets. A daemon whose clients never name a target runs exactly one
-// shard (the default target "").
-//
-// The arbitration hot path is allocation-conscious like the simulator's
-// contention path: each Arbiter reuses its view/decision scratch (and owns
-// the model scratch its policy estimates in: the policy value is shared by
-// every shard), a policy decides by marking the authorized views in the
-// Arbiter's allowed slice, and the responses to one read's worth of
-// requests leave in one write.
+// queue meanwhile. A target's decisions are therefore deterministic given
+// its lock order, which the trace records, and never wait on another
+// target's. The repro package documentation has the full architecture.
 package server
 
 import (

@@ -378,7 +378,7 @@ func TestDeterministicGivenSerializedOrder(t *testing.T) {
 		}
 		var sb strings.Builder
 		for _, sh := range srv.shardsSorted() {
-			for _, d := range sh.arb.Log() {
+			for _, d := range sh.dom.Arbiter().Log() {
 				fmt.Fprintf(&sb, "t=%.6f allowed=%v %s\n", d.Time, d.Allowed, d.Reason)
 			}
 		}
@@ -461,7 +461,7 @@ func TestEndCancelsPendingWait(t *testing.T) {
 		t.Fatalf("expected only the inform response before end, got %+v", got)
 	}
 	srv.handle(b, wire.Request{Seq: 4, Type: wire.TypeEnd})
-	if bb := testBinding(srv, b); bb.led.Parked() {
+	if bb := testBinding(srv, b); bb.app.Parked() {
 		t.Fatalf("wait %d still parked", bb.waitSeq)
 	}
 	if n := b.pendingWaits.Load(); n != 0 {

@@ -13,15 +13,14 @@ import (
 	"repro/internal/wire"
 )
 
-// binding is one session's coordination state on one storage target,
-// guarded by that target's shard lock: protocol state, and the LASSi-style
-// live accounting in a core.Ledger, which also says whether a Wait is
-// parked.
+// binding is one session's place on one storage target, guarded by that
+// target's shard lock: its core.AppState, with the LASSi-style live
+// accounting in a core.Ledger, and what the daemon needs to answer and time
+// its Waits.
 type binding struct {
 	s   *session
 	app *core.AppState
 	sid uint32
-	led core.Ledger
 
 	waitSeq uint64 // Seq to answer the parked Wait with
 	waitPos int32  // Waits already parked on the target when it parked
@@ -33,17 +32,18 @@ type binding struct {
 	holding bool
 }
 
-// shard is one storage target's coordination domain: an arbiter from the
-// server's ArbiterSet plus the target's bindings and counters, all behind
-// its gate. Whoever has work for the target — a connection's reader,
-// control-plane work under the control lock, Drain, the recheck timer —
-// locks the shard, runs the work to completion on its own goroutine and
-// unlocks; nothing under the lock blocks or takes the control lock. Tests
-// and benchmarks driving Server.handle take the same path.
+// shard hosts one storage target's core.Domain, over an arbiter from the
+// server's ArbiterSet, with the target's bindings, counters, trace records
+// and recheck timer, all behind its gate. Whoever has work for the target —
+// a connection's reader, control-plane work under the control lock, Drain,
+// the recheck timer — locks the shard, runs the work to completion on its
+// own goroutine and unlocks; nothing under the lock blocks or takes the
+// control lock. Tests and benchmarks driving Server.handle take the same
+// path.
 type shard struct {
 	srv    *Server
 	target string
-	arb    *core.Arbiter
+	dom    *core.Domain
 
 	// Resolved once at shard creation; nil when the server has no registry
 	// or event log.
@@ -55,16 +55,14 @@ type shard struct {
 	// under which advisory verbs are shed instead of joining the wait.
 	gate
 	// Guarded by mu.
-	bindings     map[*session]*binding
-	recheck      *time.Timer
-	arbitrations uint64
-	grantsServed uint64
-	pending      int32 // Waits currently parked (mirrored to m.queueDepth)
-	draining     bool  // Drain ran: pending Waits failed, new ones refused
+	bindings map[*session]*binding
+	recheck  *time.Timer
+	pending  int32 // Waits currently parked (mirrored to m.queueDepth)
+	draining bool  // Drain ran: pending Waits failed, new ones refused
 
 	// gone holds the ledgers of departed bindings, folded in by detach, so
-	// the aggregates are cumulative like grantsServed (and like offline
-	// replay's totals) rather than shrinking as sessions leave.
+	// the aggregates are cumulative (like offline replay's totals) rather
+	// than shrinking as sessions leave.
 	gone core.Ledger
 }
 
@@ -100,7 +98,7 @@ func (srv *Server) shardFor(target string) (*shard, error) {
 	sh = &shard{
 		srv:      srv,
 		target:   target,
-		arb:      srv.set.Get(target),
+		dom:      core.NewDomain(srv.set.Get(target)),
 		bindings: make(map[*session]*binding),
 		ev:       srv.cfg.Events,
 		// Drain sets the flag before it lists the shards to drain, so a
@@ -160,15 +158,15 @@ func (sh *shard) fireRecheck() {
 	if !sh.enter() {
 		return
 	}
-	now := sh.srv.clock()
-	sh.rec(trace.Event{Type: trace.EvRecheck, Time: now})
-	sh.arbitrate(now)
+	sh.rearbitrate(true, sh.srv.clock())
 	sh.mu.Unlock()
 }
 
 // handle processes one request of a registered session (Server.handle
-// answers the others) under the shard's lock. It must stay panic-free for
-// any request a client can send: protocol violations become error responses.
+// answers the others) under the shard's lock: the Domain applies the verb,
+// and handle records it, answers it and runs the arbitration it asks for.
+// It must stay panic-free for any request a client can send: protocol
+// violations become error responses.
 func (sh *shard) handle(s *session, req wire.Request, now float64) {
 	b := sh.bindings[s]
 	if b == nil {
@@ -176,140 +174,109 @@ func (sh *shard) handle(s *session, req wire.Request, now float64) {
 		case wire.TypePrepare, wire.TypeComplete, wire.TypeInform, wire.TypeProgress,
 			wire.TypeCheck, wire.TypeWait, wire.TypeRelease, wire.TypeEnd:
 			var err error
-			if b, err = sh.attach(s, s.id.Load(), now); err != nil {
-				sh.reply(nil, s, req.Seq, false, err)
+			if b, err = sh.attach(s, new(core.AppState), now); err != nil {
+				sh.reply(nil, s, req.Seq, err)
 				return
 			}
 		default:
-			sh.reply(nil, s, req.Seq, false, fmt.Errorf("unknown request type %q", req.Type))
+			sh.reply(nil, s, req.Seq, fmt.Errorf("unknown request type %q", req.Type))
 			return
 		}
 	}
+	d, a := sh.dom, b.app
 
 	switch req.Type {
 	case wire.TypePrepare:
 		// The request's Info map is decode-fresh and never written after
 		// this point, so recording it by reference is safe.
 		sh.rec(trace.Event{Type: trace.EvPrepare, Time: now, SID: b.sid, Info: req.Info})
-		b.app.Prepare(core.ParseInfo(req.Info))
-		sh.reply(b, s, req.Seq, true, nil)
+		a.Prepare(core.ParseInfo(req.Info))
+		sh.reply(b, s, req.Seq, nil)
 
 	case wire.TypeComplete:
-		err := b.app.Complete()
+		err := a.Complete().Err()
 		if err == nil {
 			sh.rec(trace.Event{Type: trace.EvComplete, Time: now, SID: b.sid})
 		}
-		sh.reply(b, s, req.Seq, err == nil, err)
+		sh.reply(b, s, req.Seq, err)
 
 	case wire.TypeInform:
 		sh.rec(trace.Event{Type: trace.EvInform, Time: now, SID: b.sid, Bytes: req.BytesDone})
-		if req.BytesDone > 0 {
-			b.app.Progress(req.BytesDone)
-		}
-		b.led.Inform(b.app, now)
-		sh.arbitrate(now)
-		sh.reply(b, s, req.Seq, true, nil)
+		sh.settle(d.Inform(now, a, req.BytesDone), now)
+		sh.reply(b, s, req.Seq, nil)
 
 	case wire.TypeProgress:
-		// State-free, like the simulator's Coordinator.Progress: records
-		// progress without opening a phase or triggering arbitration (the
-		// value rides into the next inform/release arbitration).
 		sh.rec(trace.Event{Type: trace.EvProgress, Time: now, SID: b.sid, Bytes: req.BytesDone})
-		if req.BytesDone > 0 {
-			b.app.Progress(req.BytesDone)
-		}
-		sh.reply(b, s, req.Seq, true, nil)
+		a.Progress(req.BytesDone)
+		sh.reply(b, s, req.Seq, nil)
 
 	case wire.TypeCheck:
 		sh.rec(trace.Event{Type: trace.EvCheck, Time: now, SID: b.sid})
-		sh.reply(b, s, req.Seq, true, nil)
+		sh.reply(b, s, req.Seq, nil)
 
 	case wire.TypeWait:
-		if b.app.State() == core.Idle {
-			sh.reply(b, s, req.Seq, false, fmt.Errorf("core: %s: Wait before Inform", b.app.Name()))
+		// Never park a Wait on a daemon that is going away: the client gets
+		// a retryable error now instead of hanging into teardown.
+		e := d.Wait(now, a, sh.draining)
+		if err := e.Violation.Err(); err != nil {
+			sh.reply(b, s, req.Seq, err)
 			return
 		}
-		if b.led.Parked() {
-			sh.reply(b, s, req.Seq, false, errors.New("wait already pending"))
-			return
-		}
-		if sh.draining {
-			// Never park a Wait on a daemon that is going away: the client
-			// gets a retryable error now instead of hanging into teardown.
-			s.send(wire.Response{Seq: req.Seq, Type: wire.TypeResp,
-				Err: "draining: coordinator shutting down", Code: wire.CodeDraining,
-				Authorized: b.app.Authorized(), Target: sh.target})
+		if e.Refused {
+			sh.refuse(b, req.Seq)
 			return
 		}
 		sh.rec(trace.Event{Type: trace.EvWait, Time: now, SID: b.sid})
-		if b.led.Wait(b.app, now) {
-			if sh.m != nil {
-				sh.m.waitsImmediate.Inc()
-				sh.m.waitSeconds.Observe(0)
-			}
-			if sh.ev != nil {
-				sh.ev.Emit(obs.Event{Kind: obs.EvGrant, Time: now,
-					App: b.app.Name(), Target: sh.target})
-			}
-			sh.serveGrant(b, req.Seq, now)
+		if e.Served {
+			sh.serveGrant(b, req.Seq, now, 0, false, false)
 			return
 		}
-		b.waitSeq = req.Seq
-		b.waitPos = sh.pending
-		s.pendingWaits.Add(1)
-		sh.pending++
-		if sh.m != nil {
-			sh.m.queueDepth.Set(int64(sh.pending))
-		}
+		b.waitSeq, b.waitPos = req.Seq, sh.pending
+		sh.park(s, 1)
 
 	case wire.TypeRelease:
 		// Recorded before the state-machine check: a failed Release still
 		// applied the progress report, and replay mirrors exactly that.
 		sh.rec(trace.Event{Type: trace.EvRelease, Time: now, SID: b.sid, Bytes: req.BytesDone})
-		if req.BytesDone > 0 {
-			b.app.Progress(req.BytesDone)
-		}
-		if err := b.app.Release(); err != nil {
-			sh.reply(b, s, req.Seq, false, err)
+		e := d.Release(a, req.BytesDone)
+		if err := e.Violation.Err(); err != nil {
+			sh.reply(b, s, req.Seq, err)
 			return
 		}
 		sh.endHold(b, now)
-		sh.arbitrate(now)
-		sh.reply(b, s, req.Seq, true, nil)
+		sh.settle(e, now)
+		sh.reply(b, s, req.Seq, nil)
 
 	case wire.TypeEnd:
-		if b.led.Close(b.app, now) {
-			// A pipelined client is tearing the phase down under its own
-			// pending Wait. Fail that Wait now: once the app is Idle it is
-			// invisible to arbitration, so the deferred response would
-			// never come and the parked Wait would shield the session from
-			// idle eviction forever.
+		e := d.End(now, a)
+		if e.Cancelled {
+			// A pipelined client tore the phase down under its own pending
+			// Wait: fail that Wait now, or it would never be answered and
+			// would shield the session from idle eviction forever.
 			s.send(wire.Response{Seq: b.waitSeq, Type: wire.TypeResp,
 				Err: "wait cancelled: phase ended", Code: wire.CodeProtocol, Target: sh.target})
-			sh.unpark(s)
+			sh.park(s, -1)
 		}
 		sh.rec(trace.Event{Type: trace.EvEnd, Time: now, SID: b.sid})
 		sh.endHold(b, now)
-		b.app.End()
-		sh.arbitrate(now)
-		sh.reply(b, s, req.Seq, true, nil)
+		sh.settle(e, now)
+		sh.reply(b, s, req.Seq, nil)
 
 	default:
-		sh.reply(b, s, req.Seq, false, fmt.Errorf("unknown request type %q", req.Type))
+		sh.reply(b, s, req.Seq, fmt.Errorf("unknown request type %q", req.Type))
 	}
 }
 
-// attach creates the session's binding on this target: the lazy per-shard
-// registration that takes the place of the unsharded daemon's register-time
-// Arbiter.Register. The trace records it as this shard's EvRegister, so
-// replay reproduces the shard's registration order exactly.
-func (sh *shard) attach(s *session, id *ident, now float64) (*binding, error) {
-	app, err := sh.arb.Register(id.name, id.cores)
-	if err != nil {
+// attach joins a to this target's domain as the session's binding — the
+// lazy per-shard registration, or a rebind's second half — recorded as this
+// shard's EvRegister, so replay reproduces its registration order exactly.
+func (sh *shard) attach(s *session, a *core.AppState, now float64) (*binding, error) {
+	id := s.id.Load()
+	if err := sh.dom.Join(a, id.name, id.cores); err != nil {
 		return nil, err
 	}
-	b := &binding{s: s, app: app, sid: id.sid}
-	app.Data = b
+	b := &binding{s: s, app: a, sid: id.sid}
+	a.Data = b
 	sh.bindings[s] = b
 	sh.rec(trace.Event{Type: trace.EvRegister, Time: now, SID: id.sid,
 		App: id.name, Cores: int32(id.cores)})
@@ -317,74 +284,65 @@ func (sh *shard) attach(s *session, id *ident, now float64) (*binding, error) {
 }
 
 // detach is a session leaving this target: its ledger folds into the
-// shard's cumulative one and, if the session was mid-phase, the survivors
-// are re-arbitrated — a vanished holder must not wedge the queue.
+// shard's cumulative one, and a departure mid-phase re-arbitrates.
 func (sh *shard) detach(s *session) {
 	b := sh.bindings[s]
 	if b == nil {
 		return
 	}
 	now := sh.srv.clock()
-	wasBusy := b.app.State() != core.Idle
-	sh.retire(s, b, now)
-	sh.gone.Add(&b.led)
-	sh.arb.Unregister(b.app)
-	b.app = nil
-	sh.rec(trace.Event{Type: trace.EvUnregister, Time: now, SID: b.sid})
-	if wasBusy {
-		// A vanished mid-phase holder re-arbitrates the survivors; the trace
-		// records this as an explicit recheck so replay re-arbitrates at the
-		// same instant.
-		sh.rec(trace.Event{Type: trace.EvRecheck, Time: now})
-		sh.arbitrate(now)
-	}
+	busy := sh.retire(s, b, now)
+	sh.gone.Add(b.app.Ledger())
+	sh.rearbitrate(busy, now)
 }
 
 // rebind moves a resumed session's coordination state on this target from
-// the dead connection to the new one. Protocol state is reset — the open
-// phase is abandoned exactly as if the app had vanished (unregister,
-// re-arbitrate survivors) and the app re-registers under the same name and
-// sid — because the client cannot know which of its in-flight verbs the old
-// connection delivered; it re-drives prepare/inform/wait from its own
-// journal, which is correct against a reset state and only against one.
-// The whole ledger carries over, so stats and the `agg:` rollups see one
-// application, not two. In the trace this is EvUnregister + EvRegister
-// (+ EvRecheck when mid-phase): existing event types, so replay needs no
-// special case.
+// the dead connection to the new one: its app leaves the domain, as if it
+// had vanished, and joins again under the same name and sid, keeping its
+// ledger. The protocol state resets because the client cannot know which
+// of its in-flight verbs the old connection delivered; it re-drives
+// prepare/inform/wait (a deferred Wait died with the old connection) from
+// its own journal. In the trace this is EvUnregister + EvRegister (+
+// EvRecheck when mid-phase), so replay needs no special case.
 func (sh *shard) rebind(old, s *session) {
 	ob := sh.bindings[old]
 	if ob == nil {
 		return
 	}
-	id := s.id.Load()
 	now := sh.srv.clock()
-	// A deferred Wait died with the old connection; the client re-issues it
-	// after the resume.
-	wasBusy := ob.app.State() != core.Idle
-	sh.retire(old, ob, now)
-	sh.arb.Unregister(ob.app)
-	sh.rec(trace.Event{Type: trace.EvUnregister, Time: now, SID: ob.sid})
-	// The name was unregistered just above, so Register cannot fail; if it
-	// did, this degrades to a plain detach and the next verb attaches afresh.
-	if app, err := sh.arb.Register(id.name, id.cores); err == nil {
-		b := &binding{s: s, app: app, sid: ob.sid, led: ob.led}
-		app.Data = b
-		sh.bindings[s] = b
-		sh.rec(trace.Event{Type: trace.EvRegister, Time: now, SID: ob.sid,
-			App: id.name, Cores: int32(id.cores)})
+	busy := sh.retire(old, ob, now)
+	// The app left just above, so its name is free and the join cannot
+	// fail; if it did, this degrades to a plain detach and the next verb
+	// attaches afresh.
+	sh.attach(s, ob.app, now)
+	sh.rearbitrate(busy, now)
+}
+
+// retire removes a departing binding at now: its app leaves the domain and
+// a parked Wait unparks. It reports whether the binding left mid-phase.
+func (sh *shard) retire(s *session, b *binding, now float64) (busy bool) {
+	delete(sh.bindings, s)
+	e := sh.dom.Leave(now, b.app)
+	if e.Cancelled {
+		sh.park(s, -1)
 	}
-	if wasBusy {
-		sh.rec(trace.Event{Type: trace.EvRecheck, Time: now})
+	sh.rec(trace.Event{Type: trace.EvUnregister, Time: now, SID: b.sid})
+	return e.Arbitrate
+}
+
+// settle runs the arbitration a verb's Effect asks for.
+func (sh *shard) settle(e core.Effect, now float64) {
+	if e.Arbitrate {
 		sh.arbitrate(now)
 	}
 }
 
-// retire removes a departing binding: its ledger closes at now and its
-// parked Wait, if any, unparks.
-func (sh *shard) retire(s *session, b *binding, now float64) {
-	delete(sh.bindings, s)
-	if b.led.Close(b.app, now) {
-		sh.unpark(s)
+// rearbitrate re-arbitrates when busy — after a binding left mid-phase, or
+// at the policy's recheck — as a recheck the trace records for replay.
+func (sh *shard) rearbitrate(busy bool, now float64) {
+	if busy {
+		sh.rec(trace.Event{Type: trace.EvRecheck, Time: now})
+		sh.arbitrate(now)
 	}
 }
 
@@ -395,15 +353,13 @@ func (sh *shard) retire(s *session, b *binding, now float64) {
 func (sh *shard) drainWaits() {
 	sh.draining = true
 	failed := int32(0)
-	for _, a := range sh.arb.Apps() {
-		b, ok := a.Data.(*binding)
-		if !ok || !b.led.Cancel() {
+	for _, a := range sh.dom.Arbiter().Apps() {
+		if !sh.dom.Cancel(a) {
 			continue
 		}
-		b.s.send(wire.Response{Seq: b.waitSeq, Type: wire.TypeResp,
-			Err: "draining: coordinator shutting down", Code: wire.CodeDraining,
-			Authorized: b.app.Authorized(), Target: sh.target})
-		sh.unpark(b.s)
+		b := a.Data.(*binding)
+		sh.refuse(b, b.waitSeq)
+		sh.park(b.s, -1)
 		failed++
 	}
 	if sh.ev != nil {
@@ -412,40 +368,57 @@ func (sh *shard) drainWaits() {
 	}
 }
 
+// refuse answers a Wait with the retryable draining error.
+func (sh *shard) refuse(b *binding, seq uint64) {
+	b.s.send(wire.Response{Seq: seq, Type: wire.TypeResp, Err: "draining: coordinator shutting down",
+		Code: wire.CodeDraining, Authorized: b.app.Authorized(), Target: sh.target})
+}
+
 // reply sends the response to one request. Every response reports the
 // application's current authorization on this shard's target (Target
 // echoed), so the client library can maintain its cached per-target Check
 // state from the response stream alone.
-func (sh *shard) reply(b *binding, s *session, seq uint64, ok bool, err error) {
-	r := wire.Response{Seq: seq, Type: wire.TypeResp, OK: ok, Target: sh.target}
+func (sh *shard) reply(b *binding, s *session, seq uint64, err error) {
+	r := wire.Response{Seq: seq, Type: wire.TypeResp, OK: err == nil, Target: sh.target}
 	if err != nil {
 		r.Err = err.Error()
 		r.Code = codeFor(err)
 	}
-	if b != nil && b.app != nil {
+	if b != nil {
 		r.Authorized = b.app.Authorized()
 	}
 	s.send(r)
 }
 
-// serveGrant answers a Wait — immediately or deferred — and accounts for
-// the served grant in one place.
-func (sh *shard) serveGrant(b *binding, seq uint64, now float64) {
-	b.app.Activate()
-	sh.grantsServed++
+// serveGrant answers a Wait the Domain served — immediately, or deferred
+// after waiting for waited seconds — and accounts for the served grant in
+// one place.
+func (sh *shard) serveGrant(b *binding, seq uint64, now, waited float64, deferred, convoy bool) {
 	b.grantAt = now
 	b.holding = true
 	if sh.m != nil {
 		sh.m.grants.Inc()
+		if deferred {
+			sh.m.waitsDeferred.Inc()
+		} else {
+			sh.m.waitsImmediate.Inc()
+		}
+		sh.m.waitSeconds.Observe(waited)
+	}
+	if sh.ev != nil {
+		ev := obs.Event{Kind: obs.EvGrant, Time: now, App: b.app.Name(), Target: sh.target}
+		if deferred {
+			ev.WaitS, ev.Queue, ev.Deferred, ev.Convoy = waited, b.waitPos, true, convoy
+		}
+		sh.ev.Emit(ev)
 	}
 	b.s.send(wire.Response{Seq: seq, Type: wire.TypeResp, OK: true, Authorized: true, Target: sh.target})
 }
 
-// unpark undoes one parked Wait's queue accounting (served, cancelled,
-// drained, or departed with its session).
-func (sh *shard) unpark(s *session) {
-	s.pendingWaits.Add(-1)
-	sh.pending--
+// park counts n Waits parked, or -n unparked, in the queue accounting.
+func (sh *shard) park(s *session, n int32) {
+	s.pendingWaits.Add(n)
+	sh.pending += n
 	if sh.m != nil {
 		sh.m.queueDepth.Set(int64(sh.pending))
 	}
@@ -484,35 +457,22 @@ func (sh *shard) arbitrate(now float64) {
 		sh.recheck.Stop()
 		sh.recheck = nil
 	}
-	out := sh.arb.Arbitrate(now)
-	sh.arbitrations++
+	dec := sh.dom.Arbitrate(now)
 	if sh.m != nil {
 		sh.m.arbitrations.Inc()
 	}
-	if !out.Acted {
-		return
-	}
-	for _, a := range out.Granted {
+	for _, a := range dec.Granted {
 		b := a.Data.(*binding)
 		sh.rec(trace.Event{Type: trace.EvGrant, Time: now, SID: b.sid})
-		if b.led.Parked() {
-			d, convoy := b.led.Serve(now)
-			if sh.m != nil {
-				sh.m.waitsDeferred.Inc()
-				sh.m.waitSeconds.Observe(d)
-			}
-			if sh.ev != nil {
-				sh.ev.Emit(obs.Event{Kind: obs.EvGrant, Time: now,
-					App: b.app.Name(), Target: sh.target, WaitS: d,
-					Queue: b.waitPos, Deferred: true, Convoy: convoy})
-			}
-			sh.unpark(b.s)
-			sh.serveGrant(b, b.waitSeq, now)
+		if a.Parked() {
+			d, convoy := sh.dom.Serve(now, a)
+			sh.park(b.s, -1)
+			sh.serveGrant(b, b.waitSeq, now, d, true, convoy)
 		} else {
 			b.s.send(wire.Response{Type: wire.TypeGrant, Authorized: true, Target: sh.target})
 		}
 	}
-	for _, a := range out.Revoked {
+	for _, a := range dec.Revoked {
 		b := a.Data.(*binding)
 		sh.rec(trace.Event{Type: trace.EvRevoke, Time: now, SID: b.sid})
 		sh.endHold(b, now)
@@ -521,12 +481,12 @@ func (sh *shard) arbitrate(now float64) {
 		}
 		if sh.ev != nil {
 			sh.ev.Emit(obs.Event{Kind: obs.EvRevoke, Time: now,
-				App: b.app.Name(), Target: sh.target})
+				App: a.Name(), Target: sh.target})
 		}
 		b.s.send(wire.Response{Type: wire.TypeRevoke, Target: sh.target})
 	}
-	if out.RecheckAfter > 0 {
-		sh.recheck = time.AfterFunc(secondsToDuration(out.RecheckAfter), sh.fireRecheck)
+	if dec.RecheckAfter > 0 {
+		sh.recheck = time.AfterFunc(secondsToDuration(dec.RecheckAfter), sh.fireRecheck)
 	}
 }
 

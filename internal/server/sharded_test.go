@@ -41,11 +41,11 @@ func TestShardedTargetsIsolated(t *testing.T) {
 	srv.handle(other, wire.Request{Seq: 2, Type: wire.TypeInform, Target: "b"})
 	srv.handle(other, wire.Request{Seq: 3, Type: wire.TypeWait, Target: "b"})
 	bo := testBindingOn(srv, other, "b")
-	if bo == nil || bo.led.WaitsImmediate != 1 || !bo.app.Authorized() {
+	if bo == nil || bo.app.Ledger().WaitsImmediate != 1 || !bo.app.Authorized() {
 		t.Fatalf("target b arrival was not served immediately: %+v", bo)
 	}
 	bw := testBindingOn(srv, wait, "a")
-	if !bw.led.Parked() {
+	if !bw.app.Parked() {
 		t.Fatal("target a waiter not deferred behind the holder")
 	}
 
@@ -80,7 +80,7 @@ func TestShardedTargetsIsolated(t *testing.T) {
 	// Releasing the holder grants the waiter on a; b is untouched.
 	srv.handle(hold, wire.Request{Seq: 4, Type: wire.TypeRelease, Target: "a"})
 	srv.handle(hold, wire.Request{Seq: 5, Type: wire.TypeEnd, Target: "a"})
-	if bw.led.Parked() || !bw.app.Authorized() {
+	if bw.app.Parked() || !bw.app.Authorized() {
 		t.Fatal("target a waiter not granted after holder ended")
 	}
 }
@@ -96,7 +96,7 @@ func TestShardedDefaultTargetRouting(t *testing.T) {
 	srv.handle(s, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "A", Cores: 1, Target: "bb0"})
 	srv.handle(s, wire.Request{Seq: 2, Type: wire.TypeInform}) // no Target: routes to bb0
 	srv.handle(s, wire.Request{Seq: 3, Type: wire.TypeWait})
-	if b := testBindingOn(srv, s, "bb0"); b == nil || b.led.Grants != 1 {
+	if b := testBindingOn(srv, s, "bb0"); b == nil || b.app.Ledger().Grants != 1 {
 		t.Fatalf("default-target request did not route to bb0: %+v", b)
 	}
 	if sh := srv.shards[""]; sh != nil && len(sh.bindings) != 0 {

@@ -46,10 +46,9 @@ func (sh *shard) snap(now float64) shardSnap {
 	sn := shardSnap{TargetStats: wire.TargetStats{
 		Target:       sh.target,
 		Apps:         len(sh.bindings),
-		Arbitrations: sh.arbitrations,
-		GrantsServed: sh.grantsServed,
+		Arbitrations: sh.dom.Arbitrations(),
 	}}
-	if rec := sh.arb.LastRecord(); rec != nil {
+	if rec := sh.dom.Arbiter().LastRecord(); rec != nil {
 		sn.LastDecision = fmt.Sprintf("t=%.3f allowed=%v %s", rec.Time, rec.Allowed, rec.Reason)
 		sn.lastTime = rec.Time
 		sn.hasDecision = true
@@ -60,31 +59,28 @@ func (sh *shard) snap(now float64) shardSnap {
 	}
 	model := sh.srv.cfg.Model
 	tot := sh.gone // the totals: departed ledgers, then every live one
-	for _, a := range sh.arb.Apps() {
-		b, ok := a.Data.(*binding)
-		if !ok {
-			continue
-		}
+	for _, a := range sh.dom.Arbiter().Apps() {
+		l := a.Ledger()
 		v := a.View()
-		ioTime := b.led.IOTimeAt(a, now)
+		ioTime := a.IOTimeAt(now)
 		as := wire.AppStats{
 			Name:           v.Name,
 			Target:         sh.target,
 			Cores:          v.Cores,
 			State:          v.State.String(),
 			Authorized:     a.Authorized(),
-			Phases:         b.led.Phases,
-			Grants:         b.led.Grants,
+			Phases:         l.Phases,
+			Grants:         l.Grants,
 			BytesTotal:     v.BytesTotal,
 			BytesDone:      v.BytesDone,
 			IOTimeS:        ioTime,
-			WaitTimeS:      b.led.WaitS,
-			WaitsImmediate: b.led.WaitsImmediate,
-			WaitsDeferred:  b.led.WaitsDeferred,
-			ConvoyWaitS:    b.led.ConvoyWaitS,
-			ProtocolWaitS:  b.led.ProtocolWaitS,
+			WaitTimeS:      l.WaitS,
+			WaitsImmediate: l.WaitsImmediate,
+			WaitsDeferred:  l.WaitsDeferred,
+			ConvoyWaitS:    l.ConvoyWaitS,
+			ProtocolWaitS:  l.ProtocolWaitS,
 		}
-		tot.Add(&b.led)
+		tot.Add(l)
 		alone := 0.0
 		if model != nil {
 			// Live interference: observed time for the bytes moved so far
@@ -99,6 +95,7 @@ func (sh *shard) snap(now float64) shardSnap {
 		})
 		sn.apps = append(sn.apps, as)
 	}
+	sn.GrantsServed = tot.Grants
 	sn.WaitsImmediate, sn.WaitsDeferred = tot.WaitsImmediate, tot.WaitsDeferred
 	sn.ConvoyWaitS, sn.ProtocolWaitS = tot.ConvoyWaitS, tot.ProtocolWaitS
 	return sn

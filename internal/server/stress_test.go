@@ -142,7 +142,7 @@ func TestStressInterruptSingleAuthorization(t *testing.T) {
 	srv.Close() // quiesce the readers before reading the shards' logs
 	logged := 0
 	for _, sh := range srv.shardsSorted() {
-		log := sh.arb.Log()
+		log := sh.dom.Arbiter().Log()
 		logged += len(log)
 		for _, d := range log {
 			if len(d.Allowed) > 1 {
