@@ -619,13 +619,13 @@ func BenchmarkArbiterRotating(b *testing.B) {
 func BenchmarkReplayCompare(b *testing.B) {
 	tr := replaytest.Trace(64, 4, 20)
 	policies := replay.StandardPolicies(tr.Header, -1)
-	for _, np := range policies {
-		b.Run("policy="+np.Name, func(b *testing.B) {
+	for _, p := range policies {
+		b.Run("policy="+p.Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			var res replay.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				if res, err = replay.Under(tr, np.Policy); err != nil {
+				if res, err = replay.Under(tr, p); err != nil {
 					b.Fatal(err)
 				}
 			}

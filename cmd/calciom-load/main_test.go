@@ -35,11 +35,10 @@ type daemon struct {
 	served  chan error // Serve's return
 }
 
-// startDaemon boots a daemon under calciomd's default configuration plus
-// cfg's admission and rate limits. The test's cleanup stops it.
-func startDaemon(t *testing.T, cfg server.Config) *daemon {
+// startDaemon boots a daemon under the configuration dc as calciomd reads
+// it, plus cfg's admission and rate limits. The test's cleanup stops it.
+func startDaemon(t *testing.T, dc config.Daemon, cfg server.Config) *daemon {
 	t.Helper()
-	var dc config.Daemon
 	d := &daemon{path: filepath.Join(t.TempDir(), "run.trace")}
 	var err error
 	if d.tf, err = os.Create(d.path); err != nil {
@@ -52,7 +51,7 @@ func startDaemon(t *testing.T, cfg server.Config) *daemon {
 	if cfg.Policy, err = dc.BuildPolicy(); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Trace, cfg.Metrics = d.tw, reg
+	cfg.Model, cfg.Trace, cfg.Metrics = dc.Model(), d.tw, reg
 	if d.srv, err = server.New(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +183,7 @@ func burstArgs(d *daemon, extra ...string) []string {
 // its lossless trace replays under fcfs to the recorded grant sequence,
 // the same way twice.
 func TestSmoke(t *testing.T) {
-	d := startDaemon(t, server.Config{})
+	d := startDaemon(t, config.Daemon{}, server.Config{})
 	// Distinct -prefix per run: run 1's sessions may still be
 	// unregistering when run 2 starts registering.
 	var out1, errs1 bytes.Buffer
@@ -258,7 +257,7 @@ func verify(t *testing.T, tr *trace.Trace) replay.VerifyResult {
 // 3 JSON stats probes), saw group commit batch frames, and counted the raw
 // bytes under the codecs.
 func TestSmokeBinaryCodec(t *testing.T) {
-	d := startDaemon(t, server.Config{})
+	d := startDaemon(t, config.Daemon{}, server.Config{})
 	out1 := load(t, burstArgs(d, "-prefix", "run1", "-codec", "binary")...)
 	out2 := load(t, burstArgs(d, "-prefix", "run2", "-codec", "binary", "-scrape", d.metrics)...)
 	// The same workload a third time, its 64 sessions riding 8 shared
@@ -297,7 +296,7 @@ func TestSmokeBinaryCodec(t *testing.T) {
 // disconnecting 8 times each, in each codec, is 256 connects and 256
 // grants with no error, and the daemon serves exactly 512.
 func TestSmokeChurn(t *testing.T) {
-	d := startDaemon(t, server.Config{})
+	d := startDaemon(t, config.Daemon{}, server.Config{})
 	const churn = "churn: clients=32 loops=8 connects=256 grants=256 errors=0"
 	churnArgs := []string{"-addr", d.addr, "-clients", "32", "-churn", "-churn-loops", "8"}
 	grep(t, load(t, append(churnArgs, "-prefix", "ch")...), "^"+churn+"$")
@@ -316,20 +315,8 @@ func TestSmokeChurn(t *testing.T) {
 // 512 with a lossless trace, which replays per shard.
 func TestSmokeMultiTarget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	d := startDaemon(t, server.Config{})
-	args := []string{"-addr", d.addr, "-clients", "32", "-phases", "4", "-steps", "2", "-targets", "4"}
-	out1 := load(t, append(args, "-prefix", "mt1")...)
-	out2 := load(t, append(args, "-prefix", "mt2")...)
-	const agg = "agg: clients=32 connected=32 tasks=128 phases=128 grants=256 mib=8192 errors=0\n" +
-		"agg-target: target=t0 phases=32 grants=64 mib=2048\n" +
-		"agg-target: target=t1 phases=32 grants=64 mib=2048\n" +
-		"agg-target: target=t2 phases=32 grants=64 mib=2048\n" +
-		"agg-target: target=t3 phases=32 grants=64 mib=2048\n"
-	for _, out := range []string{out1, out2} {
-		if got := block(out, "agg"); got != agg {
-			t.Fatalf("agg block %q, want %q", got, agg)
-		}
-	}
+	d := startDaemon(t, config.Daemon{}, server.Config{})
+	multiTargetBursts(t, d)
 	page := d.scrape(t)
 	for _, target := range []string{"t0", "t1", "t2", "t3"} {
 		grep(t, page, `^calciomd_grants_total\{target="`+target+`"\} 128$`)
@@ -343,6 +330,62 @@ func TestSmokeMultiTarget(t *testing.T) {
 		t.Fatalf("daemon served %d grants, want 512", grants)
 	}
 	t.Run("replay", func(t *testing.T) { verifyShards(t, tr) })
+}
+
+// multiTargetBursts runs two bursts of 32 clients x 4 phases x 2 steps over
+// 4 targets, and requires each to print the same agg block: 64 grants per
+// target.
+func multiTargetBursts(t *testing.T, d *daemon) {
+	t.Helper()
+	args := []string{"-addr", d.addr, "-clients", "32", "-phases", "4", "-steps", "2", "-targets", "4"}
+	const agg = "agg: clients=32 connected=32 tasks=128 phases=128 grants=256 mib=8192 errors=0\n" +
+		"agg-target: target=t0 phases=32 grants=64 mib=2048\n" +
+		"agg-target: target=t1 phases=32 grants=64 mib=2048\n" +
+		"agg-target: target=t2 phases=32 grants=64 mib=2048\n" +
+		"agg-target: target=t3 phases=32 grants=64 mib=2048\n"
+	for _, prefix := range []string{"mt1", "mt2"} {
+		if got := block(load(t, append(args, "-prefix", prefix)...), "agg"); got != agg {
+			t.Fatalf("agg block %q, want %q", got, agg)
+		}
+	}
+}
+
+// TestSmokeDynamic closes the paper's loop: a daemon configured with bare
+// dynamic and a model serves TestSmokeMultiTarget's bursts, its recording
+// verifies on every shard, and the policy the what-if study recommends,
+// named as calciom-replay prints it, is one the daemon configuration builds
+// back equal to the policy compared.
+func TestSmokeDynamic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	dc := config.Daemon{Policy: "dynamic", FSMiBps: 4096, ProcNICMiBps: 3}
+	d := startDaemon(t, dc, server.Config{})
+	multiTargetBursts(t, d)
+	grants, tr := d.stop(t)
+	if grants != 512 {
+		t.Fatalf("daemon served %d grants, want 512", grants)
+	}
+	v, err := replay.Verify(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Policy != "dynamic(cpu-seconds)" || !v.Match || v.GrantsServed != 512 || len(v.Shards) != 4 {
+		t.Fatalf("verify: policy=%s match=%v grants=%d shards=%d %s", v.Policy, v.Match, v.GrantsServed, len(v.Shards), v.Mismatch)
+	}
+	for _, sh := range v.Shards {
+		if !sh.Match || sh.GrantsServed != 128 {
+			t.Fatalf("verify-target %+v, want a match at 128 grants", sh)
+		}
+	}
+	cands := replay.StandardPolicies(tr.Header, -1)
+	c, err := replay.Compare(tr, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := c.Outcomes[c.Best].Policy
+	pol, err := config.Daemon{Policy: best, FSMiBps: dc.FSMiBps, ProcNICMiBps: dc.ProcNICMiBps}.BuildPolicy()
+	if err != nil || !reflect.DeepEqual(pol, cands[c.Best]) {
+		t.Fatalf("the recommended %s builds %#v, %v; compared %#v", best, pol, err, cands[c.Best])
+	}
 }
 
 // verifyShards replays the sharded trace as verify does, and requires
@@ -380,7 +423,7 @@ func verifyShards(t *testing.T, tr *trace.Trace) {
 // at once under a rate limit, split exactly: 32 admitted and answered one
 // grant each, 32 refused busy, none shed and no error on either side.
 func TestSmokeFlood(t *testing.T) {
-	d := startDaemon(t, server.Config{MaxSessions: 32, RateLimit: 200})
+	d := startDaemon(t, config.Daemon{}, server.Config{MaxSessions: 32, RateLimit: 200})
 	out := load(t, "-addr", d.addr, "-prefix", "fl", "-clients", "64", "-flood")
 	grep(t, out, `^shed: clients=64 admitted=32 busy=32 overloaded=0 grants=32 errors=0$`)
 	grep(t, out, `grants-served=32$`)
@@ -393,7 +436,7 @@ func TestSmokeFlood(t *testing.T) {
 // with -1; such a job is not replayed, so it neither registers nor lowers
 // the declared MiB.
 func TestSWFSkipsUnknownSize(t *testing.T) {
-	d := startDaemon(t, server.Config{})
+	d := startDaemon(t, config.Daemon{}, server.Config{})
 	path := filepath.Join(t.TempDir(), "jobs.swf")
 	swf := "1 0 0 60 64 -1 -1 -1 -1 -1 1 1 1 -1 1 -1 -1 -1\n" +
 		"2 10 0 60 -1 -1 -1 -1 -1 -1 1 1 1 -1 1 -1 -1 -1\n" +

@@ -24,16 +24,6 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// policies is this command's own table, not delta.PolicyByName's: its
-// dynamic policy lets two jobs interfere when the model predicts that is
-// cheaper, where the ∆ tools' dynamic never does.
-var policies = map[string]delta.PolicyFactory{
-	"none":      delta.Uncoordinated,
-	"fcfs":      delta.FCFS,
-	"interrupt": delta.Interrupt,
-	"dynamic":   delta.Dynamic(core.CPUSecondsWasted{}, true),
-}
-
 // run is the command: it writes the study to stdout and returns the exit
 // status — 2 when the command line is at fault, 1 when the trace is.
 func run(args []string, stdout, stderr io.Writer) int {
@@ -46,7 +36,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	servers := fs.Int("servers", 32, "file-system servers")
 	bytesPerCore := fs.Int64("mib-per-core", 8, "MiB written per core per phase")
 	period := fs.Float64("period", 300, "seconds of compute between I/O phases")
-	policy := fs.String("policy", "all", "policy: none|fcfs|interrupt|dynamic|all")
+	policy := fs.String("policy", "all", "policy: all, none (no coordination layer) or "+core.PolicySpecs)
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return 0
@@ -70,13 +60,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		tr = swf.Generate(swf.GenConfig{Seed: *seed, Days: *days})
 	}
-	order := []string{"none", "fcfs", "interrupt", "dynamic"}
+	order := []string{"none", "fcfs", "interrupt", "dynamic(cpu-seconds)"}
 	if *policy != "all" {
-		if _, ok := policies[*policy]; !ok {
-			fmt.Fprintf(stderr, "unknown policy %q\n", *policy)
-			return 2
-		}
 		order = []string{*policy}
+	}
+	factories := make([]delta.PolicyFactory, len(order)) // none: nil, no layer
+	for i, name := range order {
+		if name != "none" {
+			var err error
+			if factories[i], err = delta.Spec(name); err != nil {
+				fmt.Fprintf(stderr, "calciom-machine: %v\n", err)
+				return 2
+			}
+		}
 	}
 
 	cfg := machine.IntrepidConfig()
@@ -90,8 +86,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		float64(cfg.FS.Servers)*cfg.FS.ServerBW/float64(1<<30),
 		*bytesPerCore, *period)
 
-	for _, key := range order {
-		res := machine.Run(cfg, tr, policies[key])
+	for _, factory := range factories {
+		res := machine.Run(cfg, tr, factory)
 		fmt.Fprintln(stdout, res)
 		// Worst five jobs by interference factor.
 		worst := append([]machine.JobOutcome(nil), res.Jobs...)

@@ -7,7 +7,8 @@
 // estimated interference factors and CPU-seconds wasted — with a
 // recommended policy. It closes the paper's loop: observe live traffic,
 // then answer "which coordination strategy fits this workload?" without
-// re-running the applications.
+// re-running the applications, and deploy the answer: every policy is named
+// by its core.ParsePolicy spec, which calciomd -policy accepts.
 //
 //	calciomd -listen 127.0.0.1:9595 -record run.trace   # terminal 1
 //	calciom-load -addr 127.0.0.1:9595 -clients 64       # terminal 2
@@ -26,8 +27,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/replay"
 	"repro/internal/textplot"
 	"repro/internal/trace"
@@ -43,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("calciom-replay", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	path := fs.String("trace", "", "trace file recorded by calciomd -record or calciom-load -record")
-	policies := fs.String("policies", "", "comma-separated subset to compare: fcfs,interrupt,interfere,delay,dynamic (default: all available)")
+	policies := fs.String("policies", "", "comma-separated families to compare: fcfs,interrupt,interfere,delay,dynamic (default: all available); each row is named by its core.ParsePolicy spec, which calciomd -policy accepts")
 	overlap := fs.Float64("delay-overlap", -1, "delay policy overlap fraction (-1: the recording's own, or 0.5)")
 	fsMiBps := fs.Float64("fs-mibps", 0, "override the performance model's file-system bandwidth (enables delay/dynamic on model-free traces)")
 	nicMiBps := fs.Float64("proc-nic-mibps", 0, "override the performance model's per-core injection bandwidth")
@@ -291,20 +294,13 @@ type jsonApp struct {
 
 // filterPolicies keeps the candidates whose family name (the part before
 // any parenthesis) appears in the comma-separated list.
-func filterPolicies(cands []replay.Named, list string) []replay.Named {
-	want := map[string]bool{}
-	for _, p := range strings.Split(list, ",") {
-		want[strings.TrimSpace(p)] = true
+func filterPolicies(cands []core.Policy, list string) []core.Policy {
+	want := strings.Split(list, ",")
+	for i := range want {
+		want[i] = strings.TrimSpace(want[i])
 	}
-	var out []replay.Named
-	for _, c := range cands {
-		fam := c.Name
-		if i := strings.IndexByte(fam, '('); i >= 0 {
-			fam = fam[:i]
-		}
-		if want[fam] {
-			out = append(out, c)
-		}
-	}
-	return out
+	return slices.DeleteFunc(cands, func(p core.Policy) bool {
+		fam, _, _ := strings.Cut(p.Name(), "(")
+		return !slices.Contains(want, fam)
+	})
 }

@@ -52,6 +52,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/trace"
@@ -72,7 +73,7 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 	fs.SetOutput(stderr)
 	cfgPath := fs.String("config", "", "JSON daemon configuration file")
 	listen := fs.String("listen", "", "listen address (overrides config)")
-	policy := fs.String("policy", "", "arbitration policy: fcfs|interrupt|interfere|delay (overrides config)")
+	policy := fs.String("policy", "", "arbitration policy: "+core.PolicySpecs+"; bare delay is delay(delay_overlap), bare dynamic dynamic(cpu-seconds) (overrides config)")
 	timeout := fs.Float64("session-timeout", -1, "evict sessions idle this many seconds; 0 disables (overrides config)")
 	grace := fs.Float64("grant-grace", -1, "keep a disconnected session's grants this many seconds for resume; 0 drops immediately (overrides config)")
 	record := fs.String("record", "", "record every coordination event to this trace file (overrides config)")

@@ -16,9 +16,18 @@ import (
 // TestUsageErrors: a command line or configuration the daemon cannot serve
 // exits 2 before it listens, and prints no report.
 func TestUsageErrors(t *testing.T) {
+	overlap := filepath.Join(t.TempDir(), "overlap.json")
+	if err := os.WriteFile(overlap, []byte(`{"policy": "fcfs", "delay_overlap": 0.5}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, args := range [][]string{
 		{"-nonesuch"},
 		{"-policy", "nonesuch"},
+		{"-policy", "dynamic"}, // no fs_mibps for its model
+		{"-policy", "delay(-1)"},
+		{"-policy", "dynamic(nonesuch)"},
+		{"-policy", "fcfs(1)"},
+		{"-config", overlap}, // an overlap only bare delay takes
 		{"-log-level", "loud"},
 		{"-session-timeout", "5", "-grant-grace", "5"},
 		{"-config", filepath.Join(t.TempDir(), "missing.json")},

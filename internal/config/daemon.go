@@ -1,10 +1,12 @@
 package config
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"os"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -17,10 +19,12 @@ import (
 type Daemon struct {
 	// ListenAddr is the TCP address to serve on (default "127.0.0.1:9595").
 	ListenAddr string `json:"listen_addr,omitempty"`
-	// Policy selects the arbitration policy: "fcfs" (default),
-	// "interrupt", "interfere" or "delay".
+	// Policy is the arbitration policy's core.ParsePolicy spec: "fcfs" (the
+	// default), "interrupt", "interfere", "delay(F)" or "dynamic(M)", the
+	// last two needing fs_mibps. Bare "delay" is delay(delay_overlap) and
+	// bare "dynamic" dynamic(cpu-seconds).
 	Policy string `json:"policy,omitempty"`
-	// DelayOverlap is the delay policy's allowed overlap fraction.
+	// DelayOverlap is bare "delay"'s overlap fraction; no other policy takes one.
 	DelayOverlap float64 `json:"delay_overlap,omitempty"`
 	// SessionTimeoutS evicts sessions idle longer than this many seconds;
 	// 0 disables eviction.
@@ -145,19 +149,10 @@ func LoadDaemon(path string) (Daemon, error) {
 	return ParseDaemon(f)
 }
 
-// Validate checks the settings without building anything.
+// Validate checks the settings, the policy by building it.
 func (d Daemon) Validate() error {
-	switch d.Policy {
-	case "", "fcfs", "interrupt", "interfere":
-	case "delay":
-		if d.DelayOverlap < 0 {
-			return fmt.Errorf("config: delay_overlap must be >= 0")
-		}
-		if d.FSMiBps <= 0 {
-			return fmt.Errorf("config: policy \"delay\" needs fs_mibps for its performance model")
-		}
-	default:
-		return fmt.Errorf("config: unknown policy %q (want fcfs, interrupt, interfere or delay)", d.Policy)
+	if _, err := d.BuildPolicy(); err != nil {
+		return err
 	}
 	if d.SessionTimeoutS < 0 {
 		return fmt.Errorf("config: session_timeout_s must be >= 0")
@@ -167,9 +162,6 @@ func (d Daemon) Validate() error {
 	}
 	if d.GrantGraceS > 0 && d.SessionTimeoutS > 0 && d.GrantGraceS >= d.SessionTimeoutS {
 		return fmt.Errorf("config: grant_grace_s must be shorter than session_timeout_s")
-	}
-	if d.FSMiBps < 0 || d.ProcNICMiBps < 0 {
-		return fmt.Errorf("config: fs_mibps and proc_nic_mibps must be >= 0")
 	}
 	// record_buffer without record_path is deliberately allowed: the path
 	// often arrives later as a flag override (calciomd -record), and an
@@ -308,20 +300,28 @@ func (d Daemon) Model() *core.PerfModel {
 	return &core.PerfModel{FSBandwidth: d.FSMiBps * miB, ProcNIC: d.ProcNICMiBps * miB}
 }
 
-// BuildPolicy constructs the configured arbitration policy.
+// BuildPolicy constructs the configured arbitration policy and its model
+// through core.ParsePolicy, config's aliases applied.
 func (d Daemon) BuildPolicy() (core.Policy, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
+	spec := d.PolicyName()
+	switch {
+	case d.FSMiBps < 0 || d.ProcNICMiBps < 0:
+		return nil, fmt.Errorf("config: fs_mibps and proc_nic_mibps must be >= 0")
+	case d.DelayOverlap < 0:
+		return nil, fmt.Errorf("config: delay_overlap must be >= 0")
+	case spec == "delay":
+		spec = "delay(" + strconv.FormatFloat(d.DelayOverlap, 'g', -1, 64) + ")"
+	case d.DelayOverlap != 0:
+		return nil, fmt.Errorf("config: delay_overlap is bare delay's overlap; policy %q takes none", spec)
+	case spec == "dynamic":
+		spec = "dynamic(cpu-seconds)"
 	}
-	switch d.Policy {
-	case "", "fcfs":
-		return core.FCFSPolicy{}, nil
-	case "interrupt":
-		return core.InterruptPolicy{}, nil
-	case "interfere":
-		return core.InterferePolicy{}, nil
-	case "delay":
-		return core.DelayPolicy{Overlap: d.DelayOverlap, Model: d.Model()}, nil
+	p, err := core.ParsePolicy(spec, d.Model())
+	if errors.Is(err, core.ErrNeedsModel) {
+		return nil, fmt.Errorf("config: policy %q needs fs_mibps for its performance model", d.Policy)
 	}
-	panic("unreachable")
+	if err != nil {
+		return nil, fmt.Errorf("config: %w", err)
+	}
+	return p, nil
 }

@@ -255,9 +255,6 @@ func (d DynamicPolicy) Name() string { return "dynamic(" + d.Metric.Name() + ")"
 // costed in turn in the scratch's one order and one set of times, the first
 // of the cheapest wins, and only the winner marks allowed.
 func (d DynamicPolicy) Arbitrate(now float64, apps []AppView, allowed []bool, s *Scratch) (Reason, float64) {
-	if d.Model == nil || d.Metric == nil {
-		panic("core: DynamicPolicy needs Model and Metric")
-	}
 	if len(apps) == 1 {
 		allowed[0] = true
 		return TextReason("single application"), 0

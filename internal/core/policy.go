@@ -68,9 +68,6 @@ func (d DelayPolicy) Name() string { return fmt.Sprintf("delay(%.2f)", d.Overlap
 // Arbitrate implements Policy. The earliest arrival is the holder; later
 // arrivals overlap only inside their allowed window.
 func (d DelayPolicy) Arbitrate(now float64, apps []AppView, allowed []bool, _ *Scratch) (Reason, float64) {
-	if d.Model == nil {
-		panic("core: DelayPolicy needs a PerfModel")
-	}
 	allowed[0] = true
 	if len(apps) == 1 {
 		return TextReason("single application"), 0

@@ -1,0 +1,67 @@
+package core
+
+import (
+	"errors"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// TestPolicySpecRoundTrip: every shipped policy ParsePolicy can name parses
+// back from its Name to an equal policy, and what it cannot build is an
+// error, never a policy that panics in Arbitrate.
+func TestPolicySpecRoundTrip(t *testing.T) {
+	m := &PerfModel{FSBandwidth: 1 << 30, ProcNIC: 1 << 20}
+	pols := []Policy{FCFSPolicy{}, InterruptPolicy{}, InterferePolicy{}}
+	for _, overlap := range []float64{0, 0.25, 0.5, 1} {
+		pols = append(pols, DelayPolicy{Overlap: overlap, Model: m})
+	}
+	for _, metric := range []Metric{CPUSecondsWasted{}, SumIOTime{}, SumInterferenceFactors{Model: m}, Makespan{}} {
+		pols = append(pols, DynamicPolicy{Metric: metric, Model: m, AllowInterfere: true})
+	}
+	for _, want := range pols {
+		got, err := ParsePolicy(want.Name(), m)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s parses to %#v, %v; want %#v", want.Name(), got, err, want)
+		}
+		_, err = ParsePolicy(want.Name(), nil)
+		if needsModel(want) && !errors.Is(err, ErrNeedsModel) || !needsModel(want) && err != nil {
+			t.Errorf("%s without a model: %v", want.Name(), err)
+		}
+	}
+	for _, spec := range []string{"", "FCFS", "fcfs(1)", " fcfs", "delay", "delay()", "delay(-1)", "delay(NaN)",
+		"delay(x)", "delay(0.5", "delay(0.5))", "dynamic", "dynamic(nonesuch)", "dynamic(cpu-seconds", "priority", "fairshare"} {
+		if p, err := ParsePolicy(spec, m); err == nil || !strings.Contains(err.Error(), PolicySpecs) {
+			t.Errorf("%q parses to %v, %v; want an error listing the accepted forms", spec, p, err)
+		}
+	}
+}
+
+// needsModel reports whether a shipped policy estimates with a model.
+func needsModel(p Policy) bool {
+	switch p.(type) {
+	case DelayPolicy, DynamicPolicy:
+		return true
+	}
+	return false
+}
+
+// FuzzParsePolicy: the parser never panics, and a spec it accepts names a
+// policy whose Name parses back to the same Name.
+func FuzzParsePolicy(f *testing.F) {
+	for _, spec := range []string{"fcfs", "interrupt", "interfere", "delay(0.50)", "delay(1e-3)", "delay(+Inf)",
+		"delay(-0)", "dynamic(cpu-seconds)", "dynamic(makespan)", "fcfs(1)", "delay(", "dynamic()"} {
+		f.Add(spec)
+	}
+	m := &PerfModel{FSBandwidth: 1 << 30, ProcNIC: 1 << 20}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParsePolicy(spec, m)
+		if err != nil {
+			return
+		}
+		again, err := ParsePolicy(p.Name(), m)
+		if err != nil || again.Name() != p.Name() {
+			t.Fatalf("%q names %s, which parses to %v, %v", spec, p.Name(), again, err)
+		}
+	})
+}

@@ -81,28 +81,39 @@ func Delay(overlap float64) PolicyFactory {
 	}
 }
 
-// PolicyNames lists every name PolicyByName accepts, for the ∆ command
-// lines' help text.
+// PolicyNames lists the names PolicyByName takes besides the specs, for the
+// ∆ command lines' help text.
 const PolicyNames = "interfere|none|uncoordinated|fcfs|interrupt|dynamic|delay"
 
 // PolicyByName resolves a policy as the ∆ command lines name it: interfere
-// (or none, or uncoordinated) is no coordination layer at all, dynamic
-// chooses by CPU-seconds wasted between serializing and interrupting, and
-// delay lets a newcomer overlap half its solo time.
+// (or none, or uncoordinated) is no coordination layer at all, bare delay is
+// delay(0.50), bare dynamic is the paper's two-candidate form — by
+// CPU-seconds wasted, serializing or interrupting, never interfering — and
+// prints the same name as the spec dynamic(cpu-seconds), which interferes
+// too. Any other name is a core.ParsePolicy spec.
 func PolicyByName(name string) (PolicyFactory, bool) {
 	switch name {
 	case "interfere", "none", "uncoordinated":
 		return Uncoordinated, true
-	case "fcfs":
-		return FCFS, true
-	case "interrupt":
-		return Interrupt, true
 	case "dynamic":
 		return Dynamic(core.CPUSecondsWasted{}, false), true
 	case "delay":
-		return Delay(0.5), true
+		name = "delay(0.50)"
 	}
-	return nil, false
+	factory, err := Spec(name)
+	return factory, err == nil
+}
+
+// Spec returns a factory for a core.ParsePolicy spec, or the parser's error
+// for a malformed one; each run builds the spec under its scenario's model.
+func Spec(spec string) (PolicyFactory, error) {
+	if _, err := core.ParsePolicy(spec, &core.PerfModel{}); err != nil {
+		return nil, err
+	}
+	return func(m *core.PerfModel) core.Policy {
+		p, _ := core.ParsePolicy(spec, m) // well formed, so only a nil m fails
+		return p
+	}, nil
 }
 
 // Result is the outcome of one run.

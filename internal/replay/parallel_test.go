@@ -31,8 +31,8 @@ func TestCompareSameAtEveryGOMAXPROCS(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, np := range policies {
-				res, err := Under(tr, np.Policy)
+			for _, p := range policies {
+				res, err := Under(tr, p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -89,7 +89,7 @@ func TestCompareFirstErrorInOrder(t *testing.T) {
 				if _, err := Compare(tr, policies); err == nil || err.Error() != want {
 					t.Fatalf("GOMAXPROCS=%d run %d: Compare: %v, want %s", procs, run, err, want)
 				}
-				if _, err := Under(tr, policies[3].Policy); err == nil || err.Error() != want {
+				if _, err := Under(tr, policies[3]); err == nil || err.Error() != want {
 					t.Fatalf("GOMAXPROCS=%d run %d: Under: %v, want %s", procs, run, err, want)
 				}
 			}

@@ -43,6 +43,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -204,12 +205,7 @@ func RecordingPolicy(hdr trace.Header) (core.Policy, error) {
 	return headerDaemon(hdr).BuildPolicy()
 }
 
-// Model rebuilds the recording daemon's performance model from the header;
-// nil when the daemon had none.
-func Model(hdr trace.Header) *core.PerfModel {
-	return headerDaemon(hdr).Model()
-}
-
+// headerDaemon is the recording daemon's configuration as its header keeps it.
 func headerDaemon(hdr trace.Header) config.Daemon {
 	return config.Daemon{
 		Policy:       hdr.Policy,
@@ -937,12 +933,6 @@ func (m *machine) finish() {
 	m.res.MakespanS = m.now
 }
 
-// Named pairs a display name with a policy for comparison runs.
-type Named struct {
-	Name   string
-	Policy core.Policy
-}
-
 // Outcome is one policy's replay plus the derived cross-policy estimates.
 //
 // The estimation follows the quantitative-interference tradition: each
@@ -978,7 +968,7 @@ type Comparison struct {
 
 // Compare replays the trace under every given policy and derives the
 // comparison metrics against the recording-policy baseline.
-func Compare(tr *trace.Trace, policies []Named) (Comparison, error) {
+func Compare(tr *trace.Trace, policies []core.Policy) (Comparison, error) {
 	if len(policies) == 0 {
 		return Comparison{}, fmt.Errorf("replay: no policies to compare")
 	}
@@ -993,10 +983,10 @@ func Compare(tr *trace.Trace, policies []Named) (Comparison, error) {
 	// policy itself reuses it instead of re-arbitrating the whole trace.
 	pols := append(make([]core.Policy, 0, 1+len(policies)), basePol)
 	row := make([]int, len(policies)) // each candidate's place in pols
-	for i, np := range policies {
-		if np.Policy.Name() != basePol.Name() {
+	for i, p := range policies {
+		if p.Name() != basePol.Name() {
 			row[i] = len(pols)
-			pols = append(pols, np.Policy)
+			pols = append(pols, p)
 		}
 	}
 	// What makes a stream unreplayable does so under any policy, so an error
@@ -1021,9 +1011,8 @@ func Compare(tr *trace.Trace, policies []Named) (Comparison, error) {
 		service[svcKey{a.SID, a.Target}] = s
 	}
 	c := Comparison{Recording: tr.Header.Policy, Baseline: base}
-	for i, np := range policies {
+	for i := range policies {
 		res := results[row[i]]
-		res.Policy = np.Name
 		rep := metrics.Report{Apps: make([]metrics.AppResult, 0, len(res.Apps))}
 		var est float64
 		for _, a := range res.Apps {
@@ -1064,27 +1053,25 @@ func Compare(tr *trace.Trace, policies []Named) (Comparison, error) {
 	return c, nil
 }
 
-// StandardPolicies builds the canonical comparison set for a trace: the
-// three static policies always, plus the delay and dynamic policies when
-// the header carries a performance model. overlap < 0 uses the header's
-// recorded overlap (falling back to 0.5 when unset).
-func StandardPolicies(hdr trace.Header, overlap float64) []Named {
-	out := []Named{
-		{Name: "fcfs", Policy: core.FCFSPolicy{}},
-		{Name: "interrupt", Policy: core.InterruptPolicy{}},
-		{Name: "interfere", Policy: core.InterferePolicy{}},
-	}
-	if m := Model(hdr); m != nil {
-		if overlap < 0 {
-			overlap = hdr.DelayOverlap
-			if overlap == 0 {
-				overlap = 0.5
+// StandardPolicies builds the canonical comparison set for a trace through
+// core.ParsePolicy, each named by the spec calciomd -policy takes: the three
+// static policies always, plus delay and dynamic(cpu-seconds) when the
+// header carries a performance model. overlap < 0 (or NaN) takes a delay
+// recording's own overlap, 0.5 when it has none.
+func StandardPolicies(hdr trace.Header, overlap float64) []core.Policy {
+	specs, m := []string{"fcfs", "interrupt", "interfere"}, headerDaemon(hdr).Model()
+	if m != nil {
+		if rec, _ := RecordingPolicy(hdr); !(overlap >= 0) {
+			overlap = 0.5
+			if d, ok := rec.(core.DelayPolicy); ok && d.Overlap != 0 {
+				overlap = d.Overlap
 			}
 		}
-		out = append(out,
-			Named{Name: fmt.Sprintf("delay(%.2f)", overlap), Policy: core.DelayPolicy{Overlap: overlap, Model: m}},
-			Named{Name: "dynamic(cpu-seconds)", Policy: core.DynamicPolicy{Metric: core.CPUSecondsWasted{}, Model: m, AllowInterfere: true}},
-		)
+		specs = append(specs, "delay("+strconv.FormatFloat(overlap, 'g', -1, 64)+")", "dynamic(cpu-seconds)")
+	}
+	out := make([]core.Policy, len(specs))
+	for i, spec := range specs {
+		out[i], _ = core.ParsePolicy(spec, m) // well formed, with a model where one is needed
 	}
 	return out
 }

@@ -2,10 +2,12 @@ package replay
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/replay/replaytest"
 	"repro/internal/trace"
 )
 
@@ -338,5 +340,41 @@ func TestUnderStreamWithoutWaits(t *testing.T) {
 	}
 	if len(res.Flips) != 2 || len(res.Waits) != 0 {
 		t.Fatalf("flips=%d waits=%d, want 2 grants and no waits", len(res.Flips), len(res.Waits))
+	}
+}
+
+// TestStandardPoliciesRebuildFromNames: every candidate of the committed
+// fixture's and the synthetic trace's comparison is named by a spec that,
+// recorded as a header's policy, rebuilds the very policy compared, models
+// compared by value — so a recommendation can be deployed as it prints.
+// A delay recording is compared against its own overlap, 0.5 when it has
+// none.
+func TestStandardPoliciesRebuildFromNames(t *testing.T) {
+	fixture, err := trace.Load("testdata/daemon_4targets.trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	synth := replaytest.Trace(4, 1, 1).Header
+	for _, tc := range []struct {
+		hdr   trace.Header
+		delay string
+	}{
+		{fixture.Header, "delay(0.50)"}, // recorded as bare delay, no overlap
+		{synth, "delay(0.50)"},
+		{trace.Header{Source: trace.SourceDaemon, Policy: "delay", DelayOverlap: 0.25, FSMiBps: 1}, "delay(0.25)"},
+		{trace.Header{Source: trace.SourceDaemon, Policy: "delay(0.25)", FSMiBps: 1}, "delay(0.25)"},
+	} {
+		cands := StandardPolicies(tc.hdr, -1)
+		if len(cands) != 5 || cands[3].Name() != tc.delay {
+			t.Fatalf("%+v: candidates %v, want five with %s", tc.hdr, cands, tc.delay)
+		}
+		for _, c := range cands {
+			hdr := tc.hdr
+			hdr.Policy, hdr.DelayOverlap = c.Name(), 0
+			p, err := RecordingPolicy(hdr)
+			if err != nil || !reflect.DeepEqual(p, c) {
+				t.Errorf("%s rebuilds %#v, %v; compared %#v", c.Name(), p, err, c)
+			}
+		}
 	}
 }

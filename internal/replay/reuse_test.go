@@ -29,9 +29,9 @@ func reuseCalls(t *testing.T) (calls []func() any, first []any) {
 			c, err := Compare(tr, policies)
 			return []any{c, fmt.Sprint(err)}
 		})
-		for _, np := range policies {
+		for _, p := range policies {
 			calls = append(calls, func() any {
-				res, err := Under(tr, np.Policy)
+				res, err := Under(tr, p)
 				return []any{res, fmt.Sprint(err)}
 			})
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -102,7 +103,7 @@ type domainRun struct {
 
 // hostCoverage counts the hazards a schedule reached.
 type hostCoverage struct {
-	decisions, served, rechecks, violations, cancelled, busyLeaves, resumes int
+	decisions, served, rechecks, violations, cancelled, busyLeaves, resumes, verified int
 }
 
 func (c *hostCoverage) add(o hostCoverage) {
@@ -113,6 +114,7 @@ func (c *hostCoverage) add(o hostCoverage) {
 	c.cancelled += o.cancelled
 	c.busyLeaves += o.busyLeaves
 	c.resumes += o.resumes
+	c.verified += o.verified
 }
 
 func newDomainRun(t testing.TB, pol core.Policy, layer bool) *domainRun {
@@ -122,7 +124,9 @@ func newDomainRun(t testing.TB, pol core.Policy, layer bool) *domainRun {
 		depth: make([]int, n), ledgers: map[uint32]*core.AppState{}, replies: make([][]string, n),
 		sess: make([]*session, n), inc: make([]uint64, n), seq: make([]uint64, n)}
 	var err error
-	if h.tw, err = trace.NewWriter(&h.buf, trace.Header{Source: trace.SourceDaemon, Policy: pol.Name()}, 0); err != nil {
+	hdr := trace.Header{Source: trace.SourceDaemon, Policy: pol.Name(),
+		FSMiBps: hostModel.FSBandwidth / (1 << 20), ProcNICMiBps: hostModel.ProcNIC / (1 << 20)}
+	if h.tw, err = trace.NewWriter(&h.buf, hdr, 0); err != nil {
 		t.Fatal(err)
 	}
 	h.srv, err = New(Config{Policy: pol, Trace: h.tw,
@@ -512,12 +516,14 @@ func (h *domainRun) finish() {
 	if !slices.Equal(res.Waits, h.waits) {
 		t.Fatalf("%s: replay waited\n%v\nthe Domain\n%v", h.pol.Name(), res.Waits, h.waits)
 	}
-	switch h.pol.(type) {
-	case core.FCFSPolicy, core.InterruptPolicy, core.InterferePolicy:
+	// A policy its name rebuilds is the recording policy replay rebuilds from
+	// the header, so the recorded sequence must verify.
+	if p, err := core.ParsePolicy(h.pol.Name(), hostModel); err == nil && reflect.DeepEqual(p, h.pol) {
 		v, err := replay.Verify(tr)
 		if err != nil || !v.Match {
 			t.Fatalf("%s: verify: %v %s", h.pol.Name(), err, v.Mismatch)
 		}
+		h.cov.verified++
 	}
 }
 
@@ -613,7 +619,9 @@ func TestDomainMatchesHosts(t *testing.T) {
 					cov.add(domainSchedule(t, pol, layer, schedule).cov)
 				}
 			}
-			if cov.decisions < 20*8*len(hostPolicies) || cov.served < 100 || cov.rechecks == 0 ||
+			// Verify checks the five policies their names rebuild: the
+			// three static ones, delay(0.50) and dynamic(cpu-seconds).
+			if cov.decisions < 20*8*len(hostPolicies) || cov.served < 100 || cov.rechecks == 0 || cov.verified != 5*8 ||
 				!layer && (cov.violations == 0 || cov.cancelled == 0 || cov.busyLeaves == 0 || cov.resumes == 0) {
 				t.Fatalf("schedules missed a hazard: %+v", cov)
 			}

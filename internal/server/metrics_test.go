@@ -14,11 +14,12 @@ import (
 )
 
 // metricsServer is the BenchmarkServerArbitrate fixture with metrics and
-// event collection enabled.
-func metricsServer(tb testing.TB, k int) (*Server, []*session, *obs.Registry, *obs.EventLog) {
+// event collection enabled, arbitrating under pol with the model m (nil:
+// none).
+func metricsServer(tb testing.TB, pol core.Policy, m *core.PerfModel, k int) (*Server, []*session, *obs.Registry, *obs.EventLog) {
 	reg := obs.NewRegistry()
 	ev := obs.NewEventLog(slog.New(slog.NewTextHandler(io.Discard, nil)), 64, 0)
-	srv, err := New(Config{Policy: core.FCFSPolicy{}, Clock: logicalClock(), Metrics: reg, Events: ev})
+	srv, err := New(Config{Policy: pol, Model: m, Clock: logicalClock(), Metrics: reg, Events: ev})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -35,24 +36,38 @@ func metricsServer(tb testing.TB, k int) (*Server, []*session, *obs.Registry, *o
 
 // TestMetricsStayAllocFree pins the instrumented arbitration cycle at zero
 // allocations, metrics and sampled event emission both enabled — the same
-// guard recording has.
+// guard recording has — under every policy the registry builds by name.
+// delay(0.50) is held at the 6 its recheck timers cost: each arbitration
+// that defers a newcomer arms a fresh time.AfterFunc.
 func TestMetricsStayAllocFree(t *testing.T) {
-	srv, ss, _, ev := metricsServer(t, 8)
-	defer ev.Close()
-	n := 0
-	cycle := func() {
-		s := ss[n%len(ss)]
-		n++
-		srv.handle(s, wire.Request{Seq: 5, Type: wire.TypeRelease})
-		srv.handle(s, wire.Request{Seq: 6, Type: wire.TypeEnd})
-		srv.handle(s, wire.Request{Seq: 7, Type: wire.TypeInform})
-		srv.handle(s, wire.Request{Seq: 8, Type: wire.TypeWait})
-	}
-	for i := 0; i < 256; i++ {
-		cycle() // warm the decision-log ring and the event sampler
-	}
-	if allocs := testing.AllocsPerRun(512, cycle); allocs != 0 {
-		t.Fatalf("metrics add %.2f allocs per arbitration cycle, want 0", allocs)
+	m := &core.PerfModel{FSBandwidth: 1 << 30, ProcNIC: 1 << 20}
+	for _, tc := range []struct {
+		spec   string
+		allocs float64
+	}{{"fcfs", 0}, {"interrupt", 0}, {"interfere", 0}, {"delay(0.50)", 6}, {"dynamic(cpu-seconds)", 0}} {
+		t.Run(tc.spec, func(t *testing.T) {
+			pol, err := core.ParsePolicy(tc.spec, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, ss, _, ev := metricsServer(t, pol, m, 8)
+			defer ev.Close()
+			n := 0
+			cycle := func() {
+				s := ss[n%len(ss)]
+				n++
+				srv.handle(s, wire.Request{Seq: 5, Type: wire.TypeRelease})
+				srv.handle(s, wire.Request{Seq: 6, Type: wire.TypeEnd})
+				srv.handle(s, wire.Request{Seq: 7, Type: wire.TypeInform})
+				srv.handle(s, wire.Request{Seq: 8, Type: wire.TypeWait})
+			}
+			for i := 0; i < 256; i++ {
+				cycle() // warm the decision-log ring and the event sampler
+			}
+			if allocs := testing.AllocsPerRun(512, cycle); allocs > tc.allocs {
+				t.Fatalf("metrics add %.2f allocs per arbitration cycle, want at most %v", allocs, tc.allocs)
+			}
+		})
 	}
 }
 
@@ -60,7 +75,7 @@ func TestMetricsStayAllocFree(t *testing.T) {
 // registry and sampled event log enabled: the acceptance criterion is
 // identical allocs/op (0).
 func BenchmarkServerArbitrateMetrics(b *testing.B) {
-	srv, ss, _, ev := metricsServer(b, 16)
+	srv, ss, _, ev := metricsServer(b, core.FCFSPolicy{}, nil, 16)
 	defer ev.Close()
 	cycle := func(holder int) {
 		s := ss[holder]
@@ -85,7 +100,7 @@ func BenchmarkServerArbitrateMetrics(b *testing.B) {
 // the scrape-facing counters and the wire.Stats counters are two views of
 // the same arbitration stream and must agree exactly.
 func TestMetricsMatchStats(t *testing.T) {
-	srv, ss, reg, ev := metricsServer(t, 4)
+	srv, ss, reg, ev := metricsServer(t, core.FCFSPolicy{}, nil, 4)
 	defer ev.Close()
 	for n := 0; n < 40; n++ {
 		s := ss[n%len(ss)]
@@ -121,7 +136,7 @@ func TestMetricsMatchStats(t *testing.T) {
 // TestAdminEndToEnd serves a traffic-bearing server's registry, health and
 // status through obs.Admin and checks the scrape is consistent with stats.
 func TestAdminEndToEnd(t *testing.T) {
-	srv, ss, reg, ev := metricsServer(t, 4)
+	srv, ss, reg, ev := metricsServer(t, core.FCFSPolicy{}, nil, 4)
 	defer ev.Close()
 	for n := 0; n < 20; n++ {
 		s := ss[n%len(ss)]

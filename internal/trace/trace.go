@@ -218,8 +218,9 @@ type Header struct {
 	// times, grant events are client-observed, exact verification is not
 	// available).
 	Source string `json:"source"`
-	// Policy is the recording policy as configured ("fcfs", "interrupt",
-	// "interfere", "delay").
+	// Policy is the recording policy as configured: a core.ParsePolicy
+	// spec such as "fcfs" or "dynamic(cpu-seconds)", or a config alias
+	// such as bare "delay", which takes DelayOverlap.
 	Policy string `json:"policy"`
 	// DelayOverlap, FSMiBps and ProcNICMiBps mirror the daemon
 	// configuration so replay can rebuild the delay policy and the
