@@ -44,7 +44,8 @@ func startDaemon(t *testing.T, dc config.Daemon, cfg server.Config) *daemon {
 	if d.tf, err = os.Create(d.path); err != nil {
 		t.Fatal(err)
 	}
-	if d.tw, err = trace.NewWriterOptions(d.tf, dc.TraceHeader(), dc.TraceOptions()); err != nil {
+	opts := trace.Options{SyncEvery: trace.DefaultSyncEvery, SyncInterval: trace.DefaultSyncInterval}
+	if d.tw, err = trace.NewWriterOptions(d.tf, dc.TraceHeader(), opts); err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()

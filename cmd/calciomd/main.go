@@ -85,8 +85,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 	maxSessions := fs.Int("max-sessions", 0, "reject registrations beyond this many live sessions with a retryable busy error; 0 = unlimited (overrides config)")
 	handshakeTimeout := fs.Float64("handshake-timeout", -1, "drop connections that have not registered within this many seconds; 0 disables (overrides config)")
 	maxRPS := fs.Float64("max-requests-per-sec", -1, "per-connection request rate limit; 0 disables (overrides config)")
-	acceptLoops := fs.Int("accept-loops", -1, "shard the listener accept loop across this many goroutines; 0 or 1 = single loop (overrides config)")
-	sockBuffer := fs.Int("sock-buffer", -1, "kernel socket read/write buffer bytes per connection; 0 = OS default (overrides config)")
 	drainLinger := fs.Duration("drain-linger", 0, "after a drain signal, keep /healthz answering \"draining\" this long (or until a second signal) before shutting down")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -120,8 +118,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 	override(&d.MaxSessions, *maxSessions, *maxSessions > 0)
 	override(&d.HandshakeTimeoutS, *handshakeTimeout, *handshakeTimeout >= 0)
 	override(&d.MaxRequestsPerSec, *maxRPS, *maxRPS >= 0)
-	override(&d.AcceptLoops, *acceptLoops, *acceptLoops >= 0)
-	override(&d.SockBufferBytes, *sockBuffer, *sockBuffer >= 0)
 	if err := d.Validate(); err != nil {
 		return fail(2, err)
 	}
@@ -142,7 +138,8 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		// Crash-consistent by default: periodic sync points bound how
 		// much trace a kill -9 loses, and calciom-replay -allow-truncated
 		// reads the survivors.
-		if tw, err = trace.NewWriterOptions(tf, d.TraceHeader(), d.TraceOptions()); err != nil {
+		opts := trace.Options{SyncEvery: trace.DefaultSyncEvery, SyncInterval: trace.DefaultSyncInterval}
+		if tw, err = trace.NewWriterOptions(tf, d.TraceHeader(), opts); err != nil {
 			return fail(2, err)
 		}
 		defer tw.Close()
@@ -176,9 +173,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		MaxSessions:      d.MaxSessions,
 		HandshakeTimeout: d.HandshakeTimeout(),
 		RateLimit:        d.MaxRequestsPerSec,
-		AcceptLoops:      d.AcceptLoops,
-		SockBuffer:       d.SockBufferBytes,
-		LogBound:         d.DecisionLog,
 		Logf:             logf,
 		Trace:            tw,
 		Metrics:          reg,

@@ -30,6 +30,8 @@ func TestUsageErrors(t *testing.T) {
 		{"-config", overlap}, // an overlap only bare delay takes
 		{"-log-level", "loud"},
 		{"-session-timeout", "5", "-grant-grace", "5"},
+		{"-accept-loops", "4"},   // listener sharding is gone
+		{"-sock-buffer", "4096"}, // so is socket-buffer tuning
 		{"-config", filepath.Join(t.TempDir(), "missing.json")},
 	} {
 		var stdout, stderr bytes.Buffer

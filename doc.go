@@ -155,8 +155,7 @@
 // drops from ~120 to ~16 bytes per request (see ROADMAP's performance
 // table). Per-connection machinery rides along: reused read buffers and
 // encode scratch, write coalescing (the responses to one read's worth of
-// requests leave in one write), -accept-loops listener sharding and
-// -sock-buffer kernel socket buffer tuning.
+// requests leave in one write).
 //
 // Version 3 is the mux extension of the binary codec: one physical
 // connection carries many logical sessions, each identified by a stream

@@ -35,8 +35,6 @@ type Daemon struct {
 	// shorter than session_timeout_s when both are set — the grace window
 	// is for reconnection, idle eviction is for abandonment.
 	GrantGraceS float64 `json:"grant_grace_s,omitempty"`
-	// DecisionLog bounds the decision log kept for stats (default 256).
-	DecisionLog int `json:"decision_log,omitempty"`
 	// FSMiBps and ProcNICMiBps describe the storage system for the
 	// performance model behind the delay policy and the live interference
 	// factors in stats. Optional for model-free policies.
@@ -45,20 +43,9 @@ type Daemon struct {
 	// RecordPath, when set, records every coordination event to this file
 	// (internal/trace format) for offline re-arbitration with
 	// calciom-replay. Recording never blocks or allocates on the
-	// arbitration hot path; overflow beyond RecordBuffer in-flight events
-	// is dropped and counted instead.
+	// arbitration hot path; overflow beyond the trace package's
+	// DefaultBuffer in-flight events is dropped and counted instead.
 	RecordPath string `json:"record_path,omitempty"`
-	// RecordBuffer is the in-flight event capacity between the arbitration
-	// goroutine and the trace writer; 0 means the trace package default.
-	RecordBuffer int `json:"record_buffer,omitempty"`
-	// RecordSyncEvery emits a crash-consistency sync point in the trace
-	// every this many events (0 = the trace package default); a daemon that
-	// dies mid-write leaves a trace readable up to the last sync.
-	RecordSyncEvery int `json:"record_sync_every,omitempty"`
-	// RecordSyncIntervalS additionally syncs the trace on this wall-clock
-	// period in seconds (0 = the trace package default; -1 disables the
-	// timer, syncing on event count only).
-	RecordSyncIntervalS float64 `json:"record_sync_interval_s,omitempty"`
 	// AdminAddr, when set, serves the observability endpoints on this TCP
 	// address: /metrics (Prometheus text format), /healthz, /statusz (the
 	// full stats snapshot as JSON) and net/http/pprof. Enabling it also
@@ -87,14 +74,6 @@ type Daemon struct {
 	// "overloaded" reply, then is disconnected on sustained abuse. 0
 	// disables per-connection rate limiting.
 	MaxRequestsPerSec float64 `json:"max_requests_per_sec,omitempty"`
-	// AcceptLoops shards the listener's accept loop across this many
-	// goroutines so connection-churn bursts are not serialized behind one
-	// accept caller. 0 (or 1) means a single loop.
-	AcceptLoops int `json:"accept_loops,omitempty"`
-	// SockBufferBytes, when positive, sets the kernel read and write buffer
-	// sizes (SO_RCVBUF/SO_SNDBUF) on every accepted connection. 0 keeps
-	// the OS defaults.
-	SockBufferBytes int `json:"sock_buffer_bytes,omitempty"`
 }
 
 // DefaultListenAddr is used when listen_addr is omitted.
@@ -163,18 +142,6 @@ func (d Daemon) Validate() error {
 	if d.GrantGraceS > 0 && d.SessionTimeoutS > 0 && d.GrantGraceS >= d.SessionTimeoutS {
 		return fmt.Errorf("config: grant_grace_s must be shorter than session_timeout_s")
 	}
-	// record_buffer without record_path is deliberately allowed: the path
-	// often arrives later as a flag override (calciomd -record), and an
-	// unused buffer size is harmless.
-	if d.RecordBuffer < 0 {
-		return fmt.Errorf("config: record_buffer must be >= 0")
-	}
-	if d.RecordSyncEvery < 0 {
-		return fmt.Errorf("config: record_sync_every must be >= 0")
-	}
-	if d.RecordSyncIntervalS < -1 {
-		return fmt.Errorf("config: record_sync_interval_s must be >= 0, or -1 to disable")
-	}
 	switch d.LogLevel {
 	case "", "debug", "info", "warn", "error":
 	default:
@@ -194,12 +161,6 @@ func (d Daemon) Validate() error {
 	}
 	if d.MaxRequestsPerSec < 0 {
 		return fmt.Errorf("config: max_requests_per_sec must be >= 0")
-	}
-	if d.AcceptLoops < 0 {
-		return fmt.Errorf("config: accept_loops must be >= 0")
-	}
-	if d.SockBufferBytes < 0 {
-		return fmt.Errorf("config: sock_buffer_bytes must be >= 0")
 	}
 	return nil
 }
@@ -270,26 +231,6 @@ func (d Daemon) GrantGrace() time.Duration {
 // HandshakeTimeout returns the pre-register deadline as a duration.
 func (d Daemon) HandshakeTimeout() time.Duration {
 	return time.Duration(d.HandshakeTimeoutS * float64(time.Second))
-}
-
-// TraceOptions returns the recording options (buffer and crash-consistency
-// sync cadence) for trace.NewWriterOptions, defaults applied: calciomd
-// always records crash-consistently unless the sync timer is explicitly
-// disabled with record_sync_interval_s = -1.
-func (d Daemon) TraceOptions() trace.Options {
-	o := trace.Options{Buffer: d.RecordBuffer, SyncEvery: d.RecordSyncEvery}
-	if o.SyncEvery == 0 {
-		o.SyncEvery = trace.DefaultSyncEvery
-	}
-	switch {
-	case d.RecordSyncIntervalS < 0:
-		o.SyncInterval = 0 // timer disabled; sync on event count only
-	case d.RecordSyncIntervalS == 0:
-		o.SyncInterval = trace.DefaultSyncInterval
-	default:
-		o.SyncInterval = time.Duration(d.RecordSyncIntervalS * float64(time.Second))
-	}
-	return o
 }
 
 // Model builds the performance model, or nil when no bandwidths are given.

@@ -65,6 +65,18 @@ func TestStrictErrorsCarryLineNumbers(t *testing.T) {
 			}
 		})
 	}
+	// The daemon keys that once tuned the accept loop, the socket buffers,
+	// the recorder and the decision log: a file still naming one fails to
+	// load instead of running without the setting.
+	for _, key := range []string{"accept_loops", "sock_buffer_bytes", "record_buffer",
+		"record_sync_every", "record_sync_interval_s", "decision_log"} {
+		t.Run("removed daemon key "+key, func(t *testing.T) {
+			_, err := ParseDaemon(strings.NewReader("{\n  \"policy\": \"fcfs\",\n  \"" + key + "\": 1\n}"))
+			if err == nil || !strings.Contains(err.Error(), "unknown") || !strings.Contains(err.Error(), "line 3:3") {
+				t.Fatalf("err = %v, want an unknown field at line 3:3", err)
+			}
+		})
+	}
 }
 
 func TestParseDaemon(t *testing.T) {
@@ -95,13 +107,13 @@ func TestParseDaemon(t *testing.T) {
 		{
 			name: "full settings",
 			in: `{"listen_addr": "0.0.0.0:7777", "policy": "delay", "delay_overlap": 0.5,
-			     "session_timeout_s": 30, "decision_log": 64,
+			     "session_timeout_s": 30,
 			     "fs_mibps": 4000, "proc_nic_mibps": 100}`,
 			check: func(t *testing.T, d Daemon, err error) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if d.Addr() != "0.0.0.0:7777" || d.SessionTimeout() != 30*time.Second || d.DecisionLog != 64 {
+				if d.Addr() != "0.0.0.0:7777" || d.SessionTimeout() != 30*time.Second {
 					t.Fatalf("daemon = %+v", d)
 				}
 				p, err := d.BuildPolicy()
@@ -169,12 +181,12 @@ func TestParseDaemon(t *testing.T) {
 		{
 			name: "record section",
 			in: `{"policy": "delay", "delay_overlap": 0.25, "fs_mibps": 2048,
-			     "record_path": "run.trace", "record_buffer": 4096}`,
+			     "record_path": "run.trace"}`,
 			check: func(t *testing.T, d Daemon, err error) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if d.RecordPath != "run.trace" || d.RecordBuffer != 4096 {
+				if d.RecordPath != "run.trace" {
 					t.Fatalf("record settings = %+v", d)
 				}
 				hdr := d.TraceHeader()
@@ -193,29 +205,6 @@ func TestParseDaemon(t *testing.T) {
 				}
 				if hdr := d.TraceHeader(); hdr.Policy != "fcfs" {
 					t.Fatalf("header policy = %q, want fcfs default", hdr.Policy)
-				}
-			},
-		},
-		{
-			name: "negative record buffer",
-			in:   `{"record_path": "x", "record_buffer": -1}`,
-			check: func(t *testing.T, d Daemon, err error) {
-				if err == nil || !strings.Contains(err.Error(), "record_buffer") {
-					t.Fatalf("err = %v", err)
-				}
-			},
-		},
-		{
-			// The path may arrive later as a -record flag override, so a
-			// config carrying only the buffer size must load cleanly.
-			name: "record buffer without path is allowed",
-			in:   `{"record_buffer": 16}`,
-			check: func(t *testing.T, d Daemon, err error) {
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d.RecordBuffer != 16 {
-					t.Fatalf("record buffer = %d", d.RecordBuffer)
 				}
 			},
 		},

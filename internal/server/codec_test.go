@@ -138,27 +138,3 @@ func TestUnsupportedCodecVersionRejected(t *testing.T) {
 		t.Fatalf("read after bad hello = %v, want EOF (connection closed)", err)
 	}
 }
-
-// TestSocketTuningAndAcceptSharding exercises the listener options end to
-// end: several accept loops and explicit kernel socket buffers must still
-// serve every connection exactly once.
-func TestSocketTuningAndAcceptSharding(t *testing.T) {
-	srv, addr := startTestServer(t, Config{AcceptLoops: 4, SockBuffer: 64 << 10})
-	const n = 8
-	for i := 0; i < n; i++ {
-		c := dialT(t, addr)
-		if err := c.Register(string(rune('A'+i)), 1); err != nil {
-			t.Fatal(err)
-		}
-		sess := client.NewSession(c)
-		if err := sess.Begin(info(1)); err != nil {
-			t.Fatal(err)
-		}
-		if err := sess.End(1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := srv.GrantsServed(); got != n {
-		t.Fatalf("grants served = %d, want %d", got, n)
-	}
-}

@@ -398,7 +398,6 @@ func (srv *Server) shutdown() {
 		sh.stopped = true
 		if sh.recheck != nil {
 			sh.recheck.Stop()
-			sh.recheck = nil
 		}
 		sh.mu.Unlock()
 	}

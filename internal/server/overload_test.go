@@ -414,7 +414,9 @@ func TestSlowClientDisconnect(t *testing.T) {
 // replies (its reader blocks writing them and reads nothing more — TCP
 // pushes back on that client alone, and nobody is cut off). Either way
 // another connection's grant cycles on the same target keep completing.
-// Small socket buffers make the stall arrive within a few hundred frames.
+// Small socket buffers make the stall arrive within a few hundred frames:
+// the stalled client's receive buffer, and both of the daemon's on every
+// connection it accepts (see smallBufServer).
 func TestWritePathIsolation(t *testing.T) {
 	// stalled dials a raw v1 connection, writes frames and never reads. Its
 	// receive buffer is shrunk before it connects, so the window it
@@ -471,8 +473,8 @@ func TestWritePathIsolation(t *testing.T) {
 		// Under interrupt every inform of C's revokes R's authorization and
 		// every end of C's gives it back: two pushes to R per cycle, all
 		// produced on C's reader while R's reader sits in Read.
-		srv, addr := startTestServer(t, Config{Policy: core.InterruptPolicy{},
-			WriteBuffer: 8, SockBuffer: 4096, Metrics: obs.NewRegistry()})
+		srv, addr := smallBufServer(t, Config{Policy: core.InterruptPolicy{},
+			WriteBuffer: 8, Metrics: obs.NewRegistry()})
 		stalled(t, addr,
 			wire.Request{Seq: 1, Type: wire.TypeRegister, App: "R", Cores: 1, Target: "x"},
 			wire.Request{Seq: 2, Type: wire.TypeInform})
@@ -494,7 +496,7 @@ func TestWritePathIsolation(t *testing.T) {
 	})
 
 	t.Run("pipelining", func(t *testing.T) {
-		srv, addr := startTestServer(t, Config{SockBuffer: 4096, Metrics: obs.NewRegistry()})
+		srv, addr := smallBufServer(t, Config{Metrics: obs.NewRegistry()})
 		p := stalled(t, addr, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "P", Cores: 1})
 		// Checks on the contended target: far more replies than the
 		// sockets between the two ends can hold.
@@ -533,6 +535,29 @@ func TestWritePathIsolation(t *testing.T) {
 			t.Fatal("Close hangs behind a client that does not read")
 		}
 	})
+}
+
+// smallBufServer is startTestServer with 4096-byte kernel read and write
+// buffers on every connection the daemon accepts, set before Serve sees it.
+func smallBufServer(t *testing.T, cfg Config) (*Server, string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return startTestServerOn(t, cfg, smallBufListener{ln})
+}
+
+// smallBufListener shrinks both kernel buffers of each accepted connection.
+type smallBufListener struct{ net.Listener }
+
+func (l smallBufListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetReadBuffer(4096)
+		tc.SetWriteBuffer(4096)
+	}
+	return c, err
 }
 
 // blockedWriting reports whether some connection's reader is blocked in a

@@ -120,15 +120,6 @@ type Config struct {
 	// rather than allowed to stall arbitration; tests shrink the bound to
 	// drive that path deterministically.
 	WriteBuffer int
-	// AcceptLoops sets how many goroutines run the listener's accept loop
-	// (default 1). Sharding the accept loop keeps connection-churn-heavy
-	// workloads (100k-session rolling restarts) from serializing behind a
-	// single accept caller. Values below 1 mean 1.
-	AcceptLoops int
-	// SockBuffer, when positive, sets the kernel read and write buffer
-	// sizes (SO_RCVBUF/SO_SNDBUF) on every accepted TCP connection. 0
-	// keeps the OS defaults.
-	SockBuffer int
 }
 
 // ident is a session's registration identity, written once under the
@@ -243,14 +234,10 @@ type Server struct {
 	shards    map[string]*shard
 	shardList []*shard // sorted by target
 
-	// mu guards the listeners and the lifecycle flags, and no work is done
+	// mu guards the listener and the lifecycle flags, and no work is done
 	// under it, so Addr and /healthz never wait behind the control plane.
-	mu sync.Mutex
-	ln net.Listener // set by Serve
-	// extraLns are additional SO_REUSEPORT listeners on the same address
-	// (ListenAndServe with AcceptLoops > 1 on Linux); Serve runs one accept
-	// loop per extra listener, and Drain/Close close them with ln.
-	extraLns  []net.Listener
+	mu        sync.Mutex
+	ln        net.Listener // set by Serve
 	closed    bool
 	draining  atomic.Bool // set under mu; shardFor reads it under shmu
 	serveDone chan struct{}
@@ -337,21 +324,8 @@ func (srv *Server) Addr() net.Addr {
 	return srv.ln.Addr()
 }
 
-// ListenAndServe listens on cfg.ListenAddr and serves until Close. With
-// AcceptLoops > 1 on Linux it shards the listener itself: one SO_REUSEPORT
-// socket per accept loop, so the kernel distributes connection bursts
-// across independent accept queues. Elsewhere (or if the sharded bind
-// fails) it falls back to AcceptLoops goroutines sharing one listener.
+// ListenAndServe listens on cfg.ListenAddr and serves until Close.
 func (srv *Server) ListenAndServe() error {
-	if n := srv.cfg.AcceptLoops; n > 1 && reuseportAvailable {
-		if lns, err := listenReuseport(srv.cfg.ListenAddr, n); err == nil {
-			srv.mu.Lock()
-			srv.extraLns = lns[1:]
-			srv.mu.Unlock()
-			srv.logf("calciomd: %d reuseport listeners on %s", n, lns[0].Addr())
-			return srv.Serve(lns[0])
-		}
-	}
 	ln, err := net.Listen("tcp", srv.cfg.ListenAddr)
 	if err != nil {
 		return err
@@ -359,8 +333,10 @@ func (srv *Server) ListenAndServe() error {
 	return srv.Serve(ln)
 }
 
-// Serve accepts connections on ln until Close. It returns nil after a clean
-// Close, or the accept error otherwise. Serve may be called at most once.
+// Serve accepts connections on ln, in one loop, until Close or Drain closes
+// ln; every accepted connection gets its own reader goroutine. It returns
+// nil after a clean Close or Drain, or the accept error otherwise. Serve may
+// be called at most once.
 func (srv *Server) Serve(ln net.Listener) error {
 	srv.mu.Lock()
 	if srv.closed {
@@ -375,7 +351,7 @@ func (srv *Server) Serve(ln net.Listener) error {
 	}
 	srv.ln = ln
 	srv.mu.Unlock()
-	// Closed when every accept loop has returned: after that, no new
+	// Closed when the accept loop has returned: after that, no new
 	// startSession can run, which Close relies on for a complete teardown.
 	defer close(srv.serveDone)
 	if d := srv.cfg.SessionTimeout; d > 0 {
@@ -384,54 +360,19 @@ func (srv *Server) Serve(ln net.Listener) error {
 		srv.ctl.mu.Unlock()
 	}
 	srv.logf("calciomd: serving on %s (policy %s)", ln.Addr(), srv.cfg.Policy.Name())
-	accept := func(ln net.Listener) error {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return err
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			srv.mu.Lock()
+			clean := srv.closed || srv.draining.Load()
+			srv.mu.Unlock()
+			if clean {
+				return nil
 			}
-			if tc, ok := conn.(*net.TCPConn); ok && srv.cfg.SockBuffer > 0 {
-				tc.SetReadBuffer(srv.cfg.SockBuffer)
-				tc.SetWriteBuffer(srv.cfg.SockBuffer)
-			}
-			srv.startSession(conn)
+			return err
 		}
+		srv.startSession(conn)
 	}
-	// Accept-loop sharding. With SO_REUSEPORT listeners (ListenAndServe on
-	// Linux) each extra listener gets its own accept loop; otherwise extra
-	// goroutines accept from the shared listener so bursts of connection
-	// churn are not serialized behind one accept caller. Closing the
-	// listeners unblocks every loop.
-	srv.mu.Lock()
-	extras := srv.extraLns
-	srv.mu.Unlock()
-	var extra sync.WaitGroup
-	if len(extras) > 0 {
-		for _, eln := range extras {
-			extra.Add(1)
-			go func(eln net.Listener) {
-				defer extra.Done()
-				accept(eln)
-			}(eln)
-		}
-	} else {
-		for i := 1; i < srv.cfg.AcceptLoops; i++ {
-			extra.Add(1)
-			go func() {
-				defer extra.Done()
-				accept(ln)
-			}()
-		}
-	}
-	err := accept(ln)
-	extra.Wait()
-	srv.mu.Lock()
-	clean := srv.closed || srv.draining.Load()
-	srv.mu.Unlock()
-	if clean {
-		return nil
-	}
-	return err
 }
 
 // Drain begins a graceful shutdown: the listener stops accepting, every
@@ -450,13 +391,9 @@ func (srv *Server) Drain() {
 	}
 	srv.draining.Store(true)
 	ln := srv.ln
-	extras := srv.extraLns
 	srv.mu.Unlock()
 	if ln != nil {
 		ln.Close()
-	}
-	for _, eln := range extras {
-		eln.Close()
 	}
 	srv.logf("calciomd: draining")
 	for _, sh := range srv.shardsSorted() {
@@ -483,14 +420,11 @@ func (srv *Server) Close() error {
 		return nil
 	}
 	srv.closed = true
-	ln, extras := srv.ln, srv.extraLns
+	ln := srv.ln
 	srv.mu.Unlock()
 	defer close(srv.closeDone)
-	for _, eln := range extras {
-		eln.Close()
-	}
 	if ln != nil {
-		// Wait for the accept loops: once they have returned, no further
+		// Wait for the accept loop: once it has returned, no further
 		// startSession can join wg.
 		ln.Close()
 		<-srv.serveDone

@@ -64,15 +64,22 @@ func testBinding(srv *Server, s *session) *binding {
 
 func startTestServer(t *testing.T, cfg Config) (*Server, string) {
 	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return startTestServerOn(t, cfg, ln)
+}
+
+// startTestServerOn is startTestServer serving on ln.
+func startTestServerOn(t *testing.T, cfg Config, ln net.Listener) (*Server, string) {
+	t.Helper()
 	if cfg.Policy == nil {
 		cfg.Policy = core.FCFSPolicy{}
 	}
 	srv, err := New(cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+		ln.Close()
 		t.Fatal(err)
 	}
 	go srv.Serve(ln)

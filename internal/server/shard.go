@@ -56,6 +56,9 @@ type shard struct {
 	gate
 	// Guarded by mu.
 	bindings map[*session]*binding
+	// recheck is created at the first deferred decision, with fireRecheck
+	// bound once, and re-armed in place after, so arbitration allocates
+	// no timer.
 	recheck  *time.Timer
 	pending  int32 // Waits currently parked (mirrored to m.queueDepth)
 	draining bool  // Drain ran: pending Waits failed, new ones refused
@@ -455,7 +458,6 @@ func (sh *shard) rec(ev trace.Event) {
 func (sh *shard) arbitrate(now float64) {
 	if sh.recheck != nil {
 		sh.recheck.Stop()
-		sh.recheck = nil
 	}
 	dec := sh.dom.Arbitrate(now)
 	if sh.m != nil {
@@ -486,7 +488,14 @@ func (sh *shard) arbitrate(now float64) {
 		b.s.send(wire.Response{Type: wire.TypeRevoke, Target: sh.target})
 	}
 	if dec.RecheckAfter > 0 {
-		sh.recheck = time.AfterFunc(secondsToDuration(dec.RecheckAfter), sh.fireRecheck)
+		// A callback that already fired still waits for the lock and
+		// re-arbitrates; Reset only schedules the next one.
+		d := secondsToDuration(dec.RecheckAfter)
+		if sh.recheck == nil {
+			sh.recheck = time.AfterFunc(d, sh.fireRecheck)
+		} else {
+			sh.recheck.Reset(d)
+		}
 	}
 }
 
