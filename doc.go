@@ -380,10 +380,13 @@
 // discrete-event run, so the contention hot path is engineered to be
 // index-based and allocation-free in steady state:
 //
-//   - fabric's global max-min solver (progressive filling) runs on scratch
-//     arrays kept on the Fabric, indexed by dense link IDs, with slice
-//     memberships and swap-delete instead of maps. One refill is
-//     O(B·(F·L̄+L)) for B bottleneck rounds, F active flows crossing L̄
+//   - one max-min kernel rates every simulated flow: maxmin.Net.Fill,
+//     progressive filling over dense link and flow indexes, with per-flow
+//     caps. fabric keeps its links and flows in the kernel's own Links
+//     (by link ID) and Flows (by flow index), swap-delete instead of maps,
+//     and changes them in place; fluid's Resource and Solver hand it one
+//     link every job crosses, each job capped by its own cap. One refill
+//     is O(B·(F·L̄+L)) for B saturation rounds, F active flows crossing L̄
 //     links each, and L links; it performs zero allocations, and its fixed
 //     iteration order makes float accumulation — and therefore every
 //     simulated rate — bit-reproducible across runs and GOMAXPROCS
@@ -398,9 +401,9 @@
 //     channel hand-offs through the Go scheduler. A striped pfs request
 //     brackets its per-server fabric.Starts with Hold/Release, so it costs
 //     one progressive fill, not one per server, with the same bits.
-//   - fluid's Resource and closed-form Solver reuse their water-fill
-//     scratch — a Solver is one caller's, never shared between goroutines —
-//     and delta.Sweep runs on a fixed worker pool with per-worker scratch.
+//   - fluid's Resource and closed-form Solver reuse their kernel scratch —
+//     a Solver is one caller's, never shared between goroutines — and
+//     delta.Sweep runs on a fixed worker pool with per-worker scratch.
 //
 // Benchmark methodology: go test -bench=Fabric -benchmem (micro), and
 // BenchmarkDeltaSweepFabric for the macro path (a TrueNetwork ∆-sweep).
@@ -434,12 +437,12 @@
 //     bound closure each; an idle coroutine references no engine and a
 //     cleanup stops it when the engine is collected, so an abandoned engine
 //     leaks nothing); clears the clock, sequence counter and pending events.
-//   - fabric.Fabric.Reset: retains links (and any capacity changes), solver
+//   - fabric.Fabric.Reset: retains links (and any capacity changes), kernel
 //     scratch and retired flows (moved to the free list, so Start stops
 //     allocating); clears active flows, flow IDs, the progress clock and
 //     any hold.
-//   - fluid.Resource.Reset / disk.Store.Reset: retain water-fill scratch
-//     and retired jobs; clear job sets, dirty bytes and fill state, and
+//   - fluid.Resource.Reset / disk.Store.Reset: retain kernel scratch and
+//     retired jobs; clear job sets, dirty bytes and fill state, and
 //     restore construction-time capacity.
 //   - pfs.System.Reset: retains servers, stores, the file table with its
 //     cached per-server request-name strings, pooled server requests (with
@@ -511,7 +514,7 @@
 // the policy sets allowed[i] for each queued view apps[i] it authorizes, in
 // a slice the Arbiter owns and clears, and returns the reason and the
 // recheck delay. Every shipped policy (fcfs, interrupt, interfere, delay,
-// dynamic, priority, fairshare) and every test policy decides this way; a
+// dynamic, fairshare) and every test policy decides this way; a
 // test policy that authorizes by name marks the index whose view carries
 // that name. A policy's name is also the one way to ask for it:
 // core.ParsePolicy builds fcfs, interrupt, interfere, delay(F) and
@@ -554,7 +557,7 @@
 //	policy=dynamic(cpu-seconds)  30.7 ms/op  181233 allocs → 12.0 ms/op   676 allocs
 //	compare (all five)           43.0 ms/op  187083 allocs → 21.7 ms/op  6246 allocs
 //
-// What the estimate's arithmetic cost was a water-fill per completion:
+// What the estimate's arithmetic cost was a max-min fill per completion:
 // dynamic's interfere candidate asked fluid.FinishTimes when each application
 // would finish if all wrote at once, O(n²) for n queued applications and a
 // third of a what-if replay. The policy's flows are special, though — weight
@@ -570,15 +573,18 @@
 // this model rather than an approximation of it. It divides per application (bytes left / (cores × ProcNIC), as
 // SoloTime does) and not per core, because with one application left writing
 // interfere and serialize are the same schedule and must cost the same
-// float: serialize, costed first, keeps such a tie. It agrees with the
-// water-fill to 1.3e-15 relative over 200 000 random application sets —
-// zero cores, unknown sizes and models without bandwidth or injection limit
-// included, infinite where the water-fill is infinite — and no decision,
-// decision log or figure moved. fluid.FinishTimes stays what it was: the
-// solver for arbitrary weights and caps (the ∆-graph's analytic curves use
-// its staggered form), and the oracle the closed form is tested and fuzzed
-// against. BenchmarkSharedFinishTimes beside the same applications through
-// the water-fill (internal/core; same box):
+// float: serialize, costed first, keeps such a tie. It agreed with the
+// water-fill fluid.FinishTimes ran then to 1.3e-15 relative over 200 000
+// random application sets — zero cores, unknown sizes and models without
+// bandwidth or injection limit included, infinite where the water-fill is
+// infinite — and no decision, decision log or figure moved.
+// fluid.FinishTimes stays the solver for arbitrary weights and caps and the
+// oracle the closed form is tested and fuzzed against, but it is no longer a
+// second allocator: it is fluid's staggered loop (the ∆-graph's analytic
+// curves) with every start at 0, rating each step through the one max-min
+// kernel, so TestSharedFinishTimesMatchesWaterFill and FuzzSharedFinishTimes
+// hold the closed form to the kernel. BenchmarkSharedFinishTimes beside the
+// same applications through the water-fill (internal/core; same box):
 //
 //	apps=8     0.90 µs/op  7 allocs → 0.19 µs/op  0 allocs
 //	apps=64    28.6 µs/op  7 allocs → 2.7 µs/op   0 allocs

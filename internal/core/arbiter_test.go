@@ -18,7 +18,6 @@ func shippedPolicies() []Policy {
 		DelayPolicy{Overlap: 0.5, Model: model},
 		DynamicPolicy{Metric: CPUSecondsWasted{}, Model: model, AllowInterfere: true},
 		DynamicPolicy{Metric: SumInterferenceFactors{Model: model}, Model: model},
-		PriorityPolicy{Priorities: map[string]int{"app-3": 2, "app-05": 1}},
 		FairSharePolicy{Quantum: 2},
 	}
 }

@@ -485,24 +485,6 @@ func TestWaitTimeAccounting(t *testing.T) {
 	}
 }
 
-func TestPriorityPolicy(t *testing.T) {
-	pol := PriorityPolicy{Priorities: map[string]int{"A": 1, "B": 5}}
-	apps := []AppView{
-		{Name: "A", Arrival: 0, State: Active},
-		{Name: "B", Arrival: 3, State: Waiting},
-	}
-	dec := decide(pol, 3, apps)
-	if !dec.Allowed["B"] || dec.Allowed["A"] {
-		t.Fatalf("high-priority B should win: %+v", dec)
-	}
-	// Without priorities, arrival order wins (first in sorted views).
-	pol = PriorityPolicy{}
-	dec = decide(pol, 3, apps)
-	if !dec.Allowed["A"] {
-		t.Fatalf("equal priorities should fall back to arrival: %+v", dec)
-	}
-}
-
 func TestFairSharePolicy(t *testing.T) {
 	pol := FairSharePolicy{Quantum: 2}
 	apps := []AppView{

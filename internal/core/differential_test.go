@@ -158,7 +158,6 @@ var diffPolicies = []Policy{
 	DynamicPolicy{Metric: CPUSecondsWasted{}, Model: diffModel},
 	DynamicPolicy{Metric: SumInterferenceFactors{Model: diffModel}, Model: diffModel, AllowInterfere: true},
 	DynamicPolicy{Metric: SumInterferenceFactors{Model: diffModel}, Model: diffModel},
-	PriorityPolicy{Priorities: map[string]int{"c": 2, "0": 1}},
 	FairSharePolicy{Quantum: 2},
 }
 

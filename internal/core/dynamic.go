@@ -108,9 +108,9 @@ func sortShares(shares []coreShare) {
 // positive). Caps proportional to weights leave one rate per core for
 // everybody still writing, min(ProcNIC, FSBandwidth / cores still writing),
 // so applications finish in the order of their bytes per core and one pass
-// over it replaces fluid.FinishTimes' water-fill per completion (doc.go has
-// the argument). Each step divides one application's bytes left by its own
-// rate, the capped one spelled as AloneBW spells it: an application left
+// over it replaces fluid.FinishTimes' max-min fill per completion (doc.go
+// has the argument). Each step divides one application's bytes left by its
+// own rate, the capped one spelled as AloneBW spells it: an application left
 // writing alone gets exactly its SoloTime, and a cost that ties with a serial
 // schedule's still ties. The result is s.times, valid until s is used again.
 func (m *PerfModel) sharedFinishTimes(s *Scratch, apps []AppView) []float64 {

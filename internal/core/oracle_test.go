@@ -8,8 +8,8 @@ import (
 	"repro/internal/fluid"
 )
 
-// The decisions of DynamicPolicy, PriorityPolicy and FairSharePolicy as they
-// were taken before the three decided in place — a candidate slice,
+// The decisions of DynamicPolicy and FairSharePolicy as they were taken
+// before the two decided in place — a candidate slice,
 // fresh orders and times per candidate, an Allowed map and an eagerly
 // formatted reason per decision — kept verbatim as the oracle the
 // differential test holds Policy.Arbitrate to, Allowed and wording both.
@@ -56,8 +56,6 @@ func oracleDecision(p Policy, now float64, apps []AppView) (dec decision, ok boo
 	switch p := p.(type) {
 	case DynamicPolicy:
 		return oracleDynamic(p, now, apps), true
-	case PriorityPolicy:
-		return oraclePriority(p, now, apps), true
 	case FairSharePolicy:
 		return oracleFairShare(p, now, apps), true
 	}
@@ -175,17 +173,6 @@ func oracleDynamic(d DynamicPolicy, now float64, apps []AppView) decision {
 	dec := cands[best].decide()
 	dec.Reason = TextReason(fmt.Sprintf("%s (cost %.4g by %s)", dec.Reason, bestCost, d.Metric.Name()))
 	return dec
-}
-
-func oraclePriority(p PriorityPolicy, now float64, apps []AppView) decision {
-	best := apps[0]
-	bestPrio := p.Priorities[best.Name]
-	for _, a := range apps[1:] {
-		if prio := p.Priorities[a.Name]; prio > bestPrio {
-			best, bestPrio = a, prio
-		}
-	}
-	return allowOnly(best.Name, fmt.Sprintf("priority %d", bestPrio))
 }
 
 func oracleFairShare(f FairSharePolicy, now float64, apps []AppView) decision {

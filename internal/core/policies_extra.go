@@ -1,31 +1,5 @@
 package core
 
-// PriorityPolicy authorizes the waiting application with the highest
-// operator-assigned priority; ties fall back to arrival order. Applications
-// without an assigned priority default to zero. This models a
-// system-provided entity enforcing site policy (the centralized variant the
-// paper's §III-B leaves open).
-type PriorityPolicy struct {
-	// Priorities maps application name -> priority (higher wins).
-	Priorities map[string]int
-}
-
-// Name implements Policy.
-func (PriorityPolicy) Name() string { return "priority" }
-
-// Arbitrate implements Policy: the first of the highest priority, in arrival
-// order as the views are.
-func (p PriorityPolicy) Arbitrate(now float64, apps []AppView, allowed []bool, _ *Scratch) (Reason, float64) {
-	best, bestPrio := 0, p.Priorities[apps[0].Name]
-	for i := 1; i < len(apps); i++ {
-		if prio := p.Priorities[apps[i].Name]; prio > bestPrio {
-			best, bestPrio = i, prio
-		}
-	}
-	allowed[best] = true
-	return Reason{kind: reasonPriority, v: float64(bestPrio)}, 0 // exact to 2^53
-}
-
 // FairSharePolicy time-slices the file system between the applications that
 // want it: the app that has consumed the least I/O service so far gets the
 // next quantum. This is the "fair sharing of throughput" strawman the

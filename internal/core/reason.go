@@ -25,7 +25,6 @@ const (
 	reasonFirst                          // "<s> arrived first (t=<v>)"
 	reasonLast                           // "<s> arrived last (t=<v>)"
 	reasonHolding                        // "holder <s> rem=<v>s"
-	reasonPriority                       // "priority <v>", v an int
 	reasonLeastServed                    // "least served (<v>% done)"
 	reasonDynSerialize                   // "dynamic: serialize after <s> (cost <v> by <metricNames[m]>)"
 	reasonDynSJF                         // "dynamic: shortest job first (<s>) (cost <v> by <metricNames[m]>)"
@@ -67,8 +66,6 @@ func (r Reason) String() string {
 		return fmt.Sprintf("%s arrived last (t=%.3f)", r.s, r.v)
 	case reasonHolding:
 		return fmt.Sprintf("holder %s rem=%.2fs", r.s, r.v)
-	case reasonPriority:
-		return fmt.Sprintf("priority %d", int(r.v))
 	case reasonLeastServed:
 		return fmt.Sprintf("least served (%.0f%% done)", r.v)
 	case reasonDynSerialize, reasonDynSJF, reasonDynInterrupt, reasonDynInterfere:

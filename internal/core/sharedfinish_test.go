@@ -11,9 +11,10 @@ import (
 	"repro/internal/approx"
 )
 
-// sharedFinishTimes against the general water-fill it replaced
-// (oracleSharedFinishTimes: fluid.FinishTimes on the flows the policy used to
-// build), and against what max-min sharing means whatever the bits.
+// sharedFinishTimes against the general solver it replaced
+// (oracleSharedFinishTimes: fluid.FinishTimes, rated by the max-min kernel,
+// on the flows the policy used to build; "water-fill" below), and against
+// what max-min sharing means whatever the bits.
 
 // randomSharedCase draws a model and a set of queued applications: cores from
 // none to thousands, phases of megabytes to hundreds of gigabytes somewhere

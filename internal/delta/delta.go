@@ -441,7 +441,7 @@ func (sc Scenario) Expected(dts []float64) Series {
 		{Work: s.SoloA, Weight: 1},
 		{Work: s.SoloB, Weight: 1},
 	}
-	var solver fluid.Solver // water-fill scratch shared across the sweep
+	var solver fluid.Solver // rating scratch shared across the sweep
 	starts := make([]float64, 2)
 	for _, dt := range dts {
 		startA, startB := 0.0, dt

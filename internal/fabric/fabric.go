@@ -1,22 +1,23 @@
 // Package fabric models a network fabric as a set of capacity-limited links
-// and flows that traverse several links at once, with rates assigned by
-// global max-min fairness (progressive filling). It generalizes the
-// single-resource model of internal/fluid: a flow from a client NIC through
-// a switch to a storage server is limited by its tightest link, and freed
-// capacity is redistributed among the remaining flows.
+// and flows that traverse several links at once, rated by the simulator's
+// one max-min kernel (internal/maxmin, progressive filling) on the whole
+// link graph: a flow from a client NIC through a switch to a storage server
+// is limited by its tightest link, and freed capacity is redistributed among
+// the remaining flows. internal/fluid rates a single resource with the same
+// kernel.
 //
 // The paper's platforms have exactly this structure — compute-node NICs, a
 // shared InfiniBand switch or BG/P tree, and storage servers — and the
 // simulator's default single-resource approximation (per-request static
 // rate caps) is validated against this model in the ablation benchmarks.
 //
-// The solver is the hot path of every TrueNetwork simulation, so it is
-// index-based and allocation-free in steady state: links carry dense integer
-// IDs indexing the capacities and reusable per-link scratch arrays, a flow's
-// path holds each link's ID beside it so the fill reads no Link, memberships
-// are slices with swap-delete (no maps), and all iteration is in slice
-// order, which makes floating-point accumulation order — and therefore every
-// simulated rate — reproducible bit-for-bit across runs.
+// The fill is the hot path of every TrueNetwork simulation, so the fabric
+// keeps its links and flows in the kernel's own dense form and changes it in
+// place: a Link's ID indexes the kernel's links, an active Flow's index the
+// kernel's flows, memberships are slices with swap-delete (no maps), and
+// nothing is rebuilt per fill. All iteration is in slice order, which makes
+// floating-point accumulation order — and therefore every simulated rate —
+// reproducible bit-for-bit across runs.
 //
 // A caller making several changes at one instant — a striped request starting
 // one flow per server — brackets them with Hold and Release. Inside the hold
@@ -34,44 +35,26 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/maxmin"
 	"repro/internal/sim"
 )
 
 // Link is one capacity-limited element of the fabric. Links have dense IDs
-// (creation order) that index the fabric's capacities and the solver's
-// per-link scratch arrays.
+// (creation order) that index the kernel's links.
 type Link struct {
-	fab   *Fabric
-	id    int
-	name  string
-	flows []linkRef // flows currently crossing this link
-}
-
-// linkRef is one entry of a link's membership slice: the flow plus the index
-// of this link within the flow's own path, so a swap-delete on either side
-// can repair the other side's back-index in O(1).
-type linkRef struct {
-	f    *Flow
-	slot int // index of this link's hop in f.path
-}
-
-// hop is one link of a flow's path: the link, its dense ID (so the solver
-// indexes its arrays without reading the Link) and the flow's position in
-// the link's membership slice.
-type hop struct {
-	link *Link
+	fab  *Fabric
 	id   int
-	pos  int // index of the flow in link.flows
+	name string
 }
 
 // Name returns the link name.
 func (l *Link) Name() string { return l.name }
 
 // Capacity returns the link capacity.
-func (l *Link) Capacity() float64 { return l.fab.capacity[l.id] }
+func (l *Link) Capacity() float64 { return l.fab.net.Links[l.id].Capacity }
 
 // Flows returns the number of flows currently crossing the link.
-func (l *Link) Flows() int { return len(l.flows) }
+func (l *Link) Flows() int { return len(l.fab.net.Links[l.id].Members) }
 
 // SetCapacity changes the link capacity and reassigns all rates.
 func (l *Link) SetCapacity(c float64) {
@@ -79,22 +62,22 @@ func (l *Link) SetCapacity(c float64) {
 		panic("fabric: negative or NaN capacity")
 	}
 	l.fab.advance()
-	l.fab.capacity[l.id] = c
+	l.fab.net.Links[l.id].Capacity = c
 	l.fab.reassign()
 }
 
-// Flow is a transfer crossing one or more links.
+// Flow is a transfer crossing one or more links. While it is active its
+// weight, links and rate are the kernel's flow at its index.
 type Flow struct {
 	fab       *Fabric
 	id        uint64 // creation sequence; total-order tiebreak
-	idx       int    // index in fab.flows; -1 once done or cancelled
+	idx       int    // index in fab.flows and the kernel's flows; -1 once done or cancelled
 	name      string
-	path      []hop
-	weight    float64
+	links     []int // the IDs of the links crossed, the kernel flow's Links
+	pos       []int // the flow's position in each crossed link's Members
 	remaining float64
 	total     float64
 	eps       float64 // completion tolerance: done once remaining <= eps
-	rate      float64
 	done      bool
 	cancelled bool
 	onDone    func()
@@ -103,8 +86,14 @@ type Flow struct {
 // Name returns the flow name.
 func (f *Flow) Name() string { return f.name }
 
-// Rate returns the currently assigned rate; unspecified inside a Hold.
-func (f *Flow) Rate() float64 { return f.rate }
+// Rate returns the currently assigned rate, 0 once the flow is done or
+// cancelled; unspecified inside a Hold.
+func (f *Flow) Rate() float64 {
+	if f.idx < 0 {
+		return 0
+	}
+	return f.fab.net.Flows[f.idx].Rate
+}
 
 // Done reports completion.
 func (f *Flow) Done() bool { return f.done }
@@ -121,9 +110,8 @@ func (f *Flow) Remaining() float64 {
 // Fabric owns the links and flows and assigns max-min fair rates.
 type Fabric struct {
 	eng        *sim.Engine
-	links      []*Link
-	capacity   []float64 // indexed by Link.id
-	flows      []*Flow   // active flows, dense, swap-delete on removal
+	flows      []*Flow    // active flows, dense, swap-delete on removal
+	net        maxmin.Net // Links by Link.id, Flows by Flow.idx
 	nextID     uint64
 	lastUpdate float64
 	completion *sim.Timer
@@ -136,14 +124,7 @@ type Fabric struct {
 	flowFree    []*Flow
 	flowRetired []*Flow
 
-	// Solver scratch, reused across reassign calls so the steady state
-	// performs no allocations. Per-link arrays are indexed by Link.id;
-	// frozen is indexed by Flow.idx.
-	linkRemaining []float64
-	linkActive    []int
-	linkWeight    []float64
-	frozen        []bool
-	finished      []*Flow
+	finished []*Flow // completion batch scratch
 
 	held  int  // Hold nesting depth
 	stale bool // a change inside the hold awaits its fill
@@ -161,12 +142,8 @@ func (fb *Fabric) NewLink(name string, capacity float64) *Link {
 	if capacity < 0 || math.IsNaN(capacity) {
 		panic(fmt.Sprintf("fabric: negative or NaN capacity %v", capacity))
 	}
-	l := &Link{fab: fb, id: len(fb.links), name: name}
-	fb.links = append(fb.links, l)
-	fb.capacity = append(fb.capacity, capacity)
-	fb.linkRemaining = append(fb.linkRemaining, 0)
-	fb.linkActive = append(fb.linkActive, 0)
-	fb.linkWeight = append(fb.linkWeight, 0)
+	l := &Link{fab: fb, id: len(fb.net.Links), name: name}
+	fb.net.Links = append(fb.net.Links, maxmin.Link{Capacity: capacity})
 	return l
 }
 
@@ -187,25 +164,28 @@ func (fb *Fabric) Start(name string, bytes, weight float64, links []*Link, onDon
 		panic("fabric: flow must cross at least one link")
 	}
 	f := fb.getFlow()
-	f.fab, f.id, f.name, f.weight = fb, fb.nextID, name, weight
+	f.fab, f.id, f.name = fb, fb.nextID, name
 	f.remaining, f.total, f.onDone = bytes, bytes, onDone
 	f.eps = bytes * 1e-9
 	if f.eps < 1e-6 {
 		f.eps = 1e-6
 	}
-	f.rate, f.done, f.cancelled = 0, false, false
+	f.done, f.cancelled = false, false
 	fb.nextID++
 	fb.advance()
 	f.idx = len(fb.flows)
 	fb.flows = append(fb.flows, f)
-	f.path = f.path[:0]
-	for k, l := range links {
+	f.links, f.pos = f.links[:0], f.pos[:0]
+	for _, l := range links {
 		if l.fab != fb {
 			panic("fabric: link belongs to a different fabric")
 		}
-		f.path = append(f.path, hop{link: l, id: l.id, pos: len(l.flows)})
-		l.flows = append(l.flows, linkRef{f: f, slot: k})
+		link := &fb.net.Links[l.id]
+		f.links = append(f.links, l.id)
+		f.pos = append(f.pos, len(link.Members))
+		link.Members = append(link.Members, f.idx)
 	}
+	fb.net.Flows = append(fb.net.Flows, maxmin.Flow{Weight: weight, Links: f.links})
 	fb.reassign()
 	return f
 }
@@ -265,25 +245,33 @@ func (f *Flow) Cancel() {
 // remove unlinks f from the active set and every link it crosses, repairing
 // the swapped-in entries' back-indices.
 func (fb *Fabric) remove(f *Flow) {
-	for _, h := range f.path {
-		l, p := h.link, h.pos
-		last := len(l.flows) - 1
+	net := &fb.net
+	for k, l := range f.links {
+		link, p := &net.Links[l], f.pos[k]
+		last := len(link.Members) - 1
 		if p != last {
-			moved := l.flows[last]
-			l.flows[p] = moved
-			moved.f.path[moved.slot].pos = p
+			moved := fb.flows[link.Members[last]]
+			link.Members[p] = link.Members[last]
+			for j := range moved.links {
+				if moved.links[j] == l && moved.pos[j] == last {
+					moved.pos[j] = p
+					break
+				}
+			}
 		}
-		l.flows[last] = linkRef{}
-		l.flows = l.flows[:last]
+		link.Members = link.Members[:last]
 	}
 	last := len(fb.flows) - 1
-	if f.idx != last {
+	if i := f.idx; i != last {
 		moved := fb.flows[last]
-		fb.flows[f.idx] = moved
-		moved.idx = f.idx
+		fb.flows[i], net.Flows[i] = moved, net.Flows[last]
+		moved.idx = i
+		for k, l := range moved.links {
+			net.Links[l].Members[moved.pos[k]] = i
+		}
 	}
-	fb.flows[last] = nil
-	fb.flows = fb.flows[:last]
+	fb.flows[last], net.Flows[last] = nil, maxmin.Flow{}
+	fb.flows, net.Flows = fb.flows[:last], net.Flows[:last]
 	f.idx = -1
 }
 
@@ -292,8 +280,8 @@ func (fb *Fabric) advance() {
 	now := fb.eng.Now()
 	dt := now - fb.lastUpdate
 	if dt > 0 {
-		for _, f := range fb.flows {
-			f.remaining -= f.rate * dt
+		for i, f := range fb.flows {
+			f.remaining -= fb.net.Flows[i].Rate * dt
 			if f.remaining < 0 {
 				f.remaining = 0
 			}
@@ -313,7 +301,6 @@ func (fb *Fabric) reassign() {
 		if f.remaining <= f.eps {
 			f.remaining = 0
 			f.done = true
-			f.rate = 0
 			finished = append(finished, f)
 		}
 	}
@@ -353,12 +340,12 @@ func (fb *Fabric) fill() {
 	if fb.eng.Tracing() {
 		fb.eng.Tracef("fabric: fill flows=%d", len(fb.flows))
 	}
-	fb.progressiveFill()
+	fb.net.Fill()
 
 	next := math.Inf(1)
-	for _, f := range fb.flows {
-		if f.rate > 0 {
-			if t := f.remaining / f.rate; t < next {
+	for i, f := range fb.flows {
+		if r := fb.net.Flows[i].Rate; r > 0 {
+			if t := f.remaining / r; t < next {
 				next = t
 			}
 		}
@@ -373,7 +360,7 @@ func (fb *Fabric) fill() {
 // Reset returns the fabric to a pristine state on a freshly reset engine:
 // no active flows, no hold, flow IDs restarted, progress clock re-anchored at
 // the engine's current time. Links — and any capacity changes made to them —
-// survive, as do the solver scratch arrays and the retired flows, which move
+// survive, as do the kernel's arrays and the retired flows, which move
 // to the free list so a reused fabric replays a run allocation-free.
 //
 // Call Reset only after sim.Engine.Reset (or with no pending completion
@@ -387,16 +374,13 @@ func (fb *Fabric) Reset() {
 		f.onDone = nil
 		fb.retire(f)
 	}
-	for _, l := range fb.links {
-		for i := range l.flows {
-			l.flows[i] = linkRef{}
-		}
-		l.flows = l.flows[:0]
+	for l := range fb.net.Links {
+		fb.net.Links[l].Members = fb.net.Links[l].Members[:0]
 	}
 	for i := range fb.flows {
-		fb.flows[i] = nil
+		fb.flows[i], fb.net.Flows[i] = nil, maxmin.Flow{}
 	}
-	fb.flows = fb.flows[:0]
+	fb.flows, fb.net.Flows = fb.flows[:0], fb.net.Flows[:0]
 	fb.flowFree = append(fb.flowFree, fb.flowRetired...)
 	for i := range fb.flowRetired {
 		fb.flowRetired[i] = nil
@@ -411,91 +395,6 @@ func (fb *Fabric) Reset() {
 func (fb *Fabric) onCompletion() {
 	fb.advance()
 	fb.reassign()
-}
-
-// progressiveFill implements weighted global max-min fairness: rates grow
-// proportionally to weights until a link saturates; flows crossing the
-// saturated link freeze, remaining capacity keeps filling the others.
-//
-// The fill loop runs entirely on the fabric's scratch arrays and iterates
-// links and flows in dense ID / slice order, so it allocates nothing and
-// accumulates floats in a reproducible order. Complexity is O(B · (F·L̄ +
-// L)) for B saturation rounds (bottleneck links), F active flows crossing
-// L̄ links each, and L links total.
-func (fb *Fabric) progressiveFill() {
-	remaining := fb.linkRemaining
-	active := fb.linkActive
-	weight := fb.linkWeight
-	copy(remaining, fb.capacity)
-	clear(active)
-	clear(weight)
-	if cap(fb.frozen) < len(fb.flows) {
-		fb.frozen = make([]bool, len(fb.flows))
-	}
-	frozen := fb.frozen[:len(fb.flows)]
-	for i, f := range fb.flows {
-		frozen[i] = false
-		f.rate = 0
-		for _, h := range f.path {
-			active[h.id]++
-			weight[h.id] += f.weight
-		}
-	}
-	unfrozen := len(fb.flows)
-
-	for unfrozen > 0 {
-		// Find the link that saturates first: the one minimizing
-		// remaining / weight-of-active-flows.
-		level := math.Inf(1)
-		tight := -1
-		for i := range remaining {
-			if active[i] == 0 || weight[i] <= 0 {
-				continue
-			}
-			lv := remaining[i] / weight[i]
-			if lv < level {
-				level = lv
-				tight = i
-			}
-		}
-		if tight < 0 || math.IsInf(level, 1) {
-			// No constraining link: remaining flows are unbounded. Give
-			// them infinite rate (they complete immediately).
-			for i, f := range fb.flows {
-				if !frozen[i] {
-					f.rate = math.Inf(1)
-				}
-			}
-			return
-		}
-		// Raise every unfrozen flow's rate by level*weight; freeze the
-		// flows on the tight link.
-		for i, f := range fb.flows {
-			if frozen[i] {
-				continue
-			}
-			inc := level * f.weight
-			f.rate += inc
-			for _, h := range f.path {
-				remaining[h.id] -= inc
-				if remaining[h.id] < 0 {
-					remaining[h.id] = 0
-				}
-			}
-		}
-		for _, ref := range fb.links[tight].flows {
-			f := ref.f
-			if frozen[f.idx] {
-				continue
-			}
-			frozen[f.idx] = true
-			unfrozen--
-			for _, h := range f.path {
-				active[h.id]--
-				weight[h.id] -= f.weight
-			}
-		}
-	}
 }
 
 // sortFlows orders a completion batch by (name, total, id). The id — the

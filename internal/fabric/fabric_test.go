@@ -3,6 +3,7 @@ package fabric
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -215,6 +216,7 @@ func TestPropertyCapacityRespected(t *testing.T) {
 		}
 		nflows := 1 + rng.Intn(8)
 		flows := make([]*Flow, nflows)
+		paths := make([][]*Link, nflows)
 		for i := range flows {
 			// Random subset of links (at least one).
 			var path []*Link
@@ -227,11 +229,14 @@ func TestPropertyCapacityRespected(t *testing.T) {
 				path = append(path, links[rng.Intn(nlinks)])
 			}
 			flows[i] = fb.Start("f", 1e9, 1+rng.Float64()*4, path, nil)
+			paths[i] = path
 		}
 		linkRate := func(l *Link) float64 {
 			var sum float64
-			for _, ref := range l.flows {
-				sum += ref.f.rate
+			for i, path := range paths {
+				if slices.Contains(path, l) {
+					sum += flows[i].Rate()
+				}
 			}
 			return sum
 		}
@@ -244,16 +249,16 @@ func TestPropertyCapacityRespected(t *testing.T) {
 		}
 		// Max-min property: every flow is bottlenecked somewhere — it
 		// crosses at least one saturated link.
-		for _, fl := range flows {
+		for i, fl := range flows {
 			bottlenecked := false
-			for _, h := range fl.path {
-				sum := linkRate(h.link)
-				if sum >= h.link.Capacity()*(1-1e-9) {
+			for _, l := range paths[i] {
+				sum := linkRate(l)
+				if sum >= l.Capacity()*(1-1e-9) {
 					bottlenecked = true
 				}
 			}
-			if !bottlenecked && !math.IsInf(fl.rate, 1) {
-				t.Logf("seed %d: flow with rate %v not bottlenecked", seed, fl.rate)
+			if !bottlenecked && !math.IsInf(fl.Rate(), 1) {
+				t.Logf("seed %d: flow with rate %v not bottlenecked", seed, fl.Rate())
 				ok = false
 			}
 		}

@@ -2,10 +2,12 @@
 // on top of the sim engine.
 //
 // A Resource has a capacity in units/second (typically bytes/s). Jobs with a
-// fixed amount of work share that capacity by weighted max-min fairness
-// (water-filling): capacity is divided proportionally to job weights, except
-// that a job never receives more than its own rate cap; surplus from capped
-// jobs is redistributed to the others. Whenever the job set, a cap, or the
+// fixed amount of work share that capacity by weighted max-min fairness:
+// capacity is divided proportionally to job weights, except that a job never
+// receives more than its own rate cap; surplus from capped jobs is
+// redistributed to the others. The rates come from the simulator's one
+// max-min kernel (internal/maxmin), with the resource as one link every job
+// crosses and each job capped by its own cap. Whenever the job set or the
 // capacity changes, rates are recomputed, in-flight progress is integrated,
 // and the next completion event is rescheduled.
 //
@@ -18,6 +20,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/maxmin"
 	"repro/internal/sim"
 )
 
@@ -42,7 +45,7 @@ type Resource struct {
 	// Reallocation scratch, reused so the steady-state hot path performs
 	// no allocations.
 	finished []*Job
-	uncapped []*Job
+	share    share
 
 	// Job recycling. Completed and cancelled jobs retire (bounded) but are
 	// not reused within the same run — callers may hold a finished job's
@@ -65,7 +68,6 @@ type Job struct {
 	onDone    func()
 	done      bool
 	cancelled bool
-	started   float64
 }
 
 // NewResource creates a resource with the given capacity (units/second).
@@ -168,7 +170,6 @@ func (r *Resource) Submit(name string, work, weight, rateCap float64, onDone fun
 	*j = Job{
 		res: r, name: name, total: work, remaining: work,
 		weight: weight, rateCap: rateCap, onDone: onDone,
-		started: r.eng.Now(),
 	}
 	r.advance()
 	r.jobs = append(r.jobs, j)
@@ -191,35 +192,12 @@ func (j *Job) Cancel() {
 	r.reallocate()
 }
 
-// SetWeight changes the job's fairness weight.
-func (j *Job) SetWeight(w float64) {
-	if w <= 0 {
-		panic("fluid: weight must be positive")
-	}
-	r := j.res
-	r.advance()
-	j.weight = w
-	r.reallocate()
-}
-
-// SetRateCap changes the job's rate cap (0 = uncapped).
-func (j *Job) SetRateCap(c float64) {
-	if c < 0 {
-		panic("fluid: negative rate cap")
-	}
-	r := j.res
-	r.advance()
-	j.rateCap = c
-	r.reallocate()
-}
-
-// Remaining returns the work left, accurate as of the current virtual time.
+// Remaining returns the work left, integrated to the current virtual time.
 func (j *Job) Remaining() float64 {
 	if j.done || j.cancelled {
 		return 0
 	}
 	j.res.advance()
-	j.res.reallocate()
 	return j.remaining
 }
 
@@ -228,9 +206,6 @@ func (j *Job) Rate() float64 { return j.rate }
 
 // Done reports whether the job completed.
 func (j *Job) Done() bool { return j.done }
-
-// Started returns the submission time.
-func (j *Job) Started() float64 { return j.started }
 
 // Name returns the job name.
 func (j *Job) Name() string { return j.name }
@@ -272,9 +247,9 @@ func (j *Job) eps() float64 {
 	return e
 }
 
-// reallocate recomputes rates by water-filling and schedules the next
-// completion event. Jobs already at (or within tolerance of) zero work are
-// completed immediately.
+// reallocate recomputes rates through the max-min kernel and schedules the
+// next completion event. Jobs already at (or within tolerance of) zero work
+// are completed immediately.
 func (r *Resource) reallocate() {
 	// Complete anything that is effectively done first. Take ownership of
 	// the batch scratch for the duration: OnRateChange may legally
@@ -300,7 +275,17 @@ func (r *Resource) reallocate() {
 	}
 	r.jobs = live
 
-	r.waterFill()
+	r.share.begin(r.capacity)
+	for _, j := range r.jobs {
+		r.share.add(j.weight, j.rateCap)
+	}
+	rated := r.share.fill()
+	var total float64
+	for i, j := range r.jobs {
+		j.rate = rated[i].Rate
+		total += j.rate
+	}
+	r.totalRate = total
 
 	// Schedule next completion.
 	r.completion.Cancel()
@@ -340,55 +325,36 @@ func (r *Resource) onCompletion() {
 	r.reallocate()
 }
 
-// waterFill assigns rates by weighted max-min fairness under per-job caps.
-func (r *Resource) waterFill() {
-	for _, j := range r.jobs {
-		j.rate = 0
+// share is a max-min problem of one link every flow crosses, each flow
+// capped by its own rate cap. Its scratch is reused, so rating n flows
+// allocates nothing once it has rated n before.
+type share struct {
+	net   maxmin.Net
+	index []int // 0, 1, 2, …: the link's members
+}
+
+// onLink is the link list of every flow of a share: the one link, link 0.
+var onLink = []int{0}
+
+// begin starts a problem on a link of the given capacity.
+func (s *share) begin(capacity float64) {
+	s.net.Links = append(s.net.Links[:0], maxmin.Link{Capacity: capacity})
+	s.net.Flows = s.net.Flows[:0]
+}
+
+// add appends a flow of the given weight and rate cap (0 = uncapped).
+func (s *share) add(weight, rateCap float64) {
+	s.net.Flows = append(s.net.Flows, maxmin.Flow{Weight: weight, Cap: rateCap, Links: onLink})
+}
+
+// fill rates the flows added since begin; they are the kernel's, in the
+// order of add, and valid until the next begin.
+func (s *share) fill() []maxmin.Flow {
+	n := len(s.net.Flows)
+	for len(s.index) < n {
+		s.index = append(s.index, len(s.index))
 	}
-	avail := r.capacity
-	if cap(r.uncapped) < len(r.jobs) {
-		r.uncapped = make([]*Job, len(r.jobs))
-	}
-	uncapped := r.uncapped[:len(r.jobs)]
-	copy(uncapped, r.jobs)
-	for len(uncapped) > 0 && avail > 0 {
-		var wsum float64
-		for _, j := range uncapped {
-			wsum += j.weight
-		}
-		if wsum == 0 {
-			break
-		}
-		perWeight := avail / wsum
-		progressed := false
-		keep := uncapped[:0]
-		for _, j := range uncapped {
-			fair := perWeight * j.weight
-			if j.rateCap > 0 && j.rateCap < fair {
-				j.rate = j.rateCap
-				avail -= j.rateCap
-				progressed = true
-			} else {
-				keep = append(keep, j)
-			}
-		}
-		uncapped = keep
-		if !progressed {
-			for _, j := range uncapped {
-				j.rate = perWeight * j.weight
-			}
-			avail = 0
-			break
-		}
-	}
-	var total float64
-	for _, j := range r.jobs {
-		total += j.rate
-	}
-	r.totalRate = total
-	// Drop job pointers from the scratch so completed jobs can be GC'd.
-	scratch := r.uncapped[:len(r.jobs)]
-	for i := range scratch {
-		scratch[i] = nil
-	}
+	s.net.Links[0].Members = s.index[:n]
+	s.net.Fill()
+	return s.net.Flows
 }

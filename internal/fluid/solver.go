@@ -10,25 +10,26 @@ type Flow struct {
 }
 
 // Solver computes closed-form finish times under weighted max-min sharing
-// with caps, reusing its internal scratch across calls: the per-step
-// water-fill allocates nothing after the first use at a given flow count. A
-// Solver is not safe for concurrent use; its zero value is ready.
+// with caps, reusing its internal scratch across calls: the per-step rating
+// allocates nothing after the first use at a given flow count. A Solver is
+// not safe for concurrent use; its zero value is ready.
 type Solver struct {
+	share   share
 	rates   []float64
-	idx     []int
 	rem     []float64
 	active  []bool
 	arrived []bool
+	rated   []int // the flows of the current step's share, in its order
 }
 
 // grow resizes the scratch for n flows, reusing capacity when possible.
 func (s *Solver) grow(n int) {
 	if cap(s.rates) < n {
 		s.rates = make([]float64, n)
-		s.idx = make([]int, 0, n)
 		s.rem = make([]float64, n)
 		s.active = make([]bool, n)
 		s.arrived = make([]bool, n)
+		s.rated = make([]int, 0, n)
 	}
 	s.rates = s.rates[:n]
 	s.rem = s.rem[:n]
@@ -38,89 +39,12 @@ func (s *Solver) grow(n int) {
 
 // FinishTimes computes, analytically, when each flow completes if all flows
 // start at t=0 on a resource of the given capacity under weighted max-min
-// sharing with caps — the same allocation rule the simulated Resource uses.
-// It returns one finish time per flow (math.Inf(1) if a flow can never
-// finish: zero capacity and zero cap, or infinite work). The returned slice
-// is freshly allocated and owned by the caller; only the intermediate
-// scratch is reused.
-//
-// The algorithm steps from completion to completion: rates are constant
-// between completions, so each step advances to the earliest remaining
-// finish. O(n^2) in the number of flows.
+// sharing with caps — the same allocation the simulated Resource makes. It
+// returns one finish time per flow (math.Inf(1) if a flow can never finish:
+// zero capacity and zero cap, or infinite work) in a freshly allocated slice
+// the caller owns. It is StaggeredFinishTimes with every start at 0.
 func (s *Solver) FinishTimes(capacity float64, flows []Flow) []float64 {
-	n := len(flows)
-	s.grow(n)
-	finish := make([]float64, n)
-	rem, active := s.rem, s.active
-	for i, f := range flows {
-		rem[i] = f.Work
-		active[i] = f.Work > 0
-	}
-	now := 0.0
-	for {
-		rates := s.waterFill(capacity, flows)
-		// Earliest completion among active flows.
-		best := math.Inf(1)
-		for i := range flows {
-			if active[i] && rates[i] > 0 {
-				if t := rem[i] / rates[i]; t < best {
-					best = t
-				}
-			}
-		}
-		if math.IsInf(best, 1) {
-			// Nothing can progress; everything still active never ends.
-			for i := range flows {
-				if active[i] {
-					finish[i] = math.Inf(1)
-				}
-			}
-			return finish
-		}
-		now += best
-		done := false
-		for i := range flows {
-			if !active[i] {
-				continue
-			}
-			rem[i] -= rates[i] * best
-			if rem[i] <= rem0eps(flows[i].Work) {
-				rem[i] = 0
-				active[i] = false
-				finish[i] = now
-				done = true
-			}
-		}
-		if !done {
-			// Numerical stall guard: force the minimum-remaining flow out.
-			mi, mv := -1, math.Inf(1)
-			for i := range flows {
-				if active[i] && rates[i] > 0 && rem[i] < mv {
-					mi, mv = i, rem[i]
-				}
-			}
-			if mi < 0 {
-				for i := range flows {
-					if active[i] {
-						finish[i] = math.Inf(1)
-					}
-				}
-				return finish
-			}
-			active[mi] = false
-			finish[mi] = now
-		}
-		all := true
-		for i := range flows {
-			if active[i] {
-				all = false
-				break
-			}
-		}
-		if all {
-			return finish
-		}
-	}
+	return s.StaggeredFinishTimes(capacity, flows, make([]float64, len(flows)))
 }
 
 // FinishTimes is the convenience form of Solver.FinishTimes for one-off
@@ -140,50 +64,23 @@ func rem0eps(total float64) float64 {
 	return e
 }
 
-// waterFill mirrors Resource.waterFill for plain slices, writing rates into
-// the solver's scratch (valid until the next call). It consumes s.rem and
-// s.active as the current progress state.
-func (s *Solver) waterFill(capacity float64, flows []Flow) []float64 {
-	rates := s.rates
-	for i := range rates {
-		rates[i] = 0
-	}
-	avail := capacity
-	idx := s.idx[:0]
-	for i := range flows {
-		if s.active[i] && s.rem[i] > 0 {
-			idx = append(idx, i)
+// rate sets s.rates to the max-min rates of the active flows with work left
+// and a positive weight (0 for the others, as a weight of 0 earns nothing),
+// rating them through the kernel as a Resource rates its jobs. It consumes
+// s.rem and s.active as the current progress state.
+func (s *Solver) rate(capacity float64, flows []Flow) []float64 {
+	s.share.begin(capacity)
+	rated := s.rated[:0]
+	for i, f := range flows {
+		s.rates[i] = 0
+		if s.active[i] && s.rem[i] > 0 && f.Weight > 0 {
+			rated = append(rated, i)
+			s.share.add(f.Weight, f.Cap)
 		}
 	}
-	for len(idx) > 0 && avail > 0 {
-		var wsum float64
-		for _, i := range idx {
-			wsum += flows[i].Weight
-		}
-		if wsum == 0 {
-			break
-		}
-		perWeight := avail / wsum
-		progressed := false
-		keep := idx[:0]
-		for _, i := range idx {
-			fair := perWeight * flows[i].Weight
-			if flows[i].Cap > 0 && flows[i].Cap < fair {
-				rates[i] = flows[i].Cap
-				avail -= flows[i].Cap
-				progressed = true
-			} else {
-				keep = append(keep, i)
-			}
-		}
-		idx = keep
-		if !progressed {
-			for _, i := range idx {
-				rates[i] = perWeight * flows[i].Weight
-			}
-			break
-		}
+	for k, f := range s.share.fill() {
+		s.rates[rated[k]] = f.Rate
 	}
-	s.idx = idx[:0]
-	return rates
+	s.rated = rated[:0]
+	return s.rates
 }

@@ -10,7 +10,7 @@ import "math"
 // This is the "expected" interference model of the paper's ∆-graphs: two
 // identical applications offset by dt sharing the file system
 // proportionally. Repeated callers (∆-graph sweeps) should hold a Solver
-// and use its method form, which reuses the per-step water-fill scratch.
+// and use its method form, which reuses the per-step rating scratch.
 func StaggeredFinishTimes(capacity float64, flows []Flow, starts []float64) []float64 {
 	var s Solver
 	return s.StaggeredFinishTimes(capacity, flows, starts)
@@ -18,6 +18,13 @@ func StaggeredFinishTimes(capacity float64, flows []Flow, starts []float64) []fl
 
 // StaggeredFinishTimes is the scratch-reusing form of the package-level
 // function. The returned slice is freshly allocated and owned by the caller.
+//
+// The algorithm steps from event to event — the earliest completion or the
+// next arrival — because rates are constant between them; each step rates
+// the active flows once. The flow whose completion ends a step finishes
+// there even if rounding leaves it a sliver of work: near a late clock, a
+// sliver's time can be below half an ulp of the clock, and no later step
+// could drain it.
 func (s *Solver) StaggeredFinishTimes(capacity float64, flows []Flow, starts []float64) []float64 {
 	n := len(flows)
 	if len(starts) != n {
@@ -64,20 +71,20 @@ func (s *Solver) StaggeredFinishTimes(capacity float64, flows []Flow, starts []f
 			return finish
 		}
 
-		rates := s.waterFill(capacity, flows)
+		rates := s.rate(capacity, flows)
 
 		// Next event: earliest completion or next arrival.
-		next := math.Inf(1)
+		next, soonest := math.Inf(1), -1
 		for i := range flows {
 			if active[i] && rates[i] > 0 {
 				if t := now + rem[i]/rates[i]; t < next {
-					next = t
+					next, soonest = t, i
 				}
 			}
 		}
 		for i := range flows {
 			if !arrived[i] && starts[i] > now && starts[i] < next {
-				next = starts[i]
+				next, soonest = starts[i], -1
 			}
 		}
 		if math.IsInf(next, 1) {
@@ -109,7 +116,7 @@ func (s *Solver) StaggeredFinishTimes(capacity float64, flows []Flow, starts []f
 		for i := range flows {
 			if active[i] {
 				rem[i] -= rates[i] * dt
-				if rem[i] <= rem0eps(flows[i].Work) {
+				if rem[i] <= rem0eps(flows[i].Work) || i == soonest {
 					rem[i] = 0
 					active[i] = false
 					finish[i] = next

@@ -56,7 +56,6 @@ var hostPolicies = []core.Policy{
 	core.DelayPolicy{Overlap: 0.5, Model: hostModel},
 	core.DynamicPolicy{Metric: core.CPUSecondsWasted{}, Model: hostModel, AllowInterfere: true},
 	core.DynamicPolicy{Metric: core.SumInterferenceFactors{Model: hostModel}, Model: hostModel},
-	core.PriorityPolicy{Priorities: map[string]int{"c": 2, "z": 1}},
 	core.FairSharePolicy{Quantum: 2000},
 }
 
