@@ -25,9 +25,8 @@
 // connection failure mid-ramp cannot silently skew the byte-stable
 // counters.
 //
-// With -record the fleet's traffic is captured client-side into a trace
-// file (one session per client, timestamps on a shared clock) that
-// calciom-replay can re-arbitrate under any policy.
+// The coordination trace of a run is the daemon's: start calciomd with
+// -record, and calciom-replay re-arbitrates that recording under any policy.
 //
 // With -mux-conns M the fleet shares M physical connections instead of
 // dialing one per client: sessions are dealt round-robin across the shared
@@ -77,7 +76,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/swf"
-	"repro/internal/trace"
 	"repro/internal/wire"
 	"repro/internal/wirebin"
 )
@@ -144,8 +142,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	swfPath := fs.String("swf", "", "replay this SWF trace instead of the synthetic mix")
 	jobs := fs.Int("jobs", 0, "SWF: cap on jobs replayed (0 = clients*phases)")
 	swfMiBPerProc := fs.Float64("swf-mib-per-proc", 1, "SWF: declared MiB per job process")
-	record := fs.String("record", "", "capture the fleet's traffic client-side to this trace file")
-	registerTarget := fs.String("register-target", "", "register every client with this default storage target (tasks without an explicit target coordinate there)")
 	reconnect := fs.Bool("reconnect", false, "survive daemon restarts: reconnect with backoff and resume sessions")
 	failOpen := fs.Duration("fail-open", 0, "self-grant after the daemon has been unreachable this long (implies -reconnect)")
 	chaosReset := fs.Duration("chaos-reset", 0, "chaos proxy: reset each connection roughly this long after accept")
@@ -229,34 +225,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Flood mode probes the daemon's overload protection and churn mode the
 	// connect path — accept, codec negotiation, register, one grant cycle,
 	// teardown — instead of running the workload: each reports one line and
-	// exits. The workload flags (and -record) do not apply.
+	// exits. The workload flags do not apply.
 	if *flood {
 		return runFlood(stdout, stderr, dialAddr, *addr, *prefix, *clients, *floodChecks, copts)
 	}
 	if *churn {
 		return runChurn(stdout, stderr, dialAddr, *addr, *prefix, *clients, *churnLoops, copts)
-	}
-
-	// Client-side capture: one shared writer, one session per client, all
-	// timestamps on one clock starting at launch. The header carries the
-	// daemon's policy so calciom-replay knows the recording baseline.
-	var tw *trace.Writer
-	var tf *os.File
-	if *record != "" {
-		policy, _ := daemonView(*addr)
-		if policy == "?" {
-			policy = ""
-		}
-		if tf, err = os.Create(*record); err != nil {
-			return fail(2, "%v", err)
-		}
-		// The report below closes and checks both; these cover the error
-		// returns.
-		defer tf.Close()
-		if tw, err = trace.NewWriter(tf, trace.Header{Source: trace.SourceClient, Policy: policy}, 0); err != nil {
-			return fail(2, "%v", err)
-		}
-		defer tw.Close()
 	}
 
 	// dial hands client i its connection. Without -mux-conns each client
@@ -282,7 +256,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	results := make([]result, *clients)
 	errs := make([]error, *clients)
 	start := time.Now()
-	clock := func() float64 { return time.Since(start).Seconds() }
 	for i := 0; i < *clients; i++ {
 		// Deal tasks round-robin so the assignment is independent of
 		// scheduling order.
@@ -301,8 +274,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				time.Sleep(time.Duration(i) * *stagger)
 			}
 			results[i], errs[i] = runClient(func() (*client.Client, error) { return dial(i) },
-				fmt.Sprintf("%s-%04d", *prefix, i), mine, *think,
-				tw, uint32(i+1), clock, *registerTarget)
+				fmt.Sprintf("%s-%04d", *prefix, i), mine, *think)
 		}(i, mine)
 	}
 	wg.Wait()
@@ -397,16 +369,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		slices.Sort(lats)
 		fmt.Fprintf(stdout, "timing: wait-latency p50=%s p90=%s p99=%s max=%s\n",
 			pct(lats, 50), pct(lats, 90), pct(lats, 99), lats[len(lats)-1])
-	}
-	if tw != nil {
-		err := tw.Close()
-		if cerr := tf.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fail(1, "calciom-load: trace: %v", err)
-		}
-		fmt.Fprintf(stdout, "trace: events=%d dropped=%d path=%s\n", tw.Recorded(), tw.Dropped(), *record)
 	}
 	if nerr > 0 {
 		return 1
@@ -643,15 +605,11 @@ func buildTasks(swfPath string, clients, phases, steps int, mib float64, cores, 
 // connection): for each phase it runs the
 // canonical CALCioM sequence (Prepare, Inform, Wait, steps × [access,
 // Release/Inform/Wait], Complete, End) on the phase's storage target,
-// timing every Wait. A non-nil tw captures the traffic client-side under
-// the given trace session identity. The grants counter is corrected at the
-// end to exclude self-granted waits (fail-open), so it counts only
+// timing every Wait. The grants counter is corrected at the end to exclude self-granted waits (fail-open), so it counts only
 // daemon-coordinated grants; self-grants land in result.degraded. (The
 // per-target grant counters keep counting all served waits — per-target
 // self-grant attribution is not tracked.)
-func runClient(dial func() (*client.Client, error), name string, tasks []task, think time.Duration,
-	tw *trace.Writer, sid uint32, clock func() float64,
-	registerTarget string) (res result, err error) {
+func runClient(dial func() (*client.Client, error), name string, tasks []task, think time.Duration) (res result, err error) {
 	res = result{perTarget: map[string]counters{}}
 	c, err := dial()
 	if err != nil {
@@ -662,14 +620,11 @@ func runClient(dial func() (*client.Client, error), name string, tasks []task, t
 		res.degraded = c.DegradedReport()
 		res.grants -= int(min(uint64(res.grants), res.degraded.SelfGrants))
 	}()
-	if tw != nil {
-		c.CaptureTo(tw, sid, clock)
-	}
 	co := 1
 	if len(tasks) > 0 {
 		co = tasks[0].cores
 	}
-	if err := c.RegisterOn(name, co, registerTarget); err != nil {
+	if err := c.Register(name, co); err != nil {
 		return res, err
 	}
 	res.connected = true

@@ -456,10 +456,14 @@ func TestSWFSkipsUnknownSize(t *testing.T) {
 }
 
 // TestUsageErrors: a command line the tool cannot run exits 2 before it
-// dials anything or prints a report.
+// dials anything or prints a report. -record and -register-target are
+// gone: the daemon's -record is the coordination trace, and a client's
+// default target is the daemon's.
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-nonesuch"},
+		{"-record", filepath.Join(t.TempDir(), "run.trace")},
+		{"-register-target", "t0"},
 		{"-codec", "xml"},
 		{"-clients", "0"},
 		{"-churn", "-churn-loops", "0"},

@@ -1,7 +1,7 @@
 // Command calciom-replay re-arbitrates a recorded coordination trace
-// offline: it reads a trace captured by calciomd -record (or calciom-load
-// -record), verifies that replaying it under the recording policy
-// reproduces the live grant sequence exactly, then replays the same arrival
+// offline: it reads a trace recorded by calciomd -record, verifies that
+// replaying it under the recording policy reproduces the live grant
+// sequence exactly, then replays the same arrival
 // pattern under every policy and prints a comparison — total and tail wait,
 // the convoy-vs-protocol decomposition, permitted interference overlap, the
 // estimated interference factors and CPU-seconds wasted — with a
@@ -45,7 +45,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("calciom-replay", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	path := fs.String("trace", "", "trace file recorded by calciomd -record or calciom-load -record")
+	path := fs.String("trace", "", "trace file recorded by calciomd -record")
 	policies := fs.String("policies", "", "comma-separated families to compare: fcfs,interrupt,interfere,delay,dynamic (default: all available); each row is named by its core.ParsePolicy spec, which calciomd -policy accepts")
 	overlap := fs.Float64("delay-overlap", -1, "delay policy overlap fraction (-1: the recording's own, or 0.5)")
 	fsMiBps := fs.Float64("fs-mibps", 0, "override the performance model's file-system bandwidth (enables delay/dynamic on model-free traces)")
@@ -97,32 +97,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// Exact-reproduction check: daemon traces carry the recorded grant
+	// Exact-reproduction check: the trace carries the recorded grant
 	// sequence; replaying under the recording policy must reproduce it.
-	var verified *replay.VerifyResult
-	if tr.Header.Source == trace.SourceDaemon {
-		v, err := replay.Verify(tr)
-		if err != nil {
-			return fail(1, err)
-		}
-		verified = &v
-		if !*jsonOut {
-			fmt.Fprintf(stdout, "verify: policy=%s grants=%d arbitrations=%d flips=%d match=%v\n",
-				tr.Header.Policy, v.GrantsServed, v.Arbitrations, len(v.Flips), v.Match)
-			if len(v.Shards) > 1 {
-				// Sharded recording: the check is per storage target (each
-				// target's grant sequence is its own serialized order).
-				for _, sh := range v.Shards {
-					fmt.Fprintf(stdout, "verify-target: target=%s grants=%d flips=%d match=%v\n",
-						sh.Target, sh.GrantsServed, sh.Flips, sh.Match)
-				}
+	v, err := replay.Verify(tr)
+	if err != nil {
+		return fail(1, err)
+	}
+	if !*jsonOut {
+		fmt.Fprintf(stdout, "verify: policy=%s grants=%d arbitrations=%d flips=%d match=%v\n",
+			tr.Header.Policy, v.GrantsServed, v.Arbitrations, len(v.Flips), v.Match)
+		if len(v.Shards) > 1 {
+			// Sharded recording: the check is per storage target (each
+			// target's grant sequence is its own serialized order).
+			for _, sh := range v.Shards {
+				fmt.Fprintf(stdout, "verify-target: target=%s grants=%d flips=%d match=%v\n",
+					sh.Target, sh.GrantsServed, sh.Flips, sh.Match)
 			}
 		}
-		if !v.Match {
-			return fail(1, fmt.Errorf("calciom-replay: replay diverged from recording: %s", v.Mismatch))
-		}
-	} else if !*jsonOut {
-		fmt.Fprintf(stdout, "verify: skipped (client-side capture has no authoritative grant sequence)\n")
+	}
+	if !v.Match {
+		return fail(1, fmt.Errorf("calciom-replay: replay diverged from recording: %s", v.Mismatch))
 	}
 
 	cands := replay.StandardPolicies(tr.Header, *overlap)
@@ -144,15 +138,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 				Events: len(tr.Events), Sessions: sessions, SpanS: last - first,
 				Dropped: tr.Dropped, Truncated: tr.Truncated,
 			},
+			Verify: jsonVerify{
+				Policy: tr.Header.Policy, Grants: v.GrantsServed,
+				Arbitrations: v.Arbitrations, Flips: len(v.Flips),
+				Match: v.Match,
+			},
 			Recording: c.Recording,
 			Best:      c.Outcomes[c.Best].Policy,
-		}
-		if verified != nil {
-			doc.Verify = &jsonVerify{
-				Policy: tr.Header.Policy, Grants: verified.GrantsServed,
-				Arbitrations: verified.Arbitrations, Flips: len(verified.Flips),
-				Match: verified.Match,
-			}
 		}
 		for i := range c.Outcomes {
 			o := &c.Outcomes[i]
@@ -236,7 +228,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // with the trace/verify context the text header lines report.
 type jsonDoc struct {
 	Trace     jsonTrace    `json:"trace"`
-	Verify    *jsonVerify  `json:"verify,omitempty"`
+	Verify    jsonVerify   `json:"verify"`
 	Recording string       `json:"recording"`
 	Best      string       `json:"best"`
 	Policies  []jsonPolicy `json:"policies"`

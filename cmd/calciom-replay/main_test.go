@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // recording is calciomd's trace of ten clients whose phases alternate
@@ -36,7 +40,8 @@ func TestSessionsCountsDistinctSessions(t *testing.T) {
 }
 
 // TestUsageErrors: a command line naming nothing to do fails as a usage
-// error (exit status 2) before anything is printed.
+// error (exit status 2) before anything is printed, and a trace calciomd
+// did not record fails to replay (exit status 1).
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{},
@@ -49,5 +54,26 @@ func TestUsageErrors(t *testing.T) {
 		if len(args) == 0 && out.Len() > 0 {
 			t.Errorf("run(%q) printed %q", args, out.String())
 		}
+	}
+
+	path := filepath.Join(t.TempDir(), "client.trace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := trace.NewWriter(f, trace.Header{Source: "client", Policy: "fcfs"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Record(trace.Event{Type: trace.EvRegister, SID: 1, App: "a", Cores: 1})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out, errs bytes.Buffer
+	if code := run([]string{"-trace", path}, &out, &errs); code != 1 || !strings.Contains(errs.String(), "calciomd -record") {
+		t.Errorf("a client-source trace: exit %d, stderr %q; want 1 and a message naming calciomd -record", code, errs.String())
 	}
 }

@@ -8,10 +8,10 @@
 // synthetic Intrepid-like trace.
 //
 // With -coord it instead summarizes a coordination trace recorded by
-// calciomd -record or calciom-load -record: header, event and session
-// counts, span, and per-event-type totals. -allow-truncated accepts a
-// trace whose recorder died mid-write (kill -9), reading up to the torn
-// tail and reporting the truncation point.
+// calciomd -record: header, event and session counts, span, and
+// per-event-type totals. -allow-truncated accepts a trace whose recorder
+// died mid-write (kill -9), reading up to the torn tail and reporting the
+// truncation point.
 package main
 
 import (
@@ -39,7 +39,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", 20090101, "synthetic trace seed")
 	mu := fs.Float64("mu", 0.05, "E[µ]: fraction of time an app spends in I/O")
 	plot := fs.Bool("plot", true, "render ASCII charts")
-	coord := fs.String("coord", "", "summarize this coordination trace (calciomd/calciom-load -record) instead of an SWF trace")
+	coord := fs.String("coord", "", "summarize this coordination trace (calciomd -record) instead of an SWF trace")
 	allowTrunc := fs.Bool("allow-truncated", false, "with -coord: accept a truncated (crashed-recorder) trace, reporting the truncation point")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {

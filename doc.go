@@ -218,10 +218,11 @@
 //	curl 127.0.0.1:9596/metrics                                     # 3: observe
 //	go run ./cmd/calciom-replay -trace run.trace                    # 4: decide
 //
-// (calciom-load -record captures the same traffic client-side instead, for
-// daemons that cannot record.)
+// The daemon's recording is the only coordination trace: the coordination
+// layer is the one place that knows who was authorized and when, and
+// replay refuses a trace whose header names any other source.
 //
-// The trace format (version 2): a "CALTRACE" magic, a u16 format version,
+// The trace format (version 3): a "CALTRACE" magic, a u16 format version,
 // a JSON header (source, recording policy, performance-model constants),
 // then little-endian records — every record is a u8 type, f64 timestamp,
 // u32 session id and a u16-length-prefixed storage-target name (the shard
@@ -243,9 +244,11 @@
 //	grant       —                outcome: authorization flipped on
 //	revoke      —                outcome: authorization flipped off
 //
-// Timestamps are monotone per coordination domain (per target daemon-side,
-// per client in captures); the file-level interleaving across shards is
-// scheduling noise, which is why replay partitions before re-arbitrating.
+// Timestamps are monotone per coordination domain — per target, since a
+// shard reads its clock under its lock; the file-level interleaving across
+// shards is scheduling noise, which is why replay partitions before
+// re-arbitrating. Version 3 adds sync records, stream bookkeeping that
+// bounds what a crashed recorder left durable (see internal/trace).
 //
 // Versioning rules (authoritative in internal/trace): magic and version
 // never move; unknown versions and record types are rejected; additive
@@ -267,9 +270,8 @@
 //
 // Replay mirrors the daemon's sharding: the trace is compiled into
 // per-target streams, each re-arbitrated through its own Domain, and the
-// results are merged (client captures record one register/unregister per
-// session, which the compiler propagates to every target the session
-// touches, at first touch — the daemon's lazy attach, reconstructed). A
+// results are merged. Each shard recorded its own attach (register) and
+// detach (unregister), so the trace partitions exactly by target. A
 // compiled stream holds pointer-free steps (type, time, SID, dense session
 // index, bytes, the index of a registration or of a Prepare's parsed info,
 // trace.Event.Prepared: what the reader decoded straight from the record's
@@ -283,8 +285,8 @@
 // recorded policy, re-arbitrating exactly where the recording did, and
 // requires, per target, the reproduced grant/revoke sequence to match the
 // recorded one event for event — exact, because each target's shard
-// serializes its coordination through one goroutine and the trace captures
-// that serialized order (TestSmoke in cmd/calciom-load records a 64-client
+// serializes its coordination under its lock and the trace records that
+// lock order (TestSmoke in cmd/calciom-load records a 64-client
 // burst and asserts the replayed grant count and sequence match the live
 // run; TestSmokeMultiTarget does the same per shard). What-if replay
 // (replay.Under / replay.Compare) re-arbitrates the same arrival pattern

@@ -56,7 +56,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -234,12 +233,6 @@ type Client struct {
 	pendSelf      uint64
 	pendDegraded  float64
 
-	// Client-side trace capture (CaptureTo); nil when not recording.
-	tw       *trace.Writer
-	tsid     uint32
-	tclock   func() float64
-	traceReg atomic.Bool // a successful Register was recorded
-
 	done     chan struct{} // closed when the client is finished (Close, or fail-fast death)
 	doneOnce sync.Once
 }
@@ -268,42 +261,8 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 	return c, nil
 }
 
-// CaptureTo attaches a client-side trace recorder: every successful
-// coordination call is recorded (at its send time) under the given session
-// identity, and a served Wait additionally records the observed grant. The
-// writer may be shared by many clients — calciom-load records its whole
-// fleet into one file. Unlike a daemon-side trace this capture is
-// observational: timestamps are client clocks, and the grant events are
-// client-observed, so it supports what-if replay but not exact
-// verification. Set it before the first call; the recorded Info maps must
-// not be mutated afterwards. (With Reconnect, resumed state is re-driven
-// and so recorded again — the capture shows the retries, like the daemon's
-// own trace would.)
-func (c *Client) CaptureTo(w *trace.Writer, sid uint32, clock func() float64) {
-	c.tw, c.tsid, c.tclock = w, sid, clock
-}
-
-func (c *Client) rec(ev trace.Event) {
-	if c.tw != nil {
-		ev.SID = c.tsid
-		c.tw.Record(ev)
-	}
-}
-
-func (c *Client) tnow() float64 {
-	if c.tclock == nil {
-		return 0
-	}
-	return c.tclock()
-}
-
-// Close tears the client down; outstanding calls fail with ErrClosed. With
-// a capture attached, one unregister is recorded for the whole session —
-// replay propagates it to every target the session coordinated on.
+// Close tears the client down; outstanding calls fail with ErrClosed.
 func (c *Client) Close() error {
-	if c.tw != nil && c.traceReg.CompareAndSwap(true, false) {
-		c.rec(trace.Event{Type: trace.EvUnregister, Time: c.tnow(), Target: c.defTarget})
-	}
 	c.cmu.Lock()
 	if c.closed {
 		c.cmu.Unlock()
@@ -811,12 +770,11 @@ func (c *Client) selfServe(t Target, req wire.Request) wire.Response {
 
 // invoke is the robust round trip for one coordination verb on one target:
 // degraded mode self-serves, a stale journal resyncs first, and on success
-// the journal advances and a capture records ev stamped at the call's start
-// (Wait passes none: it records its own).
-func (t Target) invoke(req wire.Request, ev trace.Event) (wire.Response, error) {
+// the journal advances.
+func (t Target) invoke(req wire.Request) (wire.Response, error) {
 	c := t.c
-	req.Target, ev.Time, ev.Target = t.send, c.tnow(), t.resolved()
-	resp, err := c.retry(func(gen uint64) (wire.Response, error) {
+	req.Target = t.send
+	return c.retry(func(gen uint64) (wire.Response, error) {
 		if err := c.ensureSynced(t, gen); err != nil {
 			return wire.Response{}, err
 		}
@@ -826,10 +784,6 @@ func (t Target) invoke(req wire.Request, ev trace.Event) (wire.Response, error) 
 		}
 		return resp, err
 	}, func() (wire.Response, error) { return c.selfServe(t, req), nil })
-	if err == nil && ev.Type != 0 {
-		c.rec(ev)
-	}
-	return resp, err
 }
 
 // Target is a handle for one storage target's coordination domain: the
@@ -842,7 +796,7 @@ type Target struct {
 	// send is the wire Target field: "" lets the server resolve the
 	// session default, keeping the default path byte-identical to the
 	// pre-target protocol. The resolved name — used for the authorization
-	// cache and trace capture — is computed per call, so a handle created
+	// cache and the journal — is computed per call, so a handle created
 	// before RegisterOn still resolves the registered default.
 	send string
 }
@@ -878,14 +832,11 @@ func (c *Client) Register(name string, cores int) error {
 // collision; in degraded mode registration succeeds locally and reaches
 // the daemon when it comes back.
 func (c *Client) RegisterOn(name string, cores int, target string) error {
-	at := c.tnow()
 	commit := func() {
 		c.defTarget = target
 		c.regMu.Lock()
 		c.regName, c.regCores, c.registered = name, cores, true
 		c.regMu.Unlock()
-		c.traceReg.Store(true)
-		c.rec(trace.Event{Type: trace.EvRegister, Time: at, App: name, Cores: int32(cores), Target: target})
 	}
 	req := wire.Request{Type: wire.TypeRegister, App: name, Cores: cores, Target: target}
 	_, err := c.retry(func(gen uint64) (wire.Response, error) {
@@ -916,13 +867,13 @@ func (c *Client) RegisterOn(name string, cores int, target string) error {
 // Prepare stacks information about the upcoming I/O accesses on this
 // target, as the paper's Prepare(MPI_Info) does.
 func (t Target) Prepare(info core.Info) error {
-	_, err := t.invoke(wire.Request{Type: wire.TypePrepare, Info: info}, trace.Event{Type: trace.EvPrepare, Info: info})
+	_, err := t.invoke(wire.Request{Type: wire.TypePrepare, Info: info})
 	return err
 }
 
 // Complete unstacks the most recent Prepare.
 func (t Target) Complete() error {
-	_, err := t.invoke(wire.Request{Type: wire.TypeComplete}, trace.Event{Type: trace.EvComplete})
+	_, err := t.invoke(wire.Request{Type: wire.TypeComplete})
 	return err
 }
 
@@ -930,7 +881,7 @@ func (t Target) Complete() error {
 // I/O on this target. Non-blocking beyond the round trip; triggers the
 // target's arbitration.
 func (t Target) Inform() error {
-	_, err := t.invoke(wire.Request{Type: wire.TypeInform}, trace.Event{Type: trace.EvInform})
+	_, err := t.invoke(wire.Request{Type: wire.TypeInform})
 	return err
 }
 
@@ -938,8 +889,7 @@ func (t Target) Inform() error {
 // Coordinator.Progress it neither opens a phase nor triggers arbitration;
 // the value influences the next inform/release arbitration.
 func (t Target) Progress(bytesDone float64) error {
-	_, err := t.invoke(wire.Request{Type: wire.TypeProgress, BytesDone: bytesDone},
-		trace.Event{Type: trace.EvProgress, Bytes: bytesDone})
+	_, err := t.invoke(wire.Request{Type: wire.TypeProgress, BytesDone: bytesDone})
 	return err
 }
 
@@ -947,7 +897,7 @@ func (t Target) Progress(bytesDone float64) error {
 // blocks waiting for a grant. In degraded mode it reports true: a session
 // coordinating with itself is always authorized.
 func (t Target) Check() (bool, error) {
-	resp, err := t.invoke(wire.Request{Type: wire.TypeCheck}, trace.Event{Type: trace.EvCheck})
+	resp, err := t.invoke(wire.Request{Type: wire.TypeCheck})
 	return resp.Authorized && err == nil, err
 }
 
@@ -957,31 +907,25 @@ func (t Target) Authorized() bool { return t.c.getAuth(t.resolved()) }
 
 // Wait blocks until the daemon authorizes the application's access on this
 // target (a Wait on another target from another goroutine is unaffected —
-// the domains arbitrate independently). With a capture attached, the wait
-// is recorded at send time and the observed grant at response time. In
-// degraded mode Wait self-grants immediately (counted, reported on
-// resume); with Reconnect a Wait lost to a connection drop is re-issued
-// after the session resumes, so the grant is re-acquired, not lost.
+// the domains arbitrate independently). In degraded mode Wait self-grants
+// immediately (counted, reported on resume); with Reconnect a Wait lost to
+// a connection drop is re-issued after the session resumes, so the grant
+// is re-acquired, not lost.
 func (t Target) Wait() error {
-	t.c.rec(trace.Event{Type: trace.EvWait, Time: t.c.tnow(), Target: t.resolved()})
-	_, err := t.invoke(wire.Request{Type: wire.TypeWait}, trace.Event{})
-	if err == nil {
-		t.c.rec(trace.Event{Type: trace.EvGrant, Time: t.c.tnow(), Target: t.resolved()})
-	}
+	_, err := t.invoke(wire.Request{Type: wire.TypeWait})
 	return err
 }
 
 // Release ends one step of the I/O access, reporting progress. A new
 // Inform is required before the next access step.
 func (t Target) Release(bytesDone float64) error {
-	_, err := t.invoke(wire.Request{Type: wire.TypeRelease, BytesDone: bytesDone},
-		trace.Event{Type: trace.EvRelease, Bytes: bytesDone})
+	_, err := t.invoke(wire.Request{Type: wire.TypeRelease, BytesDone: bytesDone})
 	return err
 }
 
 // End terminates the I/O phase on this target entirely.
 func (t Target) End() error {
-	_, err := t.invoke(wire.Request{Type: wire.TypeEnd}, trace.Event{Type: trace.EvEnd})
+	_, err := t.invoke(wire.Request{Type: wire.TypeEnd})
 	return err
 }
 
@@ -1011,13 +955,7 @@ func (c *Client) Check() (bool, error) { return c.Target("").Check() }
 func (c *Client) Authorized() bool { return c.getAuth(c.defTarget) }
 
 // Wait blocks until the daemon authorizes the application's access. The
-// response is deferred server-side until arbitration grants access. With a
-// capture attached, the wait is recorded at send time — BEFORE the round
-// trip, unlike the quick calls, because a deferred Wait can return seconds
-// later and a post-hoc record would land after other clients' events and
-// collapse the measured wait in replay — and the observed grant at
-// response time. A failed Wait leaves a pending wait event in the trace;
-// replay censors it, exactly like a session that vanished mid-wait.
+// response is deferred server-side until arbitration grants access.
 func (c *Client) Wait() error { return c.Target("").Wait() }
 
 // Release ends one step of the I/O access, reporting progress. A new

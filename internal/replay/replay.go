@@ -8,21 +8,23 @@
 // stream, the default target ""), each re-arbitrated through its own Domain
 // exactly as that target's shard did under its lock, under every policy the
 // call asks about, and the per-target results are merged into one Result.
-// A stream reproduces its shard's registration order: a daemon trace
-// records each shard's attach, and the register a client-side capture
-// records once per session is copied into each target at the session's
-// first event there, mirroring the daemon's lazy attach.
+// A stream reproduces its shard's registration order: the daemon records
+// each shard's attach as that target's EvRegister.
+//
+// Replay reads calciomd -record traces only (Header.Source "calciomd"):
+// the daemon is the one place that knows who was authorized and when, and
+// the one recorder there is.
 //
 // Two modes exist:
 //
-//   - Verify replays a daemon-side trace under its own recorded policy,
-//     re-arbitrating exactly where the recording did (request events plus
-//     the recorded recheck instants), and checks that the reproduced
-//     authorization-flip sequence matches the recorded grant/revoke events
-//     one for one. Because the daemon serializes all coordination through a
-//     single goroutine, the trace captures the full serialized order and the
-//     replay is exact — a mismatch means the trace is lossy or the
-//     arbitration logic changed.
+//   - Verify replays a trace under its own recorded policy, re-arbitrating
+//     exactly where the recording did (request events plus the recorded
+//     recheck instants), and checks that the reproduced authorization-flip
+//     sequence matches the recorded grant/revoke events one for one.
+//     Because a shard serializes its coordination under its lock and
+//     records every event while holding it, the trace captures each
+//     target's serialized order and the replay is exact — a mismatch means
+//     the trace is lossy or the arbitration logic changed.
 //
 //   - Under replays the same arrival pattern under any policy ("what would
 //     delay have done with last night's traffic?"). Here the recorded
@@ -215,12 +217,17 @@ func headerDaemon(hdr trace.Header) config.Daemon {
 	}
 }
 
-// checkReplayable rejects traces a replay would silently misrepresent. A
-// truncated trace (loaded with trace.LoadLenient after a recorder crash) is
-// replayable: truncation removes a suffix, so the surviving prefix is still
-// an exact record — Verify just compares flips prefix-wise. A lossy trace
-// (drop-counted overflow) has holes anywhere, so it is always refused.
+// checkReplayable rejects traces a replay would silently misrepresent. Only
+// a calciomd recording says, shard by shard, which session attached where
+// and when. A truncated trace (loaded with trace.LoadLenient after a
+// recorder crash) is replayable: truncation removes a suffix, so the
+// surviving prefix is still an exact record — Verify just compares flips
+// prefix-wise. A lossy trace (drop-counted overflow) has holes anywhere,
+// so it is always refused.
 func checkReplayable(tr *trace.Trace) error {
+	if tr.Header.Source != trace.SourceDaemon {
+		return fmt.Errorf("replay: trace source %q is not %q: replay reads calciomd -record traces only", tr.Header.Source, trace.SourceDaemon)
+	}
 	if tr.Dropped > 0 {
 		return fmt.Errorf("replay: trace is lossy (%d events dropped on overflow); replaying it would silently diverge", tr.Dropped)
 	}
@@ -262,20 +269,13 @@ type stream struct {
 }
 
 // compile splits a trace into per-target streams, in sorted target order.
-// Daemon traces partition exactly: every event (register, recheck and
-// unregister included) was recorded by the shard that owns its target.
-// Client-side captures record registration once per session, so the
-// compiler mirrors the daemon's lazy attach: the register is copied into a
-// target's stream at the session's first event there, and the session's
-// unregister is copied into every target it touched. A version-1 trace has
-// every Target empty and compiles into the single default stream —
-// byte-for-byte the unsharded replay input.
+// The daemon records every event — register, recheck and unregister
+// included — on the shard that owns its target, so the trace partitions
+// exactly. A version-1 trace has every Target empty and compiles into the
+// single default stream — byte-for-byte the unsharded replay input.
 func compile(tr *trace.Trace) []stream {
 	// Find each event's stream and count the streams' events and Prepares
-	// first, so that each stream's steps and infos are allocated once: a
-	// stream holds the trace's events on its target, plus — in a client
-	// capture only — the few registers and unregisters copied in, which
-	// append makes room for.
+	// first, so that each stream's steps and infos are allocated once.
 	idx := make(map[string]int32)
 	at := make([]int32, len(tr.Events))
 	var streams []stream
@@ -296,96 +296,41 @@ func compile(tr *trace.Trace) []stream {
 		}
 	}
 	// Per stream: each SID's dense session index, from its first register
-	// there, and whether that session is attached (registered and not
-	// unregistered since).
+	// there.
 	dense := make([]map[uint32]int32, len(streams))
-	attached := make([][]bool, len(streams))
 	for p := range streams {
 		streams[p].steps = make([]step, 0, counts[p])
 		streams[p].infos = make([]core.ParsedInfo, 0, prepares[p])
 		dense[p] = make(map[uint32]int32)
 	}
-	lookup := func(p int32, sid uint32) int32 {
-		if d, ok := dense[p][sid]; ok {
-			return d
+	for i := range tr.Events {
+		ev, st, sids := &tr.Events[i], &streams[at[i]], dense[at[i]]
+		d, ok := sids[ev.SID]
+		if !ok {
+			d = -1
 		}
-		return -1
-	}
-	attach := func(p int32, sid uint32, d int32) int32 {
-		if d < 0 {
-			d = int32(streams[p].sessions)
-			dense[p][sid] = d
-			streams[p].sessions++
-			attached[p] = append(attached[p], false)
-		}
-		attached[p][d] = true
-		return d
-	}
-	emit := func(p int32, ev *trace.Event, d int32) {
-		st := &streams[p]
-		s := step{typ: ev.Type, sid: ev.SID, sess: d, time: ev.Time, bytes: ev.Bytes}
+		var arg int32
 		switch ev.Type {
 		case trace.EvRegister:
-			s.arg = int32(len(st.regs))
+			// The daemon's rebind re-registers a resumed session's sid on
+			// a shard it attached to before: the same index.
+			if d < 0 {
+				d = int32(st.sessions)
+				sids[ev.SID] = d
+				st.sessions++
+			}
+			arg = int32(len(st.regs))
 			st.regs = append(st.regs, registration{name: ev.App, cores: int(ev.Cores)})
 		case trace.EvPrepare:
-			s.arg = int32(len(st.infos))
+			arg = int32(len(st.infos))
 			st.infos = append(st.infos, ev.Prepared())
 		case trace.EvWait:
 			st.waits++
 		case trace.EvGrant, trace.EvRevoke:
 			st.recorded++
 		}
-		st.steps = append(st.steps, s)
+		st.steps = append(st.steps, step{typ: ev.Type, sid: ev.SID, sess: d, arg: arg, time: ev.Time, bytes: ev.Bytes})
 	}
-	regs := make(map[uint32]registration)
-	client := tr.Header.Source == trace.SourceClient
-	for i := range tr.Events {
-		ev, p := &tr.Events[i], at[i]
-		d := lookup(p, ev.SID)
-		switch ev.Type {
-		case trace.EvRegister:
-			regs[ev.SID] = registration{name: ev.App, cores: int(ev.Cores)}
-			if client {
-				// A client-side register is session metadata, not an
-				// attach: the session joins a target's stream lazily at
-				// its first event there, like the daemon's lazy attach —
-				// so no stream carries sessions that never coordinate on
-				// its target.
-				continue
-			}
-			emit(p, ev, attach(p, ev.SID, d))
-		case trace.EvRecheck:
-			emit(p, ev, d)
-		case trace.EvUnregister:
-			if d >= 0 && attached[p][d] {
-				attached[p][d] = false
-				emit(p, ev, d)
-			}
-			if client {
-				// One recorded unregister stands for the whole session:
-				// propagate it to every other target it attached to.
-				for q := range streams {
-					if dq := lookup(int32(q), ev.SID); int32(q) != p && dq >= 0 && attached[q][dq] {
-						attached[q][dq] = false
-						emit(int32(q), &trace.Event{Type: trace.EvUnregister, Time: ev.Time, SID: ev.SID}, dq)
-					}
-				}
-			}
-		default:
-			if ev.SID != 0 && (d < 0 || !attached[p][d]) {
-				if reg, ok := regs[ev.SID]; ok {
-					d = attach(p, ev.SID, d)
-					emit(p, &trace.Event{Type: trace.EvRegister, Time: ev.Time,
-						SID: ev.SID, App: reg.name, Cores: int32(reg.cores)}, d)
-				}
-			}
-			emit(p, ev, d)
-		}
-	}
-	// A target nothing was emitted to (a client capture's registers are
-	// metadata, an unregister may find nothing attached) has no stream.
-	streams = slices.DeleteFunc(streams, func(st stream) bool { return len(st.steps) == 0 })
 	sort.Slice(streams, func(i, j int) bool { return streams[i].target < streams[j].target })
 	return streams
 }
@@ -551,9 +496,6 @@ type VerifyResult struct {
 // because only a target's own serialized order is recorded — the file-level
 // interleaving across targets is scheduling noise.
 func Verify(tr *trace.Trace) (VerifyResult, error) {
-	if tr.Header.Source != trace.SourceDaemon {
-		return VerifyResult{}, fmt.Errorf("replay: exact verification needs a daemon-side trace (source %q)", tr.Header.Source)
-	}
 	if err := checkReplayable(tr); err != nil {
 		return VerifyResult{}, err
 	}
@@ -741,12 +683,11 @@ func (m *machine) run() error {
 }
 
 func (m *machine) step(st *step) error {
-	// The virtual clock never runs backwards: daemon traces are monotone by
-	// construction; client-side captures may interleave slightly out of
-	// order across connections and are clamped.
+	// A shard reads the clock under its lock, so its recorded times never
+	// fall; one that does was not recorded by a daemon shard.
 	t := st.time
 	if t < m.now {
-		t = m.now
+		return fmt.Errorf("time %g precedes the previous event's %g", t, m.now)
 	}
 	// Synthesized rechecks due before this event fire first, exactly as the
 	// daemon's recheck timer would have.
@@ -773,19 +714,20 @@ func (m *machine) step(st *step) error {
 	if st.typ == trace.EvRegister {
 		return m.register(st)
 	}
+	// A shard records a session's events only while it is attached there,
+	// between its EvRegister and its EvUnregister.
 	if st.sess < 0 || !m.sess[st.sess].app.Joined() {
-		// A session the replay does not know (or that already left): a
-		// client-side capture can record such skew; ignore.
-		if m.verify && (st.typ == trace.EvGrant || st.typ == trace.EvRevoke) {
-			m.recorded = append(m.recorded, flip{time: t, sid: st.sid, grant: st.typ == trace.EvGrant})
-		}
-		return nil
+		return fmt.Errorf("sid %d is not registered on this target", st.sid)
 	}
 	s := &m.sess[st.sess]
 	d, a := m.dom, &s.app
 
-	// A violation is client-capture skew, or a Release by a session
-	// preempted since its grant: nobody reads it.
+	// A violation changes nothing and nobody reads it. The daemon records
+	// a Release before its state check, so one it refused (no served Wait
+	// to release) is in the trace; and a what-if replay under another
+	// policy meets verbs in states the recording policy never left the
+	// session in, such as a Release while that policy still parks its
+	// Wait.
 	switch st.typ {
 	case trace.EvPrepare:
 		a.Prepare(m.st.infos[st.arg])
@@ -972,12 +914,12 @@ func Compare(tr *trace.Trace, policies []core.Policy) (Comparison, error) {
 	if len(policies) == 0 {
 		return Comparison{}, fmt.Errorf("replay: no policies to compare")
 	}
+	if err := checkReplayable(tr); err != nil {
+		return Comparison{}, err
+	}
 	basePol, err := RecordingPolicy(tr.Header)
 	if err != nil {
 		return Comparison{}, fmt.Errorf("replay: recording policy: %w", err)
-	}
-	if err := checkReplayable(tr); err != nil {
-		return Comparison{}, err
 	}
 	// The baseline replay comes first; a candidate that is the recording
 	// policy itself reuses it instead of re-arbitrating the whole trace.

@@ -153,13 +153,31 @@ func TestVerifyRefusesLossyAndClientTraces(t *testing.T) {
 	if _, err := Under(lossy, core.FCFSPolicy{}); err == nil || !strings.Contains(err.Error(), "lossy") {
 		t.Fatalf("Under must refuse lossy traces too, got %v", err)
 	}
-	cl := twoAppTrace()
-	cl.Header.Source = trace.SourceClient
-	if _, err := Verify(cl); err == nil || !strings.Contains(err.Error(), "daemon-side") {
-		t.Fatalf("want client-trace refusal, got %v", err)
+	// Only a calciomd recording knows which session attached to which
+	// target when: every mode refuses any other source.
+	for _, source := range []string{"client", ""} {
+		tr := twoAppTrace()
+		tr.Header.Source = source
+		for mode, replay := range map[string]func() error{
+			"Verify":  func() error { _, err := Verify(tr); return err },
+			"Under":   func() error { _, err := Under(tr, core.FCFSPolicy{}); return err },
+			"Compare": func() error { _, err := Compare(tr, StandardPolicies(tr.Header, -1)); return err },
+		} {
+			if err := replay(); err == nil || !strings.Contains(err.Error(), "calciomd -record") {
+				t.Errorf("%s of a %q trace: want a refusal naming calciomd -record, got %v", mode, source, err)
+			}
+		}
 	}
-	if _, err := Under(cl, core.FCFSPolicy{}); err != nil {
-		t.Fatalf("what-if on a client trace must work: %v", err)
+	// Nor does a shard record a time that falls, or an event of a session
+	// not attached to it.
+	back := twoAppTrace()
+	back.Events[7].Time = 0.5 // B's inform, before A's wait at 1.1
+	stray := twoAppTrace()
+	stray.Events = append(stray.Events, trace.Event{Type: trace.EvInform, Time: 9, SID: 3})
+	for want, tr := range map[string]*trace.Trace{"precedes": back, "not registered": stray} {
+		if _, err := Under(tr, core.FCFSPolicy{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("want an error saying %q, got %v", want, err)
+		}
 	}
 }
 

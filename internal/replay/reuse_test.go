@@ -15,15 +15,15 @@ import (
 )
 
 // reuseCalls is a mix of replay calls over differently shaped traces — 64
-// applications on four targets, 12 on two, a calciomd recording and a
-// client capture — each returning its whole result (or its error) for
-// comparison, and what each returned when first made.
+// applications on four targets, 12 on two, and a calciomd recording — each
+// returning its whole result (or its error) for comparison, and what each
+// returned when first made.
 func reuseCalls(t *testing.T) (calls []func() any, first []any) {
 	rec, err := trace.Load("testdata/daemon_4targets.trace")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tr := range []*trace.Trace{replaytest.Trace(64, 4, 20), replaytest.Trace(12, 2, 6), rec, clientCaptureTrace()} {
+	for _, tr := range []*trace.Trace{replaytest.Trace(64, 4, 20), replaytest.Trace(12, 2, 6), rec} {
 		policies := StandardPolicies(tr.Header, -1)
 		calls = append(calls, func() any {
 			c, err := Compare(tr, policies)
@@ -35,12 +35,10 @@ func reuseCalls(t *testing.T) (calls []func() any, first []any) {
 				return []any{res, fmt.Sprint(err)}
 			})
 		}
-		if tr.Header.Source == trace.SourceDaemon {
-			calls = append(calls, func() any {
-				v, err := Verify(tr)
-				return []any{v, fmt.Sprint(err)}
-			})
-		}
+		calls = append(calls, func() any {
+			v, err := Verify(tr)
+			return []any{v, fmt.Sprint(err)}
+		})
 	}
 	for _, call := range calls {
 		first = append(first, call())

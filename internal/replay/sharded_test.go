@@ -127,49 +127,6 @@ func TestVerifyShardedPerTarget(t *testing.T) {
 	}
 }
 
-// clientCaptureTrace is a client-side capture: one register and one
-// unregister for a session that coordinates on two targets, so its streams
-// carry a synthesized register each and one a propagated unregister.
-func clientCaptureTrace() *trace.Trace {
-	return &trace.Trace{
-		Header: trace.Header{Source: trace.SourceClient, Policy: "fcfs"},
-		Events: []trace.Event{
-			{Type: trace.EvRegister, Time: 0, SID: 1, App: "A", Cores: 4}, // default target only
-			{Type: trace.EvInform, Time: 1, SID: 1, Target: "x"},
-			{Type: trace.EvWait, Time: 1, SID: 1, Target: "x"},
-			{Type: trace.EvInform, Time: 2, SID: 1, Target: "y"},
-			{Type: trace.EvWait, Time: 2, SID: 1, Target: "y"},
-			{Type: trace.EvRelease, Time: 3, SID: 1, Bytes: 1, Target: "x"},
-			{Type: trace.EvEnd, Time: 3, SID: 1, Target: "x"},
-			{Type: trace.EvRelease, Time: 4, SID: 1, Bytes: 1, Target: "y"},
-			{Type: trace.EvEnd, Time: 4, SID: 1, Target: "y"},
-			{Type: trace.EvUnregister, Time: 5, SID: 1},
-		},
-	}
-}
-
-// TestClientCapturePartitionPropagatesSession: a client-side capture
-// records one register and one unregister per session, yet the session
-// coordinates on two targets — the partitioner must attach it to both (at
-// first touch) and detach it from both, so the replay sees every stream.
-func TestClientCapturePartitionPropagatesSession(t *testing.T) {
-	res, err := Under(clientCaptureTrace(), core.FCFSPolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.GrantsServed != 2 {
-		t.Fatalf("grants = %d, want 2 (one per target)", res.GrantsServed)
-	}
-	if len(res.Apps) != 2 || res.Apps[0].Target != "x" || res.Apps[1].Target != "y" {
-		t.Fatalf("apps = %+v, want A on x and y", res.Apps)
-	}
-	for _, a := range res.Apps {
-		if a.Name != "A" || a.Grants != 1 || a.Phases != 1 {
-			t.Fatalf("app %+v", a)
-		}
-	}
-}
-
 // v1TraceBytes hand-encodes a version-1 trace file (the pre-target format:
 // no per-record target field) for the two-app fcfs run twoAppTrace models.
 func v1TraceBytes(t *testing.T) []byte {

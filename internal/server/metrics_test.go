@@ -15,10 +15,12 @@ import (
 
 // metricsServer is the BenchmarkServerArbitrate fixture with metrics and
 // event collection enabled, arbitrating under pol with the model m (nil:
-// none).
+// none). Events are emitted as the daemon emits them, and the log drops
+// them: a handler that formats would allocate on the drain goroutine, which
+// an allocation count over the whole process would charge to arbitration.
 func metricsServer(tb testing.TB, pol core.Policy, m *core.PerfModel, k int) (*Server, []*session, *obs.Registry, *obs.EventLog) {
 	reg := obs.NewRegistry()
-	ev := obs.NewEventLog(slog.New(slog.NewTextHandler(io.Discard, nil)), 64, 0)
+	ev := obs.NewEventLog(slog.New(slog.DiscardHandler), 64, 0)
 	srv, err := New(Config{Policy: pol, Model: m, Clock: logicalClock(), Metrics: reg, Events: ev})
 	if err != nil {
 		tb.Fatal(err)

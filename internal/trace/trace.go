@@ -30,8 +30,7 @@
 //
 //	type    u8       one of the Ev* constants
 //	time    f64      coordination clock, seconds (monotone per coordination
-//	                 domain: per storage target daemon-side, per client for
-//	                 client captures)
+//	                 domain: per storage target)
 //	sid     u32      session identity (assigned at register; 0 = none)
 //	target  u16 len + bytes   storage target ("" = the default target);
 //	                 version-2 records only — a version-1 record has no
@@ -212,11 +211,9 @@ func (ev *Event) Prepared() core.ParsedInfo {
 // from and enough of the recording configuration that replay can rebuild
 // the recording policy and its performance model.
 type Header struct {
-	// Source is "calciomd" for daemon-side traces (authoritative: recorded
-	// under the shard's lock, outcome events included) or
-	// "client" for client-side captures (observational: per-client send
-	// times, grant events are client-observed, exact verification is not
-	// available).
+	// Source names the recorder: "calciomd" (SourceDaemon), which records
+	// every shard's events under the shard's lock, outcome events
+	// included. Replay reads no other source.
 	Source string `json:"source"`
 	// Policy is the recording policy as configured: a core.ParsePolicy
 	// spec such as "fcfs" or "dynamic(cpu-seconds)", or a config alias
@@ -230,11 +227,9 @@ type Header struct {
 	ProcNICMiBps float64 `json:"proc_nic_mibps,omitempty"`
 }
 
-// SourceDaemon and SourceClient are the recognized Header.Source values.
-const (
-	SourceDaemon = "calciomd"
-	SourceClient = "client"
-)
+// SourceDaemon is the Header.Source of a calciomd recording, the only
+// coordination trace there is.
+const SourceDaemon = "calciomd"
 
 // DefaultBuffer is the writer's default in-flight event capacity.
 const DefaultBuffer = 1 << 16
