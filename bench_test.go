@@ -569,7 +569,6 @@ func BenchmarkArbiterRotating(b *testing.B) {
 	for _, n := range []int{64, 256} {
 		b.Run(fmt.Sprintf("apps=%d", n), func(b *testing.B) {
 			ar := core.NewArbiter(core.FCFSPolicy{})
-			ar.SetLogBound(256)
 			apps := make([]*core.AppState, n)
 			now := 0.0
 			for i := range apps {

@@ -40,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	procsB := fs.Int("procs-b", 336, "processes of application B")
 	mibPerProc := fs.Int64("mib-per-proc", 16, "MiB written per process")
 	pattern := fs.String("pattern", "contiguous", "pattern: contiguous | strided")
-	policies := fs.String("policies", "interfere,fcfs", "comma-separated: "+delta.PolicyNames+", or a core.ParsePolicy spec such as delay(0.25)")
+	policies := fs.String("policies", "interfere,fcfs", "comma-separated: "+delta.PolicyNames+", or a core.ParsePolicy spec such as delay(0.25) or fairshare(0.50)")
 	dtMin := fs.Float64("dt-min", -15, "minimum dt (seconds)")
 	dtMax := fs.Float64("dt-max", 15, "maximum dt (seconds)")
 	points := fs.Int("points", 21, "sweep points")

@@ -137,11 +137,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	mib := fs.Float64("mib", 64, "synthetic: MiB declared per phase")
 	cores := fs.Int("cores", 32, "synthetic: cores declared per application")
 	think := fs.Duration("think", 0, "compute time between phases")
-	stagger := fs.Duration("stagger", 0, "per-client start offset: client i begins i*stagger after launch, spreading the initial Inform burst so wait-latency percentiles measure protocol cost rather than the fcfs start-up convoy")
 	targets := fs.Int("targets", 1, "spread phases round-robin across this many storage targets (t0..tN-1); <=1 keeps the single default target")
 	swfPath := fs.String("swf", "", "replay this SWF trace instead of the synthetic mix")
 	jobs := fs.Int("jobs", 0, "SWF: cap on jobs replayed (0 = clients*phases)")
-	swfMiBPerProc := fs.Float64("swf-mib-per-proc", 1, "SWF: declared MiB per job process")
 	reconnect := fs.Bool("reconnect", false, "survive daemon restarts: reconnect with backoff and resume sessions")
 	failOpen := fs.Duration("fail-open", 0, "self-grant after the daemon has been unreachable this long (implies -reconnect)")
 	chaosReset := fs.Duration("chaos-reset", 0, "chaos proxy: reset each connection roughly this long after accept")
@@ -181,7 +179,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *codec == "binary" {
 		copts.Codec = wirebin.Codec{}
 	}
-	tasks, err := buildTasks(*swfPath, *clients, *phases, *steps, *mib, *cores, *jobs, *swfMiBPerProc)
+	tasks, err := buildTasks(*swfPath, *clients, *phases, *steps, *mib, *cores, *jobs)
 	if err != nil {
 		return fail(2, "%v", err)
 	}
@@ -266,13 +264,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		wg.Add(1)
 		go func(i int, mine []task) {
 			defer wg.Done()
-			// Stagger the fleet: without it all clients Inform at once and
-			// the tail latencies are dominated by the fcfs queue position,
-			// not by the protocol. The workload itself is unchanged, so the
-			// agg: block stays byte-stable for a fixed workload+stagger.
-			if *stagger > 0 {
-				time.Sleep(time.Duration(i) * *stagger)
-			}
 			results[i], errs[i] = runClient(func() (*client.Client, error) { return dial(i) },
 				fmt.Sprintf("%s-%04d", *prefix, i), mine, *think)
 		}(i, mine)
@@ -556,8 +547,9 @@ func reportDaemon(stdout io.Writer, addr string, nerr int) int {
 }
 
 // buildTasks constructs the workload: the synthetic phase mix, or one task
-// per SWF job (bytes and steps scaled from the job's size).
-func buildTasks(swfPath string, clients, phases, steps int, mib float64, cores, jobs int, mibPerProc float64) ([]task, error) {
+// per SWF job (bytes and steps scaled from the job's size, one MiB declared
+// per process).
+func buildTasks(swfPath string, clients, phases, steps int, mib float64, cores, jobs int) ([]task, error) {
 	if clients <= 0 || phases <= 0 || steps <= 0 {
 		return nil, fmt.Errorf("calciom-load: clients, phases and steps must be positive")
 	}
@@ -595,7 +587,7 @@ func buildTasks(swfPath string, clients, phases, steps int, mib float64, cores, 
 	}
 	tasks := make([]task, len(js))
 	for i, j := range js {
-		tasks[i] = task{bytes: float64(j.Procs) * mibPerProc * miB, cores: j.Procs, steps: min(1+j.Procs/8192, 8)}
+		tasks[i] = task{bytes: float64(j.Procs) * miB, cores: j.Procs, steps: min(1+j.Procs/8192, 8)}
 	}
 	return tasks, nil
 }

@@ -464,6 +464,8 @@ func TestUsageErrors(t *testing.T) {
 		{"-nonesuch"},
 		{"-record", filepath.Join(t.TempDir(), "run.trace")},
 		{"-register-target", "t0"},
+		{"-stagger", "1ms"},
+		{"-swf-mib-per-proc", "2"},
 		{"-codec", "xml"},
 		{"-clients", "0"},
 		{"-churn", "-churn-loops", "0"},

@@ -32,7 +32,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("calciom-sim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	platform := fs.String("platform", "surveyor", "platform: rennes | nancy | surveyor")
-	policy := fs.String("policy", "dynamic", "policy: "+delta.PolicyNames+", or a core.ParsePolicy spec such as dynamic(makespan)")
+	policy := fs.String("policy", "dynamic", "policy: "+delta.PolicyNames+", or a core.ParsePolicy spec such as dynamic(makespan) or fairshare(0.50)")
 	dt := fs.Float64("dt", 5, "start offset of application B (seconds)")
 	procs := fs.Int("procs", 2048, "processes per application")
 	filesA := fs.Int("files-a", 4, "files written by A")

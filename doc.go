@@ -44,10 +44,10 @@
 //   - Daemon mode: calciomd (internal/server) serves the same protocol
 //     over TCP, sharded by storage target. Real platforms expose many
 //     independent targets (PFS servers, burst buffers) and contention is
-//     per target, so a coordination domain is one target: core.ArbiterSet
-//     keys one core.Arbiter per target, and a shard — the core.Domain over
-//     that arbiter, the target's bindings and counters — is a piece of
-//     state behind a mutex,
+//     per target, so a coordination domain is one target: a shard — the
+//     core.Domain over a core.Arbiter of its own, the target's bindings,
+//     counters and latest decision (kept for stats' last_decision) — is a
+//     piece of state behind a mutex, in the daemon's one per-target map,
 //     not a goroutine behind a queue. Shards run to completion: the
 //     per-connection reader goroutine that decoded a request resolves the
 //     shard of the target it addresses, takes its lock, arbitrates, queues
@@ -453,26 +453,27 @@
 //   - mpi.Platform.Reset: everything is immutable after construction; the
 //     call only revalidates invariants.
 //   - core.Layer.Reset: retains registrations (and so arrival tie-break
-//     order), the policy, the bound arbitrate callback and the recheck
-//     Timer; clears protocol states, accounting, each coordinator's count
-//     of grant messages in flight, and the decision log — in place.
+//     order), the policy and its name, the bound arbitrate callback, the
+//     recheck Timer, and the backing of the decision log and of the names
+//     arena its records' Allowed slices are cut from; clears protocol
+//     states, accounting, each coordinator's count of grant messages in
+//     flight, and the log — in place. The log is the Layer's alone (the
+//     Arbiter keeps none): unbounded, one record per decision that acted.
 //     Underneath, core.Arbiter.Reset retains the backing of its
 //     arrival-ordered queue (application pointers, the AppViews handed to
 //     the policy, authorization bits), of the allowed/granted/revoked
-//     decision scratch, of the decision log and of the names arena its
-//     records' Allowed slices are cut from, and of every AppState's stack
-//     of parsed Prepare infos; clears the queue itself, the authorized
-//     count, the log and every AppState back to Idle with its
-//     registration-time core count. So Log() — Arbiter's and Layer's — is
-//     valid until the next Reset, which overwrites it: whoever keeps a
-//     run's decisions past the next run takes a core.CloneLog of them
-//     (delta.RunOn does, which is why Result.Decisions is a snapshot);
-//     whoever prints them before the next run (calciom-sim, the examples)
-//     or only counts them (machine.Run, through LogLen) copies nothing. A
-//     delta.Sweeper's workers read no decision at all: each sets its
-//     pooled platform's Layer.SetLogBound(0), so their coordinated points
-//     log nothing (RunOn, calciom-sim and the decision-log goldens keep
-//     their logs).
+//     decision scratch and of every AppState's stack of parsed Prepare
+//     infos; clears the queue itself, the authorized count and every
+//     AppState back to Idle with its registration-time core count. So
+//     Layer.Log() is valid until the next Reset, which overwrites it:
+//     whoever keeps a run's decisions past the next run takes a
+//     core.CloneLog of them (delta.RunOn does, which is why
+//     Result.Decisions is a snapshot); whoever prints them before the next
+//     run (calciom-sim, the examples) or only counts them (machine.Run,
+//     through LogLen) copies nothing. A delta.Sweeper's workers read no
+//     decision at all: each switches its pooled platform's log off with
+//     Layer.SetLogging(false), so their coordinated points log nothing
+//     (RunOn, calciom-sim and the decision-log goldens keep their logs).
 //   - ior.Runner.Reset: retains the armed workload (presets fold their
 //     defaults in exactly once, at construction, where the round plan and
 //     byte counts are derived too), cached file names and the Prepare info

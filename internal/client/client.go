@@ -55,7 +55,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -147,12 +146,6 @@ type Options struct {
 	// reconnection continues in the background. 0 means block until the
 	// daemon is back (never uncoordinated). Requires Reconnect.
 	FailOpen time.Duration
-	// DegradedHist, when non-nil, observes the length in seconds of every
-	// closed degraded window, so a fleet embedding the client can expose
-	// its fail-open episodes on the same /metrics surface as the daemon.
-	// Observation happens when a window closes (stream resumed or final
-	// report), never on the coordination path.
-	DegradedHist *obs.Histogram
 	// Codec selects the wire encoding. Nil (or wire.JSON) speaks the v1
 	// length-prefixed JSON protocol byte for byte. wirebin.Codec negotiates
 	// the v2 binary codec: the client pipelines the two-byte hello with its
@@ -448,9 +441,6 @@ func (c *Client) endWindow() {
 		c.degradedSec += d
 		c.pendDegraded += d
 		c.inWindow = false
-		if c.cn.opts.DegradedHist != nil {
-			c.cn.opts.DegradedHist.Observe(d)
-		}
 	}
 	c.dmu.Unlock()
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/client"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/wire"
 )
@@ -482,88 +481,5 @@ func TestReconnectStorm(t *testing.T) {
 	}
 	if want := clients * phases * steps; total != want {
 		t.Fatalf("fleet served %d waits, want %d", total, want)
-	}
-}
-
-// TestDegradedHistObservesWindow: a closed degraded window lands in
-// Options.DegradedHist exactly once, carrying the window's length.
-func TestDegradedHistObservesWindow(t *testing.T) {
-	// Reserve an address, then free it so the client degrades first and a
-	// daemon can appear on it later (Go listeners set SO_REUSEADDR).
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	h := obs.NewHistogram(obs.DefaultLatencyBuckets)
-	c, err := client.DialOptions(addr, client.Options{
-		Reconnect:    true,
-		FailOpen:     40 * time.Millisecond,
-		BackoffMin:   10 * time.Millisecond,
-		BackoffMax:   50 * time.Millisecond,
-		DegradedHist: h,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	// Drive one phase against the dead address: the client degrades on the
-	// fail-open schedule and self-grants its way through.
-	done := make(chan error, 1)
-	s := client.NewSession(c)
-	go func() {
-		if err := c.Register("HIST", 4); err != nil {
-			done <- err
-			return
-		}
-		if err := s.Begin(info(100)); err != nil {
-			done <- err
-			return
-		}
-		done <- s.End(100)
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("degraded phase: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("fail-open client blocked forever without a daemon")
-	}
-	if got := h.Snapshot().Count; got != 0 {
-		t.Fatalf("histogram observed %d windows while one is still open, want 0", got)
-	}
-
-	// A daemon appears: adoption closes the window, which must observe.
-	srvln, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Skipf("could not rebind reserved address %s: %v", addr, err)
-	}
-	srv, err := server.New(server.Config{Policy: core.FCFSPolicy{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(srvln)
-	defer srv.Close()
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if sn := h.Snapshot(); sn.Count >= 1 {
-			if sn.Count != 1 {
-				t.Fatalf("histogram observed %d windows, want 1", sn.Count)
-			}
-			r := c.DegradedReport()
-			if sn.Sum <= 0 || sn.Sum > r.Seconds+0.001 {
-				t.Fatalf("histogram sum %.3fs inconsistent with degraded report %.3fs", sn.Sum, r.Seconds)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("degraded window never observed into the histogram")
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // AppState is one application's protocol state as the arbitration core sees
@@ -189,24 +188,24 @@ func (a *AppState) Progress(bytesDone float64) {
 // Arbiter is the arbitration half of a Domain: the registered
 // applications, the arrival-ordered queue of those in an I/O phase with the
 // AppViews handed to the policy, and the application of the policy's
-// decision back onto per-app authorization bits.
+// decision back onto per-app authorization bits. It keeps no record of its
+// decisions: a host that wants one (the simulator's Layer its log, a daemon
+// shard its last decision) takes it from the Decision and AppendAllowed.
 //
 // The queue is persistent and maintained incrementally, so a decision costs
 // what changed since the last one rather than a rebuild: Inform inserts the
 // application from the tail, End and Unregister remove it, every other
 // AppState mutator rewrites its own view slot, and decision application
 // visits only the applications whose authorization flipped. Steady-state
-// arbitration reuses all scratch, the decision log included, and the hot
-// path performs no per-request allocation.
+// arbitration reuses all scratch, and the hot path performs no per-request
+// allocation.
 //
 // The Arbiter is not goroutine-safe: the sim engine is single-threaded, and
 // the daemon runs every request for a target under that target's shard lock
 // (which is also what makes daemon decisions deterministic given a
 // serialized request order).
 type Arbiter struct {
-	policy     Policy
-	policyName string // policy.Name(), resolved once: a name may be formatted
-	logBound   int    // <0 unlimited, 0 disabled, >0 keep last N records
+	policy Policy
 
 	apps []*AppState // registration order
 
@@ -229,29 +228,25 @@ type Arbiter struct {
 	granted []*AppState
 	revoked []*AppState
 	model   Scratch
-
-	// log is append-only when unbounded, each record's Allowed cut from the
-	// names arena, and Reset keeps the capacity of both; with a positive
-	// bound it becomes a ring once full — logHead is the next overwrite slot
-	// and each overwritten record's Allowed backing is reused.
-	log     []DecisionRecord
-	names   []string
-	logHead int
 }
 
-// NewArbiter creates an arbiter running the given policy, with unlimited
-// decision logging (the simulator default).
+// NewArbiter creates an arbiter running the given policy.
 func NewArbiter(policy Policy) *Arbiter {
 	if policy == nil {
 		panic("core: nil policy")
 	}
-	return &Arbiter{policy: policy, policyName: policy.Name(), logBound: -1}
+	return &Arbiter{policy: policy}
 }
 
 // SetIndexed does nothing: a policy has one way to decide. It stays only
 // while benchmark/micro.go, frozen during the change that made it so, still
 // calls it; both go with the next benchmark PR.
 func (ar *Arbiter) SetIndexed(bool) {}
+
+// SetLogBound does nothing: an Arbiter keeps no decision log (the Layer
+// keeps the simulator's). It stays, like SetIndexed, only while
+// benchmark/micro.go still calls it.
+func (ar *Arbiter) SetLogBound(int) {}
 
 // Reserve sizes the arbiter for n registered applications — the
 // registration list, the queue, the decision scratch and the policy's
@@ -268,11 +263,9 @@ func (ar *Arbiter) Reserve(n int) {
 
 // Reset returns the arbiter to its just-constructed state while keeping the
 // registered applications (in registration order) and the capacity of the
-// queue, the decision scratch and the decision log with its names arena:
-// every AppState goes back to Idle/unauthorized with an empty info stack and
-// ledger, the queue empties, and the log restarts in place — what Log handed
-// out is overwritten, so a holder that wants it past the Reset takes a
-// CloneLog.
+// queue and the decision scratch: every AppState goes back to
+// Idle/unauthorized with an empty info stack and ledger, and the queue
+// empties.
 func (ar *Arbiter) Reset() {
 	for _, a := range ar.apps {
 		a.reset()
@@ -280,7 +273,6 @@ func (ar *Arbiter) Reset() {
 	clear(ar.queue)
 	ar.queue, ar.views, ar.auth = ar.queue[:0], ar.views[:0], ar.auth[:0]
 	ar.head, ar.nAuth = 0, 0
-	ar.log, ar.names, ar.logHead = ar.log[:0], ar.names[:0], 0
 }
 
 // reset returns the application to its just-registered state, ledger
@@ -288,46 +280,6 @@ func (ar *Arbiter) Reset() {
 func (a *AppState) reset() {
 	*a = AppState{Data: a.Data, name: a.name, cores: a.regCores, regCores: a.regCores, idx: a.idx, ar: a.ar,
 		infoStack: a.infoStack[:0]}
-}
-
-// SetLogBound bounds the decision log: negative keeps everything (default),
-// zero disables logging, positive keeps the most recent n records in a ring
-// whose steady state allocates nothing. Set it before the first Arbitrate;
-// changing the bound later scrambles the ring order.
-func (ar *Arbiter) SetLogBound(n int) { ar.logBound = n }
-
-// Log returns the arbitration decision log, oldest first, valid until the
-// next Reset. Once a bounded log has wrapped, this builds an ordered copy (a
-// cold path; the hot path never calls it).
-func (ar *Arbiter) Log() []DecisionRecord {
-	if ar.logBound <= 0 || len(ar.log) < ar.logBound || ar.logHead == 0 {
-		return ar.log
-	}
-	out := make([]DecisionRecord, 0, len(ar.log))
-	out = append(out, ar.log[ar.logHead:]...)
-	return append(out, ar.log[:ar.logHead]...)
-}
-
-// CloneLog copies a decision log deeply — records and Allowed names, which
-// otherwise alias the Arbiter's arena — for a holder that keeps it past the
-// Arbiter's next Reset.
-func CloneLog(log []DecisionRecord) []DecisionRecord {
-	out := slices.Clone(log)
-	for i := range out {
-		out[i].Allowed = slices.Clone(out[i].Allowed)
-	}
-	return out
-}
-
-// LastRecord returns the most recent decision record, or nil.
-func (ar *Arbiter) LastRecord() *DecisionRecord {
-	if len(ar.log) == 0 {
-		return nil
-	}
-	if ar.logBound > 0 && len(ar.log) == ar.logBound {
-		return &ar.log[(ar.logHead+ar.logBound-1)%ar.logBound]
-	}
-	return &ar.log[len(ar.log)-1]
 }
 
 // otherAuthorized reports whether any registered application other than
@@ -459,11 +411,11 @@ func (ar *Arbiter) dequeue(a *AppState) {
 
 // Arbitrate runs one arbitration round at the given time: it hands the
 // policy the queued applications' views — kept sorted by (arrival, name) and
-// current by the AppState mutators — applies the decision to the
-// authorization bits that differ from it, and logs the outcome. It returns
-// the policy's reason and recheck request, and acted false when no
-// application was in an I/O phase; the flips, in registration order, are
-// left in granted and revoked for Domain.Arbitrate to hand on.
+// current by the AppState mutators — and applies the decision to the
+// authorization bits that differ from it. It returns the policy's reason
+// and recheck request, and acted false when no application was in an I/O
+// phase; the flips, in registration order, are left in granted and revoked
+// for Domain.Arbitrate to hand on.
 func (ar *Arbiter) Arbitrate(now float64) (reason Reason, recheck float64, acted bool) {
 	ar.granted, ar.revoked = ar.granted[:0], ar.revoked[:0]
 	views := ar.views[ar.head:len(ar.views):len(ar.views)] // clipped: a policy's append must not reach the backing
@@ -497,33 +449,24 @@ func (ar *Arbiter) Arbitrate(now float64) (reason Reason, recheck float64, acted
 	sortByRegistration(ar.granted)
 	sortByRegistration(ar.revoked)
 
-	if ar.logBound != 0 {
-		wrap := ar.logBound > 0 && len(ar.log) == ar.logBound
-		names, start := ar.names, len(ar.names) // append to the arena
-		if wrap {
-			names, start = ar.log[ar.logHead].Allowed[:0], 0 // reuse the evicted record's backing
-		}
-		for i := range views {
-			if allowed[i] {
-				names = append(names, views[i].Name)
+	return reason, recheck, true
+}
+
+// AppendAllowed appends the names of the applications the last decision
+// allowed to dst, sorted, and returns the extended slice. It reads the
+// authorization bits, so it is exact until a phase ends or an application
+// leaves; once dst has room it allocates nothing.
+func (ar *Arbiter) AppendAllowed(dst []string) []string {
+	start := len(dst)
+	if ar.nAuth > 0 {
+		for i, ok := range ar.auth[ar.head:] {
+			if ok {
+				dst = append(dst, ar.queue[ar.head+i].name)
 			}
 		}
-		if !wrap { // clipped: a ring reuse that outgrows it must not overwrite its arena neighbour
-			ar.names, names = names, names[start:len(names):len(names)]
-		}
-		sort.Strings(names)
-		var rec *DecisionRecord // filled in place: a record is twelve words to copy
-		if wrap {
-			rec = &ar.log[ar.logHead]
-			ar.logHead = (ar.logHead + 1) % ar.logBound
-		} else {
-			ar.log = append(ar.log, DecisionRecord{})
-			rec = &ar.log[len(ar.log)-1]
-		}
-		rec.Time, rec.Policy, rec.Allowed, rec.Reason = now, ar.policyName, names, reason
 	}
-
-	return reason, recheck, true
+	slices.Sort(dst[start:])
+	return dst
 }
 
 // sortByRegistration orders a decision's flips — found in queue order — by

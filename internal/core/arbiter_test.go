@@ -22,41 +22,6 @@ func shippedPolicies() []Policy {
 	}
 }
 
-// TestArbiterBoundedLogRing exercises the ring: order is preserved across
-// the wrap and LastRecord always points at the newest decision.
-func TestArbiterBoundedLogRing(t *testing.T) {
-	ar := NewArbiter(FCFSPolicy{})
-	ar.SetLogBound(4)
-	a, err := ar.Register("A", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		a.Inform(float64(i))
-		if _, _, acted := ar.Arbitrate(float64(i)); !acted {
-			t.Fatal("no arbitration")
-		}
-		a.End()
-
-		log := ar.Log()
-		want := i + 1
-		if want > 4 {
-			want = 4
-		}
-		if len(log) != want {
-			t.Fatalf("after %d decisions: log len %d, want %d", i+1, len(log), want)
-		}
-		for j := 1; j < len(log); j++ {
-			if log[j].Time <= log[j-1].Time {
-				t.Fatalf("log out of order: %+v", log)
-			}
-		}
-		if last := ar.LastRecord(); last == nil || last.Time != float64(i) {
-			t.Fatalf("LastRecord = %+v, want time %d", last, i)
-		}
-	}
-}
-
 // TestArbiterUnregisterPreservesOrder checks registration order (and with
 // it deterministic grant delivery) survives removals.
 func TestArbiterUnregisterPreservesOrder(t *testing.T) {
@@ -122,64 +87,60 @@ func TestResetRestoresRegistrationCores(t *testing.T) {
 	if a.Cores() != 8 {
 		t.Fatalf("cores after Reset = %d, want the registration value 8", a.Cores())
 	}
-	if a.State() != Idle || a.Authorized() || len(ar.Log()) != 0 {
-		t.Fatal("Reset left protocol state or log behind")
+	if a.State() != Idle || a.Authorized() || len(ar.AppendAllowed(nil)) != 0 {
+		t.Fatal("Reset left protocol state behind")
 	}
 }
 
 // TestArbiterStaysAllocFree holds the arbitration hot path to zero
-// allocations per grant cycle under every shipped policy, in both
-// configurations that run it: the daemon shard's (a 256-record ring, as
-// internal/server sets it) and the simulator's (unbounded, Reset between
-// runs). Fcfs alone used to be guarded; delay allocated its formatted
-// Name() into every record, dynamic a dozen slices, a map and a sentence
-// per decision.
+// allocations per grant cycle under every shipped policy, reading each
+// decision's allowed names into one reused slice as a daemon shard does.
+// Fcfs alone used to be guarded; delay allocated its formatted Name() into
+// every record, dynamic a dozen slices, a map and a sentence per decision.
 func TestArbiterStaysAllocFree(t *testing.T) {
 	for _, p := range shippedPolicies() {
-		for _, logBound := range []int{256, -1} {
-			ar := NewArbiter(p)
-			ar.SetLogBound(logBound)
-			info := Info{}
-			info.SetFloat(KeyBytesTotal, 1e8)
-			apps := make([]*AppState, 8)
-			for i := range apps {
-				var err error
-				if apps[i], err = ar.Register(fmt.Sprintf("app-%d", i), 16); err != nil {
-					t.Fatal(err)
-				}
+		ar := NewArbiter(p)
+		info := Info{}
+		info.SetFloat(KeyBytesTotal, 1e8)
+		apps := make([]*AppState, 8)
+		for i := range apps {
+			var err error
+			if apps[i], err = ar.Register(fmt.Sprintf("app-%d", i), 16); err != nil {
+				t.Fatal(err)
 			}
-			// One run: every application prepares and informs, then each in
-			// turn takes a step and ends its phase, a decision after every
-			// verb as the shard loop and the Layer both take them.
-			run := func() {
-				now := 0.0
-				for _, a := range apps {
-					now++
-					a.Prepare(ParseInfo(info))
-					a.Inform(now)
-					ar.Arbitrate(now)
-				}
-				for _, a := range apps {
-					now++
-					if a.Authorized() && a.Activate().Err() == nil {
-						a.Progress(5e7)
-						a.Release() // just activated
-					}
-					ar.Arbitrate(now)
-					a.End()
-					a.Complete() // prepared above
-					ar.Arbitrate(now)
-				}
-				if logBound < 0 {
-					ar.Reset()
-				}
+		}
+		var allowed []string
+		decide := func(now float64) {
+			if _, _, acted := ar.Arbitrate(now); acted {
+				allowed = ar.AppendAllowed(allowed[:0])
 			}
-			for i := 0; i < 300; i++ {
-				run() // lap the ring until every slot has held its longest record
+		}
+		// One run: every application prepares and informs, then each in
+		// turn takes a step and ends its phase, a decision after every
+		// verb as the shard and the Layer both take them.
+		run := func() {
+			now := 0.0
+			for _, a := range apps {
+				now++
+				a.Prepare(ParseInfo(info))
+				a.Inform(now)
+				decide(now)
 			}
-			if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
-				t.Errorf("%s, log bound %d: %.1f allocations per run, want 0", p.Name(), logBound, allocs)
+			for _, a := range apps {
+				now++
+				if a.Authorized() && a.Activate().Err() == nil {
+					a.Progress(5e7)
+					a.Release() // just activated
+				}
+				decide(now)
+				a.End()
+				a.Complete() // prepared above
+				decide(now)
 			}
+		}
+		run() // size the scratch and the names slice
+		if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+			t.Errorf("%s: %.1f allocations per run, want 0", p.Name(), allocs)
 		}
 	}
 }
@@ -203,7 +164,7 @@ func TestSharedPolicyValueConcurrentArbiters(t *testing.T) {
 		now := 0.0
 		decide := func() {
 			now++
-			reasons = append(reasons, fmt.Sprint(arbitrate(ar, now).Reason, ar.LastRecord().Allowed))
+			reasons = append(reasons, fmt.Sprint(arbitrate(ar, now).Reason, ar.AppendAllowed(nil)))
 		}
 		for round := 0; round < 50; round++ {
 			for i, a := range apps {

@@ -8,7 +8,6 @@ import (
 
 func TestArbiterSetGetCreatesOnce(t *testing.T) {
 	s := NewArbiterSet(FCFSPolicy{})
-	s.SetLogBound(4)
 	b := s.Get("b")
 	a := s.Get("a")
 	def := s.Get("")
@@ -42,25 +41,5 @@ func TestArbiterSetConcurrentGet(t *testing.T) {
 	}
 	if len(s.byTarget) != 4 {
 		t.Fatalf("len = %d, want 4", len(s.byTarget))
-	}
-}
-
-func TestArbiterSetLogBoundPropagates(t *testing.T) {
-	s := NewArbiterSet(FCFSPolicy{})
-	s.SetLogBound(2)
-	pre := s.Get("pre")
-	s.SetLogBound(2) // applying again to existing arbiters must be safe
-	for i := 0; i < 5; i++ {
-		app := fmt.Sprintf("A%d", i)
-		st, err := pre.Register(app, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.Inform(float64(i))
-		pre.Arbitrate(float64(i))
-		st.End()
-	}
-	if got := len(pre.Log()); got != 2 {
-		t.Fatalf("bounded log kept %d records, want 2", got)
 	}
 }

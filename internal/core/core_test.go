@@ -207,23 +207,6 @@ func TestPrepareCompleteStack(t *testing.T) {
 	}
 }
 
-func TestDecisionLog(t *testing.T) {
-	eng := sim.NewEngine()
-	layer := NewLayer(eng, FCFSPolicy{}, 1e-4)
-	a := NewSession(layer.Register("A", 1))
-	var done float64
-	fakeIO(eng, a, 0, 2, 1, basicInfo(2, 1), &done)
-	eng.Run()
-	if len(layer.Log()) == 0 {
-		t.Fatal("no decisions logged")
-	}
-	for _, d := range layer.Log() {
-		if d.Policy != "fcfs" {
-			t.Fatalf("unexpected policy in log: %+v", d)
-		}
-	}
-}
-
 func TestPerfModelAloneBW(t *testing.T) {
 	m := &PerfModel{FSBandwidth: 1000, ProcNIC: 10}
 	// Injection-limited app.

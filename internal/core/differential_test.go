@@ -17,21 +17,25 @@ import (
 type refArbiter struct {
 	policy Policy
 	apps   []*AppState
-	log    []DecisionRecord
 }
 
-// outcome is one decision as the tests compare it.
+// outcome is one decision as the tests compare it; Allowed is sorted.
 type outcome struct {
 	Acted            bool
 	Reason           Reason
 	RecheckAfter     float64
 	Granted, Revoked []*AppState
+	Allowed          []string
 }
 
 // arbitrate runs one decision on ar and collects it.
 func arbitrate(ar *Arbiter, now float64) outcome {
 	reason, recheck, acted := ar.Arbitrate(now)
-	return outcome{acted, reason, recheck, ar.granted, ar.revoked}
+	out := outcome{Acted: acted, Reason: reason, RecheckAfter: recheck, Granted: ar.granted, Revoked: ar.revoked}
+	if acted {
+		out.Allowed = ar.AppendAllowed(nil)
+	}
+	return out
 }
 
 func (r *refArbiter) arbitrate(now float64) (out outcome) {
@@ -55,11 +59,10 @@ func (r *refArbiter) arbitrate(now float64) (out outcome) {
 	out.Acted = true
 	out.Reason, out.RecheckAfter = r.policy.Arbitrate(now, views, allowed, new(Scratch))
 	allowedNow := make(map[*AppState]bool)
-	names := []string(nil)
 	for i, a := range viewApps {
 		allowedNow[a] = allowed[i]
 		if allowed[i] {
-			names = append(names, a.name)
+			out.Allowed = append(out.Allowed, a.name)
 		}
 	}
 	for _, a := range r.apps {
@@ -75,8 +78,7 @@ func (r *refArbiter) arbitrate(now float64) (out outcome) {
 			out.Revoked = append(out.Revoked, a)
 		}
 	}
-	sort.Strings(names)
-	r.log = append(r.log, DecisionRecord{Time: now, Policy: r.policy.Name(), Allowed: names, Reason: out.Reason})
+	sort.Strings(out.Allowed)
 	return out
 }
 
@@ -207,18 +209,16 @@ type diffRun struct {
 	realApps  []*AppState // by slot; nil while unregistered
 	refApps   []*AppState
 	endedCold []bool // slot Ended since the last Arbitrate
-	logBound  int
 	now       float64
 	cov       *coverage
 }
 
-func newDiffRun(t *testing.T, p Policy, logBound int, cov *coverage) *diffRun {
-	d := &diffRun{t: t, logBound: logBound, cov: cov,
+func newDiffRun(t *testing.T, p Policy, cov *coverage) *diffRun {
+	d := &diffRun{t: t, cov: cov,
 		realApps: make([]*AppState, len(slotNames)), refApps: make([]*AppState, len(slotNames)),
 		endedCold: make([]bool, len(slotNames))}
 	d.realSpy, d.refSpy = &spy{Policy: p, t: t}, &spy{Policy: p, t: t}
 	d.real = NewArbiter(d.realSpy)
-	d.real.SetLogBound(logBound)
 	d.ref = &refArbiter{policy: d.refSpy}
 	return d
 }
@@ -345,7 +345,6 @@ func (d *diffRun) step(i int, op, arg byte) {
 		for _, a := range d.ref.apps {
 			a.reset()
 		}
-		d.ref.log = nil
 		clear(d.endedCold)
 	case opArbitrate:
 		d.cov.arbitrations++
@@ -370,28 +369,8 @@ func (d *diffRun) step(i int, op, arg byte) {
 		if g, w := appNames(got.Revoked), appNames(want.Revoked); !reflect.DeepEqual(g, w) {
 			t.Fatalf("step %d: revoked %v, reference %v", i, g, w)
 		}
-		wantLog := d.ref.log
-		switch {
-		case d.logBound == 0:
-			wantLog = nil
-		case d.logBound > 0 && len(wantLog) > d.logBound:
-			wantLog = wantLog[len(wantLog)-d.logBound:]
-		}
-		gotLog := d.real.Log()
-		if len(gotLog) != len(wantLog) {
-			t.Fatalf("step %d: log has %d records, reference %d", i, len(gotLog), len(wantLog))
-		}
-		// Older records were compared when they were the newest; checking
-		// one ring's worth keeps a long unbounded-log schedule linear.
-		for k := max(0, len(gotLog)-8); k < len(gotLog); k++ {
-			g, w := gotLog[k], wantLog[k]
-			if g.Time != w.Time || g.Policy != w.Policy || g.Reason.String() != w.Reason.String() ||
-				fmt.Sprint(g.Allowed) != fmt.Sprint(w.Allowed) {
-				t.Fatalf("step %d: log[%d] = %+v, reference %+v", i, k, g, w)
-			}
-		}
-		if len(gotLog) > 0 && !reflect.DeepEqual(*d.real.LastRecord(), gotLog[len(gotLog)-1]) {
-			t.Fatalf("step %d: LastRecord is not the newest log record", i)
+		if g, w := fmt.Sprint(got.Allowed), fmt.Sprint(want.Allowed); g != w {
+			t.Fatalf("step %d: allowed %s, reference %s", i, g, w)
 		}
 	case opTick:
 		d.now += float64(arg % 3) // zero keeps the next arrivals tied
@@ -502,21 +481,18 @@ func craftedSchedules() [][]byte {
 
 // TestArbiterMatchesReference drives the incremental Arbiter and the
 // rebuild-and-sort reference through the same schedules — the crafted ones
-// and seeded random ones — under every policy, with unbounded and
-// ring-bounded logging.
+// and seeded random ones — under every policy.
 func TestArbiterMatchesReference(t *testing.T) {
 	var cov coverage
 	for pi, p := range diffPolicies {
-		for _, logBound := range []int{-1, 5} { // unbounded, and the daemon's bounded ring
-			for _, s := range craftedSchedules() {
-				newDiffRun(t, p, logBound, &cov).run(s)
-			}
-			for seed := int64(1); seed <= 12; seed++ {
-				rng := rand.New(rand.NewSource(seed*100 + int64(pi)))
-				s := make([]byte, 1200)
-				rng.Read(s)
-				newDiffRun(t, p, logBound, &cov).run(s)
-			}
+		for _, s := range craftedSchedules() {
+			newDiffRun(t, p, &cov).run(s)
+		}
+		for seed := int64(1); seed <= 12; seed++ {
+			rng := rand.New(rand.NewSource(seed*100 + int64(pi)))
+			s := make([]byte, 1200)
+			rng.Read(s)
+			newDiffRun(t, p, &cov).run(s)
 		}
 	}
 	if cov.arrivalTies == 0 || cov.endInformNoArbitrate == 0 || cov.lateFirstName == 0 ||
@@ -527,8 +503,8 @@ func TestArbiterMatchesReference(t *testing.T) {
 	t.Logf("coverage: %+v", cov)
 }
 
-// FuzzArbiterSchedule is the same differential check with the schedule, the
-// policy and the log bound chosen by the fuzzer.
+// FuzzArbiterSchedule is the same differential check with the schedule and
+// the policy chosen by the fuzzer.
 func FuzzArbiterSchedule(f *testing.F) {
 	for i, s := range craftedSchedules() {
 		f.Add(append([]byte{byte(i)}, s...))
@@ -537,10 +513,7 @@ func FuzzArbiterSchedule(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		sel := int(data[0])
-		p := diffPolicies[sel%len(diffPolicies)]
-		sel /= len(diffPolicies)
-		logBound := []int{-1, 0, 1, 5}[sel%4]
-		newDiffRun(t, p, logBound, new(coverage)).run(data[1:])
+		p := diffPolicies[int(data[0])%len(diffPolicies)]
+		newDiffRun(t, p, new(coverage)).run(data[1:])
 	})
 }

@@ -121,13 +121,16 @@ type Effect struct {
 }
 
 // Decision is what one Arbitrate did; Acted is false when no application
-// was in an I/O phase. Granted and Revoked, the Arbiter's until its next
-// decision, list the flips in registration order: a granted application
-// that is Parked has a Wait the host answers with Serve, and the others the
-// host may notify. RecheckAt, when finite, is when the policy asked to be
-// re-arbitrated even if nothing changes, RecheckAfter after the decision.
+// was in an I/O phase. Reason is the policy's. Granted and Revoked, the
+// Arbiter's until its next decision, list the flips in registration order:
+// a granted application that is Parked has a Wait the host answers with
+// Serve, and the others the host may notify; Arbiter.AppendAllowed lists
+// every application the decision allowed. RecheckAt, when finite, is when
+// the policy asked to be re-arbitrated even if nothing changes,
+// RecheckAfter after the decision.
 type Decision struct {
 	Acted                   bool
+	Reason                  Reason
 	Granted, Revoked        []*AppState
 	RecheckAt, RecheckAfter float64
 }
@@ -135,7 +138,7 @@ type Decision struct {
 // NewDomain wraps an arbiter on which nothing is registered yet.
 func NewDomain(arb *Arbiter) *Domain { return &Domain{arb: arb, recheckAt: math.Inf(1)} }
 
-// Arbiter returns the domain's arbiter, for its log and its applications.
+// Arbiter returns the domain's arbiter, for its applications.
 func (d *Domain) Arbiter() *Arbiter { return d.arb }
 
 // Arbitrations counts the Arbitrate calls since the domain was made or Reset.
@@ -234,13 +237,13 @@ func (d *Domain) End(now float64, a *AppState) Effect {
 
 // Arbitrate runs one decision at now (see Arbiter.Arbitrate).
 func (d *Domain) Arbitrate(now float64) Decision {
-	_, recheck, acted := d.arb.Arbitrate(now)
+	reason, recheck, acted := d.arb.Arbitrate(now)
 	d.arbitrations++
 	d.recheckAt = math.Inf(1)
 	if recheck > 0 {
 		d.recheckAt = now + recheck
 	}
-	return Decision{Acted: acted, Granted: d.arb.granted, Revoked: d.arb.revoked,
+	return Decision{Acted: acted, Reason: reason, Granted: d.arb.granted, Revoked: d.arb.revoked,
 		RecheckAt: d.recheckAt, RecheckAfter: recheck}
 }
 

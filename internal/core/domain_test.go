@@ -76,12 +76,11 @@ func TestLedgerAccounting(t *testing.T) {
 // steady-state schedule of every verb through a Domain — Waits that park
 // and are served, protocol violations, the rechecks a policy asks for, and
 // an application that leaves mid-phase and joins again — allocates
-// nothing, under every shipped policy and with the daemon's bounded log.
+// nothing, under every shipped policy.
 func TestDomainStaysAllocFree(t *testing.T) {
 	served, rechecks := 0, 0
 	for _, p := range shippedPolicies() {
 		d := NewDomain(NewArbiter(p))
-		d.Arbiter().SetLogBound(256)
 		apps := make([]AppState, 8)
 		for i := range apps {
 			if err := d.Join(&apps[i], fmt.Sprintf("app-%d", i), 16); err != nil {
@@ -136,7 +135,7 @@ func TestDomainStaysAllocFree(t *testing.T) {
 			}
 		}
 		for i := 0; i < 300; i++ {
-			run() // lap the log ring until every slot has held its longest record
+			run() // size every scratch slice
 		}
 		if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
 			t.Errorf("%s: %.1f allocations per run, want 0", p.Name(), allocs)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -79,8 +80,9 @@ type Policy interface {
 	Arbitrate(now float64, apps []AppView, allowed []bool, scratch *Scratch) (reason Reason, recheck float64)
 }
 
-// DecisionRecord is a logged arbitration outcome. Allowed aliases the
-// logging Arbiter's storage: see Arbiter.Log and CloneLog.
+// DecisionRecord is one arbitration outcome, as a Layer logs it (Allowed
+// aliases the Layer's storage: see Layer.Log and CloneLog) and a daemon
+// shard keeps its latest.
 type DecisionRecord struct {
 	Time    float64
 	Policy  string
@@ -92,14 +94,23 @@ type DecisionRecord struct {
 // communicator the paper's prototype builds by launching all instances in
 // one mpirun. Coordinators register here and every state change triggers an
 // arbitration after the configured message latency. The coordination state
-// lives in a Domain, as on the daemon and in replay; the Layer adds only the
-// discrete-event mechanics: latency, recheck timing, waking parked processes.
+// lives in a Domain, as on the daemon and in replay; the Layer adds the
+// discrete-event mechanics — latency, recheck timing, waking parked
+// processes — and the decision log the simulator's results report.
 type Layer struct {
 	eng         *sim.Engine
 	dom         *Domain
 	latency     float64
 	arbitrateFn func()     // l.arbitrate, bound once: a poke allocates nothing
 	recheck     *sim.Timer // the pending recheck, if any
+
+	// The decision log, unless a harness switched it off: append-only, each
+	// record's Allowed cut from the names arena, and Reset keeps the
+	// capacity of both. policy is the policy's Name, resolved once.
+	logging bool
+	log     []DecisionRecord
+	names   []string
+	policy  string
 }
 
 // NewLayer creates a coordination layer with the given policy and one-way
@@ -109,7 +120,7 @@ func NewLayer(eng *sim.Engine, policy Policy, latency float64) *Layer {
 	if latency < 0 {
 		panic("core: negative latency")
 	}
-	l := &Layer{eng: eng, dom: NewDomain(NewArbiter(policy)), latency: latency}
+	l := &Layer{eng: eng, dom: NewDomain(NewArbiter(policy)), latency: latency, logging: true, policy: policy.Name()}
 	l.arbitrateFn = l.arbitrate
 	l.recheck = eng.NewTimer(l.arbitrateFn)
 	return l
@@ -119,10 +130,12 @@ func NewLayer(eng *sim.Engine, policy Policy, latency float64) *Layer {
 // engine, keeping the registered coordinators (and hence the policy and the
 // arrival tie-break order) so a reused platform re-runs a scenario without
 // re-registering. The decision log restarts in place, keeping its capacity:
-// a slice handed out by Log is valid until here (see Arbiter.Reset).
+// what Log handed out is overwritten, so a holder that wants it past the
+// Reset takes a CloneLog.
 func (l *Layer) Reset() {
 	l.recheck.Cancel()
 	l.dom.Reset()
+	l.log, l.names = l.log[:0], l.names[:0]
 	for _, a := range l.dom.arb.apps {
 		a.Data.(*Coordinator).reset()
 	}
@@ -131,16 +144,28 @@ func (l *Layer) Reset() {
 // Latency returns the one-way message latency.
 func (l *Layer) Latency() float64 { return l.latency }
 
-// Log returns the arbitration decision log, valid until the next Reset.
-func (l *Layer) Log() []DecisionRecord { return l.dom.arb.Log() }
+// Log returns the arbitration decision log, oldest first, valid until the
+// next Reset.
+func (l *Layer) Log() []DecisionRecord { return l.log }
 
-// SetLogBound bounds the decision log, as Arbiter.SetLogBound does: a
-// harness that reads no decisions (a ∆-sweep worker) sets 0 and logs
-// nothing. Set it before the first arbitration.
-func (l *Layer) SetLogBound(n int) { l.dom.arb.SetLogBound(n) }
+// SetLogging switches the decision log on (the default) or off: a harness
+// that reads no decisions (a ∆-sweep worker) logs nothing. Set it before the
+// first arbitration.
+func (l *Layer) SetLogging(on bool) { l.logging = on }
 
 // LogLen returns the number of decisions logged.
-func (l *Layer) LogLen() int { return len(l.dom.arb.log) }
+func (l *Layer) LogLen() int { return len(l.log) }
+
+// CloneLog copies a decision log deeply — records and Allowed names, which
+// otherwise alias the Layer's arena — for a holder that keeps it past the
+// Layer's next Reset.
+func CloneLog(log []DecisionRecord) []DecisionRecord {
+	out := slices.Clone(log)
+	for i := range out {
+		out[i].Allowed = slices.Clone(out[i].Allowed)
+	}
+	return out
+}
 
 // Register creates a coordinator for an application. Cores is the size of
 // the job, used by machine-wide efficiency metrics.
@@ -162,12 +187,19 @@ func (l *Layer) poke() {
 
 func (l *Layer) arbitrate() {
 	l.recheck.Cancel()
-	dec := l.dom.Arbitrate(l.eng.Now())
+	now := l.eng.Now()
+	dec := l.dom.Arbitrate(now)
 	if !dec.Acted {
 		return
 	}
-	if rec := l.dom.arb.LastRecord(); rec != nil && l.eng.Tracing() { // or the arguments box for nobody
-		l.eng.Tracef("calciom: policy=%s allowed=%v reason=%s", rec.Policy, rec.Allowed, rec.Reason)
+	if l.logging {
+		start := len(l.names)
+		l.names = l.dom.arb.AppendAllowed(l.names)
+		allowed := l.names[start:len(l.names):len(l.names)] // clipped: the next record appends past it
+		l.log = append(l.log, DecisionRecord{Time: now, Policy: l.policy, Allowed: allowed, Reason: dec.Reason})
+		if l.eng.Tracing() { // or the arguments box for nobody
+			l.eng.Tracef("calciom: policy=%s allowed=%v reason=%s", l.policy, allowed, dec.Reason)
+		}
 	}
 	for _, a := range dec.Granted {
 		if a.Parked() {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/approx"
 	"repro/internal/sim"
@@ -66,5 +68,61 @@ func TestStaleGrantMessageWakesNobody(t *testing.T) {
 	}
 	if b.grantsLive != 0 || b.grantsStale != 0 {
 		t.Fatalf("messages unaccounted for: live=%d stale=%d", b.grantsLive, b.grantsStale)
+	}
+}
+
+// TestDecisionLog: the Layer logs each decision that acted under the
+// policy's name, and a Layer whose log is switched off logs none.
+func TestDecisionLog(t *testing.T) {
+	for _, logging := range []bool{true, false} {
+		eng := sim.NewEngine()
+		layer := NewLayer(eng, FCFSPolicy{}, 1e-4)
+		layer.SetLogging(logging)
+		a := NewSession(layer.Register("A", 1))
+		var done float64
+		fakeIO(eng, a, 0, 2, 1, basicInfo(2, 1), &done)
+		eng.Run()
+		if !logging {
+			if layer.LogLen() != 0 {
+				t.Fatalf("a layer with its log off logged %d decisions", layer.LogLen())
+			}
+			continue
+		}
+		if len(layer.Log()) == 0 || layer.LogLen() != len(layer.Log()) {
+			t.Fatalf("logged %d decisions, LogLen %d", len(layer.Log()), layer.LogLen())
+		}
+		for _, d := range layer.Log() {
+			if d.Policy != "fcfs" || !slices.Equal(d.Allowed, []string{"A"}) {
+				t.Fatalf("unexpected record in log: %+v", d)
+			}
+		}
+	}
+}
+
+// Property: the decision log is well-formed — times nondecreasing and every
+// authorized name is a registered app.
+func TestPropertyDecisionLogWellFormed(t *testing.T) {
+	f := func(seed int64) bool {
+		layer, done := randomScenario(seed, policyForSeed(seed), 4)
+		if !done {
+			return false
+		}
+		valid := map[string]bool{"A": true, "B": true, "C": true, "D": true}
+		last := -1.0
+		for _, d := range layer.Log() {
+			if d.Time < last {
+				return false
+			}
+			last = d.Time
+			for _, name := range d.Allowed {
+				if !valid[name] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -12,7 +12,7 @@ type FairSharePolicy struct {
 }
 
 // Name implements Policy.
-func (FairSharePolicy) Name() string { return "fairshare" }
+func (f FairSharePolicy) Name() string { return "fairshare(" + specFloat(f.Quantum) + ")" }
 
 // Arbitrate implements Policy. Consumed service is approximated by the
 // progress each application has reported (bytes done): the app with the

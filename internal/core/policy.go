@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // InterferePolicy lets every application access the file system at once:
 // the uncoordinated baseline ("let them interfere").
@@ -63,7 +60,7 @@ type DelayPolicy struct {
 }
 
 // Name implements Policy.
-func (d DelayPolicy) Name() string { return fmt.Sprintf("delay(%.2f)", d.Overlap) }
+func (d DelayPolicy) Name() string { return "delay(" + specFloat(d.Overlap) + ")" }
 
 // Arbitrate implements Policy. The earliest arrival is the holder; later
 // arrivals overlap only inside their allowed window.

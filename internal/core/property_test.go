@@ -113,34 +113,6 @@ func TestPropertySerializingPoliciesAuthorizeOne(t *testing.T) {
 	}
 }
 
-// Property: the decision log is well-formed — times nondecreasing and every
-// authorized name is a registered app.
-func TestPropertyDecisionLogWellFormed(t *testing.T) {
-	f := func(seed int64) bool {
-		layer, done := randomScenario(seed, policyForSeed(seed), 4)
-		if !done {
-			return false
-		}
-		valid := map[string]bool{"A": true, "B": true, "C": true, "D": true}
-		last := -1.0
-		for _, d := range layer.Log() {
-			if d.Time < last {
-				return false
-			}
-			last = d.Time
-			for _, name := range d.Allowed {
-				if !valid[name] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: under FCFS, the first arrival of two non-overlapping phases is
 // never delayed: an app alone in the system always proceeds immediately.
 func TestPropertyLoneAppNeverWaits(t *testing.T) {

@@ -293,7 +293,7 @@ type sweepJob struct {
 func (job *sweepJob) run(pool *platform.Pool) {
 	pl := pool.Acquire(job.spec, job.factory)
 	if pl.Layer != nil {
-		pl.Layer.SetLogBound(0) // a Series reads no decision; the pool is the worker's own
+		pl.Layer.SetLogging(false) // a Series reads no decision; the pool is the worker's own
 	}
 	var starts [2]float64
 	n := len(job.dts)

@@ -74,7 +74,10 @@ func ExtensionFairShare() *Table {
 		Notes: "fairness equalizes progress and slows everyone; serializing is unfair\n" +
 			"but machine-wide better. policy: 0=uncoordinated 1=fairshare 2=fcfs 3=dynamic",
 	}
-	fairshare := func(m *core.PerfModel) core.Policy { return core.FairSharePolicy{Quantum: 0.5} }
+	fairshare, err := delta.Spec("fairshare(0.50)")
+	if err != nil {
+		panic(err) // a constant spec
+	}
 	policies := []struct {
 		code    float64
 		factory delta.PolicyFactory

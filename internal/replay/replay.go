@@ -615,7 +615,6 @@ var machines = sync.Pool{New: func() any { return new(machine) }}
 // policy's own revokes outgrow.
 func newMachine(pol core.Policy, st *stream, verify bool) *machine {
 	arb := core.NewArbiter(pol)
-	arb.SetLogBound(0)
 	arb.Reserve(st.sessions)
 	m := machines.Get().(*machine)
 	flips, recorded := 2*st.waits, 0

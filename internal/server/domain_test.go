@@ -75,8 +75,10 @@ type domainRun struct {
 	now   float64
 	clock atomic.Uint64 // the server's clock: now's bits
 
-	// The reference: the Domain and what a minimal host keeps around it.
+	// The reference: the Domain and what a minimal host keeps around it,
+	// its decisions included.
 	dom     *core.Domain
+	log     []core.DecisionRecord
 	app     []*core.AppState // the current session's, nil until it attaches
 	sid     []uint32
 	waitSeq []uint64
@@ -342,6 +344,16 @@ func (h *domainRun) serve(i int, seq uint64) {
 
 func (h *domainRun) arbitrate() {
 	dec := h.dom.Arbitrate(h.now)
+	if dec.Acted {
+		var allowed []string
+		for _, a := range h.dom.Arbiter().Apps() {
+			if a.Authorized() {
+				allowed = append(allowed, a.Name())
+			}
+		}
+		slices.Sort(allowed)
+		h.log = append(h.log, core.DecisionRecord{Time: h.now, Policy: h.pol.Name(), Allowed: allowed, Reason: dec.Reason})
+	}
 	for _, a := range dec.Granted {
 		i := a.Data.(int)
 		h.flips = append(h.flips, replay.Flip{Time: h.now, SID: h.sid[i], Grant: true})
@@ -396,7 +408,9 @@ func renderResponse(r wire.Response) string {
 	return fmt.Sprintf("seq=%d %s ok=%v auth=%v err=%q code=%s", r.Seq, r.Type, r.OK, r.Authorized, r.Err, r.Code)
 }
 
-// compare checks that the shard answered this step as the reference did.
+// compare checks that the shard answered this step as the reference did,
+// and that stats print the reference's latest decision, machine-wide and
+// for the target.
 func (h *domainRun) compare() {
 	for i, s := range h.sess {
 		var got []string
@@ -414,6 +428,20 @@ func (h *domainRun) compare() {
 		}
 		h.replies[i] = h.replies[i][:0]
 	}
+	want := ""
+	if n := len(h.log); n > 0 {
+		d := h.log[n-1]
+		want = fmt.Sprintf("t=%.3f allowed=%v %s", d.Time, d.Allowed, d.Reason)
+	}
+	st := h.srv.Stats()
+	target := ""
+	for _, ts := range st.Targets {
+		target = ts.LastDecision
+	}
+	if st.LastDecision != want || target != want {
+		h.t.Fatalf("%s t=%v, step %d: stats read last decision %q, target %q; the Domain decided %q",
+			h.pol.Name(), h.now, len(h.ops), st.LastDecision, target, want)
+	}
 }
 
 func renderLog(log []core.DecisionRecord) []string {
@@ -425,22 +453,17 @@ func renderLog(log []core.DecisionRecord) []string {
 }
 
 // finish compares what is left to compare once the schedule has run: the
-// decision logs, the shard's totals, and a replay of its trace.
+// shard's arbitration count and totals, and a replay of its trace.
 func (h *domainRun) finish() {
 	t := h.t
 	sh := h.shard()
-	want := renderLog(h.dom.Arbiter().Log())
 	sh.mu.Lock()
-	got := renderLog(sh.dom.Arbiter().Log())
 	arbs := sh.dom.Arbitrations()
 	sh.mu.Unlock()
-	if tail := want[max(0, len(want)-256):]; !slices.Equal(got, tail) { // the shard keeps a 256-record ring
-		t.Fatalf("%s: the shard logged\n%s\nthe Domain\n%s", h.pol.Name(), strings.Join(got, "\n"), strings.Join(tail, "\n"))
-	}
 	if arbs != h.dom.Arbitrations() {
 		t.Fatalf("%s: the shard arbitrated %d times, the Domain %d", h.pol.Name(), arbs, h.dom.Arbitrations())
 	}
-	h.cov.decisions = len(want)
+	h.cov.decisions = len(h.log)
 	// The live stats: every session still bound, and totals over every
 	// session there was.
 	st := h.srv.Stats()
@@ -587,7 +610,7 @@ func domainSchedule(t testing.TB, pol core.Policy, layer bool, schedule []byte) 
 	h.finish()
 	if layer {
 		log, served := h.layerRun()
-		if want := renderLog(h.dom.Arbiter().Log()); !slices.Equal(log, want) {
+		if want := renderLog(h.log); !slices.Equal(log, want) {
 			t.Fatalf("%s: the Layer logged\n%s\nthe Domain\n%s", pol.Name(), strings.Join(log, "\n"), strings.Join(want, "\n"))
 		}
 		if !slices.Equal(served, h.served) {
@@ -618,9 +641,10 @@ func TestDomainMatchesHosts(t *testing.T) {
 					cov.add(domainSchedule(t, pol, layer, schedule).cov)
 				}
 			}
-			// Verify checks the five policies their names rebuild: the
-			// three static ones, delay(0.50) and dynamic(cpu-seconds).
-			if cov.decisions < 20*8*len(hostPolicies) || cov.served < 100 || cov.rechecks == 0 || cov.verified != 5*8 ||
+			// Verify checks the six policies their names rebuild: the
+			// three static ones, delay(0.50), dynamic(cpu-seconds) and
+			// fairshare(2000.00).
+			if cov.decisions < 20*8*len(hostPolicies) || cov.served < 100 || cov.rechecks == 0 || cov.verified != 6*8 ||
 				!layer && (cov.violations == 0 || cov.cancelled == 0 || cov.busyLeaves == 0 || cov.resumes == 0) {
 				t.Fatalf("schedules missed a hazard: %+v", cov)
 			}

@@ -38,9 +38,12 @@ func metricsServer(tb testing.TB, pol core.Policy, m *core.PerfModel, k int) (*S
 
 // TestMetricsStayAllocFree pins the instrumented arbitration cycle at zero
 // allocations, metrics and sampled event emission both enabled — the same
-// guard recording has — under every policy the registry builds by name.
-// delay(0.50) arms its shard's recheck timer on arbitrations that defer a
-// newcomer; the timer is re-armed in place, so that costs nothing either.
+// guard recording has — under every policy the registry builds by name but
+// fairshare, whose least-served pick does not follow this cycle's rotation:
+// the cycled session's Release would be a protocol violation, and its error
+// reply allocates. delay(0.50) arms its shard's recheck timer on
+// arbitrations that defer a newcomer; the timer is re-armed in place, so
+// that costs nothing either.
 func TestMetricsStayAllocFree(t *testing.T) {
 	m := &core.PerfModel{FSBandwidth: 1 << 30, ProcNIC: 1 << 20}
 	for _, tc := range []struct {
@@ -64,7 +67,7 @@ func TestMetricsStayAllocFree(t *testing.T) {
 				srv.handle(s, wire.Request{Seq: 8, Type: wire.TypeWait})
 			}
 			for i := 0; i < 256; i++ {
-				cycle() // warm the decision-log ring and the event sampler
+				cycle() // warm the latest decision's names and the event sampler
 			}
 			if allocs := testing.AllocsPerRun(512, cycle); allocs > tc.allocs {
 				t.Fatalf("metrics add %.2f allocs per arbitration cycle, want at most %v", allocs, tc.allocs)

@@ -66,9 +66,6 @@ type Config struct {
 	// make entire runs deterministic. The clock must be safe for concurrent
 	// use: every connection's reader goroutine reads it.
 	Clock func() float64
-	// LogBound bounds each target's decision log kept for stats: 0 means
-	// the default (256), negative disables logging entirely (benchmarks).
-	LogBound int
 	// Logf, when set, receives one line per lifecycle event (connects,
 	// evictions, shutdown). The arbitration hot path never logs.
 	Logf func(format string, args ...any)
@@ -226,7 +223,6 @@ func (s *session) name() string {
 type Server struct {
 	cfg   Config
 	clock func() float64
-	set   *core.ArbiterSet
 
 	stop chan struct{}
 
@@ -280,15 +276,6 @@ func New(cfg Config) (*Server, error) {
 		start := time.Now()
 		clock = func() float64 { return time.Since(start).Seconds() }
 	}
-	set := core.NewArbiterSet(cfg.Policy)
-	switch {
-	case cfg.LogBound < 0:
-		set.SetLogBound(0)
-	case cfg.LogBound == 0:
-		set.SetLogBound(256)
-	default:
-		set.SetLogBound(cfg.LogBound)
-	}
 	var m *serverMetrics
 	if cfg.Metrics != nil {
 		m = newServerMetrics(cfg.Metrics)
@@ -296,7 +283,6 @@ func New(cfg Config) (*Server, error) {
 	return &Server{
 		cfg:       cfg,
 		clock:     clock,
-		set:       set,
 		m:         m,
 		stop:      make(chan struct{}),
 		serveDone: make(chan struct{}),

@@ -365,28 +365,30 @@ func TestDeterministicGivenSerializedOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Drive the arbitration core directly (no network): three apps
-		// interleaving phases in one fixed order.
+		// interleaving phases in one fixed order, the shard's latest
+		// decision transcribed after every request.
+		var sb strings.Builder
+		do := func(s *session, req wire.Request) {
+			srv.handle(s, req)
+			for _, sh := range srv.shardsSorted() {
+				fmt.Fprintf(&sb, "t=%.6f allowed=%v %s\n", sh.last.Time, sh.last.Allowed, sh.last.Reason)
+			}
+		}
 		ss := make([]*session, 3)
 		for i := range ss {
 			ss[i] = &session{}
 			srv.sessions = map[*session]struct{}{}
-			srv.handle(ss[i], wire.Request{Seq: 1, Type: wire.TypeRegister, App: fmt.Sprintf("app-%d", i), Cores: 32})
-			srv.handle(ss[i], wire.Request{Seq: 2, Type: wire.TypePrepare, Info: map[string]string{core.KeyBytesTotal: "1000"}})
+			do(ss[i], wire.Request{Seq: 1, Type: wire.TypeRegister, App: fmt.Sprintf("app-%d", i), Cores: 32})
+			do(ss[i], wire.Request{Seq: 2, Type: wire.TypePrepare, Info: map[string]string{core.KeyBytesTotal: "1000"}})
 		}
 		for round := 0; round < 5; round++ {
 			for _, s := range ss {
-				srv.handle(s, wire.Request{Seq: 3, Type: wire.TypeInform})
-				srv.handle(s, wire.Request{Seq: 4, Type: wire.TypeWait})
+				do(s, wire.Request{Seq: 3, Type: wire.TypeInform})
+				do(s, wire.Request{Seq: 4, Type: wire.TypeWait})
 			}
 			for _, s := range ss {
-				srv.handle(s, wire.Request{Seq: 5, Type: wire.TypeRelease, BytesDone: float64(100 * (round + 1))})
-				srv.handle(s, wire.Request{Seq: 6, Type: wire.TypeEnd})
-			}
-		}
-		var sb strings.Builder
-		for _, sh := range srv.shardsSorted() {
-			for _, d := range sh.dom.Arbiter().Log() {
-				fmt.Fprintf(&sb, "t=%.6f allowed=%v %s\n", d.Time, d.Allowed, d.Reason)
+				do(s, wire.Request{Seq: 5, Type: wire.TypeRelease, BytesDone: float64(100 * (round + 1))})
+				do(s, wire.Request{Seq: 6, Type: wire.TypeEnd})
 			}
 		}
 		st := srv.snapshot(srv.clock())
@@ -406,8 +408,8 @@ func TestDeterministicGivenSerializedOrder(t *testing.T) {
 }
 
 // BenchmarkServerArbitrate measures the daemon's arbitration core — request
-// handling, policy decision, grant delivery, bounded decision logging —
-// without network I/O, under the default configuration (LogBound 256).
+// handling, policy decision, grant delivery, the shard's record of its
+// latest decision — without network I/O, under the default configuration.
 // Each iteration retires the current fcfs holder (release + end),
 // re-queues it (inform + wait) and serves exactly one deferred grant to
 // the next application in line.

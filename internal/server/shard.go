@@ -32,9 +32,9 @@ type binding struct {
 	holding bool
 }
 
-// shard hosts one storage target's core.Domain, over an arbiter from the
-// server's ArbiterSet, with the target's bindings, counters, trace records
-// and recheck timer, all behind its gate. Whoever has work for the target —
+// shard hosts one storage target's core.Domain, over an arbiter of its own,
+// with the target's bindings, counters, trace records, recheck timer and
+// latest decision, all behind its gate. Whoever has work for the target —
 // a connection's reader, control-plane work under the control lock, Drain,
 // the recheck timer — locks the shard, runs the work to completion on its
 // own goroutine and unlocks; nothing under the lock blocks or takes the
@@ -67,6 +67,11 @@ type shard struct {
 	// the aggregates are cumulative (like offline replay's totals) rather
 	// than shrinking as sessions leave.
 	gone core.Ledger
+
+	// last is the latest decision that acted, for stats (its Policy left
+	// empty), once decided; every decision reuses its Allowed slice.
+	last    core.DecisionRecord
+	decided bool
 }
 
 // DefaultMaxTargets is the default bound on distinct storage targets.
@@ -101,7 +106,7 @@ func (srv *Server) shardFor(target string) (*shard, error) {
 	sh = &shard{
 		srv:      srv,
 		target:   target,
-		dom:      core.NewDomain(srv.set.Get(target)),
+		dom:      core.NewDomain(core.NewArbiter(srv.cfg.Policy)),
 		bindings: make(map[*session]*binding),
 		ev:       srv.cfg.Events,
 		// Drain sets the flag before it lists the shards to drain, so a
@@ -462,6 +467,10 @@ func (sh *shard) arbitrate(now float64) {
 	dec := sh.dom.Arbitrate(now)
 	if sh.m != nil {
 		sh.m.arbitrations.Inc()
+	}
+	if dec.Acted {
+		sh.last = core.DecisionRecord{Time: now, Allowed: sh.dom.Arbiter().AppendAllowed(sh.last.Allowed[:0]), Reason: dec.Reason}
+		sh.decided = true
 	}
 	for _, a := range dec.Granted {
 		b := a.Data.(*binding)

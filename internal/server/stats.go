@@ -11,13 +11,12 @@ import (
 
 // shardSnap is one shard's slice of a stats snapshot, assembled under the
 // shard's lock and merged under the control lock: the target's row, its
-// latest decision's time, and its application rows.
+// latest decision's time (-Inf before the first), and its application rows.
 type shardSnap struct {
 	wire.TargetStats
-	lastTime    float64
-	hasDecision bool
-	apps        []wire.AppStats
-	rep         []metrics.AppResult
+	lastTime float64
+	apps     []wire.AppStats
+	rep      []metrics.AppResult
 }
 
 // GrantsServed returns the total number of Wait authorizations served
@@ -47,11 +46,10 @@ func (sh *shard) snap(now float64) shardSnap {
 		Target:       sh.target,
 		Apps:         len(sh.bindings),
 		Arbitrations: sh.dom.Arbitrations(),
-	}}
-	if rec := sh.dom.Arbiter().LastRecord(); rec != nil {
-		sn.LastDecision = fmt.Sprintf("t=%.3f allowed=%v %s", rec.Time, rec.Allowed, rec.Reason)
-		sn.lastTime = rec.Time
-		sn.hasDecision = true
+	}, lastTime: math.Inf(-1)}
+	if sh.decided {
+		sn.LastDecision = fmt.Sprintf("t=%.3f allowed=%v %s", sh.last.Time, sh.last.Allowed, sh.last.Reason)
+		sn.lastTime = sh.last.Time
 	}
 	if sh.m != nil {
 		h := sh.m.waitSeconds.Snapshot()
@@ -133,7 +131,7 @@ func (srv *Server) merge(now float64, snaps []shardSnap) wire.Stats {
 		st.WaitsDeferred += sn.WaitsDeferred
 		st.ConvoyWaitS += sn.ConvoyWaitS
 		st.ProtocolWaitS += sn.ProtocolWaitS
-		if sn.hasDecision && sn.lastTime > lastTime {
+		if sn.lastTime > lastTime {
 			lastTime = sn.lastTime
 			st.LastDecision = sn.LastDecision
 		}

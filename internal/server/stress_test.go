@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/trace"
 )
 
 // stressClient drives one application through its phases with raw
@@ -113,11 +115,19 @@ func TestStressFCFSExactlyOneWriter(t *testing.T) {
 // TestStressInterruptSingleAuthorization runs the same flood under the
 // interruption policy. Here the one-writer guarantee is weaker by design —
 // a preempted holder pauses only at its next coordination point (paper
-// §III-A2) — so the invariant is checked where it does hold: every logged
-// decision authorizes at most one application, and every session completes.
+// §III-A2) — so the invariant is checked where it does hold: every decision
+// authorizes at most one application, and every session completes. The
+// decisions are read back from the shard's recorded trace, where each one
+// is the run of grants and revokes it flipped: once the run is in, at most
+// one application may hold authorization.
 func TestStressInterruptSingleAuthorization(t *testing.T) {
 	const clients, phases, steps = 32, 2, 3
-	srv, addr := startTestServer(t, Config{Policy: core.InterruptPolicy{}, LogBound: 1 << 20})
+	var buf bytes.Buffer
+	tw, err := trace.NewWriter(&buf, trace.Header{Source: trace.SourceDaemon, Policy: "interrupt"}, 1<<18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, addr := startTestServer(t, Config{Policy: core.InterruptPolicy{}, Trace: tw})
 
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
@@ -139,19 +149,54 @@ func TestStressInterruptSingleAuthorization(t *testing.T) {
 	if want := uint64(clients * phases * steps); st.GrantsServed != want {
 		t.Fatalf("grants served = %d, want %d", st.GrantsServed, want)
 	}
-	srv.Close() // quiesce the readers before reading the shards' logs
-	logged := 0
-	for _, sh := range srv.shardsSorted() {
-		log := sh.dom.Arbiter().Log()
-		logged += len(log)
-		for _, d := range log {
-			if len(d.Allowed) > 1 {
-				t.Fatalf("interrupt decision authorized %v (want at most one)", d.Allowed)
-			}
+	srv.Close() // quiesce the shards before reading the trace
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Dropped != 0 {
+		t.Fatalf("%d trace events dropped", tr.Dropped)
+	}
+	// A grant authorizes; revoke, end and unregister lapse. A target's
+	// decision is complete at its next event that is no flip.
+	authorized := make(map[string]map[uint32]bool)
+	open := make(map[string]bool) // a decision's flips are in, not yet checked
+	decisions := 0
+	check := func(target string) {
+		decisions++
+		if n := len(authorized[target]); n > 1 {
+			t.Fatalf("an interrupt decision left %d applications authorized on target %q (want at most one)", n, target)
+		}
+		open[target] = false
+	}
+	for _, ev := range tr.Events {
+		set := authorized[ev.Target]
+		if set == nil {
+			set = make(map[uint32]bool)
+			authorized[ev.Target] = set
+		}
+		flip := ev.Type == trace.EvGrant || ev.Type == trace.EvRevoke
+		if !flip && open[ev.Target] {
+			check(ev.Target)
+		}
+		open[ev.Target] = open[ev.Target] || flip
+		switch ev.Type {
+		case trace.EvGrant:
+			set[ev.SID] = true
+		case trace.EvRevoke, trace.EvEnd, trace.EvUnregister:
+			delete(set, ev.SID)
 		}
 	}
-	if logged == 0 {
-		t.Fatal("no decisions logged")
+	for target, o := range open {
+		if o {
+			check(target)
+		}
+	}
+	if decisions == 0 {
+		t.Fatal("no decisions recorded")
 	}
 }
 

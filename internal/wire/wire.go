@@ -196,8 +196,8 @@ type AppStats struct {
 	WaitsDeferred  uint64 `json:"waits_deferred,omitempty"`
 	// ConvoyWaitS and ProtocolWaitS decompose WaitTimeS by the cause at the
 	// moment the Wait was deferred: convoy time was spent queued behind
-	// another authorized application (the fcfs start-up convoy the load
-	// generator's -stagger flag works around); protocol time was deferred
+	// another authorized application (the fcfs start-up convoy, for
+	// example); protocol time was deferred
 	// with no other holder — pure arbitration/recheck latency (a delay
 	// policy holding everyone back, for example). Phases, Grants, IOTimeS
 	// and the wait figures come from the session's core.Ledger, which
