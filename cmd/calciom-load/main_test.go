@@ -41,17 +41,17 @@ func startDaemon(t *testing.T, dc config.Daemon, cfg server.Config) *daemon {
 	t.Helper()
 	d := &daemon{path: filepath.Join(t.TempDir(), "run.trace")}
 	var err error
+	if cfg.Policy, err = dc.BuildPolicy(); err != nil {
+		t.Fatal(err)
+	}
 	if d.tf, err = os.Create(d.path); err != nil {
 		t.Fatal(err)
 	}
 	opts := trace.Options{SyncEvery: trace.DefaultSyncEvery, SyncInterval: trace.DefaultSyncInterval}
-	if d.tw, err = trace.NewWriterOptions(d.tf, dc.TraceHeader(), opts); err != nil {
+	if d.tw, err = trace.NewWriterOptions(d.tf, dc.TraceHeader(cfg.Policy), opts); err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	if cfg.Policy, err = dc.BuildPolicy(); err != nil {
-		t.Fatal(err)
-	}
 	cfg.Model, cfg.Trace, cfg.Metrics = dc.Model(), d.tw, reg
 	if d.srv, err = server.New(cfg); err != nil {
 		t.Fatal(err)

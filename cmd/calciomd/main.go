@@ -4,19 +4,18 @@
 // system — the paper's coordination API served online instead of inside the
 // simulator.
 //
-// Configuration comes from a strict JSON file (internal/config.Daemon) with
-// flag overrides:
+// Its flags are its whole configuration (internal/config.Daemon); given
+// none, it serves fcfs on 127.0.0.1:9595:
 //
-//	calciomd -config daemon.json
 //	calciomd -listen 127.0.0.1:9595 -policy fcfs -session-timeout 60
+//	calciomd -policy 'delay(0.25)' -fs-mibps 4096 -proc-nic-mibps 3
 //
-// With -record (or record_path in the config) the daemon writes every
-// coordination event to a trace file; calciom-replay re-arbitrates such a
-// trace offline under every policy. Recording adds no allocation or
-// blocking to the arbitration hot path.
+// With -record the daemon writes every coordination event to a trace file;
+// calciom-replay re-arbitrates such a trace offline under every policy.
+// Recording adds no allocation or blocking to the arbitration hot path.
 //
-// With -admin (or admin_addr) the daemon serves its observability endpoints
-// on a second address: /metrics in Prometheus text format (per-target grant,
+// With -admin the daemon serves its observability endpoints on a second
+// address: /metrics in Prometheus text format (per-target grant,
 // arbitration and revoke counters, queue depth, wait and hold latency
 // histograms, per-app rows from the stats merge), /healthz
 // (serving/draining/degraded), /statusz (the full stats snapshot as JSON)
@@ -71,20 +70,21 @@ func main() {
 func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 	fs := flag.NewFlagSet("calciomd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	cfgPath := fs.String("config", "", "JSON daemon configuration file")
-	listen := fs.String("listen", "", "listen address (overrides config)")
-	policy := fs.String("policy", "", "arbitration policy: "+core.PolicySpecs+"; bare delay is delay(delay_overlap), bare dynamic dynamic(cpu-seconds) (overrides config)")
-	timeout := fs.Float64("session-timeout", -1, "evict sessions idle this many seconds; 0 disables (overrides config)")
-	grace := fs.Float64("grant-grace", -1, "keep a disconnected session's grants this many seconds for resume; 0 drops immediately (overrides config)")
-	record := fs.String("record", "", "record every coordination event to this trace file (overrides config)")
-	statsEvery := fs.Duration("stats-interval", 0, "print a live metrics line this often (0 = off)")
+	var d config.Daemon
+	fs.StringVar(&d.ListenAddr, "listen", "", "listen address (default "+config.DefaultListenAddr+")")
+	fs.StringVar(&d.Policy, "policy", "", "arbitration policy: "+core.PolicySpecs+"; bare delay is delay(0), bare dynamic dynamic(cpu-seconds), delay and dynamic need -fs-mibps (default fcfs)")
+	fs.Float64Var(&d.FSMiBps, "fs-mibps", 0, "file system bandwidth in MiB/s, for the performance model of delay and dynamic and the live interference factors")
+	fs.Float64Var(&d.ProcNICMiBps, "proc-nic-mibps", 0, "per-process NIC bandwidth in MiB/s, for the performance model")
+	fs.Float64Var(&d.SessionTimeoutS, "session-timeout", 0, "evict sessions idle this many seconds; 0 disables")
+	fs.Float64Var(&d.GrantGraceS, "grant-grace", 0, "keep a disconnected session's grants this many seconds for resume; 0 drops immediately")
+	fs.StringVar(&d.RecordPath, "record", "", "record every coordination event to this trace file")
+	fs.StringVar(&d.AdminAddr, "admin", "", "serve /metrics, /healthz, /statusz and pprof on this address, e.g. 127.0.0.1:9596")
+	fs.StringVar(&d.LogLevel, "log-level", "", "grant-lifecycle event logging to stderr: debug|info|warn|error; empty = off")
+	fs.IntVar(&d.LogSample, "log-sample", 0, "log every Nth grant event; lifecycle events always log (0 = every grant)")
+	fs.IntVar(&d.MaxSessions, "max-sessions", 0, "reject registrations beyond this many live sessions with a retryable busy error; 0 = unlimited")
+	fs.Float64Var(&d.HandshakeTimeoutS, "handshake-timeout", 0, "drop connections that have not registered within this many seconds; 0 disables")
+	fs.Float64Var(&d.MaxRequestsPerSec, "max-requests-per-sec", 0, "per-connection request rate limit; 0 disables")
 	quiet := fs.Bool("quiet", false, "suppress connection lifecycle logging")
-	admin := fs.String("admin", "", "serve /metrics, /healthz, /statusz and pprof on this address, e.g. 127.0.0.1:9596 (overrides config)")
-	logLevel := fs.String("log-level", "", "grant-lifecycle event logging to stderr: debug|info|warn|error; empty = off (overrides config)")
-	logSample := fs.Int("log-sample", -1, "log every Nth grant event; lifecycle events always log (overrides config)")
-	maxSessions := fs.Int("max-sessions", 0, "reject registrations beyond this many live sessions with a retryable busy error; 0 = unlimited (overrides config)")
-	handshakeTimeout := fs.Float64("handshake-timeout", -1, "drop connections that have not registered within this many seconds; 0 disables (overrides config)")
-	maxRPS := fs.Float64("max-requests-per-sec", -1, "per-connection request rate limit; 0 disables (overrides config)")
 	drainLinger := fs.Duration("drain-linger", 0, "after a drain signal, keep /healthz answering \"draining\" this long (or until a second signal) before shutting down")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -96,28 +96,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		fmt.Fprintln(stderr, err)
 		return status
 	}
-
-	d := config.Daemon{}
-	if *cfgPath != "" {
-		var err error
-		if d, err = config.LoadDaemon(*cfgPath); err != nil {
-			return fail(2, err)
-		}
-	}
-	// A flag overrides the configuration only when given: a string when
-	// set, a number when not at its negative (or, for -max-sessions, zero)
-	// default.
-	override(&d.ListenAddr, *listen, *listen != "")
-	override(&d.Policy, *policy, *policy != "")
-	override(&d.SessionTimeoutS, *timeout, *timeout >= 0)
-	override(&d.GrantGraceS, *grace, *grace >= 0)
-	override(&d.RecordPath, *record, *record != "")
-	override(&d.AdminAddr, *admin, *admin != "")
-	override(&d.LogLevel, *logLevel, *logLevel != "")
-	override(&d.LogSample, *logSample, *logSample >= 0)
-	override(&d.MaxSessions, *maxSessions, *maxSessions > 0)
-	override(&d.HandshakeTimeoutS, *handshakeTimeout, *handshakeTimeout >= 0)
-	override(&d.MaxRequestsPerSec, *maxRPS, *maxRPS >= 0)
 	if err := d.Validate(); err != nil {
 		return fail(2, err)
 	}
@@ -125,6 +103,13 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 	if err != nil {
 		return fail(2, err)
 	}
+	// Listen before creating the trace: a daemon that cannot serve must not
+	// truncate the recording at -record.
+	ln, err := net.Listen("tcp", d.Addr())
+	if err != nil {
+		return fail(1, err)
+	}
+	defer ln.Close() // Serve owns it from there on; this covers the error returns
 
 	var tw *trace.Writer
 	var tf *os.File
@@ -139,7 +124,7 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		// much trace a kill -9 loses, and calciom-replay -allow-truncated
 		// reads the survivors.
 		opts := trace.Options{SyncEvery: trace.DefaultSyncEvery, SyncInterval: trace.DefaultSyncInterval}
-		if tw, err = trace.NewWriterOptions(tf, d.TraceHeader(), opts); err != nil {
+		if tw, err = trace.NewWriterOptions(tf, d.TraceHeader(pol), opts); err != nil {
 			return fail(2, err)
 		}
 		defer tw.Close()
@@ -165,7 +150,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 	}
 
 	srv, err := server.New(server.Config{
-		ListenAddr:       d.Addr(),
 		Policy:           pol,
 		Model:            d.Model(),
 		SessionTimeout:   d.SessionTimeout(),
@@ -215,18 +199,7 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		srv.Close()
 	}()
 
-	if *statsEvery > 0 {
-		go func() {
-			for range time.Tick(*statsEvery) {
-				st := srv.Stats()
-				fmt.Fprintf(stdout, "calciomd: t=%.1fs sessions=%d grants=%d arbitrations=%d cpu-sec-wasted=%.1f convoy-wait=%.3fs proto-wait=%.3fs\n",
-					st.NowS, st.Sessions, st.GrantsServed, st.Arbitrations, st.CPUSecondsWasted,
-					st.ConvoyWaitS, st.ProtocolWaitS)
-			}
-		}()
-	}
-
-	if err := srv.ListenAndServe(); err != nil {
+	if err := srv.Serve(ln); err != nil {
 		return fail(1, err)
 	}
 	// A drained daemon can linger so operators (and the chaos smoke) observe
@@ -238,7 +211,7 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		case <-secondSig:
 		}
 	}
-	// ListenAndServe returns as soon as the accept loop stops; connection
+	// Serve returns as soon as the accept loop stops; connection
 	// readers may still be arbitrating (and recording). Close blocks until
 	// the whole teardown — including the signal goroutine's — is complete
 	// and every shard is marked stopped, so the trace writer below cannot
@@ -268,11 +241,4 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 			tw.Recorded(), tw.Dropped(), d.RecordPath)
 	}
 	return 0
-}
-
-// override sets *field to v when the flag that holds v was given.
-func override[T any](field *T, v T, given bool) {
-	if given {
-		*field = v
-	}
 }

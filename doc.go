@@ -325,7 +325,7 @@
 //
 //   - Client crash (process death, kill -9): the daemon sees the
 //     connection drop. A registered session does not lose its grants
-//     immediately — it enters a grace window (grant_grace_s, shorter than
+//     immediately — it enters a grace window (-grant-grace, shorter than
 //     the idle session timeout) during which a resumed incarnation can
 //     reclaim its name and every grant it held. Only when the grace
 //     expires are the session's grants revoked and its targets
@@ -622,9 +622,8 @@
 //
 // # Observability
 //
-// calciomd -admin ADDR (admin_addr in the config) serves the daemon's
-// observability surface on a second listener, built on the dependency-free
-// internal/obs package:
+// calciomd -admin ADDR serves the daemon's observability surface on a
+// second listener, built on the dependency-free internal/obs package:
 //
 //	/metrics        Prometheus text format: counters, gauges, histograms
 //	/healthz        "serving", "draining" or "degraded" (non-serving: 503)
@@ -679,14 +678,13 @@
 // rate limiting — each answering with a typed retryable error rather than
 // degrading silently:
 //
-//   - Admission control (-max-sessions / max_sessions): registrations of
-//     fresh names beyond the bound are rejected with the retryable code
-//     "busy"; resumes of existing names are always admitted (a reconnecting
-//     holder must never be locked out of its own grants). Alongside it,
-//     -handshake-timeout (handshake_timeout_s, shorter than the idle
-//     session timeout) drops connections that never register — the
-//     slow-loris hole idle eviction cannot see, because eviction only
-//     covers registered sessions.
+//   - Admission control (-max-sessions): registrations of fresh names
+//     beyond the bound are rejected with the retryable code "busy";
+//     resumes of existing names are always admitted (a reconnecting holder
+//     must never be locked out of its own grants). Alongside it,
+//     -handshake-timeout (shorter than -session-timeout) drops connections
+//     that never register — the slow-loris hole idle eviction cannot see,
+//     because eviction only covers registered sessions.
 //   - Load shedding: a shard has no queue to measure, so it counts the
 //     requests in flight on it — one holding its lock, the rest waiting
 //     for it. A reader runs its connection's request itself, so the count
@@ -708,10 +706,9 @@
 //     in flight is not the daemon's to hold: it waits in the socket
 //     buffer, where TCP flow control pushes back on the sender, and the
 //     per-connection rate limit below bounds how fast it can grow.
-//   - Per-connection rate limiting (-max-requests-per-sec /
-//     max_requests_per_sec): a token bucket per connection (burst = one
-//     second's worth), maintained as plain locals on the reader goroutine —
-//     zero allocation, zero locks. The first over-limit request gets one
+//   - Per-connection rate limiting (-max-requests-per-sec): a token bucket
+//     per connection (burst = one second's worth), maintained as plain
+//     locals on the reader goroutine — zero allocation, zero locks. The first over-limit request gets one
 //     retryable "overloaded" reply; a second violation with no compliant
 //     request in between disconnects the connection.
 //

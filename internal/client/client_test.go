@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -18,22 +19,19 @@ func TestConnectionLossFailsPendingCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.ListenAndServe()
-	t.Cleanup(func() { srv.Close() })
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Addr() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("server never listened")
-		}
-		time.Sleep(time.Millisecond)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
 
-	a, err := client.Dial(srv.Addr().String())
+	a, err := client.Dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := client.Dial(srv.Addr().String())
+	b, err := client.Dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

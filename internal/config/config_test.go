@@ -135,3 +135,61 @@ func TestExampleScenarioIsTheFabricPair(t *testing.T) {
 		t.Fatalf("examples/scenario.json is\n%+v\nwant\n%+v", got, want)
 	}
 }
+
+// TestStrictErrorsCarryLineNumbers pins the failure-reporting contract of
+// scenario files: unknown keys are rejected (not silently ignored) and every
+// error names the offending line.
+func TestStrictErrorsCarryLineNumbers(t *testing.T) {
+	cases := []struct {
+		name string
+		in   string
+		want []string // substrings the error must contain
+	}{
+		{
+			name: "unknown scenario key with line",
+			in: "{\n" +
+				`  "name": "x",` + "\n" +
+				`  "proc_nic_mibbs": 4` + "\n" +
+				"}",
+			want: []string{"line 3", "proc_nic_mibbs"},
+		},
+		{
+			name: "unknown nested key with line",
+			in: "{\n" +
+				`  "name": "x",` + "\n" +
+				`  "fs": {` + "\n" +
+				`    "servers": 1,` + "\n" +
+				`    "stripe_kb": 64` + "\n" +
+				"  }\n}",
+			want: []string{"line 5", "stripe_kb"},
+		},
+		{
+			name: "syntax error with line",
+			in:   "{\n  \"name\": \"x\",\n  \"fs\": {,}\n}",
+			want: []string{"line 3"},
+		},
+		{
+			name: "type error with line",
+			in:   "{\n  \"name\": 42\n}",
+			want: []string{"line 2", "name"},
+		},
+		{
+			name: "trailing garbage",
+			in:   `{"name":"x"}{"again":true}`,
+			want: []string{"line 1", "after top-level value"},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Parse(strings.NewReader(tc.in))
+			if err == nil {
+				t.Fatal("expected error")
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Fatalf("error %q does not mention %q", err, w)
+				}
+			}
+		})
+	}
+}

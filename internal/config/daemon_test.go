@@ -9,266 +9,80 @@ import (
 	"repro/internal/trace"
 )
 
-// TestStrictErrorsCarryLineNumbers pins the failure-reporting contract for
-// both config dialects: unknown keys are rejected (not silently ignored)
-// and every error names the offending line.
-func TestStrictErrorsCarryLineNumbers(t *testing.T) {
+// TestDaemonValidate: each calciomd setting's range and cross checks, the
+// policy aliases, and the trace header that names the built policy.
+func TestDaemonValidate(t *testing.T) {
 	cases := []struct {
 		name string
-		in   string
-		want []string // substrings the error must contain
+		d    Daemon
+		err  string // a substring of Validate's error; "" = valid
 	}{
-		{
-			name: "unknown scenario key with line",
-			in: "{\n" +
-				`  "name": "x",` + "\n" +
-				`  "proc_nic_mibbs": 4` + "\n" +
-				"}",
-			want: []string{"line 3", "proc_nic_mibbs"},
-		},
-		{
-			name: "unknown nested key with line",
-			in: "{\n" +
-				`  "name": "x",` + "\n" +
-				`  "fs": {` + "\n" +
-				`    "servers": 1,` + "\n" +
-				`    "stripe_kb": 64` + "\n" +
-				"  }\n}",
-			want: []string{"line 5", "stripe_kb"},
-		},
-		{
-			name: "syntax error with line",
-			in:   "{\n  \"name\": \"x\",\n  \"fs\": {,}\n}",
-			want: []string{"line 3"},
-		},
-		{
-			name: "type error with line",
-			in:   "{\n  \"name\": 42\n}",
-			want: []string{"line 2", "name"},
-		},
-		{
-			name: "trailing garbage",
-			in:   `{"name":"x"}{"again":true}`,
-			want: []string{"line 1", "after top-level value"},
-		},
+		{name: "defaults"},
+		{name: "full settings", d: Daemon{ListenAddr: "0.0.0.0:7777", Policy: "delay(0.5)",
+			SessionTimeoutS: 30, GrantGraceS: 5, FSMiBps: 4000, ProcNICMiBps: 100}},
+		{name: "overload settings", d: Daemon{MaxSessions: 128, HandshakeTimeoutS: 5,
+			SessionTimeoutS: 60, MaxRequestsPerSec: 500}},
+		{name: "interrupt policy", d: Daemon{Policy: "interrupt"}},
+		{name: "unknown policy", d: Daemon{Policy: "roulette"}, err: "unknown policy"},
+		{name: "delay needs model", d: Daemon{Policy: "delay(1)"}, err: "needs -fs-mibps"},
+		{name: "dynamic needs model", d: Daemon{Policy: "dynamic"}, err: "needs -fs-mibps"},
+		{name: "negative bandwidth", d: Daemon{FSMiBps: -1}, err: "-fs-mibps"},
+		{name: "negative timeout", d: Daemon{SessionTimeoutS: -1}, err: "-session-timeout"},
+		{name: "negative grace", d: Daemon{GrantGraceS: -1}, err: "-grant-grace"},
+		{name: "grace at the eviction timeout", d: Daemon{SessionTimeoutS: 5, GrantGraceS: 5},
+			err: "-grant-grace must be shorter than -session-timeout"},
+		{name: "handshake deadline at the eviction timeout", d: Daemon{SessionTimeoutS: 30, HandshakeTimeoutS: 30},
+			err: "-handshake-timeout must be shorter than -session-timeout"},
+		{name: "negative handshake timeout", d: Daemon{HandshakeTimeoutS: -1}, err: "-handshake-timeout"},
+		{name: "negative rate limit", d: Daemon{MaxRequestsPerSec: -5}, err: "-max-requests-per-sec"},
+		{name: "negative session bound", d: Daemon{MaxSessions: -1}, err: "-max-sessions"},
+		{name: "negative log sample", d: Daemon{LogSample: -1}, err: "-log-sample"},
+		{name: "log level debug", d: Daemon{LogLevel: "debug"}},
+		{name: "log level error", d: Daemon{LogLevel: "error"}},
+		{name: "unknown log level", d: Daemon{LogLevel: "loud"}, err: "-log-level"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Parse(strings.NewReader(tc.in))
-			if err == nil {
-				t.Fatal("expected error")
-			}
-			for _, w := range tc.want {
-				if !strings.Contains(err.Error(), w) {
-					t.Fatalf("error %q does not mention %q", err, w)
-				}
+			err := tc.d.Validate()
+			if tc.err == "" && err != nil || tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)) {
+				t.Fatalf("Validate() = %v, want %q", err, tc.err)
 			}
 		})
 	}
-	// The daemon keys that once tuned the accept loop, the socket buffers,
-	// the recorder and the decision log: a file still naming one fails to
-	// load instead of running without the setting.
-	for _, key := range []string{"accept_loops", "sock_buffer_bytes", "record_buffer",
-		"record_sync_every", "record_sync_interval_s", "decision_log"} {
-		t.Run("removed daemon key "+key, func(t *testing.T) {
-			_, err := ParseDaemon(strings.NewReader("{\n  \"policy\": \"fcfs\",\n  \"" + key + "\": 1\n}"))
-			if err == nil || !strings.Contains(err.Error(), "unknown") || !strings.Contains(err.Error(), "line 3:3") {
-				t.Fatalf("err = %v, want an unknown field at line 3:3", err)
-			}
-		})
-	}
-}
 
-func TestParseDaemon(t *testing.T) {
-	cases := []struct {
-		name  string
-		in    string
-		check func(t *testing.T, d Daemon, err error)
-	}{
-		{
-			name: "defaults",
-			in:   `{}`,
-			check: func(t *testing.T, d Daemon, err error) {
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d.Addr() != DefaultListenAddr {
-					t.Fatalf("addr = %q", d.Addr())
-				}
-				p, err := d.BuildPolicy()
-				if err != nil || p.Name() != "fcfs" {
-					t.Fatalf("default policy = %v, %v", p, err)
-				}
-				if d.Model() != nil {
-					t.Fatal("model without bandwidths should be nil")
-				}
-			},
-		},
-		{
-			name: "full settings",
-			in: `{"listen_addr": "0.0.0.0:7777", "policy": "delay", "delay_overlap": 0.5,
-			     "session_timeout_s": 30,
-			     "fs_mibps": 4000, "proc_nic_mibps": 100}`,
-			check: func(t *testing.T, d Daemon, err error) {
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d.Addr() != "0.0.0.0:7777" || d.SessionTimeout() != 30*time.Second {
-					t.Fatalf("daemon = %+v", d)
-				}
-				p, err := d.BuildPolicy()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, ok := p.(core.DelayPolicy); !ok {
-					t.Fatalf("policy = %T", p)
-				}
-				m := d.Model()
-				if m == nil || m.FSBandwidth != 4000*miB || m.ProcNIC != 100*miB {
-					t.Fatalf("model = %+v", m)
-				}
-			},
-		},
-		{
-			name: "interrupt policy",
-			in:   `{"policy": "interrupt"}`,
-			check: func(t *testing.T, d Daemon, err error) {
-				if err != nil {
-					t.Fatal(err)
-				}
-				if p, _ := d.BuildPolicy(); p.Name() != "interrupt" {
-					t.Fatalf("policy = %v", p)
-				}
-			},
-		},
-		{
-			name: "unknown policy",
-			in:   `{"policy": "roulette"}`,
-			check: func(t *testing.T, d Daemon, err error) {
-				if err == nil || !strings.Contains(err.Error(), "unknown policy") {
-					t.Fatalf("err = %v", err)
-				}
-			},
-		},
-		{
-			name: "delay needs model",
-			in:   `{"policy": "delay", "delay_overlap": 1}`,
-			check: func(t *testing.T, d Daemon, err error) {
-				if err == nil || !strings.Contains(err.Error(), "fs_mibps") {
-					t.Fatalf("err = %v", err)
-				}
-			},
-		},
-		{
-			name: "negative timeout",
-			in:   `{"session_timeout_s": -1}`,
-			check: func(t *testing.T, d Daemon, err error) {
-				if err == nil || !strings.Contains(err.Error(), "session_timeout_s") {
-					t.Fatalf("err = %v", err)
-				}
-			},
-		},
-		{
-			name: "unknown key with line",
-			in:   "{\n  \"listen_adr\": \":1\"\n}",
-			check: func(t *testing.T, d Daemon, err error) {
-				if err == nil || !strings.Contains(err.Error(), "line 2") ||
-					!strings.Contains(err.Error(), "listen_adr") {
-					t.Fatalf("err = %v", err)
-				}
-			},
-		},
-		{
-			name: "record section",
-			in: `{"policy": "delay", "delay_overlap": 0.25, "fs_mibps": 2048,
-			     "record_path": "run.trace"}`,
-			check: func(t *testing.T, d Daemon, err error) {
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d.RecordPath != "run.trace" {
-					t.Fatalf("record settings = %+v", d)
-				}
-				hdr := d.TraceHeader()
-				if hdr.Source != trace.SourceDaemon || hdr.Policy != "delay" ||
-					hdr.DelayOverlap != 0.25 || hdr.FSMiBps != 2048 {
-					t.Fatalf("trace header = %+v", hdr)
-				}
-			},
-		},
-		{
-			name: "trace header applies policy default",
-			in:   `{"record_path": "run.trace"}`,
-			check: func(t *testing.T, d Daemon, err error) {
-				if err != nil {
-					t.Fatal(err)
-				}
-				if hdr := d.TraceHeader(); hdr.Policy != "fcfs" {
-					t.Fatalf("header policy = %q, want fcfs default", hdr.Policy)
-				}
-			},
-		},
-		{
-			name: "overload settings",
-			in: `{"max_sessions": 128, "handshake_timeout_s": 5,
-			     "session_timeout_s": 60, "max_requests_per_sec": 500}`,
-			check: func(t *testing.T, d Daemon, err error) {
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d.MaxSessions != 128 || d.MaxRequestsPerSec != 500 {
-					t.Fatalf("overload settings = %+v", d)
-				}
-				if d.HandshakeTimeout() != 5*time.Second {
-					t.Fatalf("handshake timeout = %v", d.HandshakeTimeout())
-				}
-			},
-		},
-		{
-			// An explicit zero is rejected with a position: after unmarshal it
-			// is indistinguishable from "unset", so the raw document decides.
-			name: "explicit max_sessions zero with line",
-			in:   "{\n  \"max_sessions\": 0\n}",
-			check: func(t *testing.T, d Daemon, err error) {
-				if err == nil || !strings.Contains(err.Error(), "line 2") ||
-					!strings.Contains(err.Error(), "max_sessions") {
-					t.Fatalf("err = %v", err)
-				}
-			},
-		},
-		{
-			name: "handshake deadline at the eviction timeout with line",
-			in:   "{\n  \"session_timeout_s\": 30,\n  \"handshake_timeout_s\": 30\n}",
-			check: func(t *testing.T, d Daemon, err error) {
-				if err == nil || !strings.Contains(err.Error(), "line 3") ||
-					!strings.Contains(err.Error(), "shorter than session_timeout_s") {
-					t.Fatalf("err = %v", err)
-				}
-			},
-		},
-		{
-			name: "negative handshake timeout",
-			in:   `{"handshake_timeout_s": -1}`,
-			check: func(t *testing.T, d Daemon, err error) {
-				if err == nil || !strings.Contains(err.Error(), "handshake_timeout_s") {
-					t.Fatalf("err = %v", err)
-				}
-			},
-		},
-		{
-			name: "negative rate limit",
-			in:   `{"max_requests_per_sec": -5}`,
-			check: func(t *testing.T, d Daemon, err error) {
-				if err == nil || !strings.Contains(err.Error(), "max_requests_per_sec") {
-					t.Fatalf("err = %v", err)
-				}
-			},
-		},
+	var zero Daemon
+	if zero.Addr() != DefaultListenAddr || zero.Model() != nil || zero.LogSampleN() != 1 ||
+		zero.SessionTimeout() != 0 || zero.GrantGrace() != 0 || zero.HandshakeTimeout() != 0 {
+		t.Fatalf("zero daemon: addr %q, model %v, sample %d", zero.Addr(), zero.Model(), zero.LogSampleN())
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			d, err := ParseDaemon(strings.NewReader(tc.in))
-			tc.check(t, d, err)
-		})
+	if _, ok := zero.EventLevel(); ok {
+		t.Fatal("zero daemon logs events")
+	}
+	d := Daemon{SessionTimeoutS: 30, HandshakeTimeoutS: 5, FSMiBps: 4000, ProcNICMiBps: 100}
+	if m := d.Model(); m == nil || m.FSBandwidth != 4000*miB || m.ProcNIC != 100*miB {
+		t.Fatalf("model = %+v", m)
+	}
+	if d.SessionTimeout() != 30*time.Second || d.HandshakeTimeout() != 5*time.Second {
+		t.Fatalf("durations = %v, %v", d.SessionTimeout(), d.HandshakeTimeout())
+	}
+
+	// The aliases: "" is fcfs, bare delay delay(0), bare dynamic
+	// dynamic(cpu-seconds); the header records what was built.
+	for policy, want := range map[string]string{
+		"": "fcfs", "interrupt": "interrupt", "delay": "delay(0.00)",
+		"delay(0.25)": "delay(0.25)", "dynamic": "dynamic(cpu-seconds)",
+	} {
+		d := Daemon{Policy: policy, FSMiBps: 2048, ProcNICMiBps: 3}
+		p, err := d.BuildPolicy()
+		if err != nil || p.Name() != want {
+			t.Fatalf("policy %q builds %v, %v; want %s", policy, p, err, want)
+		}
+		if dp, ok := p.(core.DelayPolicy); policy == "delay" && (!ok || dp.Overlap != 0) {
+			t.Fatalf("bare delay builds %#v, want no overlap", p)
+		}
+		hdr := d.TraceHeader(p)
+		if hdr != (trace.Header{Source: trace.SourceDaemon, Policy: want, FSMiBps: 2048, ProcNICMiBps: 3}) {
+			t.Fatalf("policy %q: trace header %+v", policy, hdr)
+		}
 	}
 }

@@ -434,7 +434,7 @@ func TestSystemBusy(t *testing.T) {
 	fakeIO(eng, a, 0, 3, 1, basicInfo(3, 1), &doneA)
 	eng.GoAt(1, "probe", func(p *sim.Proc) {
 		busyDuring = b.SystemBusy()
-		p.SleepUntil(10)
+		p.Sleep(10 - p.Now())
 		busyAfter = b.SystemBusy()
 	})
 	eng.Run()

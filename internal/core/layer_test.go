@@ -47,7 +47,7 @@ func TestStaleGrantMessageWakesNobody(t *testing.T) {
 		a.Inform(p)
 		a.Wait(p)
 		for _, at := range []float64{9, 9.2, 9.4, 10.05, 10.3} {
-			p.SleepUntil(at)
+			p.Sleep(at - p.Now())
 			a.Inform(p) // mid-phase: only pokes the layer
 		}
 	})

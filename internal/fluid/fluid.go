@@ -40,8 +40,6 @@ type Resource struct {
 	// integrate dirty bytes.
 	OnRateChange func(totalRate float64)
 
-	totalRate float64
-
 	// Reallocation scratch, reused so the steady-state hot path performs
 	// no allocations.
 	finished []*Job
@@ -102,7 +100,6 @@ func (r *Resource) Reset() {
 	}
 	r.jobRetired = r.jobRetired[:0]
 	r.capacity = r.initCap
-	r.totalRate = 0
 	r.lastUpdate = r.eng.Now()
 	r.completion.Cancel()
 }
@@ -133,9 +130,6 @@ func (r *Resource) Name() string { return r.name }
 
 // Capacity returns the current capacity.
 func (r *Resource) Capacity() float64 { return r.capacity }
-
-// TotalRate returns the currently allocated aggregate rate.
-func (r *Resource) TotalRate() float64 { return r.totalRate }
 
 // Active returns the number of in-flight jobs.
 func (r *Resource) Active() int { return len(r.jobs) }
@@ -285,7 +279,6 @@ func (r *Resource) reallocate() {
 		j.rate = rated[i].Rate
 		total += j.rate
 	}
-	r.totalRate = total
 
 	// Schedule next completion.
 	r.completion.Cancel()
@@ -303,7 +296,7 @@ func (r *Resource) reallocate() {
 	}
 
 	if r.OnRateChange != nil {
-		r.OnRateChange(r.totalRate)
+		r.OnRateChange(total)
 	}
 	for _, j := range finished {
 		if j.onDone != nil {

@@ -60,15 +60,3 @@ func PerServerBytesInto(out []int64, offset, length, stripe int64, nservers int,
 	}
 	return out
 }
-
-// ServersTouched returns how many servers receive a non-zero share of the
-// extent.
-func ServersTouched(offset, length, stripe int64, nservers int, firstServer int) int {
-	n := 0
-	for _, b := range PerServerBytes(offset, length, stripe, nservers, firstServer) {
-		if b > 0 {
-			n++
-		}
-	}
-	return n
-}

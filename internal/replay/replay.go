@@ -209,12 +209,7 @@ func RecordingPolicy(hdr trace.Header) (core.Policy, error) {
 
 // headerDaemon is the recording daemon's configuration as its header keeps it.
 func headerDaemon(hdr trace.Header) config.Daemon {
-	return config.Daemon{
-		Policy:       hdr.Policy,
-		DelayOverlap: hdr.DelayOverlap,
-		FSMiBps:      hdr.FSMiBps,
-		ProcNICMiBps: hdr.ProcNICMiBps,
-	}
+	return config.Daemon{Policy: hdr.Policy, FSMiBps: hdr.FSMiBps, ProcNICMiBps: hdr.ProcNICMiBps}
 }
 
 // checkReplayable rejects traces a replay would silently misrepresent. Only

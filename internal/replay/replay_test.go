@@ -187,8 +187,7 @@ func TestVerifyRefusesLossyAndClientTraces(t *testing.T) {
 func TestSynthesizedRecheck(t *testing.T) {
 	const mib = 1 << 20
 	tr := &trace.Trace{
-		Header: trace.Header{Source: trace.SourceDaemon, Policy: "delay",
-			DelayOverlap: 0.5, FSMiBps: 1},
+		Header: trace.Header{Source: trace.SourceDaemon, Policy: "delay(0.5)", FSMiBps: 1},
 		Events: []trace.Event{
 			{Type: trace.EvRegister, Time: 0, SID: 1, App: "A", Cores: 1},
 			{Type: trace.EvRegister, Time: 0, SID: 2, App: "B", Cores: 1},
@@ -379,7 +378,6 @@ func TestStandardPoliciesRebuildFromNames(t *testing.T) {
 	}{
 		{fixture.Header, "delay(0.50)"}, // recorded as bare delay, no overlap
 		{synth, "delay(0.50)"},
-		{trace.Header{Source: trace.SourceDaemon, Policy: "delay", DelayOverlap: 0.25, FSMiBps: 1}, "delay(0.25)"},
 		{trace.Header{Source: trace.SourceDaemon, Policy: "delay(0.25)", FSMiBps: 1}, "delay(0.25)"},
 	} {
 		cands := StandardPolicies(tc.hdr, -1)
@@ -388,7 +386,7 @@ func TestStandardPoliciesRebuildFromNames(t *testing.T) {
 		}
 		for _, c := range cands {
 			hdr := tc.hdr
-			hdr.Policy, hdr.DelayOverlap = c.Name(), 0
+			hdr.Policy = c.Name()
 			p, err := RecordingPolicy(hdr)
 			if err != nil || !reflect.DeepEqual(p, c) {
 				t.Errorf("%s rebuilds %#v, %v; compared %#v", c.Name(), p, err, c)

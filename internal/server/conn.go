@@ -228,10 +228,7 @@ func (srv *Server) serveConn(nc net.Conn) {
 	if srv.m != nil {
 		srv.m.conns(codec.Name(), mux).Inc()
 	}
-	c.max = srv.cfg.WriteBuffer
-	if c.max <= 0 {
-		c.max = 256
-	}
+	c.max = srv.writeBuffer
 	var frames interface {
 		Read(*wire.Request) (uint64, error)
 	} = oneStream{codec.NewRequestReader(br)}

@@ -107,13 +107,13 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 		resumes: r.Counter("calciomd_resumes_total",
 			"Successful resume registrations (connection churn)."),
 		busyRejects: r.Counter("calciomd_busy_rejects_total",
-			"Registrations rejected with code busy at the max_sessions bound."),
+			"Registrations rejected with code busy at the -max-sessions bound."),
 		statsSheds: r.Counter("calciomd_stats_sheds_total",
 			"Stats requests shed with code overloaded while the control lock was in brownout."),
 		rateLimited: r.Counter("calciomd_rate_limited_total",
 			"Per-connection rate-limit violations (code overloaded; sustained abuse disconnects)."),
 		handshakeTimeouts: r.Counter("calciomd_handshake_timeouts_total",
-			"Connections dropped for not completing register within handshake_timeout_s."),
+			"Connections dropped for not completing register within -handshake-timeout."),
 		slowDisconnects: r.Counter("calciomd_slow_disconnects_total",
 			"Clients disconnected because their response buffer overflowed (too slow to drain)."),
 		connsJSON: r.Counter("calciomd_connections_total",

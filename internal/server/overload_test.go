@@ -374,10 +374,11 @@ func TestRateLimitWarnsThenDisconnects(t *testing.T) {
 // deterministic.
 func TestSlowClientDisconnect(t *testing.T) {
 	srv, err := New(Config{Policy: core.FCFSPolicy{}, Clock: logicalClock(),
-		WriteBuffer: 1, GrantGrace: time.Hour, Metrics: obs.NewRegistry()})
+		GrantGrace: time.Hour, Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.writeBuffer = 1
 	cconn, sconn := net.Pipe()
 	defer cconn.Close()
 	s := &session{c: &conn{srv: srv, nc: sconn, max: 1, quit: make(chan struct{})}}
@@ -474,7 +475,7 @@ func TestWritePathIsolation(t *testing.T) {
 		// every end of C's gives it back: two pushes to R per cycle, all
 		// produced on C's reader while R's reader sits in Read.
 		srv, addr := smallBufServer(t, Config{Policy: core.InterruptPolicy{},
-			WriteBuffer: 8, Metrics: obs.NewRegistry()})
+			Metrics: obs.NewRegistry()}, 8)
 		stalled(t, addr,
 			wire.Request{Seq: 1, Type: wire.TypeRegister, App: "R", Cores: 1, Target: "x"},
 			wire.Request{Seq: 2, Type: wire.TypeInform})
@@ -496,7 +497,7 @@ func TestWritePathIsolation(t *testing.T) {
 	})
 
 	t.Run("pipelining", func(t *testing.T) {
-		srv, addr := smallBufServer(t, Config{Metrics: obs.NewRegistry()})
+		srv, addr := smallBufServer(t, Config{Metrics: obs.NewRegistry()}, 0)
 		p := stalled(t, addr, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "P", Cores: 1})
 		// Checks on the contended target: far more replies than the
 		// sockets between the two ends can hold.
@@ -538,14 +539,16 @@ func TestWritePathIsolation(t *testing.T) {
 }
 
 // smallBufServer is startTestServer with 4096-byte kernel read and write
-// buffers on every connection the daemon accepts, set before Serve sees it.
-func smallBufServer(t *testing.T, cfg Config) (*Server, string) {
+// buffers on every connection the daemon accepts, set before Serve sees it,
+// and with the daemon's write queue bound at writeBuffer responses (0 keeps
+// the default).
+func smallBufServer(t *testing.T, cfg Config, writeBuffer int) (*Server, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return startTestServerOn(t, cfg, smallBufListener{ln})
+	return startTestServerOn(t, cfg, smallBufListener{ln}, writeBuffer)
 }
 
 // smallBufListener shrinks both kernel buffers of each accepted connection.

@@ -32,8 +32,6 @@ import (
 
 // Config parameterizes a daemon.
 type Config struct {
-	// ListenAddr is the TCP address for ListenAndServe ("host:port").
-	ListenAddr string
 	// Policy arbitrates storage-target access; required. The shipped
 	// policies are stateless values, so one policy instance serves every
 	// target's arbiter.
@@ -42,12 +40,6 @@ type Config struct {
 	// interference factors (and is required by delay/dynamic policies,
 	// which are constructed with it).
 	Model *core.PerfModel
-	// MaxTargets bounds how many distinct storage targets (shards, each an
-	// arbiter plus its bindings) the daemon will create; requests naming a
-	// target beyond the bound are rejected, so a client cannot grow the
-	// shard set without limit. 0 means the default (DefaultMaxTargets);
-	// negative removes the bound.
-	MaxTargets int
 	// SessionTimeout evicts sessions idle longer than this; 0 disables.
 	SessionTimeout time.Duration
 	// GrantGrace keeps a disconnected registered session's coordination
@@ -110,13 +102,6 @@ type Config struct {
 	// a second consecutive violation disconnects the client. 0 disables
 	// per-connection rate limiting.
 	RateLimit float64
-	// WriteBuffer bounds the responses waiting in each connection's queue
-	// for a write (default 256; 16 times that on a mux connection) — those
-	// to one read's worth of the client's frames, and pushes queued while
-	// a write is blocked. A client too slow to drain it is disconnected
-	// rather than allowed to stall arbitration; tests shrink the bound to
-	// drive that path deterministically.
-	WriteBuffer int
 }
 
 // ident is a session's registration identity, written once under the
@@ -218,11 +203,19 @@ func (s *session) name() string {
 	return ""
 }
 
-// Server is the coordination daemon. Create with New, run with Serve or
-// ListenAndServe, stop with Close.
+// Server is the coordination daemon. Create with New, run with Serve, stop
+// with Close.
 type Server struct {
 	cfg   Config
 	clock func() float64
+
+	// writeBuffer bounds the responses waiting in each connection's queue
+	// for a write (16 times that on a mux connection) — those to one read's
+	// worth of the client's frames, and pushes queued while a write is
+	// blocked. A client too slow to drain it is disconnected rather than
+	// allowed to stall arbitration; tests shrink the bound before Serve to
+	// drive that path deterministically.
+	writeBuffer int
 
 	stop chan struct{}
 
@@ -281,16 +274,17 @@ func New(cfg Config) (*Server, error) {
 		m = newServerMetrics(cfg.Metrics)
 	}
 	return &Server{
-		cfg:       cfg,
-		clock:     clock,
-		m:         m,
-		stop:      make(chan struct{}),
-		serveDone: make(chan struct{}),
-		closeDone: make(chan struct{}),
-		shards:    make(map[string]*shard),
-		sessions:  make(map[*session]struct{}),
-		names:     make(map[string]*session),
-		degraded:  make(map[string]*wire.DegradedStats),
+		cfg:         cfg,
+		clock:       clock,
+		writeBuffer: 256,
+		m:           m,
+		stop:        make(chan struct{}),
+		serveDone:   make(chan struct{}),
+		closeDone:   make(chan struct{}),
+		shards:      make(map[string]*shard),
+		sessions:    make(map[*session]struct{}),
+		names:       make(map[string]*session),
+		degraded:    make(map[string]*wire.DegradedStats),
 	}, nil
 }
 
@@ -308,15 +302,6 @@ func (srv *Server) Addr() net.Addr {
 		return nil
 	}
 	return srv.ln.Addr()
-}
-
-// ListenAndServe listens on cfg.ListenAddr and serves until Close.
-func (srv *Server) ListenAndServe() error {
-	ln, err := net.Listen("tcp", srv.cfg.ListenAddr)
-	if err != nil {
-		return err
-	}
-	return srv.Serve(ln)
 }
 
 // Serve accepts connections on ln, in one loop, until Close or Drain closes

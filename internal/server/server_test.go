@@ -68,11 +68,13 @@ func startTestServer(t *testing.T, cfg Config) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return startTestServerOn(t, cfg, ln)
+	return startTestServerOn(t, cfg, ln, 0)
 }
 
-// startTestServerOn is startTestServer serving on ln.
-func startTestServerOn(t *testing.T, cfg Config, ln net.Listener) (*Server, string) {
+// startTestServerOn is startTestServer serving on ln, with each
+// connection's write queue bound at writeBuffer responses (0 keeps the
+// default).
+func startTestServerOn(t *testing.T, cfg Config, ln net.Listener, writeBuffer int) (*Server, string) {
 	t.Helper()
 	if cfg.Policy == nil {
 		cfg.Policy = core.FCFSPolicy{}
@@ -81,6 +83,9 @@ func startTestServerOn(t *testing.T, cfg Config, ln net.Listener) (*Server, stri
 	if err != nil {
 		ln.Close()
 		t.Fatal(err)
+	}
+	if writeBuffer > 0 {
+		srv.writeBuffer = writeBuffer
 	}
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })

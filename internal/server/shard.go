@@ -74,11 +74,13 @@ type shard struct {
 	decided bool
 }
 
-// DefaultMaxTargets is the default bound on distinct storage targets.
-const DefaultMaxTargets = 256
+// maxTargets bounds the distinct storage targets (shards, each an arbiter
+// plus its bindings) the daemon creates, so a client cannot grow the shard
+// set without limit.
+const maxTargets = 256
 
 // errTooManyTargets rejects requests that would grow the shard set past
-// the configured bound.
+// maxTargets.
 var errTooManyTargets = errors.New("too many storage targets")
 
 // shardFor returns the target's shard, creating it on first use — unless
@@ -96,11 +98,7 @@ func (srv *Server) shardFor(target string) (*shard, error) {
 	if sh = srv.shards[target]; sh != nil {
 		return sh, nil
 	}
-	max := srv.cfg.MaxTargets
-	if max == 0 {
-		max = DefaultMaxTargets
-	}
-	if max > 0 && len(srv.shards) >= max {
+	if len(srv.shards) >= maxTargets {
 		return nil, errTooManyTargets
 	}
 	sh = &shard{

@@ -104,27 +104,30 @@ func TestShardedDefaultTargetRouting(t *testing.T) {
 	}
 }
 
-// TestMaxTargetsBound: a client cannot grow the shard set past the
-// configured bound — the request naming one target too many is rejected,
-// and no shard is created for it.
+// TestMaxTargetsBound: a client cannot grow the shard set past maxTargets
+// — the request naming one target too many is rejected, and no shard is
+// created for it.
 func TestMaxTargetsBound(t *testing.T) {
-	srv, err := New(Config{Policy: core.FCFSPolicy{}, Clock: logicalClock(), MaxTargets: 2})
+	srv, err := New(Config{Policy: core.FCFSPolicy{}, Clock: logicalClock()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := testSession(16)
+	s := testSession(4)
 	srv.handle(s, wire.Request{Seq: 1, Type: wire.TypeRegister, App: "A", Cores: 1})
-	srv.handle(s, wire.Request{Seq: 2, Type: wire.TypeInform, Target: "t1"})
-	srv.handle(s, wire.Request{Seq: 3, Type: wire.TypeEnd, Target: "t1"})
-	srv.handle(s, wire.Request{Seq: 4, Type: wire.TypeInform, Target: "t2"})
-	srv.handle(s, wire.Request{Seq: 5, Type: wire.TypeEnd, Target: "t2"})
-	srv.handle(s, wire.Request{Seq: 6, Type: wire.TypeInform, Target: "t3"})
-	got := queued(s)
-	last := got[len(got)-1]
-	if last.Seq != 6 || last.Err == "" || !strings.Contains(last.Err, "too many storage targets") {
-		t.Fatalf("third target not rejected: %+v", last)
+	seq := uint64(1)
+	for i := range maxTargets {
+		target := fmt.Sprintf("t%d", i)
+		seq += 2
+		srv.handle(s, wire.Request{Seq: seq - 1, Type: wire.TypeInform, Target: target})
+		srv.handle(s, wire.Request{Seq: seq, Type: wire.TypeEnd, Target: target})
+		queued(s)
 	}
-	if len(srv.shards) != 2 {
+	srv.handle(s, wire.Request{Seq: seq + 1, Type: wire.TypeInform, Target: "one too many"})
+	got := queued(s)
+	if len(got) != 1 || got[0].Seq != seq+1 || !strings.Contains(got[0].Err, "too many storage targets") {
+		t.Fatalf("target %d not rejected: %+v", maxTargets+1, got)
+	}
+	if len(srv.shards) != maxTargets {
 		t.Fatalf("shard set grew past the bound: %d", len(srv.shards))
 	}
 }

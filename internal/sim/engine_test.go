@@ -145,21 +145,6 @@ func TestProcSleepZeroYields(t *testing.T) {
 	}
 }
 
-func TestProcSleepUntil(t *testing.T) {
-	e := NewEngine()
-	e.Go("p", func(p *Proc) {
-		p.SleepUntil(4)
-		if p.Now() != 4 {
-			t.Errorf("now = %v, want 4", p.Now())
-		}
-		p.SleepUntil(2) // in the past: no-op
-		if p.Now() != 4 {
-			t.Errorf("now after past SleepUntil = %v, want 4", p.Now())
-		}
-	})
-	e.Run()
-}
-
 func TestGoAt(t *testing.T) {
 	e := NewEngine()
 	started := -1.0
@@ -184,58 +169,7 @@ func TestSuspendResume(t *testing.T) {
 	if done != 3 {
 		t.Fatalf("resumed at %v, want 3", done)
 	}
-	if !r.Fired() {
-		t.Fatal("resumer should report fired")
-	}
 	r.Resume() // idempotent
-}
-
-func TestCondBroadcastFIFO(t *testing.T) {
-	e := NewEngine()
-	c := NewCond(e)
-	var order []string
-	for _, name := range []string{"w1", "w2", "w3"} {
-		name := name
-		e.Go(name, func(p *Proc) {
-			c.Wait(p)
-			order = append(order, name)
-		})
-	}
-	e.Schedule(1, func() {
-		if c.Waiters() != 3 {
-			t.Errorf("waiters = %d, want 3", c.Waiters())
-		}
-		c.Broadcast()
-	})
-	e.Run()
-	want := []string{"w1", "w2", "w3"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
-func TestGate(t *testing.T) {
-	e := NewEngine()
-	g := NewGate(e, false)
-	passed := -1.0
-	e.Go("p", func(p *Proc) {
-		g.Pass(p)
-		passed = p.Now()
-	})
-	e.Schedule(2, func() { g.Open() })
-	e.Run()
-	if passed != 2 {
-		t.Fatalf("passed at %v, want 2", passed)
-	}
-	if !g.IsOpen() {
-		t.Fatal("gate should be open")
-	}
-	g.Close()
-	if g.IsOpen() {
-		t.Fatal("gate should be closed")
-	}
 }
 
 func TestWaitGroup(t *testing.T) {
@@ -279,7 +213,7 @@ func TestWaitGroupNegativePanics(t *testing.T) {
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine()
 	e.Go("stuck", func(p *Proc) {
-		NewCond(e).Wait(p) // nobody will broadcast
+		p.Suspend().Park() // nobody will resume it
 	})
 	defer func() {
 		if recover() == nil {

@@ -171,14 +171,6 @@ func (p *Proc) Sleep(d float64) {
 	p.park()
 }
 
-// SleepUntil suspends the process until absolute time t (no-op if t <= now).
-func (p *Proc) SleepUntil(t float64) {
-	if t <= p.eng.now {
-		return
-	}
-	p.Sleep(t - p.eng.now)
-}
-
 // Suspend parks the process until Resume is called on the handle returned.
 // The handle's Resume is idempotent: calls after the first are no-ops, so it
 // is safe to race a timeout against another waker. The handle belongs to the
@@ -208,77 +200,10 @@ func (r *Resumer) Resume() {
 	r.p.eng.Post(r.p.transferFn)
 }
 
-// Fired reports whether Resume has been called.
-func (r *Resumer) Fired() bool { return r.fired }
-
 // Park parks the process; it returns when the associated Resumer fires.
 // Park must be called from the process's own body, after installing the
 // Resumer where some event will find it.
 func (r *Resumer) Park() { r.p.park() }
-
-// Cond is a broadcast condition: processes wait on it and are all released
-// by Broadcast, in FIFO order of arrival.
-type Cond struct {
-	eng     *Engine
-	waiters []*Proc
-}
-
-// NewCond returns a condition bound to the engine.
-func NewCond(e *Engine) *Cond { return &Cond{eng: e} }
-
-// Wait parks the calling process until the next Broadcast.
-func (c *Cond) Wait(p *Proc) {
-	c.waiters = append(c.waiters, p)
-	p.park()
-}
-
-// Waiters returns the number of processes currently waiting.
-func (c *Cond) Waiters() int { return len(c.waiters) }
-
-// Broadcast releases all waiting processes in FIFO order.
-func (c *Cond) Broadcast() {
-	ws := c.waiters
-	c.waiters = nil
-	for _, w := range ws {
-		c.eng.Post(w.transferFn)
-	}
-}
-
-// Gate is a binary open/closed barrier. While closed, Pass blocks; while
-// open, Pass returns immediately. Opening releases all current waiters.
-type Gate struct {
-	cond *Cond
-	open bool
-}
-
-// NewGate returns a gate in the given initial state.
-func NewGate(e *Engine, open bool) *Gate {
-	return &Gate{cond: NewCond(e), open: open}
-}
-
-// Open opens the gate and releases all waiters.
-func (g *Gate) Open() {
-	if g.open {
-		return
-	}
-	g.open = true
-	g.cond.Broadcast()
-}
-
-// Close closes the gate; subsequent Pass calls block.
-func (g *Gate) Close() { g.open = false }
-
-// IsOpen reports the gate state.
-func (g *Gate) IsOpen() bool { return g.open }
-
-// Pass blocks p until the gate is open. Because Open broadcasts, a gate that
-// is closed again in the same instant may still admit the released waiters;
-// callers that need re-check semantics should loop.
-func (g *Gate) Pass(p *Proc) {
-	for !g.open {
-		g.cond.Wait(p)
-	}
-}
 
 // WaitGroup counts outstanding activities and lets a process wait for zero.
 type WaitGroup struct {

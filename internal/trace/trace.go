@@ -94,6 +94,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -215,14 +216,13 @@ type Header struct {
 	// every shard's events under the shard's lock, outcome events
 	// included. Replay reads no other source.
 	Source string `json:"source"`
-	// Policy is the recording policy as configured: a core.ParsePolicy
-	// spec such as "fcfs" or "dynamic(cpu-seconds)", or a config alias
-	// such as bare "delay", which takes DelayOverlap.
+	// Policy is the recording policy's complete core.ParsePolicy spec,
+	// such as "fcfs", "delay(0.25)" or "dynamic(cpu-seconds)". Older
+	// recordings may hold a config alias instead: bare "delay" or
+	// "dynamic".
 	Policy string `json:"policy"`
-	// DelayOverlap, FSMiBps and ProcNICMiBps mirror the daemon
-	// configuration so replay can rebuild the delay policy and the
-	// performance model.
-	DelayOverlap float64 `json:"delay_overlap,omitempty"`
+	// FSMiBps and ProcNICMiBps mirror the daemon configuration so replay
+	// can rebuild the performance model.
 	FSMiBps      float64 `json:"fs_mibps,omitempty"`
 	ProcNICMiBps float64 `json:"proc_nic_mibps,omitempty"`
 }
@@ -655,8 +655,21 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: header: %w", err)
 	}
-	if err := json.Unmarshal(hj, &tr.hdr); err != nil {
+	// Recordings made before the header named complete specs keep bare
+	// delay's overlap in a key of its own; it becomes the spec here.
+	var legacy struct {
+		Header
+		DelayOverlap float64 `json:"delay_overlap"`
+	}
+	if err := json.Unmarshal(hj, &legacy); err != nil {
 		return nil, fmt.Errorf("trace: header: %w", err)
+	}
+	tr.hdr = legacy.Header
+	if legacy.DelayOverlap != 0 {
+		if tr.hdr.Policy != "delay" {
+			return nil, fmt.Errorf("trace: header: delay_overlap with policy %q", tr.hdr.Policy)
+		}
+		tr.hdr.Policy = "delay(" + strconv.FormatFloat(legacy.DelayOverlap, 'g', -1, 64) + ")"
 	}
 	return tr, nil
 }

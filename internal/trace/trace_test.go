@@ -52,7 +52,7 @@ func writeSample(t *testing.T, hdr Header, evs []Event) []byte {
 }
 
 func TestRoundTrip(t *testing.T) {
-	hdr := Header{Source: SourceDaemon, Policy: "delay", DelayOverlap: 0.5, FSMiBps: 1024, ProcNICMiBps: 8}
+	hdr := Header{Source: SourceDaemon, Policy: "delay(0.5)", FSMiBps: 1024, ProcNICMiBps: 8}
 	evs := sampleEvents()
 	data := writeSample(t, hdr, evs)
 
@@ -113,6 +113,32 @@ func TestGoldenBytes(t *testing.T) {
 		"\xff\x00\x00\x00\x00\x00\x00\x00\x00\x04\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
 	if string(data) != want {
 		t.Fatalf("version-%d encoding changed:\n got %q\nwant %q", Version, data, want)
+	}
+}
+
+// TestLegacyDelayOverlapHeader: a header written before headers named
+// complete specs keeps bare delay's overlap in "delay_overlap"; the reader
+// folds it into Policy, so the recording still rebuilds its policy. Any
+// other policy next to that key is an error.
+func TestLegacyDelayOverlapHeader(t *testing.T) {
+	header := func(hj string) string {
+		return "CALTRACE" + "\x03\x00" + string([]byte{byte(len(hj)), 0}) + hj +
+			"\xff" + strings.Repeat("\x00", 24)
+	}
+	for hj, want := range map[string]Header{
+		`{"source":"calciomd","policy":"delay","delay_overlap":0.25,"fs_mibps":4096,"proc_nic_mibps":3}`: {
+			Source: SourceDaemon, Policy: "delay(0.25)", FSMiBps: 4096, ProcNICMiBps: 3},
+		`{"source":"calciomd","policy":"delay","fs_mibps":4096}`: {
+			Source: SourceDaemon, Policy: "delay", FSMiBps: 4096},
+	} {
+		tr, err := Read(strings.NewReader(header(hj)))
+		if err != nil || tr.Header != want {
+			t.Fatalf("%s reads as %+v, %v; want %+v", hj, tr.Header, err, want)
+		}
+	}
+	_, err := Read(strings.NewReader(header(`{"source":"calciomd","policy":"fcfs","delay_overlap":0.5}`)))
+	if err == nil || !strings.Contains(err.Error(), "delay_overlap") {
+		t.Fatalf("an overlap beside fcfs reads with err %v", err)
 	}
 }
 

@@ -99,13 +99,14 @@ const (
 	// CodeDuplicate: the app name is registered by a live session and the
 	// register carried no incarnation (legacy client). Fatal.
 	CodeDuplicate = "duplicate"
-	// CodeTooManyTargets: the daemon's MaxTargets bound is exhausted. Fatal.
+	// CodeTooManyTargets: the daemon's bound on storage targets (256) is
+	// exhausted. Fatal.
 	CodeTooManyTargets = "too_many_targets"
 	// CodeProtocol: the request violated the coordination protocol state
 	// machine (complete without prepare, release while idle, ...). Fatal.
 	CodeProtocol = "protocol"
 	// CodeBusy: admission control rejected a new registration because the
-	// daemon is at its max_sessions bound. Retryable — capacity frees as
+	// daemon is at its -max-sessions bound. Retryable — capacity frees as
 	// sessions end or are evicted.
 	CodeBusy = "busy"
 	// CodeOverloaded: the daemon shed this request under load (a shard over
