@@ -16,7 +16,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/replay"
 	"repro/internal/server"
@@ -35,24 +35,29 @@ type daemon struct {
 	served  chan error // Serve's return
 }
 
-// startDaemon boots a daemon under the configuration dc as calciomd reads
-// it, plus cfg's admission and rate limits. The test's cleanup stops it.
-func startDaemon(t *testing.T, dc config.Daemon, cfg server.Config) *daemon {
+// startDaemon boots a daemon under cfg, fcfs when it names no policy,
+// recording as calciomd does: the header names the policy and the model's
+// bandwidths in MiB/s. The test's cleanup stops it.
+func startDaemon(t *testing.T, cfg server.Config) *daemon {
 	t.Helper()
 	d := &daemon{path: filepath.Join(t.TempDir(), "run.trace")}
-	var err error
-	if cfg.Policy, err = dc.BuildPolicy(); err != nil {
-		t.Fatal(err)
+	if cfg.Policy == nil {
+		cfg.Policy = core.FCFSPolicy{}
 	}
+	hdr := trace.Header{Source: trace.SourceDaemon, Policy: cfg.Policy.Name()}
+	if m := cfg.Model; m != nil {
+		hdr.FSMiBps, hdr.ProcNICMiBps = m.FSBandwidth/(1<<20), m.ProcNIC/(1<<20)
+	}
+	var err error
 	if d.tf, err = os.Create(d.path); err != nil {
 		t.Fatal(err)
 	}
 	opts := trace.Options{SyncEvery: trace.DefaultSyncEvery, SyncInterval: trace.DefaultSyncInterval}
-	if d.tw, err = trace.NewWriterOptions(d.tf, dc.TraceHeader(cfg.Policy), opts); err != nil {
+	if d.tw, err = trace.NewWriterOptions(d.tf, hdr, opts); err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	cfg.Model, cfg.Trace, cfg.Metrics = dc.Model(), d.tw, reg
+	cfg.Trace, cfg.Metrics = d.tw, reg
 	if d.srv, err = server.New(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +189,7 @@ func burstArgs(d *daemon, extra ...string) []string {
 // its lossless trace replays under fcfs to the recorded grant sequence,
 // the same way twice.
 func TestSmoke(t *testing.T) {
-	d := startDaemon(t, config.Daemon{}, server.Config{})
+	d := startDaemon(t, server.Config{})
 	// Distinct -prefix per run: run 1's sessions may still be
 	// unregistering when run 2 starts registering.
 	var out1, errs1 bytes.Buffer
@@ -258,7 +263,7 @@ func verify(t *testing.T, tr *trace.Trace) replay.VerifyResult {
 // 3 JSON stats probes), saw group commit batch frames, and counted the raw
 // bytes under the codecs.
 func TestSmokeBinaryCodec(t *testing.T) {
-	d := startDaemon(t, config.Daemon{}, server.Config{})
+	d := startDaemon(t, server.Config{})
 	out1 := load(t, burstArgs(d, "-prefix", "run1", "-codec", "binary")...)
 	out2 := load(t, burstArgs(d, "-prefix", "run2", "-codec", "binary", "-scrape", d.metrics)...)
 	// The same workload a third time, its 64 sessions riding 8 shared
@@ -297,7 +302,7 @@ func TestSmokeBinaryCodec(t *testing.T) {
 // disconnecting 8 times each, in each codec, is 256 connects and 256
 // grants with no error, and the daemon serves exactly 512.
 func TestSmokeChurn(t *testing.T) {
-	d := startDaemon(t, config.Daemon{}, server.Config{})
+	d := startDaemon(t, server.Config{})
 	const churn = "churn: clients=32 loops=8 connects=256 grants=256 errors=0"
 	churnArgs := []string{"-addr", d.addr, "-clients", "32", "-churn", "-churn-loops", "8"}
 	grep(t, load(t, append(churnArgs, "-prefix", "ch")...), "^"+churn+"$")
@@ -316,7 +321,7 @@ func TestSmokeChurn(t *testing.T) {
 // 512 with a lossless trace, which replays per shard.
 func TestSmokeMultiTarget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	d := startDaemon(t, config.Daemon{}, server.Config{})
+	d := startDaemon(t, server.Config{})
 	multiTargetBursts(t, d)
 	page := d.scrape(t)
 	for _, target := range []string{"t0", "t1", "t2", "t3"} {
@@ -354,12 +359,16 @@ func multiTargetBursts(t *testing.T, d *daemon) {
 // TestSmokeDynamic closes the paper's loop: a daemon configured with bare
 // dynamic and a model serves TestSmokeMultiTarget's bursts, its recording
 // verifies on every shard, and the policy the what-if study recommends,
-// named as calciom-replay prints it, is one the daemon configuration builds
-// back equal to the policy compared.
+// named as calciom-replay prints it, is one a trace header — calciomd's
+// -policy and model flags — builds back equal to the policy compared.
 func TestSmokeDynamic(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	dc := config.Daemon{Policy: "dynamic", FSMiBps: 4096, ProcNICMiBps: 3}
-	d := startDaemon(t, dc, server.Config{})
+	hdr := trace.Header{Policy: "dynamic", FSMiBps: 4096, ProcNICMiBps: 3}
+	pol, err := hdr.BuildPolicy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := startDaemon(t, server.Config{Policy: pol, Model: hdr.Model()})
 	multiTargetBursts(t, d)
 	grants, tr := d.stop(t)
 	if grants != 512 {
@@ -383,8 +392,8 @@ func TestSmokeDynamic(t *testing.T) {
 		t.Fatal(err)
 	}
 	best := c.Outcomes[c.Best].Policy
-	pol, err := config.Daemon{Policy: best, FSMiBps: dc.FSMiBps, ProcNICMiBps: dc.ProcNICMiBps}.BuildPolicy()
-	if err != nil || !reflect.DeepEqual(pol, cands[c.Best]) {
+	hdr.Policy = best
+	if pol, err = hdr.BuildPolicy(); err != nil || !reflect.DeepEqual(pol, cands[c.Best]) {
 		t.Fatalf("the recommended %s builds %#v, %v; compared %#v", best, pol, err, cands[c.Best])
 	}
 }
@@ -424,7 +433,7 @@ func verifyShards(t *testing.T, tr *trace.Trace) {
 // at once under a rate limit, split exactly: 32 admitted and answered one
 // grant each, 32 refused busy, none shed and no error on either side.
 func TestSmokeFlood(t *testing.T) {
-	d := startDaemon(t, config.Daemon{}, server.Config{MaxSessions: 32, RateLimit: 200})
+	d := startDaemon(t, server.Config{MaxSessions: 32, RateLimit: 200})
 	out := load(t, "-addr", d.addr, "-prefix", "fl", "-clients", "64", "-flood")
 	grep(t, out, `^shed: clients=64 admitted=32 busy=32 overloaded=0 grants=32 errors=0$`)
 	grep(t, out, `grants-served=32$`)
@@ -437,7 +446,7 @@ func TestSmokeFlood(t *testing.T) {
 // with -1; such a job is not replayed, so it neither registers nor lowers
 // the declared MiB.
 func TestSWFSkipsUnknownSize(t *testing.T) {
-	d := startDaemon(t, config.Daemon{}, server.Config{})
+	d := startDaemon(t, server.Config{})
 	path := filepath.Join(t.TempDir(), "jobs.swf")
 	swf := "1 0 0 60 64 -1 -1 -1 -1 -1 1 1 1 -1 1 -1 -1 -1\n" +
 		"2 10 0 60 -1 -1 -1 -1 -1 -1 1 1 1 -1 1 -1 -1 -1\n" +

@@ -4,8 +4,10 @@
 // system — the paper's coordination API served online instead of inside the
 // simulator.
 //
-// Its flags are its whole configuration (internal/config.Daemon); given
-// none, it serves fcfs on 127.0.0.1:9595:
+// Its flags are its whole configuration: the policy and model flags make a
+// trace.Header, which builds the policy; the settings flags fill a
+// server.Config, which server.New checks. Given none, it serves fcfs on
+// 127.0.0.1:9595:
 //
 //	calciomd -listen 127.0.0.1:9595 -policy fcfs -session-timeout 60
 //	calciomd -policy 'delay(0.25)' -fs-mibps 4096 -proc-nic-mibps 3
@@ -39,10 +41,13 @@
 package main
 
 import (
+	"cmp"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -50,12 +55,14 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/trace"
 )
+
+// defaultListen is the address an empty -listen serves on.
+const defaultListen = "127.0.0.1:9595"
 
 func main() {
 	sig := make(chan os.Signal, 1)
@@ -70,20 +77,21 @@ func main() {
 func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 	fs := flag.NewFlagSet("calciomd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var d config.Daemon
-	fs.StringVar(&d.ListenAddr, "listen", "", "listen address (default "+config.DefaultListenAddr+")")
-	fs.StringVar(&d.Policy, "policy", "", "arbitration policy: "+core.PolicySpecs+"; bare delay is delay(0), bare dynamic dynamic(cpu-seconds), delay and dynamic need -fs-mibps (default fcfs)")
-	fs.Float64Var(&d.FSMiBps, "fs-mibps", 0, "file system bandwidth in MiB/s, for the performance model of delay and dynamic and the live interference factors")
-	fs.Float64Var(&d.ProcNICMiBps, "proc-nic-mibps", 0, "per-process NIC bandwidth in MiB/s, for the performance model")
-	fs.Float64Var(&d.SessionTimeoutS, "session-timeout", 0, "evict sessions idle this many seconds; 0 disables")
-	fs.Float64Var(&d.GrantGraceS, "grant-grace", 0, "keep a disconnected session's grants this many seconds for resume; 0 drops immediately")
-	fs.StringVar(&d.RecordPath, "record", "", "record every coordination event to this trace file")
-	fs.StringVar(&d.AdminAddr, "admin", "", "serve /metrics, /healthz, /statusz and pprof on this address, e.g. 127.0.0.1:9596")
-	fs.StringVar(&d.LogLevel, "log-level", "", "grant-lifecycle event logging to stderr: debug|info|warn|error; empty = off")
-	fs.IntVar(&d.LogSample, "log-sample", 0, "log every Nth grant event; lifecycle events always log (0 = every grant)")
-	fs.IntVar(&d.MaxSessions, "max-sessions", 0, "reject registrations beyond this many live sessions with a retryable busy error; 0 = unlimited")
-	fs.Float64Var(&d.HandshakeTimeoutS, "handshake-timeout", 0, "drop connections that have not registered within this many seconds; 0 disables")
-	fs.Float64Var(&d.MaxRequestsPerSec, "max-requests-per-sec", 0, "per-connection request rate limit; 0 disables")
+	var cfg server.Config
+	hdr := trace.Header{Source: trace.SourceDaemon}
+	listen := fs.String("listen", "", "listen address (default "+defaultListen+")")
+	fs.StringVar(&hdr.Policy, "policy", "", "arbitration policy: "+core.PolicySpecs+"; bare delay is delay(0), bare dynamic dynamic(cpu-seconds), delay and dynamic need -fs-mibps (default fcfs)")
+	fs.Float64Var(&hdr.FSMiBps, "fs-mibps", 0, "file system bandwidth in MiB/s, for the performance model of delay and dynamic and the live interference factors")
+	fs.Float64Var(&hdr.ProcNICMiBps, "proc-nic-mibps", 0, "per-process NIC bandwidth in MiB/s, for the performance model")
+	sessionTimeout := fs.Float64("session-timeout", 0, "evict sessions idle this many seconds; 0 disables")
+	grantGrace := fs.Float64("grant-grace", 0, "keep a disconnected session's grants this many seconds for resume; 0 drops immediately")
+	record := fs.String("record", "", "record every coordination event to this trace file")
+	admin := fs.String("admin", "", "serve /metrics, /healthz, /statusz and pprof on this address, e.g. 127.0.0.1:9596")
+	logLevel := fs.String("log-level", "", "grant-lifecycle event logging to stderr: debug|info|warn|error; empty = off")
+	logSample := fs.Int("log-sample", 0, "log every Nth grant event; lifecycle events always log (0 = every grant)")
+	fs.IntVar(&cfg.MaxSessions, "max-sessions", 0, "reject registrations beyond this many live sessions with a retryable busy error; 0 = unlimited")
+	handshakeTimeout := fs.Float64("handshake-timeout", 0, "drop connections that have not registered within this many seconds; 0 disables")
+	fs.Float64Var(&cfg.RateLimit, "max-requests-per-sec", 0, "per-connection request rate limit; 0 disables")
 	quiet := fs.Bool("quiet", false, "suppress connection lifecycle logging")
 	drainLinger := fs.Duration("drain-linger", 0, "after a drain signal, keep /healthz answering \"draining\" this long (or until a second signal) before shutting down")
 	if err := fs.Parse(args); err != nil {
@@ -96,25 +104,36 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		fmt.Fprintln(stderr, err)
 		return status
 	}
-	if err := d.Validate(); err != nil {
+	levels := map[string]slog.Level{"debug": slog.LevelDebug, "info": slog.LevelInfo, "warn": slog.LevelWarn, "error": slog.LevelError}
+	level, ok := levels[*logLevel]
+	if *logLevel != "" && !ok {
+		return fail(2, fmt.Errorf("calciomd: unknown -log-level %q (want debug, info, warn or error)", *logLevel))
+	}
+	if *logSample < 0 {
+		return fail(2, errors.New("calciomd: -log-sample must be >= 0"))
+	}
+	var err error
+	if cfg.Policy, err = hdr.BuildPolicy(); err != nil {
+		return fail(2, fmt.Errorf("calciomd: %w", err))
+	}
+	hdr.Policy = cfg.Policy.Name() // the header names the complete spec
+	cfg.Model = hdr.Model()
+	cfg.SessionTimeout, cfg.GrantGrace, cfg.HandshakeTimeout = seconds(*sessionTimeout), seconds(*grantGrace), seconds(*handshakeTimeout)
+	// A daemon that cannot serve must not truncate the recording at
+	// -record: New checks the settings before anything listens, and the
+	// server that serves is built once the listener and trace exist.
+	if _, err := server.New(cfg); err != nil {
 		return fail(2, err)
 	}
-	pol, err := d.BuildPolicy()
-	if err != nil {
-		return fail(2, err)
-	}
-	// Listen before creating the trace: a daemon that cannot serve must not
-	// truncate the recording at -record.
-	ln, err := net.Listen("tcp", d.Addr())
+	ln, err := net.Listen("tcp", cmp.Or(*listen, defaultListen))
 	if err != nil {
 		return fail(1, err)
 	}
 	defer ln.Close() // Serve owns it from there on; this covers the error returns
 
-	var tw *trace.Writer
 	var tf *os.File
-	if d.RecordPath != "" {
-		if tf, err = os.Create(d.RecordPath); err != nil {
+	if *record != "" {
+		if tf, err = os.Create(*record); err != nil {
 			return fail(2, err)
 		}
 		// The shutdown below closes and checks both; these cover the
@@ -124,10 +143,10 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		// much trace a kill -9 loses, and calciom-replay -allow-truncated
 		// reads the survivors.
 		opts := trace.Options{SyncEvery: trace.DefaultSyncEvery, SyncInterval: trace.DefaultSyncInterval}
-		if tw, err = trace.NewWriterOptions(tf, d.TraceHeader(pol), opts); err != nil {
+		if cfg.Trace, err = trace.NewWriterOptions(tf, hdr, opts); err != nil {
 			return fail(2, err)
 		}
-		defer tw.Close()
+		defer cfg.Trace.Close()
 	}
 
 	logf := func(format string, args ...any) {
@@ -136,46 +155,32 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 	if *quiet {
 		logf = nil
 	}
+	cfg.Logf = logf
 
 	// Metrics collection rides the admin listener: no listener, no registry,
 	// and the hot path runs exactly the pre-observability instruction stream.
-	var reg *obs.Registry
-	if d.AdminAddr != "" {
-		reg = obs.NewRegistry()
+	if *admin != "" {
+		cfg.Metrics = obs.NewRegistry()
 	}
-	var evlog *obs.EventLog
-	if level, ok := d.EventLevel(); ok {
+	if *logLevel != "" {
 		handler := slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: level})
-		evlog = obs.NewEventLog(slog.New(handler), d.LogSampleN(), 0)
+		cfg.Events = obs.NewEventLog(slog.New(handler), *logSample, 0)
 	}
-
-	srv, err := server.New(server.Config{
-		Policy:           pol,
-		Model:            d.Model(),
-		SessionTimeout:   d.SessionTimeout(),
-		GrantGrace:       d.GrantGrace(),
-		MaxSessions:      d.MaxSessions,
-		HandshakeTimeout: d.HandshakeTimeout(),
-		RateLimit:        d.MaxRequestsPerSec,
-		Logf:             logf,
-		Trace:            tw,
-		Metrics:          reg,
-		Events:           evlog,
-	})
+	srv, err := server.New(cfg)
 	if err != nil {
 		return fail(2, err)
 	}
 	defer srv.Close() // before the trace closes, on every return
 
 	var adminSrv *http.Server
-	if d.AdminAddr != "" {
+	if *admin != "" {
 		handler := (&obs.Admin{
-			Registry: reg,
+			Registry: cfg.Metrics,
 			Extra:    srv.WriteStatsMetrics,
 			Health:   srv.Health,
 			Status:   func() any { return srv.Stats() },
 		}).Handler()
-		adminLn, err := net.Listen("tcp", d.AdminAddr)
+		adminLn, err := net.Listen("tcp", *admin)
 		if err != nil {
 			return fail(2, err)
 		}
@@ -220,16 +225,16 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 	if adminSrv != nil {
 		adminSrv.Close()
 	}
-	if evlog != nil {
-		evlog.Close()
-		if n := evlog.Dropped(); n > 0 && logf != nil {
+	if ev := cfg.Events; ev != nil {
+		ev.Close()
+		if n := ev.Dropped(); n > 0 && logf != nil {
 			logf("calciomd: events: %d dropped (buffer overflow)", n)
 		}
 	}
 	st := srv.Stats()
 	fmt.Fprintf(stdout, "calciomd: clean shutdown: policy=%s grants-served=%d arbitrations=%d uptime=%.3fs\n",
 		st.Policy, st.GrantsServed, st.Arbitrations, st.NowS)
-	if tw != nil {
+	if tw := cfg.Trace; tw != nil {
 		err := tw.Close()
 		if cerr := tf.Close(); err == nil {
 			err = cerr
@@ -238,7 +243,13 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 			return fail(1, fmt.Errorf("calciomd: trace: %w", err))
 		}
 		fmt.Fprintf(stdout, "calciomd: trace: events=%d dropped=%d path=%s\n",
-			tw.Recorded(), tw.Dropped(), d.RecordPath)
+			tw.Recorded(), tw.Dropped(), *record)
 	}
 	return 0
+}
+
+// seconds converts a flag's seconds to a duration, rounding down so that a
+// negative setting stays negative for server.New to refuse.
+func seconds(s float64) time.Duration {
+	return time.Duration(math.Floor(s * float64(time.Second)))
 }

@@ -521,11 +521,15 @@
 // test policy that authorizes by name marks the index whose view carries
 // that name. A policy's name is also the one way to ask for it:
 // core.ParsePolicy builds fcfs, interrupt, interfere, delay(F) and
-// dynamic(M) from exactly what their Name prints, so the daemon's
-// configuration, the ∆ command lines, replay's comparison set and
-// calciom-machine resolve names in one place, each keeping only its own
-// aliases (bare delay and dynamic; the ∆ tools' none), and a policy
-// calciom-replay recommends is one calciomd -policy runs. What a model policy estimates in — dynamic's solo
+// dynamic(M) from exactly what their Name prints, so calciomd, the ∆
+// command lines, replay's comparison set and calciom-machine resolve names
+// in one place, each keeping only its own aliases (the ∆ tools' none and
+// bare delay and dynamic), and a policy calciom-replay recommends is one
+// calciomd -policy runs. calciomd's aliases and the MiB/s model behind
+// delay and dynamic live in trace.Header's BuildPolicy and Model, which
+// build the daemon's policy from its flags and replay's from the header the
+// daemon wrote; every other daemon setting is a server.Config field, which
+// server.New alone checks. What a model policy estimates in — dynamic's solo
 // times, its one schedule order and one set of finish times that each
 // candidate is costed in, the sort behind its interference estimate —
 // is a core.Scratch owned by the Arbiter and handed over on that call, not

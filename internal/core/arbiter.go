@@ -33,6 +33,7 @@ type AppState struct {
 	aloneBW    float64
 
 	infoStack []ParsedInfo
+	errs      *[nViolations]error // Violation.Err's, by kind, once built
 
 	// The Domain's bookkeeping: the ledger, and the open phase and parked
 	// Wait it is charging.
@@ -100,7 +101,7 @@ func (a *AppState) Prepare(info ParsedInfo) {
 // Complete unstacks the most recent Prepare.
 func (a *AppState) Complete() Violation {
 	if len(a.infoStack) == 0 {
-		return Violation{a, "Complete without Prepare"}
+		return Violation{a, completeWithoutPrepare}
 	}
 	a.infoStack = a.infoStack[:len(a.infoStack)-1]
 	a.applyInfo()
@@ -149,7 +150,7 @@ func (a *AppState) Inform(now float64) (fresh bool) {
 // Activate marks the application inside an I/O step, as a served Wait does.
 func (a *AppState) Activate() Violation {
 	if a.state == Idle {
-		return Violation{a, "Wait before Inform"}
+		return Violation{a, waitBeforeInform}
 	}
 	a.setState(Active)
 	return Violation{}

@@ -126,8 +126,8 @@ func (c *Coordinator) End(p *sim.Proc) { c.apply(c.layer.dom.End(p.Now(), &c.app
 // apply panics on a protocol violation and sends the arbitration the verb
 // asks for, which runs one message latency later.
 func (c *Coordinator) apply(e Effect) Effect {
-	if e.Violation.what != "" {
-		panic(e.Violation.Error())
+	if e.Violation.kind != 0 {
+		panic(e.Violation.Err().Error())
 	}
 	if e.Arbitrate {
 		c.layer.poke()

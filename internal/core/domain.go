@@ -1,6 +1,9 @@
 package core
 
-import "math"
+import (
+	"errors"
+	"math"
+)
 
 // Domain is one storage target's coordination state — its Arbiter, each
 // session's AppState with its Ledger, the pending recheck deadline — and
@@ -186,9 +189,9 @@ func (d *Domain) Inform(now float64, a *AppState, bytesDone float64) Effect {
 func (d *Domain) Wait(now float64, a *AppState, refuse bool) Effect {
 	switch {
 	case a.state == Idle:
-		return Effect{Violation: Violation{a, "Wait before Inform"}}
+		return Effect{Violation: Violation{a, waitBeforeInform}}
 	case a.parked:
-		return Effect{Violation: Violation{what: "wait already pending"}}
+		return Effect{Violation: Violation{kind: waitPending}}
 	case refuse:
 		return Effect{Refused: true}
 	case !a.authorized:
@@ -224,7 +227,7 @@ func (d *Domain) Cancel(a *AppState) (was bool) {
 func (d *Domain) Release(a *AppState, bytesDone float64) Effect {
 	a.Progress(bytesDone)
 	v := a.Release()
-	return Effect{Violation: v, Arbitrate: v.what == ""}
+	return Effect{Violation: v, Arbitrate: v.kind == 0}
 }
 
 // End closes the phase at now: the application becomes invisible to
@@ -250,27 +253,55 @@ func (d *Domain) Arbitrate(now float64) Decision {
 // Violation is a verb its application's protocol state does not allow: a
 // client bug the daemon answers with an error, skew replay ignores, a bug in
 // the experiment the simulator panics on. The zero Violation is none, and
-// only Error formats one.
+// only Err formats one.
 type Violation struct {
 	app  *AppState // nil for a violation of the session, not of the application
-	what string
+	kind violation
+}
+
+// violation is what a verb found wrong, by kind; 0 is nothing.
+type violation uint8
+
+const (
+	completeWithoutPrepare violation = iota + 1
+	waitBeforeInform
+	releaseWhileIdle
+	releaseWhileWaiting
+	waitPending // the session's: its text names no application
+	nViolations
+)
+
+// violationText is each kind's wording.
+var violationText = [nViolations]string{
+	completeWithoutPrepare: "Complete without Prepare",
+	waitBeforeInform:       "Wait before Inform",
+	releaseWhileIdle:       "Release while idle",
+	releaseWhileWaiting:    "Release while waiting",
+	waitPending:            "wait already pending",
 }
 
 // releaseWhile is what a Release finds wrong, by the state it finds.
-var releaseWhile = [...]string{Idle: "Release while idle", Waiting: "Release while waiting"}
+var releaseWhile = [...]violation{Idle: releaseWhileIdle, Waiting: releaseWhileWaiting}
 
-// Error implements error.
-func (v Violation) Error() string {
-	if v.app == nil {
-		return v.what
-	}
-	return "core: " + v.app.name + ": " + v.what
-}
+// errWaitPending is the session's one violation, the same for every session.
+var errWaitPending = errors.New(violationText[waitPending])
 
-// Err returns v as an error, nil when there is none.
+// Err returns v as an error, nil when there is none. An application keeps
+// the error of each kind it has violated, built the first time, so a client
+// that repeats a refused verb costs the daemon no allocation.
 func (v Violation) Err() error {
-	if v.what == "" {
+	switch {
+	case v.kind == 0:
 		return nil
+	case v.app == nil:
+		return errWaitPending
 	}
-	return v
+	a := v.app
+	if a.errs == nil {
+		a.errs = new([nViolations]error)
+	}
+	if a.errs[v.kind] == nil {
+		a.errs[v.kind] = errors.New("core: " + a.name + ": " + violationText[v.kind])
+	}
+	return a.errs[v.kind]
 }

@@ -49,7 +49,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -199,17 +198,6 @@ func (r *Result) WaitHist() *wire.Hist {
 	}
 	h.Count = uint64(len(r.Waits))
 	return h
-}
-
-// RecordingPolicy rebuilds the policy the trace was recorded under from its
-// header, via the same construction path as the daemon configuration.
-func RecordingPolicy(hdr trace.Header) (core.Policy, error) {
-	return headerDaemon(hdr).BuildPolicy()
-}
-
-// headerDaemon is the recording daemon's configuration as its header keeps it.
-func headerDaemon(hdr trace.Header) config.Daemon {
-	return config.Daemon{Policy: hdr.Policy, FSMiBps: hdr.FSMiBps, ProcNICMiBps: hdr.ProcNICMiBps}
 }
 
 // checkReplayable rejects traces a replay would silently misrepresent. Only
@@ -494,7 +482,7 @@ func Verify(tr *trace.Trace) (VerifyResult, error) {
 	if err := checkReplayable(tr); err != nil {
 		return VerifyResult{}, err
 	}
-	pol, err := RecordingPolicy(tr.Header)
+	pol, err := tr.Header.BuildPolicy()
 	if err != nil {
 		return VerifyResult{}, fmt.Errorf("replay: recording policy: %w", err)
 	}
@@ -911,7 +899,7 @@ func Compare(tr *trace.Trace, policies []core.Policy) (Comparison, error) {
 	if err := checkReplayable(tr); err != nil {
 		return Comparison{}, err
 	}
-	basePol, err := RecordingPolicy(tr.Header)
+	basePol, err := tr.Header.BuildPolicy()
 	if err != nil {
 		return Comparison{}, fmt.Errorf("replay: recording policy: %w", err)
 	}
@@ -995,9 +983,9 @@ func Compare(tr *trace.Trace, policies []core.Policy) (Comparison, error) {
 // header carries a performance model. overlap < 0 (or NaN) takes a delay
 // recording's own overlap, 0.5 when it has none.
 func StandardPolicies(hdr trace.Header, overlap float64) []core.Policy {
-	specs, m := []string{"fcfs", "interrupt", "interfere"}, headerDaemon(hdr).Model()
+	specs, m := []string{"fcfs", "interrupt", "interfere"}, hdr.Model()
 	if m != nil {
-		if rec, _ := RecordingPolicy(hdr); !(overlap >= 0) {
+		if rec, _ := hdr.BuildPolicy(); !(overlap >= 0) {
 			overlap = 0.5
 			if d, ok := rec.(core.DelayPolicy); ok && d.Overlap != 0 {
 				overlap = d.Overlap

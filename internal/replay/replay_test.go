@@ -211,7 +211,7 @@ func TestSynthesizedRecheck(t *testing.T) {
 			{Type: trace.EvEnd, Time: 4, SID: 1},
 		},
 	}
-	pol, err := RecordingPolicy(tr.Header)
+	pol, err := tr.Header.BuildPolicy()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,6 +371,10 @@ func TestStandardPoliciesRebuildFromNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The fixture's legacy header names bare delay: delay(0).
+	if p, err := fixture.Header.BuildPolicy(); err != nil || p.Name() != "delay(0.00)" {
+		t.Fatalf("the fixture's header %+v builds %v, %v; want delay(0.00)", fixture.Header, p, err)
+	}
 	synth := replaytest.Trace(4, 1, 1).Header
 	for _, tc := range []struct {
 		hdr   trace.Header
@@ -387,7 +391,7 @@ func TestStandardPoliciesRebuildFromNames(t *testing.T) {
 		for _, c := range cands {
 			hdr := tc.hdr
 			hdr.Policy = c.Name()
-			p, err := RecordingPolicy(hdr)
+			p, err := hdr.BuildPolicy()
 			if err != nil || !reflect.DeepEqual(p, c) {
 				t.Errorf("%s rebuilds %#v, %v; compared %#v", c.Name(), p, err, c)
 			}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -38,10 +39,10 @@ func metricsServer(tb testing.TB, pol core.Policy, m *core.PerfModel, k int) (*S
 
 // TestMetricsStayAllocFree pins the instrumented arbitration cycle at zero
 // allocations, metrics and sampled event emission both enabled — the same
-// guard recording has — under every policy the registry builds by name but
-// fairshare, whose least-served pick does not follow this cycle's rotation:
-// the cycled session's Release would be a protocol violation, and its error
-// reply allocates. delay(0.50) arms its shard's recheck timer on
+// guard recording has — under every policy the registry builds by name.
+// fairshare's least-served pick does not follow this cycle's rotation, so
+// some of its cycled Releases are protocol violations, answered with
+// errors built once. delay(0.50) arms its shard's recheck timer on
 // arbitrations that defer a newcomer; the timer is re-armed in place, so
 // that costs nothing either.
 func TestMetricsStayAllocFree(t *testing.T) {
@@ -49,7 +50,7 @@ func TestMetricsStayAllocFree(t *testing.T) {
 	for _, tc := range []struct {
 		spec   string
 		allocs float64
-	}{{"fcfs", 0}, {"interrupt", 0}, {"interfere", 0}, {"delay(0.50)", 0}, {"dynamic(cpu-seconds)", 0}} {
+	}{{"fcfs", 0}, {"interrupt", 0}, {"interfere", 0}, {"delay(0.50)", 0}, {"dynamic(cpu-seconds)", 0}, {"fairshare(3600)", 0}} {
 		t.Run(tc.spec, func(t *testing.T) {
 			pol, err := core.ParsePolicy(tc.spec, m)
 			if err != nil {
@@ -74,6 +75,41 @@ func TestMetricsStayAllocFree(t *testing.T) {
 			}
 		})
 	}
+	// A refused verb is answered too, and a client repeating one costs
+	// nothing: each session's error text is built once per kind. app-01
+	// waits behind app-00; app-02 ended its phase and is idle.
+	t.Run("refused", func(t *testing.T) {
+		srv, ss, _, ev := metricsServer(t, core.FCFSPolicy{}, nil, 3)
+		defer ev.Close()
+		srv.handle(ss[2], wire.Request{Seq: 5, Type: wire.TypeEnd})
+		srv.handle(ss[2], wire.Request{Seq: 6, Type: wire.TypeComplete})
+		refused := func() {
+			srv.handle(ss[1], wire.Request{Seq: 7, Type: wire.TypeWait})    // wait already pending
+			srv.handle(ss[1], wire.Request{Seq: 8, Type: wire.TypeRelease}) // Release while waiting
+			srv.handle(ss[2], wire.Request{Seq: 9, Type: wire.TypeRelease}) // Release while idle
+			srv.handle(ss[2], wire.Request{Seq: 10, Type: wire.TypeWait})   // Wait before Inform
+			srv.handle(ss[2], wire.Request{Seq: 11, Type: wire.TypeComplete})
+		}
+		// The first round's replies, word for word.
+		ss[1].c, ss[2].c = testSession(8).c, testSession(8).c
+		refused()
+		var got []string
+		for _, s := range ss[1:] {
+			for _, r := range queued(s) {
+				got = append(got, r.Code+": "+r.Err)
+			}
+			s.c = nil
+		}
+		want := []string{"protocol: wait already pending", "protocol: core: app-01: Release while waiting",
+			"protocol: core: app-02: Release while idle", "protocol: core: app-02: Wait before Inform",
+			"protocol: core: app-02: Complete without Prepare"}
+		if !slices.Equal(got, want) {
+			t.Fatalf("refusals %q, want %q", got, want)
+		}
+		if allocs := testing.AllocsPerRun(512, refused); allocs > 0 {
+			t.Fatalf("five refused verbs cost %.2f allocs, want 0", allocs)
+		}
+	})
 }
 
 // BenchmarkServerArbitrateMetrics is BenchmarkServerArbitrate with the obs

@@ -30,7 +30,8 @@ import (
 	"repro/internal/wire"
 )
 
-// Config parameterizes a daemon.
+// Config is a daemon's settings: calciomd binds its flags into one, and New
+// checks it.
 type Config struct {
 	// Policy arbitrates storage-target access; required. The shipped
 	// policies are stateless values, so one policy instance serves every
@@ -49,9 +50,9 @@ type Config struct {
 	// expires unresumed the session is dropped: its grants are revoked and
 	// every target it was mid-phase on re-arbitrates, so one crashed client
 	// convoys a target for at most GrantGrace. 0 drops a session the moment
-	// its connection dies (the original behavior). GrantGrace should be
-	// shorter than SessionTimeout: the grace window is for fast reconnects,
-	// idle eviction for abandoned sessions.
+	// its connection dies (the original behavior). GrantGrace must be
+	// shorter than SessionTimeout when both are set: the grace window is
+	// for fast reconnects, idle eviction for abandoned sessions.
 	GrantGrace time.Duration
 	// Clock returns the coordination time in seconds. Nil means monotonic
 	// wall time since the server started. Tests inject a logical clock to
@@ -93,7 +94,8 @@ type Config struct {
 	MaxSessions int
 	// HandshakeTimeout drops a connection that has not completed register
 	// within it, so an idle unregistered socket cannot live forever (idle
-	// eviction only covers registered sessions). 0 disables the deadline.
+	// eviction only covers registered sessions). 0 disables the deadline;
+	// like GrantGrace, it must be shorter than a set SessionTimeout.
 	HandshakeTimeout time.Duration
 	// RateLimit caps each connection's sustained request rate in requests
 	// per second, enforced by a per-connection token bucket (burst equal
@@ -259,10 +261,27 @@ type Server struct {
 	degradedSeen atomic.Bool
 }
 
-// New validates the configuration and builds a server (not yet listening).
+// New checks the configuration and builds a server (not yet listening).
+// It is the one check of a daemon's settings, and its errors name the
+// calciomd flag at fault.
 func New(cfg Config) (*Server, error) {
-	if cfg.Policy == nil {
+	switch {
+	case cfg.Policy == nil:
 		return nil, errors.New("server: nil policy")
+	case cfg.SessionTimeout < 0:
+		return nil, errors.New("server: -session-timeout must be >= 0")
+	case cfg.GrantGrace < 0:
+		return nil, errors.New("server: -grant-grace must be >= 0")
+	case cfg.GrantGrace > 0 && cfg.SessionTimeout > 0 && cfg.GrantGrace >= cfg.SessionTimeout:
+		return nil, errors.New("server: -grant-grace must be shorter than -session-timeout")
+	case cfg.MaxSessions < 0:
+		return nil, errors.New("server: -max-sessions must be >= 1, or 0 for unlimited")
+	case cfg.HandshakeTimeout < 0:
+		return nil, errors.New("server: -handshake-timeout must be >= 0")
+	case cfg.HandshakeTimeout > 0 && cfg.SessionTimeout > 0 && cfg.HandshakeTimeout >= cfg.SessionTimeout:
+		return nil, errors.New("server: -handshake-timeout must be shorter than -session-timeout")
+	case cfg.RateLimit < 0:
+		return nil, errors.New("server: -max-requests-per-sec must be >= 0")
 	}
 	clock := cfg.Clock
 	if clock == nil {

@@ -108,6 +108,45 @@ func info(bytes float64) core.Info {
 	return in
 }
 
+// TestNewChecksSettings: New is the one check of a daemon's settings — each
+// range and the two deadlines that must be shorter than idle eviction —
+// and its errors name the calciomd flag at fault.
+func TestNewChecksSettings(t *testing.T) {
+	fcfs := core.FCFSPolicy{}
+	delay, err := core.ParsePolicy("delay(0.5)", &core.PerfModel{FSBandwidth: 4000 << 20, ProcNIC: 100 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		err  string // a substring of New's error; "" = valid
+	}{
+		{name: "defaults", cfg: Config{Policy: fcfs}},
+		{name: "full settings", cfg: Config{Policy: delay, SessionTimeout: 30 * time.Second, GrantGrace: 5 * time.Second}},
+		{name: "overload settings", cfg: Config{Policy: fcfs, MaxSessions: 128, HandshakeTimeout: 5 * time.Second,
+			SessionTimeout: time.Minute, RateLimit: 500}},
+		{name: "deadlines without eviction", cfg: Config{Policy: fcfs, GrantGrace: time.Hour, HandshakeTimeout: time.Hour}},
+		{name: "no policy", err: "nil policy"},
+		{name: "negative timeout", cfg: Config{Policy: fcfs, SessionTimeout: -time.Second}, err: "-session-timeout must be >= 0"},
+		{name: "negative grace", cfg: Config{Policy: fcfs, GrantGrace: -1}, err: "-grant-grace must be >= 0"},
+		{name: "grace at the eviction timeout", cfg: Config{Policy: fcfs, SessionTimeout: 5 * time.Second, GrantGrace: 5 * time.Second},
+			err: "-grant-grace must be shorter than -session-timeout"},
+		{name: "handshake deadline at the eviction timeout", cfg: Config{Policy: fcfs, SessionTimeout: 30 * time.Second, HandshakeTimeout: 30 * time.Second},
+			err: "-handshake-timeout must be shorter than -session-timeout"},
+		{name: "negative handshake timeout", cfg: Config{Policy: fcfs, HandshakeTimeout: -time.Second}, err: "-handshake-timeout must be >= 0"},
+		{name: "negative rate limit", cfg: Config{Policy: fcfs, RateLimit: -5}, err: "-max-requests-per-sec"},
+		{name: "negative session bound", cfg: Config{Policy: fcfs, MaxSessions: -1}, err: "-max-sessions"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := New(tc.cfg)
+			if tc.err == "" && err != nil || tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)) {
+				t.Fatalf("New() = %v, want %q", err, tc.err)
+			}
+		})
+	}
+}
+
 func TestSinglePhaseLifecycle(t *testing.T) {
 	srv, addr := startTestServer(t, Config{})
 	c := dialT(t, addr)

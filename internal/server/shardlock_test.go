@@ -13,17 +13,16 @@ import (
 	"repro/internal/approx"
 	"repro/internal/chaos"
 	"repro/internal/client"
-	"repro/internal/config"
 	"repro/internal/replay"
 	"repro/internal/trace"
 )
 
-// delayDaemon is a daemon configuration whose policy keeps recheck timers
-// live: delay with no overlap decides like fcfs, but while anyone queues
-// behind a holder it asks to be re-run when the holder should be done (about
-// a millisecond at these sizes). Clients never report progress, so a holder
-// never looks done and nobody is let in beside it.
-var delayDaemon = config.Daemon{Policy: "delay", FSMiBps: 1024, ProcNICMiBps: 1024}
+// delayDaemon is the trace header of a daemon whose policy keeps recheck
+// timers live: bare delay, delay(0), decides like fcfs, but while anyone
+// queues behind a holder it asks to be re-run when the holder should be done
+// (about a millisecond at these sizes). Clients never report progress, so a
+// holder never looks done and nobody is let in beside it.
+var delayDaemon = trace.Header{Source: trace.SourceDaemon, Policy: "delay", FSMiBps: 1024, ProcNICMiBps: 1024}
 
 // TestShardLockControlPlaneRace is the -race stress test for what the shard
 // lock shares: plain and mux connections arbitrate on two targets while
@@ -44,7 +43,7 @@ func TestShardLockControlPlaneRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	tw, err := trace.NewWriter(&buf, delayDaemon.TraceHeader(pol), 1<<18)
+	tw, err := trace.NewWriter(&buf, delayDaemon, 1<<18)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,17 +298,18 @@ func TestShardLockControlPlaneRace(t *testing.T) {
 
 // TestNoRecordAfterClose pins the shutdown guarantee the trace writer's
 // owner relies on: shutdown's pass over a shard is the last thing to happen
-// on it. A recheck timer that fires and a reader that arrives while the pass
-// waits for the lock get the lock after it — the timer possibly after Close
-// has returned, since Close waits for readers but not for timers — and must
-// leave without arbitrating or recording.
+// on it. A reader whose request waits on the lock when Close starts, and a
+// recheck timer that fires while the pass waits for it, may get the lock
+// before the pass or after it — the timer possibly after Close has
+// returned, since Close waits for readers but not for timers — and after
+// it must leave without arbitrating or recording.
 func TestNoRecordAfterClose(t *testing.T) {
 	pol, err := delayDaemon.BuildPolicy()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	tw, err := trace.NewWriter(&buf, delayDaemon.TraceHeader(pol), 0)
+	tw, err := trace.NewWriter(&buf, delayDaemon, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,11 +334,23 @@ func TestNoRecordAfterClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hold the lock and queue three parties on it, in this order: Close's
-	// shutdown pass, the timer once it comes due, c's reader with a request
-	// in flight. (The sleeps only steer the order; the assertions hold in
-	// any order.)
+	// Hold the lock and queue three parties on it, in this order: c's
+	// reader with a request in flight, Close's shutdown pass, the timer
+	// once it comes due. The request must be in flight before Close starts:
+	// Close's stop tears every connection down, so a request sent after it
+	// never reaches a reader. (The sleep only steers the timer behind the
+	// pass; the assertions hold in any order.)
 	sh.mu.Lock()
+	var once sync.Once
+	unlock := func() { once.Do(sh.mu.Unlock) }
+	// A Fatal below must not leave the cleanup's Close waiting on the lock.
+	defer unlock()
+	go c.Inform() // answered, or failed when Close tears the connection down
+	for deadline := time.Now().Add(5 * time.Second); sh.inflight.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("c's Inform never reached the held shard")
+		}
+	}
 	closed := make(chan struct{})
 	go func() {
 		srv.Close()
@@ -346,11 +358,7 @@ func TestNoRecordAfterClose(t *testing.T) {
 	}()
 	<-srv.stop
 	time.Sleep(50 * time.Millisecond)
-	go c.Inform() // fails when Close tears the connection down
-	for deadline := time.Now().Add(10 * time.Second); sh.inflight.Load() == 0 && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
-	sh.mu.Unlock()
+	unlock()
 	<-closed
 	// The writer's owner closes it right away, as calciomd does. (A closed
 	// writer counts what it is handed as dropped, so a late Record shows.)

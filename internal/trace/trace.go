@@ -209,8 +209,10 @@ func (ev *Event) Prepared() core.ParsedInfo {
 }
 
 // Header is the one-time JSON blob after the magic: where the trace came
-// from and enough of the recording configuration that replay can rebuild
-// the recording policy and its performance model.
+// from and the recording daemon's -policy, -fs-mibps and -proc-nic-mibps,
+// from which BuildPolicy and Model rebuild its policy and performance
+// model. calciomd builds its own from the same fields, so a recording
+// replays under the very policy that served it.
 type Header struct {
 	// Source names the recorder: "calciomd" (SourceDaemon), which records
 	// every shard's events under the shard's lock, outcome events
@@ -218,13 +220,50 @@ type Header struct {
 	Source string `json:"source"`
 	// Policy is the recording policy's complete core.ParsePolicy spec,
 	// such as "fcfs", "delay(0.25)" or "dynamic(cpu-seconds)". Older
-	// recordings may hold a config alias instead: bare "delay" or
-	// "dynamic".
+	// recordings may hold one of calciomd's aliases instead (see
+	// BuildPolicy).
 	Policy string `json:"policy"`
-	// FSMiBps and ProcNICMiBps mirror the daemon configuration so replay
-	// can rebuild the performance model.
+	// FSMiBps and ProcNICMiBps are the file system's and one process's
+	// bandwidth in MiB/s, the performance model's two figures.
 	FSMiBps      float64 `json:"fs_mibps,omitempty"`
 	ProcNICMiBps float64 `json:"proc_nic_mibps,omitempty"`
+}
+
+// Model is the performance model the header's bandwidths describe, nil
+// without a file-system bandwidth.
+func (h Header) Model() *core.PerfModel {
+	if h.FSMiBps <= 0 {
+		return nil
+	}
+	const miB = 1 << 20
+	return &core.PerfModel{FSBandwidth: h.FSMiBps * miB, ProcNIC: h.ProcNICMiBps * miB}
+}
+
+// BuildPolicy builds the header's policy under its Model through
+// core.ParsePolicy, calciomd's aliases applied first: "" is fcfs, bare
+// "delay" delay(0) and bare "dynamic" dynamic(cpu-seconds). Errors name the
+// calciomd flag at fault.
+func (h Header) BuildPolicy() (core.Policy, error) {
+	if h.FSMiBps < 0 || h.ProcNICMiBps < 0 {
+		return nil, errors.New("-fs-mibps and -proc-nic-mibps must be >= 0")
+	}
+	spec := h.Policy
+	switch spec {
+	case "":
+		spec = "fcfs"
+	case "delay":
+		spec = "delay(0)"
+	case "dynamic":
+		spec = "dynamic(cpu-seconds)"
+	}
+	p, err := core.ParsePolicy(spec, h.Model())
+	if errors.Is(err, core.ErrNeedsModel) {
+		return nil, fmt.Errorf("-policy %q needs -fs-mibps for its performance model", h.Policy)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("-policy: %w", err)
+	}
+	return p, nil
 }
 
 // SourceDaemon is the Header.Source of a calciomd recording, the only

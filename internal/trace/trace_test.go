@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // sampleEvents is a fixed sequence exercising every record shape.
@@ -139,6 +141,53 @@ func TestLegacyDelayOverlapHeader(t *testing.T) {
 	_, err := Read(strings.NewReader(header(`{"source":"calciomd","policy":"fcfs","delay_overlap":0.5}`)))
 	if err == nil || !strings.Contains(err.Error(), "delay_overlap") {
 		t.Fatalf("an overlap beside fcfs reads with err %v", err)
+	}
+}
+
+// TestHeaderBuildsPolicy: a header builds its policy as calciomd builds
+// one from its -policy, -fs-mibps and -proc-nic-mibps flags — the aliases
+// ("" is fcfs, bare delay delay(0), bare dynamic dynamic(cpu-seconds)), the
+// model in bytes per second, and errors naming the flag at fault.
+func TestHeaderBuildsPolicy(t *testing.T) {
+	const miB = 1 << 20
+	for _, tc := range []struct {
+		name string
+		hdr  Header
+		want string // the built policy's name, or a substring of the error
+		err  bool
+	}{
+		{name: "fcfs alias", hdr: Header{}, want: "fcfs"},
+		{name: "interrupt policy", hdr: Header{Policy: "interrupt"}, want: "interrupt"},
+		{name: "bare delay", hdr: Header{Policy: "delay", FSMiBps: 2048, ProcNICMiBps: 3}, want: "delay(0.00)"},
+		{name: "delay spec", hdr: Header{Policy: "delay(0.25)", FSMiBps: 2048, ProcNICMiBps: 3}, want: "delay(0.25)"},
+		{name: "bare dynamic", hdr: Header{Policy: "dynamic", FSMiBps: 2048, ProcNICMiBps: 3}, want: "dynamic(cpu-seconds)"},
+		{name: "unknown policy", hdr: Header{Policy: "roulette"}, want: `-policy: unknown policy "roulette"`, err: true},
+		{name: "delay needs model", hdr: Header{Policy: "delay(1)"}, want: `-policy "delay(1)" needs -fs-mibps`, err: true},
+		{name: "dynamic needs model", hdr: Header{Policy: "dynamic", ProcNICMiBps: 3}, want: `-policy "dynamic" needs -fs-mibps`, err: true},
+		{name: "negative bandwidth", hdr: Header{FSMiBps: -1}, want: "-fs-mibps", err: true},
+		{name: "negative NIC bandwidth", hdr: Header{FSMiBps: 1, ProcNICMiBps: -1}, want: "-proc-nic-mibps", err: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := tc.hdr.BuildPolicy()
+			if tc.err {
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("BuildPolicy() = %v, %v; want an error containing %q", p, err, tc.want)
+				}
+				return
+			}
+			if err != nil || p.Name() != tc.want {
+				t.Fatalf("BuildPolicy() = %v, %v; want %s", p, err, tc.want)
+			}
+			if dp, ok := p.(core.DelayPolicy); tc.hdr.Policy == "delay" && (!ok || dp.Overlap != 0) {
+				t.Fatalf("bare delay builds %#v, want no overlap", p)
+			}
+		})
+	}
+	if m := (Header{ProcNICMiBps: 3}).Model(); m != nil {
+		t.Fatalf("no file-system bandwidth, model %+v; want none", m)
+	}
+	if m := (Header{FSMiBps: 4000, ProcNICMiBps: 100}).Model(); m == nil || *m != (core.PerfModel{FSBandwidth: 4000 * miB, ProcNIC: 100 * miB}) {
+		t.Fatalf("model = %+v", m)
 	}
 }
 
