@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -70,7 +71,6 @@ func startDaemon(t *testing.T, cfg server.Config) *daemon {
 	d.addr = ln.Addr().String()
 	admin := httptest.NewServer((&obs.Admin{
 		Registry: reg,
-		Extra:    d.srv.WriteStatsMetrics,
 		Health:   d.srv.Health,
 		Status:   func() any { return d.srv.Stats() },
 	}).Handler())
@@ -460,6 +460,53 @@ func TestSWFSkipsUnknownSize(t *testing.T) {
 	for _, ev := range tr.Events {
 		if ev.Type == trace.EvRegister && ev.Cores <= 0 {
 			t.Fatalf("%s registered with %d cores", ev.App, ev.Cores)
+		}
+	}
+}
+
+// TestMetricsDocumented holds doc.go's Observability section to a smoke
+// scrape, both ways: every calciomd_* family the scrape renders is named
+// there, and every family named there is rendered. A name ending in * is a
+// prefix (calciomd_app_*, the per-application rows). The burst's sessions
+// stay in their grace window, so the scrape carries application rows.
+func TestMetricsDocumented(t *testing.T) {
+	src, err := os.ReadFile("../../doc.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(src)
+	start := strings.Index(doc, "\n// # Observability\n")
+	if start < 0 {
+		t.Fatal("doc.go has no Observability section")
+	}
+	doc = doc[start+1:]
+	if end := strings.Index(doc[1:], "\n// # "); end >= 0 {
+		doc = doc[:end+1]
+	}
+	documented := regexp.MustCompile(`calciomd_[a-z0-9_]*[a-z0-9*]`).FindAllString(doc, -1)
+	slices.Sort(documented)
+	documented = slices.Compact(documented)
+
+	d := startDaemon(t, server.Config{GrantGrace: time.Minute})
+	load(t, burstArgs(d)...)
+	var rendered []string
+	for _, m := range regexp.MustCompile(`(?m)^# TYPE (calciomd_\S+) `).FindAllStringSubmatch(d.scrape(t), -1) {
+		rendered = append(rendered, m[1])
+	}
+	d.stop(t)
+
+	names := func(name, family string) bool {
+		prefix, ok := strings.CutSuffix(name, "*")
+		return name == family || ok && strings.HasPrefix(family, prefix)
+	}
+	for _, family := range rendered {
+		if !slices.ContainsFunc(documented, func(name string) bool { return names(name, family) }) {
+			t.Errorf("the scrape renders %s, which doc.go's Observability section does not name", family)
+		}
+	}
+	for _, name := range documented {
+		if !slices.ContainsFunc(rendered, func(family string) bool { return names(name, family) }) {
+			t.Errorf("doc.go's Observability section names %s, which the scrape does not render", name)
 		}
 	}
 }

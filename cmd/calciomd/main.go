@@ -176,7 +176,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 	if *admin != "" {
 		handler := (&obs.Admin{
 			Registry: cfg.Metrics,
-			Extra:    srv.WriteStatsMetrics,
 			Health:   srv.Health,
 			Status:   func() any { return srv.Stats() },
 		}).Handler()

@@ -630,50 +630,52 @@
 // second listener, built on the dependency-free internal/obs package:
 //
 //	/metrics        Prometheus text format: counters, gauges, histograms
-//	/healthz        "serving", "draining" or "degraded" (non-serving: 503)
+//	/healthz        "serving", "degraded", "overloaded", "draining" or "closed" (else 503)
 //	/statusz        the full wire.Stats snapshot as indented JSON
 //	/debug/pprof/   the standard net/http/pprof profiles
 //
-// Enabling the listener also enables collection; without -admin the
-// registry is nil and arbitration runs the exact
-// pre-observability instruction stream (fault-free agg and replay output is
-// byte-identical either way). Collection follows the same discipline as
-// trace recording: every per-shard series is resolved once at shard
-// creation and the hot path performs only atomic adds — zero allocations,
-// pinned by TestMetricsStayAllocFree and BenchmarkServerArbitrateMetrics.
+// Enabling the listener also enables collection; without -admin the registry
+// is nil and arbitration runs the pre-observability instruction stream
+// (fault-free agg and replay output is byte-identical either way). Per-shard
+// series are resolved once at shard creation and the hot path performs only
+// atomic adds, with zero allocations (TestMetricsStayAllocFree,
+// BenchmarkServerArbitrateMetrics).
 //
-// The hot-path series are per storage target (label target=""): grants,
-// arbitrations and revokes (calciomd_grants_total,
-// calciomd_arbitrations_total, calciomd_revokes_total), the
-// immediate-vs-deferred wait split (calciomd_waits_immediate_total,
-// calciomd_waits_deferred_total), the live wait-queue depth
-// (calciomd_queue_depth) and two fixed-bucket latency histograms —
-// calciomd_wait_seconds (request-to-grant, immediate waits observe 0) and
-// calciomd_hold_seconds (grant-to-release). The control plane adds the
-// fault-tolerance counters (calciomd_self_grants_total,
-// calciomd_degraded_seconds_total, calciomd_resumes_total), the connection
-// layer counts negotiated codecs (calciomd_connections_total, labels codec
-// and mux), tracks live multiplexed streams (calciomd_mux_streams) and the
-// group-commit batch-size distribution (calciomd_mux_batch_frames), and
-// counts raw wire traffic beneath the codec buffers
-// (calciomd_bytes_in_total, calciomd_bytes_out_total), and scrape time
-// adds the stats-merge view: calciomd_sessions, calciomd_cpu_seconds_wasted
-// and the per-application calciomd_app_* rows (labels app, target). The
-// wait histograms also ride the stats merge into wire.Stats.WaitHist, so
-// TCP stats consumers get the same distribution the scrape reports.
-// calciom-load -scrape URL diffs the scrape against client-side truth in
-// the daemon smoke tests (go test ./cmd/calciom-load -run Smoke), exactly.
+// obs.Registry is the one writer of /metrics, and each count has one source.
+// Counts the stats snapshot keeps are rendered from one wire.Stats per scrape
+// by a collector server.New registers: per storage target (label target) the
+// grants, arbitrations and immediate-vs-deferred wait split
+// (calciomd_grants_total, calciomd_arbitrations_total,
+// calciomd_waits_immediate_total, calciomd_waits_deferred_total), the
+// fail-open totals (calciomd_self_grants_total,
+// calciomd_degraded_seconds_total, calciomd_resumes_total),
+// calciomd_sessions, calciomd_cpu_seconds_wasted and the per-application
+// calciomd_app_* rows (labels app, target). The rest is counted on the hot
+// path: per target the revokes and brownout sheds (calciomd_revokes_total,
+// calciomd_sheds_total), the live wait-queue depth (calciomd_queue_depth) and
+// two fixed-bucket latency histograms, calciomd_wait_seconds
+// (request-to-grant, immediate waits observe 0) and calciomd_hold_seconds
+// (grant-to-release); daemon-wide the overload counters
+// (calciomd_busy_rejects_total, calciomd_stats_sheds_total,
+// calciomd_rate_limited_total, calciomd_handshake_timeouts_total,
+// calciomd_slow_disconnects_total), negotiated connections
+// (calciomd_connections_total, labels codec and mux), live multiplexed
+// streams (calciomd_mux_streams), group-commit batch sizes
+// (calciomd_mux_batch_frames) and raw wire traffic beneath the codec buffers
+// (calciomd_bytes_in_total, calciomd_bytes_out_total). The wait histograms
+// ride the stats merge into wire.Stats.WaitHist too. The smoke tests (go test
+// ./cmd/calciom-load -run Smoke) diff the scrape against client-side truth,
+// and TestMetricsDocumented this list against it.
 //
 // With -log-level (debug logs per-grant events; -log-sample N thins them to
 // every Nth) the daemon emits a structured grant-lifecycle stream through
 // log/slog: register/resume/disconnect (info), grant (debug; wait seconds,
 // queue position, deferred-vs-immediate, convoy cause), revoke (info), and
-// grace-expired/drain (warn). Emission is off the hot path — events travel
-// by value through a fixed-capacity channel to a formatting goroutine,
-// overflow is dropped and counted, never blocked on. Unlike the trace
-// recorder, which batches events in chunks, the event log keeps a send per
-// event: it is sampled, so a send is rare, and it has no sync tick that
-// would bound how long a batched line waits.
+// grace-expired/drain (warn). Emission is off the hot path — events travel by
+// value through a fixed-capacity channel to a formatting goroutine, overflow
+// is dropped and counted, never blocked on. Unlike the trace recorder's
+// chunks, the log keeps a send per event: it is sampled, so a send is rare,
+// and no sync tick would bound how long a batched line waits.
 //
 // # Overload model
 //

@@ -11,15 +11,12 @@ import (
 // optional; nil fields render sensible defaults so tests can serve a bare
 // registry.
 type Admin struct {
-	// Registry backs /metrics.
+	// Registry backs /metrics: its stored series and its collectors'
+	// scrape-time families, in one rendering.
 	Registry *Registry
-	// Extra, if set, is invoked after the registry renders so the daemon can
-	// append scrape-time series (per-app rows computed from the stats merge)
-	// without keeping them updated on the hot path.
-	Extra func(w io.Writer)
-	// Health returns the current health word: "serving", "draining",
-	// "degraded", "closed". Backs /healthz (non-"serving" answers 503 so
-	// load balancers can act on it).
+	// Health returns the current health word: "serving", "degraded",
+	// "overloaded", "draining" or "closed". Backs /healthz (non-"serving"
+	// answers 503 so load balancers can act on it).
 	Health func() string
 	// Status returns the object rendered as JSON on /statusz (the full
 	// wire.Stats snapshot in calciomd).
@@ -47,9 +44,6 @@ func (a *Admin) metrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if a.Registry != nil {
 		a.Registry.WriteTo(w)
-	}
-	if a.Extra != nil {
-		a.Extra(w)
 	}
 }
 

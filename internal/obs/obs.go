@@ -5,6 +5,9 @@
 // /statusz, net/http/pprof), and a sampled structured event log for grant
 // lifecycle logging.
 //
+// The registry is the one metric writer: it renders the series code updates
+// and the families its collectors fill at scrape time, in one exposition.
+//
 // The package is built for instrumenting code that must stay allocation-free
 // under load: Counter.Add, Gauge.Set/Add and Histogram.Observe never
 // allocate, never lock, and never branch on more than a nil check plus a
@@ -183,8 +186,9 @@ type family struct {
 // (name, labels) series returns the same instance, so callers can resolve
 // their series once at setup and hold the pointer for the hot path.
 type Registry struct {
-	mu       sync.Mutex
-	families map[string]*family
+	mu         sync.Mutex
+	families   map[string]*family
+	collectors []func(*Registry)
 }
 
 // NewRegistry returns an empty registry.
@@ -236,11 +240,20 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // FloatCounter registers (or finds) a float counter series (rendered as a
 // Prometheus counter).
 func (r *Registry) FloatCounter(name, help string, labels ...Label) *FloatCounter {
-	return r.get(name, help, kindCounter, labels, func(s *series) {
-		if s.f == nil {
-			s.f = &FloatCounter{}
-		}
-	}).f
+	return r.get(name, help, kindCounter, labels, initFloat).f
+}
+
+// FloatGauge registers (or finds) a float series rendered as a Prometheus
+// gauge. It only rises, so it is for collectors: one Add on the fresh
+// registry a scrape hands them sets it.
+func (r *Registry) FloatGauge(name, help string, labels ...Label) *FloatCounter {
+	return r.get(name, help, kindGauge, labels, initFloat).f
+}
+
+func initFloat(s *series) {
+	if s.f == nil {
+		s.f = &FloatCounter{}
+	}
 }
 
 // Histogram registers (or finds) a histogram series over the given bounds.
@@ -253,17 +266,26 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	}).h
 }
 
-// WriteTo renders every family in Prometheus text exposition format,
-// deterministically: families sorted by name, series by label string. It
-// copies the series under the lock, so registration may run alongside, and
-// renders outside it: every value it reads is atomic.
-func (r *Registry) WriteTo(w io.Writer) (int64, error) {
-	type famSeries struct {
-		f      *family // name, help and kind never change
-		series []series
-	}
+// Collect adds fn to the registry's collectors. Every scrape calls each
+// collector once with a fresh registry, which it fills with the current
+// values of its scrape-time families: counts another structure already
+// keeps, rendered from there instead of being counted a second time. A
+// collector's families must not share a name with one r stores.
+func (r *Registry) Collect(fn func(*Registry)) {
 	r.mu.Lock()
-	fams := make([]famSeries, 0, len(r.families))
+	defer r.mu.Unlock()
+	r.collectors = append(r.collectors, fn)
+}
+
+// famSeries is one family's series, copied for rendering.
+type famSeries struct {
+	f      *family // name, help and kind never change
+	series []series
+}
+
+// appendFamilies appends a copy of every family's series to fams. The
+// caller holds r.mu, or owns r alone.
+func (r *Registry) appendFamilies(fams []famSeries) []famSeries {
 	for _, f := range r.families {
 		fs := famSeries{f: f, series: make([]series, 0, len(f.series))}
 		for _, s := range f.series {
@@ -271,53 +293,84 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 		}
 		fams = append(fams, fs)
 	}
+	return fams
+}
+
+// WriteTo renders every family, stored and collected, in Prometheus text
+// exposition format, deterministically: families sorted by name, series by
+// label string. It copies the stored series under the lock, so registration
+// may run alongside, and renders outside it: every value it reads is
+// atomic. The collectors run outside the lock too, because they may take
+// locks under which their owner registers series.
+func (r *Registry) WriteTo(w io.Writer) (int64, error) {
+	r.mu.Lock()
+	fams := r.appendFamilies(nil)
+	collectors := r.collectors
 	r.mu.Unlock()
+	scrape := NewRegistry()
+	for _, fn := range collectors {
+		fn(scrape)
+	}
+	fams = scrape.appendFamilies(fams)
 	sort.Slice(fams, func(i, j int) bool { return fams[i].f.name < fams[j].f.name })
 
-	var b strings.Builder
+	var b []byte
 	for _, fs := range fams {
 		f := fs.f
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
+		b = fmt.Appendf(b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
 		sort.Slice(fs.series, func(i, j int) bool { return fs.series[i].labels < fs.series[j].labels })
 		for i := range fs.series {
 			s := &fs.series[i]
+			if s.h != nil {
+				b = appendHist(b, f.name, s.labels, s.h.Snapshot())
+				continue
+			}
+			b = append(appendSeries(b, f.name, "", s.labels), ' ')
 			switch {
 			case s.c != nil:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, strconv.FormatUint(s.c.Value(), 10))
+				b = strconv.AppendUint(b, s.c.Value(), 10)
 			case s.f != nil:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, formatFloat(s.f.Value()))
+				b = appendFloat(b, s.f.Value())
 			case s.g != nil:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.labels, strconv.FormatInt(s.g.Value(), 10))
-			case s.h != nil:
-				writeHist(&b, f.name, s.labels, s.h.Snapshot())
+				b = strconv.AppendInt(b, s.g.Value(), 10)
 			}
+			b = append(b, '\n')
 		}
 	}
-	n, err := io.WriteString(w, b.String())
+	n, err := w.Write(b)
 	return int64(n), err
 }
 
-// writeHist renders one histogram series: cumulative le-buckets, sum,
-// count.
-func writeHist(b *strings.Builder, name, labels string, s HistSnapshot) {
-	cum := uint64(0)
-	for i, bound := range s.Bounds {
-		cum += s.Counts[i]
-		fmt.Fprintf(b, "%s_bucket%s %d\n", name, withLabel(labels, "le", formatFloat(bound)), cum)
-	}
-	cum += s.Counts[len(s.Counts)-1]
-	fmt.Fprintf(b, "%s_bucket%s %d\n", name, withLabel(labels, "le", "+Inf"), cum)
-	fmt.Fprintf(b, "%s_sum%s %s\n", name, labels, formatFloat(s.Sum))
-	fmt.Fprintf(b, "%s_count%s %d\n", name, labels, cum)
+// appendSeries appends a series name, with its suffix, and its labels.
+func appendSeries(b []byte, name, suffix, labels string) []byte {
+	b = append(b, name...)
+	b = append(b, suffix...)
+	return append(b, labels...)
 }
 
-// withLabel appends one more label pair to an already-rendered label set.
-func withLabel(labels, key, value string) string {
-	extra := key + `="` + escapeLabel(value) + `"`
-	if labels == "" {
-		return "{" + extra + "}"
+// appendHist renders one histogram series: cumulative le-buckets, the last
+// +Inf, then sum and count. The le label joins the series' own labels.
+func appendHist(b []byte, name, labels string, s HistSnapshot) []byte {
+	le := `{le="`
+	if labels != "" {
+		le = labels[:len(labels)-1] + `,le="`
 	}
-	return labels[:len(labels)-1] + "," + extra + "}"
+	cum := uint64(0)
+	for i, c := range s.Counts {
+		cum += c
+		b = appendSeries(b, name, "_bucket", le)
+		if i < len(s.Bounds) {
+			b = appendFloat(b, s.Bounds[i])
+		} else {
+			b = append(b, "+Inf"...)
+		}
+		b = append(b, `"} `...)
+		b = append(strconv.AppendUint(b, cum, 10), '\n')
+	}
+	b = append(appendSeries(b, name, "_sum", labels), ' ')
+	b = append(appendFloat(b, s.Sum), '\n')
+	b = append(appendSeries(b, name, "_count", labels), ' ')
+	return append(strconv.AppendUint(b, cum, 10), '\n')
 }
 
 // renderLabels renders a label set in the given order (callers pass a fixed
@@ -334,24 +387,19 @@ func renderLabels(labels []Label) string {
 		}
 		b.WriteString(l.Key)
 		b.WriteString(`="`)
-		b.WriteString(escapeLabel(l.Value))
+		b.WriteString(labelEscaper.Replace(l.Value))
 		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String()
 }
 
-// escapeLabel escapes a label value per the exposition format.
-func escapeLabel(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
-	}
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+// labelEscaper escapes a label value per the exposition format; a value
+// with nothing to escape comes back as it is.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
-// formatFloat renders a float like Prometheus clients do: shortest exact
+// appendFloat renders a float like Prometheus clients do: shortest exact
 // representation, deterministic across runs.
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+func appendFloat(b []byte, v float64) []byte {
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }

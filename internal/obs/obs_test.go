@@ -206,13 +206,64 @@ func TestRegistryScrapeRacesRegistration(t *testing.T) {
 	}
 }
 
+// TestLabelEscaping: a label value is escaped the same way in a stored
+// series and in a collected one.
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("e_total", "e", Label{"app", "a\"b\\c\nd"}).Inc()
+	r.Collect(func(c *Registry) { c.Counter("f_total", "f", Label{"app", "a\"b\\c\nd"}).Add(2) })
 	var b strings.Builder
 	r.WriteTo(&b)
-	if want := `e_total{app="a\"b\\c\nd"} 1`; !strings.Contains(b.String(), want) {
-		t.Errorf("escaped render missing %q:\n%s", want, b.String())
+	for _, want := range []string{`e_total{app="a\"b\\c\nd"} 1`, `f_total{app="a\"b\\c\nd"} 2`} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("escaped render missing %q:\n%s", want, b.String())
+		}
+	}
+}
+
+// TestCollectRendersWithStored: collected families render in the stored
+// families' sorted order and format, counts as integers however large, and
+// each scrape calls the collector once, outside the registry's lock (this
+// one registers a stored series, which would deadlock under it).
+func TestCollectRendersWithStored(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("b_total", "b help").Add(3)
+	r.Gauge("d_depth", "d help").Set(2)
+	calls := 0
+	r.Collect(func(c *Registry) {
+		calls++
+		r.Counter("b_total", "b help")
+		c.Counter("a_total", "a help", Label{"target", "t1"}).Add(1_000_000)
+		c.Counter("a_total", "a help", Label{"target", "t0"}).Add(7)
+		c.FloatGauge("c_seconds", "c help").Add(0.25)
+		c.FloatCounter("e_seconds_total", "e help").Add(1e6)
+	})
+	var b strings.Builder
+	if _, err := r.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := `# HELP a_total a help
+# TYPE a_total counter
+a_total{target="t0"} 7
+a_total{target="t1"} 1000000
+# HELP b_total b help
+# TYPE b_total counter
+b_total 3
+# HELP c_seconds c help
+# TYPE c_seconds gauge
+c_seconds 0.25
+# HELP d_depth d help
+# TYPE d_depth gauge
+d_depth 2
+# HELP e_seconds_total e help
+# TYPE e_seconds_total counter
+e_seconds_total 1e+06
+`
+	if b.String() != want {
+		t.Errorf("render:\n%s\nwant:\n%s", b.String(), want)
+	}
+	if calls != 1 {
+		t.Errorf("one scrape called the collector %d times, want 1", calls)
 	}
 }
 
@@ -258,13 +309,11 @@ func TestAdminHandler(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("calciomd_grants_total", "grants", Label{"target", "t0"}).Add(42)
 	health := "serving"
+	r.Collect(func(c *Registry) { c.Gauge("collected_metric", "collected").Set(1) })
 	a := &Admin{
 		Registry: r,
-		Extra: func(w io.Writer) {
-			io.WriteString(w, "extra_metric 1\n")
-		},
-		Health: func() string { return health },
-		Status: func() any { return map[string]int{"sessions": 3} },
+		Health:   func() string { return health },
+		Status:   func() any { return map[string]int{"sessions": 3} },
 	}
 	srv := httptest.NewServer(a.Handler())
 	defer srv.Close()
@@ -284,8 +333,8 @@ func TestAdminHandler(t *testing.T) {
 	if code != 200 || !strings.Contains(body, `calciomd_grants_total{target="t0"} 42`) {
 		t.Errorf("/metrics: code=%d body=%q", code, body)
 	}
-	if !strings.Contains(body, "extra_metric 1") {
-		t.Errorf("/metrics missing Extra output: %q", body)
+	if !strings.Contains(body, "collected_metric 1") {
+		t.Errorf("/metrics missing the collector's family: %q", body)
 	}
 
 	code, body = get("/healthz")

@@ -286,15 +286,6 @@ func (srv *Server) foldDegraded(req wire.Request, resumed bool) {
 	if req.SelfGrants > 0 || req.DegradedS > 0 {
 		srv.degradedSeen.Store(true)
 	}
-	if srv.m != nil {
-		srv.m.selfGrants.Add(req.SelfGrants)
-		if req.DegradedS > 0 {
-			srv.m.degradedSeconds.Add(req.DegradedS)
-		}
-		if resumed {
-			srv.m.resumes.Inc()
-		}
-	}
 	d := srv.degraded[req.App]
 	if d == nil {
 		d = &wire.DegradedStats{Name: req.App}

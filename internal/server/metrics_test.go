@@ -5,10 +5,14 @@ import (
 	"io"
 	"log/slog"
 	"net/http/httptest"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/wire"
@@ -137,9 +141,30 @@ func BenchmarkServerArbitrateMetrics(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "grants/s")
 }
 
-// TestMetricsMatchStats cross-checks the registry against the stats merge:
-// the scrape-facing counters and the wire.Stats counters are two views of
-// the same arbitration stream and must agree exactly.
+// scrapeValue renders reg and returns the value of one series, named with
+// its labels as the exposition prints it; it fails the test if the scrape
+// has no such series.
+func scrapeValue(t *testing.T, reg *obs.Registry, series string) uint64 {
+	t.Helper()
+	var b strings.Builder
+	if _, err := reg.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("scrape has no %s series:\n%s", series, b.String())
+	return 0
+}
+
+// TestMetricsMatchStats cross-checks the rendered scrape against the stats
+// merge: both read the same arbitration stream and must agree exactly.
 func TestMetricsMatchStats(t *testing.T) {
 	srv, ss, reg, ev := metricsServer(t, core.FCFSPolicy{}, nil, 4)
 	defer ev.Close()
@@ -151,15 +176,14 @@ func TestMetricsMatchStats(t *testing.T) {
 		srv.handle(s, wire.Request{Seq: 8, Type: wire.TypeWait})
 	}
 	st := srv.Stats()
-	l := obs.Label{Key: "target", Value: ""}
-	if got := reg.Counter("calciomd_grants_total", "", l).Value(); got != st.GrantsServed {
+	if got := scrapeValue(t, reg, `calciomd_grants_total{target=""}`); got != st.GrantsServed {
 		t.Errorf("grants counter %d != stats GrantsServed %d", got, st.GrantsServed)
 	}
-	if got := reg.Counter("calciomd_arbitrations_total", "", l).Value(); got != st.Arbitrations {
+	if got := scrapeValue(t, reg, `calciomd_arbitrations_total{target=""}`); got != st.Arbitrations {
 		t.Errorf("arbitrations counter %d != stats Arbitrations %d", got, st.Arbitrations)
 	}
-	imm := reg.Counter("calciomd_waits_immediate_total", "", l).Value()
-	def := reg.Counter("calciomd_waits_deferred_total", "", l).Value()
+	imm := scrapeValue(t, reg, `calciomd_waits_immediate_total{target=""}`)
+	def := scrapeValue(t, reg, `calciomd_waits_deferred_total{target=""}`)
 	if imm != st.WaitsImmediate || def != st.WaitsDeferred {
 		t.Errorf("wait counters (%d, %d) != stats (%d, %d)", imm, def, st.WaitsImmediate, st.WaitsDeferred)
 	}
@@ -188,7 +212,6 @@ func TestAdminEndToEnd(t *testing.T) {
 	}
 	admin := &obs.Admin{
 		Registry: reg,
-		Extra:    srv.WriteStatsMetrics,
 		Health:   srv.Health,
 		Status:   func() any { return srv.Stats() },
 	}
@@ -227,5 +250,70 @@ func TestAdminEndToEnd(t *testing.T) {
 	}
 	if got := get("/statusz"); !strings.Contains(got, `"policy": "fcfs"`) {
 		t.Errorf("/statusz missing policy: %q", got)
+	}
+}
+
+// TestScrapeRacesShardCreation is the -race stress test for the scrape's
+// lock order: the registry renders in a loop while clients create shards on
+// new targets and arbitrate on them. A shard's creation registers its
+// series under the shard table's lock, and the collector takes that lock
+// (through Stats) outside the registry's, so neither waits on the other.
+// The last scrape counts every target's one grant.
+func TestScrapeRacesShardCreation(t *testing.T) {
+	const clients, targets = 8, 16
+	reg := obs.NewRegistry()
+	_, addr := startTestServer(t, Config{Metrics: reg})
+	done, scraped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if _, err := reg.WriteTo(io.Discard); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		c, err := client.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		if err := c.Register(fmt.Sprintf("app-%02d", i), 4); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < targets; j++ {
+				tg := c.Target(fmt.Sprintf("c%d-t%02d", i, j))
+				for _, step := range []func() error{
+					func() error { return tg.Prepare(info(1 << 20)) }, tg.Inform, tg.Wait,
+					func() error { return tg.Release(0) }, tg.End, tg.Complete,
+				} {
+					if err := step(); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	<-scraped
+	var b strings.Builder
+	if _, err := reg.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	one := regexp.MustCompile(`(?m)^calciomd_grants_total\{target="c\d+-t\d+"\} 1$`)
+	if got := len(one.FindAllString(b.String(), -1)); got != clients*targets {
+		t.Fatalf("%d targets scraped with one grant, want %d:\n%s", got, clients*targets, b.String())
 	}
 }

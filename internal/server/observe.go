@@ -1,42 +1,25 @@
 package server
 
-import (
-	"fmt"
-	"io"
-	"strings"
-
-	"repro/internal/obs"
-	"repro/internal/wire"
-)
+import "repro/internal/obs"
 
 // shardMetrics is one target's hot-path instrumentation, resolved once at
 // shard creation so arbitration only ever touches atomic adds through
 // pointers the shard already holds. Nil when the server has no registry.
+// The counts the shard's ledgers and Domain keep are not here: collect
+// renders them from the stats snapshot.
 type shardMetrics struct {
-	grants         *obs.Counter
-	arbitrations   *obs.Counter
-	revokes        *obs.Counter
-	waitsImmediate *obs.Counter
-	waitsDeferred  *obs.Counter
-	queueDepth     *obs.Gauge
-	waitSeconds    *obs.Histogram
-	holdSeconds    *obs.Histogram
-	sheds          *obs.Counter
+	revokes     *obs.Counter
+	queueDepth  *obs.Gauge
+	waitSeconds *obs.Histogram
+	holdSeconds *obs.Histogram
+	sheds       *obs.Counter
 }
 
 func newShardMetrics(r *obs.Registry, target string) *shardMetrics {
 	l := obs.Label{Key: "target", Value: target}
 	return &shardMetrics{
-		grants: r.Counter("calciomd_grants_total",
-			"Wait authorizations served, by storage target.", l),
-		arbitrations: r.Counter("calciomd_arbitrations_total",
-			"Arbitration rounds run, by storage target.", l),
 		revokes: r.Counter("calciomd_revokes_total",
 			"Authorizations revoked by arbitration, by storage target.", l),
-		waitsImmediate: r.Counter("calciomd_waits_immediate_total",
-			"Waits answered without deferral (already authorized).", l),
-		waitsDeferred: r.Counter("calciomd_waits_deferred_total",
-			"Waits parked until a later arbitration granted access.", l),
 		queueDepth: r.Gauge("calciomd_queue_depth",
 			"Waits currently parked on the target.", l),
 		waitSeconds: r.Histogram("calciomd_wait_seconds",
@@ -50,13 +33,9 @@ func newShardMetrics(r *obs.Registry, target string) *shardMetrics {
 	}
 }
 
-// serverMetrics is the control-plane slice: degraded/fail-open folds and
-// resume churn, accumulated under the control lock.
+// serverMetrics is the daemon-wide instrumentation the stats snapshot does
+// not keep.
 type serverMetrics struct {
-	selfGrants      *obs.Counter
-	degradedSeconds *obs.FloatCounter
-	resumes         *obs.Counter
-
 	// Overload-protection counters: admission rejects, stats sheds at the
 	// control lock, per-connection rate-limit violations, handshake
 	// deadline drops, and slow-client write-buffer disconnects.
@@ -100,12 +79,6 @@ var muxBatchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 func newServerMetrics(r *obs.Registry) *serverMetrics {
 	return &serverMetrics{
-		selfGrants: r.Counter("calciomd_self_grants_total",
-			"Waits clients granted themselves during fail-open windows, as reported on (re-)register."),
-		degradedSeconds: r.FloatCounter("calciomd_degraded_seconds_total",
-			"Seconds clients reported spending in degraded (uncoordinated) mode."),
-		resumes: r.Counter("calciomd_resumes_total",
-			"Successful resume registrations (connection churn)."),
 		busyRejects: r.Counter("calciomd_busy_rejects_total",
 			"Registrations rejected with code busy at the -max-sessions bound."),
 		statsSheds: r.Counter("calciomd_stats_sheds_total",
@@ -183,47 +156,40 @@ func (srv *Server) Health() string {
 	}
 }
 
-// WriteStatsMetrics renders scrape-time metric series computed from the
-// stats merge — per-application rows and machine-wide aggregates that would
-// be wasteful to maintain on the hot path. It is meant as the Extra hook of
-// an obs.Admin, appended after the registry's own families. Output is
-// deterministic: Stats sorts Apps by (name, target) and Degraded by name.
-func (srv *Server) WriteStatsMetrics(w io.Writer) {
+// collect is the registry's scrape-time collector: from one Stats snapshot
+// it renders the counts the daemon already keeps for stats — the ledgers'
+// grants and wait split, each Domain's arbitrations, the control plane's
+// fail-open table — and the stats merge's per-application rows, so a scrape
+// and a stats request read one source.
+func (srv *Server) collect(r *obs.Registry) {
 	st := srv.Stats()
-	fmt.Fprintf(w, "# HELP calciomd_sessions Connected (or grace-window) sessions.\n# TYPE calciomd_sessions gauge\ncalciomd_sessions %d\n", st.Sessions)
-	fmt.Fprintf(w, "# HELP calciomd_cpu_seconds_wasted Core-seconds idled by I/O slowdown (paper §IV metric).\n# TYPE calciomd_cpu_seconds_wasted gauge\ncalciomd_cpu_seconds_wasted %g\n", st.CPUSecondsWasted)
-	writeAppCounter(w, st, "calciomd_app_grants_total", "Grants served per application and target.", "counter",
-		func(a *wire.AppStats) string { return fmt.Sprintf("%d", a.Grants) })
-	writeAppCounter(w, st, "calciomd_app_io_seconds_total", "Cumulative I/O phase time per application and target.", "counter",
-		func(a *wire.AppStats) string { return fmt.Sprintf("%g", a.IOTimeS) })
-	writeAppCounter(w, st, "calciomd_app_wait_seconds_total", "Cumulative wait time per application and target.", "counter",
-		func(a *wire.AppStats) string { return fmt.Sprintf("%g", a.WaitTimeS) })
-	if len(st.Degraded) > 0 {
-		fmt.Fprintf(w, "# HELP calciomd_app_resumes_total Successful resumes per application name.\n# TYPE calciomd_app_resumes_total counter\n")
-		for i := range st.Degraded {
-			d := &st.Degraded[i]
-			fmt.Fprintf(w, "calciomd_app_resumes_total{app=\"%s\"} %d\n", scrapeEscape(d.Name), d.Resumes)
-		}
+	r.Gauge("calciomd_sessions", "Connected (or grace-window) sessions.").Set(int64(st.Sessions))
+	r.FloatGauge("calciomd_cpu_seconds_wasted", "Core-seconds idled by I/O slowdown (paper §IV metric).").Add(st.CPUSecondsWasted)
+	for i := range st.Targets {
+		t := &st.Targets[i]
+		l := obs.Label{Key: "target", Value: t.Target}
+		r.Counter("calciomd_grants_total", "Wait authorizations served, by storage target.", l).Add(t.GrantsServed)
+		r.Counter("calciomd_arbitrations_total", "Arbitration rounds run, by storage target.", l).Add(t.Arbitrations)
+		r.Counter("calciomd_waits_immediate_total", "Waits answered without deferral (already authorized).", l).Add(t.WaitsImmediate)
+		r.Counter("calciomd_waits_deferred_total", "Waits parked until a later arbitration granted access.", l).Add(t.WaitsDeferred)
 	}
-}
-
-func writeAppCounter(w io.Writer, st wire.Stats, name, help, kind string, value func(*wire.AppStats) string) {
-	if len(st.Apps) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
 	for i := range st.Apps {
 		a := &st.Apps[i]
-		fmt.Fprintf(w, "%s{app=\"%s\",target=\"%s\"} %s\n",
-			name, scrapeEscape(a.Name), scrapeEscape(a.Target), value(a))
+		l := []obs.Label{{Key: "app", Value: a.Name}, {Key: "target", Value: a.Target}}
+		r.Counter("calciomd_app_grants_total", "Grants served per application and target.", l...).Add(a.Grants)
+		r.FloatCounter("calciomd_app_io_seconds_total", "Cumulative I/O phase time per application and target.", l...).Add(a.IOTimeS)
+		r.FloatCounter("calciomd_app_wait_seconds_total", "Cumulative wait time per application and target.", l...).Add(a.WaitTimeS)
 	}
-}
-
-var scrapeEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-
-func scrapeEscape(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
+	resumes := uint64(0)
+	for i := range st.Degraded {
+		d := &st.Degraded[i]
+		r.Counter("calciomd_app_resumes_total", "Successful resumes per application name.",
+			obs.Label{Key: "app", Value: d.Name}).Add(d.Resumes)
+		resumes += d.Resumes
 	}
-	return scrapeEscaper.Replace(v)
+	r.Counter("calciomd_self_grants_total",
+		"Waits clients granted themselves during fail-open windows, as reported on (re-)register.").Add(st.SelfGrants)
+	r.FloatCounter("calciomd_degraded_seconds_total",
+		"Seconds clients reported spending in degraded (uncoordinated) mode.").Add(st.DegradedS)
+	r.Counter("calciomd_resumes_total", "Successful resume registrations (connection churn).").Add(resumes)
 }

@@ -73,12 +73,17 @@ type Config struct {
 	// waited on. The caller owns the writer and must Close it only after
 	// the server has shut down (a Record racing Close would be dropped).
 	Trace *trace.Writer
-	// Metrics, when set, receives hot-path instrumentation: per-target
-	// grant/arbitration/revoke counters, queue-depth gauges, and
-	// wait-to-grant and hold-time histograms. Each shard resolves its series
-	// once at creation, so arbitration only ever performs atomic adds — the
-	// hot path stays allocation-free with metrics on. Nil
-	// disables collection entirely (and stats carry no histograms).
+	// Metrics, when set, receives the daemon's metric families. Hot-path
+	// instrumentation covers what stats do not keep: per-target revoke and
+	// shed counters, queue-depth gauges, wait-to-grant and hold-time
+	// histograms, and the connection and overload counters. Each shard
+	// resolves its series once at creation, so arbitration only ever
+	// performs atomic adds — the hot path stays allocation-free with
+	// metrics on. The counts stats do keep (grants, arbitrations, the wait
+	// split, the fail-open totals, sessions, the per-application rows) are
+	// rendered by a collector New registers, from one Stats snapshot per
+	// scrape. Nil disables collection entirely (and stats carry no
+	// histograms).
 	Metrics *obs.Registry
 	// Events, when set, receives sampled grant-lifecycle events
 	// (register/resume, wait→grant, revoke, grace expiry, drain). Emission
@@ -254,7 +259,7 @@ type Server struct {
 	evict    *time.Timer // idle eviction; its callback re-arms it
 	final    wire.Stats  // the snapshot shutdown took, served after Close
 
-	// m holds the control-plane metric series (nil without a registry);
+	// m holds the daemon-wide metric series (nil without a registry);
 	// degradedSeen flips once any client reports fail-open coordination and
 	// feeds Health.
 	m            *serverMetrics
@@ -288,15 +293,10 @@ func New(cfg Config) (*Server, error) {
 		start := time.Now()
 		clock = func() float64 { return time.Since(start).Seconds() }
 	}
-	var m *serverMetrics
-	if cfg.Metrics != nil {
-		m = newServerMetrics(cfg.Metrics)
-	}
-	return &Server{
+	srv := &Server{
 		cfg:         cfg,
 		clock:       clock,
 		writeBuffer: 256,
-		m:           m,
 		stop:        make(chan struct{}),
 		serveDone:   make(chan struct{}),
 		closeDone:   make(chan struct{}),
@@ -304,7 +304,12 @@ func New(cfg Config) (*Server, error) {
 		sessions:    make(map[*session]struct{}),
 		names:       make(map[string]*session),
 		degraded:    make(map[string]*wire.DegradedStats),
-	}, nil
+	}
+	if cfg.Metrics != nil {
+		srv.m = newServerMetrics(cfg.Metrics)
+		cfg.Metrics.Collect(srv.collect)
+	}
+	return srv, nil
 }
 
 func (srv *Server) logf(format string, args ...any) {

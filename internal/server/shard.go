@@ -403,12 +403,6 @@ func (sh *shard) serveGrant(b *binding, seq uint64, now, waited float64, deferre
 	b.grantAt = now
 	b.holding = true
 	if sh.m != nil {
-		sh.m.grants.Inc()
-		if deferred {
-			sh.m.waitsDeferred.Inc()
-		} else {
-			sh.m.waitsImmediate.Inc()
-		}
 		sh.m.waitSeconds.Observe(waited)
 	}
 	if sh.ev != nil {
@@ -463,9 +457,6 @@ func (sh *shard) arbitrate(now float64) {
 		sh.recheck.Stop()
 	}
 	dec := sh.dom.Arbitrate(now)
-	if sh.m != nil {
-		sh.m.arbitrations.Inc()
-	}
 	if dec.Acted {
 		sh.last = core.DecisionRecord{Time: now, Allowed: sh.dom.Arbiter().AppendAllowed(sh.last.Allowed[:0]), Reason: dec.Reason}
 		sh.decided = true
